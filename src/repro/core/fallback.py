@@ -2,8 +2,8 @@
 
 The paper's online answerer (Eq 7) requires an *exact* template hit — a
 held-out paraphrase of a learned question abstains even though the learned
-predicate would answer it.  This module builds a dense index over the
-learned predicate paths so such questions can be recovered:
+predicate would answer it.  This module builds an index over the learned
+predicate paths so such questions can be recovered:
 
 * every learned path gets one vector — the θ-weighted sum of its training
   templates' *de-slotted* surfaces (the concept token dropped, mirroring how
@@ -11,35 +11,38 @@ learned predicate paths so such questions can be recovered:
   predicate's own name tokens (``birth_place`` → "birth place"),
 * a query embeds the question tokens with the NER mention span removed —
   the same reading the deterministic lane produced — and scores against all
-  path vectors with a brute-force-with-pruning cosine top-k,
+  path vectors by cosine,
 * a confidence gate (absolute threshold AND margin between the two best
-  distinct paths) turns low-confidence matches back into abstentions.
+  paths) turns low-confidence matches back into abstentions.
 
 Everything is deterministic and dependency-free: vectors come from
 ``repro.nlp.embed`` (BLAKE2b feature hashing, seeded), candidate order is
 lexicographic, and the index pickles into serving snapshots unchanged.
 
-The pruned scan packs all path vectors into one flat ``array('f')`` and
-walks each row in chunks; per-row suffix norms precomputed at chunk
-boundaries give a Cauchy–Schwarz upper bound on the remaining dot product,
-so rows that cannot beat the current k-th best are abandoned early.  The
-pruned scan is equivalence-tested against the naive full scan.
+Scoring is sparse on the query side.  Path vectors are dense (a path sums
+many templates) and pack into one flat ``array('f')`` — the pickled truth —
+from which one tuple per path is derived on build and on thaw.  A query is a
+``SparseVector`` of a few dozen non-zero buckets out of ``dim``; each row is
+scored as one ``math.fsum`` over exactly those buckets (a C-level gather and
+multiply, no Python-level inner loop).  ``fsum`` is exactly rounded, so the
+score equals the full dense dot product bit for bit — the zeros the scan
+skips contribute nothing to an exact sum — which is what the tests' dense
+oracle (``tests/oracles/fallback_reference.py``) checks.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import threading
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter, mul
 
 from repro.core.model import TemplateModel
 from repro.core.template import Template
 from repro.kb.paths import PredicatePath
-from repro.nlp.embed import DEFAULT_DIM, accumulate, dot, embed_tokens, normalize
-
-# Chunk width for the pruned scan; a power of two keeps slicing cheap.
-_CHUNK = 64
+from repro.nlp.embed import DEFAULT_DIM, SparseVector, accumulate, embed_tokens
 
 # Relative weight of the predicate-name vector against the accumulated
 # template-surface mass (the surfaces carry the real signal; the name is a
@@ -60,7 +63,11 @@ class FallbackConfig:
     seed: int = 0
     threshold: float = DEFAULT_THRESHOLD  # minimum cosine to answer at all
     margin: float = DEFAULT_MARGIN  # required lead of best over runner-up
-    top_k: int = 5  # ranked paths retrieved per query
+    top_k: int = 5  # ranked paths handed to the caller per query
+
+    def __post_init__(self) -> None:
+        if self.top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
 
 
 def _name_tokens(path_str: str) -> tuple[str, ...]:
@@ -79,10 +86,27 @@ class FallbackIndex:
     ) -> None:
         self.config = config
         self.path_strs = path_strs
-        self.paths = [PredicatePath.parse(p) for p in path_strs]
         self.matrix = matrix
+        self._derive()
+
+    def _derive(self) -> None:
+        """Everything computable from the three pickled fields."""
+        dim = self.config.dim
+        self.paths = [PredicatePath.parse(p) for p in self.path_strs]
         self._by_str = dict(zip(self.path_strs, self.paths))
-        self._suffix_norms = self._build_suffix_norms()
+        # One tuple per path: the scan gathers a query's buckets from each.
+        self._rows = [
+            tuple(self.matrix[start : start + dim])
+            for start in range(0, len(self.path_strs) * dim, dim)
+        ]
+        # Serving executor threads share one index and all count into it.
+        self._outcomes_lock = threading.Lock()
+        self.reset_counters()
+
+    def reset_counters(self) -> None:
+        """Zero this process's gate-outcome counters."""
+        with self._outcomes_lock:
+            self._outcomes = {"passed": 0, "abstained_threshold": 0, "abstained_margin": 0}
 
     def __len__(self) -> int:
         return len(self.path_strs)
@@ -90,19 +114,17 @@ class FallbackIndex:
     # -- Pickling (ships inside serving snapshots) --------------------------
 
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        # Parsed paths and suffix norms are derived; rebuild on thaw so the
-        # snapshot blob stays small.
-        del state["paths"]
-        del state["_by_str"]
-        del state["_suffix_norms"]
-        return state
+        # Only the packed truth ships; rows, parsed paths and the
+        # process-local counters are rebuilt on thaw.
+        return {
+            "config": self.config,
+            "path_strs": self.path_strs,
+            "matrix": self.matrix,
+        }
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self.paths = [PredicatePath.parse(p) for p in self.path_strs]
-        self._by_str = dict(zip(self.path_strs, self.paths))
-        self._suffix_norms = self._build_suffix_norms()
+        self._derive()
 
     # -- Construction -------------------------------------------------------
 
@@ -134,127 +156,78 @@ class FallbackIndex:
                 path_str = str(path)
                 acc = accumulators.get(path_str)
                 if acc is None:
-                    acc = array("f", bytes(4 * dim))
-                    accumulators[path_str] = acc
+                    acc = accumulators[path_str] = array("f", bytes(4 * dim))
                 accumulate(acc, tvec, theta)
 
         path_strs = sorted(accumulators)
         matrix = array("f")
         for path_str in path_strs:
             acc = accumulators[path_str]
-            name_vec = embed_tokens(_name_tokens(path_str), dim, seed)
             acc_norm = math.sqrt(math.fsum(v * v for v in acc))
+            name_vec = embed_tokens(_name_tokens(path_str), dim, seed)
             accumulate(acc, name_vec, _NAME_WEIGHT * (acc_norm or 1.0))
-            matrix.extend(normalize(acc))
+            inv = 1.0 / (math.sqrt(math.fsum(v * v for v in acc)) or 1.0)
+            matrix.extend(v * inv for v in acc)
         return cls(config, path_strs, matrix)
-
-    def _build_suffix_norms(self) -> list[tuple[float, ...]]:
-        """Per-row Cauchy–Schwarz suffix norms at every chunk boundary."""
-        dim = self.config.dim
-        n_chunks = (dim + _CHUNK - 1) // _CHUNK
-        norms: list[tuple[float, ...]] = []
-        for row_index in range(len(self.path_strs)):
-            row = self.matrix[row_index * dim : (row_index + 1) * dim]
-            squared = [0.0] * (n_chunks + 1)
-            for j in range(n_chunks - 1, -1, -1):
-                segment = row[j * _CHUNK : (j + 1) * _CHUNK]
-                squared[j] = squared[j + 1] + math.fsum(v * v for v in segment)
-            norms.append(tuple(math.sqrt(s) for s in squared))
-        return norms
 
     # -- Retrieval ----------------------------------------------------------
 
     def top_paths(
-        self, qvec: array, k: int | None = None, prune: bool = True
+        self, query: SparseVector, k: int | None = None
     ) -> list[tuple[str, float]]:
         """The ``k`` highest-cosine paths for a unit query vector.
 
         Returns ``(path_str, score)`` pairs sorted by descending score with
-        lexicographic tie-breaks.  ``prune=False`` forces the naive full
-        scan — kept as the equivalence-test reference for the pruned path.
+        lexicographic tie-breaks.
         """
-        k = k if k is not None else self.config.top_k
-        if k <= 0 or not self.path_strs:
+        k = self.config.top_k if k is None else k
+        if k <= 0:
             return []
-        dim = self.config.dim
-        n_chunks = (dim + _CHUNK - 1) // _CHUNK
-        q_suffix: tuple[float, ...] | None = None
-        if prune:
-            squared = [0.0] * (n_chunks + 1)
-            for j in range(n_chunks - 1, -1, -1):
-                segment = qvec[j * _CHUNK : (j + 1) * _CHUNK]
-                squared[j] = squared[j + 1] + math.fsum(v * v for v in segment)
-            q_suffix = tuple(math.sqrt(s) for s in squared)
+        indices, weights = query
+        if len(indices) > 1:
+            gather = itemgetter(*indices)
+        else:  # itemgetter of fewer than two items does not return a tuple
+            gather = lambda row: [row[i] for i in indices]  # noqa: E731
+        scores = [math.fsum(map(mul, weights, gather(row))) for row in self._rows]
+        ranked = sorted(zip(scores, self.path_strs), key=lambda pair: (-pair[0], pair[1]))
+        return [(path_str, score) for score, path_str in ranked[:k]]
 
-        scored: list[tuple[float, str]] = []  # (score, path_str), len <= k
-        kth_floor = -math.inf
-        for row_index, path_str in enumerate(self.path_strs):
-            base = row_index * dim
-            # Both branches accumulate chunk dot products in the same order,
-            # so pruned and naive scans agree bit-for-bit on surviving rows
-            # (the equivalence test compares them exactly).
-            if prune and q_suffix is not None and len(scored) >= k:
-                row_suffix = self._suffix_norms[row_index]
-                partial = 0.0
-                pruned = False
-                for j in range(n_chunks):
-                    start = base + j * _CHUNK
-                    partial += dot(
-                        qvec[j * _CHUNK : (j + 1) * _CHUNK],
-                        self.matrix[start : start + _CHUNK],
-                    )
-                    bound = partial + q_suffix[j + 1] * row_suffix[j + 1]
-                    # Small slack keeps float rounding from dropping a row
-                    # that actually ties the k-th best.
-                    if bound < kth_floor - 1e-9:
-                        pruned = True
-                        break
-                if pruned:
-                    continue
-                score = partial
-            else:
-                score = 0.0
-                for j in range(n_chunks):
-                    start = base + j * _CHUNK
-                    score += dot(
-                        qvec[j * _CHUNK : (j + 1) * _CHUNK],
-                        self.matrix[start : start + _CHUNK],
-                    )
-            scored.append((score, path_str))
-            if len(scored) > k:
-                scored.sort(key=lambda row: (-row[0], row[1]))
-                scored.pop()
-            if len(scored) >= k:
-                kth_floor = min(s for s, _ in scored)
-        scored.sort(key=lambda row: (-row[0], row[1]))
-        return [(path_str, score) for score, path_str in scored]
-
-    def gated_paths(self, qvec: array) -> list[tuple[str, float]]:
+    def gated_paths(self, query: SparseVector) -> list[tuple[str, float]]:
         """Retrieval plus the confidence gate; empty means *abstain*.
 
         The gate requires the best path to clear the absolute cosine
-        threshold AND to lead the runner-up by the configured margin; when
-        it passes, every retrieved path above the threshold is returned in
+        threshold AND to lead the runner-up by the configured margin (it
+        always looks at the two best rows, whatever ``top_k`` is); when it
+        passes, the ``top_k`` best paths above the threshold are returned in
         rank order (the caller walks them until one yields KB values).
         """
-        ranked = self.top_paths(qvec)
-        if not ranked:
+        config = self.config
+        ranked = self.top_paths(query, max(config.top_k, 2))
+        if not ranked or ranked[0][1] < config.threshold:
+            outcome = "abstained_threshold"
+        elif len(ranked) > 1 and ranked[0][1] - ranked[1][1] < config.margin:
+            outcome = "abstained_margin"
+        else:
+            outcome = "passed"
+        with self._outcomes_lock:
+            self._outcomes[outcome] += 1
+        if outcome != "passed":
             return []
-        best_score = ranked[0][1]
-        if best_score < self.config.threshold:
-            return []
-        if len(ranked) > 1 and best_score - ranked[1][1] < self.config.margin:
-            return []
-        return [(p, s) for p, s in ranked if s >= self.config.threshold]
+        return [(p, s) for p, s in ranked[: config.top_k] if s >= config.threshold]
 
     def path_for(self, path_str: str) -> PredicatePath:
         return self._by_str[path_str]
 
     def describe(self) -> dict[str, object]:
-        """Summary row for ``/stats``-style introspection surfaces."""
+        """The gate's settings and this process's outcome counters
+        (``cache_info()["fallback"]``, hence ``/stats``)."""
+        with self._outcomes_lock:
+            outcomes = dict(self._outcomes)
         return {
             "paths": len(self.path_strs),
             "dim": self.config.dim,
             "threshold": self.config.threshold,
             "margin": self.config.margin,
+            "queries": sum(outcomes.values()),
+            **outcomes,
         }

@@ -192,8 +192,14 @@ class OnlineAnswerer:
     def answer(self, question: str) -> AnswerResult:
         """Answer one BFQ by evaluating Eq 7 over all readings."""
         tokens = tuple(tokenize(question))
+        return self._answer_keyed(question, tokens, " ".join(tokens))
+
+    def _answer_keyed(
+        self, question: str, tokens: tuple[str, ...], key: str
+    ) -> AnswerResult:
+        """:meth:`answer` past tokenization; ``key`` is the normalized
+        question (the answer-cache key), which ``answer_many`` also needs."""
         if self.answer_cache_size > 0:
-            key = " ".join(tokens)
             with self._cache_lock:
                 generation = self._cache_generation
                 cached = self._answer_cache.get(key)
@@ -246,10 +252,11 @@ class OnlineAnswerer:
         results: list[AnswerResult] = []
         seen: dict[str, AnswerResult] = {}
         for question in questions:
-            key = " ".join(tokenize(question))
+            tokens = tuple(tokenize(question))
+            key = " ".join(tokens)
             hit = seen.get(key)
             if hit is None:
-                hit = self.answer(question)
+                hit = self._answer_keyed(question, tokens, key)
                 seen[key] = hit
             elif hit.question != question:
                 hit = replace(hit, question=question)
@@ -354,11 +361,12 @@ class OnlineAnswerer:
             if not mention.candidates:
                 continue
             remainder = tokens[: mention.start] + tokens[mention.end :]
-            qvec = embed_tokens(remainder, index.config.dim, index.config.seed)
-            for path_str, score in index.gated_paths(qvec):
+            query = embed_tokens(remainder, index.config.dim, index.config.seed)
+            entities = sorted(set(mention.candidates))
+            for path_str, score in index.gated_paths(query):
                 path = index.path_for(path_str)
                 hit = None
-                for entity in sorted(set(mention.candidates)):
+                for entity in entities:
                     values = self.kbview.values(entity, path)
                     if values:
                         hit = (entity, values)
@@ -418,6 +426,8 @@ class OnlineAnswerer:
         """
         self.model = model
         self.fallback_index = fallback
+        if fallback is not None:
+            fallback.reset_counters()
         self.clear_caches(model_changed=True)
 
     def cache_info(self) -> dict[str, object]:
@@ -432,6 +442,8 @@ class OnlineAnswerer:
                 counters = stats()
                 info[f"{name}_hits"] = counters.hits
                 info[f"{name}_misses"] = counters.misses
+        if self.fallback_index is not None:
+            info["fallback"] = self.fallback_index.describe()
         return info
 
     @staticmethod

@@ -162,6 +162,25 @@ class TestAnswerManyDedup:
         assert [r.question for r in results] == [plain, shouty]
         assert results[0].values == results[1].values
 
+    def test_tokenizes_each_question_once(self, suite, kbqa_fb, monkeypatch):
+        """The dedup key and the evaluation share one tokenization."""
+        from repro.core import online
+
+        calls = []
+
+        def counting(question):
+            calls.append(question)
+            return real(question)
+
+        real = online.tokenize
+        monkeypatch.setattr(online, "tokenize", counting)
+        city = pick_entity(suite.world, "city", "population")
+        q1 = f"what is the population of {city.name}?"
+        q2 = f"who is the mayor of {city.name}?"
+        kbqa_fb.answerer.clear_caches()
+        kbqa_fb.answer_many([q1, q2, q1])
+        assert calls == [q1, q2, q1]
+
     def test_batch_equivalent_to_per_question_answer(self, suite, kbqa_fb):
         questions = []
         for entity in list(suite.world.of_type("city"))[:3]:

@@ -10,21 +10,29 @@ The lane's contract, in test form:
   (and a question with no KB mention can never reach the lane),
 * the index survives snapshot pickling into process workers,
 * degraded mode (``cached_answer``) never invokes the lane,
-* the pruned cosine scan equals the naive full scan,
+* the sparse gather scan equals the dense oracle in ``tests/oracles``, on
+  single queries and over the whole held-out stream,
+* the gate's outcome counters are conserved and surface in ``cache_info()``,
 * the serving layer counts ``fallback_served``/``fallback_abstained``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import pickle
+import random
+import sys
+import threading
+from array import array
 
 import pytest
+from oracles.fallback_reference import OracleIndex, reference_top_paths
 
 from repro.core.fallback import FallbackConfig, FallbackIndex
 from repro.core.online import OnlineAnswerer
 from repro.exec.snapshot import AnswerBatchTask, evaluate_frozen_batch, freeze_target
-from repro.nlp.embed import dot, embed_tokens
+from repro.nlp.embed import SparseVector, _bucket, dot, embed_tokens
 from repro.nlp.tokenizer import tokenize
 from repro.serve.async_answerer import AsyncAnswerer, ServeConfig
 
@@ -68,6 +76,25 @@ HELDOUT_REWRITES = (
 )
 
 
+def _random_query(rng: random.Random, dim: int) -> SparseVector:
+    indices = sorted(rng.sample(range(dim), rng.randint(1, 52)))
+    weights = [rng.gauss(0.0, 1.0) for _ in indices]
+    norm = math.sqrt(math.fsum(w * w for w in weights))
+    return SparseVector(tuple(indices), tuple(w / norm for w in weights))
+
+
+def _synthetic_index(path_strs, rows, **config) -> FallbackIndex:
+    """An index over hand-written rows (``path_strs`` in the given order)."""
+    matrix = array("f", [cell for row in rows for cell in row])
+    return FallbackIndex(FallbackConfig(dim=len(rows[0]), **config), path_strs, matrix)
+
+
+def _assert_same_ranking(got, want) -> None:
+    assert [path_str for path_str, _ in got] == [path_str for path_str, _ in want]
+    for (_, got_score), (_, want_score) in zip(got, want, strict=True):
+        assert abs(got_score - want_score) < 1e-12
+
+
 class TestEmbed:
     def test_deterministic_and_normalized(self):
         tokens = tuple(tokenize("when was barack obama born?"))
@@ -88,7 +115,20 @@ class TestEmbed:
 
     def test_empty_tokens_embed_to_zero(self):
         vec = embed_tokens(())
+        assert vec == SparseVector((), ())
         assert dot(vec, vec) == 0.0
+
+    def test_sparse_form(self):
+        vec = embed_tokens(tuple(tokenize("who founded the acme corporation?")), dim=100)
+        assert list(vec.indices) == sorted(set(vec.indices))
+        assert all(0 <= index < 100 for index in vec.indices)
+        assert all(vec.weights)  # cancelled buckets are dropped, not kept as 0.0
+
+    def test_memo_does_not_change_vectors(self):
+        tokens = tuple(tokenize("when was barack obama born?"))
+        warm = embed_tokens(tokens)
+        _bucket.cache_clear()
+        assert embed_tokens(tokens) == warm
 
 
 class TestFallbackIndex:
@@ -101,13 +141,46 @@ class TestFallbackIndex:
         assert again.path_strs == fb_index.path_strs
         assert again.matrix == fb_index.matrix
 
-    def test_pruned_scan_equals_naive(self, fb_index, training_questions):
+    def test_sparse_scan_equals_dense_oracle(self, fb_index, training_questions):
+        rng = random.Random(13)
+        queries = [embed_tokens(tuple(tokenize(q))) for q in training_questions]
+        for _ in range(40):
+            queries.append(_random_query(rng, fb_index.config.dim))
+        for query in queries:
+            for k in (1, 3, 10, len(fb_index), len(fb_index) + 5):
+                _assert_same_ranking(
+                    fb_index.top_paths(query, k), reference_top_paths(fb_index, query, k)
+                )
+
+    def test_all_zero_query_ranks_lexicographically(self, fb_index):
+        ranked = fb_index.top_paths(SparseVector((), ()), 4)
+        assert ranked == [(path_str, 0.0) for path_str in fb_index.path_strs[:4]]
+        assert ranked == reference_top_paths(fb_index, SparseVector((), ()), 4)
+        assert fb_index.gated_paths(SparseVector((), ())) == []
+
+    def test_single_bucket_query(self, fb_index):
+        query = SparseVector((17,), (1.0,))
+        _assert_same_ranking(
+            fb_index.top_paths(query, 5), reference_top_paths(fb_index, query, 5)
+        )
+
+    def test_identical_rows_tie_break_lexicographically(self):
+        rows = [[0.6, 0.8, 0.0], [0.6, 0.8, 0.0], [1.0, 0.0, 0.0]]
+        index = _synthetic_index(["c", "b", "a"], rows)  # stored against the tie-break order
+        query = SparseVector((0, 1), (0.6, 0.8))
+        ranked = index.top_paths(query, 3)
+        assert [path_str for path_str, _ in ranked] == ["b", "c", "a"]
+        assert ranked[0][1] == ranked[1][1]
+        _assert_same_ranking(ranked, reference_top_paths(index, query, 3))
+
+    def test_dim_not_a_multiple_of_64(self, kbqa_fb, training_questions):
+        index = FallbackIndex.build(kbqa_fb.model, FallbackConfig(dim=100))
+        assert len(index.matrix) == 100 * len(index)
         for question in training_questions:
-            qvec = embed_tokens(tuple(tokenize(question)))
-            for k in (1, 3, 10, len(fb_index)):
-                pruned = fb_index.top_paths(qvec, k, prune=True)
-                naive = fb_index.top_paths(qvec, k, prune=False)
-                assert pruned == naive
+            query = embed_tokens(tuple(tokenize(question)), dim=100)
+            _assert_same_ranking(
+                index.top_paths(query, 10), reference_top_paths(index, query, 10)
+            )
 
     def test_top_paths_ranked_descending(self, fb_index):
         qvec = embed_tokens(("where", "born"))
@@ -126,8 +199,64 @@ class TestFallbackIndex:
         thawed = pickle.loads(pickle.dumps(fb_index))
         assert thawed.path_strs == fb_index.path_strs
         assert thawed.matrix == fb_index.matrix
+        assert thawed._rows == fb_index._rows  # derived, rebuilt on thaw
+        assert set(fb_index.__getstate__()) == {"config", "path_strs", "matrix"}
         qvec = embed_tokens(("where", "born"))
         assert thawed.top_paths(qvec) == fb_index.top_paths(qvec)
+
+    def test_margin_gate_sees_runner_up_at_top_k_1(self):
+        """Two near-tied paths abstain on the margin whatever ``top_k`` is
+        (``top_k=1`` used to retrieve one row and skip the margin check)."""
+        rows = [[1.0, 0.0], [math.cos(0.05), math.sin(0.05)]]
+        query = SparseVector((0,), (1.0,))
+        for top_k in (1, 5):
+            near_tied = _synthetic_index(["a", "b"], rows, top_k=top_k)
+            assert near_tied.gated_paths(query) == []
+            assert near_tied.describe()["abstained_margin"] == 1
+        clear = _synthetic_index(["a", "b"], [[1.0, 0.0], [0.0, 1.0]], top_k=1)
+        assert clear.gated_paths(query) == [("a", 1.0)]  # at most top_k returned
+
+    def test_gate_counters_conserved(self, kbqa_fb, training_questions):
+        index = FallbackIndex.build(kbqa_fb.model)
+        asked = 0
+        for question in training_questions:
+            for rewrite in HELDOUT_REWRITES:
+                index.gated_paths(embed_tokens(tuple(tokenize(rewrite(question)))))
+                asked += 1
+        index.gated_paths(SparseVector((), ()))  # nothing clears the threshold
+        info = index.describe()
+        assert info["queries"] == asked + 1
+        assert info["queries"] == (
+            info["passed"] + info["abstained_threshold"] + info["abstained_margin"]
+        )
+        assert info["passed"] > 0 and info["abstained_threshold"] > 0
+        assert (info["paths"], info["dim"]) == (len(index), index.config.dim)
+        # counters are process-local: a thawed copy starts from zero
+        assert pickle.loads(pickle.dumps(index)).describe()["queries"] == 0
+
+    def test_gate_counters_lose_no_update_across_threads(self):
+        """Executor threads share one index; a lost increment would break
+        the count.  More threads than cores, switch interval shortened."""
+        index = _synthetic_index(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
+        query = SparseVector((0,), (1.0,))
+        per_thread, n_threads = 2000, 8
+
+        def hammer() -> None:
+            for _ in range(per_thread):
+                index.gated_paths(query)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert index.describe()["passed"] == per_thread * n_threads
 
 
 class TestFallbackLane:
@@ -141,6 +270,30 @@ class TestFallbackLane:
         ):
             assert a == b  # frozen dataclass: full field-wise equality
             assert not b.fallback
+
+    def test_whole_heldout_stream_equals_oracle(self, suite, kbqa_fb, fb_index):
+        """Every gold factoid question through every held-out rewrite: the
+        sparse index answers exactly as one scoring through the dense oracle."""
+        gold = sorted(
+            {
+                pair.question
+                for pair in suite.corpus
+                if pair.meta.get("kind") == "factoid" and not pair.meta["wrong"]
+            }
+        )
+        stream = [rewrite(question) for question in gold for rewrite in HELDOUT_REWRITES]
+        oracle = OracleIndex(fb_index.config, fb_index.path_strs, fb_index.matrix)
+        sparse_answers = _clone_answerer(kbqa_fb, fallback=fb_index).answer_many(stream)
+        oracle_answers = _clone_answerer(kbqa_fb, fallback=oracle).answer_many(stream)
+        recovered = 0
+        for got, want in zip(sparse_answers, oracle_answers, strict=True):
+            assert got.values == want.values
+            assert got.predicate == want.predicate
+            assert got.entity == want.entity
+            assert got.fallback == want.fallback
+            assert abs(got.score - want.score) < 1e-12
+            recovered += got.fallback
+        assert recovered > len(stream) // 4
 
     def test_heldout_paraphrase_recovered(self, kbqa_fb, fb_answerer, training_questions):
         recovered = 0
@@ -202,6 +355,20 @@ class TestFallbackLane:
         if live.answered:
             # once served, the cached copy carries the fallback tag through
             assert cached is not None and cached.fallback
+
+    def test_cache_info_surfaces_gate_counters(self, kbqa_fb, training_questions):
+        index = FallbackIndex.build(kbqa_fb.model)
+        answerer = _clone_answerer(kbqa_fb, fallback=index)
+        assert "fallback" not in _clone_answerer(kbqa_fb).cache_info()
+        answerer.answer(HELDOUT_REWRITES[0](training_questions[0]))
+        info = answerer.cache_info()["fallback"]
+        assert info == index.describe()
+        assert info["queries"] >= 1
+        assert info["queries"] == (
+            info["passed"] + info["abstained_threshold"] + info["abstained_margin"]
+        )
+        answerer.replace_model(answerer.model, fallback=index)
+        assert answerer.cache_info()["fallback"]["queries"] == 0
 
     def test_clear_caches_keeps_index(self, kbqa_fb, fb_index):
         answerer = _clone_answerer(kbqa_fb, fallback=fb_index)
