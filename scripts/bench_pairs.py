@@ -1,14 +1,27 @@
 #!/usr/bin/env python3
 """Alternating base/change benchmark pairs (the choosing-metrics §8 protocol).
 
-    python3 scripts/bench_pairs.py --base HEAD --workload inproc_heldout --pairs 10
+    python3 scripts/bench_pairs.py --base HEAD --workload http_zipf \\
+        --workload inproc_unique --pairs 10
 
 Exports ``--base`` with ``git archive`` into a temporary directory (honours
-``TMPDIR``), then runs ``python3 -m benchmarks.e2e --workload W --seed S
---trace 0`` once per side per pair — base first on even pairs, the working
-tree first on odd ones, a fresh seed per pair — and prints, per end-to-end
-metric, each side's median and quartiles and how many pairs the change won
-(ties count for neither side).
+``TMPDIR``), then, for each ``--workload`` in turn, runs ``python3 -m
+benchmarks.e2e --workload W --seed S --trace 0`` once per side per pair —
+base first on even pairs, the working tree first on odd ones, a fresh seed
+per pair — and prints, per end-to-end metric, each side's median and
+quartiles, how many pairs the change won (ties count for neither side), and
+a verdict against the metric's bound in ``BENCHMARK.json``:
+
+* ``improved`` — the change won at least nine tenths of the pairs and its
+  median is better by more than the base's own interquartile range;
+* ``worse`` — the change's median is worse than the base's by more than the
+  bound;
+* ``unresolved`` — neither, and one side's interquartile range is wider
+  than the bound allows, so "no change" cannot be told from a regression;
+* ``within bound`` — otherwise.
+
+So one command yields both the claim on the workload a change targets and
+the must-not-move rows on the workloads that bypass it.
 """
 
 from __future__ import annotations
@@ -34,15 +47,44 @@ def run_once(tree: Path, workload: str, seed: int) -> dict[str, float]:
     return values
 
 
-def summary(values: list[float]) -> str:
+def quartiles(values: list[float]) -> tuple[float, float, float]:
     low, mid, high = statistics.quantiles(values, n=4, method="inclusive")
+    return low, mid, high
+
+
+def summary(values: list[float]) -> str:
+    low, mid, high = quartiles(values)
     return f"{mid:11.4g} [{low:.4g}, {high:.4g}]"
+
+
+def verdict(
+    base: list[float], change: list[float], sign: float, bound: float | None
+) -> str:
+    """``sign`` is +1 when higher is better; ``bound`` is the relative
+    worsening BENCHMARK.json allows (None: a diagnostic without one)."""
+    base_low, base_mid, base_high = quartiles(base)
+    change_low, change_mid, change_high = quartiles(change)
+    gain = sign * (change_mid - base_mid)
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    if wins >= 0.9 * len(base) and gain > base_high - base_low:
+        return "improved"
+    if bound is None:
+        return "worse" if gain < 0 else "within bound"
+    allowed = bound * abs(base_mid)
+    if -gain > allowed:
+        return "worse"
+    if max(base_high - base_low, change_high - change_low) > allowed:
+        return "unresolved"
+    return "within bound"
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git ref of the parent side")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", required=True, action="append",
+        help="workload to pair; repeat for several",
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
     args = parser.parse_args()
@@ -50,21 +92,27 @@ def main() -> int:
         parser.error("--pairs must be at least 2 (quartiles need two runs per side)")
     spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
     better["failed_share"] = "lower"
 
-    runs: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as base_tree:
         archive = subprocess.run(
             ["git", "archive", args.base], cwd=REPO, capture_output=True, check=True
         ).stdout
         subprocess.run(["tar", "-x", "-C", base_tree], input=archive, check=True)
         trees = {"base": Path(base_tree), "change": REPO}
-        for pair in range(args.pairs):
-            for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
-                runs[side].append(run_once(trees[side], args.workload, args.seed + pair))
-            print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
+        for workload in args.workload:
+            runs: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
+            for pair in range(args.pairs):
+                for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
+                    runs[side].append(run_once(trees[side], workload, args.seed + pair))
+                print(f"{workload}: pair {pair + 1}/{args.pairs} done", file=sys.stderr)
+            report(workload, runs, better, bounds, args)
+    return 0
 
-    print(f"{args.workload}: {args.pairs} pairs, base={args.base}, median [q1, q3]")
+
+def report(workload, runs, better, bounds, args) -> None:
+    print(f"{workload}: {args.pairs} pairs, base={args.base}, median [q1, q3]")
     for name, direction in better.items():
         base = [run[name] for run in runs["base"]]
         change = [run[name] for run in runs["change"]]
@@ -74,8 +122,9 @@ def main() -> int:
         print(
             f"{name:20s} base {summary(base)}  change {summary(change)}"
             f"  ({direction} is better; change won {wins}, lost {losses})"
+            f"  {verdict(base, change, sign, bounds.get(name))}",
+            flush=True,
         )
-    return 0
 
 
 if __name__ == "__main__":

@@ -221,16 +221,22 @@ class OnlineAnswerer:
             return result
         return self._answer_tokens(question, tokens)
 
-    def cached_answer(self, question: str) -> AnswerResult | None:
+    def cached_answer(
+        self, question: str, key: str | None = None
+    ) -> AnswerResult | None:
         """Answer-cache probe: the cached result for ``question`` or None.
 
-        Never evaluates — the degraded-mode path of the serving layer uses
-        this to keep answering head-of-distribution questions while the
+        Never evaluates.  The serving layer's cache-hit lane calls this on
+        the event loop for every request (passing the normalized ``key`` it
+        already computed for coalescing, so the question is tokenized
+        once); its degraded mode uses it to keep answering while the
         evaluation backend is down or overloaded, without adding load.
+        With the cache disabled it returns before touching the lock.
         """
         if self.answer_cache_size <= 0:
             return None
-        key = " ".join(tokenize(question))
+        if key is None:
+            key = " ".join(tokenize(question))
         with self._cache_lock:
             cached = self._answer_cache.get(key)
             if cached is not None:

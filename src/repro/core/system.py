@@ -225,6 +225,14 @@ class KBQA:
         results identical to per-question :meth:`answer`)."""
         return self.answerer.answer_many(questions)
 
+    def cached_answer(
+        self, question: str, key: str | None = None
+    ) -> AnswerResult | None:
+        """Answer-cache probe (never evaluates): see
+        :meth:`OnlineAnswerer.cached_answer` — the serving layer's
+        cache-hit lane reads the cache through this."""
+        return self.answerer.cached_answer(question, key)
+
     # -- Live KB updates -------------------------------------------------------
 
     def _on_kb_change(self, _change) -> None:

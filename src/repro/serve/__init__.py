@@ -2,14 +2,16 @@
 
 The serving story in three layers:
 
-* :mod:`repro.serve.async_answerer` — :class:`AsyncAnswerer`: in-flight
-  request coalescing on the normalized-question key, micro-batching into
-  ``answer_many``, bounded-queue admission control, epoch-checked freshness
-  under live KB updates;
+* :mod:`repro.serve.async_answerer` — :class:`AsyncAnswerer`: answer-cache
+  hits answered on the event loop (no queue, task or thread hop), and for
+  misses in-flight request coalescing on the normalized-question key,
+  micro-batching into ``answer_many``, bounded-queue admission control,
+  epoch-checked freshness under live KB updates;
 * :mod:`repro.serve.app` — :class:`KBQAServer`: the stdlib asyncio HTTP
-  front (``/answer``, ``/batch``, ``/facts``, ``/healthz``, ``/stats``,
-  ``/metrics``) behind ``kbqa serve``, plus :class:`BackgroundServer` and
-  the CI smoke;
+  front (one ``asyncio.Protocol`` per connection over the sans-IO parser
+  of :mod:`repro.serve.http`; ``/answer``, ``/batch``, ``/facts``,
+  ``/healthz``, ``/stats``, ``/metrics``) behind ``kbqa serve``, plus
+  :class:`BackgroundServer` and the CI smoke;
 * :mod:`repro.serve.metrics` — the telemetry spine: mergeable log-bucket
   latency histograms with windowed percentiles, per-stage timers,
   per-tenant counters, Prometheus text exposition;

@@ -2,12 +2,19 @@
 
 Endpoints (all JSON):
 
-* ``POST /answer``  ``{"question": "..."}`` -> one answer payload; ``503``
-  with ``{"error": "overloaded", ...}`` when admission control rejects —
-  unless the answer cache holds the question, in which case the cached
-  result is served with ``"degraded": true`` (an answer beats a refusal).
-  An ``X-KBQA-Deadline-Ms`` header (or ``ServeConfig.deadline_ms``) bounds
-  the wait: past it the request gets a ``504``.
+* ``POST /answer``  ``{"question": "..."}`` -> one answer payload.  A
+  question the answer cache holds is answered in the callback that received
+  its last byte (:meth:`AsyncAnswerer.answer_nowait`, ``"degraded":
+  false``): it never reaches admission control, so overload cannot refuse
+  it.  A miss takes the queue; ``503`` with ``{"error": "overloaded", ...}``
+  when admission control rejects.  The degraded fallback — a cached result
+  served with ``"degraded": true`` because an answer beats a refusal — is
+  therefore left with the refusals the lane did not already absorb: a
+  request refused while a quiesced write holds the lane shut, and targets
+  whose cache the lane cannot read (no ``cached_answer`` on the target, or
+  a process-executor cache warmed outside serving).  An
+  ``X-KBQA-Deadline-Ms`` header (or ``ServeConfig.deadline_ms``) bounds the
+  wait: past it the request gets a ``504``.
 * ``POST /batch``   ``{"questions": [...]}`` -> ``{"results": [...]}`` in
   input order (each question goes through coalescing individually); the
   deadline header applies per question, and the degraded fallback fires
@@ -36,6 +43,17 @@ batched) and routes every external mutation into
 :meth:`AsyncAnswerer.invalidate`, so edits made directly against the store —
 not just through ``/facts`` — keep in-flight results fresh.
 
+Transport: one :class:`asyncio.Protocol` per connection over the sans-IO
+parser of :mod:`repro.serve.http` — no stream reader/writer pair, no
+per-connection task.  A request's two lanes::
+
+    hit:   data_received -> parse_request -> key -> probe -> payload -> write
+    miss:  data_received -> parse_request -> task(_route -> answer ->
+           queue -> batch -> executor -> future) -> write
+
+Requests on one connection are answered strictly in order: while a miss is
+in flight (or the peer is not draining replies) later bytes stay buffered.
+
 :class:`BackgroundServer` runs the whole thing on a private event-loop
 thread for synchronous callers (tests, the CLI smoke mode, examples).
 """
@@ -62,9 +80,10 @@ from repro.serve.control import QuotaExceeded
 from repro.serve.http import (
     BadRequest,
     HTTPRequest,
-    read_request,
+    parse_request,
     response_bytes,
     text_response_bytes,
+    truncated,
 )
 from repro.serve.metrics import (
     PROMETHEUS_CONTENT_TYPE,
@@ -96,6 +115,144 @@ def result_payload(result: AnswerResult, *, degraded: bool = False) -> dict:
         "degraded": degraded,
         "fallback": result.fallback,
     }
+
+
+# Unparsed input a connection may hold while it cannot make progress (a
+# miss in flight, or the peer not draining replies) before the socket stops
+# being read — the stream reader's old 64 KiB limit, as back-pressure.
+READ_HIGH_WATER = 64 * 1024
+
+
+def _internal_error(error: Exception) -> tuple[int, dict]:
+    """The deterministic 500: never a traceback, never a hung socket."""
+    return 500, {"error": f"{type(error).__name__}: {error}"}
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: bytes in, in-order replies out.
+
+    Everything runs in transport callbacks on the event loop.  ``_pump`` is
+    the single place requests are taken off the buffer; it stops while the
+    connection is *blocked* — a miss's task is in flight, or the transport
+    asked us to stop writing — and is re-entered by whatever unblocks it
+    (``data_received``, the task's completion, ``resume_writing``, EOF).
+    """
+
+    __slots__ = ("server", "transport", "buffer", "task", "eof", "read_paused", "write_paused")
+
+    def __init__(self, server: "KBQAServer") -> None:
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        self.buffer = bytearray()
+        self.task: asyncio.Task | None = None  # the in-flight non-inline request
+        self.eof = False  # the peer half-closed: no more bytes will arrive
+        self.read_paused = False
+        self.write_paused = False
+
+    # -- Transport callbacks ------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self._pump()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._pump()
+        return True  # keep the write side open: replies may still be owed
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._pump()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.server._connections.discard(self)
+        if exc is not None:
+            self.server.disconnects += 1  # client went away mid-request/response
+        if self.task is not None:
+            self.task.cancel()  # nobody is left to read its reply
+
+    def close(self) -> asyncio.Task | None:
+        """Server shutdown: close the transport, cancel the in-flight
+        request; returns its task for the caller to await."""
+        assert self.transport is not None
+        self.transport.close()
+        if self.task is not None:
+            self.task.cancel()
+        return self.task
+
+    # -- Request loop ---------------------------------------------------------
+
+    def _pump(self) -> None:
+        """Answer buffered requests until blocked or out of bytes."""
+        transport, server = self.transport, self.server
+        assert transport is not None
+        while not (self.task or self.write_paused or transport.is_closing()):
+            try:
+                request = parse_request(self.buffer)
+                if request is None and self.eof:
+                    if not self.buffer:
+                        transport.close()  # clean EOF between requests
+                        return
+                    raise truncated(self.buffer)
+            except BadRequest as error:
+                # malformed/truncated bytes: a clean 400 and close
+                server.bad_requests += 1
+                transport.write(
+                    response_bytes(400, {"error": str(error)}, keep_alive=False)
+                )
+                transport.close()
+                return
+            if request is None:
+                break
+            try:
+                hit = server._inline_answer(request)
+            except Exception as error:
+                self._reply(request, *_internal_error(error))
+                continue
+            if hit is not None:
+                self._reply(request, 200, hit)
+            else:
+                self.task = asyncio.get_running_loop().create_task(
+                    self._respond(request)
+                )
+        blocked = self.task is not None or self.write_paused
+        pause = blocked and len(self.buffer) > READ_HIGH_WATER
+        if pause != self.read_paused and not transport.is_closing():
+            self.read_paused = pause
+            if pause:
+                transport.pause_reading()
+            else:
+                transport.resume_reading()
+
+    async def _respond(self, request: HTTPRequest) -> None:
+        """The task path: everything but a cache-hit ``/answer``."""
+        status, payload = await self.server._route(request)
+        self.task = None
+        assert self.transport is not None
+        if not self.transport.is_closing():
+            self._reply(request, status, payload)
+            self._pump()
+
+    def _reply(self, request: HTTPRequest, status: int, payload: dict | str) -> None:
+        assert self.transport is not None
+        keep = request.keep_alive
+        if isinstance(payload, str):  # /metrics: Prometheus text
+            data = text_response_bytes(
+                status, payload, keep_alive=keep, content_type=PROMETHEUS_CONTENT_TYPE
+            )
+        else:
+            data = response_bytes(status, payload, keep_alive=keep)
+        self.transport.write(data)
+        if not keep:
+            self.transport.close()
 
 
 class KBQAServer:
@@ -148,7 +305,8 @@ class KBQAServer:
         self.answerer = AsyncAnswerer(system, self.config, pool=self.exec_pool)
         self._server: asyncio.Server | None = None
         self._unsubscribe = None
-        self._connections: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
+        self._writes: set[asyncio.Task] = set()  # /facts writes in flight
         self._started_monotonic = 0.0
         self.bad_requests = 0  # malformed/truncated requests answered with 400
         self.disconnects = 0  # connections dropped mid-request by the client
@@ -165,8 +323,8 @@ class KBQAServer:
             lambda _change: self.answerer.invalidate(),
             lambda _changes: self.answerer.invalidate(),
         )
-        self._server = await asyncio.start_server(
-            self._on_connection,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self),
             self.host,
             self.port,
             reuse_port=self.reuse_port or None,
@@ -175,16 +333,24 @@ class KBQAServer:
         self._started_monotonic = time.monotonic()
 
     async def stop(self) -> None:
-        """Close the socket, cancel open connections, drain the answerer."""
+        """Close the socket and every connection, drain the answerer."""
         if self._server is not None:
             self._server.close()
+        tasks = [connection.close() for connection in list(self._connections)]
+        await asyncio.gather(
+            *(task for task in tasks if task is not None), return_exceptions=True
+        )
+        await asyncio.sleep(0)  # flushed transports finish closing here
+        for connection in list(self._connections):
+            # replies still buffered for a peer that stopped reading
+            assert connection.transport is not None
+            connection.transport.abort()
+        if self._server is not None:
+            # after the connections: from 3.12 this waits for them to close
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        self._connections.clear()
+        # a write outlives its (cancelled) request: let it finish and replicate
+        await asyncio.gather(*self._writes, return_exceptions=True)
         if self._unsubscribe is not None:
             self._unsubscribe()
             self._unsubscribe = None
@@ -203,61 +369,6 @@ class KBQAServer:
 
     async def __aexit__(self, *exc_info) -> None:
         await self.stop()
-
-    # -- Connection handling -----------------------------------------------
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._connections.add(task)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except BadRequest as error:
-                    # malformed/truncated bytes: a clean 400 (best-effort —
-                    # the writer may already be gone) and close, never a
-                    # traceback out of the connection task
-                    self.bad_requests += 1
-                    try:
-                        writer.write(
-                            response_bytes(400, {"error": str(error)}, keep_alive=False)
-                        )
-                        await writer.drain()
-                    except (ConnectionResetError, BrokenPipeError, OSError):
-                        self.disconnects += 1
-                    break
-                if request is None:
-                    break
-                status, payload = await self._route(request)
-                keep = request.keep_alive
-                if isinstance(payload, str):  # /metrics: Prometheus text
-                    writer.write(
-                        text_response_bytes(
-                            status,
-                            payload,
-                            keep_alive=keep,
-                            content_type=PROMETHEUS_CONTENT_TYPE,
-                        )
-                    )
-                else:
-                    writer.write(response_bytes(status, payload, keep_alive=keep))
-                await writer.drain()
-                if not keep:
-                    break
-        except asyncio.CancelledError:
-            pass  # server shutdown cancels open connections
-        except (ConnectionResetError, BrokenPipeError, TimeoutError, OSError):
-            self.disconnects += 1  # client went away mid-request/response
-        finally:
-            self._connections.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError, asyncio.CancelledError):
-                pass
 
     # -- Routing -----------------------------------------------------------
 
@@ -313,8 +424,8 @@ class KBQAServer:
                 "error": "overloaded",
                 "max_pending": self.answerer.max_pending,
             }
-        except Exception as error:  # deterministic 500, never a hung socket
-            return 500, {"error": f"{type(error).__name__}: {error}"}
+        except Exception as error:
+            return _internal_error(error)
 
     # -- Metrics export ----------------------------------------------------
 
@@ -405,13 +516,34 @@ class KBQAServer:
             raise BadRequest("X-KBQA-Deadline-Ms must be > 0")
         return value / 1000.0
 
-    async def _handle_answer(self, request: HTTPRequest) -> tuple[int, dict]:
-        payload = request.json()
-        question = payload.get("question")
+    def _answer_args(
+        self, request: HTTPRequest
+    ) -> tuple[str, float | None, str | None]:
+        """Validated ``(question, deadline_s, tenant)`` of a ``POST /answer``."""
+        question = request.json().get("question")
         if not isinstance(question, str) or not question.strip():
             raise BadRequest("'question' must be a non-empty string")
-        deadline_s = self._deadline_s(request)
-        tenant = self._tenant(request)
+        return question, self._deadline_s(request), self._tenant(request)
+
+    def _inline_answer(self, request: HTTPRequest) -> dict | None:
+        """The cache-hit lane's payload for ``request``, else None.
+
+        Called from ``data_received``.  None covers every request
+        :meth:`_route` must handle in a task: another route, a cache miss,
+        and an invalid request — which is validated identically there and
+        gets its 400 from the one place that maps errors to statuses.
+        """
+        if request.method != "POST" or request.path != "/answer":
+            return None
+        try:
+            question, _deadline_s, tenant = self._answer_args(request)
+        except BadRequest:
+            return None
+        hit = self.answerer.answer_nowait(question, tenant)
+        return None if hit is None else result_payload(hit)
+
+    async def _handle_answer(self, request: HTTPRequest) -> tuple[int, dict]:
+        question, deadline_s, tenant = self._answer_args(request)
         try:
             if deadline_s is None:  # config default applies inside answer()
                 result = await self.answerer.answer(question, tenant=tenant)
@@ -422,7 +554,10 @@ class KBQAServer:
         except (OverloadedError, BrokenExecutor) as error:
             # degraded mode: the evaluation backend is saturated or its
             # workers just died — a cached answer beats a refusal, so probe
-            # the answer cache (free) before surfacing the 503/500
+            # the answer cache (free) before surfacing the 503/500.  The
+            # cache-hit lane already answered every hit it could read, so
+            # this fires only where the lane was shut or blind (see the
+            # module docstring).
             cached = self.system.answerer.cached_answer(question)
             if cached is None:
                 raise error
@@ -476,10 +611,20 @@ class KBQAServer:
             mutation = lambda: self.system.add_fact(subject, predicate, obj)  # noqa: E731
         else:
             mutation = lambda: self.system.delete_fact(subject, predicate, obj)  # noqa: E731
-        changed = await self.answerer.apply(mutation)
-        if changed and self.fact_listener is not None:
-            self.fact_listener(op, subject, predicate, obj)
-        return 200, {"op": op, "changed": bool(changed)}
+
+        async def write() -> bool:
+            changed = await self.answerer.apply(mutation)
+            if changed and self.fact_listener is not None:
+                self.fact_listener(op, subject, predicate, obj)
+            return bool(changed)
+
+        # Its own task, shielded: a client that hangs up cancels its request
+        # (connection_lost), and a write cancelled between the mutation and
+        # the listener would be applied here but never replicated.
+        task = asyncio.ensure_future(write())
+        self._writes.add(task)
+        task.add_done_callback(self._writes.discard)
+        return 200, {"op": op, "changed": await asyncio.shield(task)}
 
 
 class BackgroundServer:
@@ -580,13 +725,16 @@ def run_smoke(
     Every client issues ``requests_per_thread`` ``POST /answer`` calls (the
     question stream repeats, so coalescing gets exercised), one client-side
     ``/batch``, and a ``/healthz`` + ``/stats`` read; ``/metrics`` must
-    parse as Prometheus text format.  With ``config.adaptive`` the smoke
-    additionally keeps load on the server until the SLO controller has
-    adjusted at least one knob (window / batch / admission), failing if it
-    never does.  Raises ``RuntimeError`` on any non-200, mismatched
-    payload, or unclean shutdown; returns a summary dict on success.  This
-    is the CI serving smoke test and the ``kbqa serve --smoke``
-    implementation.
+    parse as Prometheus text format.  Two raw-socket exchanges check the
+    connection state machine: a pipelined pair must come back as two
+    replies in request order, and an HTTP/1.0 request (no ``Connection``
+    header) must be answered ``Connection: close`` and hung up on.  With
+    ``config.adaptive`` the smoke additionally keeps load on the server
+    until the SLO controller has adjusted at least one knob (window / batch
+    / admission), failing if it never does.  Raises ``RuntimeError`` on any
+    non-200, mismatched payload, or unclean shutdown; returns a summary dict
+    on success.  This is the CI serving smoke test and the ``kbqa serve
+    --smoke`` implementation.
 
     ``procs > 1`` runs the same client traffic against a
     :class:`~repro.serve.multiproc.MultiProcessServer` — N forked replicas
@@ -595,7 +743,9 @@ def run_smoke(
     """
     import json
     import multiprocessing
+    import socket
     import urllib.error
+    import urllib.parse
     import urllib.request
 
     if not questions:
@@ -611,6 +761,27 @@ def run_smoke(
                 return resp.status, json.loads(resp.read().decode("utf-8"))
         except urllib.error.HTTPError as error:
             return error.code, json.loads(error.read().decode("utf-8"))
+
+    def raw_exchange(url: str, payload: bytes) -> list[tuple[bytes, dict]]:
+        """Send ``payload``, read to the server's close; (head, JSON) per reply."""
+        parts = urllib.parse.urlsplit(url)
+        with socket.create_connection((parts.hostname, parts.port), timeout=30) as sock:
+            sock.sendall(payload)
+            data = b""
+            while chunk := sock.recv(65536):
+                data += chunk
+        replies = []
+        while data:
+            head, _, rest = data.partition(b"\r\n\r\n")
+            length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+            replies.append((head, json.loads(rest[:length])))
+            data = rest[length:]
+        return replies
+
+    def answer_bytes(question: str, version: str, *headers: str) -> bytes:
+        body = json.dumps({"question": question}).encode("utf-8")
+        lines = [f"POST /answer {version}", f"Content-Length: {len(body)}", *headers]
+        return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body
 
     failures: list[str] = []
     statuses: list[int] = []
@@ -663,6 +834,24 @@ def run_smoke(
         status, batch = post(bg.url + "/batch", {"questions": questions[:4] * 2})
         if status != 200 or len(batch.get("results", [])) != len(questions[:4] * 2):
             failures.append(f"/batch -> {status}: {batch}")
+
+        try:
+            pair = [questions[0], questions[-1]]
+            replies = raw_exchange(
+                bg.url,
+                answer_bytes(pair[0], "HTTP/1.1")
+                + answer_bytes(pair[1], "HTTP/1.1", "Connection: close"),
+            )
+            if [body.get("question") for _head, body in replies] != pair or not all(
+                head.startswith(b"HTTP/1.1 200 ") for head, _body in replies
+            ):
+                failures.append(f"pipelined pair came back as {replies}")
+            replies = raw_exchange(bg.url, answer_bytes(pair[0], "HTTP/1.0"))
+            if len(replies) != 1 or b"connection: close" not in replies[0][0].lower():
+                failures.append(f"HTTP/1.0 request was not answered-and-closed: {replies}")
+        except (OSError, ValueError, IndexError) as error:
+            # a timeout here is the server holding the connection open
+            failures.append(f"raw-socket exchange failed: {error!r}")
 
         controller_adjustments = 0
         if config is not None and config.adaptive:
@@ -718,6 +907,7 @@ def run_smoke(
         "requests": len(statuses),
         "http_200": sum(1 for s in statuses if s == 200),
         "serve_requests": serve_stats["requests"],
+        "inline_hits": serve_stats["inline_hits"],
         "coalesced": serve_stats["coalesced"],
         "batches": serve_stats["batches"],
         "max_batch_seen": serve_stats["max_batch_seen"],

@@ -3,9 +3,16 @@
 The paper answers one BFQ in tens of milliseconds (Table 14); serving heavy
 traffic is then a *concurrency* problem, and real question traffic is
 heavily duplicated (the head of the query distribution).  This module turns
-the synchronous ``answer_many`` batch API into an asyncio service with three
+the synchronous ``answer_many`` batch API into an asyncio service with four
 mechanisms:
 
+* **cache-hit lane** — a question the target's answer cache already holds
+  is answered *on the event loop*, at the instant it is submitted: one
+  tokenization (the coalescing key, which is also the cache key), one
+  probe, and the result is returned — no future, no queue entry, no
+  dispatcher wake-up, no executor hand-off.  :meth:`AsyncAnswerer.
+  answer_nowait` is the same step without a coroutine, for the HTTP
+  front.  Everything below is what a *miss* takes.
 * **in-flight coalescing** — concurrent requests for the same *normalized*
   question (the answer-cache key) share one evaluation: the first arrival
   enqueues it, later arrivals await the same future.  N duplicates cost one
@@ -39,6 +46,22 @@ an invalidation can never observe a pre-invalidation answer.  Writers that
 want stronger serialization use :meth:`AsyncAnswerer.apply`, which pauses
 dispatch, drains in-flight batches, runs the mutation on the executor, bumps
 the epoch and resumes — single-writer/multi-reader with quiescence.
+
+The lane keeps that freshness without an epoch check of its own.  A hit is
+one read of the target's answer cache at one instant on the loop thread —
+where the epoch cannot move — so it is exactly what a batch dispatched at
+that instant would have read from the same cache.  The cache in turn never
+outlives a write: the target's KB change listener clears it *before* the
+serving epoch bump is scheduled (``KBQA`` subscribes at construction, the
+server after it), and the answerer's generation counter refuses to insert a
+result whose evaluation straddled a clear.  The lane is shut while
+:meth:`AsyncAnswerer.apply` holds the write pause, so a request issued
+during a quiesced write waits for it like every other request.  There is no
+switch for the lane: it is on exactly when it can be right — the target
+exposes ``cached_answer(question, key)`` and the answerer's key function is
+:func:`normalized_key`, the cache's own key — and a target without the
+probe (a wrapper, a scripted test double) or a custom ``key=`` keeps every
+request on the queue path.
 
 All mutable state is confined to the event loop; the only cross-thread entry
 points are ``invalidate`` (via ``call_soon_threadsafe``) and the executor
@@ -217,6 +240,7 @@ class ServeStats:
     """Monotonic serving counters (exposed raw on ``/stats``)."""
 
     requests: int = 0  # accepted question submissions
+    inline_hits: int = 0  # requests answered on the loop from the answer cache
     coalesced: int = 0  # requests that joined an in-flight evaluation
     rejected: int = 0  # admission-control rejections
     batches: int = 0  # answer_many dispatches that delivered results
@@ -266,6 +290,12 @@ class AsyncAnswerer:
         self.max_batch: int = self.config.max_batch
         self.max_pending: int = self.config.max_pending
         self._key = key
+        # The cache-hit lane's probe: only a target that exposes its answer
+        # cache, and only when this answerer's key *is* that cache's key.
+        probe = getattr(target, "cached_answer", None)
+        self._probe: Callable[[str, str], AnswerResult | None] | None = (
+            probe if callable(probe) and key is normalized_key else None
+        )
         self._loop: asyncio.AbstractEventLoop | None = None
         # A borrowed ExecutorPool (owned by KBQAServer / the caller) decides
         # the backend and provides warm workers that survive this answerer's
@@ -417,12 +447,16 @@ class AsyncAnswerer:
         deadline_s: float | None = None,
         tenant: str | None = None,
     ) -> AnswerResult:
-        """Answer one question through coalescing + micro-batching.
+        """Answer one question: the cache-hit lane, else coalescing +
+        micro-batching.
 
         Raises :class:`OverloadedError` when admission control rejects the
         request; otherwise resolves to exactly what the synchronous path
-        would return (equivalence-tested).  ``deadline_s`` bounds the wait
-        (defaulting from ``config.deadline_ms`` when that is > 0): past it
+        would return (equivalence-tested).  A question the target's answer
+        cache holds returns at once (:meth:`answer_nowait`) and is never
+        rejected, throttled or expired — it costs the box no evaluation.
+        ``deadline_s`` bounds the wait (defaulting from
+        ``config.deadline_ms`` when that is > 0): past it
         :class:`DeadlineExceeded` is raised and the caller walks away, but
         the evaluation itself keeps running — its batch carries other
         requests, and its result still warms the answer cache.
@@ -437,11 +471,15 @@ class AsyncAnswerer:
         """
         if not self._running:
             raise RuntimeError("AsyncAnswerer is not running (call start())")
+        started = time.monotonic()
+        key = self._key(question)
+        hit = self._lane_hit(question, key, tenant, started)
+        if hit is not None:
+            return hit
         if deadline_s is None and self.config.deadline_ms > 0:
             deadline_s = self.config.deadline_ms / 1000.0
         if tenant is not None:
             self.metrics.tenant_inc(tenant, "requests")
-        key = self._key(question)
         shared = self._inflight.get(key) if self.config.coalesce else None
         if shared is not None:
             self.stats.requests += 1
@@ -476,6 +514,53 @@ class AsyncAnswerer:
         self._wakeup.set()
         result = await self._await_result(future, deadline_s)
         return result if result.question == question else replace(result, question=question)
+
+    def answer_nowait(
+        self, question: str, tenant: str | None = None
+    ) -> AnswerResult | None:
+        """The cache-hit lane as a plain call: the answer, or None.
+
+        None means "take the queue" — the caller follows up with
+        :meth:`answer`, which is what counts, admits and evaluates a miss;
+        nothing is recorded here for it.  A hit is a completed request
+        (``requests``, ``inline_hits``, the ``total`` histogram, the
+        tenant's ``requests``/``completed``).  Event-loop only, like every
+        other entry point.
+        """
+        if self._probe is None or not self._running:
+            return None
+        started = time.monotonic()
+        return self._lane_hit(question, self._key(question), tenant, started)
+
+    def _lane_hit(
+        self, question: str, key: str, tenant: str | None, started: float
+    ) -> AnswerResult | None:
+        """Probe the target's answer cache at this instant on the loop.
+
+        Shut while :meth:`apply` pauses dispatch: a request issued during a
+        quiesced write queues behind it instead of reading around it.
+        """
+        if self._probe is None or self._paused:
+            return None
+        hit = self._probe(question, key)
+        if hit is None:
+            return None
+        self.stats.requests += 1
+        self.stats.inline_hits += 1
+        self._count_fallback(hit)
+        now = time.monotonic()
+        self.metrics.observe_total((now - started) * 1000.0, now=now)
+        if tenant is not None:
+            self.metrics.tenant_inc(tenant, "requests")
+            self.metrics.tenant_inc(tenant, "completed")
+        return hit
+
+    def _count_fallback(self, result: AnswerResult) -> None:
+        """Fallback-lane accounting for one delivered result."""
+        if getattr(result, "fallback", False):
+            self.stats.fallback_served += 1
+        elif self._fallback_enabled and not result.answered:
+            self.stats.fallback_abstained += 1
 
     async def _await_result(
         self, future: asyncio.Future, deadline_s: float | None
@@ -743,10 +828,7 @@ class AsyncAnswerer:
                     del self._inflight[key]
                 if not future.done():
                     future.set_result(result)
-                if getattr(result, "fallback", False):
-                    self.stats.fallback_served += 1
-                elif self._fallback_enabled and not result.answered:
-                    self.stats.fallback_abstained += 1
+                self._count_fallback(result)
                 self.metrics.observe_total(
                     (done - t_enq) * 1000.0, tainted=tainted, now=done
                 )

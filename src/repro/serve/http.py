@@ -1,15 +1,28 @@
-"""Minimal HTTP/1.1 over asyncio streams — stdlib only, JSON in/out.
+"""Minimal HTTP/1.x — a sans-IO parser and response framing, stdlib only.
 
 The serving front needs exactly four things from HTTP: parse a request line
 + headers, read a ``Content-Length`` body, write a framed JSON response, and
 honor keep-alive.  ``http.server`` is thread-per-connection and fights the
-event loop, so this module implements that minimal subset directly on
-``asyncio.StreamReader``/``StreamWriter`` — ~100 lines, no dependencies,
-and every connection is just a coroutine.
+event loop, so this module implements that minimal subset itself.
 
-Limits are deliberate and small (16 KiB of headers, 1 MiB of body): the
-server answers questions, it does not accept uploads.  Anything outside the
-subset raises :class:`BadRequest`, which the app layer maps to a 400.
+There is **one parser**, :func:`parse_request`, and it does no IO: it is
+handed the connection's receive buffer and either pops one complete request
+off its front, reports that more bytes are needed (buffer untouched), or
+raises :class:`BadRequest`.  The ``asyncio.Protocol`` in
+:mod:`repro.serve.app` calls it straight from ``data_received``, so a
+request is parsed in the callback that delivered its last byte — no
+``StreamReader``, no reader task to wake.  :func:`read_request` is a thin
+adapter that feeds a ``StreamReader`` into the same parser for callers that
+hold a stream (the end-to-end benchmark's parse replay, tests).
+
+Limits are deliberate and small (16 KiB of headers — enforced while
+buffering, so a client that never ends its header block is cut off there —
+and 1 MiB of body): the server answers questions, it does not accept
+uploads.  Framing outside the subset is refused rather than guessed at: any
+``Transfer-Encoding`` (a chunked body read as "no body" would have its
+chunks parsed as the next request) and two ``Content-Length`` headers that
+disagree.  Everything refused raises :class:`BadRequest`, which the app
+layer maps to a 400 and a closed connection.
 """
 
 from __future__ import annotations
@@ -40,17 +53,22 @@ class BadRequest(ValueError):
 @dataclass(frozen=True, slots=True)
 class HTTPRequest:
     """One parsed request: method, path (query string stripped), headers
-    (lower-cased names), raw body bytes."""
+    (lower-cased names), raw body bytes, and the request line's version."""
 
     method: str
     path: str
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    version: str = "HTTP/1.1"
 
     @property
     def keep_alive(self) -> bool:
-        """HTTP/1.1 default keep-alive unless the client says close."""
-        return self.headers.get("connection", "").lower() != "close"
+        """HTTP/1.1 keeps the connection unless the client says close;
+        HTTP/1.0 closes it unless the client asks for keep-alive."""
+        connection = self.headers.get("connection", "").lower()
+        if self.version == "HTTP/1.0":
+            return connection == "keep-alive"
+        return connection != "close"
 
     def json(self) -> dict:
         """Parse the body as a JSON object (the only payload shape used)."""
@@ -58,30 +76,36 @@ class HTTPRequest:
             payload = json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise BadRequest(f"invalid JSON body: {error}") from None
+        except RecursionError:  # a megabyte of "[" is a bad request, not a 500
+            raise BadRequest("invalid JSON body: nested too deeply") from None
         if not isinstance(payload, dict):
             raise BadRequest("JSON body must be an object")
         return payload
 
 
-async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
-    """Read one request off the stream; ``None`` on clean EOF between
-    requests (the client hung up), :class:`BadRequest` on malformed bytes."""
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise BadRequest("truncated request") from None
-    except asyncio.LimitOverrunError:
-        raise BadRequest("request headers too large") from None
-    if len(head) > MAX_HEADER_BYTES:
+def parse_request(buffer: bytearray) -> HTTPRequest | None:
+    """Pop one complete request off the front of ``buffer``.
+
+    ``None`` means the buffer does not hold a whole request yet — it is left
+    exactly as it was, so the caller appends the next bytes and asks again.
+    :class:`BadRequest` means the bytes can never become a request this
+    server accepts (the buffer is then unspecified: the caller closes).
+    """
+    head_end = buffer.find(b"\r\n\r\n")
+    if head_end < 0:
+        # the finished head would be at least one byte longer than this
+        if len(buffer) >= MAX_HEADER_BYTES:
+            raise BadRequest("request headers too large")
+        return None
+    body_start = head_end + 4
+    if body_start > MAX_HEADER_BYTES:
         raise BadRequest("request headers too large")
 
-    lines = head.decode("latin-1").split("\r\n")
+    lines = buffer[:head_end].decode("latin-1").split("\r\n")
     parts = lines[0].split(" ")
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise BadRequest(f"malformed request line: {lines[0]!r}")
-    method, target, _version = parts
+    method, target, version = parts
     path = target.split("?", 1)[0]
 
     headers: dict[str, str] = {}
@@ -91,9 +115,14 @@ async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
         name, sep, value = line.partition(":")
         if not sep:
             raise BadRequest(f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise BadRequest("conflicting Content-Length headers")
+        headers[name] = value
+    if "transfer-encoding" in headers:
+        raise BadRequest("Transfer-Encoding is not supported (send Content-Length)")
 
-    body = b""
+    length = 0
     if "content-length" in headers:
         try:
             length = int(headers["content-length"])
@@ -101,12 +130,35 @@ async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
             raise BadRequest("invalid Content-Length") from None
         if length < 0 or length > MAX_BODY_BYTES:
             raise BadRequest(f"body too large ({length} bytes)")
-        if length:
-            try:
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError:
-                raise BadRequest("truncated request body") from None
-    return HTTPRequest(method=method.upper(), path=path, headers=headers, body=body)
+    end = body_start + length
+    if len(buffer) < end:
+        return None
+    body = bytes(buffer[body_start:end])
+    del buffer[:end]
+    return HTTPRequest(
+        method=method.upper(), path=path, headers=headers, body=body, version=version
+    )
+
+
+def truncated(buffer: bytearray) -> BadRequest:
+    """The error for a peer that hung up with ``buffer`` left unparsed."""
+    in_body = b"\r\n\r\n" in buffer
+    return BadRequest("truncated request body" if in_body else "truncated request")
+
+
+async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
+    """Stream adapter over :func:`parse_request`: the reader's first request,
+    ``None`` on EOF before any byte.  Bytes it read past that request are
+    dropped, so it suits one-request streams, not keep-alive connections."""
+    buffer = bytearray()
+    while (request := parse_request(buffer)) is None:
+        chunk = await reader.read(65536)
+        if not chunk:
+            if not buffer:
+                return None
+            raise truncated(buffer)
+        buffer += chunk
+    return request
 
 
 def response_bytes(status: int, payload: dict, *, keep_alive: bool = True) -> bytes:

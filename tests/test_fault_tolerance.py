@@ -461,21 +461,101 @@ class SlowTargetSystem:
         return self.answerer.answer_many(questions)
 
 
+class _Probeless:
+    """``system`` as a target the cache-hit lane cannot read: same KB, same
+    answerer, no ``cached_answer`` on the target itself."""
+
+    cached_answer = None
+
+    def __init__(self, system) -> None:
+        self.kb, self.answerer = system.kb, system.answerer
+        self.answer_many = system.answer_many
+
+
+def _routed(server, question: str, during=None):
+    """Route one ``POST /answer`` through a started answerer whose admission
+    bound is zero — every request that reaches admission is refused."""
+
+    async def main():
+        await server.answerer.start()
+        try:
+            server.answerer.max_pending = 0  # the live knob: deterministic overload
+            request = HTTPRequest(
+                method="POST",
+                path="/answer",
+                body=json.dumps({"question": question}).encode(),
+            )
+            if during is None:
+                return await server._route(request)
+            return await during(server, request)
+        finally:
+            await server.answerer.stop()
+            server.exec_pool.close()
+
+    return asyncio.run(main())
+
+
 class TestDegradedMode:
-    def test_cached_answer_served_degraded_on_overload(self, serve_system, suite):
+    """Under overload a cached question is an ordinary cache-hit-lane answer:
+    it never reaches admission, so there is nothing to degrade.  Degraded
+    mode is what is left for the refusals the lane could not absorb."""
+
+    def test_cached_answer_is_a_lane_hit_that_overload_cannot_refuse(
+        self, serve_system, suite
+    ):
         question = _answerable_question(suite, serve_system)
         expected = serve_system.answer(question)  # warms the answer cache
-        server = KBQAServer(serve_system, ServeConfig(max_pending=7))
+        server = KBQAServer(serve_system, ServeConfig())
+        status, payload = _routed(server, question)
+        assert status == 200
+        assert payload["degraded"] is False
+        assert payload["value"] == expected.value
+        stats = server.answerer.stats
+        assert (stats.inline_hits, stats.rejected, stats.degraded) == (1, 0, 0)
 
-        async def rejecting(_question, **_kwargs):
-            raise OverloadedError("serving queue full (7 pending evaluations)")
+    def test_cached_answer_served_degraded_while_a_write_shuts_the_lane(
+        self, serve_system, suite
+    ):
+        import threading
 
-        server.answerer.answer = rejecting
-        status, payload = _route(server, "POST", "/answer", {"question": question})
+        question = _answerable_question(suite, serve_system)
+        expected = serve_system.answer(question)
+        server = KBQAServer(serve_system, ServeConfig())
+        entered, release = threading.Event(), threading.Event()
+
+        def write() -> None:
+            entered.set()
+            assert release.wait(TIMEOUT_S)
+
+        async def during_a_write(server, request):
+            loop = asyncio.get_running_loop()
+            writer = asyncio.ensure_future(server.answerer.apply(write))
+            assert await loop.run_in_executor(None, entered.wait, TIMEOUT_S)
+            try:
+                return await server._route(request)
+            finally:
+                release.set()
+                await writer
+
+        status, payload = _routed(server, question, during_a_write)
         assert status == 200
         assert payload["degraded"] is True
         assert payload["value"] == expected.value
-        assert server.answerer.stats.degraded == 1
+        stats = server.answerer.stats
+        assert (stats.inline_hits, stats.rejected, stats.degraded) == (0, 1, 1)
+
+    def test_cached_answer_served_degraded_when_the_lane_cannot_read_the_cache(
+        self, serve_system, suite
+    ):
+        question = _answerable_question(suite, serve_system)
+        expected = serve_system.answer(question)
+        server = KBQAServer(_Probeless(serve_system), ServeConfig())
+        status, payload = _routed(server, question)
+        assert status == 200
+        assert payload["degraded"] is True
+        assert payload["value"] == expected.value
+        stats = server.answerer.stats
+        assert (stats.inline_hits, stats.rejected, stats.degraded) == (0, 1, 1)
 
     def test_uncached_question_still_gets_the_503(self, serve_system):
         server = KBQAServer(serve_system, ServeConfig(max_pending=7))

@@ -366,12 +366,16 @@ class TestLoadGenerator:
     def test_coalescing_reduces_evaluations_at_high_duplicate_rate(self, kbqa_fb, suite):
         """Counter-based (not timing-based) form of the QPS benchmark's
         claim: with duplicates in flight, coalescing-on evaluates fewer
-        questions than coalescing-off for the same stream."""
+        questions than coalescing-off for the same stream.  Each cell starts
+        on a cold answer cache: a warm one answers the whole stream in the
+        cache-hit lane and neither cell evaluates anything."""
         from repro.serve.loadgen import run_load_cell
 
         pool = [q.question for q in suite.benchmark("qald3").bfqs()]
         spec = LoadSpec(requests=128, concurrency=32, duplicate_rate=0.9, seed=5)
+        kbqa_fb.answerer.clear_caches()
         on = run_load_cell(kbqa_fb.answerer, pool, spec, coalesce=True, max_batch=4)
+        kbqa_fb.answerer.clear_caches()
         off = run_load_cell(kbqa_fb.answerer, pool, spec, coalesce=False, max_batch=4)
         assert on["completed"] == off["completed"] == 128
         assert on["evaluated"] < off["evaluated"]

@@ -515,7 +515,10 @@ class TestMultiProcessMetrics:
     def test_scrape_merges_all_replicas(self, serve_system, suite):
         """Any replica serving /metrics must fold in its siblings' dumped
         state: kbqa_replicas_reporting reaches the replica count and the
-        merged request counter covers traffic served by *both* processes."""
+        merged request counter covers traffic served by *both* processes.
+        The question is cached before the fork, so each replica answers it
+        in the cache-hit lane and the merged ``inline_hits`` event covers
+        every post too."""
         from repro.serve.metrics import parse_prometheus_text
 
         question = _answerable_question(suite, serve_system)
@@ -525,7 +528,7 @@ class TestMultiProcessMetrics:
                 status, _payload = _post(front.url + "/answer", {"question": question})
                 assert status == 200
             deadline = time.time() + 15.0
-            reporting = requests_seen = 0
+            reporting = requests_seen = inline_hits = 0
             while time.time() < deadline:
                 with urllib.request.urlopen(front.url + "/metrics", timeout=30) as resp:
                     series = parse_prometheus_text(resp.read().decode("utf-8"))
@@ -535,11 +538,13 @@ class TestMultiProcessMetrics:
                     for labels, value in series.get("kbqa_serve_events_total", [])
                 }
                 requests_seen = events.get("requests", 0)
-                if reporting == 2 and requests_seen >= posts:
+                inline_hits = events.get("inline_hits", 0)
+                if reporting == 2 and min(requests_seen, inline_hits) >= posts:
                     break
                 time.sleep(0.05)
         assert reporting == 2
         assert requests_seen >= posts
+        assert inline_hits >= posts
 
     def test_stats_reports_replica_merge(self, serve_system, suite):
         question = _answerable_question(suite, serve_system)
