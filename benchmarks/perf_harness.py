@@ -30,11 +30,10 @@ on the same machine and the same inputs:
   backends across worker counts — each process cell measured both
   *per-call* (fresh pool + table shipping every expansion) and on a
   *persistent* :class:`~repro.exec.pool.ExecutorPool` (warm workers, one
-  shared-memory shard-table publish) — and a serving cell dispatching
-  ``answer_many`` micro-batches to thread vs process workers.  Records
-  ``cpus`` alongside, because process scaling is physically bounded by the
-  cores the runner actually has.  The ``qps.batch_window`` section sweeps
-  the ``batch_window_ms`` linger knob against offered Poisson rates.
+  shared-memory shard-table publish).  Records ``cpus`` alongside, because
+  process scaling is physically bounded by the cores the runner actually
+  has.  The ``qps.batch_window`` section sweeps the ``batch_window_ms``
+  linger knob against offered Poisson rates.
 
 Usage::
 
@@ -218,18 +217,13 @@ def _cold_start(suite, system, expanded, questions, repeats) -> dict:
     }
 
 
-def _proc_sweep(suite, system, seeds, questions, proc_workers, repeats) -> dict:
+def _proc_sweep(suite, seeds, proc_workers, repeats) -> dict:
     """The execution-backend A/B on the bench KB (4 subject shards).
 
     Expansion: serial vs thread(4) vs process at each worker count —
     equivalence asserted on the materialized triple count every run.
-    Serving: one closed-loop cell each for thread- and process-backed
-    micro-batch dispatch (same stream, answer cache off).
     """
     from repro.exec.backend import resolve_workers
-    from repro.serve.loadgen import LoadSpec, run_load_cell
-
-    from benchmarks.bench_qps import _fresh_target
 
     kb = compile_freebase_like(suite.world, shards=4)
     serial_s, serial_expanded = _best_of(
@@ -280,24 +274,6 @@ def _proc_sweep(suite, system, seeds, questions, proc_workers, repeats) -> dict:
             "pool_publishes": pool_publishes,  # 1 = tables crossed once
         }
 
-    spec = LoadSpec(requests=256, concurrency=32, duplicate_rate=0.0, seed=7)
-    serve_cells = {}
-    for backend in ("thread", "process"):
-        cell = run_load_cell(
-            _fresh_target(system),
-            questions,
-            spec,
-            coalesce=True,
-            max_batch=8,
-            workers=2,
-            executor=backend,
-        )
-        serve_cells[backend] = {
-            "qps": cell["qps"],
-            "evaluated": cell["evaluated"],
-            "rejected": cell["rejected"],
-        }
-
     last = process_cells[str(resolve_workers(proc_workers[-1]))]
     return {
         "shards": 4,
@@ -311,14 +287,6 @@ def _proc_sweep(suite, system, seeds, questions, proc_workers, repeats) -> dict:
         },
         "process": process_cells,
         "speedup_process_max_workers_vs_serial": last["speedup_vs_serial"],
-        "serve_exec": {
-            **serve_cells,
-            "process_vs_thread_qps": round(
-                serve_cells["process"]["qps"]
-                / max(serve_cells["thread"]["qps"], 1e-9),
-                2,
-            ),
-        },
         "note": (
             "scan wall-clock is best-of-N on the 4-shard bench KB; process "
             "cells include pool start + shard-table shipping; real speedup "
@@ -421,9 +389,7 @@ def measure(
     cold_start = _cold_start(suite, system, expanded, questions, repeats)
 
     # -- execution backends: serial vs thread vs process ---------------------
-    proc_sweep = _proc_sweep(
-        suite, system, seeds, questions, proc_workers or [1, 2, 4], repeats
-    )
+    proc_sweep = _proc_sweep(suite, seeds, proc_workers or [1, 2, 4], repeats)
 
     # -- serving QPS: coalescing A/B under concurrency x duplicate rate ------
     from benchmarks.bench_qps import (
@@ -564,10 +530,6 @@ def main(argv: list[str] | None = None) -> int:
             f"({cell['speedup_vs_serial']}x vs serial, "
             f"{cell['speedup_persistent_vs_per_call']}x persistent vs per-call)"
         )
-    print(
-        f"  serve process/thread qps: "
-        f"{proc['serve_exec']['process_vs_thread_qps']}x"
-    )
     for cell in payload["qps"]["sweep"]:
         print(
             f"qps c={cell['concurrency']:<3} dup={cell['duplicate_rate']}: "

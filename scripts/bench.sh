@@ -15,7 +15,7 @@ fi
 SHARDS="${BENCH_SHARDS:-1 2 4}"
 
 # Process-pool worker counts for the exec-backend sweep (`proc_sweep` in
-# BENCH_perf.json: serial vs thread vs process expansion scan + serving A/B).
+# BENCH_perf.json: serial vs thread vs process expansion scan).
 PROC_WORKERS="${BENCH_PROC_WORKERS:-1 2 4}"
 
 # Serving QPS sweep (repro.serve async front): closed-loop concurrency levels,

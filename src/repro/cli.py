@@ -14,8 +14,9 @@ Every training command accepts ``--shards N`` (compile the KB into a
 subject-sharded backend), ``--expansion PATH`` (resume from a persisted
 predicate expansion instead of re-running the Sec 6.2 scan), and
 ``--exec serial|thread|process`` / ``--workers N`` (the execution backend
-for the expansion scan and, under ``serve``, for evaluating answer batches;
-defaults come from the ``KBQA_EXEC`` / ``KBQA_WORKERS`` environment).
+for the expansion scan; defaults come from the ``KBQA_EXEC`` /
+``KBQA_WORKERS`` environment).  ``serve`` evaluates answer batches on
+``--workers`` threads and uses more cores through ``--procs N`` replicas.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import replace
 
 from repro.core.fallback import DEFAULT_THRESHOLD
 from repro.core.system import KBQA, KBQAConfig
-from repro.exec.backend import EXEC_KINDS, resolve_exec_kind, resolve_workers
+from repro.exec.backend import EXEC_KINDS, resolve_workers
 from repro.eval.runner import evaluate_qald
 from repro.eval.scenarios import ALL_AXES
 from repro.kb.backend import BACKEND_KINDS
@@ -176,7 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--procs", type=int, default=1,
         help="server processes sharing the port via SO_REUSEPORT (each with "
-             "its own event loop and executor; POSIX only; default: 1)",
+             "its own event loop and evaluation threads — the way to serve "
+             "on more cores; POSIX only; default: 1)",
     )
     serve.add_argument(
         "--smoke", action="store_true",
@@ -308,14 +310,16 @@ def _common_args(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--exec", dest="exec_backend", default=None, choices=list(EXEC_KINDS),
-        help="execution backend for the Sec 6.2 expansion scan and for "
-             "serve's answer batches (default: $KBQA_EXEC, else thread "
-             "fan-out on sharded KBs / serial otherwise)",
+        help="execution backend for the Sec 6.2 expansion scan only — "
+             "serve always evaluates on threads, see --procs (default: "
+             "$KBQA_EXEC, else thread fan-out on sharded KBs / serial "
+             "otherwise)",
     )
     sub.add_argument(
         "--workers", type=int, default=None,
-        help="worker count for the chosen backend, clamped to >= 1 "
-             "(default: $KBQA_WORKERS, else a per-path default)",
+        help="worker count for the chosen backend and for serve's "
+             "evaluation threads, clamped to >= 1 (default: $KBQA_WORKERS, "
+             "else a per-path default)",
     )
 
 
@@ -495,9 +499,6 @@ def _cmd_serve(args) -> int:
     config = ServeConfig(
         max_batch=args.max_batch,
         max_pending=args.max_pending,
-        # the environment resolves to an explicit backend here (the server
-        # CAN follow KBQA_EXEC; test-facing defaults deliberately don't)
-        executor=resolve_exec_kind(args.exec_backend, default="thread"),
         workers=resolve_workers(args.workers, fallback=2),
         coalesce=not args.no_coalesce,
         deadline_ms=args.deadline_ms,

@@ -17,17 +17,17 @@ predicate paths so such questions can be recovered:
 
 Everything is deterministic and dependency-free: vectors come from
 ``repro.nlp.embed`` (BLAKE2b feature hashing, seeded), candidate order is
-lexicographic, and the index pickles into serving snapshots unchanged.
+lexicographic.
 
 Scoring is sparse on the query side.  Path vectors are dense (a path sums
-many templates) and pack into one flat ``array('f')`` — the pickled truth —
-from which one tuple per path is derived on build and on thaw.  A query is a
-``SparseVector`` of a few dozen non-zero buckets out of ``dim``; each row is
-scored as one ``math.fsum`` over exactly those buckets (a C-level gather and
-multiply, no Python-level inner loop).  ``fsum`` is exactly rounded, so the
-score equals the full dense dot product bit for bit — the zeros the scan
-skips contribute nothing to an exact sum — which is what the tests' dense
-oracle (``tests/oracles/fallback_reference.py``) checks.
+many templates) and pack into one flat ``array('f')``, from which one tuple
+per path is derived on build.  A query is a ``SparseVector`` of a few dozen
+non-zero buckets out of ``dim``; each row is scored as one ``math.fsum``
+over exactly those buckets (a C-level gather and multiply, no Python-level
+inner loop).  ``fsum`` is exactly rounded, so the score equals the full
+dense dot product bit for bit — the zeros the scan skips contribute nothing
+to an exact sum — which is what the tests' dense oracle
+(``tests/oracles/fallback_reference.py``) checks.
 """
 
 from __future__ import annotations
@@ -87,10 +87,6 @@ class FallbackIndex:
         self.config = config
         self.path_strs = path_strs
         self.matrix = matrix
-        self._derive()
-
-    def _derive(self) -> None:
-        """Everything computable from the three pickled fields."""
         dim = self.config.dim
         self.paths = [PredicatePath.parse(p) for p in self.path_strs]
         self._by_str = dict(zip(self.path_strs, self.paths))
@@ -110,21 +106,6 @@ class FallbackIndex:
 
     def __len__(self) -> int:
         return len(self.path_strs)
-
-    # -- Pickling (ships inside serving snapshots) --------------------------
-
-    def __getstate__(self) -> dict:
-        # Only the packed truth ships; rows, parsed paths and the
-        # process-local counters are rebuilt on thaw.
-        return {
-            "config": self.config,
-            "path_strs": self.path_strs,
-            "matrix": self.matrix,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._derive()
 
     # -- Construction -------------------------------------------------------
 

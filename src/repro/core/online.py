@@ -119,41 +119,17 @@ class OnlineAnswerer:
         self._cache_lock = threading.Lock()
         self._cache_generation = 0
         self.lookup_cache_size = lookup_cache_size
-        self._install_lookup_caches()
-
-    def _install_lookup_caches(self) -> None:
-        """(Re)wrap the NER/conceptualizer lookups in bounded LRUs."""
-        if self.lookup_cache_size > 0:
-            self._find_mentions = lru_cache(maxsize=self.lookup_cache_size)(
+        # the NER/conceptualizer lookups, behind bounded LRUs
+        if lookup_cache_size > 0:
+            self._find_mentions = lru_cache(maxsize=lookup_cache_size)(
                 self._find_mentions_uncached
             )
-            self._top_concepts = lru_cache(maxsize=self.lookup_cache_size)(
+            self._top_concepts = lru_cache(maxsize=lookup_cache_size)(
                 self._top_concepts_uncached
             )
         else:
             self._find_mentions = self._find_mentions_uncached
             self._top_concepts = self._top_concepts_uncached
-
-    # -- Pickling (process-pool serving snapshots) --------------------------
-
-    def __getstate__(self) -> dict:
-        """Pickle as a frozen serving snapshot (`repro.exec.snapshot`).
-
-        The model, KB view, NER and conceptualizer state all ship (the KB
-        backend itself pickles listener-free, see ``BackendBase``), and so
-        does the warm answer cache.  The thread lock and the ``lru_cache``
-        wrappers are process-local and are rebuilt on thaw.
-        """
-        state = self.__dict__.copy()
-        del state["_cache_lock"]
-        del state["_find_mentions"]
-        del state["_top_concepts"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._cache_lock = threading.Lock()
-        self._install_lookup_caches()
 
     # -- Memoized lookups ---------------------------------------------------
 

@@ -295,18 +295,16 @@ class KBQA:
         self.exec_pool.close()
 
     def __getstate__(self) -> dict:
-        """A live system does not pickle — freeze its answerer instead.
+        """A live system does not pickle.
 
         The facade holds process-local wiring (backend subscriptions, the
         live expansion maintainer, unsubscribe closures) that cannot and
-        must not cross a process boundary.  Process-pool serving snapshots
-        go through :func:`repro.exec.snapshot.freeze_target`, which freezes
-        ``system.answerer`` — the picklable answering core — and re-freezes
-        it per serving epoch.
+        must not cross a process boundary; server replicas inherit a
+        trained system by ``fork`` instead (`repro.serve.multiproc`).
         """
         raise TypeError(
             "KBQA systems are not picklable (live backend subscriptions); "
-            "freeze the answering core via repro.exec.snapshot.freeze_target"
+            "share a trained system with other processes by fork"
         )
 
     def __enter__(self) -> "KBQA":

@@ -1,5 +1,8 @@
 """Process-parallel execution layer: one executor protocol, three backends.
 
+The layer parallelises the offline Sec 6.2 expansion scan.  Online serving
+does not use it (DESIGN.md "Why serving has one executor").
+
 * :mod:`repro.exec.backend` — :class:`Executor` protocol with
   :class:`SerialExecutor` / :class:`ThreadExecutor` /
   :class:`ProcessExecutor`, plus the uniform selection rules
@@ -7,16 +10,13 @@
   worker counts always clamped to >= 1);
 * :mod:`repro.exec.pool` — :class:`ExecutorPool`, the persistent lease:
   warm workers reused across calls plus generation-tagged shared-memory
-  payload publication (owned by ``KBQA`` / ``KBQAServer``);
+  payload publication (owned by ``KBQA``);
 * :mod:`repro.exec.shm` — the zero-copy blob transport over
   ``multiprocessing.shared_memory`` (publish once per change, attach by
   name, unpickle in place);
 * :mod:`repro.exec.tasks` — picklable frozen shard-scan payloads for the
   Sec 6.2 expansion (``repro.kb.expansion`` routes its per-round fan-out
   through them);
-* :mod:`repro.exec.snapshot` — epoch-tagged frozen answerer snapshots for
-  process-pool serving (``repro.serve.async_answerer`` dispatches
-  micro-batches through them; shared-memory publication per epoch);
 * :mod:`repro.exec.faults` — the deterministic fault-injection harness
   (``KBQA_FAULTS``): named fault points in workers, replicas and the shm
   transport that can kill/exit/sleep/raise on demand, inherited across
@@ -53,12 +53,6 @@ from repro.exec.shm import (
     attach_blob,
     sweep_orphans,
 )
-from repro.exec.snapshot import (
-    AnswerBatchTask,
-    SnapshotManager,
-    evaluate_frozen_batch,
-    freeze_target,
-)
 from repro.exec.tasks import (
     ShardScanResult,
     ShardScanTask,
@@ -67,7 +61,6 @@ from repro.exec.tasks import (
 )
 
 __all__ = [
-    "AnswerBatchTask",
     "AttachedBlob",
     "EXEC_ENV",
     "EXEC_KINDS",
@@ -81,15 +74,12 @@ __all__ = [
     "SerialExecutor",
     "ShardScanResult",
     "ShardScanTask",
-    "SnapshotManager",
     "ThreadExecutor",
     "WORKERS_ENV",
     "attach_blob",
     "bind_to_parent_death",
-    "evaluate_frozen_batch",
     "fault_point",
     "faults_active",
-    "freeze_target",
     "inject_faults",
     "make_executor",
     "parse_faults",

@@ -1,19 +1,14 @@
 """Pluggable execution backends: serial / thread / process behind one protocol.
 
-The ROADMAP's scaling items ("Process-parallel shards", "Multi-process
-serving") share one bottleneck: the Sec 6.2 expansion scan and the online
-Eq 7 evaluation are pure-python CPU loops, so the PR 2/PR 3 thread pools are
-GIL-bound — `shard_sweep` in ``BENCH_perf.json`` is ~flat across shard
-counts.  This module is the seam that fixes both at once: an
+The Sec 6.2 expansion scan is a pure-python CPU loop, so a thread pool over
+shards is GIL-bound — `shard_sweep` in ``BENCH_perf.json`` is ~flat across
+shard counts.  This module is the seam for running it elsewhere: an
 :class:`Executor` maps a *picklable, frozen* task list to a result list with
-**order preserved**, and the two hot paths submit their work through it:
-
-* the shard-parallel expansion scan (``repro.kb.expansion``) runs one scan
-  task per shard and merges the buffers in shard order — output byte-
-  identical to the serial scan regardless of backend;
-* the serving micro-batches (``repro.serve.async_answerer``) dispatch to
-  process workers holding epoch-tagged frozen answerer snapshots
-  (``repro.exec.snapshot``).
+**order preserved**, and the shard-parallel scan (``repro.kb.expansion``)
+runs one scan task per shard through it and merges the buffers in shard
+order — output byte-identical to the serial scan regardless of backend.
+(Online serving does not come through here: it evaluates on its own thread
+pool and scales with ``--procs`` replicas.)
 
 Three implementations:
 
@@ -103,11 +98,9 @@ class Executor(Protocol):
 
     ``map`` evaluates ``fn`` over ``tasks`` and returns the results **in
     task order** — the property the shard-ordered merge and every
-    equivalence test lean on.  ``submit`` is the one-task async form the
-    serving dispatcher uses (``asyncio.wrap_future`` bridges it onto the
-    event loop); a :class:`SerialExecutor` runs the task *at submit time*
-    and returns an already-resolved future, which is exactly serial
-    semantics.  ``kind`` names the backend; ``workers`` is its parallelism.
+    equivalence test lean on.  ``submit`` is the one-task async form; a
+    :class:`SerialExecutor` runs the task *at submit time* and returns an
+    already-resolved future, which is exactly serial semantics.  ``kind`` names the backend; ``workers`` is its parallelism.
     ``close`` releases pool resources (idempotent).
     """
 

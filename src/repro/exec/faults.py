@@ -5,9 +5,9 @@ A multi-process serving stack earns trust only if its failure paths are
 tier-1 can provoke on demand, in one line, without monkeypatching across
 process boundaries.  This module is that lever.  Production code sprinkles
 cheap :func:`fault_point` calls at the places where real systems die (the
-worker batch entry, the shard-scan entry, the replica poll loop, the
-shared-memory attach), and the ``KBQA_FAULTS`` environment variable — which
-forked pool workers and server replicas inherit — arms them.
+shard-scan entry, the replica poll loop, the shared-memory attach), and the
+``KBQA_FAULTS`` environment variable — which forked pool workers and server
+replicas inherit — arms them.
 
 Spec grammar (semicolon-separated entries)::
 
@@ -38,8 +38,6 @@ Sites are free-form labels; an entry naming a site nothing calls simply
 never fires.  The canonical instrumented sites:
 
 =====================  ====================================================
-``exec.worker.batch``  serving micro-batch entry in a pool worker
-                       (:func:`repro.exec.snapshot.evaluate_frozen_batch`)
 ``exec.worker.scan``   expansion shard-scan entry in a pool worker
                        (:func:`repro.exec.tasks.scan_shard`)
 ``serve.replica``      a ``--procs`` replica's poll loop (between requests,
@@ -207,7 +205,7 @@ def faults_active() -> bool:
 class inject_faults:
     """Context manager arming a spec for this process *and* its children::
 
-        with inject_faults(f"exec.worker.batch=kill,once={token}"):
+        with inject_faults(f"exec.worker.scan=kill,once={token}"):
             ...  # forked pool workers inherit KBQA_FAULTS and die on cue
 
     Setting the environment (rather than module state) is the point: forked

@@ -8,12 +8,12 @@ per-worker pickle of the shard tables, which is exactly why the
 
 * the underlying :class:`~repro.exec.backend.Executor` is built lazily on
   first use and **reused** by every subsequent call until :meth:`close` —
-  repeated expansions and serving batches land on already-warm workers;
-* bulk payloads (encoded shard tables, frozen serving snapshots) are
-  *published* into shared memory (`repro.exec.shm`) instead of shipped per
-  worker or per task: :meth:`publish` caches one
-  :class:`~repro.exec.shm.PublishedBlob` per key per *generation*, so a
-  payload crosses the process boundary once per change, not once per call.
+  repeated expansions land on already-warm workers;
+* bulk payloads (the encoded shard tables) are *published* into shared
+  memory (`repro.exec.shm`) instead of shipped per worker or per task:
+  :meth:`publish` caches one :class:`~repro.exec.shm.PublishedBlob` per key
+  per *generation*, so a payload crosses the process boundary once per
+  change, not once per call.
 
 The generation counter is the pool's invalidation protocol: owners bump it
 (:meth:`invalidate`) when the state behind a published payload mutates —
@@ -22,10 +22,9 @@ for that key republishes into a fresh segment while unlinking the stale
 one.  Workers attach segments by name, so they observe republication
 naturally (new tasks carry the new name).
 
-Lifecycle: the pool is owned by a long-lived object (``KBQA`` /
-``KBQAServer``), closed with it, and safe to reuse after :meth:`close`
-(the next call simply starts a fresh executor) — so a closed system's pool
-never strands workers, and a restarted server does not need a new pool.
+Lifecycle: the pool is owned by a long-lived object (``KBQA``), closed with
+it, and safe to reuse after :meth:`close` (the next call simply starts a
+fresh executor) — so a closed system's pool never strands workers.
 
 Supervision: a SIGKILL'd (or OOM-killed) worker breaks the whole underlying
 ``ProcessPoolExecutor`` — every in-flight and subsequent call raises
@@ -61,8 +60,8 @@ class ExecutorPool:
     ``kind``/``workers`` resolve once at construction (explicit argument >
     ``KBQA_EXEC``/``KBQA_WORKERS`` environment > ``default``), so every
     lease sees the same backend.  Thread-safe: leases, publishes and
-    invalidations may come from the event loop, worker threads and change
-    listeners concurrently.
+    invalidations may come from serving threads and change listeners
+    concurrently.
     """
 
     def __init__(
@@ -175,7 +174,7 @@ class ExecutorPool:
         can never be handed pre-mutation state under the new generation.
         The superseded segment is *retired* (still attachable, for tasks
         already in flight against it) and the one retired before that is
-        unlinked, mirroring the snapshot manager's grace window.
+        unlinked.
         """
         while True:
             with self._lock:

@@ -1,19 +1,18 @@
-"""Shared-memory blob transport: publish once per epoch, attach zero-copy.
+"""Shared-memory blob transport: publish once per change, attach zero-copy.
 
-PR 4's process-parallel layers ship their bulk state *through the task
-pipe*: the serving snapshot blob rides inside every micro-batch and the
-expansion shard tables are re-pickled into every fresh pool.  Both costs are
-O(state) per dispatch/pool-start when they should be O(state) per *change*.
-This module is the fix: a publisher writes a payload into one
-``multiprocessing.shared_memory`` segment, and every worker — in any process
-— attaches the segment by name and reads the payload **in place** (a
-``memoryview`` over the mapped pages; ``pickle.loads`` accepts the buffer
-directly, so no copy of the blob is ever made on the worker side).
+Shipping bulk state *through the task pipe* — the expansion shard tables
+re-pickled into every fresh pool — costs O(state) per pool start when it
+should be O(state) per *change*.  This module is the fix: a publisher
+writes a payload into one ``multiprocessing.shared_memory`` segment, and
+every worker — in any process — attaches the segment by name and reads the
+payload **in place** (a ``memoryview`` over the mapped pages;
+``pickle.loads`` accepts the buffer directly, so no copy of the blob is
+ever made on the worker side).
 
 Wire format of a segment (little-endian, struct-packed)::
 
     8s   magic     b"KBQASHM1"
-    q    tag       publisher-chosen epoch / generation id
+    q    tag       publisher-chosen generation id
     Q    length    payload byte count
     ...  payload   `length` bytes
 
@@ -29,9 +28,8 @@ Lifecycle rules:
   file-unlink semantics).  Leaked segments after ``close()`` are a bug —
   ``tests/test_exec_concurrency.py`` asserts none survive.
 * a **consumer** that attaches after the publisher unlinked gets
-  :class:`SegmentUnavailable` — the epoch protocol treats that exactly like
-  a stale epoch (the batch re-dispatches against a fresh publish), never as
-  a hard failure.
+  :class:`SegmentUnavailable` — recoverable by re-dispatching against the
+  current publish.
 * resource-tracker accounting stays with the **publisher**: worker
   processes share the parent's tracker (its cache is a set, so the
   attach-side re-registration Python 3.11 performs is idempotent), and the
@@ -185,7 +183,7 @@ class AttachedBlob:
 
 # Worker-resident attachment cache.  Segment names are never reused (every
 # publish creates a fresh segment), so a name is a perfect cache key; a tiny
-# LRU bounds mappings when epochs churn.
+# LRU bounds mappings when generations churn.
 _ATTACH_CACHE: OrderedDict[str, AttachedBlob] = OrderedDict()
 _ATTACH_CACHE_MAX = 4
 

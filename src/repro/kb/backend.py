@@ -149,8 +149,7 @@ class BackendBase:
         cache-invalidation closures) and would drag unpicklable state — and
         wrong semantics — into a worker.  A thawed backend therefore starts
         with no subscribers and no in-flight batch; the process-parallel
-        layers (``repro.exec``) rely on exactly this to freeze shard tables
-        and serving snapshots.
+        layers (``repro.exec``) rely on exactly this to freeze shard tables.
         """
         state = self.__dict__.copy()
         state["_listeners"] = []

@@ -226,8 +226,8 @@ class DiskTripleStore(BackendBase):
     ``path=None`` creates an ephemeral store in a temp file (removed when
     the owning store is closed or garbage-collected); a named path opens —
     or creates — a persistent KB that later processes reopen in
-    milliseconds.  ``read_only=True`` opens with ``mode=ro`` (the serving
-    snapshot path: thawed copies can never write the shared file).
+    milliseconds.  ``read_only=True`` opens with ``mode=ro`` (the pickle
+    path: thawed copies can never write the shared file).
 
     >>> kb = DiskTripleStore()
     >>> kb.add("m.obama", "dob", '"1961"')
@@ -378,9 +378,9 @@ class DiskTripleStore(BackendBase):
     def __getstate__(self) -> dict:
         """A pickled disk store is a *reference*, not a copy.
 
-        The thawed side reopens the same file read-only: this is how a
-        frozen serving snapshot shares one on-disk KB (and one OS page
-        cache) across every pool worker instead of shipping a heap image.
+        The thawed side reopens the same file read-only, so every process
+        holding a copy shares one on-disk KB (and one OS page cache)
+        instead of receiving a heap image.
         The dictionary facade rides along so object identity between the
         store and any :class:`~repro.kb.expansion.ExpandedStore` sharing it
         survives the round trip.  The file must outlive the pickle's

@@ -19,9 +19,9 @@ off the mapped arrays:
   the page cache keeps warm, and N ``SO_REUSEPORT`` replicas mapping the
   same artifact share **one** page cache between them;
 * a mapped store pickles as *a reference to its artifact path*
-  (:meth:`ExpandedStoreV3.__getstate__`), so freezing a serving snapshot
-  ships bytes proportional to the path string, and each pool worker re-maps
-  the same file instead of thawing a private heap copy;
+  (:meth:`ExpandedStoreV3.__getstate__`), so shipping one to a worker
+  costs bytes proportional to the path string, and each worker re-maps the
+  same file instead of thawing a private heap copy;
 * :meth:`ExpandedStoreV3.materialize` is the escape hatch: it inflates the
   mapping into the ordinary dict-backed form **in place** (same object
   identity, same term ids, same file-local path ids), and every mutating
@@ -598,11 +598,11 @@ class ExpandedStoreV3(ExpandedStore):
     def __getstate__(self):
         """Mapped stores pickle as ``{artifact path}`` — the whole point.
 
-        A frozen serving snapshot that embeds a mapped store costs bytes
-        proportional to the *path string*, and every unpickling worker
-        re-maps the same file — N processes, one page cache.  The artifact
-        must outlive every consumer of the pickle.  A materialized store
-        pickles its dicts like any other ExpandedStore.
+        A pickle that embeds a mapped store costs bytes proportional to
+        the *path string*, and every unpickling worker re-maps the same
+        file — N processes, one page cache.  The artifact must outlive
+        every consumer of the pickle.  A materialized store pickles its
+        dicts like any other ExpandedStore.
         """
         if self._mapped is not None:
             return {"__v3_artifact__": self._mapped.source_path}

@@ -3,10 +3,10 @@
 The fallback lane (``repro.core.fallback``) needs sentence vectors that are
 
 * dependency-free — no model weights, no numpy requirement,
-* deterministic across *processes* — serving snapshots pickle an index built
-  in the trainer and score queries inside pool workers, so the same text must
-  hash to the same vector everywhere (Python's builtin ``hash`` is salted per
-  process and is therefore banned here; features hash through BLAKE2b),
+* deterministic across *processes* — an index built by one run must score
+  the same text identically in the next (gold-checked benchmarks, answers
+  compared across runs), so Python's builtin ``hash``, salted per process,
+  is banned here; features hash through BLAKE2b,
 * cheap — one pass over the tokens, a few dozen feature updates.
 
 The construction is classic feature hashing (Weinberger et al.): each

@@ -11,8 +11,7 @@ Endpoints (all JSON):
   served with ``"degraded": true`` because an answer beats a refusal — is
   therefore left with the refusals the lane did not already absorb: a
   request refused while a quiesced write holds the lane shut, and targets
-  whose cache the lane cannot read (no ``cached_answer`` on the target, or
-  a process-executor cache warmed outside serving).  An
+  whose cache the lane cannot read (no ``cached_answer`` on the target).  An
   ``X-KBQA-Deadline-Ms`` header (or ``ServeConfig.deadline_ms``) bounds the
   wait: past it the request gets a ``504``.
 * ``POST /batch``   ``{"questions": [...]}`` -> ``{"results": [...]}`` in
@@ -49,7 +48,7 @@ per-connection task.  A request's two lanes::
 
     hit:   data_received -> parse_request -> key -> probe -> payload -> write
     miss:  data_received -> parse_request -> task(_route -> answer ->
-           queue -> batch -> executor -> future) -> write
+           queue -> batch -> pool thread -> future) -> write
 
 Requests on one connection are answered strictly in order: while a miss is
 in flight (or the peer is not draining replies) later bytes stay buffered.
@@ -65,11 +64,10 @@ import json as _json
 import os
 import threading
 import time
-from concurrent.futures import BrokenExecutor
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.online import AnswerResult
-from repro.exec.pool import ExecutorPool
+from repro.exec.faults import faults_active
 from repro.serve.async_answerer import (
     AsyncAnswerer,
     DeadlineExceeded,
@@ -261,10 +259,7 @@ class KBQAServer:
     ``port=0`` binds an ephemeral port (read ``server.port`` after
     :meth:`start`).  Use ``async with`` or pair :meth:`start`/:meth:`stop`.
 
-    The server owns a persistent :class:`~repro.exec.pool.ExecutorPool` for
-    its evaluation backend: answerer restarts within the server's lifetime
-    reuse the same warm workers, and :meth:`stop` is the single point that
-    joins them.  ``reuse_port=True`` binds the listening socket with
+    ``reuse_port=True`` binds the listening socket with
     ``SO_REUSEPORT`` so N sibling server processes can share one port (the
     `repro.serve.multiproc` front); ``fact_listener`` is called after every
     successful ``/facts`` mutation with ``(op, subject, predicate, object)``
@@ -296,13 +291,7 @@ class KBQAServer:
         # with its own live state
         self.metrics_dir = metrics_dir
         self.replica_index = replica_index
-        # the pool kind is resolved here, explicitly, so ServeConfig's
-        # deliberate env-blindness is preserved (the CLI resolves KBQA_EXEC
-        # into config.executor before constructing the server)
-        self.exec_pool = ExecutorPool(
-            self.config.executor or "thread", self.config.workers
-        )
-        self.answerer = AsyncAnswerer(system, self.config, pool=self.exec_pool)
+        self.answerer = AsyncAnswerer(system, self.config)
         self._server: asyncio.Server | None = None
         self._unsubscribe = None
         self._connections: set[_Connection] = set()
@@ -355,8 +344,6 @@ class KBQAServer:
             self._unsubscribe()
             self._unsubscribe = None
         await self.answerer.stop()
-        # the answerer borrows the pool; the server joins the workers
-        self.exec_pool.close()
 
     async def serve_forever(self) -> None:
         """Block until cancelled (the CLI's foreground mode)."""
@@ -551,13 +538,12 @@ class KBQAServer:
                 result = await self.answerer.answer(
                     question, deadline_s=deadline_s, tenant=tenant
                 )
-        except (OverloadedError, BrokenExecutor) as error:
-            # degraded mode: the evaluation backend is saturated or its
-            # workers just died — a cached answer beats a refusal, so probe
-            # the answer cache (free) before surfacing the 503/500.  The
-            # cache-hit lane already answered every hit it could read, so
-            # this fires only where the lane was shut or blind (see the
-            # module docstring).
+        except OverloadedError as error:
+            # degraded mode: the evaluation backend is saturated — a cached
+            # answer beats a refusal, so probe the answer cache (free)
+            # before surfacing the 503.  The cache-hit lane already answered
+            # every hit it could read, so this fires only where the lane was
+            # shut or blind (see the module docstring).
             cached = self.system.answerer.cached_answer(question)
             if cached is None:
                 raise error
@@ -583,7 +569,7 @@ class KBQAServer:
                 results = await self.answerer.answer_many(
                     questions, deadline_s=deadline_s, tenant=tenant
                 )
-        except (OverloadedError, BrokenExecutor) as error:
+        except OverloadedError as error:
             # a batch degrades only whole: partially-cached output would be
             # indistinguishable from a shorter result list
             cached = [self.system.answerer.cached_answer(q) for q in questions]
@@ -739,7 +725,12 @@ def run_smoke(
     ``procs > 1`` runs the same client traffic against a
     :class:`~repro.serve.multiproc.MultiProcessServer` — N forked replicas
     sharing the port via ``SO_REUSEPORT`` — and additionally asserts every
-    replica process exited (the CI ``--procs 2`` smoke step).
+    replica process exited (the CI ``--procs 2`` smoke step).  The summary
+    then carries ``respawned``, the replicas the supervisor replaced, so the
+    CI replica-kill step can fail when the fault never fired.  With
+    ``KBQA_FAULTS`` armed the smoke first waits (bounded) for that
+    replacement: its clients are strict — no retries — and a connection
+    accepted by a replica about to die would be reset.
     """
     import json
     import multiprocessing
@@ -797,6 +788,10 @@ def run_smoke(
         front = BackgroundServer(system, config)
 
     with front as bg:
+        if procs > 1 and faults_active():
+            deadline = time.monotonic() + 10.0
+            while not bg.respawned and time.monotonic() < deadline:
+                time.sleep(0.05)
         answer_url = bg.url + "/answer"
 
         def client(worker: int) -> None:
@@ -891,6 +886,7 @@ def run_smoke(
         with urllib.request.urlopen(bg.url + "/stats", timeout=30) as resp:
             stats = json.loads(resp.read().decode("utf-8"))
         thread = bg._thread if isinstance(bg, BackgroundServer) else None
+        respawned = bg.respawned if procs > 1 else 0
 
     if thread is not None and thread.is_alive():
         failures.append("server thread still alive after shutdown")
@@ -916,6 +912,8 @@ def run_smoke(
         "metrics_series": len(metrics_series),
         "clean_shutdown": True,
     }
+    if procs > 1:
+        summary["respawned"] = respawned
     if config is not None and config.adaptive:
         summary["controller_adjustments"] = controller_adjustments
         summary["batch_window_ms"] = serve_stats["batch_window_ms"]

@@ -18,11 +18,11 @@ mechanisms:
   enqueues it, later arrivals await the same future.  N duplicates cost one
   Eq 7 evaluation and one executor round trip.
 * **micro-batching** — distinct pending questions are drained into
-  ``answer_many`` batches of up to ``max_batch`` and dispatched to a bounded
-  execution backend (`repro.exec`): a thread pool by default, or — for real
-  CPU scaling of the pure-python Eq 7 loop — a shared-nothing process pool
-  evaluating epoch-tagged frozen answerer snapshots, amortizing the
-  event-loop/executor handoff and the serving-cache probes across the batch.
+  ``answer_many`` batches of up to ``max_batch`` and evaluated on a bounded
+  thread pool, amortizing the event-loop/thread handoff and the
+  serving-cache probes across the batch.  Threads are the only executor:
+  more cores are used by ``--procs N`` replicas of the whole server
+  (DESIGN.md "Why serving has one executor").
 * **admission control** — at most ``max_pending`` evaluations may be queued
   or executing; beyond that :meth:`AsyncAnswerer.answer` raises
   :class:`OverloadedError` *immediately* (the deterministic overload
@@ -32,11 +32,8 @@ mechanisms:
 The failure model (``tests/test_fault_tolerance.py``): a request may carry
 a **deadline** — past it the caller gets :class:`DeadlineExceeded` (HTTP
 504) while the evaluation itself keeps running for its coalesced siblings
-and the answer cache; a batch whose process workers were killed mid-flight
-(``BrokenProcessPool``) is **re-dispatched** against respawned workers
-after a jittered exponential backoff, bounded by ``max_crash_retries`` —
-the executor delivers nothing on a crash, so the retry is invisible to
-callers.
+and the answer cache; an exception out of the target fails exactly the
+batch that hit it.
 
 Correctness under live KB updates rests on an epoch protocol: every
 invalidation (:meth:`AsyncAnswerer.invalidate`, thread-safe) bumps an epoch
@@ -64,26 +61,21 @@ probe (a wrapper, a scripted test double) or a custom ``key=`` keeps every
 request on the queue path.
 
 All mutable state is confined to the event loop; the only cross-thread entry
-points are ``invalidate`` (via ``call_soon_threadsafe``) and the executor
-workers, which touch nothing but the target's own (locked) caches.
+points are ``invalidate`` (via ``call_soon_threadsafe``) and the pool
+threads, which touch nothing but the target's own (locked) caches.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import random
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol, Sequence
 
 from repro.core.online import AnswerResult
-from repro.exec.backend import EXEC_KINDS, Executor, make_executor
-from repro.exec.pool import ExecutorPool
-from repro.exec.shm import SegmentUnavailable
-from repro.exec.snapshot import SnapshotManager, evaluate_frozen_batch
 from repro.nlp.tokenizer import tokenize
 from repro.serve.control import (
     ControllerConfig,
@@ -149,16 +141,9 @@ class ServeConfig:
     ``max_batch`` bounds distinct questions per ``answer_many`` dispatch;
     ``max_pending`` is the admission bound on evaluations queued or
     executing (coalesced joiners are free and never rejected);
-    ``workers`` sizes the evaluation pool; ``executor`` picks its backend —
-    ``"thread"`` (the default: shared-memory, cheap handoff, GIL-bound),
-    ``"process"`` (shared-nothing workers evaluating epoch-tagged frozen
-    answerer snapshots — real CPU parallelism for the pure-python Eq 7
-    loop; the target must be picklable), or ``"serial"`` (inline on the
-    event loop; the determinism baseline for tests).  None means
-    ``"thread"`` — deliberately *not* the ``KBQA_EXEC`` environment, so a
-    suite-wide env override cannot silently flip serving tests onto a
-    backend their scripted targets cannot pickle for; the CLI resolves the
-    environment into an explicit value instead.  ``coalesce`` toggles
+    ``workers`` sizes the evaluation thread pool; ``executor`` is
+    ``"thread"`` (None means the same) or ``"serial"`` (inline on the event
+    loop; the determinism baseline for tests).  ``coalesce`` toggles
     duplicate sharing (off exists for the A/B in the QPS benchmark);
     ``batch_window_ms`` optionally lingers before dispatching an
     under-filled batch, trading latency for fuller batches;
@@ -166,15 +151,10 @@ class ServeConfig:
     landing mid-flight — past it the freshest attempt is delivered anyway
     (bounded staleness instead of livelock under sustained writes).
 
-    The failure-model knobs: ``deadline_ms`` is the default per-request
+    The failure-model knob: ``deadline_ms`` is the default per-request
     deadline (0 disables; the HTTP front's ``X-KBQA-Deadline-Ms`` header
     overrides per request) after which the caller gets
-    :class:`DeadlineExceeded` (HTTP 504) instead of waiting forever;
-    ``max_crash_retries`` bounds how many times a batch whose pool workers
-    died (``BrokenProcessPool``) is re-dispatched against respawned
-    workers before the crash propagates; ``retry_backoff_ms`` is the base
-    of the jittered exponential backoff slept between those crash retries
-    (0 disables the sleep).
+    :class:`DeadlineExceeded` (HTTP 504) instead of waiting forever.
 
     The control-plane knobs (`repro.serve.control`): ``adaptive`` starts an
     SLO feedback controller that treats ``batch_window_ms`` / ``max_batch``
@@ -194,8 +174,6 @@ class ServeConfig:
     max_stale_retries: int = 5
     executor: str | None = None
     deadline_ms: float = 0.0
-    max_crash_retries: int = 2
-    retry_backoff_ms: float = 2.0
     slo_ms: float = 0.0
     adaptive: bool = False
     quota: str | None = None
@@ -215,17 +193,10 @@ class ServeConfig:
             )
         if self.deadline_ms < 0:
             raise ValueError(f"deadline_ms must be >= 0, got {self.deadline_ms}")
-        if self.max_crash_retries < 0:
+        if self.executor not in (None, "thread", "serial"):
             raise ValueError(
-                f"max_crash_retries must be >= 0, got {self.max_crash_retries}"
-            )
-        if self.retry_backoff_ms < 0:
-            raise ValueError(
-                f"retry_backoff_ms must be >= 0, got {self.retry_backoff_ms}"
-            )
-        if self.executor is not None and self.executor not in EXEC_KINDS:
-            raise ValueError(
-                f"executor must be one of {EXEC_KINDS} or None, got {self.executor!r}"
+                f"executor must be 'thread', 'serial' or None, got "
+                f"{self.executor!r} (to serve on N cores, run --procs N replicas)"
             )
         if self.slo_ms < 0:
             raise ValueError(f"slo_ms must be >= 0, got {self.slo_ms}")
@@ -251,8 +222,6 @@ class ServeStats:
     applies: int = 0  # quiesced writes through apply()
     max_batch_seen: int = 0
     deadline_expired: int = 0  # requests abandoned at their deadline (504s)
-    crash_retries: int = 0  # batch re-dispatches after pool-worker death
-    respawns: int = 0  # executors replaced after worker death
     degraded: int = 0  # answer-cache hits served in degraded mode (by the app)
     quota_rejected: int = 0  # per-tenant quota rejections (429s)
     fallback_served: int = 0  # answers recovered by the semantic fallback lane
@@ -273,15 +242,11 @@ class AsyncAnswerer:
         target: AnswerTarget,
         config: ServeConfig | None = None,
         key: Callable[[str], str] = normalized_key,
-        pool: ExecutorPool | None = None,
     ) -> None:
         self.target = target
         self.config = config or ServeConfig()
         self.stats = ServeStats()
         self.metrics = ServeMetrics()
-        # Fallback-lane accounting is result-driven (the `fallback` tag on
-        # AnswerResult), so it works unchanged when evaluation happens in a
-        # process worker whose target-side counters never come back.
         self._fallback_enabled = bool(getattr(target, "fallback_enabled", False))
         # Live knobs, seeded from the (frozen) config: the SLO controller
         # mutates these, never the config, so the configured values remain
@@ -297,15 +262,8 @@ class AsyncAnswerer:
             probe if callable(probe) and key is normalized_key else None
         )
         self._loop: asyncio.AbstractEventLoop | None = None
-        # A borrowed ExecutorPool (owned by KBQAServer / the caller) decides
-        # the backend and provides warm workers that survive this answerer's
-        # stop(); without one the answerer builds and owns its executor.
-        self._pool = pool
-        self._exec_kind: str = (
-            pool.kind if pool is not None else (self.config.executor or "thread")
-        )
-        self._executor: Executor | None = None
-        self._snapshots: SnapshotManager | None = None
+        # the evaluation thread pool; stays None for executor="serial"
+        self._executor: ThreadPoolExecutor | None = None
         # (key, question, future, tenant, t_enq) items not yet dispatched;
         # one entry per distinct in-flight key when coalescing is on.  With
         # a quota configured the FIFO becomes per-tenant weighted-fair.
@@ -334,32 +292,14 @@ class AsyncAnswerer:
     # -- Lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind to the running loop and start the dispatcher.
-
-        The process backend freezes an epoch-0 snapshot *now*, so an
-        unpicklable target fails here, loudly, instead of inside the first
-        dispatched batch.
-        """
+        """Bind to the running loop and start the dispatcher."""
         if self._running:
             raise RuntimeError("AsyncAnswerer already started")
         self._loop = asyncio.get_running_loop()
-        if self._pool is not None:
-            self._executor = self._pool.executor()
-        else:
-            self._executor = make_executor(self._exec_kind, self.config.workers)
-        if self._exec_kind == "process":
-            # snapshots publish into shared memory: micro-batches carry only
-            # (epoch, segment name); the blob crosses once per epoch
-            self._snapshots = SnapshotManager(self.target, use_shm=True)
-            try:
-                self._snapshots.freeze(self._epoch)
-            except Exception:
-                if self._pool is None:
-                    self._executor.close()
-                self._executor = None
-                self._snapshots.close()
-                self._snapshots = None
-                raise
+        if self.config.executor != "serial":
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.config.workers, thread_name_prefix="kbqa-serve-eval"
+            )
         self._wakeup = asyncio.Event()
         self._quiesced = asyncio.Event()
         self._quiesced.set()
@@ -423,13 +363,9 @@ class AsyncAnswerer:
             assert self._quiesced is not None
             self._quiesced.clear()
             await self._quiesced.wait()
-        assert self._executor is not None
-        if self._pool is None:
-            self._executor.close()  # joins thread *and* process workers
-        self._executor = None
-        if self._snapshots is not None:
-            self._snapshots.close()  # unlinks every published segment
-            self._snapshots = None
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)  # joins the pool threads
+            self._executor = None
 
     async def __aenter__(self) -> "AsyncAnswerer":
         await self.start()
@@ -543,8 +479,14 @@ class AsyncAnswerer:
         if self._probe is None or self._paused:
             return None
         hit = self._probe(question, key)
-        if hit is None:
-            return None
+        if hit is not None:
+            self._record_hit(hit, tenant, started)
+        return hit
+
+    def _record_hit(
+        self, hit: AnswerResult, tenant: str | None, started: float
+    ) -> None:
+        """Count one lane hit as a completed request."""
         self.stats.requests += 1
         self.stats.inline_hits += 1
         self._count_fallback(hit)
@@ -553,7 +495,6 @@ class AsyncAnswerer:
         if tenant is not None:
             self.metrics.tenant_inc(tenant, "requests")
             self.metrics.tenant_inc(tenant, "completed")
-        return hit
 
     def _count_fallback(self, result: AnswerResult) -> None:
         """Fallback-lane accounting for one delivered result."""
@@ -592,20 +533,27 @@ class AsyncAnswerer:
     ) -> list[AnswerResult]:
         """Concurrent submission of a client batch (order preserved).
 
-        Admission is checked for the *whole* batch up front: if the distinct
-        not-yet-in-flight questions cannot fit the remaining capacity, the
-        batch is rejected before any of it is enqueued — a 503'd client
-        batch must shed load, not consume ``max_pending`` evaluations whose
-        results nobody reads.  (Individual submissions can still race other
-        clients for the last slots; that narrow window keeps the per-call
-        admission check authoritative.)
+        Admission is checked for the *whole* batch up front: if the
+        questions that need an evaluation — not in the answer cache, and
+        distinct and not yet in flight when coalescing — cannot fit the
+        remaining capacity, the batch is rejected before any of it is
+        answered or enqueued — a 503'd client batch must shed load, not
+        consume ``max_pending`` evaluations whose results nobody reads.
+        (Individual submissions can still race other clients for the last
+        slots; that narrow window keeps the per-call admission check
+        authoritative.)
         """
         if not self._running:
             raise RuntimeError("AsyncAnswerer is not running (call start())")
+        started = time.monotonic()
+        keys = [self._key(q) for q in questions]
+        lane = None if self._paused else self._probe
+        hits = [lane(q, k) if lane else None for q, k in zip(questions, keys)]
+        missed = [k for k, hit in zip(keys, hits) if hit is None]
         if self.config.coalesce:
-            needed = len({self._key(q) for q in questions} - self._inflight.keys())
+            needed = len(set(missed) - self._inflight.keys())
         else:
-            needed = len(questions)
+            needed = len(missed)
         free = self.max_pending - self._pending
         if needed > free:
             self.stats.rejected += len(questions)
@@ -615,11 +563,19 @@ class AsyncAnswerer:
                 f"batch needs {needed} evaluations but only {max(free, 0)} "
                 f"of {self.max_pending} slots are free"
             )
-        return list(
+        for hit in hits:
+            if hit is not None:
+                self._record_hit(hit, tenant, started)
+        evaluated = iter(
             await asyncio.gather(
-                *(self.answer(q, deadline_s=deadline_s, tenant=tenant) for q in questions)
+                *(
+                    self.answer(q, deadline_s=deadline_s, tenant=tenant)
+                    for q, hit in zip(questions, hits)
+                    if hit is None
+                )
             )
         )
+        return [hit if hit is not None else next(evaluated) for hit in hits]
 
     # -- Invalidation + writes ---------------------------------------------
 
@@ -654,11 +610,6 @@ class AsyncAnswerer:
         event loop (so synchronous change listeners — expansion refresh,
         cache clears — never block it), the epoch bumps, dispatch resumes.
         Writers serialize against each other on an async lock.
-
-        The mutation always runs in *this* process: it must mutate the live
-        KB, and a closure is not picklable anyway — under the process
-        backend it goes to the loop's default thread pool, and the workers
-        pick the change up through the next epoch's refrozen snapshot.
         """
         if not self._running:
             raise RuntimeError("AsyncAnswerer is not running (call start())")
@@ -670,11 +621,8 @@ class AsyncAnswerer:
                     assert self._quiesced is not None
                     self._quiesced.clear()
                     await self._quiesced.wait()
-                if self._exec_kind == "thread":
-                    assert self._executor is not None
-                    result = await asyncio.wrap_future(self._executor.submit(mutation))
-                else:
-                    result = await self._loop.run_in_executor(None, mutation)
+                # serial has no pool of its own: the loop's default one
+                result = await self._loop.run_in_executor(self._executor, mutation)
                 self._invalidate_on_loop()
                 self.stats.applies += 1
                 return result
@@ -715,96 +663,38 @@ class AsyncAnswerer:
             self._batch_tasks.add(task)
             task.add_done_callback(self._batch_tasks.discard)
 
-    async def _evaluate(self, questions: list[str], epoch: int) -> list[AnswerResult]:
-        """One ``answer_many`` evaluation on the configured backend.
-
-        * ``serial`` — inline on the event loop (blocks it; the determinism
-          baseline for tests and a degenerate single-user mode);
-        * ``thread`` — the live target on a pool thread (shared memory);
-        * ``process`` — an epoch-tagged frozen snapshot on a process worker:
-          the task carries only ``(epoch, segment name)`` of the snapshot
-          *published into shared memory* for ``epoch`` (the blob crosses
-          the pipe never, and the segment once per epoch per worker); a
-          bumped epoch re-freezes from the live (already mutated) target
-          and republishes before the retry dispatch.  The ``pickle.dumps``
-          of a large system is not cheap, so a re-freeze runs on a side
-          thread — only the batch that triggers it waits; the event loop
-          keeps accepting and completing other requests.
-        """
-        if self._exec_kind == "serial":
-            return self.target.answer_many(questions)
-        assert self._executor is not None
-        if self._exec_kind == "process":
-            assert self._snapshots is not None and self._loop is not None
-            task = self._snapshots.cached_task(epoch, questions)
-            if task is None:
-                task = await self._loop.run_in_executor(
-                    None, self._snapshots.task_for, epoch, questions
-                )
-            return await asyncio.wrap_future(
-                self._executor.submit(evaluate_frozen_batch, task)
-            )
-        return await asyncio.wrap_future(
-            self._executor.submit(self.target.answer_many, questions)
-        )
-
     async def _run_batch(
         self,
         batch: list[tuple[str, str, asyncio.Future, str | None, float]],
         worker_slots: asyncio.Semaphore,
     ) -> None:
-        """Evaluate one micro-batch on the executor; deliver or retry.
+        """Evaluate one micro-batch; deliver or retry.
+
+        The batch runs on a pool thread, or — for ``executor="serial"`` —
+        inline (blocks the loop; the determinism baseline for tests and a
+        degenerate single-user mode).
 
         The freshness invariant lives in the retry loop: a result set is
         delivered only if the epoch did not change between dispatch and
         completion, otherwise the batch re-evaluates against the (already
-        invalidated, hence refreshed) target caches — and, on the process
-        backend, against a snapshot *re-frozen at the new epoch*, so worker
-        copies can never pin pre-invalidation state.  Retries are capped at
+        invalidated, hence refreshed) target caches.  Retries are capped at
         ``max_stale_retries`` so a writer mutating faster than one epoch
         bump per evaluation degrades to *bounded staleness* (the freshest
         attempt is delivered, ``stale_delivered`` counts it) instead of
         livelocking the batch's futures.
-
-        Worker death (``BrokenExecutor``) is the other retry arm: the
-        executor is respawned and the whole batch re-dispatched against the
-        fresh workers — ``Executor.map``/``submit`` deliver nothing on a
-        crash, so the retry is invisible to callers — after a jittered
-        exponential backoff, bounded by ``max_crash_retries``.
         """
         questions = [item[1] for item in batch]
         try:
             retries = 0
-            crashes = 0
             while True:
                 epoch = self._epoch
-                executor = self._executor
                 eval_start = time.monotonic()
-                try:
-                    results = await self._evaluate(questions, epoch)
-                except BrokenExecutor:
-                    # pool workers died mid-batch (SIGKILL / OOM): respawn
-                    # and re-dispatch, bounded — a workload that kills every
-                    # pool it touches must surface, not loop
-                    crashes += 1
-                    if crashes > self.config.max_crash_retries:
-                        raise
-                    self.stats.crash_retries += 1
-                    self._respawn_executor(executor)
-                    backoff = self._backoff_s(crashes)
-                    if backoff > 0:
-                        await asyncio.sleep(backoff)
-                    continue
-                except SegmentUnavailable:
-                    # the shared-memory publish for `epoch` was retired by a
-                    # newer epoch while this batch dispatched — same meaning
-                    # as a stale epoch, so retry against the fresh publish
-                    # (bounded: re-raise past the cap instead of spinning)
-                    self.stats.stale_retries += 1
-                    retries += 1
-                    if retries > self.config.max_stale_retries:
-                        raise
-                    continue
+                if self._executor is None:
+                    results = self.target.answer_many(questions)
+                else:
+                    results = await asyncio.wrap_future(
+                        self._executor.submit(self.target.answer_many, questions)
+                    )
                 self.metrics.observe(
                     "evaluate", (time.monotonic() - eval_start) * 1000.0
                 )
@@ -819,19 +709,13 @@ class AsyncAnswerer:
             self.stats.batches += 1
             self.stats.max_batch_seen = max(self.stats.max_batch_seen, len(questions))
             done = time.monotonic()
-            # A batch that survived a crash retry carries the respawn +
-            # backoff cost: its samples are tainted, i.e. excluded from the
-            # controller's histogram so the spike cannot shrink the window.
-            tainted = crashes > 0
             for (key, _question, future, tenant, t_enq), result in zip(batch, results):
                 if self._inflight.get(key) is future:
                     del self._inflight[key]
                 if not future.done():
                     future.set_result(result)
                 self._count_fallback(result)
-                self.metrics.observe_total(
-                    (done - t_enq) * 1000.0, tainted=tainted, now=done
-                )
+                self.metrics.observe_total((done - t_enq) * 1000.0, now=done)
                 if tenant is not None:
                     self.metrics.tenant_inc(tenant, "completed")
         except Exception as error:  # target failure: fail the whole batch
@@ -849,41 +733,6 @@ class AsyncAnswerer:
             if self._active_batches == 0:
                 assert self._quiesced is not None
                 self._quiesced.set()
-
-    def _respawn_executor(self, broken: Executor | None) -> None:
-        """Replace a crashed executor with fresh workers (event-loop only).
-
-        Identity-checked against ``broken``: concurrent batches that
-        crashed on the *same* dead pool all call in, but only the first
-        respawns — the rest pick up the replacement on their retry.  With
-        a borrowed pool the check (and the published-payload preservation)
-        lives in :meth:`ExecutorPool.respawn`.
-        """
-        if self._pool is not None:
-            if self._pool.respawn(broken):
-                self.stats.respawns += 1
-            self._executor = self._pool.executor()
-            return
-        if broken is None or self._executor is not broken:
-            return  # a sibling batch already replaced it
-        try:
-            broken.close()  # reaps whatever the crash left behind
-        except Exception:  # pragma: no cover - broken pools may refuse
-            pass
-        self._executor = make_executor(self._exec_kind, self.config.workers)
-        self.stats.respawns += 1
-
-    def _backoff_s(self, attempt: int) -> float:
-        """Jittered exponential backoff before crash-retry ``attempt``.
-
-        Doubles from ``retry_backoff_ms``, capped at 250 ms, with ±50%
-        jitter so concurrent crashed batches do not re-dispatch in
-        lockstep against the freshly respawned workers.
-        """
-        base = self.config.retry_backoff_ms / 1000.0
-        if base <= 0:
-            return 0.0
-        return min(base * (2 ** (attempt - 1)), 0.25) * random.uniform(0.5, 1.5)
 
     # -- Introspection -----------------------------------------------------
 
@@ -904,15 +753,8 @@ class AsyncAnswerer:
                 "epoch": self._epoch,
                 "running": self._running,
                 "coalesce": self.config.coalesce,
-                "executor": self._exec_kind,
+                "executor": self.config.executor or "thread",
                 "workers": self.config.workers,
-                "snapshot_refreezes": (
-                    self._snapshots.refreezes if self._snapshots is not None else 0
-                ),
-                "snapshot_publishes": (
-                    self._snapshots.publishes if self._snapshots is not None else 0
-                ),
-                "pooled": self._pool is not None,
                 # live control-plane knobs (== config unless adaptive)
                 "batch_window_ms": round(self.batch_window_ms, 3),
                 "max_batch": self.max_batch,

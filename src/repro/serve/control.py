@@ -13,9 +13,7 @@ load — which shifts.  This module closes the loop:
   shape (additive increase probes, multiplicative decrease backs off fast).
   It also adapts the ``max_pending`` admission bound to the measured
   service rate (Little's law: more queue than ``rate x SLO`` can only turn
-  timely 503s into late 200s).  The controller reads only untainted
-  samples — crash-retried batches are excluded upstream — so a worker
-  SIGKILL's respawn spike cannot ratchet the window down.
+  timely 503s into late 200s).
 * :class:`TokenBucket` / :class:`QuotaConfig` — per-tenant token-bucket
   quotas keyed on the ``X-KBQA-Client`` header (CLI spec
   ``"RATE:BURST[;tenant=weight...]"``).

@@ -50,9 +50,9 @@ def _error_classes(
     """Per-class error/degradation counters for one load cell.
 
     Client-observed classes (rejections, quota denials, deadline expiries,
-    hard failures) plus the answerer's own retry/self-healing counters —
-    the row the CI perf harness publishes so a fault-injection leg can
-    assert *which* failure mode fired, not just a pass/fail.
+    hard failures) plus the answerer's own retry/degradation counters —
+    the row the perf harness publishes so a run can show *which* failure
+    mode fired, not just a pass/fail.
     """
     return {
         "rejected": rejected,
@@ -60,8 +60,6 @@ def _error_classes(
         "deadline": deadline,
         "failed": failed,
         "stale_retries": snapshot["stale_retries"],
-        "crash_retries": snapshot["crash_retries"],
-        "respawns": snapshot["respawns"],
         "degraded": snapshot["degraded"],
     }
 
@@ -218,15 +216,13 @@ def run_load_cell(
     coalesce: bool = True,
     max_batch: int = 16,
     workers: int | None = None,
-    executor: str | None = None,
 ) -> dict:
     """Synchronous one-call cell: fresh answerer, fresh loop, one stream.
 
     ``target`` is anything with ``answer_many`` (typically an
     ``OnlineAnswerer`` with the answer cache disabled, so the measured
     effect is the *serving layer's* coalescing, not the target's cache).
-    ``workers`` resolves through ``KBQA_WORKERS`` and clamps >= 1;
-    ``executor`` picks the evaluation backend (None = thread).
+    ``workers`` resolves through ``KBQA_WORKERS`` and clamps >= 1.
     """
     from repro.serve.async_answerer import ServeConfig
 
@@ -236,7 +232,6 @@ def run_load_cell(
         max_pending=max(spec.concurrency * 2, 64),
         workers=resolve_workers(workers, fallback=2),
         coalesce=coalesce,
-        executor=executor,
     )
 
     async def _run() -> dict:
@@ -247,7 +242,6 @@ def run_load_cell(
     result["coalesce"] = coalesce
     result["concurrency"] = spec.concurrency
     result["duplicate_rate"] = spec.duplicate_rate
-    result["executor"] = config.executor or "thread"
     result["workers"] = config.workers
     return result
 
@@ -397,7 +391,6 @@ def run_open_load_cell(
     coalesce: bool = True,
     max_batch: int = 16,
     workers: int | None = None,
-    executor: str | None = None,
     max_pending: int = 256,
     batch_window_ms: float = 0.0,
 ) -> dict:
@@ -425,7 +418,6 @@ def run_open_load_cell(
         max_pending=max_pending,
         workers=resolve_workers(workers, fallback=2),
         coalesce=coalesce,
-        executor=executor,
         batch_window_ms=batch_window_ms,
     )
 
@@ -443,7 +435,6 @@ def run_open_load_cell(
     result = asyncio.run(_run())
     result["duplicate_rate"] = spec.duplicate_rate
     result["coalesce"] = coalesce
-    result["executor"] = config.executor or "thread"
     result["workers"] = config.workers
     result["batch_window_ms"] = batch_window_ms
     return result
@@ -660,7 +651,6 @@ def run_ramp_cell(
     coalesce: bool = True,
     max_batch: int = 16,
     workers: int | None = None,
-    executor: str | None = None,
     max_pending: int = 256,
     batch_window_ms: float = 0.0,
     expected: dict | None = None,
@@ -681,7 +671,6 @@ def run_ramp_cell(
         max_pending=max_pending,
         workers=resolve_workers(workers, fallback=2),
         coalesce=coalesce,
-        executor=executor,
         batch_window_ms=batch_window_ms,
         slo_ms=slo_ms,
         adaptive=adaptive,
@@ -707,7 +696,6 @@ def run_ramp_cell(
     result["slo_ms"] = slo_ms
     result["quota"] = quota
     result["coalesce"] = coalesce
-    result["executor"] = config.executor or "thread"
     result["workers"] = config.workers
     result["start_batch_window_ms"] = batch_window_ms
     return result

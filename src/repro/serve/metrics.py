@@ -19,12 +19,9 @@ honest enough to steer by.  Three properties drive the design:
   the next record.  The cumulative histogram is kept alongside for
   Prometheus, whose scrape model wants monotonic totals.
 * **per-stage and per-tenant attribution** — queue wait, batch linger and
-  evaluation time are recorded separately from end-to-end total, and
-  per-tenant counters make a noisy client visible.  Samples from batches
-  that survived a *crash retry* are excluded from the controller's view
-  (``tainted``): a worker SIGKILL inflates latency by the respawn cost,
-  and shrinking the batch window in response would punish healthy traffic
-  for a fault the retry path already absorbed.
+  evaluation time are recorded separately from end-to-end total (the
+  controller's signal), and per-tenant counters make a noisy client
+  visible.
 
 Export formats: :func:`render_prometheus` writes the Prometheus text
 exposition format (``/metrics``); :meth:`ServeMetrics.snapshot` returns the
@@ -179,11 +176,10 @@ class WindowedHistogram:
 class ServeMetrics:
     """The per-answerer telemetry hub: stage histograms + tenant counters.
 
-    ``observe_total`` feeds two histograms: the ``total`` stage (every
-    completed request) and the controller histogram (*untainted* requests
-    only — crash-retried batches are excluded so respawn latency spikes
-    cannot steer the knobs).  All mutation happens under one lock; the
-    callers are the event loop and, for reads, the stats/bench threads.
+    The ``total`` stage holds every completed request and is what the SLO
+    controller steers by (:meth:`controller_view`).  All mutation happens
+    under one lock; the callers are the event loop and, for reads, the
+    stats/bench threads.
     """
 
     STAGES = ("total", "queue_wait", "batch_linger", "evaluate")
@@ -194,9 +190,7 @@ class ServeMetrics:
         self._stages = {
             name: WindowedHistogram(window_s, windows) for name in self.STAGES
         }
-        self._controller = WindowedHistogram(window_s, windows)
         self._tenants: dict[str, dict[str, int]] = {}
-        self.tainted = 0  # samples excluded from the controller's view
 
     # -- Recording ---------------------------------------------------------
 
@@ -206,18 +200,9 @@ class ServeMetrics:
         with self._lock:
             self._stages[stage].record(value_ms, now)
 
-    def observe_total(
-        self, value_ms: float, *, tainted: bool = False, now: float | None = None
-    ) -> None:
-        """Record one end-to-end latency; ``tainted=True`` (crash-retried
-        batch) keeps it out of the controller's steering histogram."""
-        now = time.monotonic() if now is None else now
-        with self._lock:
-            self._stages["total"].record(value_ms, now)
-            if tainted:
-                self.tainted += 1
-            else:
-                self._controller.record(value_ms, now)
+    def observe_total(self, value_ms: float, *, now: float | None = None) -> None:
+        """Record one end-to-end latency (a completed request)."""
+        self.observe("total", value_ms, now)
 
     def tenant_inc(self, tenant: str, event: str, n: int = 1) -> None:
         """Bump one per-tenant event counter."""
@@ -231,7 +216,7 @@ class ServeMetrics:
         """The windowed signal the SLO controller ticks on."""
         now = time.monotonic() if now is None else now
         with self._lock:
-            hist, span_s = self._controller.view(now)
+            hist, span_s = self._stages["total"].view(now)
         return {
             "count": hist.count,
             "p50_ms": hist.percentile(50),
@@ -257,8 +242,7 @@ class ServeMetrics:
                     "p99_ms": _round3(recent.percentile(99)),
                 }
             tenants = {t: dict(c) for t, c in self._tenants.items()}
-            tainted = self.tainted
-        return {"stages": stages, "tenants": tenants, "tainted_excluded": tainted}
+        return {"stages": stages, "tenants": tenants}
 
     def state(self) -> dict:
         """Cumulative, mergeable state (the replica dump / merge unit)."""
@@ -269,7 +253,6 @@ class ServeMetrics:
                 },
                 "tenants": {t: dict(c) for t, c in self._tenants.items()},
                 "counters": {},
-                "tainted": self.tainted,
             }
 
 
@@ -288,7 +271,7 @@ def merge_states(states: list[dict]) -> dict:
     that carries samples without buckets raises a ``ValueError`` naming the
     stage — merging it positionally would silently mis-bin every sample.
     """
-    merged: dict = {"stages": {}, "tenants": {}, "counters": {}, "tainted": 0}
+    merged: dict = {"stages": {}, "tenants": {}, "counters": {}}
     for state in states:
         for name, hist_state in state.get("stages", {}).items():
             if not isinstance(hist_state, dict):
@@ -319,7 +302,6 @@ def merge_states(states: list[dict]) -> dict:
                 out[event] = out.get(event, 0) + int(value)
         for counter, value in state.get("counters", {}).items():
             merged["counters"][counter] = merged["counters"].get(counter, 0) + int(value)
-        merged["tainted"] += int(state.get("tainted", 0))
     return merged
 
 
@@ -380,10 +362,6 @@ def render_prometheus(state: dict, gauges: dict | None = None) -> str:
                     f'kbqa_tenant_events_total{{tenant="{_escape_label(tenant)}",'
                     f'event="{_escape_label(event)}"}} {_fmt(tenants[tenant][event])}'
                 )
-    lines.append("# TYPE kbqa_controller_excluded_samples_total counter")
-    lines.append(
-        f"kbqa_controller_excluded_samples_total {_fmt(state.get('tainted', 0))}"
-    )
     for name in sorted(gauges or {}):
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name} {_fmt(gauges[name])}")

@@ -1,13 +1,12 @@
 """SO_REUSEPORT multi-process serving front: N loops, one port.
 
-PR 3/4 scale *evaluation* (thread/process pools behind one asyncio loop),
-but a single loop still owns the socket: HTTP parsing, JSON encoding and
-stream writes are serialized on one core.  This module forks N full server
-processes — each with its own event loop, its own
-:class:`~repro.serve.app.KBQAServer` and its own executor pool — all
-listening on the **same** host:port via ``SO_REUSEPORT``, so the kernel
-load-balances accepted connections across the processes and the whole
-serving stack scales with cores.
+One server process is one event loop plus GIL-bound evaluation threads:
+HTTP parsing, JSON encoding, socket writes and Eq 7 all share one core.
+This module is how serving uses more: it forks N full server processes —
+each with its own event loop, its own :class:`~repro.serve.app.KBQAServer`
+and its own evaluation threads — all listening on the **same** host:port
+via ``SO_REUSEPORT``, so the kernel load-balances accepted connections
+across the processes and the whole serving stack scales with cores.
 
 Topology and protocols:
 
@@ -41,10 +40,10 @@ Topology and protocols:
   (``max_respawns``) so a replica that dies deterministically on startup
   degrades to fewer replicas instead of a fork loop.
 * **shutdown** — the parent sets a shared stop event; children drain their
-  servers (which joins their pools and unlinks their snapshot segments)
-  and exit; the parent joins the supervisor, then every child, and
-  escalates to ``terminate`` only past a deadline; a final orphan sweep
-  reclaims segments a killed child could not unlink.
+  servers (which joins their evaluation threads) and exit; the parent
+  joins the supervisor, then every child, and escalates to ``terminate``
+  only past a deadline; a final orphan sweep reclaims segments a killed
+  child could not unlink.
   ``tests/test_serve_http.py`` asserts no child survives.
 
 The log-replay protocol is best-effort ordered (entries apply in global log
@@ -380,8 +379,8 @@ class MultiProcessServer:
                 self._poll_interval_s,
                 self._metrics_dir,
             ),
-            # not daemonic: a replica configured with a process
-            # executor must be allowed to start its own worker pool
+            # not daemonic: an exiting parent joins replicas (they drain and
+            # stop their servers) instead of terminating them mid-request
             name=f"kbqa-serve-{index}",
             daemon=False,
         )
@@ -394,11 +393,10 @@ class MultiProcessServer:
 
         A replacement forks from the parent's pristine system and catches
         itself up from the op log before binding (see ``_child_main``), so
-        the slot returns at full correctness, not just full capacity.  The
-        dead replica's published shared-memory segments (snapshot +
-        payload publishes its SIGKILL skipped) are reclaimed here — the
-        publisher pid is gone, so :func:`sweep_orphans` can prove them
-        dead.  Slots that exhaust ``max_respawns`` are abandoned
+        the slot returns at full correctness, not just full capacity.  Any
+        shared-memory segment the dead replica had published is reclaimed
+        here — the publisher pid is gone, so :func:`sweep_orphans` can
+        prove it dead.  Slots that exhaust ``max_respawns`` are abandoned
         (``_given_up``): deterministic startup crashes degrade to fewer
         replicas instead of a fork loop.
         """

@@ -1,15 +1,16 @@
 """Serial == thread == process, across seeds, shard counts and workers.
 
 The execution layer's contract (the tentpole acceptance gate): routing the
-Sec 6.2 expansion scan or the serving ``answer_many`` path through *any*
-backend changes nothing about the output —
+Sec 6.2 expansion scan through *any* backend, or the serving
+``answer_many`` path through either of its executors, changes nothing about
+the output —
 
 * expansion: the canonical :meth:`ExpandedStore.save` bytes are identical
   to the single-store serial scan, for randomized KBs over a grid of
   (kb seed x shard count x backend x worker count);
 * serving: ``AsyncAnswerer`` results over a randomized duplicate-heavy
-  stream equal the synchronous path, per backend, on the real trained
-  system;
+  stream equal the synchronous path, serial and threaded, on the real
+  trained system;
 * the selection rules (explicit arg > ``KBQA_EXEC``/``KBQA_WORKERS``
   environment > default) behave and clamp as documented.
 """
@@ -120,11 +121,11 @@ class TestExpansionEquivalence:
 
 
 class TestServingEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     @pytest.mark.parametrize("stream_seed", [3, 11])
     def test_answer_many_equals_sync(self, backend, stream_seed, kbqa_fb, suite):
         """Async results over a randomized duplicate-heavy stream equal the
-        synchronous path on every backend (process: frozen-snapshot copy)."""
+        synchronous path on both serving executors."""
         pool = [q.question for q in suite.benchmark("qald3").bfqs()][:12]
         stream = build_request_stream(
             pool,
@@ -175,6 +176,9 @@ class TestSelectionRules:
     def test_serve_config_rejects_unknown_executor(self):
         with pytest.raises(ValueError, match="executor"):
             ServeConfig(executor="fibers")
+        # serving has no process executor; the error names the multi-core way
+        with pytest.raises(ValueError, match="--procs"):
+            ServeConfig(executor="process")
 
 
 def _double(x: int) -> int:

@@ -1,21 +1,16 @@
-"""Process-pool serving under churn: freshness, stress, clean shutdown.
+"""Concurrency hygiene: serving under write churn, warm pools, clean shutdown.
 
-Extends the ``tests/test_serve.py`` scripted-target patterns across the
-process boundary.  The hard invariant under test: a request admitted after
-a KB mutation + invalidation can never observe a pre-mutation answer, even
-though process workers evaluate against *frozen snapshot copies* — the
-epoch-tagged refreeze protocol (`repro.exec.snapshot`) must re-freeze from
-the live target before any stale batch re-evaluates.
+Serving: a request admitted after a KB mutation + invalidation can never
+observe a pre-mutation answer, however many readers are in flight; stopping
+an answerer joins its evaluation threads and fails what was still queued.
+Timing windows are held open deterministically with sentinel files: the
+target reports "mid-batch" by writing a file and blocks until the test
+writes the release file.
 
-Cross-process timing windows are held open deterministically with sentinel
-files (a worker process cannot share a ``threading.Event``): the worker
-reports "mid-batch" by writing a file and blocks until the test writes the
-release file.
-
-Shutdown hygiene: stopping an answerer (or closing an executor) must join
-every worker — ``multiprocessing.active_children()`` is the leak detector —
-and repeated start/stop cycles must not accumulate processes or strand
-queued requests.
+Execution pools (the expansion scan's workers): one pool start serves many
+calls, published shared-memory payloads republish only on invalidation, and
+closing a pool or executor joins every worker and unlinks every segment —
+``multiprocessing.active_children()`` is the leak detector.
 """
 
 from __future__ import annotations
@@ -23,6 +18,7 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -31,7 +27,6 @@ from repro.core.online import AnswerResult
 from repro.exec.backend import ProcessExecutor
 from repro.exec.pool import ExecutorPool
 from repro.exec.shm import PublishedBlob, SegmentUnavailable, attach_blob
-from repro.exec.snapshot import SnapshotManager
 from repro.serve import AsyncAnswerer, ServeConfig
 
 TIMEOUT_S = 30.0
@@ -64,13 +59,11 @@ def _result(question: str, value: str) -> AnswerResult:
 
 
 class FileGatedTarget:
-    """A picklable scripted target whose workers signal through the FS.
+    """A scripted target whose evaluations signal through the FS.
 
     Each ``answer_many`` appends a line to ``started_path`` (visible to the
-    test as "a worker is mid-batch on some snapshot") and then blocks until
-    ``gate_path`` exists.  The answered value is whatever ``value`` was when
-    the instance was *frozen* — exactly the staleness the epoch protocol
-    must defeat.
+    test as "an evaluation is mid-batch") and then blocks until
+    ``gate_path`` exists.
     """
 
     def __init__(self, value: str, started_path: str, gate_path: str) -> None:
@@ -79,7 +72,7 @@ class FileGatedTarget:
         self.gate_path = gate_path
 
     def answer_many(self, questions):
-        """Report mid-batch, hold until released, answer with frozen value."""
+        """Report mid-batch, hold until released, answer with the value."""
         with open(self.started_path, "a", encoding="utf-8") as handle:
             handle.write(f"{self.value}\n")
         deadline = time.monotonic() + TIMEOUT_S
@@ -91,7 +84,7 @@ class FileGatedTarget:
 
 
 class VersionedTarget:
-    """Picklable target answering with its version counter at freeze time."""
+    """Target answering with its version counter at evaluation time."""
 
     def __init__(self) -> None:
         self.version = 0
@@ -102,7 +95,7 @@ class VersionedTarget:
         return self.version
 
     def answer_many(self, questions):
-        """Answer every question with the frozen version counter."""
+        """Answer every question with the current version counter."""
         return [_result(q, str(self.version)) for q in questions]
 
 
@@ -119,38 +112,11 @@ async def _wait_for(path: str, lines: int = 1) -> None:
 
 
 class TestSnapshotFreshness:
-    def test_mutation_during_inflight_batch_forces_refrozen_retry(self, tmp_path):
-        """The satellite case: a worker delays mid-batch while the 'KB'
-        mutates; the delivered answer must come from a *post-mutation*
-        snapshot (the stale-epoch retry re-freezes), never the frozen v1."""
-        started = str(tmp_path / "started")
-        gate = str(tmp_path / "gate")
-        target = FileGatedTarget("v1", started, gate)
-        config = ServeConfig(executor="process", workers=1, max_batch=4)
-
-        async def main():
-            async with AsyncAnswerer(target, config) as answerer:
-                pending = asyncio.ensure_future(answerer.answer("what is x?"))
-                await _wait_for(started, lines=1)  # worker mid-batch on v1
-                target.value = "v2"  # live mutation in the serving process
-                answerer.invalidate()  # epoch bump -> v1 batch is stale
-                (tmp_path / "gate").write_text("go\n")
-                result = await pending
-                return result, answerer.snapshot()
-
-        result, stats = asyncio.run(main())
-        assert result.value == "v2"
-        assert stats["stale_retries"] >= 1
-        assert stats["snapshot_refreezes"] >= 2  # epoch-0 freeze + refreeze
-        # the retry really re-ran on a v2 snapshot, in a worker
-        with open(started, encoding="utf-8") as handle:
-            assert handle.read().splitlines()[-1] == "v2"
-
     def test_post_apply_requests_always_see_the_write(self):
         """Churn loop: after every apply() the next answer must carry the
-        new version — the write-quiescence + refreeze path, repeated."""
+        new version — the write-quiescence path, repeated."""
         target = VersionedTarget()
-        config = ServeConfig(executor="process", workers=2, max_batch=4)
+        config = ServeConfig(workers=2, max_batch=4)
 
         async def main():
             async with AsyncAnswerer(target, config) as answerer:
@@ -165,16 +131,14 @@ class TestSnapshotFreshness:
 
         stats = asyncio.run(main())
         assert stats["applies"] == 5
-        assert stats["snapshot_refreezes"] >= 6
+        assert stats["stale_delivered"] == 0
 
     def test_concurrent_churn_never_time_travels(self):
         """Readers flooding the pool while a writer bumps versions: every
         delivered answer is a version that existed, and versions observed
         by successive post-apply probes never decrease."""
         target = VersionedTarget()
-        config = ServeConfig(
-            executor="process", workers=2, max_batch=4, max_pending=512
-        )
+        config = ServeConfig(workers=2, max_batch=4, max_pending=512)
 
         async def main():
             async with AsyncAnswerer(target, config) as answerer:
@@ -197,27 +161,6 @@ class TestSnapshotFreshness:
 
         observed = asyncio.run(main())
         assert len(observed) == 24
-
-    def test_unpicklable_target_fails_fast_at_start(self):
-        """A target the process backend cannot freeze errors at start(),
-        before any request is admitted (no worker tracebacks later)."""
-
-        class Unpicklable:
-            def __init__(self):
-                self.gate = multiprocessing.get_context().Lock()
-
-            def answer_many(self, questions):
-                return [_result(q, "x") for q in questions]
-
-        async def main():
-            answerer = AsyncAnswerer(Unpicklable(), ServeConfig(executor="process"))
-            with pytest.raises(Exception):
-                await answerer.start()
-            assert not answerer._running
-            assert answerer._executor is None
-
-        asyncio.run(main())
-        assert multiprocessing.active_children() == []
 
 
 class TestPersistentPool:
@@ -332,78 +275,40 @@ class TestSharedMemoryHygiene:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
 
-    def test_snapshot_manager_close_unlinks_segments(self):
-        target = VersionedTarget()
-        manager = SnapshotManager(target, use_shm=True)
-        manager.freeze(0)
-        first = manager.segment_name()
-        assert first is not None
-        target.bump()
-        manager.freeze(1)
-        second = manager.segment_name()
-        assert second != first
-        manager.close()
-        from multiprocessing import shared_memory
 
-        for name in (first, second):
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_answerer_stop_unlinks_snapshot_segment_and_children(self):
-        """Acceptance: after stop() no shared-memory segment and no worker
-        process survives."""
-        target = VersionedTarget()
-        config = ServeConfig(executor="process", workers=2)
-
-        async def main():
-            answerer = AsyncAnswerer(target, config)
-            await answerer.start()
-            await answerer.answer_many([f"q{i}" for i in range(6)])
-            name = answerer._snapshots.segment_name()
-            assert name is not None
-            stats = answerer.snapshot()
-            assert stats["snapshot_publishes"] >= 1
-            await answerer.stop()
-            return name
-
-        name = asyncio.run(main())
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-        _assert_no_children()
+def _evaluation_threads() -> list[str]:
+    return [
+        t.name for t in threading.enumerate() if t.name.startswith("kbqa-serve-eval")
+    ]
 
 
 class TestCleanShutdown:
     def test_stop_leaves_no_worker_processes(self):
+        """stop() joins the evaluation threads, and serving never forked."""
         target = VersionedTarget()
-        config = ServeConfig(executor="process", workers=2)
+        config = ServeConfig(workers=2)
 
         async def main():
             async with AsyncAnswerer(target, config) as answerer:
                 await answerer.answer_many([f"q{i}" for i in range(8)])
+                assert _evaluation_threads()
             assert answerer._executor is None
 
         asyncio.run(main())
-        for _ in range(100):  # children unregister as they are reaped
-            if not multiprocessing.active_children():
-                break
-            time.sleep(0.02)
+        assert _evaluation_threads() == []
         assert multiprocessing.active_children() == []
 
     def test_repeated_cycles_do_not_accumulate_workers(self):
         target = VersionedTarget()
 
         async def one_cycle(index: int):
-            async with AsyncAnswerer(
-                target, ServeConfig(executor="process", workers=2)
-            ) as answerer:
+            async with AsyncAnswerer(target, ServeConfig(workers=2)) as answerer:
                 result = await answerer.answer(f"cycle {index}?")
                 assert result.value == "0"
 
         for index in range(3):
             asyncio.run(one_cycle(index))
-        assert multiprocessing.active_children() == []
+        assert _evaluation_threads() == []
 
     def test_executor_close_joins_children(self):
         with ProcessExecutor(2) as executor:
@@ -412,20 +317,20 @@ class TestCleanShutdown:
 
     def test_stop_fails_queued_requests_deterministically(self, tmp_path):
         """Queued-but-undispatched requests fail with 'serving stopped'
-        (not a hang) even when a process worker holds the only slot."""
+        (not a hang) even while an evaluation holds the only slot."""
         started = str(tmp_path / "started")
         gate = str(tmp_path / "gate")
         target = FileGatedTarget("v", started, gate)
-        config = ServeConfig(executor="process", workers=1, max_batch=1)
+        config = ServeConfig(workers=1, max_batch=1)
 
         async def main():
             answerer = AsyncAnswerer(target, config)
             await answerer.start()
             inflight = asyncio.ensure_future(answerer.answer("first?"))
-            await _wait_for(started)  # slot taken, worker blocked on gate
+            await _wait_for(started)  # slot taken, evaluation blocked on gate
             queued = asyncio.ensure_future(answerer.answer("second, queued?"))
             await asyncio.sleep(0.02)  # let the queued entry land
-            # begin shutdown while the worker still holds the gate: the
+            # begin shutdown while the evaluation still holds the gate: the
             # queued request must fail *before* the slot could free up
             stop_task = asyncio.ensure_future(answerer.stop())
             with pytest.raises(RuntimeError, match="serving stopped"):
@@ -437,7 +342,6 @@ class TestCleanShutdown:
             return True
 
         assert asyncio.run(main())
-        assert multiprocessing.active_children() == []
 
 
 def _identity(x):

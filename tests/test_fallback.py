@@ -8,7 +8,6 @@ The lane's contract, in test form:
   ``fallback=True``,
 * the confidence gate turns low-confidence matches back into abstentions
   (and a question with no KB mention can never reach the lane),
-* the index survives snapshot pickling into process workers,
 * degraded mode (``cached_answer``) never invokes the lane,
 * the sparse gather scan equals the dense oracle in ``tests/oracles``, on
   single queries and over the whole held-out stream,
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import asyncio
 import math
-import pickle
 import random
 import sys
 import threading
@@ -31,7 +29,6 @@ from oracles.fallback_reference import OracleIndex, reference_top_paths
 
 from repro.core.fallback import FallbackConfig, FallbackIndex
 from repro.core.online import OnlineAnswerer
-from repro.exec.snapshot import AnswerBatchTask, evaluate_frozen_batch, freeze_target
 from repro.nlp.embed import SparseVector, _bucket, dot, embed_tokens
 from repro.nlp.tokenizer import tokenize
 from repro.serve.async_answerer import AsyncAnswerer, ServeConfig
@@ -195,15 +192,6 @@ class TestFallbackIndex:
         qvec = embed_tokens(("where", "was", "someone", "born"))
         assert strict.gated_paths(qvec) == []
 
-    def test_pickle_roundtrip(self, fb_index):
-        thawed = pickle.loads(pickle.dumps(fb_index))
-        assert thawed.path_strs == fb_index.path_strs
-        assert thawed.matrix == fb_index.matrix
-        assert thawed._rows == fb_index._rows  # derived, rebuilt on thaw
-        assert set(fb_index.__getstate__()) == {"config", "path_strs", "matrix"}
-        qvec = embed_tokens(("where", "born"))
-        assert thawed.top_paths(qvec) == fb_index.top_paths(qvec)
-
     def test_margin_gate_sees_runner_up_at_top_k_1(self):
         """Two near-tied paths abstain on the margin whatever ``top_k`` is
         (``top_k=1`` used to retrieve one row and skip the margin check)."""
@@ -231,8 +219,6 @@ class TestFallbackIndex:
         )
         assert info["passed"] > 0 and info["abstained_threshold"] > 0
         assert (info["paths"], info["dim"]) == (len(index), index.config.dim)
-        # counters are process-local: a thawed copy starts from zero
-        assert pickle.loads(pickle.dumps(index)).describe()["queries"] == 0
 
     def test_gate_counters_lose_no_update_across_threads(self):
         """Executor threads share one index; a lost increment would break
@@ -326,23 +312,6 @@ class TestFallbackLane:
         result = strict.answer(heldout)
         assert not result.answered
         assert not result.fallback
-
-    def test_survives_snapshot_into_worker_path(self, fb_answerer, training_questions):
-        """freeze_target -> evaluate_frozen_batch is exactly what a process
-        worker runs; the thawed answerer must still recover paraphrases."""
-        heldout = HELDOUT_REWRITES[0](training_questions[0])
-        expected = fb_answerer.answer(heldout)
-        blob = freeze_target(fb_answerer)
-        task = AnswerBatchTask(epoch=99, questions=(heldout,), blob=blob)
-        [result] = evaluate_frozen_batch(task)
-        assert result == expected
-        if expected.answered:
-            assert result.fallback
-
-    def test_thawed_answerer_keeps_index(self, fb_answerer):
-        thawed = pickle.loads(pickle.dumps(fb_answerer))
-        assert thawed.fallback_enabled
-        assert thawed.fallback_index.path_strs == fb_answerer.fallback_index.path_strs
 
     def test_degraded_mode_never_invokes_lane(self, kbqa_fb, fb_index, training_questions):
         """cached_answer is a pure cache probe: an uncached held-out

@@ -3,15 +3,15 @@
 The failure model this PR adds, exercised end to end through the
 `repro.exec.faults` harness (``KBQA_FAULTS``):
 
-* a SIGKILL'd **pool worker** is absorbed — :meth:`ExecutorPool.run`, the
-  expansion round loop and the serving batch loop respawn fresh workers and
-  re-dispatch, with *byte-identical* output to a serial run;
+* a SIGKILL'd **pool worker** is absorbed — :meth:`ExecutorPool.run` and
+  the expansion round loop respawn fresh workers and re-dispatch, with
+  *byte-identical* output to a serial run;
 * a SIGKILL'd ``--procs`` **replica** is reaped by the parent supervisor
   and replaced by a freshly forked child that catches up from the op log
   *before* binding its socket;
 * requests carry **deadlines** (``DeadlineExceeded`` / HTTP 504) and the
   HTTP front serves **degraded** answer-cache hits instead of 503s when
-  the evaluation backend is down;
+  the evaluation backend is saturated;
 * ``kbqa-*`` shared-memory segments orphaned by killed processes are
   decidable (pid in the name) and swept at pool starts, teardown and via
   ``kbqa shm-gc``.
@@ -47,7 +47,7 @@ from repro.exec.faults import (
     parse_faults,
 )
 from repro.exec.pool import ExecutorPool
-from repro.exec.shm import SEGMENT_PREFIX, SegmentUnavailable, sweep_orphans
+from repro.exec.shm import SEGMENT_PREFIX, sweep_orphans
 from repro.kb.expansion import expand_predicates
 from repro.kb.sharded import ShardedTripleStore
 from repro.kb.triple import make_literal
@@ -58,6 +58,7 @@ from repro.serve import (
     OverloadedError,
     ServeConfig,
     multiproc_available,
+    run_smoke,
 )
 from repro.serve.app import KBQAServer
 from repro.serve.http import HTTPRequest
@@ -86,7 +87,7 @@ def _wait_until(predicate, timeout_s: float = TIMEOUT_S) -> None:
         time.sleep(0.02)
 
 
-# -- Scripted picklable targets ---------------------------------------------
+# -- Scripted targets --------------------------------------------------------
 
 
 def _result(question: str, value: str) -> AnswerResult:
@@ -100,14 +101,6 @@ def _result(question: str, value: str) -> AnswerResult:
         predicate=None,
         found_predicate=True,
     )
-
-
-class EchoTarget:
-    """Deterministic picklable target: value is a pure function of the
-    question, so serial output is the equivalence reference."""
-
-    def answer_many(self, questions):
-        return [_result(q, f"v:{' '.join(q.split())}") for q in questions]
 
 
 class SlowTarget:
@@ -134,12 +127,12 @@ class TestFaultSpecs:
     def test_parse_full_grammar(self, tmp_path):
         token = str(tmp_path / "tok")
         faults = parse_faults(
-            f"exec.worker.batch=kill,once={token};"
+            f"exec.worker.scan=kill,once={token};"
             "serve.replica=sleep:25,times=3,after=2;"
             "shm.attach=raise:SegmentUnavailable"
         )
-        assert faults["exec.worker.batch"].action == "kill"
-        assert faults["exec.worker.batch"].once == token
+        assert faults["exec.worker.scan"].action == "kill"
+        assert faults["exec.worker.scan"].once == token
         assert faults["serve.replica"].action == "sleep"
         assert faults["serve.replica"].arg == "25"
         assert faults["serve.replica"].times == 3
@@ -285,55 +278,10 @@ class TestExpansionUnderCrash:
         _assert_no_children()
 
 
-# -- Serving: crash retry, deadlines -----------------------------------------
+# -- Serving: deadlines ------------------------------------------------------
 
 
 class TestServingCrashRetry:
-    def test_process_batch_survives_worker_kill(self, tmp_path):
-        """SIGKILL a serving pool worker mid-batch: the batch re-dispatches
-        against respawned workers and every answer equals the serial path;
-        stop() leaves no worker process behind."""
-        target = EchoTarget()
-        questions = [f"question number {i}?" for i in range(6)]
-        expected = [r.value for r in target.answer_many(questions)]
-        token = str(tmp_path / "batch.tok")
-        config = ServeConfig(
-            executor="process", workers=2, max_batch=2, retry_backoff_ms=1.0
-        )
-
-        async def main():
-            async with AsyncAnswerer(target, config) as answerer:
-                results = await answerer.answer_many(questions)
-                return results, dict(answerer.snapshot())
-
-        with inject_faults(f"exec.worker.batch=kill,once={token}"):
-            results, snapshot = asyncio.run(main())
-        assert [r.value for r in results] == expected
-        assert snapshot["crash_retries"] >= 1
-        assert snapshot["respawns"] >= 1
-        _assert_no_children()
-
-    def test_crash_retry_budget_fails_the_batch(self):
-        """Unbounded worker suicide exhausts max_crash_retries and the
-        caller sees the BrokenExecutor (never a hang)."""
-        config = ServeConfig(
-            executor="process",
-            workers=2,
-            max_crash_retries=1,
-            retry_backoff_ms=1.0,
-        )
-
-        async def main():
-            async with AsyncAnswerer(EchoTarget(), config) as answerer:
-                with pytest.raises(BrokenExecutor):
-                    await answerer.answer("doomed question?")
-                return dict(answerer.snapshot())
-
-        with inject_faults("exec.worker.batch=kill,times=-1"):
-            snapshot = asyncio.run(main())
-        assert snapshot["crash_retries"] == 1
-        _assert_no_children()
-
     def test_deadline_expires_with_stalled_backend(self):
         """A stalled evaluation must not hold the caller past its deadline;
         the evaluation itself is not cancelled and resolves later."""
@@ -444,7 +392,6 @@ class TestHTTPDeadlines:
                 return await server._route(request)
             finally:
                 await server.answerer.stop()
-                server.exec_pool.close()
 
         status, payload = asyncio.run(main())
         assert status == 504
@@ -490,7 +437,6 @@ def _routed(server, question: str, during=None):
             return await during(server, request)
         finally:
             await server.answerer.stop()
-            server.exec_pool.close()
 
     return asyncio.run(main())
 
@@ -613,7 +559,6 @@ class TestDegradedMode:
                 return await server._route(request)
             finally:
                 await server.answerer.stop()
-                server.exec_pool.close()
 
         status, payload = asyncio.run(main())
         assert status == 200
@@ -678,7 +623,7 @@ class TestOrphanSweep:
         assert "reclaimed" in out
 
 
-# -- Replica self-healing + combined chaos -----------------------------------
+# -- Replica self-healing ----------------------------------------------------
 
 
 def _post(url: str, payload: dict, timeout: float = 30.0) -> tuple[int, dict]:
@@ -748,22 +693,34 @@ class TestReplicaSelfHealing:
         assert front.respawned >= 1
         _assert_no_children()
 
+    def test_smoke_reports_the_replica_an_armed_fault_killed(
+        self, serve_system, suite, tmp_path
+    ):
+        """The CI replica-kill step's body: the smoke lets the front heal,
+        gets every answer and says what was replaced, so the step can fail
+        when the fault never fired."""
+        token = str(tmp_path / "smoke.tok")
+        questions = [q.question for q in suite.benchmark("qald3").bfqs()][:6]
+        with inject_faults(f"serve.replica=kill,once={token}"):
+            summary = run_smoke(
+                serve_system, questions, threads=4, requests_per_thread=3, procs=2
+            )
+        assert summary["http_200"] == summary["requests"] == 12
+        assert summary["respawned"] == 1
+        assert os.path.exists(token)
+        _assert_no_children()
+
     def test_combined_chaos_worker_and_replica_kill(self, serve_system, suite, tmp_path):
-        """The acceptance scenario: two replicas on a process executor; one
-        pool worker and one replica are SIGKILL'd mid-load.  Every accepted
+        """The acceptance scenario: two replicas, one SIGKILLs itself
+        mid-load at the ``serve.replica`` fault site.  Every accepted
         request must come back correct (or explicitly degraded), capacity
         must recover without a restart, and nothing — child process or shm
         segment — may outlive stop()."""
         question = _answerable_question(suite, serve_system)
         expected = serve_system.answer(question)
-        worker_tok = str(tmp_path / "worker.tok")
         replica_tok = str(tmp_path / "replica.tok")
-        config = ServeConfig(executor="process", workers=2, retry_backoff_ms=1.0)
-        spec = (
-            f"exec.worker.batch=kill,once={worker_tok};"
-            f"serve.replica=kill,once={replica_tok},after=10"
-        )
-        with inject_faults(spec):
+        config = ServeConfig(workers=2)
+        with inject_faults(f"serve.replica=kill,once={replica_tok},after=10"):
             front = MultiProcessServer(
                 serve_system, config, procs=2, supervise_interval_s=0.02
             )
@@ -785,7 +742,7 @@ class TestReplicaSelfHealing:
                     front.url + "/answer", {"question": question}
                 )
                 assert status == 200
-        assert os.path.exists(worker_tok) or os.path.exists(replica_tok)
+        assert os.path.exists(replica_tok)  # the fault really fired
         _assert_no_children()
         # nothing outlives stop(): any kbqa-* segment whose publisher is dead
         # would be returned (and reclaimed) here — there must be none left

@@ -382,76 +382,6 @@ class TestLoadGenerator:
         assert on["coalesced"] > 0
 
 
-class TestProcessBackendIntegration:
-    """The scripted-target patterns above, crossed with the process backend
-    against a *real* trained system (see tests/test_exec_concurrency.py for
-    the deterministic cross-process timing cases)."""
-
-    @pytest.fixture()
-    def live_process_system(self, suite):
-        """A trained system over a private KB copy, safe to mutate."""
-        from repro.data.compile import compile_freebase_like
-        from repro.core.system import KBQA
-
-        kb = compile_freebase_like(suite.world)
-        system = KBQA.train(kb, suite.corpus, suite.conceptualizer)
-        yield system
-        system.close()
-
-    def test_facts_applied_through_process_pool_are_served_fresh(
-        self, suite, live_process_system
-    ):
-        """apply(delete_fact) on a process-backed answerer: the next request
-        evaluates on a refrozen snapshot without the deleted edge, and the
-        restore brings the original answer back — all cross-process."""
-        system = live_process_system
-        question = cvt = partner = None
-        for entity in suite.world.of_type("person"):
-            spouses = system.kb.store.objects(entity.node, "marriage")
-            if spouses:
-                cvt = next(iter(spouses))
-                partner = next(iter(system.kb.store.objects(cvt, "person")))
-                question = f"who is the spouse of {entity.name}?"
-                if system.answer(question).answered:
-                    break
-        assert question is not None, "no answerable spouse question in the suite"
-
-        async def main():
-            config = ServeConfig(executor="process", workers=1, max_batch=4)
-            async with AsyncAnswerer(system, config) as answerer:
-                before = await answerer.answer(question)
-                deleted = await answerer.apply(
-                    lambda: system.delete_fact(cvt, "person", partner)
-                )
-                after = await answerer.answer(question)
-                restored_fact = await answerer.apply(
-                    lambda: system.add_fact(cvt, "person", partner)
-                )
-                restored = await answerer.answer(question)
-                return before, deleted, after, restored_fact, restored, answerer.snapshot()
-
-        before, deleted, after, restored_fact, restored, stats = run(main())
-        assert before.answered and deleted is True and restored_fact is True
-        assert before.value not in after.values
-        assert restored.value == before.value
-        assert stats["executor"] == "process"
-        assert stats["applies"] == 2
-        assert stats["snapshot_refreezes"] >= 3
-
-    def test_process_stats_surface_executor_fields(self, kbqa_fb):
-        async def main():
-            async with AsyncAnswerer(
-                kbqa_fb, ServeConfig(executor="process", workers=2)
-            ) as answerer:
-                await answerer.answer("who is anyone ?")
-                return answerer.snapshot()
-
-        stats = run(main())
-        assert stats["executor"] == "process"
-        assert stats["workers"] == 2
-        assert stats["snapshot_refreezes"] >= 1
-
-
 class TestOpenLoopLoadGenerator:
     def test_open_loop_cell_reports_latency_percentiles(self, kbqa_fb, suite):
         from repro.serve.loadgen import OpenLoadSpec, run_open_load_cell

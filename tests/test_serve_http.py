@@ -392,6 +392,7 @@ class TestMultiProcess:
         assert summary["clean_shutdown"] is True
         assert summary["procs"] == 2
         assert summary["http_200"] == summary["requests"] == 12
+        assert summary["respawned"] == 0  # no fault armed, no replica replaced
 
     def test_procs_validation(self, serve_system):
         with pytest.raises(ValueError, match="procs"):

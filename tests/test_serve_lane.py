@@ -12,7 +12,9 @@ event loop, without the queue.  Three contracts:
 * **equivalence** — a lane result equals the queue result as a full
   dataclass, question echo included;
 * **conservation** — every accepted request is exactly one of: a lane hit,
-  a coalesced joiner, a queued evaluation.
+  a coalesced joiner, a queued evaluation;
+* **batch admission** — a client batch is admitted on the evaluations it
+  needs, and a question the lane answers needs none.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.core.online import OnlineAnswerer
 from repro.core.system import KBQA
 from repro.data.compile import compile_freebase_like
 from repro.kb.triple import make_literal
-from repro.serve import AsyncAnswerer, ServeConfig, normalized_key
+from repro.serve import AsyncAnswerer, OverloadedError, ServeConfig, normalized_key
 from repro.serve.app import KBQAServer
 from repro.serve.metrics import parse_prometheus_text
 
@@ -108,11 +110,15 @@ async def _roundtrip(port: int, wire: bytes) -> tuple[int, bytes]:
         await writer.wait_closed()
 
 
-async def _post_answer(port: int, question: str) -> tuple[int, dict]:
-    body = json.dumps({"question": question}).encode("utf-8")
-    head = f"POST /answer HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+async def _post(port: int, path: str, payload: dict) -> tuple[int, dict]:
+    body = json.dumps(payload).encode("utf-8")
+    head = f"POST {path} HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
     status, reply = await _roundtrip(port, head.encode("latin-1") + body)
     return status, json.loads(reply)
+
+
+async def _post_answer(port: int, question: str) -> tuple[int, dict]:
+    return await _post(port, "/answer", {"question": question})
 
 
 async def _get(port: int, path: str) -> tuple[int, bytes]:
@@ -336,3 +342,67 @@ class TestConservation:
             ]
         }
         assert events["inline_hits"] == 12
+
+
+class TestBatchAdmission:
+    def test_a_cached_batch_needs_no_evaluation_slot(self, suite, lane_system):
+        """Eight cached questions fit a box with four slots: nothing is
+        evaluated, so nothing is refused or served degraded."""
+        system = lane_system
+        questions = [q for q, _node in _population_questions(suite, system, 8)]
+        expected = [system.answer(q) for q in questions]  # and warms the cache
+
+        async def main():
+            async with KBQAServer(system, ServeConfig(max_pending=4)) as server:
+                results = await server.answerer.answer_many(questions)
+                status, body = await _post(server.port, "/batch", {"questions": questions})
+                return results, status, body, server.answerer.snapshot()
+
+        results, status, body, serve = asyncio.run(main())
+        assert results == expected
+        assert status == 200
+        assert [r["value"] for r in body["results"]] == [r.value for r in expected]
+        assert not any(r["degraded"] for r in body["results"])
+        assert (serve["rejected"], serve["degraded"], serve["evaluated"]) == (0, 0, 0)
+        assert serve["requests"] == serve["inline_hits"] == 16
+
+    def test_misses_beyond_capacity_still_reject_the_whole_batch(
+        self, suite, lane_system
+    ):
+        """4 hits + 5 misses at four slots: refused before any of it is
+        answered or enqueued."""
+        system = lane_system
+        hits = [q for q, _node in _population_questions(suite, system, 4)]
+        misses = [f"what is the population of admission nowhere {n}?" for n in range(5)]
+
+        async def main():
+            async with AsyncAnswerer(system, ServeConfig(max_pending=4)) as answerer:
+                with pytest.raises(OverloadedError, match="needs 5 evaluations"):
+                    await answerer.answer_many(hits + misses)
+                return answerer.snapshot()
+
+        serve = asyncio.run(main())
+        assert serve["rejected"] == 9
+        assert (serve["requests"], serve["inline_hits"], serve["pending"]) == (0, 0, 0)
+        assert all(system.cached_answer(q) is None for q in misses)
+
+    def test_a_mixed_batch_keeps_order_echo_and_conservation(self, suite, lane_system):
+        system = lane_system
+        rng = random.Random(17)
+        hits = [q for q, _node in _population_questions(suite, system, 3)]
+        misses = [f"what is the population of admission elsewhere {n}?" for n in range(3)]
+        batch = [_surface(q, rng) for pair in zip(hits, misses) for q in pair]
+        batch.append(misses[0].upper())  # joins the in-flight evaluation of misses[0]
+
+        async def main():
+            async with AsyncAnswerer(system, ServeConfig(max_pending=3)) as answerer:
+                results = await answerer.answer_many(batch)
+                return results, answerer.snapshot(), answerer.metrics.snapshot()
+
+        results, serve, metrics = asyncio.run(main())
+        assert results == [system.answer(q) for q in batch]
+        assert [r.question for r in results] == batch
+        queued = metrics["stages"]["queue_wait"]["count"]
+        assert (serve["inline_hits"], serve["coalesced"], queued) == (3, 1, 3)
+        assert serve["requests"] == len(batch) == 7
+        assert serve["rejected"] == 0

@@ -117,21 +117,6 @@ class TestWindowedHistogram:
 
 
 class TestServeMetrics:
-    def test_tainted_samples_hidden_from_controller_view(self):
-        metrics = ServeMetrics()
-        for _ in range(20):
-            metrics.observe_total(1.0, now=100.0)
-        for _ in range(5):
-            metrics.observe_total(900.0, tainted=True, now=100.0)
-        view = metrics.controller_view(now=100.0)
-        assert view["count"] == 20
-        assert view["p99_ms"] < 900.0  # the crash-retry spike cannot steer
-        assert metrics.tainted == 5
-        # the total stage still records everything (honest /stats)
-        snap = metrics.snapshot(now=100.0)
-        assert snap["stages"]["total"]["count"] == 25
-        assert snap["tainted_excluded"] == 5
-
     def test_tenant_counters(self):
         metrics = ServeMetrics()
         metrics.tenant_inc("gold", "requests")
@@ -200,6 +185,8 @@ class TestServeMetrics:
         view = metrics.controller_view(now=11.5)
         assert view["count"] == 100
         assert view["rate_qps"] == pytest.approx(100 / 2.0)  # 4 live windows
+        # the controller steers by the ``total`` stage itself, not a copy
+        assert metrics.snapshot(now=11.5)["stages"]["total"]["recent_count"] == 100
 
 
 class TestPrometheus:
@@ -209,7 +196,7 @@ class TestPrometheus:
         for _ in range(300):
             metrics.observe("total", rng.uniform(0.05, 2000.0), now=1.0)
             metrics.observe("evaluate", rng.uniform(0.05, 100.0), now=1.0)
-        metrics.observe_total(5.0, tainted=True, now=1.0)
+        metrics.observe_total(5.0, now=1.0)
         metrics.tenant_inc('we"ird\\name', "requests", 2)
         state = metrics.state()
         state["counters"] = {"requests": 301, "batches": 44}
