@@ -46,7 +46,6 @@ from pathlib import Path
 
 from repro.core.online import OnlineAnswerer
 from repro.core.system import KBQA
-from repro.exec.backend import resolve_workers
 from repro.serve.async_answerer import normalized_key
 from repro.serve.loadgen import (
     LoadSpec,
@@ -174,7 +173,7 @@ def measure_open_loop(
     requests: int = 256,
     duplicate_rate: float = 0.5,
     max_batch: int = 16,
-    workers: int | None = None,
+    workers: int = 2,
     seed: int = 7,
 ) -> dict:
     """The ``open_loop`` section: fixed-rate Poisson arrivals, p50/p99 per
@@ -184,7 +183,6 @@ def measure_open_loop(
     a rate past capacity shows up honestly as p99 growth and rejections.
     """
     rates = rates or DEFAULT_OPEN_RATES
-    workers = resolve_workers(workers, fallback=2)
     cells = []
     for rate in rates:
         spec = OpenLoadSpec(
@@ -225,7 +223,7 @@ def measure_batch_window(
     requests: int = 192,
     duplicate_rate: float = 0.5,
     max_batch: int = 16,
-    workers: int | None = None,
+    workers: int = 2,
     seed: int = 7,
 ) -> dict:
     """The ``batch_window`` section: ``batch_window_ms`` x offered rate.
@@ -241,7 +239,6 @@ def measure_batch_window(
     """
     windows_ms = windows_ms if windows_ms is not None else DEFAULT_WINDOWS_MS
     rates = rates or DEFAULT_OPEN_RATES
-    workers = resolve_workers(workers, fallback=2)
     cells = []
     for window_ms in windows_ms:
         for rate in rates:
@@ -312,10 +309,10 @@ def measure_http_qps(
     system: KBQA,
     questions: list[str],
     *,
-    clients: int | None = None,
+    clients: int = 8,
     requests_per_client: int = 24,
     max_batch: int = 16,
-    workers: int | None = None,
+    workers: int = 2,
 ) -> dict:
     """The end-to-end socket cell: closed-loop HTTP clients against a real
     ``KBQAServer`` socket (request bytes in, response bytes out), measuring
@@ -326,10 +323,9 @@ def measure_http_qps(
 
     from repro.serve import BackgroundServer, ServeConfig
 
-    clients = resolve_workers(clients, fallback=8)
     config = ServeConfig(
         max_batch=max_batch,
-        workers=resolve_workers(workers, fallback=2),
+        workers=workers,
         max_pending=max(clients * 4, 256),
     )
     latencies_ms: list[float] = []
@@ -671,8 +667,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--max-batch", type=int, default=16)
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="evaluation workers (default: $KBQA_WORKERS, else 2; clamped >= 1)",
+        "--workers", type=int, default=2,
+        help="evaluation workers (default: 2)",
     )
     parser.add_argument(
         "--open-rates", type=float, nargs="+", default=DEFAULT_OPEN_RATES,
@@ -695,9 +691,8 @@ def main(argv: list[str] | None = None) -> int:
         help="p99 SLO handed to the adaptive arm of the ramp",
     )
     parser.add_argument(
-        "--http-clients", type=int, default=None,
-        help="closed-loop HTTP clients for the socket cell "
-             "(default: $KBQA_WORKERS, else 8; clamped >= 1)",
+        "--http-clients", type=int, default=8,
+        help="closed-loop HTTP clients for the socket cell (default: 8)",
     )
     parser.add_argument(
         "--merge", metavar="PATH", default=None,
@@ -708,7 +703,6 @@ def main(argv: list[str] | None = None) -> int:
     suite = build_suite(args.scale, seed=args.seed)
     system = KBQA.train(suite.freebase, suite.corpus, suite.conceptualizer)
     questions = [q.question for q in suite.benchmark("qald3").bfqs()]
-    workers = resolve_workers(args.workers, fallback=2)
     payload = measure_qps(
         system,
         questions,
@@ -716,7 +710,7 @@ def main(argv: list[str] | None = None) -> int:
         duplicate_rates=args.dup_rates,
         requests=args.requests,
         max_batch=args.max_batch,
-        workers=workers,
+        workers=args.workers,
         seed=args.seed,
     )
     payload["open_loop"] = measure_open_loop(
@@ -725,7 +719,7 @@ def main(argv: list[str] | None = None) -> int:
         rates=args.open_rates,
         requests=args.open_requests,
         max_batch=args.max_batch,
-        workers=workers,
+        workers=args.workers,
         seed=args.seed,
     )
     payload["batch_window"] = measure_batch_window(
@@ -734,7 +728,7 @@ def main(argv: list[str] | None = None) -> int:
         windows_ms=args.windows_ms,
         rates=args.open_rates,
         max_batch=args.max_batch,
-        workers=workers,
+        workers=args.workers,
         seed=args.seed,
     )
     payload["http_e2e"] = measure_http_qps(
@@ -742,7 +736,7 @@ def main(argv: list[str] | None = None) -> int:
         questions,
         clients=args.http_clients,
         max_batch=args.max_batch,
-        workers=workers,
+        workers=args.workers,
     )
     payload["adaptive"] = measure_adaptive(
         system,

@@ -11,10 +11,6 @@ on the same machine and the same inputs:
   before (no precompute, no caches) and after (ranked arrays + memoized
   lookups), and a warm pass through the answer cache;
 * **offline_train_s** — end-to-end ``KBQA.train`` wall-clock;
-* **shard_sweep** — the Sec 6.2 expansion scan and ``answer_many`` against
-  the same KB compiled into 1/2/4 subject shards
-  (:class:`~repro.kb.sharded.ShardedTripleStore`), so the perf trajectory
-  records *scaling*, not just single-store speedups;
 * **cold_start** — time-to-first-answer after a restart per persistence
   format: v1 (JSON lines, full re-parse), v2 (mmap + dict materialization),
   v3 (served straight from the mapped index sections) and ``disk`` (the KB
@@ -24,21 +20,13 @@ on the same machine and the same inputs:
   (:mod:`repro.serve`): closed-loop load over concurrency x duplicate-rate,
   coalescing on vs off on identical request streams, plus the open-loop
   Poisson latency cells and the end-to-end HTTP socket cell
-  (``benchmarks/bench_qps.py``);
-* **proc_sweep** — the execution-backend A/B (`repro.exec`): the Sec 6.2
-  expansion scan on the 4-shard bench KB under serial / thread / process
-  backends across worker counts — each process cell measured both
-  *per-call* (fresh pool + table shipping every expansion) and on a
-  *persistent* :class:`~repro.exec.pool.ExecutorPool` (warm workers, one
-  shared-memory shard-table publish).  Records ``cpus`` alongside, because
-  process scaling is physically bounded by the cores the runner actually
-  has.  The ``qps.batch_window`` section sweeps the ``batch_window_ms``
-  linger knob against offered Poisson rates.
+  (``benchmarks/bench_qps.py``).  The ``qps.batch_window`` section sweeps
+  the ``batch_window_ms`` linger knob against offered Poisson rates.
 
 Usage::
 
     PYTHONPATH=src python -m benchmarks.perf_harness --scale default \
-        --shards 1 2 4 --proc-workers 1 2 4 --output BENCH_perf.json
+        --output BENCH_perf.json
 """
 
 from __future__ import annotations
@@ -91,48 +79,6 @@ def _latencies_ms(answer, questions) -> list[float]:
         answer(question)
         out.append((time.perf_counter() - start) * 1000.0)
     return out
-
-
-def _shard_sweep(suite, system, seeds, questions, shard_counts, repeats) -> dict:
-    """Expansion-scan and ``answer_many`` wall-clock per shard count.
-
-    Each step recompiles the same world into N subject shards, re-runs the
-    Sec 6.2 scan (asserting the materialized triple count matches the
-    single-store run) and serves the qald3 BFQ set through a fresh answerer
-    whose KB lookups fan out per shard.
-    """
-    sweep: dict[str, dict] = {}
-    reference_spo: int | None = None
-    for n in shard_counts:
-        kb = compile_freebase_like(suite.world, shards=n)
-        expand_s, expanded = _best_of(
-            lambda: expand_predicates(kb.store, seeds, max_length=3), repeats
-        )
-        if reference_spo is None:
-            reference_spo = len(expanded)
-        assert len(expanded) == reference_spo, "shard equivalence violated"
-        answerer = OnlineAnswerer(
-            KBView(kb.store, expanded),
-            system.learn_result.ner,
-            system.conceptualizer,
-            system.model,
-            max_concepts=system.config.max_concepts_online,
-        )
-        start = time.perf_counter()
-        answerer.answer_many(questions)
-        cold_ms = (time.perf_counter() - start) * 1000.0
-        start = time.perf_counter()
-        answerer.answer_many(questions)
-        warm_ms = (time.perf_counter() - start) * 1000.0
-        sweep[str(n)] = {
-            "shards": n,
-            "expand_s": round(expand_s, 4),
-            "spo_triples": len(expanded),
-            "answer_many_cold_ms": round(cold_ms, 3),
-            "answer_many_warm_ms": round(warm_ms, 3),
-            "cold_ms_per_q": round(cold_ms / max(len(questions), 1), 3),
-        }
-    return sweep
 
 
 def _cold_start(suite, system, expanded, questions, repeats) -> dict:
@@ -217,93 +163,13 @@ def _cold_start(suite, system, expanded, questions, repeats) -> dict:
     }
 
 
-def _proc_sweep(suite, seeds, proc_workers, repeats) -> dict:
-    """The execution-backend A/B on the bench KB (4 subject shards).
-
-    Expansion: serial vs thread(4) vs process at each worker count —
-    equivalence asserted on the materialized triple count every run.
-    """
-    from repro.exec.backend import resolve_workers
-
-    kb = compile_freebase_like(suite.world, shards=4)
-    serial_s, serial_expanded = _best_of(
-        lambda: expand_predicates(kb.store, seeds, max_length=3, executor="serial"),
-        repeats,
-    )
-    reference_spo = len(serial_expanded)
-    thread_s, thread_expanded = _best_of(
-        lambda: expand_predicates(
-            kb.store, seeds, max_length=3, executor="thread", workers=4
-        ),
-        repeats,
-    )
-    assert len(thread_expanded) == reference_spo, "thread equivalence violated"
-    process_cells: dict[str, dict] = {}
-    for workers in proc_workers:
-        workers = resolve_workers(workers)
-        # per-call: every expansion pays pool start + per-worker table pickle
-        process_s, process_expanded = _best_of(
-            lambda: expand_predicates(
-                kb.store, seeds, max_length=3, executor="process", workers=workers
-            ),
-            repeats,
-        )
-        assert len(process_expanded) == reference_spo, "process equivalence violated"
-        # persistent: one warm pool + one shared-memory shard-table publish
-        # serve every timed call (the KBQA-owned ExecutorPool steady state)
-        from repro.exec.pool import ExecutorPool
-
-        with ExecutorPool("process", workers) as pool:
-            warm = expand_predicates(kb.store, seeds, max_length=3, executor=pool)
-            assert len(warm) == reference_spo, "pool equivalence violated"
-            persistent_s, persistent_expanded = _best_of(
-                lambda: expand_predicates(kb.store, seeds, max_length=3, executor=pool),
-                repeats,
-            )
-            assert len(persistent_expanded) == reference_spo, "pool equivalence violated"
-            pool_starts, pool_publishes = pool.starts, pool.publishes
-        process_cells[str(workers)] = {
-            "workers": workers,
-            "expand_s": round(process_s, 4),
-            "speedup_vs_serial": round(serial_s / max(process_s, 1e-9), 2),
-            "persistent_expand_s": round(persistent_s, 4),
-            "speedup_persistent_vs_per_call": round(
-                process_s / max(persistent_s, 1e-9), 2
-            ),
-            "pool_starts": pool_starts,  # 1 = all timed calls reused the pool
-            "pool_publishes": pool_publishes,  # 1 = tables crossed once
-        }
-
-    last = process_cells[str(resolve_workers(proc_workers[-1]))]
-    return {
-        "shards": 4,
-        "cpus": _available_cpus(),
-        "spo_triples": reference_spo,
-        "serial_s": round(serial_s, 4),
-        "thread": {
-            "workers": 4,
-            "expand_s": round(thread_s, 4),
-            "speedup_vs_serial": round(serial_s / max(thread_s, 1e-9), 2),
-        },
-        "process": process_cells,
-        "speedup_process_max_workers_vs_serial": last["speedup_vs_serial"],
-        "note": (
-            "scan wall-clock is best-of-N on the 4-shard bench KB; process "
-            "cells include pool start + shard-table shipping; real speedup "
-            "requires real cores (see cpus)"
-        ),
-    }
-
-
 def measure(
     scale: str,
     seed: int,
     repeats: int,
-    shard_counts: list[int],
     qps_requests: int = 512,
     qps_concurrency: list[int] | None = None,
     qps_dup_rates: list[float] | None = None,
-    proc_workers: list[int] | None = None,
     windows_ms: list[float] | None = None,
 ) -> dict:
     """Run every measurement; returns the BENCH_perf payload."""
@@ -383,13 +249,8 @@ def measure(
         ),
     }
 
-    shard_sweep = _shard_sweep(suite, system, seeds, questions, shard_counts, repeats)
-
     # -- cold start: time-to-first-answer per persistence format -------------
     cold_start = _cold_start(suite, system, expanded, questions, repeats)
-
-    # -- execution backends: serial vs thread vs process ---------------------
-    proc_sweep = _proc_sweep(suite, seeds, proc_workers or [1, 2, 4], repeats)
 
     # -- serving QPS: coalescing A/B under concurrency x duplicate rate ------
     from benchmarks.bench_qps import (
@@ -434,9 +295,7 @@ def measure(
         "expansion": expansion,
         "em": em,
         "online": online,
-        "shard_sweep": shard_sweep,
         "cold_start": cold_start,
-        "proc_sweep": proc_sweep,
         "qps": qps,
     }
 
@@ -447,10 +306,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", default="default", choices=["small", "default"])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--shards", type=int, nargs="+", default=[1, 2, 4],
-        help="shard counts for the scaling sweep (default: 1 2 4)",
-    )
     parser.add_argument(
         "--qps-requests", type=int, default=512,
         help="requests per QPS sweep cell (default: 512)",
@@ -464,10 +319,6 @@ def main(argv: list[str] | None = None) -> int:
         help="duplicate rates for the QPS sweep (default: 0.0 0.5 0.9)",
     )
     parser.add_argument(
-        "--proc-workers", type=int, nargs="+", default=[1, 2, 4],
-        help="process-pool worker counts for the exec-backend sweep",
-    )
-    parser.add_argument(
         "--windows-ms", type=float, nargs="+", default=None,
         help="batch_window_ms values for the linger x rate sweep "
              "(default: 0 2 5)",
@@ -479,11 +330,9 @@ def main(argv: list[str] | None = None) -> int:
         args.scale,
         args.seed,
         args.repeats,
-        args.shards,
         qps_requests=args.qps_requests,
         qps_concurrency=args.qps_concurrency,
         qps_dup_rates=args.qps_dup_rates,
-        proc_workers=args.proc_workers,
         windows_ms=args.windows_ms,
     )
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -506,29 +355,11 @@ def main(argv: list[str] | None = None) -> int:
         f"{payload['online']['speedup_warm']}x warm)"
     )
     print(f"train:     {payload['offline_train_s']}s offline")
-    for key, row in payload["shard_sweep"].items():
-        print(
-            f"shards={key}:  expand {row['expand_s']}s, "
-            f"answer_many {row['answer_many_cold_ms']}ms cold / "
-            f"{row['answer_many_warm_ms']}ms warm"
-        )
     cold = payload["cold_start"]
     for fmt in ("v1", "v2", "v3", "disk"):
         print(
             f"cold_start {fmt}: {cold[fmt]['first_answer_ms']}ms to first answer "
             f"({cold[fmt]['artifact_bytes']:,} bytes)"
-        )
-    proc = payload["proc_sweep"]
-    print(
-        f"exec (cpus={proc['cpus']}): serial {proc['serial_s']}s, "
-        f"thread x{proc['thread']['workers']} {proc['thread']['expand_s']}s"
-    )
-    for key, cell in proc["process"].items():
-        print(
-            f"  process x{key}: {cell['expand_s']}s per-call / "
-            f"{cell['persistent_expand_s']}s persistent pool "
-            f"({cell['speedup_vs_serial']}x vs serial, "
-            f"{cell['speedup_persistent_vs_per_call']}x persistent vs per-call)"
         )
     for cell in payload["qps"]["sweep"]:
         print(

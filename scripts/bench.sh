@@ -11,13 +11,6 @@ if [[ "${1:-}" == "--scale" && -n "${2:-}" ]]; then
     shift 2
 fi
 
-# Shard counts for the scaling sweep (expansion scan + answer_many per count).
-SHARDS="${BENCH_SHARDS:-1 2 4}"
-
-# Process-pool worker counts for the exec-backend sweep (`proc_sweep` in
-# BENCH_perf.json: serial vs thread vs process expansion scan).
-PROC_WORKERS="${BENCH_PROC_WORKERS:-1 2 4}"
-
 # Serving QPS sweep (repro.serve async front): closed-loop concurrency levels,
 # duplicate rates, and requests per cell; lands as the `qps` section of
 # BENCH_perf.json with a coalescing on/off A/B per cell.
@@ -34,9 +27,8 @@ WINDOWS_MS="${BENCH_WINDOWS_MS:-0 2 5}"
 # skew / churn / temporal / paraphrase axes).  0 skips the sweep.
 SCENARIO_N="${BENCH_SCENARIO_N:-200000}"
 
-# shellcheck disable=SC2086  # SHARDS / PROC_WORKERS / QPS_* / WINDOWS_MS are word-split lists
-python -m benchmarks.perf_harness --scale "$SCALE" --shards $SHARDS \
-    --proc-workers $PROC_WORKERS \
+# shellcheck disable=SC2086  # QPS_* / WINDOWS_MS are word-split lists
+python -m benchmarks.perf_harness --scale "$SCALE" \
     --qps-requests "$QPS_REQUESTS" --qps-concurrency $QPS_CONCURRENCY \
     --qps-dup-rates $QPS_DUP_RATES --windows-ms $WINDOWS_MS \
     --output BENCH_perf.json

@@ -10,13 +10,11 @@ shell::
     kbqa answer --scale small --expansion /tmp/expansion.kbqa "..."
     kbqa serve --scale small --port 8080        # HTTP answer service
 
-Every training command accepts ``--shards N`` (compile the KB into a
-subject-sharded backend), ``--expansion PATH`` (resume from a persisted
-predicate expansion instead of re-running the Sec 6.2 scan), and
-``--exec serial|thread|process`` / ``--workers N`` (the execution backend
-for the expansion scan; defaults come from the ``KBQA_EXEC`` /
-``KBQA_WORKERS`` environment).  ``serve`` evaluates answer batches on
-``--workers`` threads and uses more cores through ``--procs N`` replicas.
+Every training command accepts ``--backend memory|disk`` (the KB store)
+and ``--expansion PATH`` (resume from a persisted predicate expansion
+instead of re-running the Sec 6.2 scan).  ``serve`` evaluates answer
+batches on ``--workers`` threads and uses more cores through ``--procs N``
+replicas.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from dataclasses import replace
 
 from repro.core.fallback import DEFAULT_THRESHOLD
 from repro.core.system import KBQA, KBQAConfig
-from repro.exec.backend import EXEC_KINDS, resolve_workers
 from repro.eval.runner import evaluate_qald
 from repro.eval.scenarios import ALL_AXES
 from repro.kb.backend import BACKEND_KINDS
@@ -171,6 +168,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="admission bound: queued+executing evaluations before 503",
     )
     serve.add_argument(
+        "--workers", type=int, default=2,
+        help="evaluation threads per server process (default: 2)",
+    )
+    serve.add_argument(
         "--no-coalesce", action="store_true",
         help="disable duplicate-request coalescing (benchmark A/B)",
     )
@@ -273,12 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _fallback_args(scenario)
     scenario.set_defaults(handler=_cmd_scenario)
 
-    shm_gc = sub.add_parser(
-        "shm-gc",
-        help="unlink kbqa-* shared-memory segments whose publisher is dead "
-             "(leaked by SIGKILL'd runs; live publishes are never touched)",
-    )
-    shm_gc.set_defaults(handler=_cmd_shm_gc)
     return parser
 
 
@@ -287,15 +282,9 @@ def _common_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=7)
     sub.add_argument("--kb", default="freebase", choices=["freebase", "dbpedia"])
     sub.add_argument(
-        "--shards", type=int, default=1,
-        help="number of subject shards for the KB backend (default: 1)",
-    )
-    sub.add_argument(
         "--backend", default=None, choices=list(BACKEND_KINDS),
-        help="KB backend: memory (dict indexes), sharded (subject-partitioned "
-             "memory), or disk (SQLite file, reopened across restarts) "
-             "(default: $KBQA_BACKEND, else sharded when --shards > 1, "
-             "else memory)",
+        help="KB backend: memory (dict indexes) or disk (SQLite file, "
+             "reopened across restarts) (default: $KBQA_BACKEND, else memory)",
     )
     sub.add_argument(
         "--db-dir", metavar="DIR", default=None,
@@ -307,19 +296,6 @@ def _common_args(sub: argparse.ArgumentParser) -> None:
         "--expansion", metavar="PATH", default=None,
         help="resume from a persisted expansion (kbqa expand --save) "
              "instead of re-running the Sec 6.2 scan",
-    )
-    sub.add_argument(
-        "--exec", dest="exec_backend", default=None, choices=list(EXEC_KINDS),
-        help="execution backend for the Sec 6.2 expansion scan only — "
-             "serve always evaluates on threads, see --procs (default: "
-             "$KBQA_EXEC, else thread fan-out on sharded KBs / serial "
-             "otherwise)",
-    )
-    sub.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for the chosen backend and for serve's "
-             "evaluation threads, clamped to >= 1 (default: $KBQA_WORKERS, "
-             "else a per-path default)",
     )
 
 
@@ -343,7 +319,6 @@ def _suite_kwargs(args) -> dict:
     return dict(
         scale=args.scale,
         seed=args.seed,
-        shards=args.shards,
         backend=getattr(args, "backend", None),
         db_dir=getattr(args, "db_dir", None),
     )
@@ -357,14 +332,6 @@ def _train_system(args, config: KBQAConfig | None = None) -> tuple[KBQA, object]
     if expansion_path:
         expanded = ExpandedStore.load(expansion_path)
     config = config or KBQAConfig()
-    config = replace(
-        config,
-        learner=replace(
-            config.learner,
-            executor=getattr(args, "exec_backend", None) or config.learner.executor,
-            workers=getattr(args, "workers", None) or config.learner.workers,
-        ),
-    )
     if getattr(args, "fallback", False):
         threshold = getattr(args, "fallback_threshold", None)
         config = replace(
@@ -499,7 +466,7 @@ def _cmd_serve(args) -> int:
     config = ServeConfig(
         max_batch=args.max_batch,
         max_pending=args.max_pending,
-        workers=resolve_workers(args.workers, fallback=2),
+        workers=args.workers,
         coalesce=not args.no_coalesce,
         deadline_ms=args.deadline_ms,
         slo_ms=slo_ms,
@@ -640,21 +607,6 @@ def _cmd_scenario(args) -> int:
     return 0
 
 
-def _cmd_shm_gc(args) -> int:
-    """Reclaim ``kbqa-*`` shared-memory segments orphaned by crashed runs.
-
-    Pool starts sweep automatically; this command is the manual spelling
-    for operators inspecting ``/dev/shm`` after a hard kill.
-    """
-    from repro.exec.shm import sweep_orphans
-
-    removed = sweep_orphans()
-    for name in removed:
-        print(f"unlinked /dev/shm/{name}")
-    print(f"shm-gc: {len(removed)} orphaned segment(s) reclaimed")
-    return 0
-
-
 def _cmd_expand(args) -> int:
     """Materialize (``--save``) or reload (``--load``) a predicate expansion."""
     if bool(args.save) == bool(args.load):
@@ -673,12 +625,7 @@ def _cmd_expand(args) -> int:
             # record reach so the saved artifact supports live updates on
             # reload without a rebuild at maintainer attach
             expanded = expand_predicates(
-                kb.store,
-                seeds,
-                max_length=args.max_length,
-                record_reach=True,
-                executor=args.exec_backend,
-                workers=args.workers,
+                kb.store, seeds, max_length=args.max_length, record_reach=True
             )
             expanded.save(args.save, format=args.expanded_format)
             print(f"saved expansion to {args.save}")

@@ -30,21 +30,13 @@ from repro.taxonomy.conceptualizer import Conceptualizer
 
 @dataclass(frozen=True, slots=True)
 class LearnerConfig:
-    """Offline-procedure knobs; defaults follow the paper (k = 3, Sec 6.3).
-
-    ``executor``/``workers`` select the execution backend for the Sec 6.2
-    expansion scan (``serial``/``thread``/``process``); None defers to the
-    ``KBQA_EXEC``/``KBQA_WORKERS`` environment and then to the historical
-    default (thread fan-out on a sharded backend, serial otherwise).
-    """
+    """Offline-procedure knobs; defaults follow the paper (k = 3, Sec 6.3)."""
 
     max_path_length: int = 3
     use_expansion: bool = True
     use_refinement: bool = True
     max_concepts_per_mention: int = 4
     em: EMConfig = field(default_factory=EMConfig)
-    executor: str | None = None
-    workers: int | None = None
 
 
 @dataclass
@@ -105,7 +97,6 @@ class OfflineLearner:
         config: LearnerConfig | None = None,
         *,
         precomputed_expansion: ExpandedStore | None = None,
-        exec_pool=None,
     ) -> None:
         self.kb = kb
         self.conceptualizer = conceptualizer
@@ -113,12 +104,6 @@ class OfflineLearner:
         # a persisted ExpandedStore (ExpandedStore.load) skips the Sec 6.2
         # scan entirely — offline training resumes from the saved artifact
         self.precomputed_expansion = precomputed_expansion
-        # a persistent ExecutorPool (repro.exec.pool) for the expansion
-        # scan: warm workers reused across calls, shard tables published
-        # into shared memory once per KB generation.  KBQA.train wires the
-        # pool it owns through here; without one, every call resolves its
-        # own backend from config.executor (and starts a pool per call).
-        self.exec_pool = exec_pool
 
     def learn(self, corpus: QACorpus) -> LearnResult:
         """Run the full offline pipeline over ``corpus``."""
@@ -163,15 +148,7 @@ class OfflineLearner:
                     )
             else:
                 expanded = expand_predicates(
-                    self.kb.store,
-                    seeds,
-                    max_length=self.config.max_path_length,
-                    executor=(
-                        self.exec_pool
-                        if self.exec_pool is not None
-                        else self.config.executor
-                    ),
-                    workers=self.config.workers,
+                    self.kb.store, seeds, max_length=self.config.max_path_length
                 )
         kbview = KBView(self.kb.store, expanded)
 

@@ -36,21 +36,9 @@ from repro.core.learner import LearnerConfig, LearnResult, OfflineLearner
 from repro.core.online import AnswerResult, OnlineAnswerer
 from repro.corpus.qa import QACorpus
 from repro.data.compile import CompiledKB
-from repro.exec.pool import ExecutorPool
 from repro.kb.expansion import ExpandedStore
 from repro.kb.live import LiveExpansionMaintainer
 from repro.taxonomy.conceptualizer import Conceptualizer
-
-
-def _default_pool(kb: CompiledKB, config: "KBQAConfig") -> ExecutorPool:
-    """The system-owned execution pool, resolved like the per-call default:
-    explicit learner config > ``KBQA_EXEC`` env > thread fan-out on a
-    sharded backend / serial otherwise."""
-    return ExecutorPool(
-        config.learner.executor,
-        config.learner.workers,
-        default="thread" if kb.store.n_shards > 1 else "serial",
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,7 +97,6 @@ class KBQA:
         learn_result: LearnResult,
         pattern_statistics: PatternStatistics,
         config: KBQAConfig,
-        exec_pool: ExecutorPool | None = None,
         fallback_index: FallbackIndex | None = None,
     ) -> None:
         self.kb = kb
@@ -117,11 +104,6 @@ class KBQA:
         self.learn_result = learn_result
         self.config = config
         self.model = learn_result.model
-        # The system-owned persistent executor pool: repeated expansions
-        # (training, refreshes, benchmarks) reuse its warm workers and its
-        # shared-memory shard-table publish instead of paying pool start +
-        # table shipping per call; KB mutations invalidate the publish.
-        self.exec_pool = exec_pool if exec_pool is not None else _default_pool(kb, config)
         self.answerer = OnlineAnswerer(
             learn_result.kbview,
             learn_result.ner,
@@ -170,31 +152,18 @@ class KBQA:
         Sec 6.2 scan and trains directly against the loaded store.
         """
         config = config or KBQAConfig()
-        pool = _default_pool(kb, config)
         learner = OfflineLearner(
-            kb,
-            conceptualizer,
-            config.learner,
-            precomputed_expansion=expanded,
-            exec_pool=pool,
+            kb, conceptualizer, config.learner, precomputed_expansion=expanded
         )
-        try:
-            learn_result = learner.learn(corpus)
-        finally:
-            # training's expansion burst is over (or failed): join the warm
-            # workers so neither an idle trained system nor an aborted
-            # training leaves processes or shared-memory segments behind
-            # (the pool re-warms lazily for any later burst of expansions)
-            pool.release()
+        learn_result = learner.learn(corpus)
         statistics = PatternStatistics.from_corpus(
             corpus.questions(),
             learn_result.ner,
             max_questions=config.pattern_max_questions,
             max_tokens=config.pattern_max_tokens,
         )
-        # Build the semantic fallback index at the quiesce point: training's
-        # expansion burst is over (workers joined above) and the model is
-        # final, so the index sees exactly the θ the answerer will serve.
+        # Build the semantic fallback index once the model is final, so the
+        # index sees exactly the θ the answerer will serve.
         fallback_index: FallbackIndex | None = None
         if config.fallback:
             fallback_index = FallbackIndex.build(
@@ -206,7 +175,7 @@ class KBQA:
             )
         return cls(
             kb, conceptualizer, learn_result, statistics, config,
-            exec_pool=pool, fallback_index=fallback_index,
+            fallback_index=fallback_index,
         )
 
     # -- Answering ---------------------------------------------------------------
@@ -238,16 +207,13 @@ class KBQA:
     def _on_kb_change(self, _change) -> None:
         """Backend change listener: a mutated KB can invalidate any cached
         answer (the subscription order puts the expansion maintainer first,
-        so the expanded store is already refreshed when this fires), and the
-        pool's published shard tables no longer match the indexes."""
+        so the expanded store is already refreshed when this fires)."""
         self.answerer.clear_caches()
-        self.exec_pool.invalidate()
 
     def _on_kb_changes(self, _changes) -> None:
-        """Coalesced form for a ``batch()`` burst: one cache drop (and one
-        payload invalidation) per burst instead of one per change."""
+        """Coalesced form for a ``batch()`` burst: one cache drop per burst
+        instead of one per change."""
         self.answerer.clear_caches()
-        self.exec_pool.invalidate()
 
     def batch(self):
         """Deferred-notification context for bulk edits.
@@ -291,8 +257,6 @@ class KBQA:
         if self.maintainer is not None:
             self.maintainer.close()
         self._kb_unsubscribe()
-        # joins the pool's warm workers and unlinks its published payloads
-        self.exec_pool.close()
 
     def __getstate__(self) -> dict:
         """A live system does not pickle.

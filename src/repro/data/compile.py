@@ -91,16 +91,6 @@ def _schema_paths(kind: str) -> tuple[dict[str, PredicatePath], dict[str, str]]:
     return path_for_intent, intent_for_path
 
 
-def _new_store(shards: int, backend: str | None, db_path: str | None) -> KBBackend:
-    """Pick the store through :func:`~repro.kb.backend.resolve_backend`.
-
-    ``backend=None`` keeps the historical default (plain store, sharded when
-    ``shards > 1``) unless ``KBQA_BACKEND`` overrides it; ``db_path`` names
-    the database file of a disk-backed compile.
-    """
-    return resolve_backend(backend, shards=shards, path=db_path)
-
-
 def _base_entity_triples(store: KBBackend, world: World, with_alias: bool) -> None:
     for node, entity in world.entities.items():
         store.add(node, "name", make_literal(entity.name))
@@ -119,19 +109,18 @@ def _gazetteer(world: World) -> dict[str, list[str]]:
 
 def compile_freebase_like(
     world: World,
-    shards: int = 1,
     backend: str | None = None,
     db_path: str | None = None,
 ) -> CompiledKB:
     """World -> Freebase-like store (CVT mediators for compound relations).
 
-    ``shards > 1`` compiles into a sharded backend; ``backend``/``db_path``
-    select the store kind via :func:`~repro.kb.backend.resolve_backend`
-    (``"disk"`` compiles straight into a SQLite file that later runs reopen
-    without recompiling).  The add sequence is identical for every backend,
-    so all builds assign the same dictionary ids (equivalence-tested).
+    ``backend``/``db_path`` select the store kind via
+    :func:`~repro.kb.backend.resolve_backend` (``"disk"`` compiles straight
+    into a SQLite file that later runs reopen without recompiling).  The add
+    sequence is identical for every backend, so all builds assign the same
+    dictionary ids (equivalence-tested).
     """
-    store = _new_store(shards, backend, db_path)
+    store = resolve_backend(backend, path=db_path)
     _base_entity_triples(store, world, with_alias=True)
     cvt_counter = 0
     for node, intent, value in world.iter_facts():
@@ -163,16 +152,15 @@ def compile_freebase_like(
 
 def compile_dbpedia_like(
     world: World,
-    shards: int = 1,
     backend: str | None = None,
     db_path: str | None = None,
 ) -> CompiledKB:
     """World -> DBpedia-like store (direct predicates, no mediators).
 
-    ``shards``/``backend``/``db_path`` select the store kind exactly as in
+    ``backend``/``db_path`` select the store kind exactly as in
     :func:`compile_freebase_like`.
     """
-    store = _new_store(shards, backend, db_path)
+    store = resolve_backend(backend, path=db_path)
     _base_entity_triples(store, world, with_alias=False)
     for node, intent, value in world.iter_facts():
         schema = SCHEMA_BY_INTENT[intent]

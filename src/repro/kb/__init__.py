@@ -12,7 +12,6 @@ from repro.kb.backend import BACKEND_KINDS, KBBackend, KBChange, resolve_backend
 from repro.kb.dictionary import Dictionary
 from repro.kb.triple import Triple, is_literal, make_literal, literal_value
 from repro.kb.store import TripleStore
-from repro.kb.sharded import ShardedTripleStore
 from repro.kb.disk import DiskTripleStore
 from repro.kb.paths import PredicatePath
 from repro.kb.expansion import ExpandedStore, expand_predicates
@@ -27,7 +26,6 @@ __all__ = [
     "KBBackend",
     "KBChange",
     "LiveExpansionMaintainer",
-    "ShardedTripleStore",
     "Triple",
     "TripleStore",
     "PredicatePath",

@@ -1,22 +1,20 @@
 """The pluggable KB backend seam.
 
 The paper's systems story (Sec 6.2, Table 14) assumes the billion-scale KB
-is *partitioned* and queried through a uniform interface (Trinity.RDF).  At
-library scale the same shape is the :class:`KBBackend` protocol: everything
-above the KB layer — predicate expansion, :class:`~repro.core.kbview.KBView`,
-the online answerer, the CLI and the benchmark harness — depends on this
-protocol, never on a concrete store class.  Three implementations ship in-tree:
+is queried through a uniform interface (Trinity.RDF).  At library scale the
+same shape is the :class:`KBBackend` protocol: everything above the KB
+layer — predicate expansion, :class:`~repro.core.kbview.KBView`, the online
+answerer, the CLI and the benchmark harness — depends on this protocol,
+never on a concrete store class.  Two implementations ship in-tree:
 
-* :class:`~repro.kb.store.TripleStore` — the single in-memory store;
-* :class:`~repro.kb.sharded.ShardedTripleStore` — the same index structure
-  partitioned by subject id across N shards, with shard-parallel scans;
+* :class:`~repro.kb.store.TripleStore` — the in-memory store;
 * :class:`~repro.kb.disk.DiskTripleStore` — the same protocol over one
   SQLite file, reopened (not rebuilt) across process restarts.
 
 :func:`resolve_backend` is the one place that choice is made — explicit
-argument over the ``KBQA_BACKEND`` environment variable over a
-shard-count-driven default — so the CLI, the suite builder and the tests
-all agree on what a backend name means.
+argument over the ``KBQA_BACKEND`` environment variable over ``memory`` —
+so the CLI, the suite builder and the tests all agree on what a backend
+name means.
 
 Backends are *live*: ``add``/``delete`` mutate the indexes in place and fan
 out a :class:`KBChange` to every subscribed listener, which is how the
@@ -141,22 +139,6 @@ class BackendBase:
                         for change in changes:
                             listener(change)
 
-    def __getstate__(self) -> dict:
-        """Pickle as a shared-nothing copy: the indexes and dictionary ship,
-        the change-listener wiring does not.
-
-        Listeners are process-local by nature (bound methods of live systems,
-        cache-invalidation closures) and would drag unpicklable state — and
-        wrong semantics — into a worker.  A thawed backend therefore starts
-        with no subscribers and no in-flight batch; the process-parallel
-        layers (``repro.exec``) rely on exactly this to freeze shard tables.
-        """
-        state = self.__dict__.copy()
-        state["_listeners"] = []
-        state["_batch_depth"] = 0
-        state["_deferred"] = []
-        return state
-
     def _reconcile_resources(self) -> None:
         """Fold dictionary terms added since the last call into the count."""
         n_terms = len(self.dictionary)
@@ -172,17 +154,13 @@ class BackendBase:
 class KBBackend(Protocol):
     """What every knowledge-base backend must provide.
 
-    The protocol has four faces:
+    The protocol has three faces:
 
     * **string reads** — the public boundary the NLP/eval layers use;
     * **id-level reads** — the hot-path API (``objects_ids``,
       ``triples_ids``, the grouped ``spo_items_ids`` scan) that hands out
       dictionary-encoded views with zero per-row string materialization;
-    * **writes** — ``add``/``delete`` with :class:`KBChange` notification;
-    * **sharding** — ``n_shards`` and the per-shard ``shard_spo_items_ids``
-      scan so the Sec 6.2 expansion can fan out shard-parallel.
-
-    A single-store backend reports ``n_shards == 1`` and serves shard 0.
+    * **writes** — ``add``/``delete`` with :class:`KBChange` notification.
     """
 
     dictionary: Dictionary
@@ -288,72 +266,30 @@ class KBBackend(Protocol):
         """Grouped id-keyed scan: ``(s_id, {p_id: {o_id}})`` per subject."""
         ...
 
-    # -- Sharding ----------------------------------------------------------
 
-    @property
-    def n_shards(self) -> int:
-        """Number of subject partitions (1 for a single store)."""
-        ...
-
-    def shard_spo_items_ids(self, shard: int) -> Iterator[tuple[int, dict[int, set[int]]]]:
-        """Grouped id-keyed scan restricted to one subject shard."""
-        ...
-
-    def shard_table(self, shard: int) -> dict[int, dict[int, set[int]]]:
-        """One shard's grouped id-keyed table (``{s_id: {p_id: {o_id}}}``).
-
-        This is the picklable, shared-nothing unit the process-parallel
-        expansion ships to workers (``repro.exec.tasks``); callers treat it
-        as a read-only view of the shard's SPO index.
-        """
-        ...
-
-
-BACKEND_KINDS = ("memory", "sharded", "disk")
+BACKEND_KINDS = ("memory", "disk")
 KBQA_BACKEND_ENV = "KBQA_BACKEND"
 
 
-def resolve_backend(
-    kind: str | None = None,
-    *,
-    shards: int = 1,
-    path: str | None = None,
-) -> KBBackend:
+def resolve_backend(kind: str | None = None, *, path: str | None = None) -> KBBackend:
     """Construct the KB backend every layer above the KB speaks through.
 
     Precedence: an explicit ``kind`` wins, else the ``KBQA_BACKEND``
     environment variable (how the CI matrix pins a leg to ``disk`` without
-    threading a flag through every entry point), else a default driven by
-    the shard count — ``sharded`` when ``shards > 1``, ``memory`` otherwise.
-    The environment variable is a *default*, not a mandate: a call that
-    structurally requires partitioning (``shards > 1``) keeps the sharded
-    backend even when the environment names a single-shard one — only an
-    explicit ``kind`` argument can produce that contradiction (and raises).
+    threading a flag through every entry point), else ``memory``.
 
     ``path`` names the database file for the ``disk`` backend (``None`` =
-    ephemeral temp file); ``shards`` sizes the ``sharded`` backend.  The
-    combinations that cannot mean anything — a path on an in-memory
-    backend, shards on a single-partition one — raise ``ValueError``
-    rather than being silently dropped.
+    ephemeral temp file); a path on the in-memory backend cannot mean
+    anything and raises ``ValueError`` rather than being silently dropped.
     """
     if kind is None:
-        kind = os.environ.get(KBQA_BACKEND_ENV) or None
-        if kind is not None and kind in BACKEND_KINDS and shards > 1 and kind != "sharded":
-            kind = "sharded"
-    if kind is None:
-        kind = "sharded" if shards > 1 else "memory"
+        kind = os.environ.get(KBQA_BACKEND_ENV) or "memory"
     if kind not in BACKEND_KINDS:
         raise ValueError(
             f"unknown KB backend {kind!r} (expected one of {', '.join(BACKEND_KINDS)})"
         )
     if path is not None and kind != "disk":
         raise ValueError(f"backend {kind!r} does not take a database path")
-    if shards > 1 and kind != "sharded":
-        raise ValueError(f"backend {kind!r} is single-shard (got shards={shards})")
-    if kind == "sharded":
-        from repro.kb.sharded import ShardedTripleStore
-
-        return ShardedTripleStore(shards=max(shards, 1))
     if kind == "disk":
         from repro.kb.disk import DiskTripleStore
 

@@ -1,7 +1,7 @@
 """SQLite-backed :class:`~repro.kb.backend.KBBackend`: the KB on disk.
 
-The in-memory backends rebuild their dict indexes from the source world on
-every process start and pay O(KB) private RAM per process.  This backend
+The in-memory backend rebuilds its dict indexes from the source world on
+every process start and pays O(KB) private RAM per process.  This backend
 keeps the dictionary and the triple set in one SQLite file instead — the
 shape of the SNIPPETS.md knowledge-graph exemplar (terms/alias tables plus
 covering indexes for sub-millisecond point lookups) — so a compiled KB
@@ -10,8 +10,7 @@ covering indexes for sub-millisecond point lookups) — so a compiled KB
   check, independent of triple count;
 * **survives restarts**: ``kbqa compile --backend disk`` writes the DB once
   and every later ``kbqa answer/serve`` run reopens it without recompiling;
-* **is shared, not copied, across replicas**: the store pickles as a path
-  reference (read-only reopen on thaw) and forked ``--procs N`` replicas
+* **is shared, not copied, across replicas**: forked ``--procs N`` replicas
   lazily reopen per-process connections to the same file, so N serving
   processes share SQLite's page cache instead of holding N heap copies.
 
@@ -35,7 +34,7 @@ vice versa; every (process, thread) gets its own lazily opened connection
 (SQLite connections are neither fork- nor thread-safe), writes serialize on
 SQLite's write lock with a busy timeout.  Change notifications
 (:class:`~repro.kb.backend.KBChange`) fire process-locally exactly as for
-the in-memory stores; when several *processes* write the same file, row
+the in-memory store; when several *processes* write the same file, row
 idempotence makes a replayed mutation a no-op, so replicas replaying a
 shared op-log call :meth:`DiskTripleStore.notify_external` to propagate a
 sibling's already-applied change into their process-local derived state
@@ -209,16 +208,6 @@ class SQLiteDictionary:
         ):
             yield term
 
-    def __getstate__(self) -> dict:
-        # the memo caches rebuild on demand; the store reference keeps
-        # `expanded.dictionary is store.dictionary` identity through pickle
-        return {"_store": self._store}
-
-    def __setstate__(self, state: dict) -> None:
-        self._store = state["_store"]
-        self._term_to_id = {}
-        self._id_to_term = {}
-
 
 class DiskTripleStore(BackendBase):
     """The :class:`~repro.kb.backend.KBBackend` protocol over one SQLite file.
@@ -226,8 +215,8 @@ class DiskTripleStore(BackendBase):
     ``path=None`` creates an ephemeral store in a temp file (removed when
     the owning store is closed or garbage-collected); a named path opens —
     or creates — a persistent KB that later processes reopen in
-    milliseconds.  ``read_only=True`` opens with ``mode=ro`` (the pickle
-    path: thawed copies can never write the shared file).
+    milliseconds.  ``read_only=True`` opens with ``mode=ro`` (a reader that
+    can never write the shared file).
 
     >>> kb = DiskTripleStore()
     >>> kb.add("m.obama", "dob", '"1961"')
@@ -311,7 +300,7 @@ class DiskTripleStore(BackendBase):
         """Close and drop connections owned by threads that have exited.
 
         Each (process, thread) gets a private connection; without eviction a
-        serving workload that churns executor threads (pool respawns,
+        serving workload that churns executor threads (server restarts,
         scenario runs) accumulates one open SQLite handle per dead thread
         until ``close()``.  Swept under ``_connections_lock`` whenever a new
         connection registers, so the registry stays bounded by the number of
@@ -372,38 +361,6 @@ class DiskTripleStore(BackendBase):
         self._local = threading.local()
         if self._ephemeral and not self._read_only and os.getpid() == self._owner_pid:
             _unlink_db(self._path)
-
-    # -- Pickling: ship the path, reopen read-only --------------------------
-
-    def __getstate__(self) -> dict:
-        """A pickled disk store is a *reference*, not a copy.
-
-        The thawed side reopens the same file read-only, so every process
-        holding a copy shares one on-disk KB (and one OS page cache)
-        instead of receiving a heap image.
-        The dictionary facade rides along so object identity between the
-        store and any :class:`~repro.kb.expansion.ExpandedStore` sharing it
-        survives the round trip.  The file must outlive the pickle's
-        consumers; an ephemeral temp store stays owned (and eventually
-        unlinked) by the originating process only.
-        """
-        return {"_path": self._path, "dictionary": self.dictionary}
-
-    def __setstate__(self, state: dict) -> None:
-        self._path = state["_path"]
-        self._ephemeral = False
-        self._read_only = True
-        self._owner_pid = os.getpid()
-        self._local = threading.local()
-        self._connections = []
-        self._conn_threads = []
-        self._connections_lock = threading.Lock()
-        self._objects_memo = {}
-        self.dictionary = state["dictionary"]
-        self._init_backend_state()
-        self._finalizer = weakref.finalize(
-            self, DiskTripleStore._finalize, self._connections, self._path, False
-        )
 
     # -- Mutation ----------------------------------------------------------
 
@@ -483,7 +440,7 @@ class DiskTripleStore(BackendBase):
         """Remove a triple; returns False if it was not present.
 
         Dictionary rows are never reclaimed (ids are dense and append-only,
-        exactly like the in-memory stores), so ``resources`` does not
+        exactly like the in-memory store), so ``resources`` does not
         decrease on delete.
         """
         if self._read_only:
@@ -690,31 +647,6 @@ class DiskTripleStore(BackendBase):
             for _s, p_id, o_id in group:
                 by_predicate.setdefault(p_id, set()).add(o_id)
             yield s_id, by_predicate
-
-    # -- Sharding face (a disk store is one shard) --------------------------
-
-    @property
-    def n_shards(self) -> int:
-        """A :class:`DiskTripleStore` is a single subject partition."""
-        return 1
-
-    def shard_spo_items_ids(self, shard: int) -> Iterator[tuple[int, dict[int, set[int]]]]:
-        """Grouped id-keyed scan of one shard (shard 0 is the whole store)."""
-        if shard != 0:
-            raise IndexError(f"DiskTripleStore has 1 shard, got shard index {shard}")
-        return self.spo_items_ids()
-
-    def shard_table(self, shard: int) -> dict[int, dict[int, set[int]]]:
-        """The whole SPO table materialized as dicts (shard 0 only).
-
-        This is the picklable unit the process-parallel expansion ships to
-        workers — a full heap copy by design; the zero-copy sharing story
-        is the page cache behind the per-process connections, not this
-        escape hatch.
-        """
-        if shard != 0:
-            raise IndexError(f"DiskTripleStore has 1 shard, got shard index {shard}")
-        return {s_id: by_predicate for s_id, by_predicate in self.spo_items_ids()}
 
     # -- Scans ---------------------------------------------------------------
 

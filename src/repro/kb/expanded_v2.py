@@ -13,8 +13,8 @@ little-endian id arrays behind a fixed struct header:
   byte-identical at both ends (``tests/test_expansion_persistence.py``);
 * the **reader** maps the file (``mmap``) and walks the id arrays through
   ``memoryview.cast`` — ids are consumed straight out of the page cache
-  with no line splitting, no JSON, and no per-row temporaries, so a pool
-  worker (or ``kbqa expand --load``) can open an artifact zero-copy;
+  with no line splitting, no JSON, and no per-row temporaries, so a
+  server replica (or ``kbqa expand --load``) can open an artifact zero-copy;
 * every id is **bounds-checked against the header counts before use**, and
   the file size itself is validated against the header, so a truncated,
   version-bumped or corrupted artifact fails with the documented

@@ -18,10 +18,6 @@ off the mapped arrays:
   reach probes over the sorted id arrays — so resident memory is whatever
   the page cache keeps warm, and N ``SO_REUSEPORT`` replicas mapping the
   same artifact share **one** page cache between them;
-* a mapped store pickles as *a reference to its artifact path*
-  (:meth:`ExpandedStoreV3.__getstate__`), so shipping one to a worker
-  costs bytes proportional to the path string, and each worker re-maps the
-  same file instead of thawing a private heap copy;
 * :meth:`ExpandedStoreV3.materialize` is the escape hatch: it inflates the
   mapping into the ordinary dict-backed form **in place** (same object
   identity, same term ids, same file-local path ids), and every mutating
@@ -87,13 +83,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.kb.dictionary import Dictionary
-from repro.kb.expanded_v2 import (
-    _Cursor,
-    _decode_strings,
-    _pad4,
-    _u32_array,
-    _u64_array,
-)
+from repro.kb.expanded_v2 import _Cursor, _decode_strings, _pad4
 from repro.kb.expansion import _EMPTY_FROZEN, ExpandedStore
 from repro.kb.paths import PredicatePath
 
@@ -592,31 +582,6 @@ class ExpandedStoreV3(ExpandedStore):
         if sections is not None:
             self._mapped = None
             sections.close()
-
-    # -- Pickling: a mapped store ships as a path reference ----------------
-
-    def __getstate__(self):
-        """Mapped stores pickle as ``{artifact path}`` — the whole point.
-
-        A pickle that embeds a mapped store costs bytes proportional to
-        the *path string*, and every unpickling worker re-maps the same
-        file — N processes, one page cache.  The artifact must outlive
-        every consumer of the pickle.  A materialized store pickles its
-        dicts like any other ExpandedStore.
-        """
-        if self._mapped is not None:
-            return {"__v3_artifact__": self._mapped.source_path}
-        state = self.__dict__.copy()
-        state["_mapped"] = None
-        return state
-
-    def __setstate__(self, state) -> None:
-        artifact = state.get("__v3_artifact__")
-        if artifact is not None:
-            sections = _V3Sections(artifact)
-            ExpandedStoreV3.__init__(self, sections)
-        else:
-            self.__dict__.update(state)
 
     # -- Mapped search primitives ------------------------------------------
 

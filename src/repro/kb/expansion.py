@@ -17,13 +17,10 @@ calls).  ``expand_predicates_baseline`` preserves the original string-level
 implementation as the reference for equivalence tests and the before/after
 benchmark.
 
-The scan consumes any :class:`~repro.kb.backend.KBBackend`.  On a sharded
-backend (``n_shards > 1``) each round fans the scan out shard-parallel
-through a pluggable execution backend (`repro.exec`: serial, thread pool, or
-shared-nothing process pool over picklable shard tables) and merges the
-per-shard results in shard order, so the output is identical to the
-single-store scan whichever backend runs it.  :class:`ExpandedStore`
-additionally:
+The scan consumes any :class:`~repro.kb.backend.KBBackend` through its one
+scan API, ``spo_items_ids()``, and runs inline in the caller: one loop, no
+pool, no partitioning (DESIGN.md "Why the Sec 6.2 scan is serial" holds the
+measurements).  :class:`ExpandedStore` additionally:
 
 * records *reach provenance* (which seeds' BFS scanned which nodes), the
   index that lets live KB ``add``/``delete`` invalidate exactly the affected
@@ -42,19 +39,12 @@ Two paper-mandated restrictions are honoured:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
-import pickle
 from collections import defaultdict
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from repro.exec.backend import Executor, make_executor, resolve_exec_kind, resolve_workers
-from repro.exec.pool import ExecutorPool
-from repro.exec.shm import SegmentUnavailable
-from repro.exec.tasks import ShardScanTask, scan_shard, split_frontier_by_shard
 from repro.kb import expanded_v2
 from repro.kb.backend import KBBackend
 from repro.kb.dictionary import Dictionary
@@ -311,9 +301,9 @@ class ExpandedStore:
 
         The v1 format is canonical: paths are written in sorted key order,
         subjects in id order, object sets sorted — so two stores whose
-        dictionaries assign the same term ids (e.g. a single-store and a
-        sharded expansion over KBs built by the same add sequence)
-        serialize to byte-identical files regardless of internal path/set
+        dictionaries assign the same term ids (e.g. a memory and a disk
+        backend built by the same add sequence) serialize to
+        byte-identical files regardless of internal path/set
         interning order.  Stores with *differently ordered* dictionaries
         hold different ids and produce different bytes even for equal
         content.
@@ -586,100 +576,6 @@ class ExpandedStore:
         }
 
 
-# Monotonic per-store payload tokens: an ExecutorPool caches published shard
-# tables per (store, generation), and tokens — unlike id() — are never reused
-# after a store is garbage-collected, so a recycled address can't alias a
-# fresh store onto a stale publish.
-_payload_token_counter = 0
-
-
-def _store_payload_token(store: KBBackend) -> int:
-    global _payload_token_counter
-    token = getattr(store, "_expansion_payload_token", None)
-    if token is None:
-        _payload_token_counter += 1
-        token = _payload_token_counter
-        store._expansion_payload_token = token
-    return token
-
-
-def _scan_executor(
-    store: KBBackend,
-    executor: str | Executor | ExecutorPool | None,
-    workers: int | None,
-) -> tuple[
-    Executor | None,
-    bool,
-    bool,
-    Callable[[], str] | None,
-    Callable[[Executor], Executor] | None,
-]:
-    """Resolve the execution backend for one expansion call.
-
-    Returns ``(executor, owned, self_contained, publish_tables, respawn)``.
-    ``executor`` is None for the inline serial fast path (scan
-    ``store.spo_items_ids()`` directly — zero task overhead, and
-    shard-chained order equals the shard-ordered merge).  ``owned`` marks
-    executors built here (closed on return); ``self_contained`` marks
-    process executors the caller built without a resident shard payload,
-    whose tasks must carry their own tables; ``publish_tables`` (set only
-    when an :class:`~repro.exec.pool.ExecutorPool` serves the call) returns
-    the shared-memory publish of the shard tables for the pool's *current*
-    generation — warm workers attach it by name, so repeated expansions on
-    one pool pay neither pool start nor per-call table shipping, and a
-    mid-flight republication is recoverable by calling it again.
-    ``respawn`` replaces an executor whose workers died mid-scan with a
-    fresh one (None when the executor is caller-owned and not ours to
-    restart — a crash then propagates to its owner).
-    """
-    if isinstance(executor, ExecutorPool):
-        if executor.kind == "serial":
-            return None, False, False, None, None
-        pool = executor
-        leased = pool.executor()
-
-        def respawn_from_pool(broken: Executor) -> Executor:
-            pool.respawn(broken)
-            return pool.executor()
-
-        if leased.kind != "process":
-            return leased, False, False, None, respawn_from_pool
-        n_shards = store.n_shards
-        key = f"shard_tables:{_store_payload_token(store)}:{n_shards}"
-
-        def publish_tables() -> str:
-            return pool.publish(
-                key,
-                lambda: pickle.dumps(
-                    tuple(store.shard_table(i) for i in range(n_shards)),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                ),
-            )
-
-        return leased, False, False, publish_tables, respawn_from_pool
-    if executor is not None and not isinstance(executor, str):
-        return executor, False, executor.kind == "process", None, None
-    n_shards = store.n_shards
-    kind = resolve_exec_kind(executor, default="thread" if n_shards > 1 else "serial")
-    if kind == "serial":
-        return None, False, False, None, None
-    workers = resolve_workers(workers, fallback=n_shards)
-    payload = None
-    if kind == "process":
-        # the shard tables ship once per worker at pool start; per-round
-        # tasks then carry only their frontier slice
-        payload = tuple(store.shard_table(i) for i in range(n_shards))
-
-    def respawn_owned(broken: Executor) -> Executor:
-        try:
-            broken.close()
-        except Exception:  # pragma: no cover - broken pools may refuse
-            pass
-        return make_executor(kind, workers, payload=payload)
-
-    return make_executor(kind, workers, payload=payload), True, False, None, respawn_owned
-
-
 def expand_predicates(
     store: KBBackend,
     seeds: Iterable[str],
@@ -688,8 +584,6 @@ def expand_predicates(
     *,
     into: ExpandedStore | None = None,
     record_reach: bool = False,
-    executor: str | Executor | ExecutorPool | None = None,
-    workers: int | None = None,
 ) -> ExpandedStore:
     """Generate all ``(s, p+, o)`` with ``s`` in ``seeds``, ``|p+| <= max_length``.
 
@@ -700,24 +594,6 @@ def expand_predicates(
     joining a subject group extends each way by the group's predicates.  The
     grouped scan probes the frontier once per *subject*, not once per triple,
     and no string leaves the dictionary during expansion.
-
-    ``executor`` selects the execution backend for the per-round shard
-    fan-out: ``"serial"`` / ``"thread"`` / ``"process"``, a pre-built
-    :class:`~repro.exec.backend.Executor`, a persistent
-    :class:`~repro.exec.pool.ExecutorPool` (warm workers reused across
-    calls, shard tables published once per KB generation into shared
-    memory — the repeated-expansion hot path owned by ``KBQA``), or None —
-    which defers to the
-    ``KBQA_EXEC`` environment variable and finally to the historical default
-    (thread pool on a sharded backend, inline serial otherwise).  ``workers``
-    sizes a backend built here (default: one per shard, clamped >= 1; the
-    ``KBQA_WORKERS`` environment variable overrides).  Every backend merges
-    the per-shard buffers in shard order, so the produced triple set — and
-    the canonical :meth:`ExpandedStore.save` bytes — are identical to the
-    single-store serial scan (``tests/test_exec_backends.py``).  The process
-    backend ships picklable frozen tasks (`repro.exec.tasks`): shard tables
-    once per worker at pool start, then only the per-shard frontier slice
-    per round.
 
     Passing ``into=`` appends to an existing :class:`ExpandedStore` sharing
     the backend's dictionary (used by the live maintainer for single-seed
@@ -764,106 +640,33 @@ def expand_predicates(
     frontier: _Frontier = {seed_id: {(seed_id, ())} for seed_id in seed_ids}
     record = expanded.record_encoded
     note_reach = expanded.note_reach
-    n_shards = store.n_shards
-    exec_backend, owned, self_contained, publish_tables, respawn_backend = (
-        _scan_executor(store, executor, workers)
-    )
-    tables_ref = publish_tables() if publish_tables is not None else None
-    prune_frontier = exec_backend is not None and (
-        exec_backend.kind == "process" or self_contained
-    )
-    crash_attempts = 0  # whole-call budget for worker-death respawn retries
 
-    try:
-        for round_index in range(1, max_length + 1):
-            if record_reach:
-                # this round scans the out-edges of every frontier node on
-                # behalf of the seeds that reached it
-                for node_id, provenance in frontier.items():
-                    for seed_id, _prefix in provenance:
-                        note_reach(node_id, seed_id)
+    for round_index in range(1, max_length + 1):
+        if record_reach:
+            # this round scans the out-edges of every frontier node on
+            # behalf of the seeds that reached it
+            for node_id, provenance in frontier.items():
+                for seed_id, _prefix in provenance:
+                    note_reach(node_id, seed_id)
 
-            is_last_round = round_index == max_length
-            next_frontier: _Frontier = defaultdict(set)
-            if exec_backend is None:
-                # inline serial scan; a sharded backend chains its shards in
-                # shard order, matching the fan-out merge exactly
-                for s_id, by_predicate in store.spo_items_ids():
-                    provenance = frontier.get(s_id)
-                    if not provenance:
-                        continue
-                    for p_id, object_ids in by_predicate.items():
-                        is_tail = p_id in tail_ids
-                        for seed_id, prefix in provenance:
-                            path_key = prefix + (p_id,)
-                            if len(path_key) == 1 or is_tail:
-                                for o_id in object_ids:
-                                    record(seed_id, path_key, o_id)
-                            if not is_last_round:
-                                extended = (seed_id, path_key)
-                                for o_id in object_ids:
-                                    next_frontier[o_id].add(extended)
-            else:
-                slices = (
-                    split_frontier_by_shard(frontier, n_shards)
-                    if prune_frontier
-                    else None
-                )
-                tasks = [
-                    ShardScanTask(
-                        shard=i,
-                        frontier=slices[i] if slices is not None else frontier,
-                        tail_ids=tail_ids,
-                        is_last_round=is_last_round,
-                        # self-contained tasks carry their table; payload-
-                        # backed process pools and shared-memory publishes
-                        # read it worker-side / by reference
-                        table=store.shard_table(i)
-                        if tables_ref is None
-                        and (self_contained or exec_backend.kind != "process")
-                        else None,
-                        tables_ref=tables_ref,
-                    )
-                    for i in range(n_shards)
-                ]
-                attempts = 0
-                while True:
-                    try:
-                        results = exec_backend.map(scan_shard, tasks)
-                        break
-                    except BrokenExecutor:
-                        # a worker died mid-round (SIGKILL/OOM): the whole
-                        # pool is broken, but no partial merge happened
-                        # (map materializes fully) — respawn fresh workers
-                        # and re-dispatch the round, within a bounded budget
-                        crash_attempts += 1
-                        if respawn_backend is None or crash_attempts > 3:
-                            raise
-                        exec_backend = respawn_backend(exec_backend)
-                    except SegmentUnavailable:
-                        # the pool republished the shard tables (a KB
-                        # generation bump) and retired this call's segment
-                        # mid-flight; re-reference the current publish and
-                        # redo the round (map materializes fully, so no
-                        # partial merge happened)
-                        attempts += 1
-                        if publish_tables is None or attempts > 3:
-                            raise
-                        tables_ref = publish_tables()
-                        tasks = [
-                            dataclasses.replace(task, tables_ref=tables_ref)
-                            for task in tasks
-                        ]
-                for result in results:
-                    # merged in shard order (Executor.map preserves order)
-                    for seed_id, path_key, o_id in result.records:
-                        record(seed_id, path_key, o_id)
-                    for o_id, extended in result.additions:
-                        next_frontier[o_id].add(extended)
-            frontier = next_frontier
-    finally:
-        if owned and exec_backend is not None:
-            exec_backend.close()
+        is_last_round = round_index == max_length
+        next_frontier: _Frontier = defaultdict(set)
+        for s_id, by_predicate in store.spo_items_ids():
+            provenance = frontier.get(s_id)
+            if not provenance:
+                continue
+            for p_id, object_ids in by_predicate.items():
+                is_tail = p_id in tail_ids
+                for seed_id, prefix in provenance:
+                    path_key = prefix + (p_id,)
+                    if len(path_key) == 1 or is_tail:
+                        for o_id in object_ids:
+                            record(seed_id, path_key, o_id)
+                    if not is_last_round:
+                        extended = (seed_id, path_key)
+                        for o_id in object_ids:
+                            next_frontier[o_id].add(extended)
+        frontier = next_frontier
     return expanded
 
 

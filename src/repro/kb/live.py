@@ -128,11 +128,6 @@ class LiveExpansionMaintainer:
         fresh store and merges back string-level.
         """
         self.expanded.invalidate_seed(seed)
-        # Single-seed refreshes pin the serial backend regardless of the
-        # KBQA_EXEC environment: one seed's BFS is far too small to amortize
-        # a pool, and refreshes run inside change-listener callbacks — often
-        # on serving executor threads, where forking a process pool per
-        # refresh would be both slow and fork-unsafe.
         if self.expanded.dictionary is self.backend.dictionary:
             expand_predicates(
                 self.backend,
@@ -141,7 +136,6 @@ class LiveExpansionMaintainer:
                 tail_predicates=self.expanded.tail_predicates,
                 into=self.expanded,
                 record_reach=True,
-                executor="serial",
             )
         else:
             fresh = expand_predicates(
@@ -150,7 +144,6 @@ class LiveExpansionMaintainer:
                 max_length=self.expanded.max_length,
                 tail_predicates=self.expanded.tail_predicates,
                 record_reach=True,
-                executor="serial",
             )
             self.expanded.merge_from(fresh)
         self.seeds_refreshed += 1

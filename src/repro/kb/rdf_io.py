@@ -56,8 +56,8 @@ def save_ntriples(store: KBBackend, path: str | Path) -> int:
 def load_ntriples(path: str | Path, into: KBBackend | None = None) -> KBBackend:
     """Load a store previously written by :func:`save_ntriples`.
 
-    Loads into a fresh single :class:`TripleStore` by default; pass ``into``
-    (e.g. a :class:`~repro.kb.sharded.ShardedTripleStore`) to fill any other
+    Loads into a fresh :class:`TripleStore` by default; pass ``into``
+    (e.g. a :class:`~repro.kb.disk.DiskTripleStore`) to fill any other
     backend instead.
     """
     store = into if into is not None else TripleStore()

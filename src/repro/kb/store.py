@@ -15,10 +15,9 @@ scan, the benchmark harness) additionally get an *id-level* API —
 dictionary-encoded indexes directly so per-row string materialization can be
 skipped entirely; callers treat the returned containers as read-only views.
 
-:class:`TripleStore` is the single-store implementation of the
+:class:`TripleStore` is the in-memory implementation of the
 :class:`~repro.kb.backend.KBBackend` protocol: it supports live ``add`` /
-``delete`` with :class:`~repro.kb.backend.KBChange` notification and serves
-the sharding face as one shard (``n_shards == 1``).
+``delete`` with :class:`~repro.kb.backend.KBChange` notification.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ class TripleStore(BackendBase):
     """A set of RDF triples with SPO/POS/OSP hash indexes.
 
     Change-listener and resource-count plumbing comes from
-    :class:`~repro.kb.backend.BackendBase` (shared with the sharded store).
+    :class:`~repro.kb.backend.BackendBase` (shared with the disk store).
 
     >>> kb = TripleStore()
     >>> kb.add("m.obama", "dob", '"1961"')
@@ -223,25 +222,6 @@ class TripleStore(BackendBase):
         probe per *subject group* instead of one per triple.
         """
         return iter(self._spo.items())
-
-    # -- Sharding face (a single store is one shard) -----------------------
-
-    @property
-    def n_shards(self) -> int:
-        """A plain :class:`TripleStore` is a single subject partition."""
-        return 1
-
-    def shard_spo_items_ids(self, shard: int) -> Iterator[tuple[int, dict[int, set[int]]]]:
-        """Grouped id-keyed scan of one shard (shard 0 is the whole store)."""
-        if shard != 0:
-            raise IndexError(f"TripleStore has 1 shard, got shard index {shard}")
-        return iter(self._spo.items())
-
-    def shard_table(self, shard: int) -> dict[int, dict[int, set[int]]]:
-        """The whole SPO table (shard 0 is the whole store; read-only view)."""
-        if shard != 0:
-            raise IndexError(f"TripleStore has 1 shard, got shard index {shard}")
-        return self._spo
 
     # -- Scans ---------------------------------------------------------------
 

@@ -23,7 +23,9 @@ The serving story in three layers:
 * :mod:`repro.serve.multiproc` — :class:`MultiProcessServer`: N forked
   server replicas sharing one port via ``SO_REUSEPORT``, with writes
   replicated through a shared op log + epoch counter (``kbqa serve
-  --procs N``).
+  --procs N``);
+* :mod:`repro.serve.faults` — the deterministic fault-injection harness
+  (``KBQA_FAULTS``) that lets tests kill a replica on cue.
 """
 
 from repro.serve.async_answerer import (

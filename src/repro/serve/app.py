@@ -67,7 +67,7 @@ import time
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.online import AnswerResult
-from repro.exec.faults import faults_active
+from repro.serve.faults import faults_active
 from repro.serve.async_answerer import (
     AsyncAnswerer,
     DeadlineExceeded,

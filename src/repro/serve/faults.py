@@ -1,13 +1,12 @@
 """Deterministic fault injection: kill/slow/raise at named points, from env.
 
 A multi-process serving stack earns trust only if its failure paths are
-*testable*: "a SIGKILL'd pool worker" or "a dead replica" must be something
-tier-1 can provoke on demand, in one line, without monkeypatching across
-process boundaries.  This module is that lever.  Production code sprinkles
-cheap :func:`fault_point` calls at the places where real systems die (the
-shard-scan entry, the replica poll loop, the shared-memory attach), and the
-``KBQA_FAULTS`` environment variable — which forked pool workers and server
-replicas inherit — arms them.
+*testable*: "a dead replica" must be something tier-1 can provoke on
+demand, in one line, without monkeypatching across process boundaries.
+This module is that lever.  Production code places a cheap
+:func:`fault_point` call where real systems die (the replica poll loop),
+and the ``KBQA_FAULTS`` environment variable — which forked server
+replicas inherit — arms it.
 
 Spec grammar (semicolon-separated entries)::
 
@@ -20,7 +19,7 @@ Actions:
 * ``exit`` / ``exit:<code>`` — ``os._exit`` with the code (default 1);
 * ``sleep:<ms>`` — block for ``ms`` milliseconds (slow-task injection);
 * ``raise`` / ``raise:<name>`` — raise an exception from a small registry
-  (``RuntimeError`` default; ``SegmentUnavailable`` and ``OSError`` for the
+  (``RuntimeError`` default; ``OSError`` and ``ValueError`` for the
   recoverable-error paths).
 
 Modifiers:
@@ -31,19 +30,15 @@ Modifiers:
   (lets a replica serve a few poll loops before dying "mid-load");
 * ``once=<path>`` — fire only in the single process that atomically claims
   the token file (``O_CREAT|O_EXCL``), across *all* processes that inherit
-  the spec — "kill exactly one worker" instead of "every worker kills
-  itself on its first batch".
+  the spec — "kill exactly one replica" instead of "every replica kills
+  itself on its first poll".
 
 Sites are free-form labels; an entry naming a site nothing calls simply
-never fires.  The canonical instrumented sites:
+never fires.  The one instrumented site:
 
 =====================  ====================================================
-``exec.worker.scan``   expansion shard-scan entry in a pool worker
-                       (:func:`repro.exec.tasks.scan_shard`)
 ``serve.replica``      a ``--procs`` replica's poll loop (between requests,
                        never while holding the shared op lock)
-``shm.attach``         consumer-side shared-memory attach
-                       (:func:`repro.exec.shm.attach_blob`)
 =====================  ====================================================
 
 With ``KBQA_FAULTS`` unset (production), :func:`fault_point` is one dict
@@ -64,10 +59,6 @@ _ACTIONS = ("kill", "exit", "sleep", "raise")
 
 def _raisable(name: str) -> type[BaseException]:
     """Resolve a ``raise:<name>`` target (small, closed registry)."""
-    if name == "SegmentUnavailable":
-        from repro.exec.shm import SegmentUnavailable
-
-        return SegmentUnavailable
     registry: dict[str, type[BaseException]] = {
         "RuntimeError": RuntimeError,
         "OSError": OSError,
@@ -77,8 +68,7 @@ def _raisable(name: str) -> type[BaseException]:
         return registry[name]
     except KeyError:
         raise ValueError(
-            f"unknown raise target {name!r} (choose from "
-            f"SegmentUnavailable, {', '.join(registry)})"
+            f"unknown raise target {name!r} (choose from {', '.join(registry)})"
         ) from None
 
 
@@ -176,7 +166,7 @@ def parse_faults(spec: str) -> dict[str, Fault]:
 
 
 # The active plan, parsed lazily from the environment and cached against the
-# exact spec string — a forked worker inherits the env and parses its own
+# exact spec string — a forked replica inherits the env and parses its own
 # copy (counters are per-process by design), and a test that swaps the env
 # gets a fresh plan on its next fault_point.
 _PLAN: tuple[str, dict[str, Fault]] = ("", {})
@@ -205,11 +195,11 @@ def faults_active() -> bool:
 class inject_faults:
     """Context manager arming a spec for this process *and* its children::
 
-        with inject_faults(f"exec.worker.scan=kill,once={token}"):
-            ...  # forked pool workers inherit KBQA_FAULTS and die on cue
+        with inject_faults(f"serve.replica=kill,once={token}"):
+            ...  # forked replicas inherit KBQA_FAULTS and die on cue
 
     Setting the environment (rather than module state) is the point: forked
-    replicas and pool workers re-parse it on their side of the boundary.
+    replicas re-parse it on their side of the boundary.
     Restores the previous value on exit.
     """
 

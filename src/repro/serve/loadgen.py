@@ -20,10 +20,7 @@ Two arrival disciplines:
   latency trajectory" item.
 
 Admission rejections are counted, never retried — a rejected request is a
-served (negative) response from the client's point of view.  Worker counts
-default through :func:`repro.exec.backend.resolve_workers` (explicit arg >
-``KBQA_WORKERS`` > fallback, clamped >= 1), so CI can pin them for
-determinism.
+served (negative) response from the client's point of view.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from repro.exec.backend import resolve_workers
 from repro.serve.async_answerer import (
     AsyncAnswerer,
     DeadlineExceeded,
@@ -215,14 +211,13 @@ def run_load_cell(
     *,
     coalesce: bool = True,
     max_batch: int = 16,
-    workers: int | None = None,
+    workers: int = 2,
 ) -> dict:
     """Synchronous one-call cell: fresh answerer, fresh loop, one stream.
 
     ``target`` is anything with ``answer_many`` (typically an
     ``OnlineAnswerer`` with the answer cache disabled, so the measured
     effect is the *serving layer's* coalescing, not the target's cache).
-    ``workers`` resolves through ``KBQA_WORKERS`` and clamps >= 1.
     """
     from repro.serve.async_answerer import ServeConfig
 
@@ -230,7 +225,7 @@ def run_load_cell(
     config = ServeConfig(
         max_batch=max_batch,
         max_pending=max(spec.concurrency * 2, 64),
-        workers=resolve_workers(workers, fallback=2),
+        workers=workers,
         coalesce=coalesce,
     )
 
@@ -390,7 +385,7 @@ def run_open_load_cell(
     *,
     coalesce: bool = True,
     max_batch: int = 16,
-    workers: int | None = None,
+    workers: int = 2,
     max_pending: int = 256,
     batch_window_ms: float = 0.0,
 ) -> dict:
@@ -416,7 +411,7 @@ def run_open_load_cell(
     config = ServeConfig(
         max_batch=max_batch,
         max_pending=max_pending,
-        workers=resolve_workers(workers, fallback=2),
+        workers=workers,
         coalesce=coalesce,
         batch_window_ms=batch_window_ms,
     )
@@ -650,7 +645,7 @@ def run_ramp_cell(
     quota: str | None = None,
     coalesce: bool = True,
     max_batch: int = 16,
-    workers: int | None = None,
+    workers: int = 2,
     max_pending: int = 256,
     batch_window_ms: float = 0.0,
     expected: dict | None = None,
@@ -669,7 +664,7 @@ def run_ramp_cell(
     config = ServeConfig(
         max_batch=max_batch,
         max_pending=max_pending,
-        workers=resolve_workers(workers, fallback=2),
+        workers=workers,
         coalesce=coalesce,
         batch_window_ms=batch_window_ms,
         slo_ms=slo_ms,

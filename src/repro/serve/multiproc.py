@@ -31,8 +31,7 @@ Topology and protocols:
   entries (already applied before they were logged).
 * **supervision / self-healing** — the parent runs a supervisor thread
   that polls the children: a replica that died (SIGKILL, OOM, crash) is
-  reaped, its orphaned shared-memory segments are reclaimed, and a
-  replacement is forked from the parent's pristine system.  The
+  reaped and a replacement is forked from the parent's pristine system.  The
   replacement **catches up before it accepts traffic**: it replays the
   full op log onto its inherited system synchronously, *then* binds its
   ``SO_REUSEPORT`` socket — so a request load-balanced onto the healed
@@ -42,9 +41,8 @@ Topology and protocols:
 * **shutdown** — the parent sets a shared stop event; children drain their
   servers (which joins their evaluation threads) and exit; the parent
   joins the supervisor, then every child, and escalates to ``terminate``
-  only past a deadline; a final orphan sweep reclaims segments a killed
-  child could not unlink.
-  ``tests/test_serve_http.py`` asserts no child survives.
+  only past a deadline.  ``tests/test_serve_http.py`` asserts no child
+  survives.
 
 The log-replay protocol is best-effort ordered (entries apply in global log
 order on every replica, but a replica's *own* write applies at its local
@@ -59,21 +57,43 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
 import socket
+import sys
 import tempfile
 import threading
 import time
 from typing import TYPE_CHECKING
 
-from repro.exec.backend import bind_to_parent_death
-from repro.exec.faults import fault_point
-from repro.exec.shm import sweep_orphans
 from repro.serve.async_answerer import ServeConfig
+from repro.serve.faults import fault_point
 
 if TYPE_CHECKING:
     from repro.core.system import KBQA
 
 DEFAULT_POLL_INTERVAL_S = 0.02
+
+_PR_SET_PDEATHSIG = 1  # linux/prctl.h
+
+
+def bind_to_parent_death() -> None:
+    """Best-effort ``PR_SET_PDEATHSIG``: die when the owning process dies.
+
+    A forked server replica whose parent is SIGKILL'd would otherwise
+    outlive ``stop()`` forever.  Linux-only; elsewhere (and on any prctl
+    failure) this is a silent no-op, and the caller's join/terminate path
+    remains the cleanup of record.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        import ctypes
+
+        ctypes.CDLL(None, use_errno=True).prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+    except Exception:  # pragma: no cover - no libc/prctl: nothing to bind
+        return
+    if os.getppid() == 1:  # parent died between fork and prctl
+        os._exit(1)
 
 
 def multiproc_available() -> bool:
@@ -161,7 +181,6 @@ def _child_main(
 ) -> None:
     """Entry point of one forked server process."""
     import asyncio
-    import signal
 
     # the parent coordinates shutdown through the stop event; a terminal
     # Ctrl-C must not race it with KeyboardInterrupts in every child
@@ -393,12 +412,10 @@ class MultiProcessServer:
 
         A replacement forks from the parent's pristine system and catches
         itself up from the op log before binding (see ``_child_main``), so
-        the slot returns at full correctness, not just full capacity.  Any
-        shared-memory segment the dead replica had published is reclaimed
-        here — the publisher pid is gone, so :func:`sweep_orphans` can
-        prove it dead.  Slots that exhaust ``max_respawns`` are abandoned
-        (``_given_up``): deterministic startup crashes degrade to fewer
-        replicas instead of a fork loop.
+        the slot returns at full correctness, not just full capacity.
+        Slots that exhaust ``max_respawns`` are abandoned (``_given_up``):
+        deterministic startup crashes degrade to fewer replicas instead of
+        a fork loop.
         """
         assert self._stop_event is not None and self._ready is not None
         while not self._stop_event.wait(self._supervise_interval_s):
@@ -406,7 +423,6 @@ class MultiProcessServer:
                 if child.is_alive() or index in self._given_up:
                     continue
                 child.join(timeout=0.1)  # reap the corpse
-                sweep_orphans()
                 if self.respawned >= self._max_respawns:
                     self._given_up.add(index)
                     continue
@@ -470,6 +486,3 @@ class MultiProcessServer:
         if self._metrics_dir is not None:
             shutil.rmtree(self._metrics_dir, ignore_errors=True)
             self._metrics_dir = None
-        # segments a killed child never unlinked (its pid is dead now, so
-        # they are provably orphans); live publishes are never touched
-        sweep_orphans()

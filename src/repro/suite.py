@@ -60,19 +60,16 @@ class Suite:
 def build_suite(
     scale: str = "small",
     seed: int = 7,
-    shards: int = 1,
     backend: str | None = None,
     db_dir: str | None = None,
 ) -> Suite:
     """Build the full setup at ``scale`` in {"small", "default"}.
 
     *small* is test-sized (seconds); *default* is benchmark-sized.
-    ``shards > 1`` compiles both KBs into subject-sharded backends
-    (:class:`~repro.kb.sharded.ShardedTripleStore`) — everything downstream
-    is behaviour-identical, only the KB partitioning changes.  ``backend``
-    picks the store kind per :func:`~repro.kb.backend.resolve_backend`
-    (``"disk"`` = SQLite-backed); ``db_dir`` makes a disk build persistent,
-    compiling into ``<db_dir>/freebase.db`` and ``<db_dir>/dbpedia.db``.
+    ``backend`` picks the store kind per
+    :func:`~repro.kb.backend.resolve_backend` (``"disk"`` = SQLite-backed);
+    ``db_dir`` makes a disk build persistent, compiling into
+    ``<db_dir>/freebase.db`` and ``<db_dir>/dbpedia.db``.
     """
     if scale == "small":
         world_config = WorldConfig.small(seed=seed)
@@ -94,8 +91,8 @@ def build_suite(
         dbp_db = os.path.join(db_dir, "dbpedia.db")
 
     world = build_world(world_config)
-    freebase = compile_freebase_like(world, shards=shards, backend=backend, db_path=fb_db)
-    dbpedia = compile_dbpedia_like(world, shards=shards, backend=backend, db_path=dbp_db)
+    freebase = compile_freebase_like(world, backend=backend, db_path=fb_db)
+    dbpedia = compile_dbpedia_like(world, backend=backend, db_path=dbp_db)
     taxonomy = build_taxonomy(world)
     conceptualizer = build_conceptualizer(world, extra_contexts=surface_context_sources())
     corpus = generate_corpus(world, corpus_config)

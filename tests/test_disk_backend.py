@@ -1,19 +1,17 @@
 """The SQLite-backed disk store (`repro.kb.disk`).
 
-Acceptance bar, mirroring the sharded-backend suite: a
-:class:`DiskTripleStore` built by the same add sequence as a
-:class:`TripleStore` must assign identical dictionary ids, answer every
+Acceptance bar: a :class:`DiskTripleStore` built by the same add sequence
+as a :class:`TripleStore` must assign identical dictionary ids, answer every
 protocol read identically (randomized-KB checked), fire identical change
 notifications, and carry a whole KBQA system to byte-identical
 ``answer_many`` output.  On top of that come the disk-only properties:
-reopening a compiled file restores the store without a rebuild, pickling
-ships a path reference that thaws read-only against the same file, and
+reopening a compiled file restores the store without a rebuild, a
+``read_only=True`` open can neither write nor own the shared file, and
 ``notify_external`` keeps a replica's caches coherent with a sibling
 process's writes.
 """
 
 import os
-import pickle
 import random
 
 import pytest
@@ -28,7 +26,6 @@ from repro.kb.backend import (
 )
 from repro.kb.disk import DiskTripleStore
 from repro.kb.expansion import expand_predicates
-from repro.kb.sharded import ShardedTripleStore
 from repro.kb.store import TripleStore
 from repro.kb.triple import make_literal
 from repro.suite import build_suite
@@ -86,11 +83,6 @@ class TestRandomizedEquivalence:
         }
         grouped_disk = dict(disk.spo_items_ids())
         assert grouped_mem == grouped_disk
-        assert disk.n_shards == 1
-        assert dict(disk.shard_spo_items_ids(0)) == grouped_disk
-        assert disk.shard_table(0) == grouped_disk
-        with pytest.raises(IndexError):
-            disk.shard_table(1)
         for s_id, by_predicate in grouped_mem.items():
             assert disk.has_subject_id(s_id)
             assert set(disk.predicates_ids_of(s_id)) == set(by_predicate)
@@ -275,35 +267,30 @@ class TestIngestTriples:
         path = str(tmp_path / "kb.db")
         writer = DiskTripleStore(path)
         writer.add("a", "p", "b")
-        replica = pickle.loads(pickle.dumps(writer))
+        replica = DiskTripleStore(path, read_only=True)
         with pytest.raises(ValueError, match="read-only"):
             replica.ingest_triples([Triple("x", "y", "z")])
         replica.close()
         writer.close()
 
 
-class TestPickleAsPathReference:
-    def test_thaws_read_only_against_the_same_file(self, tmp_path):
+class TestReadOnlyReplica:
+    def test_read_only_open_cannot_write_or_own_the_file(self, tmp_path):
         path = str(tmp_path / "kb.db")
         store = DiskTripleStore(path)
         adds, _ = _random_ops(9, n_adds=200, n_deletes=0)
         for s, p, o in adds:
             store.add(s, p, o)
-        blob = pickle.dumps(store)
-        # a path reference, not a heap image: far smaller than the data
-        assert len(blob) < 1024 < os.path.getsize(path)
-        thawed = pickle.loads(blob)
-        assert thawed.read_only and thawed.path == path
-        assert set(thawed.triples()) == set(store.triples())
-        # the dictionary facade keeps identity with its store through pickle
-        assert thawed.dictionary._store is thawed
+        replica = DiskTripleStore(path, read_only=True)
+        assert replica.read_only and replica.path == path
+        assert set(replica.triples()) == set(store.triples())
         with pytest.raises(ValueError, match="read-only"):
-            thawed.add("x", "y", "z")
+            replica.add("x", "y", "z")
         with pytest.raises(ValueError, match="read-only"):
-            thawed.delete(*adds[0])
-        thawed.close()
+            replica.delete(*adds[0])
+        replica.close()
         store.close()
-        assert os.path.exists(path)  # the thawed copy never owns the file
+        assert os.path.exists(path)  # the read-only open never owns the file
 
     def test_notify_external_restores_memo_coherence(self, tmp_path):
         """A sibling's write is visible to uncached reads immediately and to
@@ -312,7 +299,7 @@ class TestPickleAsPathReference:
         path = str(tmp_path / "kb.db")
         writer = DiskTripleStore(path)
         writer.add("a", "p", "b")
-        replica = pickle.loads(pickle.dumps(writer))
+        replica = DiskTripleStore(path, read_only=True)
         seen: list[KBChange] = []
         replica.subscribe(seen.append)
         assert replica.objects("a", "p") == {"b"}  # memo primed
@@ -333,11 +320,10 @@ class TestResolveBackend:
     def test_defaults_and_explicit_kinds(self, monkeypatch):
         monkeypatch.delenv("KBQA_BACKEND", raising=False)
         assert type(resolve_backend()) is TripleStore
-        assert type(resolve_backend(shards=4)) is ShardedTripleStore
         disk = resolve_backend("disk")
         assert type(disk) is DiskTripleStore
         disk.close()
-        assert set(BACKEND_KINDS) == {"memory", "sharded", "disk"}
+        assert set(BACKEND_KINDS) == {"memory", "disk"}
 
     def test_environment_override(self, monkeypatch):
         monkeypatch.setenv("KBQA_BACKEND", "disk")
@@ -346,18 +332,12 @@ class TestResolveBackend:
         store.close()
         # explicit argument beats the environment
         assert type(resolve_backend("memory")) is TripleStore
-        # the env var is a default, not a mandate: a structural shard
-        # request keeps the sharded backend (the CI disk leg still runs
-        # the --shards tests)
-        assert type(resolve_backend(shards=2)) is ShardedTripleStore
 
     def test_invalid_combinations_rejected(self):
         with pytest.raises(ValueError, match="unknown KB backend"):
             resolve_backend("paper")
         with pytest.raises(ValueError, match="does not take a database path"):
             resolve_backend("memory", path="/tmp/x.db")
-        with pytest.raises(ValueError, match="single-shard"):
-            resolve_backend("disk", shards=3)
 
 
 class TestSystemEquivalence:

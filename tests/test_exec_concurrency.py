@@ -1,4 +1,4 @@
-"""Concurrency hygiene: serving under write churn, warm pools, clean shutdown.
+"""Concurrency hygiene: serving under write churn and clean shutdown.
 
 Serving: a request admitted after a KB mutation + invalidation can never
 observe a pre-mutation answer, however many readers are in flight; stopping
@@ -6,11 +6,6 @@ an answerer joins its evaluation threads and fails what was still queued.
 Timing windows are held open deterministically with sentinel files: the
 target reports "mid-batch" by writing a file and blocks until the test
 writes the release file.
-
-Execution pools (the expansion scan's workers): one pool start serves many
-calls, published shared-memory payloads republish only on invalidation, and
-closing a pool or executor joins every worker and unlinks every segment —
-``multiprocessing.active_children()`` is the leak detector.
 """
 
 from __future__ import annotations
@@ -24,25 +19,9 @@ import time
 import pytest
 
 from repro.core.online import AnswerResult
-from repro.exec.backend import ProcessExecutor
-from repro.exec.pool import ExecutorPool
-from repro.exec.shm import PublishedBlob, SegmentUnavailable, attach_blob
 from repro.serve import AsyncAnswerer, ServeConfig
 
 TIMEOUT_S = 30.0
-
-
-def _worker_pid(_task) -> int:
-    return os.getpid()
-
-
-def _assert_no_children() -> None:
-    """Children unregister as they are reaped; poll briefly, then assert."""
-    for _ in range(200):
-        if not multiprocessing.active_children():
-            break
-        time.sleep(0.02)
-    assert multiprocessing.active_children() == []
 
 
 def _result(question: str, value: str) -> AnswerResult:
@@ -163,119 +142,6 @@ class TestSnapshotFreshness:
         assert len(observed) == 24
 
 
-class TestPersistentPool:
-    """The warm-worker invariants: one pool start serves many calls, the
-    same worker processes survive across calls, and published payloads
-    republish only on invalidation."""
-
-    def test_same_worker_pids_across_calls(self):
-        with ExecutorPool("process", 2) as pool:
-            # task→worker placement is scheduler-dependent (one fast worker
-            # may drain a whole map), so the churn-free invariant is on the
-            # *union*: across many calls, never more pids than pool workers
-            pids: set[int] = set()
-            for _ in range(3):
-                pids.update(pool.executor().map(_worker_pid, range(8)))
-            assert pids and len(pids) <= 2
-            assert os.getpid() not in pids  # really out-of-process
-            assert pool.starts == 1 and pool.leases == 3
-        _assert_no_children()
-
-    def test_repeated_expansions_reuse_pool_and_publish_once(self, suite):
-        from repro.data.compile import compile_freebase_like
-        from repro.kb.expansion import expand_predicates
-
-        kb = compile_freebase_like(suite.world, shards=3)
-        seeds = [e.node for e in suite.world.of_type("person")[:10]]
-        reference = expand_predicates(kb.store, seeds, max_length=3)
-        with ExecutorPool("process", 2) as pool:
-            outputs = [
-                expand_predicates(kb.store, seeds, max_length=3, executor=pool)
-                for _ in range(3)
-            ]
-            for expanded in outputs:
-                assert set(expanded.triples()) == set(reference.triples())
-            # one pool start and one shard-table publish served all calls
-            assert pool.starts == 1
-            assert pool.publishes == 1
-            pool.invalidate()  # a KB mutation would flow through here
-            again = expand_predicates(kb.store, seeds, max_length=3, executor=pool)
-            assert set(again.triples()) == set(reference.triples())
-            assert pool.publishes == 2  # republished for the new generation
-        _assert_no_children()
-
-    def test_kbqa_owns_an_invalidating_pool(self, suite):
-        """The system facade owns the pool and routes KB changes into its
-        generation counter.  A private system: the mutation must not intern
-        terms into the session fixtures' shared dictionary."""
-        from repro.core.system import KBQA
-        from repro.data.compile import compile_freebase_like
-
-        kb = compile_freebase_like(suite.world)
-        with KBQA.train(kb, suite.corpus, suite.conceptualizer) as system:
-            pool = system.exec_pool
-            assert isinstance(pool, ExecutorPool)
-            before = pool.generation
-            assert system.add_fact("pool-town", "population", '"1"')
-            assert pool.generation > before
-            assert system.delete_fact("pool-town", "population", '"1"')
-            assert pool.generation > before + 1
-
-    def test_publish_never_caches_pre_invalidation_bytes(self):
-        """An invalidation landing while make_bytes serializes must force a
-        re-serialization — the new generation can never be served bytes
-        frozen from pre-mutation state."""
-        with ExecutorPool("process", 1) as pool:
-            serializations = []
-
-            def make() -> bytes:
-                serializations.append(len(serializations))
-                if len(serializations) == 1:
-                    pool.invalidate()  # the mutation races the serialization
-                return f"state-{len(serializations)}".encode()
-
-            name = pool.publish("k", make)
-            assert len(serializations) == 2  # the stale first pass was discarded
-            assert bytes(attach_blob(name).data) == b"state-2"
-
-    def test_pool_usable_again_after_close(self):
-        pool = ExecutorPool("process", 1)
-        assert set(pool.executor().map(_worker_pid, [0])) != {os.getpid()}
-        pool.close()
-        _assert_no_children()
-        # a closed pool restarts lazily instead of erroring
-        assert set(pool.executor().map(_worker_pid, [0])) != {os.getpid()}
-        pool.close()
-        _assert_no_children()
-
-
-class TestSharedMemoryHygiene:
-    """Segment lifecycle: publishes attach from anywhere, unlink is
-    authoritative, and close() leaks nothing."""
-
-    def test_publish_attach_unlink_cycle(self):
-        from repro.exec.shm import AttachedBlob
-
-        blob = PublishedBlob(b"payload-bytes", tag=7)
-        attached = attach_blob(blob.name, expected_tag=7)
-        assert bytes(attached.data) == b"payload-bytes"
-        with pytest.raises(SegmentUnavailable, match="tag"):
-            attach_blob(blob.name, expected_tag=8)
-        blob.unlink()
-        # a fresh (uncached) attach observes the unlink
-        with pytest.raises(SegmentUnavailable):
-            AttachedBlob(blob.name)
-
-    def test_pool_close_unlinks_published_segments(self):
-        with ExecutorPool("process", 1) as pool:
-            name = pool.publish("k", lambda: b"table-bytes")
-            assert bytes(attach_blob(name).data) == b"table-bytes"
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-
 def _evaluation_threads() -> list[str]:
     return [
         t.name for t in threading.enumerate() if t.name.startswith("kbqa-serve-eval")
@@ -310,11 +176,6 @@ class TestCleanShutdown:
             asyncio.run(one_cycle(index))
         assert _evaluation_threads() == []
 
-    def test_executor_close_joins_children(self):
-        with ProcessExecutor(2) as executor:
-            assert executor.map(_identity, [1, 2, 3, 4]) == [1, 2, 3, 4]
-        assert multiprocessing.active_children() == []
-
     def test_stop_fails_queued_requests_deterministically(self, tmp_path):
         """Queued-but-undispatched requests fail with 'serving stopped'
         (not a hang) even while an evaluation holds the only slot."""
@@ -343,6 +204,3 @@ class TestCleanShutdown:
 
         assert asyncio.run(main())
 
-
-def _identity(x):
-    return x

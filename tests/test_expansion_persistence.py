@@ -442,23 +442,6 @@ class TestV3Format:
             ("zz-new", "name", make_literal("zz"))
         }
 
-    def test_mapped_pickle_is_a_path_reference(self, expanded, tmp_path):
-        import pickle
-
-        path = tmp_path / "expansion.v3"
-        expanded.save(path, format="v3")
-        loaded = ExpandedStore.load(path)
-        blob = pickle.dumps(loaded)
-        assert len(blob) < 1024 < path.stat().st_size
-        thawed = pickle.loads(blob)
-        assert thawed.is_mapped
-        assert {(s, str(p), o) for s, p, o in thawed.triples()} == {
-            (s, str(p), o) for s, p, o in loaded.triples()
-        }
-        # a materialized store pickles by value (no file dependency)
-        materialized_blob = pickle.dumps(loaded.materialize())
-        assert len(materialized_blob) > len(blob)
-
     def test_env_selects_v3_default(self, expanded, tmp_path, monkeypatch):
         monkeypatch.setenv(EXPANDED_FORMAT_ENV, "v3")
         by_env = tmp_path / "by_env.kbqa"
@@ -585,17 +568,14 @@ class TestV3Format:
 
 class TestV3RandomizedEquivalence:
     """Mapped binary-search answers vs materialized-dict answers across
-    randomized KBs x shard counts — byte-identical everywhere."""
+    randomized KBs — byte-identical everywhere."""
 
     @pytest.mark.parametrize("seed", [1, 23])
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_random_kb_lookup_equivalence(self, seed, shards, tmp_path):
+    def test_random_kb_lookup_equivalence(self, seed, tmp_path):
         import random
 
-        from repro.kb.sharded import ShardedTripleStore
-
         rng = random.Random(seed)
-        kb = TripleStore() if shards == 1 else ShardedTripleStore(shards=shards)
+        kb = TripleStore()
         entities = [f"n{i}" for i in range(25)]
         predicates = [f"p{i}" for i in range(5)] + ["name"]
         for _ in range(250):
@@ -604,7 +584,7 @@ class TestV3RandomizedEquivalence:
             ))
         seeds = rng.sample(entities, 6)
         expanded = expand_predicates(kb, seeds, max_length=3, record_reach=True)
-        path = tmp_path / f"r{seed}-{shards}.v3"
+        path = tmp_path / f"r{seed}.v3"
         expanded.save(path, format="v3")
         mapped = ExpandedStore.load(path)
         assert mapped.is_mapped

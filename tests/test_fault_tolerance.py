@@ -1,20 +1,14 @@
 """Chaos suite: crash-safety contracts under injected faults.
 
-The failure model this PR adds, exercised end to end through the
-`repro.exec.faults` harness (``KBQA_FAULTS``):
+The serving failure model, exercised end to end through the
+`repro.serve.faults` harness (``KBQA_FAULTS``):
 
-* a SIGKILL'd **pool worker** is absorbed — :meth:`ExecutorPool.run` and
-  the expansion round loop respawn fresh workers and re-dispatch, with
-  *byte-identical* output to a serial run;
 * a SIGKILL'd ``--procs`` **replica** is reaped by the parent supervisor
   and replaced by a freshly forked child that catches up from the op log
   *before* binding its socket;
 * requests carry **deadlines** (``DeadlineExceeded`` / HTTP 504) and the
   HTTP front serves **degraded** answer-cache hits instead of 503s when
-  the evaluation backend is saturated;
-* ``kbqa-*`` shared-memory segments orphaned by killed processes are
-  decidable (pid in the name) and swept at pool starts, teardown and via
-  ``kbqa shm-gc``.
+  the evaluation backend is saturated.
 
 Real kills, real forks, real sockets — the only scripted parts are the
 fault points themselves, which fire deterministically (``times``/``after``
@@ -31,25 +25,12 @@ import signal
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import BrokenExecutor
-from multiprocessing import resource_tracker, shared_memory
 
 import pytest
 
 from repro.core.online import AnswerResult
 from repro.core.system import KBQA
 from repro.data.compile import compile_freebase_like
-from repro.exec.faults import (
-    FAULTS_ENV,
-    fault_point,
-    faults_active,
-    inject_faults,
-    parse_faults,
-)
-from repro.exec.pool import ExecutorPool
-from repro.exec.shm import SEGMENT_PREFIX, sweep_orphans
-from repro.kb.expansion import expand_predicates
-from repro.kb.sharded import ShardedTripleStore
 from repro.kb.triple import make_literal
 from repro.serve import (
     AsyncAnswerer,
@@ -61,6 +42,13 @@ from repro.serve import (
     run_smoke,
 )
 from repro.serve.app import KBQAServer
+from repro.serve.faults import (
+    FAULTS_ENV,
+    fault_point,
+    faults_active,
+    inject_faults,
+    parse_faults,
+)
 from repro.serve.http import HTTPRequest
 
 TIMEOUT_S = 60.0
@@ -114,12 +102,6 @@ class SlowTarget:
         return [_result(q, "slow") for q in questions]
 
 
-def _double_with_fault(task: int) -> int:
-    """Module-level (picklable) pool task carrying its own fault point."""
-    fault_point("test.pool.task")
-    return task * 2
-
-
 # -- Fault-spec harness ------------------------------------------------------
 
 
@@ -127,17 +109,17 @@ class TestFaultSpecs:
     def test_parse_full_grammar(self, tmp_path):
         token = str(tmp_path / "tok")
         faults = parse_faults(
-            f"exec.worker.scan=kill,once={token};"
+            f"t.kill=kill,once={token};"
             "serve.replica=sleep:25,times=3,after=2;"
-            "shm.attach=raise:SegmentUnavailable"
+            "t.raise=raise:OSError"
         )
-        assert faults["exec.worker.scan"].action == "kill"
-        assert faults["exec.worker.scan"].once == token
+        assert faults["t.kill"].action == "kill"
+        assert faults["t.kill"].once == token
         assert faults["serve.replica"].action == "sleep"
         assert faults["serve.replica"].arg == "25"
         assert faults["serve.replica"].times == 3
         assert faults["serve.replica"].after == 2
-        assert faults["shm.attach"].arg == "SegmentUnavailable"
+        assert faults["t.raise"].arg == "OSError"
 
     @pytest.mark.parametrize(
         "spec",
@@ -190,92 +172,6 @@ class TestFaultSpecs:
                 assert os.environ[FAULTS_ENV] == "b=sleep:1"
             assert os.environ[FAULTS_ENV] == "a=sleep:1"
         assert os.environ.get(FAULTS_ENV) is None
-
-
-# -- Pool worker supervision -------------------------------------------------
-
-
-class TestPoolSupervision:
-    def test_run_survives_one_worker_kill(self, tmp_path):
-        """A SIGKILL'd worker breaks the whole executor; pool.run respawns
-        and re-dispatches, and the caller sees only correct results."""
-        token = str(tmp_path / "kill.tok")
-        with inject_faults(f"test.pool.task=kill,once={token}"):
-            with ExecutorPool("process", 2) as pool:
-                results = pool.run(_double_with_fault, list(range(8)))
-                assert results == [n * 2 for n in range(8)]
-                assert pool.respawns == 1
-        _assert_no_children()
-
-    def test_retry_budget_bounds_persistent_crashes(self):
-        """A workload that kills every pool it touches must surface."""
-        with inject_faults("test.pool.task=kill,times=-1"):
-            with ExecutorPool("process", 2) as pool:
-                with pytest.raises(BrokenExecutor):
-                    pool.run(_double_with_fault, [1, 2, 3], crash_retries=1)
-                assert pool.respawns == 2  # one per failed attempt
-        _assert_no_children()
-
-    def test_respawn_is_identity_checked(self):
-        pool = ExecutorPool("serial")
-        first = pool.executor()
-        assert pool.respawn(first) is True
-        replacement = pool.executor()
-        assert replacement is not first
-        assert pool.respawn(first) is False  # stale handle: already replaced
-        assert pool.executor() is replacement
-        pool.close()
-
-    def test_published_payloads_survive_respawn(self):
-        """The publisher (this process) did not die — respawn must not
-        unlink segments fresh workers still attach by name."""
-        pool = ExecutorPool("serial")
-        pool.executor()
-        name = pool.publish("k", lambda: b"payload")
-        assert pool.respawn() is True
-        assert pool.publish("k", lambda: b"payload") == name
-        pool.close()
-
-
-# -- Expansion equivalence under worker death --------------------------------
-
-
-def _random_kb(kb_seed: int, shards: int):
-    import random
-
-    rng = random.Random(kb_seed)
-    kb = ShardedTripleStore(shards=shards)
-    entities = [f"e{i}" for i in range(20)]
-    links = ["knows", "marriage", "person", "works_at"]
-    for _ in range(120):
-        kb.add(rng.choice(entities), rng.choice(links), rng.choice(entities))
-    for i, entity in enumerate(entities):
-        if rng.random() < 0.7:
-            kb.add(entity, "name", make_literal(f"name {i}"))
-    seeds = rng.sample(entities, 6)
-    return kb, seeds
-
-
-class TestExpansionUnderCrash:
-    def test_worker_kill_mid_scan_is_byte_invisible(self, tmp_path):
-        """Kill a worker mid-round; the respawn+retry must reproduce the
-        serial expansion byte for byte."""
-        kb, seeds = _random_kb(3, shards=2)
-        reference = expand_predicates(kb, seeds, max_length=3, record_reach=True)
-        ref_path = tmp_path / "ref.kbqa"
-        reference.save(ref_path)
-
-        token = str(tmp_path / "scan.tok")
-        with inject_faults(f"exec.worker.scan=kill,once={token}"):
-            with ExecutorPool("process", 2) as pool:
-                produced = expand_predicates(
-                    kb, seeds, max_length=3, record_reach=True, executor=pool
-                )
-                out_path = tmp_path / "crashed.kbqa"
-                produced.save(out_path)
-                assert pool.respawns >= 1  # the kill actually landed
-        assert out_path.read_bytes() == ref_path.read_bytes()
-        _assert_no_children()
 
 
 # -- Serving: deadlines ------------------------------------------------------
@@ -565,64 +461,6 @@ class TestDegradedMode:
         assert payload["degraded"] is False
 
 
-# -- Orphaned shared-memory sweep --------------------------------------------
-
-
-def _dead_pid() -> int:
-    child = multiprocessing.get_context("fork").Process(target=_noop)
-    child.start()
-    child.join()
-    return child.pid
-
-
-def _noop() -> None:
-    pass
-
-
-def _make_segment(name: str) -> None:
-    segment = shared_memory.SharedMemory(create=True, size=16, name=name)
-    segment.close()
-    # this test bypasses PublishedBlob, so keep the resource tracker from
-    # double-unlinking (or warning about) the name the sweep removes
-    resource_tracker.unregister("/" + name, "shared_memory")
-
-
-class TestOrphanSweep:
-    def test_dead_publisher_segment_is_swept(self):
-        name = f"{SEGMENT_PREFIX}{_dead_pid()}-deadbeef"
-        _make_segment(name)
-        assert name in sweep_orphans()
-        assert not os.path.exists(f"/dev/shm/{name}")
-
-    def test_live_publisher_segment_is_kept(self):
-        name = f"{SEGMENT_PREFIX}{os.getpid()}-feedface"
-        _make_segment(name)
-        try:
-            assert name not in sweep_orphans()
-            assert os.path.exists(f"/dev/shm/{name}")
-        finally:
-            os.unlink(f"/dev/shm/{name}")
-
-    def test_pool_start_sweeps_orphans(self):
-        name = f"{SEGMENT_PREFIX}{_dead_pid()}-cafebabe"
-        _make_segment(name)
-        pool = ExecutorPool("serial")
-        pool.executor()
-        assert pool.swept >= 1
-        assert not os.path.exists(f"/dev/shm/{name}")
-        pool.close()
-
-    def test_shm_gc_cli(self, capsys):
-        from repro.cli import main
-
-        name = f"{SEGMENT_PREFIX}{_dead_pid()}-0badf00d"
-        _make_segment(name)
-        assert main(["shm-gc"]) == 0
-        out = capsys.readouterr().out
-        assert name in out
-        assert "reclaimed" in out
-
-
 # -- Replica self-healing ----------------------------------------------------
 
 
@@ -714,8 +552,8 @@ class TestReplicaSelfHealing:
         """The acceptance scenario: two replicas, one SIGKILLs itself
         mid-load at the ``serve.replica`` fault site.  Every accepted
         request must come back correct (or explicitly degraded), capacity
-        must recover without a restart, and nothing — child process or shm
-        segment — may outlive stop()."""
+        must recover without a restart, and no child process may outlive
+        stop()."""
         question = _answerable_question(suite, serve_system)
         expected = serve_system.answer(question)
         replica_tok = str(tmp_path / "replica.tok")
@@ -744,6 +582,3 @@ class TestReplicaSelfHealing:
                 assert status == 200
         assert os.path.exists(replica_tok)  # the fault really fired
         _assert_no_children()
-        # nothing outlives stop(): any kbqa-* segment whose publisher is dead
-        # would be returned (and reclaimed) here — there must be none left
-        assert sweep_orphans() == []

@@ -1,31 +1,23 @@
-"""The KB backend seam: protocol conformance, the sharded store, and
-live add/delete with change notification.
+"""The KB backend seam: protocol conformance and live add/delete with
+change notification, on every backend.
 
-The acceptance bar for the sharded backend is *equivalence*: built by the
-same add sequence, ``ShardedTripleStore(shards=4)`` must assign identical
-dictionary ids, answer every lookup identically, produce an identical
-(byte-identical once serialized) predicate expansion, and yield identical
-``answer_many`` output to the single store.
+Backend *equivalence* (same add sequence -> identical dictionary ids,
+lookups, expansion bytes and answers on memory and disk) lives in
+``tests/test_disk_backend.py``.
 """
 
 import pytest
 
-from repro.core.system import KBQA
-from repro.data.compile import compile_freebase_like
 from repro.kb.backend import ADD, DELETE, KBBackend, KBChange
 from repro.kb.disk import DiskTripleStore
-from repro.kb.expansion import expand_predicates
-from repro.kb.sharded import ShardedTripleStore
 from repro.kb.store import TripleStore
 from repro.kb.triple import Triple, make_literal
 
 
-# every live-mutation test runs against all three backends — the disk
-# store must match the in-memory semantics listener-for-listener
+# every live-mutation test runs against both backends — the disk store
+# must match the in-memory semantics listener-for-listener
 _BACKENDS = pytest.mark.parametrize(
-    "factory",
-    [TripleStore, lambda: ShardedTripleStore(shards=3), DiskTripleStore],
-    ids=["memory", "sharded", "disk"],
+    "factory", [TripleStore, DiskTripleStore], ids=["memory", "disk"]
 )
 
 
@@ -45,111 +37,7 @@ def _toy(kb):
 class TestProtocolConformance:
     def test_both_implementations_satisfy_the_protocol(self):
         assert isinstance(TripleStore(), KBBackend)
-        assert isinstance(ShardedTripleStore(shards=2), KBBackend)
         assert isinstance(DiskTripleStore(), KBBackend)
-
-    def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedTripleStore(shards=0)
-
-    def test_single_store_sharding_face(self):
-        kb = _toy(TripleStore())
-        assert kb.n_shards == 1
-        assert dict(kb.shard_spo_items_ids(0)) == dict(kb.spo_items_ids())
-        with pytest.raises(IndexError):
-            kb.shard_spo_items_ids(1)
-
-
-class TestShardedEquivalence:
-    @pytest.fixture()
-    def pair(self):
-        return _toy(TripleStore()), _toy(ShardedTripleStore(shards=3))
-
-    def test_identical_dictionary_ids(self, pair):
-        single, sharded = pair
-        assert list(single.dictionary.terms()) == list(sharded.dictionary.terms())
-
-    def test_identical_lookups(self, pair):
-        single, sharded = pair
-        assert len(single) == len(sharded)
-        assert set(single.triples()) == set(sharded.triples())
-        assert set(single.subjects_iter()) == set(sharded.subjects_iter())
-        assert single.predicates() == sharded.predicates()
-        for subject in single.subjects_iter():
-            assert single.predicates_of(subject) == sharded.predicates_of(subject)
-            assert single.out_degree(subject) == sharded.out_degree(subject)
-            for predicate in single.predicates_of(subject):
-                assert single.objects(subject, predicate) == sharded.objects(
-                    subject, predicate
-                )
-        assert single.subjects("name", make_literal("bob")) == sharded.subjects(
-            "name", make_literal("bob")
-        )
-        assert single.predicates_between("a", "cvt1") == sharded.predicates_between(
-            "a", "cvt1"
-        )
-
-    def test_identical_id_scan(self, pair):
-        single, sharded = pair
-        assert set(single.triples_ids()) == set(sharded.triples_ids())
-        per_shard = set()
-        for i in range(sharded.n_shards):
-            for s_id, by_predicate in sharded.shard_spo_items_ids(i):
-                assert sharded.shard_of(s_id) == i
-                for p_id, object_ids in by_predicate.items():
-                    per_shard.update((s_id, p_id, o) for o in object_ids)
-        assert per_shard == set(single.triples_ids())
-
-    def test_stats_aggregate(self, pair):
-        single, sharded = pair
-        expected = dict(single.stats())
-        got = dict(sharded.stats())
-        assert got.pop("shards") == 3
-        assert got == expected
-
-    def test_compiled_kb_equivalence(self, suite):
-        sharded_kb = compile_freebase_like(suite.world, shards=4)
-        single_store = suite.freebase.store
-        assert list(single_store.dictionary.terms()) == list(
-            sharded_kb.store.dictionary.terms()
-        )
-        assert len(single_store) == len(sharded_kb.store)
-        assert set(single_store.triples_ids()) == set(sharded_kb.store.triples_ids())
-
-
-class TestShardedExpansionEquivalence:
-    def test_expansion_identical_and_bytes_identical(self, suite, tmp_path):
-        """Acceptance: ShardedTripleStore(shards=4) produces byte-identical
-        ExpandedStore contents to the single store."""
-        sharded_kb = compile_freebase_like(suite.world, shards=4)
-        seeds = [e.node for e in suite.world.of_type("person")[:12]]
-        seeds += [e.node for e in suite.world.of_type("city")[:6]]
-        single = expand_predicates(
-            suite.freebase.store, seeds, max_length=3, record_reach=True
-        )
-        sharded = expand_predicates(
-            sharded_kb.store, seeds, max_length=3, record_reach=True
-        )
-        assert len(single) == len(sharded) > 0
-        assert {(s, str(p), o) for s, p, o in single.triples()} == {
-            (s, str(p), o) for s, p, o in sharded.triples()
-        }
-        assert single.seed_ids == sharded.seed_ids
-        single_path = tmp_path / "single.kbqa"
-        sharded_path = tmp_path / "sharded.kbqa"
-        single.save(single_path)
-        sharded.save(sharded_path)
-        assert single_path.read_bytes() == sharded_path.read_bytes()
-
-
-class TestShardedAnswerEquivalence:
-    def test_answer_many_identical(self, suite, kbqa_fb):
-        """Acceptance: identical answer_many output on a 4-shard backend."""
-        sharded_kb = compile_freebase_like(suite.world, shards=4)
-        sharded_system = KBQA.train(sharded_kb, suite.corpus, suite.conceptualizer)
-        questions = [q.question for q in suite.benchmark("qald3").bfqs()]
-        questions.append("what should i eat tonight?")
-        assert sharded_system.answer_many(questions) == kbqa_fb.answer_many(questions)
 
 
 class TestDelete:

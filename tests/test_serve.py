@@ -395,20 +395,20 @@ class TestOpenLoopLoadGenerator:
         assert cell["p99_ms"] >= cell["p50_ms"]
         assert cell["workers"] == 2
 
-    def test_worker_counts_clamp_and_follow_env(self, kbqa_fb, suite, monkeypatch):
-        """Satellite contract: a nonsense KBQA_WORKERS (0) still yields a
-        working 1-worker pool, and a sane value is honored."""
+    def test_worker_counts_default_to_two_and_never_clamp(self, kbqa_fb, suite):
+        """Two evaluation threads unless the caller says otherwise, and a
+        nonsense count is refused by ``ServeConfig`` instead of clamped."""
         from repro.serve.loadgen import run_load_cell
 
         pool = [q.question for q in suite.benchmark("qald3").bfqs()]
         spec = LoadSpec(requests=16, concurrency=4, duplicate_rate=0.0, seed=2)
-        monkeypatch.setenv("KBQA_WORKERS", "0")
         cell = run_load_cell(kbqa_fb.answerer, pool, spec)
-        assert cell["workers"] == 1
+        assert cell["workers"] == 2
         assert cell["completed"] == 16
-        monkeypatch.setenv("KBQA_WORKERS", "3")
-        cell = run_load_cell(kbqa_fb.answerer, pool, spec)
+        cell = run_load_cell(kbqa_fb.answerer, pool, spec, workers=3)
         assert cell["workers"] == 3
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_load_cell(kbqa_fb.answerer, pool, spec, workers=0)
 
     def test_latency_percentiles_empty_safe(self):
         from repro.serve.loadgen import latency_percentiles
