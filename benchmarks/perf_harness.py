@@ -8,8 +8,9 @@ on the same machine and the same inputs:
 * **em** — one full estimation, array-based vs the dict-of-dict reference,
   on the real encoded observations of the offline pipeline;
 * **online** — per-question latency (mean/p50) over the qald3 BFQ set,
-  before (no precompute, no caches) and after (ranked arrays + memoized
-  lookups), and a warm pass through the answer cache;
+  before (the string-level oracle of ``tests/oracles/online_reference.py``:
+  no table, no cache) and after (the product's table-driven path), and a
+  warm pass through the answer cache;
 * **offline_train_s** — end-to-end ``KBQA.train`` wall-clock;
 * **cold_start** — time-to-first-answer after a restart per persistence
   format: v1 (JSON lines, full re-parse), v2 (mmap + dict materialization),
@@ -47,6 +48,7 @@ from repro.core.system import KBQA
 from repro.data.compile import compile_freebase_like
 from repro.kb.expansion import expand_predicates, expand_predicates_baseline
 from repro.suite import build_suite
+from tests.oracles.online_reference import ReferenceAnswerer
 
 
 def _available_cpus() -> int:
@@ -218,16 +220,7 @@ def measure(
     offline_train_s = time.perf_counter() - train_start
 
     questions = [q.question for q in suite.benchmark("qald3").bfqs()]
-    legacy = OnlineAnswerer(
-        system.learn_result.kbview,
-        system.learn_result.ner,
-        system.conceptualizer,
-        system.model,
-        max_concepts=system.config.max_concepts_online,
-        answer_cache_size=0,
-        lookup_cache_size=0,
-        precompute=False,
-    )
+    legacy = ReferenceAnswerer.shadowing(system.answerer)
     before_ms = _latencies_ms(legacy.answer, questions)
     system.answerer.clear_caches()
     cold_ms = _latencies_ms(system.answer, questions)

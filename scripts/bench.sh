@@ -36,5 +36,7 @@ if [[ "$SCENARIO_N" -gt 0 ]]; then
     python -m benchmarks.bench_scenarios --triples "$SCENARIO_N" \
         --merge BENCH_perf.json
 fi
-python -m pytest tests/test_perf_speedups.py -m perf -q
+# perf-marked cases CI excludes: the speed-up floors, and the product vs the
+# string-level oracle on all ~82k default-scale gold surfaces.
+python -m pytest tests/test_perf_speedups.py tests/test_online_equivalence.py -m perf -q
 python -m pytest benchmarks/bench_offline_timecost.py benchmarks/bench_table14_timecost.py -q "$@"

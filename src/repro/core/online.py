@@ -10,11 +10,18 @@ predicate distribution ``P(p|t)``, and the value sets ``V(e,p)``.  The
 complexity is ``O(|P|)`` — linear in the candidate predicates per template —
 exactly the paper's analysis.
 
-Serving-layer hot paths (Table 14's 79 ms/question is a *systems* claim):
+Serving-layer hot paths (Table 14's 79 ms/question is a *systems* claim).
+A cache-missing answer is table-driven — everything a question does not
+change is computed once, lazily, and dropped by the write that outdates it:
 
-* per-template predicate distributions are parsed from the model **once**
-  and cached as ranked ``(path_str, path, θ)`` arrays — no
-  ``PredicatePath.parse`` per question;
+* ``P(c|e)`` and the per-concept ``log P(w|c)`` tables live in
+  ``repro.taxonomy``; a posterior costs one dict probe per context word per
+  concept, no ``math.log`` and no normalisation pass;
+* a template's key is one ``" ".join`` over the question's own token tuple,
+  and its ``P(p|t)`` is a ranked ``(path_str, path, θ)`` array parsed from
+  the model once per *known* template (unknown texts are never stored);
+* Eq 7 accumulates with one dict probe per reading, sorts only when there
+  is more than one, and renders a single value without the set machinery;
 * NER mention scans and conceptualizer posteriors are memoized behind
   bounded LRUs (real traffic repeats entities and phrasings);
 * an optional answer cache keyed on *normalized* question text short-circuits
@@ -22,6 +29,10 @@ Serving-layer hot paths (Table 14's 79 ms/question is a *systems* claim):
 * :meth:`OnlineAnswerer.answer_many` batches questions through the warm
   caches, deduplicating repeats on the normalized key before evaluation,
   and is equivalence-tested against per-question :meth:`answer`.
+
+The string-level evaluation this replaced is the differential oracle in
+``tests/oracles/online_reference.py``; the two are held to ``AnswerResult``
+equality, score floats included.
 
 The result distinguishes *found a predicate* (the ``#pro`` condition of
 Sec 7.3.1) from *produced values*: a question whose template is known but
@@ -41,14 +52,14 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import repeat
 from typing import Sequence
 
 from repro.core.fallback import FallbackIndex
 from repro.core.kbview import KBView
 from repro.core.model import TemplateModel
-from repro.core.template import Template
 from repro.kb.paths import PredicatePath
-from repro.kb.triple import is_literal, literal_value
+from repro.kb.triple import LITERAL_PREFIX
 from repro.nlp.embed import embed_tokens
 from repro.nlp.ner import EntityRecognizer
 from repro.nlp.tokenizer import tokenize
@@ -79,10 +90,7 @@ class OnlineAnswerer:
     """Evaluates Eq 7 against a knowledge base view and a template model.
 
     ``answer_cache_size`` bounds the normalized-question answer cache (0
-    disables it); ``lookup_cache_size`` bounds the NER/conceptualizer LRUs;
-    ``precompute`` toggles the per-template ranked predicate arrays (the
-    legacy per-call ``model.predicates_for`` path is kept for the perf
-    harness's before/after measurement).
+    disables it); ``lookup_cache_size`` bounds the NER/conceptualizer LRUs.
     """
 
     def __init__(
@@ -94,7 +102,6 @@ class OnlineAnswerer:
         max_concepts: int = 4,
         answer_cache_size: int = 2048,
         lookup_cache_size: int = 8192,
-        precompute: bool = True,
         fallback: FallbackIndex | None = None,
     ) -> None:
         self.kbview = kbview
@@ -102,10 +109,11 @@ class OnlineAnswerer:
         self.conceptualizer = conceptualizer
         self.model = model
         self.max_concepts = max_concepts
-        self.precompute = precompute
         # Semantic fallback lane — consulted only when Eq 7 yields no value.
         self.fallback_index = fallback
-        # template text -> ranked ((path_str, path, θ), ...), parsed once
+        # known template text -> ranked ((path_str, path, θ), ...), parsed
+        # once; a text the model does not know is never stored, so this
+        # cannot outgrow the model
         self._ranked: dict[str, tuple[tuple[str, PredicatePath, float], ...]] = {}
         self.answer_cache_size = answer_cache_size
         self._answer_cache: OrderedDict[str, AnswerResult] = OrderedDict()
@@ -145,15 +153,13 @@ class OnlineAnswerer:
     def _ranked_predicates(
         self, template_text: str
     ) -> tuple[tuple[str, PredicatePath, float], ...]:
-        """``P(p|t)`` as a ranked array of (path_str, path, θ)."""
-        if not self.precompute:
-            distribution = self.model.predicates_for(template_text)
-            return tuple(
-                (str(path), path, theta) for path, theta in distribution.items()
-            )
+        """``P(p|t)`` as a ranked array of (path_str, path, θ); ``()`` for a
+        template the model does not know."""
         ranked = self._ranked.get(template_text)
         if ranked is None:
             distribution = self.model.predicates_for(template_text)
+            if not distribution:
+                return ()
             ranked = tuple(
                 sorted(
                     ((str(path), path, theta) for path, theta in distribution.items()),
@@ -274,53 +280,50 @@ class OnlineAnswerer:
             return self._no_answer(question)
         entity_prob = 1.0 / len(candidate_entities)  # uniform P(e|q), Sec 3.2
 
-        found_predicate = False
         # Score (entity, path) readings: S = Σ_t P(e|q)·P(t|e,q)·P(p|t).
-        reading_scores: dict[tuple[str, str], float] = {}
-        reading_info: dict[tuple[str, str], tuple[str, PredicatePath]] = {}
+        # reading -> [S, first template that proposed it, path]
+        readings: dict[tuple[str, str], list] = {}
+        ranked_predicates, max_concepts = self._ranked_predicates, self.max_concepts
 
         for mention, entity in candidate_entities:
-            span = (mention.start, mention.end)
-            context = tokens[: mention.start] + tokens[mention.end :]
-            top_concepts = self._top_concepts(entity, context)
-            for concept, concept_prob in top_concepts[: self.max_concepts]:
-                template = Template.from_question(tokens, span, concept)
-                ranked = self._ranked_predicates(template.text)
-                if not ranked:
-                    continue
-                found_predicate = True
-                for path_str, path, theta in ranked:
-                    key = (entity, path_str)
-                    score = entity_prob * concept_prob * theta
-                    reading_scores[key] = reading_scores.get(key, 0.0) + score
-                    if key not in reading_info:
-                        reading_info[key] = (template.text, path)
+            head, tail = tokens[: mention.start], tokens[mention.end :]
+            for concept, concept_prob in self._top_concepts(entity, head + tail)[:max_concepts]:
+                if not concept.startswith("$"):
+                    raise ValueError(f"slot token must be a concept: {concept!r}")
+                template_text = " ".join(head + (concept,) + tail)
+                weight = entity_prob * concept_prob
+                for path_str, path, theta in ranked_predicates(template_text):
+                    reading = readings.get((entity, path_str))
+                    if reading is None:
+                        readings[entity, path_str] = [weight * theta, template_text, path]
+                    else:
+                        reading[0] += weight * theta
 
-        if not reading_scores:
-            return self._no_answer(question, found_predicate)
+        if not readings:
+            return self._no_answer(question)
 
         # Rank readings, keep the best one that yields values.
-        ranked_readings = sorted(reading_scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        for (entity, _path_key), score in ranked_readings:
-            template_text, path = reading_info[(entity, _path_key)]
+        ranked_readings = list(readings.items())
+        if len(ranked_readings) > 1:
+            ranked_readings.sort(key=lambda kv: (-kv[1][0], kv[0]))
+        for (entity, _path_str), (score, template_text, path) in ranked_readings:
             values = self.kbview.values(entity, path)
             if not values:
                 continue
-            rendered = tuple(sorted(render_term(v) for v in values))
-            value_prob = 1.0 / len(values)
-            candidates = tuple((v, score * value_prob) for v in rendered)
+            rendered = _rendered(values)
+            score *= 1.0 / len(values)  # uniform P(v|e,p), Eq 6
             return AnswerResult(
                 question=question,
                 value=rendered[0],
                 values=rendered,
-                score=score * value_prob,
+                score=score,
                 entity=entity,
                 template=template_text,
                 predicate=path,
                 found_predicate=True,
-                candidates=candidates,
+                candidates=tuple(zip(rendered, repeat(score))),
             )
-        return self._no_answer(question, found_predicate)
+        return self._no_answer(question, found_predicate=True)
 
     def _fallback_answer(
         self, question: str, tokens: tuple[str, ...], mentions
@@ -361,7 +364,7 @@ class OnlineAnswerer:
             return None
         found.sort(key=lambda row: row[0])
         _, score, entity, path, values = found[0]
-        rendered = tuple(sorted(render_term(v) for v in values))
+        rendered = _rendered(values)
         value_prob = 1.0 / len(values)
         return AnswerResult(
             question=question,
@@ -436,8 +439,14 @@ class OnlineAnswerer:
         )
 
 
+def _rendered(values) -> tuple[str, ...]:
+    """A non-empty value set as display strings, sorted."""
+    if len(values) == 1:
+        (term,) = values
+        return (render_term(term),)
+    return tuple(sorted(render_term(v) for v in values))
+
+
 def render_term(term: str) -> str:
     """Literal terms lose their quote prefix; resource terms pass through."""
-    if is_literal(term):
-        return literal_value(term)
-    return term
+    return term[len(LITERAL_PREFIX) :] if term.startswith(LITERAL_PREFIX) else term

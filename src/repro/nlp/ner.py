@@ -63,23 +63,22 @@ class EntityRecognizer:
         Overlapping matches are suppressed in favour of the longer, earlier
         one — mirroring how a chunking NER emits non-overlapping spans.
         """
+        if not isinstance(tokens, tuple):
+            tokens = tuple(tokens)  # once, so every slice below is a key
+        names, longest_from = self._names, self._max_len_by_first
         mentions: list[Mention] = []
-        i = 0
-        n = len(tokens)
+        i, n = 0, len(tokens)
         while i < n:
-            longest = self._max_len_by_first.get(tokens[i], 0)
-            match: Mention | None = None
-            for length in range(min(longest, n - i), 0, -1):
-                span = tuple(tokens[i : i + length])
-                nodes = self._names.get(span)
-                if nodes:
-                    match = Mention(i, i + length, " ".join(span), nodes)
-                    break
-            if match is not None:
-                mentions.append(match)
-                i = match.end
-            else:
-                i += 1
+            longest = longest_from.get(tokens[i])
+            if longest is not None:  # some name starts with this token
+                for length in range(min(longest, n - i), 0, -1):
+                    span = tokens[i : i + length]
+                    nodes = names.get(span)
+                    if nodes:
+                        mentions.append(Mention(i, i + length, " ".join(span), nodes))
+                        i += length - 1
+                        break
+            i += 1
         return mentions
 
     def find_all_spans(self, tokens: Sequence[str]) -> list[Mention]:
@@ -88,12 +87,14 @@ class EntityRecognizer:
         The decomposition statistics (Sec 5.2) need *all* valid entity spans,
         not a single segmentation, to count ``fv``.
         """
+        if not isinstance(tokens, tuple):
+            tokens = tuple(tokens)
         mentions: list[Mention] = []
         n = len(tokens)
         for i in range(n):
             longest = self._max_len_by_first.get(tokens[i], 0)
             for length in range(1, min(longest, n - i) + 1):
-                span = tuple(tokens[i : i + length])
+                span = tokens[i : i + length]
                 nodes = self._names.get(span)
                 if nodes:
                     mentions.append(Mention(i, i + length, " ".join(span), nodes))

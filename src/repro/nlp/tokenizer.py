@@ -47,12 +47,10 @@ _PUNCT_FOLD = str.maketrans(
     }
 )
 
-_ASCII = re.compile(r"[\x00-\x7f]*\Z")
-
 
 def _fold(text: str) -> str:
     """Fold ``text`` toward ASCII: punctuation map, NFKC, strip diacritics."""
-    if _ASCII.match(text):
+    if text.isascii():
         return text
     text = unicodedata.normalize("NFKC", text.translate(_PUNCT_FOLD))
     decomposed = unicodedata.normalize("NFD", text)

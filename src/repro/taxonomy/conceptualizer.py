@@ -39,6 +39,12 @@ class Conceptualizer:
         self._word_counts: dict[str, dict[str, float]] = defaultdict(dict)
         self._concept_totals: dict[str, float] = defaultdict(float)
         self._vocabulary: set[str] = set()
+        # concept -> ({word: log P(w|c)}, log P(unseen|c)), built on first use.
+        # Every denominator holds the vocabulary size, so one observation
+        # outdates every table; readers take no lock, so each write to the
+        # counts is followed by a *fresh* dict here and a table computed from
+        # older counts can only land in a mapping nobody reads any more.
+        self._log_tables: dict[str, tuple[dict[str, float], float]] = {}
 
     # -- Context model construction ----------------------------------------
 
@@ -51,24 +57,39 @@ class Conceptualizer:
             counts[word] = counts.get(word, 0.0) + weight
             self._concept_totals[concept] += weight
             self._vocabulary.add(word)
+            self._log_tables = {}
 
     def observe_text(self, concept: str, text: str, weight: float = 1.0) -> None:
         self.observe(concept, text.lower().split(), weight)
 
     # -- Inference -----------------------------------------------------------
 
-    def context_log_likelihood(self, concept: str, context: Sequence[str]) -> float:
-        """``log Π P(w|c)`` with add-``smoothing`` estimation."""
+    def _log_table(
+        self, tables: dict[str, tuple[dict[str, float], float]], concept: str
+    ) -> tuple[dict[str, float], float]:
+        """Build ``concept``'s add-``smoothing`` table and publish it, whole,
+        into ``tables`` — the mapping the caller read *before* this looks at
+        the counts (see ``__init__``)."""
         counts = self._word_counts.get(concept, {})
         total = self._concept_totals.get(concept, 0.0)
         vocab = max(len(self._vocabulary), 1)
         denominator = total + self.smoothing * vocab
+        table = (
+            {word: math.log((count + self.smoothing) / denominator)
+             for word, count in counts.items()},
+            math.log(self.smoothing / denominator),
+        )
+        tables[concept] = table
+        return table
+
+    def context_log_likelihood(self, concept: str, context: Sequence[str]) -> float:
+        """``log Π P(w|c)`` with add-``smoothing`` estimation."""
+        tables = self._log_tables
+        logs, unseen = tables.get(concept) or self._log_table(tables, concept)
         score = 0.0
         for word in context:
-            if word in _STOPWORDS:
-                continue
-            numerator = counts.get(word, 0.0) + self.smoothing
-            score += math.log(numerator / denominator)
+            if word not in _STOPWORDS:
+                score += logs.get(word, unseen)
         return score
 
     def conceptualize(
@@ -85,10 +106,15 @@ class Conceptualizer:
             return {}
         if not context:
             return prior
-        log_scores = {
-            concept: math.log(p) + self.context_log_likelihood(concept, context)
-            for concept, p in prior.items()
-        }
+        words = [w for w in context if w not in _STOPWORDS]  # once, not per concept
+        tables = self._log_tables
+        log_scores = {}
+        for concept, p in prior.items():
+            logs, unseen = tables.get(concept) or self._log_table(tables, concept)
+            score = 0.0
+            for word in words:
+                score += logs.get(word, unseen)
+            log_scores[concept] = math.log(p) + score
         return _softmax_from_logs(log_scores)
 
     def best_concept(self, entity: str, context: Sequence[str] = ()) -> str | None:

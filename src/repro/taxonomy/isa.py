@@ -29,6 +29,11 @@ class IsANetwork:
     def __init__(self) -> None:
         self._concepts_of: dict[str, dict[str, float]] = defaultdict(dict)
         self._instances_of: dict[str, set[str]] = defaultdict(set)
+        # entity -> normalised P(c|e), filled on first use.  Readers take no
+        # lock, so every write to the weights is followed by a *fresh* dict
+        # here: a row computed from older weights can only land in a mapping
+        # nobody reads any more.
+        self._priors: dict[str, dict[str, float]] = {}
 
     def add(self, entity: str, concept: str, weight: float = 1.0) -> None:
         """Record an is-a edge; repeated adds accumulate weight."""
@@ -39,6 +44,7 @@ class IsANetwork:
         current = self._concepts_of[entity].get(concept, 0.0)
         self._concepts_of[entity][concept] = current + weight
         self._instances_of[concept].add(entity)
+        self._priors = {}
 
     def concepts(self, entity: str) -> set[str]:
         return set(self._concepts_of.get(entity, ()))
@@ -54,11 +60,16 @@ class IsANetwork:
 
     def prior(self, entity: str) -> dict[str, float]:
         """``P(c|e)`` — concept weights normalized to a distribution."""
-        weights = self._concepts_of.get(entity)
-        if not weights:
-            return {}
-        total = sum(weights.values())
-        return {concept: weight / total for concept, weight in weights.items()}
+        priors = self._priors  # before the weights: see __init__
+        prior = priors.get(entity)
+        if prior is None:
+            weights = self._concepts_of.get(entity)
+            if not weights:
+                return {}
+            total = sum(weights.values())
+            prior = {concept: weight / total for concept, weight in weights.items()}
+            priors[entity] = prior
+        return prior.copy()
 
     def merge(self, other: "IsANetwork") -> None:
         """Union another network into this one (weights accumulate)."""

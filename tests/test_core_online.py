@@ -298,3 +298,30 @@ class TestModelSwap:
         answerer.replace_model(self._retrained_toward(kbqa_fb, r_area.predicate))
         assert answerer.answer(pop_q).values == r_area.values
         assert not answerer.fallback_enabled  # no index passed: lane off
+
+
+class TestRankedArraysBounded:
+    def test_novel_questions_leave_no_entry_behind(self, suite, kbqa_fb):
+        """``_ranked`` holds templates the model knows, nothing else: a
+        serving process must not grow by one entry per novel (question,
+        concept).  5 000 junk-prefixed questions over real entities — every
+        one conceptualized, none matching a learned template."""
+        from repro.core.online import OnlineAnswerer
+
+        answerer = OnlineAnswerer(
+            kbqa_fb.learn_result.kbview,
+            kbqa_fb.learn_result.ner,
+            kbqa_fb.conceptualizer,
+            kbqa_fb.model,
+            max_concepts=kbqa_fb.config.max_concepts_online,
+        )
+        names = [entity.name for entity in suite.world.of_type("city")]
+        novel = [
+            f"zq{i} tell me, what is the population of {names[i % len(names)]}?"
+            for i in range(5000)
+        ]
+        assert not any(result.found_predicate for result in answerer.answer_many(novel))
+        assert answerer.cache_info()["ranked_templates"] == 0
+        known = f"what is the population of {names[0]}?"
+        assert answerer.answer(known).answered
+        assert 0 < answerer.cache_info()["ranked_templates"] <= len(kbqa_fb.model)

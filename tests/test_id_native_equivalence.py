@@ -205,17 +205,8 @@ class TestAnswerManyEquivalence:
 
     def test_batch_equals_uncached_answerer(self, suite, kbqa_fb):
         """The caches must never change an answer, only its latency."""
-        from repro.core.online import OnlineAnswerer
+        from oracles.online_reference import ReferenceAnswerer
 
-        cold = OnlineAnswerer(
-            kbqa_fb.learn_result.kbview,
-            kbqa_fb.learn_result.ner,
-            kbqa_fb.conceptualizer,
-            kbqa_fb.model,
-            max_concepts=kbqa_fb.config.max_concepts_online,
-            answer_cache_size=0,
-            lookup_cache_size=0,
-            precompute=False,
-        )
+        cold = ReferenceAnswerer.shadowing(kbqa_fb.answerer)
         questions = self._questions(suite)
         assert kbqa_fb.answer_many(questions) == [cold.answer(q) for q in questions]

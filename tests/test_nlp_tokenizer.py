@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.nlp.tokenizer import detokenize, tokenize
+from repro.nlp.tokenizer import _fold, detokenize, tokenize
 
 
 class TestTokenize:
@@ -46,6 +46,50 @@ class TestTokenize:
     def test_idempotent_through_detokenize(self, text):
         tokens = tokenize(text)
         assert tokenize(detokenize(tokens)) == tokens
+
+
+class TestAsciiFastPath:
+    """``_fold`` returns pure-ASCII text untouched (``str.isascii``) and sends
+    everything else through the fold; the boundary is U+007F / U+0080."""
+
+    def test_ascii_is_returned_as_is(self):
+        for text in ("", "When was Obama born?", "tab\tnul\x00del\x7f", "~" * 300):
+            assert text.isascii() and _fold(text) is text
+
+    def test_first_non_ascii_code_point_takes_the_fold(self):
+        assert not "\x80".isascii()
+        assert _fold("obama\x80born") == "obama\x80born"  # C1 control: folds to itself
+        assert tokenize("obama\x80born") == ["obama", "born"]
+        assert tokenize("obama\x7fborn") == ["obama", "born"]
+
+    def test_one_late_non_ascii_character_is_enough(self):
+        assert tokenize("x" * 5000 + " jos\u00e9") == ["x" * 5000, "jose"]
+
+    def test_one_method_call_on_the_question(self):
+        """Exactly one of ``lower`` / ``translate`` runs on the object that was
+        passed in — what the benchmark's tokenize-call counter relies on."""
+
+        class Counting(str):
+            calls: list[str] = []
+
+            def lower(self):
+                Counting.calls.append("lower")
+                return str.lower(self)
+
+            def translate(self, table):
+                Counting.calls.append("translate")
+                return str.translate(self, table)
+
+        assert tokenize(Counting("Where is Honolulu?")) == ["where", "is", "honolulu", "?"]
+        assert tokenize(Counting("Where is S\u00e3o Paulo?")) == ["where", "is", "sao", "paulo", "?"]
+        assert Counting.calls == ["lower", "translate"]
+
+    @given(st.text(max_size=60))
+    def test_fold_agrees_with_the_regex_it_replaced(self, text):
+        import re
+
+        assert text.isascii() == bool(re.match(r"[\x00-\x7f]*\Z", text))
+        assert _fold(text).isascii() or not text.isascii()
 
 
 class TestUnicodeFolding:

@@ -1,0 +1,195 @@
+"""The table-driven online path against the string-level oracle.
+
+``OnlineAnswerer`` answers a cache miss from tables built once (normalised
+priors, per-concept log tables, ranked θ arrays, joined template keys);
+``tests/oracles/online_reference.py`` recomputes everything per question.
+Both must return the same ``AnswerResult`` — dataclass equality, score floats
+included — on every gold factoid, through every held-out rewrite, with the
+fallback lane on and off, the serving caches on and off, on both backends.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from oracles.online_reference import ReferenceAnswerer
+from repro.core.fallback import FallbackIndex
+from repro.core.kbview import KBView
+from repro.core.model import TemplateModel
+from repro.core.online import OnlineAnswerer
+from repro.core.system import KBQA
+from repro.kb.disk import DiskTripleStore
+from repro.kb.store import TripleStore
+from repro.kb.triple import make_literal
+from repro.nlp.ner import EntityRecognizer
+from repro.suite import build_suite
+from repro.taxonomy.conceptualizer import Conceptualizer
+from repro.taxonomy.isa import IsANetwork
+
+# The three held-out rewordings of benchmarks/e2e/inputs.py (its copy of the
+# paraphrase axis), copied again so tier-1 does not import the benchmark.
+REWRITES = (
+    lambda q: q,
+    lambda q: "regarding " + q.rstrip("?") + ", any thoughts?",
+    lambda q: q.rstrip("?") + " or not?",
+    lambda q: "quick trivia: " + q,
+)
+CACHES = ((2048, 8192), (0, 0))  # (answer cache, NER/concept LRUs): on, off
+
+
+def gold_questions(corpus) -> list[str]:
+    questions = {
+        pair.question: None
+        for pair in corpus
+        if pair.meta.get("kind") == "factoid" and not pair.meta["wrong"]
+    }
+    return [rewrite(question) for question in questions for rewrite in REWRITES]
+
+
+def assert_product_equals_oracle(system: KBQA, questions: list[str]) -> None:
+    """Every lane × cache configuration over ``system``'s trained parts."""
+    parts = system.answerer
+    for fallback in (None, FallbackIndex.build(system.model)):
+        oracle = ReferenceAnswerer(
+            parts.kbview, parts.ner, parts.conceptualizer, parts.model,
+            parts.max_concepts, fallback,
+        )
+        expected = [oracle.answer(question) for question in questions]
+        assert any(r.fallback for r in expected) == (fallback is not None)
+        for answer_cache, lookup_cache in CACHES:
+            product = OnlineAnswerer(
+                parts.kbview, parts.ner, parts.conceptualizer, parts.model,
+                max_concepts=parts.max_concepts, answer_cache_size=answer_cache,
+                lookup_cache_size=lookup_cache, fallback=fallback,
+            )
+            assert product.answer_many(questions) == expected
+            # a second pass reads whatever the first one left in the caches
+            assert product.answer_many(questions[:512]) == expected[:512]
+            assert product.cache_info()["ranked_templates"] <= len(system.model)
+
+
+class TestGoldStream:
+    def test_memory_backend(self, suite, kbqa_fb):
+        questions = gold_questions(suite.corpus)
+        assert len(questions) > 8000
+        assert_product_equals_oracle(kbqa_fb, questions)
+
+    def test_disk_backend(self):
+        disk_suite = build_suite("small", seed=7, backend="disk")
+        assert type(disk_suite.freebase.store) is DiskTripleStore
+        with KBQA.train(
+            disk_suite.freebase, disk_suite.corpus, disk_suite.conceptualizer
+        ) as system:
+            assert_product_equals_oracle(system, gold_questions(disk_suite.corpus))
+
+    @pytest.mark.perf
+    def test_default_scale_all_gold(self):
+        """The ≈ 20 k gold factoids of the benchmark's suite, four surfaces each."""
+        big = build_suite("default", seed=7)
+        system = KBQA.train(big.freebase, big.corpus, big.conceptualizer)
+        questions = gold_questions(big.corpus)
+        assert len(questions) > 80_000
+        assert_product_equals_oracle(system, questions)
+
+
+# -- Hostile inputs over a hand-built world --------------------------------------
+
+
+def hand_built(store) -> tuple[KBView, EntityRecognizer, Conceptualizer, TemplateModel]:
+    """``apple`` names a company and a fruit, ``ghost`` is in the gazetteer
+    but not in the taxonomy, ``são paulo`` folds to ASCII."""
+    for s, p, o in [
+        ("m.apple_co", "headquarter", "m.cupertino"),
+        ("m.apple_co", "ceo", make_literal("tim cook")),
+        ("m.apple_fruit", "color", make_literal("red")),
+        ("m.apple_fruit", "color", make_literal("green")),
+        ("m.sao_paulo", "population", make_literal("12300000")),
+        ("m.cupertino", "population", make_literal("60000")),
+        ("m.ghost", "population", make_literal("0")),
+    ]:
+        store.add(s, p, o)
+    ner = EntityRecognizer(
+        {
+            "apple": ["m.apple_co", "m.apple_fruit"],
+            "São Paulo": ["m.sao_paulo"],
+            "cupertino": ["m.cupertino"],
+            "ghost": ["m.ghost"],
+        }
+    )
+    network = IsANetwork()
+    network.add("m.apple_co", "$company", 6.0)
+    network.add("m.apple_co", "$brand", 1.0)
+    network.add("m.apple_fruit", "$fruit", 5.0)
+    network.add("m.sao_paulo", "$city", 3.0)
+    network.add("m.sao_paulo", "$location", 1.0)
+    network.add("m.cupertino", "$city", 2.0)
+    conceptualizer = Conceptualizer(network)
+    conceptualizer.observe_text("$company", "who runs the headquarter ceo founded")
+    conceptualizer.observe_text("$fruit", "what color taste eat ripe")
+    conceptualizer.observe_text("$city", "how many people live population mayor")
+    model = TemplateModel()
+    model.set_distribution("who is the ceo of $company ?", {"ceo": 0.9, "headquarter": 0.1})
+    model.set_distribution("who is the ceo of $brand ?", {"ceo": 0.6, "headquarter": 0.4})
+    model.set_distribution("what color is $fruit ?", {"color": 1.0})
+    model.set_distribution("what is the population of $city ?", {"population": 1.0})
+    model.set_distribution("what is the population of $location ?", {"population": 0.5, "ceo": 0.5})
+    model.set_distribution("is $city bigger than cupertino ?", {"population": 1.0})
+    model.set_distribution("is sao paulo bigger than $city ?", {"population": 0.7, "ceo": 0.3})
+    return KBView(store), ner, conceptualizer, model
+
+
+HOSTILE = [
+    "",
+    "   ",
+    "?",
+    "what should i eat tonight?",  # no mention
+    "who is the ceo of apple?",  # two candidates, context picks the company
+    "what color is apple?",  # ... or the fruit
+    "apple",  # ... or nothing to go on: no context at all
+    "is São Paulo bigger than Cupertino?",  # two mentions
+    "what is the population of são paulo?",  # non-ASCII, folded
+    "What is the population of SAO PAULO?",
+    "what is the population of sa\u0303o paulo?",  # combining tilde
+    "what is the population of ghost?",  # entity with an empty prior
+    "what is the population of 北京?",  # folds to no mention
+    "what is the population of $city ?",  # a template as a question
+]
+
+
+@pytest.mark.parametrize("store_type", [TripleStore, DiskTripleStore])
+@pytest.mark.parametrize("caches", CACHES, ids=["caches-on", "caches-off"])
+def test_hostile_inputs(store_type, caches):
+    store = store_type()
+    try:
+        kbview, ner, conceptualizer, model = hand_built(store)
+        for fallback in (None, FallbackIndex.build(model)):
+            product = OnlineAnswerer(
+                kbview, ner, conceptualizer, model, answer_cache_size=caches[0],
+                lookup_cache_size=caches[1], fallback=fallback,
+            )
+            oracle = ReferenceAnswerer.shadowing(product)
+            expected = [oracle.answer(question) for question in HOSTILE]
+            assert product.answer_many(HOSTILE) == expected
+            assert [product.answer(question) for question in HOSTILE] == expected
+            by_question = dict(zip(HOSTILE, expected))
+            assert by_question["who is the ceo of apple?"].entity == "m.apple_co"
+            assert by_question["what color is apple?"].values == ("green", "red")
+            assert by_question["what is the population of são paulo?"].value == "12300000"
+            assert by_question["is São Paulo bigger than Cupertino?"].answered
+            ghost = by_question["what is the population of ghost?"]
+            assert ghost.fallback if fallback else not ghost.found_predicate
+    finally:
+        if store_type is DiskTripleStore:
+            store.close()
+
+
+def test_non_concept_slot_is_refused():
+    """The ``$`` invariant ``Template`` enforced still guards the joined key."""
+    kbview, ner, conceptualizer, model = hand_built(TripleStore())
+    conceptualizer.network._concepts_of["m.cupertino"]["city"] = 1.0  # past add()'s check
+    conceptualizer.network._priors = {}
+    product = OnlineAnswerer(kbview, ner, conceptualizer, model)
+    with pytest.raises(ValueError, match="must be a concept"):
+        product.answer("what is the population of cupertino?")
+    with pytest.raises(ValueError, match="must be a concept"):
+        ReferenceAnswerer.shadowing(product).answer("what is the population of cupertino?")

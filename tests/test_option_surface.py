@@ -10,6 +10,7 @@ surface to failing loudly: a flag that is accepted and ignored is a bug.
 
 from __future__ import annotations
 
+import inspect
 import os
 import re
 import subprocess
@@ -21,6 +22,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.learner import LearnerConfig
+from repro.core.online import OnlineAnswerer
 from repro.kb.backend import resolve_backend
 from repro.serve import ServeConfig, ServeStats
 
@@ -34,6 +36,16 @@ def test_serve_config_and_stats_field_counts():
 
 def test_learner_config_field_count():
     assert len(fields(LearnerConfig)) == 5
+
+
+def test_online_answerer_constructor_parameter_count():
+    """Four collaborators, two cache sizes, ``max_concepts``, the fallback
+    index — ``precompute`` went when the oracle moved to ``tests/oracles``."""
+    parameters = inspect.signature(OnlineAnswerer).parameters
+    assert len(parameters) == 8
+    assert "precompute" not in parameters
+    for path in SRC.rglob("*.py"):
+        assert not re.search(r"\bprecompute\b", path.read_text("utf-8")), path
 
 
 def test_cli_flag_count():

@@ -1,7 +1,18 @@
 """Tests for the is-a network and context-aware conceptualization."""
 
-import pytest
+import sys
+import threading
+import time
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles.online_reference import (
+    reference_conceptualize,
+    reference_log_likelihood,
+    reference_prior,
+)
 from repro.taxonomy.conceptualizer import Conceptualizer
 from repro.taxonomy.isa import IsANetwork, is_concept
 
@@ -133,3 +144,137 @@ class TestConceptualizer:
         context = "where is the headquarter of ?".split()
         best = suite.conceptualizer.best_concept(company, context)
         assert best == "$company"
+
+
+# -- Table coherence: the lazily built priors and log tables --------------------
+
+ENTITIES = ("e0", "e1", "e2")
+CONCEPTS = ("$a", "$b", "$c")
+WORDS = ("born", "mayor", "river", "the", "of", "ceo")  # two stop-words among them
+weights = st.sampled_from((0.5, 1.0, 2.0, 3.0))
+edges = st.tuples(st.sampled_from(ENTITIES), st.sampled_from(CONCEPTS), weights)
+contexts = st.lists(st.sampled_from(WORDS), max_size=5)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), edges),
+        st.tuples(st.just("merge"), st.lists(edges, max_size=3)),
+        st.tuples(st.just("observe"), st.tuples(st.sampled_from(CONCEPTS), contexts, weights)),
+        st.tuples(st.just("prior"), st.sampled_from(ENTITIES)),
+        st.tuples(st.just("conceptualize"), st.tuples(st.sampled_from(ENTITIES), contexts)),
+        st.tuples(st.just("likelihood"), st.tuples(st.sampled_from(CONCEPTS), contexts)),
+    ),
+    max_size=30,
+)
+
+
+def _apply(conceptualizer: Conceptualizer, kind: str, payload) -> None:
+    if kind == "add":
+        conceptualizer.network.add(*payload)
+    elif kind == "merge":
+        other = IsANetwork()
+        for edge in payload:
+            other.add(*edge)
+        conceptualizer.network.merge(other)
+    else:
+        conceptualizer.observe(*payload)
+
+
+class TestTableCoherence:
+    """A cached prior / log table never outlives the write that outdates it:
+    whatever was read before, a read after ``add`` / ``merge`` / ``observe``
+    equals a freshly built instance's — and the string-level oracle's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(operations)
+    def test_interleaved_reads_equal_a_fresh_instance(self, ops):
+        live = Conceptualizer(IsANetwork())
+        writes = []
+        for kind, payload in ops:
+            if kind in ("add", "merge", "observe"):
+                _apply(live, kind, payload)
+                writes.append((kind, payload))
+                continue
+            fresh = Conceptualizer(IsANetwork())
+            for write in writes:
+                _apply(fresh, *write)
+            if kind == "prior":
+                got = live.network.prior(payload)
+                assert got == fresh.network.prior(payload)
+                assert got == reference_prior(live.network, payload)
+                got["$scribble"] = 1.0  # the caller's copy, not the table
+                assert "$scribble" not in live.network.prior(payload)
+            elif kind == "conceptualize":
+                got = live.conceptualize(*payload)
+                assert got == fresh.conceptualize(*payload)
+                assert got == reference_conceptualize(live, *payload)
+            else:
+                got = live.context_log_likelihood(*payload)
+                assert got == fresh.context_log_likelihood(*payload)
+                assert got == reference_log_likelihood(live, *payload)
+
+    def test_unknown_entities_are_not_remembered(self):
+        net = IsANetwork()
+        net.add("e", "$c")
+        for i in range(100):
+            assert net.prior(f"ghost{i}") == {}
+        assert net.prior("e") == {"$c": 1.0}
+        assert set(net._priors) == {"e"}
+
+    def test_readers_never_see_a_half_built_table(self):
+        """Two threads conceptualize while a third keeps observing.  The
+        writer only feeds ``$other`` words the vocabulary already holds, so
+        the readers' two tables are dropped and rebuilt over and over but
+        always to the same values: any other posterior is a torn read.  The
+        counts a build walks hand the GIL over at every word, so a table
+        published before it is full *would* be read half-built."""
+
+        class Yielding(dict):
+            def items(self):
+                for item in dict.items(self):
+                    time.sleep(0)
+                    yield item
+
+        net = IsANetwork()
+        net.add("e", "$a", 3.0)
+        net.add("e", "$b", 1.0)
+        live = Conceptualizer(net)
+        vocabulary = [f"w{i}" for i in range(300)]
+        live.observe("$a", vocabulary[::2])
+        live.observe("$b", vocabulary[::3], weight=2.0)
+        for concept in ("$a", "$b"):
+            live._word_counts[concept] = Yielding(live._word_counts[concept])
+        context = vocabulary[-40:]  # the words a build reaches last
+        expected = reference_conceptualize(live, "e", context)
+        torn: list[dict] = []
+        stop = threading.Event()
+
+        def read() -> None:
+            while not stop.is_set():
+                got = live.conceptualize("e", context)
+                if got != expected:
+                    torn.append(got)
+                    return
+
+        def write() -> None:
+            for _ in range(50):
+                live.observe("$other", ["w0", "w2", "w3"])
+                time.sleep(0.002)  # let the readers share each generation
+            stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fn) for fn in (read, read, write)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not torn
+        assert live.conceptualize("e", context) == expected
+        live.observe("$b", ["unseen"])  # now the tables really do change
+        assert live.conceptualize("e", context) == reference_conceptualize(live, "e", context)
+        assert live.conceptualize("e", context) != expected
