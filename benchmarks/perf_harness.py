@@ -12,11 +12,10 @@ on the same machine and the same inputs:
   no table, no cache) and after (the product's table-driven path), and a
   warm pass through the answer cache;
 * **offline_train_s** — end-to-end ``KBQA.train`` wall-clock;
-* **cold_start** — time-to-first-answer after a restart per persistence
-  format: v1 (JSON lines, full re-parse), v2 (mmap + dict materialization),
-  v3 (served straight from the mapped index sections) and ``disk`` (the KB
-  itself reopened from the compiled SQLite file — a full restart with
-  nothing rebuilt from the source world);
+* **cold_start** — time-to-first-answer after a restart: ``v3`` (the
+  expansion artifact served straight from its mapped index sections) and
+  ``disk`` (the KB itself also reopened from the compiled SQLite file — a
+  full restart with nothing rebuilt from the source world);
 * **qps** — serving throughput through the async front
   (:mod:`repro.serve`): closed-loop load over concurrency x duplicate-rate,
   coalescing on vs off on identical request streams, plus the open-loop
@@ -84,13 +83,12 @@ def _latencies_ms(answer, questions) -> list[float]:
 
 
 def _cold_start(suite, system, expanded, questions, repeats) -> dict:
-    """Time-to-first-answer after a restart, per persistence format.
+    """Time-to-first-answer after a restart.
 
-    Simulates the restart path: the trained expansion is saved once per
-    artifact format, then each timed run loads the artifact, builds a fresh
-    answerer over it and answers one question — v1 re-parses JSON lines,
-    v2 mmaps then materializes the dict indexes, v3 answers straight from
-    the mapped index sections.  The ``disk`` cell goes further: it also
+    Simulates the restart path: the trained expansion is saved once, then
+    each timed run maps the artifact, builds a fresh answerer over it and
+    answers one question straight from the mapped index sections (the
+    ``v3`` cell).  The ``disk`` cell goes further: it also
     reopens the KB itself from a pre-compiled SQLite file
     (:class:`~repro.kb.disk.DiskTripleStore`), i.e. a restart where
     *nothing* is rebuilt from the source world.  Every cell's first answer
@@ -117,26 +115,23 @@ def _cold_start(suite, system, expanded, questions, repeats) -> dict:
 
     cells: dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="kbqa-coldstart-") as tmp:
-        for fmt in ("v1", "v2", "v3"):
-            path = os.path.join(tmp, f"expansion.{fmt}")
-            expanded.save(path, format=fmt)
+        v3_path = os.path.join(tmp, "expansion.v3")
+        expanded.save(v3_path)
 
-            def run(path=path):
-                loaded = ExpandedStore.load(path)
-                return first_answer(store, loaded)
+        def run():
+            return first_answer(store, ExpandedStore.load(v3_path))
 
-            total_s, result = _best_of(run, repeats)
-            assert result == reference, f"cold-start {fmt} answer diverged"
-            load_s, _ = _best_of(lambda path=path: ExpandedStore.load(path), repeats)
-            cells[fmt] = {
-                "artifact_bytes": os.path.getsize(path),
-                "load_ms": round(load_s * 1000.0, 3),
-                "first_answer_ms": round(total_s * 1000.0, 3),
-            }
+        total_s, result = _best_of(run, repeats)
+        assert result == reference, "cold-start v3 answer diverged"
+        load_s, _ = _best_of(lambda: ExpandedStore.load(v3_path), repeats)
+        cells["v3"] = {
+            "artifact_bytes": os.path.getsize(v3_path),
+            "load_ms": round(load_s * 1000.0, 3),
+            "first_answer_ms": round(total_s * 1000.0, 3),
+        }
 
         db_path = os.path.join(tmp, "freebase.db")
         compile_freebase_like(suite.world, backend="disk", db_path=db_path).store.close()
-        v3_path = os.path.join(tmp, "expansion.v3")
 
         def run_disk():
             kb_store = DiskTripleStore(db_path)
@@ -154,12 +149,9 @@ def _cold_start(suite, system, expanded, questions, repeats) -> dict:
 
     return {
         **cells,
-        "speedup_v3_vs_v1": round(
-            cells["v1"]["first_answer_ms"] / max(cells["v3"]["first_answer_ms"], 1e-9), 2
-        ),
         "note": (
             "first_answer_ms = artifact load + answerer build + one answered "
-            "question, best-of-N; v1/v2/v3 reuse the in-memory KB, disk also "
+            "question, best-of-N; v3 reuses the in-memory KB, disk also "
             "reopens the KB from SQLite (full restart, nothing rebuilt)"
         ),
     }
@@ -349,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(f"train:     {payload['offline_train_s']}s offline")
     cold = payload["cold_start"]
-    for fmt in ("v1", "v2", "v3", "disk"):
+    for fmt in ("v3", "disk"):
         print(
             f"cold_start {fmt}: {cold[fmt]['first_answer_ms']}ms to first answer "
             f"({cold[fmt]['artifact_bytes']:,} bytes)"

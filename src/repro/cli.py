@@ -117,14 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-length", type=int, default=3,
         help="maximum expanded-predicate length k (paper default: 3)",
     )
-    expand.add_argument(
-        "--expanded-format", default=None, choices=["v1", "v2", "v3"],
-        help="artifact format for --save: v1 (line JSON), v2 (mmap-ready "
-             "struct-packed id arrays), or v3 (v2 plus sorted-offset "
-             "indexes, served straight from the mmap); default: "
-             "$KBQA_EXPANDED_FORMAT, else v1.  --load sniffs the format "
-             "from the file",
-    )
     expand.set_defaults(handler=_cmd_expand)
 
     compile_cmd = sub.add_parser(
@@ -627,16 +619,14 @@ def _cmd_expand(args) -> int:
             expanded = expand_predicates(
                 kb.store, seeds, max_length=args.max_length, record_reach=True
             )
-            expanded.save(args.save, format=args.expanded_format)
+            expanded.save(args.save)
             print(f"saved expansion to {args.save}")
         else:
             expanded = ExpandedStore.load(args.load)
-            # a mapped (v3) artifact loads with O(1) structural checks only;
-            # --load is the operator's integrity gate, so run the full
+            # the artifact maps with O(1) structural checks only; --load is
+            # the operator's integrity gate, so run the full
             # index-consistency sweep here (a corrupt file exits 1)
-            verify = getattr(expanded, "verify", None)
-            if verify is not None:
-                verify()
+            expanded.verify()
             print(f"loaded expansion from {args.load}")
     except (OSError, ValueError) as error:
         print(f"kbqa expand: error: {error}", file=sys.stderr)

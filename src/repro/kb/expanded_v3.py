@@ -1,11 +1,9 @@
-"""``ExpandedStore`` binary artifact format v3: mmap'd, served by binary search.
+"""The ``ExpandedStore`` artifact: mmap'd, served by binary search.
 
-The v2 reader (`repro.kb.expanded_v2`) is zero-copy on *load* but still
-re-materializes the dict-of-dict indexes before the first lookup, so cold
-start is O(KB) in time and every serving process pays O(KB) in private RAM.
-v3 stores the same canonical content **plus the index structure itself**:
-every per-count section becomes a prefix-sum offset table and every id array
-that v2 merely declared sorted becomes a binary-search index, so the reader
+The one on-disk form of the Sec 6.2 expansion.  The file stores the
+canonical content (terms, seeds, sorted path keys, grouped triples, reach)
+**plus the index structure itself**: every per-count section is a prefix-sum
+offset table and every id array is a binary-search index, so the reader
 answers ``objects``/``paths_between``/``paths_of``/``seeds_through`` straight
 off the mapped arrays:
 
@@ -23,13 +21,16 @@ off the mapped arrays:
   identity, same term ids, same file-local path ids), and every mutating
   entry point (``record``/``record_encoded``/``note_reach``/
   ``invalidate_seed``/``merge_from``/``path_id``) routes through it, so a
-  loaded artifact behaves exactly like a v1/v2 reload the moment live
-  updates begin;
-* conversions are byte-exact both ways: v3 carries the identical canonical
-  content as v1/v2 (same term id order, same sorted path keys, same group
-  and object order), so ``load(v3).save(format="v2")`` equals the direct v2
-  bytes and ``load(v2).save(format="v3")`` equals the direct v3 bytes
-  (``tests/test_expansion_persistence.py``).
+  loaded artifact behaves exactly like a freshly expanded store the moment
+  live updates begin;
+* the bytes are canonical: ``load(p).save(q)`` reproduces ``p`` exactly, and
+  two stores with equal content and equal term ids serialize identically
+  regardless of internal interning order
+  (``tests/test_expansion_persistence.py``);
+* :func:`save_v3` replaces ``path`` atomically (temp file in the same
+  directory, flush, ``os.replace``): a reader that has the old artifact
+  mapped keeps the old inode, and a crash mid-write leaves the previous
+  artifact intact.
 
 Trust boundary: :func:`load_v3` checks structure (magic, version, exact file
 size) in O(1) and every lookup bounds-checks ids and offsets before use, so
@@ -37,8 +38,11 @@ a corrupt file raises the documented :class:`ValueError` rather than decode
 garbage — but *sortedness* of the index arrays is trusted by the hot path
 (an unsorted index can only cause misses, never wrong decodes).
 :meth:`ExpandedStoreV3.verify` is the full integrity sweep — offset
-monotonicity, index sort order, id ranges, and pair-index/triple-section
-consistency — and ``kbqa expand --load`` runs it on every v3 artifact.
+monotonicity, index sort order, id ranges, term decodability, and
+pair-index/triple-section consistency — and ``kbqa expand --load`` runs it
+on every artifact.  What it cannot see is a flip that turns one well-formed
+artifact into another (a letter in a term); that needs a checksum, which
+the layout does not carry.
 
 Layout (all integers little-endian; u32 unless noted)::
 
@@ -69,28 +73,80 @@ Layout (all integers little-endian; u32 unless noted)::
 The pair section is the ``paths_between`` index (one entry per distinct
 (s, o); the flat pair-path array has exactly ``n_triples`` entries because
 each expanded triple contributes exactly one (s, o) -> path row).  The
-format is self-contained like v1/v2;
-:meth:`repro.kb.expansion.ExpandedStore.load` sniffs the magic and routes
-here automatically.
+format is self-contained (it carries the dictionary).  The module keeps its
+``_v3`` name and magic: two earlier formats (line-JSON v1, struct-packed v2)
+are retired, and :func:`load_v3` names them in its error so a stale artifact
+is regenerated rather than mistaken for garbage.
 """
 
 from __future__ import annotations
 
 import mmap
+import os
 import struct
 from bisect import bisect_left
 from pathlib import Path
 from typing import Iterator
 
 from repro.kb.dictionary import Dictionary
-from repro.kb.expanded_v2 import _Cursor, _decode_strings, _pad4
 from repro.kb.expansion import _EMPTY_FROZEN, ExpandedStore
 from repro.kb.paths import PredicatePath
 
 EXPANSION_V3_MAGIC = b"KBQAXPD3"
 EXPANSION_V3_VERSION = 3
 
+# leading bytes of the two retired formats; recognised only to say so
+_RETIRED_MAGICS = ((b"KBQA-EXPANDED ", "v1"), (b"KBQAXPD2", "v2"))
+
 _HEADER = struct.Struct("<8s14IQ")
+
+
+def _pad4(n: int) -> int:
+    return (-n) % 4
+
+
+class _Cursor:
+    """Sequential section reader over the mapped file, bounds-checked."""
+
+    def __init__(self, view: memoryview, path: str | Path) -> None:
+        self.view = view
+        self.path = path
+        self.offset = _HEADER.size
+
+    def take(self, nbytes: int) -> memoryview:
+        end = self.offset + nbytes
+        if end > len(self.view):
+            raise ValueError(
+                f"{self.path}: truncated expansion file "
+                f"(need {end} bytes, have {len(self.view)})"
+            )
+        chunk = self.view[self.offset : end]
+        self.offset = end
+        return chunk
+
+    def u32s(self, count: int) -> memoryview:
+        return self.take(4 * count).cast("I")
+
+    def u64s(self, count: int) -> memoryview:
+        return self.take(8 * count).cast("Q")
+
+    def blob(self, nbytes: int) -> memoryview:
+        chunk = self.take(nbytes)
+        self.take(_pad4(nbytes))  # alignment padding
+        return chunk
+
+
+def _decode_strings(offsets, blob: memoryview, path: str | Path, what: str) -> list[str]:
+    """Decode length-offset-framed utf-8 strings, validating monotonicity."""
+    out: list[str] = []
+    previous = 0
+    for index in range(len(offsets) - 1):
+        start, end = offsets[index], offsets[index + 1]
+        if not (previous <= start <= end <= len(blob)):
+            raise ValueError(f"{path}: corrupt {what} offsets")
+        previous = start
+        out.append(str(blob[start:end], "utf-8"))
+    return out
 
 
 class V3StreamWriter:
@@ -174,20 +230,23 @@ def _prefix_sums(lengths) -> "Iterator[int]":
 def save_v3(store: "ExpandedStore", path: str | Path) -> None:
     """Serialize ``store`` in the v3 binary layout (canonical, deterministic).
 
-    The content sections use the exact canonical order of the v1/v2 writers
-    (sorted path keys remapped to file-local ids, subjects in id order,
-    objects and reach seeds sorted), so format conversion through a load is
-    byte-exact; the extra index sections (term permutation, prefix-sum
-    offsets, pair index) are derived from that canonical order and equally
-    deterministic.
+    The content sections are written in canonical order (sorted path keys
+    remapped to file-local ids, subjects in id order, objects and reach
+    seeds sorted), so a save -> load -> save round trip is byte-exact; the
+    index sections (term permutation, prefix-sum offsets, pair index) are
+    derived from that canonical order and equally deterministic.
 
     The writer is *streaming*: every section whose size is O(triples) —
     group/object/pair arrays and their offset tables — is generated lazily
     and flows through :class:`V3StreamWriter`'s bounded buffer in multiple
     cheap passes over the store's indexes.  All header counts derive from
     O(index) sweeps up front, so nothing triple-shaped is ever held as a
-    Python list (the old writer materialized ~10 such lists plus doubled
-    utf-8 blobs).
+    Python list.
+
+    ``path`` is replaced atomically: the bytes go to a sibling temp file
+    that is renamed over ``path`` once complete, so processes that have the
+    previous artifact mapped keep reading the old inode (truncating it in
+    place would SIGBUS them) and a failed write leaves ``path`` untouched.
     """
     sorted_keys = sorted(store._path_keys)
     file_path_id = {key: i for i, key in enumerate(sorted_keys)}
@@ -250,50 +309,57 @@ def save_v3(store: "ExpandedStore", path: str | Path) -> None:
 
     pair_keys = sorted(by_pair)
 
-    with open(path, "wb") as handle:
-        out = V3StreamWriter(handle)
-        out.raw(header)
-        out.u32s(_prefix_sums(len(c) for c in tails_utf8))
-        out.blob(tails_utf8)
-        out.pad4(tails_blob_len)
-        out.u64s(_prefix_sums(term_lengths))
-        out.blob(term.encode("utf-8") for term in terms)
-        out.pad4(terms_blob_len)
-        # termsort: the lexicographic permutation is inherently a full sort
-        # over the term table — O(n_terms), the largest transient this
-        # writer keeps
-        out.u32s(sorted(range(len(terms)), key=lambda i: terms[i].encode("utf-8")))
-        out.u32s(seeds)
-        out.u32s(_prefix_sums(len(key) for key in sorted_keys))
-        out.u32s(pid for key in sorted_keys for pid in key)
-        out.u32s(subject_order)
-        out.u64s(_prefix_sums(len(by_subject[s]) for s in subject_order))
-        out.u32s(pid for s in subject_order for pid, _objs in subject_groups(s))
-        out.u64s(
-            _prefix_sums(
-                len(objs) for s in subject_order for _pid, objs in subject_groups(s)
+    target = Path(path)
+    scratch = target.with_name(f"{target.name}.tmp{os.getpid()}")
+    try:
+        with open(scratch, "wb") as handle:
+            out = V3StreamWriter(handle)
+            out.raw(header)
+            out.u32s(_prefix_sums(len(c) for c in tails_utf8))
+            out.blob(tails_utf8)
+            out.pad4(tails_blob_len)
+            out.u64s(_prefix_sums(term_lengths))
+            out.blob(term.encode("utf-8") for term in terms)
+            out.pad4(terms_blob_len)
+            # termsort: the lexicographic permutation is inherently a full sort
+            # over the term table — O(n_terms), the largest transient this
+            # writer keeps
+            out.u32s(sorted(range(len(terms)), key=lambda i: terms[i].encode("utf-8")))
+            out.u32s(seeds)
+            out.u32s(_prefix_sums(len(key) for key in sorted_keys))
+            out.u32s(pid for key in sorted_keys for pid in key)
+            out.u32s(subject_order)
+            out.u64s(_prefix_sums(len(by_subject[s]) for s in subject_order))
+            out.u32s(pid for s in subject_order for pid, _objs in subject_groups(s))
+            out.u64s(
+                _prefix_sums(
+                    len(objs) for s in subject_order for _pid, objs in subject_groups(s)
+                )
             )
-        )
-        out.u32s(
-            o_id
-            for s in subject_order
-            for _pid, objs in subject_groups(s)
-            for o_id in sorted(objs)
-        )
-        out.u32s(s_id for s_id, _o_id in pair_keys)
-        out.u32s(o_id for _s_id, o_id in pair_keys)
-        out.u64s(_prefix_sums(len(by_pair[key]) for key in pair_keys))
-        out.u32s(
-            pid for key in pair_keys for pid in sorted(remap[p] for p in by_pair[key])
-        )
-        out.u32s(node_id for node_id, _seeds in reach_sorted)
-        out.u64s(_prefix_sums(len(node_seeds) for _node, node_seeds in reach_sorted))
-        out.u32s(
-            seed
-            for _node, node_seeds in reach_sorted
-            for seed in sorted(node_seeds)
-        )
-        out.flush()
+            out.u32s(
+                o_id
+                for s in subject_order
+                for _pid, objs in subject_groups(s)
+                for o_id in sorted(objs)
+            )
+            out.u32s(s_id for s_id, _o_id in pair_keys)
+            out.u32s(o_id for _s_id, o_id in pair_keys)
+            out.u64s(_prefix_sums(len(by_pair[key]) for key in pair_keys))
+            out.u32s(
+                pid for key in pair_keys for pid in sorted(remap[p] for p in by_pair[key])
+            )
+            out.u32s(node_id for node_id, _seeds in reach_sorted)
+            out.u64s(_prefix_sums(len(node_seeds) for _node, node_seeds in reach_sorted))
+            out.u32s(
+                seed
+                for _node, node_seeds in reach_sorted
+                for seed in sorted(node_seeds)
+            )
+            out.flush()
+        os.replace(scratch, target)
+    except BaseException:
+        scratch.unlink(missing_ok=True)
+        raise
 
 
 class _V3Sections:
@@ -321,10 +387,18 @@ class _V3Sections:
             raise
 
     def _parse(self, view: memoryview, path: str | Path) -> None:
+        if not EXPANSION_V3_MAGIC.startswith(bytes(view[: len(EXPANSION_V3_MAGIC)])):
+            for retired_magic, retired in _RETIRED_MAGICS:
+                if view[: len(retired_magic)] == retired_magic:
+                    raise ValueError(
+                        f"{path}: expansion format {retired} is retired; regenerate "
+                        f"the artifact with `kbqa expand --save`"
+                    )
+            raise ValueError(f"{path}: not a {EXPANSION_V3_MAGIC!r} file")
         if len(view) < _HEADER.size:
             raise ValueError(f"{path}: truncated expansion file (no v3 header)")
         (
-            magic,
+            _magic,
             version,
             self.max_length,
             n_tails,
@@ -341,8 +415,6 @@ class _V3Sections:
             self.n_pairs,
             terms_blob_len,
         ) = _HEADER.unpack_from(view, 0)
-        if magic != EXPANSION_V3_MAGIC:
-            raise ValueError(f"{path}: not a {EXPANSION_V3_MAGIC!r} file")
         if version != EXPANSION_V3_VERSION:
             raise ValueError(
                 f"{path}: unsupported format version {version} "
@@ -382,6 +454,8 @@ class _V3Sections:
         self.tails = _decode_strings(tail_offsets, tails_blob, path, "tail-predicate")
 
     def term_bytes(self, term_id: int) -> memoryview:
+        if not 0 <= term_id < self.n_terms:  # ids read off a corrupt termsort
+            raise ValueError(f"{self.source_path}: term id {term_id} out of range")
         start = self.term_offsets[term_id]
         end = self.term_offsets[term_id + 1]
         if not 0 <= start <= end <= len(self.terms_blob):
@@ -737,10 +811,10 @@ class ExpandedStoreV3(ExpandedStore):
             self.materialize()
         return super().merge_from(other)
 
-    def save(self, path: str | Path, format: str | None = None) -> None:
-        """Serialize in any format; conversion round-trips byte-exactly."""
-        # the writers walk the dict indexes; conversion goes through the
-        # escape hatch (copy the file instead to duplicate a v3 artifact)
+    def save(self, path: str | Path, format: str = "v3") -> None:
+        """Re-serialize; a mapped store reproduces its artifact's bytes."""
+        # the writer walks the dict indexes, so saving goes through the
+        # escape hatch (copy the file instead to duplicate an artifact)
         self.materialize()
         super().save(path, format)
 
@@ -952,11 +1026,11 @@ class ExpandedStoreV3(ExpandedStore):
         Checks everything the O(1) load deliberately trusts: offset-table
         monotonicity and bounds, strict sort order of every binary-search
         index (term permutation, path keys, subject / pair / reach arrays,
-        per-group object sets), id ranges, and that the pair index is
-        consistent with the triple sections.  Cost is one pass over the
+        per-group object sets), id ranges, that every term is valid utf-8,
+        and that the pair index is consistent with the triple sections.  Cost is one pass over the
         mapped arrays (no Python-object materialization); ``kbqa expand
-        --load`` runs this on every v3 artifact, the serve path does not.
-        No-op once materialized (the loaders validated on the way in).
+        --load`` runs this on every artifact, the serve path does not.
+        No-op once materialized (there is no file left to check).
         """
         sections = self._mapped
         if sections is None:
@@ -981,14 +1055,13 @@ class ExpandedStoreV3(ExpandedStore):
                 if offsets[index] > offsets[index + 1]:
                     raise ValueError(f"{src}: corrupt {what} offsets")
 
-        # dictionary: offsets monotonic, permutation strictly byte-ordered
+        # dictionary: offsets monotonic, permutation strictly byte-ordered,
+        # every term decodable
         check_offsets(sections.term_offsets, len(sections.terms_blob), "dictionary")
         previous_bytes = None
         for slot in range(n_terms):
-            term_id = sections.term_sort[slot]
-            if term_id >= n_terms:
-                raise ValueError(f"{src}: term id {term_id} out of range (termsort)")
-            current = sections.term_bytes(term_id).tobytes()
+            current = sections.term_bytes(sections.term_sort[slot]).tobytes()
+            current.decode("utf-8")  # UnicodeDecodeError is a ValueError
             if previous_bytes is not None and current <= previous_bytes:
                 raise ValueError(f"{src}: unsorted term permutation index")
             previous_bytes = current
@@ -1079,8 +1152,9 @@ class ExpandedStoreV3(ExpandedStore):
 def load_v3(path: str | Path) -> ExpandedStoreV3:
     """Map a v3 artifact — O(1) in KB size, no dict materialization.
 
-    Raises :class:`ValueError` on a bad magic, an unsupported version, or a
-    file whose size disagrees with the header (truncation / trailing bytes).
+    Raises :class:`ValueError` on a bad magic (naming the retired v1/v2
+    formats when it sees one), an unsupported version, or a file whose size
+    disagrees with the header (truncation / trailing bytes).
     Deeper integrity (sort order of the index sections, offset chains, id
     ranges) is enforced by bounds checks on every lookup and by the explicit
     :meth:`ExpandedStoreV3.verify` sweep.
@@ -1089,7 +1163,7 @@ def load_v3(path: str | Path) -> ExpandedStoreV3:
 
 
 def is_v3_file(path: str | Path) -> bool:
-    """True when ``path`` starts with the v3 magic (format sniffing)."""
+    """True when ``path`` starts with the v3 magic."""
     try:
         with open(path, "rb") as handle:
             return handle.read(len(EXPANSION_V3_MAGIC)) == EXPANSION_V3_MAGIC

@@ -26,8 +26,9 @@ measurements).  :class:`ExpandedStore` additionally:
   index that lets live KB ``add``/``delete`` invalidate exactly the affected
   seeds (`repro.kb.live`) instead of re-expanding everything;
 * serializes its id-encoded buffers together with the dictionary
-  (:meth:`ExpandedStore.save` / :meth:`ExpandedStore.load`) in a canonical,
-  versioned format so offline training resumes without re-scanning.
+  (:meth:`ExpandedStore.save` / :meth:`ExpandedStore.load`) as the canonical,
+  versioned, mmap-served artifact of `repro.kb.expanded_v3`, so offline
+  training resumes without re-scanning.
 
 Two paper-mandated restrictions are honoured:
 
@@ -39,13 +40,10 @@ Two paper-mandated restrictions are honoured:
 
 from __future__ import annotations
 
-import json
-import os
 from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.kb import expanded_v2
 from repro.kb.backend import KBBackend
 from repro.kb.dictionary import Dictionary
 from repro.kb.paths import PredicatePath
@@ -53,26 +51,6 @@ from repro.kb.paths import PredicatePath
 DEFAULT_TAIL_PREDICATES = frozenset({"name", "alias"})
 
 _EMPTY_FROZEN: frozenset = frozenset()
-
-EXPANSION_MAGIC = "KBQA-EXPANDED"
-EXPANSION_FORMAT_VERSION = 1
-
-EXPANSION_FORMATS = ("v1", "v2", "v3")
-EXPANDED_FORMAT_ENV = "KBQA_EXPANDED_FORMAT"
-
-
-def resolve_expanded_format(fmt: str | None = None) -> str:
-    """Effective artifact format: explicit arg > ``KBQA_EXPANDED_FORMAT`` >
-    ``"v1"``.  Raises :class:`ValueError` on an unknown format so a typo in
-    a flag or the environment fails loudly."""
-    if fmt is None:
-        fmt = os.environ.get(EXPANDED_FORMAT_ENV) or "v1"
-    fmt = fmt.strip().lower()
-    if fmt not in EXPANSION_FORMATS:
-        raise ValueError(
-            f"unknown expansion format {fmt!r} (choose from {', '.join(EXPANSION_FORMATS)})"
-        )
-    return fmt
 
 # frontier: node id -> set of (seed_id, prefix-key) provenance entries;
 # the empty prefix marks a seed node at round 0.
@@ -200,7 +178,7 @@ class ExpandedStore:
         """True when the reach-provenance index is populated.
 
         `repro.kb.live` gates its upfront :func:`compute_reach` on this
-        rather than peeking at ``_reached_from`` so a mapped v3 artifact
+        rather than peeking at ``_reached_from`` so a mapped artifact
         (`repro.kb.expanded_v3`) can answer from its header without
         materializing anything.
         """
@@ -286,170 +264,44 @@ class ExpandedStore:
 
     # -- Persistence -------------------------------------------------------
 
-    def save(self, path: str | Path, format: str | None = None) -> None:
+    def save(self, path: str | Path, format: str = "v3") -> None:
         """Serialize the id-encoded buffers together with the dictionary.
 
-        ``format`` selects the artifact layout: ``"v1"`` (this method's
-        line-oriented JSON, the default), ``"v2"`` (the mmap-friendly
-        struct-packed id arrays of `repro.kb.expanded_v2`), or None —
-        which defers to the ``KBQA_EXPANDED_FORMAT`` environment variable
-        and finally to v1.  Both formats carry identical content in the
-        same canonical order and :meth:`load` routes on the file magic, so
-        the choice is purely a wire/reload-speed trade
-        (``tests/test_expansion_persistence.py`` proves the round-trip
-        byte-equivalence both ways).
-
-        The v1 format is canonical: paths are written in sorted key order,
-        subjects in id order, object sets sorted — so two stores whose
-        dictionaries assign the same term ids (e.g. a memory and a disk
-        backend built by the same add sequence) serialize to
-        byte-identical files regardless of internal path/set
-        interning order.  Stores with *differently ordered* dictionaries
-        hold different ids and produce different bytes even for equal
-        content.
-
-        Layout (UTF-8, line-oriented, JSON-encoded payloads)::
-
-            KBQA-EXPANDED 1                     # magic + format version
-            {...header: counts, max_length...}  # one JSON object
-            "<term>"        x terms             # dictionary, id order
-            [seed ids]                          # one sorted JSON array
-            [p_id, ...]     x paths             # path keys, canonical order
-            [s, [[p, [o...]], ...]] x subjects  # triples, grouped + sorted
-            [node, [seed...]] x reach           # reach index, sorted
+        Writes the artifact of `repro.kb.expanded_v3` (layout documented
+        there), replacing ``path`` atomically.  The bytes are canonical:
+        paths are written in sorted key order, subjects in id order, object
+        sets sorted — so two stores whose dictionaries assign the same term
+        ids (e.g. a memory and a disk backend built by the same add
+        sequence) serialize to byte-identical files regardless of internal
+        path/set interning order.  Stores with *differently ordered*
+        dictionaries hold different ids and produce different bytes even
+        for equal content.
         """
-        fmt = resolve_expanded_format(format)
-        if fmt == "v2":
-            expanded_v2.save_v2(self, path)
-            return
-        if fmt == "v3":
-            from repro.kb import expanded_v3  # local: v3 subclasses this module
-
-            expanded_v3.save_v3(self, path)
-            return
-        # canonical path order: sort interned keys, remap to file-local ids
-        sorted_keys = sorted(self._path_keys)
-        file_path_id = {key: i for i, key in enumerate(sorted_keys)}
-        remap = [file_path_id[key] for key in self._path_keys]
-
-        lines: list[str] = [
-            f"{EXPANSION_MAGIC} {EXPANSION_FORMAT_VERSION}",
-            json.dumps(
-                {
-                    "max_length": self.max_length,
-                    "tail_predicates": sorted(self.tail_predicates),
-                    "terms": len(self.dictionary),
-                    "paths": len(sorted_keys),
-                    "subjects": len(self._by_subject),
-                    "triples": self._triple_count,
-                    "reach_nodes": len(self._reached_from),
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            ),
-        ]
-        dumps = json.dumps
-        for term in self.dictionary.terms():
-            lines.append(dumps(term, ensure_ascii=False))
-        lines.append(dumps(sorted(self.seed_ids), separators=(",", ":")))
-        for key in sorted_keys:
-            lines.append(dumps(list(key), separators=(",", ":")))
-        for s_id in sorted(self._by_subject):
-            groups = sorted(
-                (remap[p_id], sorted(object_ids))
-                for p_id, object_ids in self._by_subject[s_id].items()
+        # `format` survives for the frozen benchmarks/e2e caller; remove with it
+        if format != "v3":
+            raise ValueError(
+                f"unknown expansion format {format!r} (the only format is 'v3')"
             )
-            lines.append(dumps([s_id, groups], separators=(",", ":")))
-        for node_id, seeds in sorted(self.reach_items()):
-            lines.append(dumps([node_id, sorted(seeds)], separators=(",", ":")))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        from repro.kb import expanded_v3  # local: v3 subclasses this module
+
+        expanded_v3.save_v3(self, path)
 
     @classmethod
     def load(cls, path: str | Path) -> "ExpandedStore":
-        """Reload a store saved by :meth:`save` (with its own dictionary).
+        """Map an artifact written by :meth:`save` (with its own dictionary).
 
         The loaded store answers ``objects``/``paths_between``/``paths_of``
-        without any re-expansion; offline training passes it straight to the
-        learner (``KBQA.train(..., expanded=...)``) to skip the Sec 6.2 scan
-        entirely.  Raises :class:`ValueError` on a bad magic, an unsupported
-        version, or count mismatches.
-
-        The format is sniffed from the file magic: binary v3 artifacts
-        (`repro.kb.expanded_v3`) come back as a *mapped* store that answers
-        lookups by binary search over the mmap with no dict materialization
-        at all, v2 artifacts (`repro.kb.expanded_v2`) reload through the
-        mmap reader into dicts, anything else takes the v1 line-JSON path
-        below.
+        by binary search over the mmap — no re-expansion and no dict
+        materialization until the first mutation; offline training passes
+        it straight to the learner (``KBQA.train(..., expanded=...)``) to
+        skip the Sec 6.2 scan entirely.  Raises :class:`ValueError` on a bad
+        magic, a retired format, an unsupported version, or a size that
+        disagrees with the header; ``verify()`` on the result is the full
+        integrity sweep.
         """
         from repro.kb import expanded_v3  # local: v3 subclasses this module
 
-        if expanded_v3.is_v3_file(path):
-            return expanded_v3.load_v3(path)
-        if expanded_v2.is_v2_file(path):
-            return expanded_v2.load_v2(cls, path)
-        text = Path(path).read_text(encoding="utf-8")
-        lines = text.splitlines()
-        if not lines:
-            raise ValueError(f"{path}: empty expansion file")
-        magic = lines[0].split()
-        if len(magic) != 2 or magic[0] != EXPANSION_MAGIC:
-            raise ValueError(f"{path}: not a {EXPANSION_MAGIC} file")
-        if int(magic[1]) != EXPANSION_FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported format version {magic[1]} "
-                f"(supported: {EXPANSION_FORMAT_VERSION})"
-            )
-        header = json.loads(lines[1])
-        store = cls(
-            max_length=header["max_length"],
-            tail_predicates=frozenset(header["tail_predicates"]),
-        )
-        cursor = 2
-        try:
-            encode = store.dictionary.encode
-            for line in lines[cursor : cursor + header["terms"]]:
-                encode(json.loads(line))
-            if len(store.dictionary) != header["terms"]:
-                raise ValueError(f"{path}: dictionary count mismatch")
-            cursor += header["terms"]
-            n_terms = header["terms"]
-
-            def check_term_id(term_id: int) -> int:
-                # catch out-of-range ids at load time (the documented
-                # ValueError) rather than as a KeyError at first decode
-                if not (isinstance(term_id, int) and 0 <= term_id < n_terms):
-                    raise ValueError(f"term id {term_id} out of range")
-                return term_id
-
-            store.seed_ids = {check_term_id(s) for s in json.loads(lines[cursor])}
-            cursor += 1
-            for line in lines[cursor : cursor + header["paths"]]:
-                store.path_id(tuple(check_term_id(p) for p in json.loads(line)))
-            cursor += header["paths"]
-            n_paths = header["paths"]
-            for line in lines[cursor : cursor + header["subjects"]]:
-                s_id, groups = json.loads(line)
-                check_term_id(s_id)
-                for p_idx, object_ids in groups:
-                    if not (isinstance(p_idx, int) and 0 <= p_idx < n_paths):
-                        raise ValueError(f"path id {p_idx} out of range")
-                    key = store._path_keys[p_idx]
-                    for o_id in object_ids:
-                        store.record_encoded(s_id, key, check_term_id(o_id))
-            cursor += header["subjects"]
-            for line in lines[cursor : cursor + header["reach_nodes"]]:
-                node_id, seeds = json.loads(line)
-                check_term_id(node_id)
-                for seed_id in seeds:
-                    store.note_reach(node_id, check_term_id(seed_id))
-        except (TypeError, KeyError, IndexError, json.JSONDecodeError) as error:
-            raise ValueError(f"{path}: malformed expansion file ({error})") from error
-        if store._triple_count != header["triples"]:
-            raise ValueError(
-                f"{path}: triple count mismatch "
-                f"(header {header['triples']}, loaded {store._triple_count})"
-            )
-        return store
+        return expanded_v3.load_v3(path)
 
     # -- Decoding helpers ----------------------------------------------------
 

@@ -2,34 +2,87 @@
 training resumption (``KBQA.train(..., expanded=...)`` must answer without
 re-running ``expand_predicates``).
 
-Three artifact formats are locked down here: the v1 line-JSON layout, the
-binary mmap v2 layout (`repro.kb.expanded_v2`), and the disk-native v3
-layout (`repro.kb.expanded_v3`) whose sorted index sections answer lookups
-by binary search straight off the mmap.  The equivalence suites prove the
-formats are interchangeable to the byte: converting in any direction
-reproduces the other side's canonical bytes, content (seeds, tails, reach)
-survives, and systems trained from any artifact answer identically — with
-the v3 store staying mapped (zero dict materialization) through serving.
+One artifact format is locked down here (`repro.kb.expanded_v3`): its sorted
+index sections answer lookups by binary search straight off the mmap, its
+bytes are canonical (``load(p).save(q)`` reproduces ``p``), ``save`` replaces
+its target atomically, the two retired formats are refused by name, and a
+seeded single-byte mutation fuzzer checks that a corrupt file can only ever
+raise ``ValueError`` and that whatever ``verify()`` accepts is
+self-consistent.
 """
 
+import json
+import os
+import random
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 import repro.core.learner as learner_module
 from repro.core.system import KBQA
-from repro.kb.expanded_v2 import EXPANSION_V2_MAGIC, EXPANSION_V2_VERSION, is_v2_file
+from repro.kb import expanded_v3
 from repro.kb.expanded_v3 import EXPANSION_V3_MAGIC, EXPANSION_V3_VERSION, is_v3_file
-from repro.kb.expansion import (
-    EXPANDED_FORMAT_ENV,
-    EXPANSION_FORMAT_VERSION,
-    EXPANSION_MAGIC,
-    ExpandedStore,
-    expand_predicates,
-)
+from repro.kb.expansion import ExpandedStore, expand_predicates
 from repro.kb.paths import PredicatePath
 from repro.kb.store import TripleStore
 from repro.kb.triple import make_literal
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+HEADER = struct.Struct("<8s14IQ")
+
+# the first bytes a file of each retired format starts with, built by hand
+# (no legacy writer is kept): v1 was a magic line plus a JSON header line,
+# v2 the same fixed struct header as v3 under its own magic and version
+RETIRED_HEADERS = {
+    "v1": b'KBQA-EXPANDED 1\n{"max_length":3,"paths":0,"reach_nodes":0,'
+          b'"subjects":0,"tail_predicates":["alias","name"],"terms":0,"triples":0}\n[]\n',
+    "v2": HEADER.pack(b"KBQAXPD2", 2, 3, *([0] * 13)),
+}
+
+
+def section_offsets(data) -> dict[str, tuple[int, int]]:
+    """``name -> (start, end)`` byte range of every section, in file order,
+    re-derived from the header the way the module docstring lays it out."""
+    (
+        _magic, _version, _max_length, n_tails, n_terms, n_seeds, n_paths,
+        n_path_ids, n_subjects, n_groups, n_triples, n_reach_nodes,
+        n_reach_pairs, tails_blob_len, n_pairs, terms_blob_len,
+    ) = HEADER.unpack_from(data, 0)
+    sizes = [
+        ("header", HEADER.size),
+        ("tail_offsets", 4 * (n_tails + 1)),
+        ("tails_blob", tails_blob_len + (-tails_blob_len) % 4),
+        ("term_offsets", 8 * (n_terms + 1)),
+        ("terms_blob", terms_blob_len + (-terms_blob_len) % 4),
+        ("termsort", 4 * n_terms),
+        ("seeds", 4 * n_seeds),
+        ("path_offsets", 4 * (n_paths + 1)),
+        ("path_ids", 4 * n_path_ids),
+        ("subject_ids", 4 * n_subjects),
+        ("group_offsets", 8 * (n_subjects + 1)),
+        ("group_path_ids", 4 * n_groups),
+        ("object_offsets", 8 * (n_groups + 1)),
+        ("object_ids", 4 * n_triples),
+        ("pair_subjects", 4 * n_pairs),
+        ("pair_objects", 4 * n_pairs),
+        ("pair_offsets", 8 * (n_pairs + 1)),
+        ("pair_path_ids", 4 * n_triples),
+        ("reach_nodes", 4 * n_reach_nodes),
+        ("reach_offsets", 8 * (n_reach_nodes + 1)),
+        ("reach_seeds", 4 * n_reach_pairs),
+    ]
+    offsets, cursor = {}, 0
+    for name, size in sizes:
+        offsets[name] = (cursor, cursor + size)
+        cursor += size
+    assert cursor == len(data), "section arithmetic out of step with the writer"
+    return offsets
 
 
 @pytest.fixture()
@@ -105,13 +158,7 @@ class TestFormatGuards:
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.kbqa"
         path.write_text("NOT-AN-EXPANSION 1\n{}\n")
-        with pytest.raises(ValueError, match=EXPANSION_MAGIC):
-            ExpandedStore.load(path)
-
-    def test_rejects_unsupported_version(self, tmp_path):
-        path = tmp_path / "future.kbqa"
-        path.write_text(f"{EXPANSION_MAGIC} {EXPANSION_FORMAT_VERSION + 1}\n{{}}\n")
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError, match="KBQAXPD3"):
             ExpandedStore.load(path)
 
     def test_rejects_empty_file(self, tmp_path):
@@ -120,34 +167,56 @@ class TestFormatGuards:
         with pytest.raises(ValueError, match="empty"):
             ExpandedStore.load(path)
 
-    def test_rejects_truncated_triples(self, expanded, tmp_path):
-        path = tmp_path / "truncated.kbqa"
-        expanded.save(path, format="v1")  # this test edits v1 lines
-        lines = path.read_text().splitlines()
-        # drop the final subject group line but keep the header counts
-        n_reach = sum(1 for _ in expanded.reach_items())
-        del lines[-1 - n_reach]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises((ValueError, IndexError)):
+    @pytest.mark.parametrize("name", sorted(RETIRED_HEADERS))
+    def test_retired_format_is_named(self, name, tmp_path):
+        """A v1 / v2 file must not fall through to "not a KBQAXPD3 file":
+        the error names the retired format and how to regenerate it."""
+        path = tmp_path / f"old.{name}"
+        path.write_bytes(RETIRED_HEADERS[name])
+        with pytest.raises(ValueError, match=rf"{name} is retired.*kbqa expand --save"):
             ExpandedStore.load(path)
 
+    @pytest.mark.parametrize("name", sorted(RETIRED_HEADERS))
+    def test_cli_refuses_retired_format_without_traceback(self, name, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / f"old.{name}"
+        path.write_bytes(RETIRED_HEADERS[name])
+        for argv, prefix in (
+            (["expand", "--load", str(path)], "kbqa expand: error:"),
+            (
+                ["answer", "--scale", "small", "--expansion", str(path), "who?"],
+                "kbqa answer: error:",
+            ),
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(prefix) and "Traceback" not in err
+            assert f"{name} is retired" in err and "kbqa expand --save" in err
+
+    def test_save_accepts_only_the_one_format(self, expanded, tmp_path):
+        path = tmp_path / "expansion.kbqa"
+        expanded.save(path)
+        assert is_v3_file(path)
+        for retired in ("v1", "v2"):
+            with pytest.raises(ValueError, match="unknown expansion format"):
+                expanded.save(tmp_path / "nope.kbqa", format=retired)
+        assert not (tmp_path / "nope.kbqa").exists()
+
     def test_rejects_out_of_range_ids_at_load_time(self, tmp_path):
-        """Corrupt ids must fail the documented load-time ValueError, not a
-        KeyError at first decode."""
+        """The one id array the O(1) load reads in full — the seeds — fails
+        the documented load-time ValueError, not a KeyError at first decode
+        (ids deeper in the index sections are ``verify()``'s job)."""
         kb = TripleStore()
         kb.add("s", "name", make_literal("x"))
         expanded = expand_predicates(kb, ["s"], max_length=1)
         path = tmp_path / "corrupt.kbqa"
-        expanded.save(path, format="v1")  # this test edits v1 lines
-        lines = path.read_text().splitlines()
-        # the last line is the single subject group: [s, [[p, [o]]]] — point
-        # its object id far past the dictionary
-        import json
-
-        s_id, groups = json.loads(lines[-1])
-        groups[0][1] = [9999]
-        lines[-1] = json.dumps([s_id, groups])
-        path.write_text("\n".join(lines) + "\n")
+        expanded.save(path)
+        data = bytearray(path.read_bytes())
+        seeds_at = section_offsets(data)["seeds"][0]
+        assert struct.unpack_from("<I", data, seeds_at) == tuple(expanded.seed_ids)
+        struct.pack_into("<I", data, seeds_at, 9999)
+        path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="out of range"):
             ExpandedStore.load(path)
 
@@ -176,186 +245,54 @@ class TestFormatGuards:
         assert loaded.objects("s", PredicatePath.single("name")) == {tricky}
 
 
-class TestV2Format:
-    """The binary mmap v2 artifact: byte-level v1<->v2 equivalence plus the
-    rejection paths a corrupted/foreign v2 file must take."""
-
-    def test_v1_v2_round_trip_is_byte_identical_both_ways(self, expanded, tmp_path):
-        """Acceptance: converting v2 -> v1 reproduces the direct v1 bytes,
-        and v1 -> v2 reproduces the direct v2 bytes."""
-        v1, v2 = tmp_path / "a.v1", tmp_path / "a.v2"
-        expanded.save(v1, format="v1")
-        expanded.save(v2, format="v2")
-        assert is_v2_file(v2) and not is_v2_file(v1)
-        via_v2 = tmp_path / "b.v1"
-        ExpandedStore.load(v2).save(via_v2, format="v1")
-        assert via_v2.read_bytes() == v1.read_bytes()
-        via_v1 = tmp_path / "b.v2"
-        ExpandedStore.load(v1).save(via_v1, format="v2")
-        assert via_v1.read_bytes() == v2.read_bytes()
-
-    def test_v2_save_is_deterministic(self, expanded, tmp_path):
-        first, second = tmp_path / "first.v2", tmp_path / "second.v2"
-        expanded.save(first, format="v2")
-        expanded.save(second, format="v2")
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_seeds_tails_and_reach_survive_v2(self, expanded, tmp_path):
-        path = tmp_path / "expansion.v2"
-        expanded.save(path, format="v2")
-        loaded = ExpandedStore.load(path)
-        assert loaded.tail_predicates == expanded.tail_predicates
-        assert loaded.max_length == expanded.max_length
-        assert loaded.stats() == expanded.stats()
-        decode_old, decode_new = expanded.dictionary.decode, loaded.dictionary.decode
-        assert {decode_new(s) for s in loaded.seed_ids} == {
-            decode_old(s) for s in expanded.seed_ids
-        }
-        assert {
-            decode_new(n): {decode_new(s) for s in seeds}
-            for n, seeds in loaded.reach_items()
-        } == {
-            decode_old(n): {decode_old(s) for s in seeds}
-            for n, seeds in expanded.reach_items()
-        }
-        assert {(s, str(p), o) for s, p, o in loaded.triples()} == {
-            (s, str(p), o) for s, p, o in expanded.triples()
-        }
-
-    def test_answer_many_identical_from_v1_and_v2_artifacts(
-        self, suite, kbqa_fb, tmp_path
-    ):
-        """Acceptance: systems resumed from a v1 and a v2 artifact of the
-        same expansion answer the qald3 BFQ set identically."""
-        expanded = kbqa_fb.learn_result.expanded
-        v1, v2 = tmp_path / "e.v1", tmp_path / "e.v2"
-        expanded.save(v1, format="v1")
-        expanded.save(v2, format="v2")
-        questions = [q.question for q in suite.benchmark("qald3").bfqs()]
-        with KBQA.train(
-            suite.freebase, suite.corpus, suite.conceptualizer,
-            expanded=ExpandedStore.load(v1),
-        ) as from_v1, KBQA.train(
-            suite.freebase, suite.corpus, suite.conceptualizer,
-            expanded=ExpandedStore.load(v2),
-        ) as from_v2:
-            assert from_v1.answer_many(questions) == from_v2.answer_many(questions)
-            assert from_v2.answer_many(questions) == kbqa_fb.answer_many(questions)
-
-    def test_special_characters_round_trip_v2(self, tmp_path):
-        kb = TripleStore()
-        tricky = make_literal('line\nbreak "and\ttab" é中')
-        kb.add("s", "name", tricky)
-        expanded = expand_predicates(kb, ["s"], max_length=1)
-        path = tmp_path / "tricky.v2"
-        expanded.save(path, format="v2")
-        loaded = ExpandedStore.load(path)
-        assert loaded.objects("s", PredicatePath.single("name")) == {tricky}
-
-    def test_env_selects_v2_default(self, expanded, tmp_path, monkeypatch):
-        """The CI leg's KBQA_EXPANDED_FORMAT=v2 must flip the *default*
-        save format while format= stays authoritative."""
-        monkeypatch.setenv(EXPANDED_FORMAT_ENV, "v2")
-        by_env = tmp_path / "by_env.kbqa"
-        expanded.save(by_env)
-        assert is_v2_file(by_env)
-        pinned = tmp_path / "pinned.kbqa"
-        expanded.save(pinned, format="v1")
-        assert not is_v2_file(pinned)
-        monkeypatch.setenv(EXPANDED_FORMAT_ENV, "v9")
-        with pytest.raises(ValueError, match="unknown expansion format"):
-            expanded.save(tmp_path / "nope.kbqa")
-
-    def test_rejects_truncated_v2(self, expanded, tmp_path):
-        path = tmp_path / "whole.v2"
-        expanded.save(path, format="v2")
-        data = path.read_bytes()
-        for cut in (len(data) - 7, len(data) // 2, 40):
-            clipped = tmp_path / f"clipped-{cut}.v2"
-            clipped.write_bytes(data[:cut])
-            with pytest.raises(ValueError, match="truncat|header"):
-                ExpandedStore.load(clipped)
-
-    def test_rejects_version_mismatch_v2(self, expanded, tmp_path):
-        path = tmp_path / "future.v2"
-        expanded.save(path, format="v2")
-        data = bytearray(path.read_bytes())
-        # the version is the first u32 after the 8-byte magic
-        struct.pack_into("<I", data, len(EXPANSION_V2_MAGIC), EXPANSION_V2_VERSION + 1)
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="version"):
-            ExpandedStore.load(path)
-
-    def test_rejects_out_of_bounds_ids_v2(self, tmp_path):
-        """A corrupt object id past the dictionary fails the documented
-        load-time ValueError, before any decode uses it."""
-        kb = TripleStore()
-        kb.add("s", "name", make_literal("x"))
-        expanded = expand_predicates(kb, ["s"], max_length=1)
-        path = tmp_path / "corrupt.v2"
-        expanded.save(path, format="v2")
-        data = bytearray(path.read_bytes())
-        # the single object id is the last u32 before the (empty) reach
-        # sections; with one triple and no reach it is the final u32
-        struct.pack_into("<I", data, len(data) - 4, 9999)
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="out of range"):
-            ExpandedStore.load(path)
-
-    def test_rejects_trailing_garbage_v2(self, expanded, tmp_path):
-        path = tmp_path / "padded.v2"
-        expanded.save(path, format="v2")
-        path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
-        with pytest.raises(ValueError, match="trailing"):
-            ExpandedStore.load(path)
-
-    def test_cli_expand_save_v2_and_sniffing_load(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "expansion.v2"
-        code = main(
-            ["expand", "--scale", "small", "--save", str(path),
-             "--expanded-format", "v2"]
-        )
-        assert code == 0 and is_v2_file(path)
-        saved = capsys.readouterr().out
-        assert "saved expansion" in saved and "spo_triples=" in saved
-        assert main(["expand", "--load", str(path)]) == 0
-        loaded = capsys.readouterr().out
-        # identical inventory whichever format backed the artifact
-        assert saved.splitlines()[1:] == loaded.splitlines()[1:]
-
-
 class TestV3Format:
-    """The disk-native v3 artifact: lookups answered by binary search
-    straight off the mmap (no dict materialization), byte-level v1/v2/v3
-    interchangeability, and the rejection paths of a corrupt file — cheap
-    structural ones at load, index-consistency ones via ``verify()`` (the
-    ``kbqa expand --load`` integrity gate)."""
+    """The artifact itself: lookups answered by binary search straight off
+    the mmap (no dict materialization), canonical bytes, and the rejection
+    paths of a corrupt file — cheap structural ones at load,
+    index-consistency ones via ``verify()`` (the ``kbqa expand --load``
+    integrity gate)."""
 
-    def test_v2_v3_round_trip_is_byte_identical_both_ways(self, expanded, tmp_path):
-        """Acceptance: converting v3 -> v2 reproduces the direct v2 bytes,
-        and v2 -> v3 reproduces the direct v3 bytes (and v3 -> v1 the
-        direct v1 bytes)."""
-        v1, v2, v3 = tmp_path / "a.v1", tmp_path / "a.v2", tmp_path / "a.v3"
-        expanded.save(v1, format="v1")
-        expanded.save(v2, format="v2")
-        expanded.save(v3, format="v3")
-        assert is_v3_file(v3) and not is_v3_file(v2) and not is_v2_file(v3)
-        via_v3 = tmp_path / "b.v2"
-        ExpandedStore.load(v3).save(via_v3, format="v2")
-        assert via_v3.read_bytes() == v2.read_bytes()
-        via_v2 = tmp_path / "b.v3"
-        ExpandedStore.load(v2).save(via_v2, format="v3")
-        assert via_v2.read_bytes() == v3.read_bytes()
-        via_v3_v1 = tmp_path / "b.v1"
-        ExpandedStore.load(v3).save(via_v3_v1, format="v1")
-        assert via_v3_v1.read_bytes() == v1.read_bytes()
+    def test_round_trip_is_byte_identical_mapped_and_materialized(
+        self, expanded, tmp_path
+    ):
+        """Acceptance: ``load(p).save(q)`` reproduces ``p``'s bytes — from a
+        store that is still mapped, and from one that was materialized,
+        mutated and reverted."""
+        original = tmp_path / "a.v3"
+        expanded.save(original)
+        assert is_v3_file(original)
+        mapped = ExpandedStore.load(original)
+        assert mapped.is_mapped
+        via_mapped = tmp_path / "b.v3"
+        mapped.save(via_mapped)
+        assert via_mapped.read_bytes() == original.read_bytes()
+
+        churned = ExpandedStore.load(original)
+        pristine = ExpandedStore.load(original)
+        seed = churned.dictionary.decode(min(churned.seed_ids))
+        assert churned.invalidate_seed(seed)  # materializes, drops the seed's rows
+        assert not churned.is_mapped and len(churned) < len(pristine)
+        churned.merge_from(pristine)  # and back: same content, rebuilt indexes
+        via_churned = tmp_path / "c.v3"
+        churned.save(via_churned)
+        assert via_churned.read_bytes() == original.read_bytes()
 
     def test_v3_save_is_deterministic(self, expanded, tmp_path):
+        """Equal content over the same term ids serializes identically
+        whatever order the triples were interned in."""
+        reordered = ExpandedStore(
+            expanded.max_length, expanded.dictionary, expanded.tail_predicates
+        )
+        for s_id, p_id, o_id in reversed(list(expanded.triples_ids())):
+            reordered.record_encoded(s_id, expanded._path_keys[p_id], o_id)
+        reordered.seed_ids = set(expanded.seed_ids)
+        for node_id, seeds in reversed(list(expanded.reach_items())):
+            for seed_id in seeds:
+                reordered.note_reach(node_id, seed_id)
+        assert reordered._path_keys != expanded._path_keys
         first, second = tmp_path / "first.v3", tmp_path / "second.v3"
-        expanded.save(first, format="v3")
-        expanded.save(second, format="v3")
+        expanded.save(first)
+        reordered.save(second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_loads_mapped_and_lookups_match_materialized(self, expanded, tmp_path):
@@ -363,7 +300,7 @@ class TestV3Format:
         to the materialized reference, and serving those reads leaves the
         store mapped — zero dict materialization on the lookup path."""
         path = tmp_path / "expansion.v3"
-        expanded.save(path, format="v3")
+        expanded.save(path)
         mapped = ExpandedStore.load(path)
         reference = ExpandedStore.load(path).materialize()
         assert mapped.is_mapped and not reference.is_mapped
@@ -395,7 +332,7 @@ class TestV3Format:
 
     def test_seeds_tails_and_reach_survive_v3(self, expanded, tmp_path):
         path = tmp_path / "expansion.v3"
-        expanded.save(path, format="v3")
+        expanded.save(path)
         loaded = ExpandedStore.load(path)
         assert loaded.tail_predicates == expanded.tail_predicates
         assert loaded.max_length == expanded.max_length
@@ -420,7 +357,7 @@ class TestV3Format:
         dict indexes)."""
         expanded = kbqa_fb.learn_result.expanded
         path = tmp_path / "e.v3"
-        expanded.save(path, format="v3")
+        expanded.save(path)
         questions = [q.question for q in suite.benchmark("qald3").bfqs()]
         loaded = ExpandedStore.load(path)
         assert loaded.is_mapped
@@ -432,7 +369,7 @@ class TestV3Format:
 
     def test_write_materializes_automatically(self, expanded, tmp_path):
         path = tmp_path / "expansion.v3"
-        expanded.save(path, format="v3")
+        expanded.save(path)
         loaded = ExpandedStore.load(path)
         assert loaded.is_mapped
         before = {(s, str(p), o) for s, p, o in loaded.triples()}
@@ -442,29 +379,20 @@ class TestV3Format:
             ("zz-new", "name", make_literal("zz"))
         }
 
-    def test_env_selects_v3_default(self, expanded, tmp_path, monkeypatch):
-        monkeypatch.setenv(EXPANDED_FORMAT_ENV, "v3")
-        by_env = tmp_path / "by_env.kbqa"
-        expanded.save(by_env)
-        assert is_v3_file(by_env)
-        pinned = tmp_path / "pinned.kbqa"
-        expanded.save(pinned, format="v2")
-        assert is_v2_file(pinned)
-
     def test_special_characters_round_trip_v3(self, tmp_path):
         kb = TripleStore()
         tricky = make_literal('line\nbreak "and\ttab" é中')
         kb.add("s", "name", tricky)
         expanded = expand_predicates(kb, ["s"], max_length=1)
         path = tmp_path / "tricky.v3"
-        expanded.save(path, format="v3")
+        expanded.save(path)
         loaded = ExpandedStore.load(path)
         assert loaded.is_mapped
         assert loaded.objects("s", PredicatePath.single("name")) == {tricky}
 
     def test_rejects_truncated_v3(self, expanded, tmp_path):
         path = tmp_path / "whole.v3"
-        expanded.save(path, format="v3")
+        expanded.save(path)
         data = path.read_bytes()
         for cut in (len(data) - 7, len(data) // 2, 40, 0):
             clipped = tmp_path / f"clipped-{cut}.v3"
@@ -474,7 +402,7 @@ class TestV3Format:
 
     def test_rejects_version_mismatch_v3(self, expanded, tmp_path):
         path = tmp_path / "future.v3"
-        expanded.save(path, format="v3")
+        expanded.save(path)
         data = bytearray(path.read_bytes())
         struct.pack_into("<I", data, len(EXPANSION_V3_MAGIC), EXPANSION_V3_VERSION + 1)
         path.write_bytes(bytes(data))
@@ -483,7 +411,7 @@ class TestV3Format:
 
     def test_rejects_trailing_garbage_v3(self, expanded, tmp_path):
         path = tmp_path / "padded.v3"
-        expanded.save(path, format="v3")
+        expanded.save(path)
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(ValueError, match="trailing"):
             ExpandedStore.load(path)
@@ -492,24 +420,13 @@ class TestV3Format:
         """Load stays O(1) on an unsorted index; the ``verify()`` sweep (run
         by ``kbqa expand --load``) is what rejects it."""
         path = tmp_path / "unsorted.v3"
-        expanded.save(path, format="v3")
+        expanded.save(path)
         data = bytearray(path.read_bytes())
         seed_ids = sorted(expanded.seed_ids)
         assert len(seed_ids) >= 2
-        # walk the wire format to the seeds section: header, tails, terms,
-        # termsort (blobs padded to 4-byte alignment), seeds
-        header = struct.Struct("<8s14IQ")
-        fields = header.unpack_from(data, 0)
-        n_tails, n_terms, n_seeds = fields[3], fields[4], fields[5]
-        tails_blob_len, terms_blob_len = fields[13], fields[15]
-        offset = header.size
-        offset += 4 * (n_tails + 1) + tails_blob_len + (-tails_blob_len) % 4
-        offset += 8 * (n_terms + 1) + terms_blob_len + (-terms_blob_len) % 4
-        offset += 4 * n_terms  # term-sort permutation
-        assert n_seeds == len(seed_ids)
-        assert data[offset : offset + 4 * n_seeds] == struct.pack(
-            f"<{n_seeds}I", *seed_ids
-        ), "seed section offset arithmetic out of step with the writer"
+        offset, end = section_offsets(data)["seeds"]
+        n_seeds = (end - offset) // 4
+        assert data[offset:end] == struct.pack(f"<{n_seeds}I", *seed_ids)
         swapped = [seed_ids[1], seed_ids[0]] + seed_ids[2:]
         data[offset : offset + 4 * n_seeds] = struct.pack(f"<{n_seeds}I", *swapped)
         path.write_bytes(bytes(data))
@@ -521,7 +438,7 @@ class TestV3Format:
         """An id past the dictionary deep in the index sections passes the
         O(1) load and fails the full sweep."""
         path = tmp_path / "oob.v3"
-        expanded.save(path, format="v3")
+        expanded.save(path)
         data = bytearray(path.read_bytes())
         # the file ends with the reach seed-id u32 array
         struct.pack_into("<I", data, len(data) - 4, 0x7FFFFFFF)
@@ -534,10 +451,7 @@ class TestV3Format:
         from repro.cli import main
 
         path = tmp_path / "expansion.v3"
-        code = main(
-            ["expand", "--scale", "small", "--save", str(path),
-             "--expanded-format", "v3"]
-        )
+        code = main(["expand", "--scale", "small", "--save", str(path)])
         assert code == 0 and is_v3_file(path)
         saved = capsys.readouterr().out
         assert "saved expansion" in saved and "spo_triples=" in saved
@@ -552,10 +466,7 @@ class TestV3Format:
         from repro.cli import main
 
         path = tmp_path / "expansion.v3"
-        assert main(
-            ["expand", "--scale", "small", "--save", str(path),
-             "--expanded-format", "v3"]
-        ) == 0
+        assert main(["expand", "--scale", "small", "--save", str(path)]) == 0
         capsys.readouterr()
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0xFF
@@ -564,6 +475,209 @@ class TestV3Format:
         assert main(["expand", "--load", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("kbqa expand: error:")
+
+
+class TestAtomicSave:
+    """``save`` replaces its target by rename, never by truncation."""
+
+    def test_overwrite_leaves_mapped_readers_on_the_old_artifact(
+        self, expanded, tmp_path
+    ):
+        """A reader that has the artifact mapped keeps answering from the
+        old bytes while a writer saves different content to the same path;
+        a fresh load sees the new content.  Runs in a child process: an
+        in-place truncation kills the reader with SIGBUS."""
+        path = tmp_path / "served.kbqa"
+        expanded.save(path)
+        child = textwrap.dedent(
+            """
+            import json, sys
+            from repro.kb.expansion import ExpandedStore, expand_predicates
+            from repro.kb.store import TripleStore
+            from repro.kb.triple import make_literal
+
+            path = sys.argv[1]
+            reader = ExpandedStore.load(path)
+            kb = TripleStore()
+            kb.add("s", "name", make_literal("x"))
+            expand_predicates(kb, ["s"], max_length=1).save(path)
+            after = sorted((s, str(p), o) for s, p, o in reader.triples())
+            fresh = sorted((s, str(p), o) for s, p, o in ExpandedStore.load(path).triples())
+            json.dump({"mapped": reader.is_mapped, "after": after, "fresh": fresh}, sys.stdout)
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child, str(path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 0, f"reader died ({done.returncode}): {done.stderr}"
+        seen = json.loads(done.stdout)
+        assert seen["mapped"]
+        assert seen["after"] == sorted(
+            [s, str(p), o] for s, p, o in expanded.triples()
+        )
+        assert seen["fresh"] == [["s", "name", make_literal("x")]]
+        assert list(tmp_path.glob("*.tmp*")) == []
+
+    def test_failed_write_keeps_the_previous_artifact(
+        self, expanded, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "expansion.kbqa"
+        expanded.save(path)
+        before = path.read_bytes()
+
+        def disk_full(self, length):
+            raise OSError("no space left on device")
+
+        # pad4 first runs after the header and the tails sections are out
+        monkeypatch.setattr(expanded_v3.V3StreamWriter, "pad4", disk_full)
+        with pytest.raises(OSError, match="no space"):
+            expanded.save(path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp*")) == []
+
+
+class TestMutationFuzzer:
+    """Seeded single-byte corruption of a small artifact (ROADMAP 5(b)).
+
+    Every mutant must fail closed — ``ValueError`` or a normal return from
+    ``load``, ``verify()`` and every probe, never another exception — and a
+    mutant ``verify()`` accepts must be *self-consistent*: its index
+    sections agree with its content sections, i.e. the mapped probes equal
+    the probes of its own materialized copy.  A flip that turns one
+    well-formed artifact into another (a letter in a term, an id that stays
+    in order) needs a checksum to catch — a layout change; the test prints
+    how many mutants fall in that class.
+    """
+
+    SEED = 22
+    PER_SECTION = 24
+
+    @pytest.fixture()
+    def pristine(self, tmp_path):
+        rng = random.Random(self.SEED)
+        kb = TripleStore()
+        entities = [f"n{i}" for i in range(10)]
+        for _ in range(40):
+            kb.add(
+                rng.choice(entities),
+                rng.choice(["p0", "p1", "name"]),
+                rng.choice(entities + [make_literal(f"v{rng.randrange(6)}é")]),
+            )
+        store = expand_predicates(
+            kb, rng.sample(entities, 3), max_length=3, record_reach=True
+        )
+        path = tmp_path / "pristine.v3"
+        store.save(path)
+        return store, path.read_bytes()
+
+    REJECTED = object()
+
+    @classmethod
+    def closed(cls, step, *args):
+        """``step(*args)``, or ``REJECTED`` if it failed the documented way."""
+        try:
+            return step(*args)
+        except ValueError:
+            return cls.REJECTED
+
+    @staticmethod
+    def probe_all(store, keys):
+        subject_paths, pairs, subjects, nodes = keys
+        return (
+            [store.objects(s, p) for s, p in subject_paths],
+            [store.paths_between(s, o) for s, o in pairs],
+            [store.paths_of(s) for s in subjects],
+            [frozenset(store.seeds_through(node)) for node in nodes],
+            sorted((s, str(p), o) for s, p, o in store.triples()),
+        )
+
+    def test_single_byte_mutants_fail_closed_or_stay_self_consistent(
+        self, pristine, tmp_path, capsys
+    ):
+        store, data = pristine
+        subject_paths = [(s, p) for s in store.subjects() for p in store.paths_of(s)]
+        keys = (
+            subject_paths,
+            [(s, o) for s, p in subject_paths for o in store.objects(s, p)],
+            list(store.subjects()),
+            [node for node, _seeds in store.reach_items()],
+        )
+        sections = section_offsets(data)
+        rng = random.Random(self.SEED)
+        positions = list(range(*sections["header"]))
+        for name, (start, end) in sections.items():
+            if name != "header":
+                positions += rng.sample(
+                    range(start, end), min(self.PER_SECTION, end - start)
+                )
+        assert len(positions) - HEADER.size >= 300
+
+        path = tmp_path / "mutant.v3"
+        undetected: dict[str, int] = {}
+        for position in positions:
+            mask = rng.randrange(1, 256)
+            mutant = bytearray(data)
+            mutant[position] ^= mask
+            path.write_bytes(mutant)
+            section = next(n for n, (a, b) in sections.items() if a <= position < b)
+            where = f"seed={self.SEED} offset={position} ({section}) xor={mask:#04x}"
+            try:
+                mapped = self.closed(ExpandedStore.load, path)
+                if mapped is self.REJECTED:
+                    continue
+                try:
+                    verified = self.closed(mapped.verify) is not self.REJECTED
+                    answers = self.closed(self.probe_all, mapped, keys)
+                finally:
+                    mapped.close()
+                if verified:
+                    assert answers is not self.REJECTED, "verify() passed, a probe raised"
+                    own_copy = ExpandedStore.load(path).materialize()
+                    assert answers == self.probe_all(own_copy, keys), (
+                        "index sections disagree with content sections"
+                    )
+                    undetected[section] = undetected.get(section, 0) + 1
+            except Exception as error:  # anything but ValueError is the defect
+                pytest.fail(f"{where}: {type(error).__name__}: {error}")
+        with capsys.disabled():
+            print(
+                f"\nmutation fuzzer seed={self.SEED}: {len(positions)} mutants, "
+                f"{sum(undetected.values())} well-formed under verify() "
+                f"(undetectable without a checksum): {dict(sorted(undetected.items()))}"
+            )
+
+    def test_verify_rejects_an_undecodable_term(self, pristine, tmp_path):
+        """Fuzzer regression: a term byte flipped to invalid utf-8 that kept
+        the permutation sorted passed ``verify()`` and failed at first decode."""
+        _store, data = pristine
+        mutant = bytearray(data)
+        start, end = section_offsets(data)["terms_blob"]
+        terms_blob_len = HEADER.unpack_from(data, 0)[15]
+        mutant[start + terms_blob_len - 1] = 0xFF  # last byte of the last term
+        path = tmp_path / "undecodable.v3"
+        path.write_bytes(mutant)
+        with pytest.raises(ValueError, match="utf-8"):
+            ExpandedStore.load(path).verify()
+
+    def test_lookup_through_a_corrupt_termsort_is_a_value_error(
+        self, pristine, tmp_path
+    ):
+        """Fuzzer regression: an out-of-range id in the term permutation
+        surfaced as IndexError from the term -> id binary search."""
+        store, data = pristine
+        mutant = bytearray(data)
+        start, end = section_offsets(data)["termsort"]
+        for offset in range(start + 3, end, 4):  # high byte of every entry
+            mutant[offset] = 0x7F
+        path = tmp_path / "termsort.v3"
+        path.write_bytes(mutant)
+        corrupt = ExpandedStore.load(path)
+        with pytest.raises(ValueError, match="out of range"):
+            corrupt.paths_of(next(store.subjects()))
+        with pytest.raises(ValueError, match="out of range"):
+            corrupt.verify()
 
 
 class TestV3RandomizedEquivalence:
@@ -585,7 +699,7 @@ class TestV3RandomizedEquivalence:
         seeds = rng.sample(entities, 6)
         expanded = expand_predicates(kb, seeds, max_length=3, record_reach=True)
         path = tmp_path / f"r{seed}.v3"
-        expanded.save(path, format="v3")
+        expanded.save(path)
         mapped = ExpandedStore.load(path)
         assert mapped.is_mapped
         mapped.verify()

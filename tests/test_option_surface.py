@@ -50,14 +50,32 @@ def test_online_answerer_constructor_parameter_count():
 
 def test_cli_flag_count():
     cli = (SRC / "repro" / "cli.py").read_text(encoding="utf-8")
-    assert cli.count("add_argument(") <= 46
+    assert cli.count("add_argument(") <= 45
 
 
 def test_environment_variables():
     names = set()
     for path in SRC.rglob("*.py"):
         names.update(re.findall(r"""["'](KBQA_[A-Z_]+)["']""", path.read_text("utf-8")))
-    assert names == {"KBQA_BACKEND", "KBQA_EXPANDED_FORMAT", "KBQA_FAULTS"}
+    assert names == {"KBQA_BACKEND", "KBQA_FAULTS"}
+
+
+def test_one_expansion_artifact_format():
+    """The retired formats' module, resolver and format list stay gone."""
+    for path in SRC.rglob("*.py"):
+        text = path.read_text("utf-8")
+        for name in ("expanded_v2", "resolve_expanded_format", "EXPANSION_FORMATS"):
+            assert name not in text, (path, name)
+
+
+def test_expanded_format_env_var_is_ignored(tmp_path, monkeypatch):
+    """Not an error and not a switch: the variable no longer exists."""
+    from repro.kb.expanded_v3 import is_v3_file
+
+    monkeypatch.setenv("KBQA_EXPANDED_FORMAT", "v1")
+    path = tmp_path / "expansion.kbqa"
+    assert main(["expand", "--scale", "small", "--save", str(path)]) == 0
+    assert is_v3_file(path)
 
 
 @pytest.mark.parametrize(
@@ -67,14 +85,17 @@ def test_environment_variables():
         ["answer", "--scale", "small", "--shards", "2", "who?"],
         ["train", "--scale", "small", "--workers", "2", "--model", "m.json"],
         ["shm-gc"],
+        ["expand", "--scale", "small", "--save", "x.kbqa", "--expanded-format", "v3"],
     ],
-    ids=["serve--exec", "answer--shards", "train--workers", "shm-gc"],
+    ids=["serve--exec", "answer--shards", "train--workers", "shm-gc", "expand--expanded-format"],
 )
-def test_deleted_cli_surface_is_a_usage_error(argv, capsys):
+def test_deleted_cli_surface_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2  # argparse usage error, nothing trained
     assert "kbqa" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # and nothing built
 
 
 def test_serve_rejects_zero_workers_before_training(capsys):

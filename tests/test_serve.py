@@ -2,7 +2,8 @@
 
 The serving layer's four invariants under test:
 
-* concurrent async results are byte-identical to the sequential path;
+* concurrent async results are byte-identical to the sequential path, on
+  both executors ``ServeConfig`` names (it rejects anything else);
 * N concurrent identical questions cost one evaluation (coalescing);
 * admission control rejects deterministically with ``OverloadedError``;
 * an invalidation that lands mid-evaluation forces a re-evaluation, so a
@@ -103,6 +104,36 @@ class TestEquivalence:
         assert first.question == "what is X ?"
         assert second.question == "What  is  X?"
         assert first.values == second.values
+
+
+class TestServingEquivalence:
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("stream_seed", [3, 11])
+    def test_answer_many_equals_sync(self, backend, stream_seed, kbqa_fb, suite):
+        """Async results over a randomized duplicate-heavy stream equal the
+        synchronous path on both serving executors."""
+        pool = [q.question for q in suite.benchmark("qald3").bfqs()][:12]
+        stream = build_request_stream(
+            pool,
+            LoadSpec(requests=48, concurrency=8, duplicate_rate=0.5, seed=stream_seed),
+        )
+        expected = [kbqa_fb.answer(q) for q in stream]
+
+        async def main():
+            config = ServeConfig(workers=2, max_batch=8, executor=backend)
+            async with AsyncAnswerer(kbqa_fb, config) as answerer:
+                return await answerer.answer_many(stream)
+
+        assert asyncio.run(main()) == expected
+
+
+class TestSelectionRules:
+    def test_serve_config_rejects_unknown_executor(self):
+        with pytest.raises(ValueError, match="executor"):
+            ServeConfig(executor="fibers")
+        # serving has no process executor; the error names the multi-core way
+        with pytest.raises(ValueError, match="--procs"):
+            ServeConfig(executor="process")
 
 
 class TestCoalescing:

@@ -1,5 +1,7 @@
 """Tests for the KBQA facade, the suite assembly and the CLI."""
 
+import pickle
+
 import pytest
 
 from repro.cli import main
@@ -42,6 +44,17 @@ class TestKBQAFacade:
         system = KBQA.train(suite.freebase, suite.corpus, suite.conceptualizer, config)
         assert system.learn_result.em.iterations <= 2
         assert system.decomposer.statistics.questions_indexed <= 100
+
+
+class TestLiveSystemPickle:
+    """Nothing in the product crosses a process boundary by pickle: replicas
+    get the trained system by ``fork``.  The facade's refusal is the one
+    crisp failure every accidental ``pickle.dumps`` of a system (or of
+    anything that holds one) falls through to."""
+
+    def test_kbqa_itself_refuses_to_pickle(self, kbqa_fb):
+        with pytest.raises(TypeError, match="not picklable"):
+            pickle.dumps(kbqa_fb)
 
 
 class TestSuite:
