@@ -27,7 +27,6 @@ from dataclasses import replace
 from repro.core.fallback import DEFAULT_THRESHOLD
 from repro.core.system import KBQA, KBQAConfig
 from repro.eval.runner import evaluate_qald
-from repro.eval.scenarios import ALL_AXES
 from repro.kb.backend import BACKEND_KINDS
 from repro.kb.expansion import ExpandedStore
 from repro.suite import build_suite
@@ -222,49 +221,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cities minted per streaming chunk",
     )
     mega.add_argument(
-        "--mega-backend", default="disk", choices=["disk", "memory"],
-        help="triple store backend (memory is the equivalence-test path; "
-             "it writes no kb.db)",
-    )
-    mega.add_argument(
         "--max-rss-mb", type=float, default=0.0,
         help="fail (exit 1) if process peak RSS exceeds this many MiB "
              "(0 disables; the bounded-memory assertion for CI)",
     )
     mega.set_defaults(handler=_cmd_mega_compile)
-
-    scenario = sub.add_parser(
-        "scenario",
-        help="run the serving-realism scenario axes (skew / churn / "
-             "temporal / paraphrase) against a finished mega build",
-    )
-    scenario.add_argument(
-        "--mega", required=True, metavar="DIR",
-        help="a directory produced by kbqa mega-compile",
-    )
-    scenario.add_argument(
-        "--axes", default=",".join(ALL_AXES),
-        help=f"comma-separated axes to run (default: {','.join(ALL_AXES)})",
-    )
-    scenario.add_argument(
-        "--requests", type=int, default=400,
-        help="open-loop arrivals for the skew/churn axes",
-    )
-    scenario.add_argument(
-        "--rate-qps", type=float, default=200.0,
-        help="offered Poisson arrival rate for the skew/churn axes",
-    )
-    scenario.add_argument("--seed", type=int, default=7)
-    scenario.add_argument(
-        "--assert-recall", action="store_true",
-        help="exit 1 unless recall is 1.0 on every non-paraphrase axis "
-             "(the CI gate: gold questions must come back exactly right)",
-    )
-    scenario.add_argument(
-        "--json", action="store_true", help="print the full report as JSON"
-    )
-    _fallback_args(scenario)
-    scenario.set_defaults(handler=_cmd_scenario)
 
     return parser
 
@@ -292,7 +253,7 @@ def _common_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _fallback_args(sub: argparse.ArgumentParser) -> None:
-    """The semantic-fallback-lane flags (answer / serve / scenario)."""
+    """The semantic-fallback-lane flags (answer / serve)."""
     sub.add_argument(
         "--fallback", action="store_true",
         help="enable the semantic fallback lane: when the template match "
@@ -513,10 +474,8 @@ def _cmd_mega_compile(args) -> int:
         chunk_people=args.chunk_people,
         chunk_cities=args.chunk_cities,
     )
-    build = compile_mega(spec, args.out, backend=args.mega_backend)
-    close = getattr(build.kb.store, "close", None)
-    if close is not None:
-        close()
+    build = compile_mega(spec, args.out)
+    build.kb.store.close()
     for key in (
         "triples", "chunks", "total_entities", "peak_resident_entities",
         "gold_rows", "ru_maxrss_kb", "kb_path",
@@ -533,69 +492,6 @@ def _cmd_mega_compile(args) -> int:
             )
             return 1
         print(f"rss_bound_ok={rss_kb} KiB <= {limit_kb:.0f} KiB")
-    return 0
-
-
-def _cmd_scenario(args) -> int:
-    """Run the scenario axes; ``--assert-recall`` is the CI correctness gate."""
-    import json
-
-    from repro.eval.scenarios import ScenarioSpec, run_scenarios
-
-    axes = tuple(a.strip() for a in args.axes.split(",") if a.strip())
-    spec = ScenarioSpec(
-        axes=axes,
-        requests=args.requests,
-        rate_qps=args.rate_qps,
-        seed=args.seed,
-        fallback=args.fallback,
-        fallback_threshold=args.fallback_threshold,
-    )
-    report = run_scenarios(args.mega, spec)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for axis, row in report["axes"].items():
-            keys = ("recall", "checked", "incorrect", "p50_ms", "p99_ms")
-            rendered = " ".join(f"{k}={row[k]}" for k in keys if k in row)
-            print(f"{axis}: {rendered}")
-            cell = row.get("fallback")
-            if cell is not None:
-                keys = ("recall", "recovered", "wrong", "abstained", "benign_incorrect")
-                rendered = " ".join(f"{k}={cell[k]}" for k in keys if k in cell)
-                print(f"paraphrase.fallback: {rendered}")
-    if args.assert_recall:
-        failures = [
-            axis
-            for axis, row in report["axes"].items()
-            if axis != "paraphrase" and row.get("recall") != 1.0
-        ]
-        # paraphrase still must never answer *wrongly* on benign rewrites
-        para = report["axes"].get("paraphrase")
-        if para is not None and para.get("incorrect", 0) > 0:
-            failures.append("paraphrase")
-        # recovery-cell gate (fallback lane on): the lane must recover at
-        # least one held-out rewording, never disturb a benign answer, and
-        # keep the wrong-recovery rate bounded — a lane that guesses freely
-        # would trade the paper's abstention contract for recall
-        cell = para.get("fallback") if para is not None else None
-        if cell is not None:
-            wrong_rate = (
-                cell["wrong"] / cell["heldout_total"] if cell["heldout_total"] else 0.0
-            )
-            if (
-                cell["recovered"] < 1
-                or cell["benign_incorrect"] > 0
-                or wrong_rate > 0.1
-            ):
-                failures.append("paraphrase.fallback")
-        if failures:
-            print(
-                f"kbqa scenario: error: recall below 1.0 on: {', '.join(failures)}",
-                file=sys.stderr,
-            )
-            return 1
-        print("recall gate: OK")
     return 0
 
 

@@ -14,15 +14,14 @@ suite's `build_world` materializes every entity before compiling — fine at
   :meth:`~repro.kb.disk.DiskTripleStore.ingest_triples` seam — the full
   fact list never exists in memory;
 * **aligned gold QA pairs** are emitted per chunk as the facts are
-  generated, streamed to ``gold.jsonl``: plain rows (the skew / churn /
-  paraphrase query set), ``temporal`` rows carrying an old→new supersession
-  edit, and ``churn`` rows naming the mutation targets for sustained-write
-  scenarios.
+  generated, streamed to ``gold.jsonl``: plain rows (the read query set),
+  ``temporal`` rows carrying an old→new supersession edit, and ``churn``
+  rows naming the mutation targets for sustained-write workloads.
 
 Peak resident state is the anchor world plus one chunk, independent of the
 triple target; ``manifest.json`` records the accounting
-(``peak_resident_entities``) plus ``ru_maxrss`` for observability, and the
-scenario harness asserts the bound.
+(``peak_resident_entities``) plus ``ru_maxrss`` for observability, and
+``kbqa mega-compile --max-rss-mb`` asserts the bound.
 
 The same code path runs against the in-memory backend (``backend="memory"``)
 — identical entity/triple sequence, hence identical dictionary ids — which
@@ -244,7 +243,7 @@ def _chunk_gold(
         )
         row += 1
     # temporal supersession targets: residence flips to a different anchor
-    # city.  The compiled KB holds the OLD value; the scenario applies
+    # city.  The compiled KB holds the OLD value; the consumer applies
     # delete(old)+add(new) and asserts the fresh answer wins.
     offset = n_person_gold
     for i, entity in enumerate(people[offset : offset + spec.temporal_per_chunk]):

@@ -283,12 +283,6 @@ def mountain_names() -> Iterator[str]:
         yield f"{root} ridge"
 
 
-def university_names_for(cities: list[str]) -> Iterator[str]:
-    """One 'university of <city>' per host city."""
-    for city in cities:
-        yield f"university of {city}"
-
-
 def song_titles() -> Iterator[str]:
     """Song titles: '<band word> <noun>'."""
     for word in BAND_WORDS:

@@ -668,9 +668,6 @@ MEGA_CITY_BASES: tuple[str, ...] = (
     "são vicente", "córdoba nueva", "orléans", "valparaíso",
 )
 
-_MEGA_PERSON_TRIPLES = 8  # name + 2 category + dob/pob/residence/height/profession
-_MEGA_CITY_TRIPLES = 7  # name + 2 category + population/area/country/founded
-
 
 @dataclass(frozen=True, slots=True)
 class MintAnchors:
@@ -718,11 +715,6 @@ class ChunkSpec:
     n_cities: int
     person_start: int  # global serial of this chunk's first person
     city_start: int
-
-
-def estimate_chunk_triples(spec: ChunkSpec) -> int:
-    """Upper-bound triple count for sizing a run (marriage CVTs excluded)."""
-    return spec.n_people * _MEGA_PERSON_TRIPLES + spec.n_cities * _MEGA_CITY_TRIPLES
 
 
 def mint_chunk(spec: ChunkSpec, anchors: MintAnchors) -> list[WorldEntity]:

@@ -1,33 +1,4 @@
-"""Scenario harness: serving-realism axes over a streamed mega build.
-
-Binds a trained small-suite model to a :func:`~repro.corpus.mega.compile_mega`
-artifact and drives the serving stack through four stress axes, each
-reporting **recall** (gold answers that came back exactly right) plus
-**p50/p99 latency**:
-
-* ``skew`` — Zipf hot-set traffic (:func:`repro.serve.loadgen.build_zipf_stream`)
-  at an offered Poisson rate through :class:`AsyncAnswerer`; recall over
-  every checked completion must be 1.0 on the gold non-paraphrase set.
-* ``churn`` — sustained fact writes (the ``churn`` gold rows' height
-  literals flip through :meth:`AsyncAnswerer.apply`'s write-quiescence
-  seam) while plain gold queries stream; recall on the *non-churned* gold
-  must hold at 1.0 — writes may slow answers, never corrupt them.
-* ``temporal`` — supersession: each ``temporal`` gold row's residence fact
-  is replaced (delete old + add new) through ``apply``; the harness asserts
-  the pre-edit answer is the old value and the post-edit answer is the new
-  one — the *fresh fact wins*.
-* ``paraphrase`` — adversarial surface perturbation.  Benign unicode
-  rewrites (curly apostrophes, unicode dashes, fullwidth ``？``, NBSP,
-  stripped diacritics) must fold to the identical token stream and answer
-  correctly; held-out rewordings the templates never saw must *abstain*
-  rather than answer wrongly — the axis reports the abstention rate and
-  counts any wrong answer against recall.  With ``spec.fallback`` the axis
-  adds a **recovery cell**: the same benign + held-out traffic replayed
-  through a second answerer with the semantic fallback lane enabled — the
-  held-out questions the deterministic lane abstains on should now come
-  back *correct* (``recovered``), wrong recoveries are counted, and the
-  benign set must stay exactly right (the lane never touches an answered
-  question).
+"""Bind a trained small-suite model to a streamed mega build.
 
 The model binding deliberately mirrors production: the system is trained on
 the ordinary small suite (surfaces/templates), then pointed at the mega KB
@@ -37,16 +8,17 @@ million-triple serving tractable without a million-triple expansion pass.
 The gazetteer and conceptualizer are extended with the gold working set
 (entity name -> node, entity -> concept weights) exactly as an entity-linking
 sidecar would populate them.
+
+The binding is the input of the ``mega_disk_mixed`` end-to-end workload
+(``benchmarks/e2e``), which drives reads beside writes through it and checks
+every answer against the build's aligned gold.
 """
 
 from __future__ import annotations
 
-import asyncio
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.fallback import FallbackConfig, FallbackIndex
 from repro.core.kbview import KBView
 from repro.core.online import OnlineAnswerer
 from repro.core.system import KBQA
@@ -54,49 +26,16 @@ from repro.corpus.mega import iter_gold, load_manifest
 from repro.corpus.qa import QAPair
 from repro.kb.disk import DiskTripleStore
 from repro.nlp.ner import EntityRecognizer
-from repro.serve.async_answerer import AsyncAnswerer, ServeConfig, normalized_key
-from repro.serve.loadgen import (
-    build_zipf_stream,
-    latency_percentiles,
-    run_open_load,
-)
 from repro.suite import build_suite
-
-ALL_AXES = ("skew", "churn", "temporal", "paraphrase")
 
 
 @dataclass(frozen=True, slots=True)
 class ScenarioSpec:
-    """One scenario sweep: shared traffic knobs across the axes."""
+    """How much of a mega build's gold to bind."""
 
-    axes: tuple[str, ...] = ALL_AXES
-    requests: int = 400  # open-loop arrivals for skew/churn
-    rate_qps: float = 200.0
-    zipf_exponent: float = 1.1
-    seed: int = 7
     max_gold: int = 512  # cap on gold rows loaded per kind
-    churn_writes: int = 32
-    temporal_edits: int = 12
-    paraphrase_queries: int = 48
-    workers: int = 2
-    max_batch: int = 8
-    fallback: bool = False  # add the paraphrase axis's recovery cell
-    fallback_threshold: float | None = None  # None = the lane's default
 
     def __post_init__(self) -> None:
-        if self.fallback_threshold is not None and not (
-            0.0 < self.fallback_threshold <= 1.0
-        ):
-            raise ValueError(
-                f"fallback_threshold must be in (0, 1], got {self.fallback_threshold}"
-            )
-        for axis in self.axes:
-            if axis not in ALL_AXES:
-                raise ValueError(f"unknown axis {axis!r}; pick from {ALL_AXES}")
-        if self.requests < 1:
-            raise ValueError(f"requests must be >= 1, got {self.requests}")
-        if self.rate_qps <= 0:
-            raise ValueError(f"rate_qps must be > 0, got {self.rate_qps}")
         if self.max_gold < 8:
             raise ValueError(f"max_gold must be >= 8, got {self.max_gold}")
 
@@ -108,12 +47,6 @@ class ScenarioBinding:
     target: OnlineAnswerer
     store: DiskTripleStore
     gold: dict[str, list[QAPair]]  # kind -> rows
-    expected: dict  # normalized question key -> answer value tuple
-    manifest: dict
-    # a second answerer sharing the store/NER/model with the semantic
-    # fallback lane enabled (None unless spec.fallback) — the paraphrase
-    # axis replays its traffic through this one for the recovery cell
-    fallback_target: OnlineAnswerer | None = None
 
     def close(self) -> None:
         self.store.close()
@@ -137,17 +70,22 @@ def bind_scenarios(
 ) -> ScenarioBinding:
     """Open a finished mega build and bind the trained model to it.
 
-    Caches are disabled on the bound answerer (``answer_cache_size=0``,
-    ``lookup_cache_size=0``): the churn and temporal axes measure the
-    *store's* freshness contract, and a hit cache would measure itself.
+    The store opened is ``<mega_dir>/kb.db`` — the directory as it is named
+    *now*, not the path the manifest recorded at compile time, so a renamed,
+    moved or copied build binds its own file.  Caches are disabled on the
+    bound answerer (``answer_cache_size=0``, ``lookup_cache_size=0``): its
+    callers measure the *store's* freshness contract, and a hit cache would
+    measure itself.
     """
     manifest = load_manifest(mega_dir)
-    kb_path = manifest.get("kb_path")
-    if not kb_path:
+    if not manifest.get("kb_path"):
         raise ValueError(
             f"{mega_dir}: manifest has no kb_path (memory-backend builds "
             "cannot be re-opened; compile with backend='disk')"
         )
+    kb_path = Path(mega_dir) / "kb.db"
+    if not kb_path.is_file():
+        raise ValueError(f"{kb_path}: no such file (not a finished disk mega build)")
     gold = _load_gold(mega_dir, spec.max_gold)
 
     suite = build_suite("small", seed=manifest["seed"])
@@ -163,376 +101,13 @@ def bind_scenarios(
             for concept, weight in pair.meta["concepts"]:
                 network.add(pair.meta["node"], concept, weight)
 
-    store = DiskTripleStore(kb_path)
-    kbview = KBView(store, expanded=None)
-    ner = EntityRecognizer(gazetteer)
+    store = DiskTripleStore(str(kb_path))
     target = OnlineAnswerer(
-        kbview,
-        ner,
+        KBView(store, expanded=None),
+        EntityRecognizer(gazetteer),
         system.conceptualizer,
         system.model,
         answer_cache_size=0,
         lookup_cache_size=0,
     )
-    fallback_target: OnlineAnswerer | None = None
-    if spec.fallback:
-        fb_config = (
-            FallbackConfig(threshold=spec.fallback_threshold)
-            if spec.fallback_threshold is not None
-            else FallbackConfig()
-        )
-        fallback_target = OnlineAnswerer(
-            kbview,
-            ner,
-            system.conceptualizer,
-            system.model,
-            answer_cache_size=0,
-            lookup_cache_size=0,
-            fallback=FallbackIndex.build(system.model, fb_config),
-        )
-    expected = {
-        normalized_key(pair.question): tuple(pair.meta["values"])
-        for rows in gold.values()
-        for pair in rows
-    }
-    return ScenarioBinding(
-        target=target,
-        store=store,
-        gold=gold,
-        expected=expected,
-        manifest=manifest,
-        fallback_target=fallback_target,
-    )
-
-
-def _recall(checked: int, incorrect: int) -> float | None:
-    if checked <= 0:
-        return None
-    return round((checked - incorrect) / checked, 4)
-
-
-def _serve_config(spec: ScenarioSpec) -> ServeConfig:
-    return ServeConfig(
-        workers=spec.workers,
-        max_batch=spec.max_batch,
-        max_pending=max(256, spec.requests),
-    )
-
-
-async def _axis_skew(binding: ScenarioBinding, spec: ScenarioSpec) -> dict:
-    questions = [pair.question for pair in binding.gold["plain"]]
-    stream = build_zipf_stream(
-        questions, spec.requests, exponent=spec.zipf_exponent, seed=spec.seed
-    )
-    async with AsyncAnswerer(binding.target, _serve_config(spec)) as answerer:
-        result = await run_open_load(
-            answerer, stream, spec.rate_qps, seed=spec.seed, expected=binding.expected
-        )
-    return {
-        "requests": result["requests"],
-        "completed": result["completed"],
-        "checked": result["checked"],
-        "incorrect": result["incorrect"],
-        "recall": _recall(result["checked"], result["incorrect"]),
-        "zipf_exponent": spec.zipf_exponent,
-        "offered_qps": result["offered_qps"],
-        "p50_ms": result["p50_ms"],
-        "p99_ms": result["p99_ms"],
-    }
-
-
-async def _axis_churn(binding: ScenarioBinding, spec: ScenarioSpec) -> dict:
-    """Open-loop reads over plain gold while churn rows' facts flip."""
-    questions = [pair.question for pair in binding.gold["plain"]]
-    stream = build_zipf_stream(
-        questions, spec.requests, exponent=spec.zipf_exponent, seed=spec.seed + 1
-    )
-    churn_rows = binding.gold["churn"]
-    if not churn_rows:
-        raise ValueError("mega build has no churn gold rows")
-    store = binding.store
-    writes_applied = 0
-
-    async def writer(answerer: AsyncAnswerer) -> None:
-        nonlocal writes_applied
-        # flip each target old->new->old...; even write counts restore the
-        # compiled state, so the build stays reusable across runs
-        gap_s = max(0.002, spec.requests / spec.rate_qps / max(1, spec.churn_writes))
-        for i in range(spec.churn_writes):
-            mutate = churn_rows[i % len(churn_rows)].meta["mutate"]
-            flip = (i // len(churn_rows)) % 2
-            old = mutate["old_object"] if flip == 0 else mutate["new_object"]
-            new = mutate["new_object"] if flip == 0 else mutate["old_object"]
-            subject, predicate = mutate["subject"], mutate["predicate"]
-
-            def edit() -> None:
-                store.delete(subject, predicate, old)
-                store.add(subject, predicate, new)
-
-            await answerer.apply(edit)
-            writes_applied += 1
-            await asyncio.sleep(gap_s)
-
-    async with AsyncAnswerer(binding.target, _serve_config(spec)) as answerer:
-        writer_task = asyncio.ensure_future(writer(answerer))
-        result = await run_open_load(
-            answerer,
-            stream,
-            spec.rate_qps,
-            seed=spec.seed + 1,
-            expected=binding.expected,
-        )
-        await writer_task
-        # restore compiled state if the flip count left targets mutated
-        for i, pair in enumerate(churn_rows):
-            flips = sum(
-                1 for w in range(spec.churn_writes) if w % len(churn_rows) == i
-            )
-            if flips % 2:
-                mutate = pair.meta["mutate"]
-
-                def restore(mutate=mutate) -> None:
-                    store.delete(
-                        mutate["subject"], mutate["predicate"], mutate["new_object"]
-                    )
-                    store.add(
-                        mutate["subject"], mutate["predicate"], mutate["old_object"]
-                    )
-
-                await answerer.apply(restore)
-    return {
-        "requests": result["requests"],
-        "completed": result["completed"],
-        "checked": result["checked"],
-        "incorrect": result["incorrect"],
-        "recall": _recall(result["checked"], result["incorrect"]),
-        "writes_applied": writes_applied,
-        "offered_qps": result["offered_qps"],
-        "p50_ms": result["p50_ms"],
-        "p99_ms": result["p99_ms"],
-    }
-
-
-async def _axis_temporal(binding: ScenarioBinding, spec: ScenarioSpec) -> dict:
-    """Supersede facts one by one; the fresh answer must win immediately."""
-    rows = binding.gold["temporal"][: spec.temporal_edits]
-    if not rows:
-        raise ValueError("mega build has no temporal gold rows")
-    store = binding.store
-    latencies_ms: list[float] = []
-    stale_before = 0  # pre-edit answer != compiled (old) value
-    stale_after = 0  # post-edit answer != superseded (new) value
-    edits = 0
-
-    async def ask(answerer: AsyncAnswerer, question: str) -> tuple[tuple, float]:
-        start = time.perf_counter()
-        result = await answerer.answer(question)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        values = tuple(sorted(result.values)) if result.answered else ()
-        return values, elapsed_ms
-
-    async with AsyncAnswerer(binding.target, _serve_config(spec)) as answerer:
-        for pair in rows:
-            edit = pair.meta["supersede"]
-            subject, predicate = edit["subject"], edit["predicate"]
-
-            before, ms = await ask(answerer, pair.question)
-            latencies_ms.append(ms)
-            if before != (edit["old_value"],):
-                stale_before += 1
-
-            def supersede() -> None:
-                store.delete(subject, predicate, edit["old_object"])
-                store.add(subject, predicate, edit["new_object"])
-
-            await answerer.apply(supersede)
-            edits += 1
-
-            after, ms = await ask(answerer, pair.question)
-            latencies_ms.append(ms)
-            if after != (edit["new_value"],):
-                stale_after += 1
-    checked = 2 * len(rows)
-    incorrect = stale_before + stale_after
-    return {
-        "edits": edits,
-        "checked": checked,
-        "incorrect": incorrect,
-        "stale_after_edit": stale_after,
-        "recall": _recall(checked, incorrect),
-        **{k: latency_percentiles(latencies_ms)[k] for k in ("p50_ms", "p99_ms")},
-    }
-
-
-# -- Paraphrase axis --------------------------------------------------------
-
-# benign rewrites: must fold to the identical token stream (tokenizer
-# satellite), hence identical answers
-_BENIGN_REWRITES = (
-    lambda q: q.replace("'s", "’s"),  # curly apostrophe
-    lambda q: q.replace("?", "？"),  # fullwidth question mark
-    lambda q: q.replace(" ", "\u00a0", 1),  # NBSP as first separator
-    lambda q: q.replace("was", "was—", 1).replace("—", " – ", 1),
-)
-
-# held-out rewordings: surfaces the template model never trained on — the
-# deterministic path should abstain, not guess
-_HELDOUT_REWRITES = (
-    lambda q: "regarding " + q.rstrip("?") + ", any thoughts?",
-    lambda q: q.rstrip("?") + " or not?",
-    lambda q: "quick trivia: " + q,
-)
-
-
-def _diacritic_strip(question: str) -> str:
-    """ASCII-only rendition of a diacritic-bearing name (José -> Jose)."""
-    import unicodedata
-
-    decomposed = unicodedata.normalize("NFD", question)
-    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-
-
-async def _axis_paraphrase(binding: ScenarioBinding, spec: ScenarioSpec) -> dict:
-    rows = binding.gold["plain"][: spec.paraphrase_queries]
-    latencies_ms: list[float] = []
-    benign_checked = benign_incorrect = 0
-    heldout_total = heldout_wrong = heldout_abstained = 0
-
-    async def ask(answerer: AsyncAnswerer, question: str):
-        start = time.perf_counter()
-        result = await answerer.answer(question)
-        latencies_ms.append((time.perf_counter() - start) * 1000.0)
-        return result
-
-    async with AsyncAnswerer(binding.target, _serve_config(spec)) as answerer:
-        for i, pair in enumerate(rows):
-            reference = tuple(pair.meta["values"])
-            benign = _BENIGN_REWRITES[i % len(_BENIGN_REWRITES)](pair.question)
-            if i % 2:  # alternate in the diacritic-stripped rendition
-                benign = _diacritic_strip(benign)
-            result = await ask(answerer, benign)
-            benign_checked += 1
-            values = tuple(sorted(result.values)) if result.answered else ()
-            if values != reference:
-                benign_incorrect += 1
-
-            heldout = _HELDOUT_REWRITES[i % len(_HELDOUT_REWRITES)](pair.question)
-            result = await ask(answerer, heldout)
-            heldout_total += 1
-            if not result.answered:
-                heldout_abstained += 1
-            elif tuple(sorted(result.values)) != reference:
-                heldout_wrong += 1
-    row = {
-        "checked": benign_checked,
-        "incorrect": benign_incorrect,
-        "recall": _recall(benign_checked, benign_incorrect),
-        "heldout_total": heldout_total,
-        "heldout_abstained": heldout_abstained,
-        "heldout_wrong": heldout_wrong,
-        "abstention_rate": (
-            round(heldout_abstained / heldout_total, 4) if heldout_total else None
-        ),
-        **{k: latency_percentiles(latencies_ms)[k] for k in ("p50_ms", "p99_ms")},
-    }
-    if binding.fallback_target is not None:
-        row["fallback"] = await _paraphrase_recovery(binding, spec, rows)
-    return row
-
-
-async def _paraphrase_recovery(
-    binding: ScenarioBinding, spec: ScenarioSpec, rows: list[QAPair]
-) -> dict:
-    """The recovery cell: the same paraphrase traffic, fallback lane on.
-
-    Held-out rewordings the deterministic lane abstains on should now come
-    back correct (``recovered``, each tagged ``fallback=True``); incorrect
-    recoveries count as ``wrong``; the benign set must stay exactly right —
-    an answered question never consults the lane, so ``benign_incorrect``
-    above zero means the equivalence contract broke.
-    """
-    target = binding.fallback_target
-    assert target is not None
-    benign_checked = benign_incorrect = 0
-    heldout_total = recovered = wrong = abstained = 0
-    async with AsyncAnswerer(target, _serve_config(spec)) as answerer:
-        for i, pair in enumerate(rows):
-            reference = tuple(pair.meta["values"])
-            benign = _BENIGN_REWRITES[i % len(_BENIGN_REWRITES)](pair.question)
-            if i % 2:
-                benign = _diacritic_strip(benign)
-            result = await answerer.answer(benign)
-            benign_checked += 1
-            values = tuple(sorted(result.values)) if result.answered else ()
-            if values != reference:
-                benign_incorrect += 1
-
-            heldout = _HELDOUT_REWRITES[i % len(_HELDOUT_REWRITES)](pair.question)
-            result = await answerer.answer(heldout)
-            heldout_total += 1
-            if not result.answered:
-                abstained += 1
-            elif tuple(sorted(result.values)) == reference:
-                recovered += 1
-            else:
-                wrong += 1
-        stats = answerer.snapshot()
-    index = target.fallback_index
-    assert index is not None
-    return {
-        "threshold": index.config.threshold,
-        "margin": index.config.margin,
-        "paths": len(index),
-        "heldout_total": heldout_total,
-        "recovered": recovered,
-        "wrong": wrong,
-        "abstained": abstained,
-        "recall": round(recovered / heldout_total, 4) if heldout_total else None,
-        "benign_checked": benign_checked,
-        "benign_incorrect": benign_incorrect,
-        "fallback_served": stats["fallback_served"],
-        "fallback_abstained": stats["fallback_abstained"],
-    }
-
-
-_AXIS_RUNNERS = {
-    "skew": _axis_skew,
-    "churn": _axis_churn,
-    "temporal": _axis_temporal,
-    "paraphrase": _axis_paraphrase,
-}
-
-
-def run_scenarios(
-    mega_dir: str | Path, spec: ScenarioSpec = ScenarioSpec()
-) -> dict:
-    """Run the requested axes against a finished mega build.
-
-    Returns ``{"mega": accounting, "axes": {axis: metrics}}``; every axis
-    carries ``recall`` plus ``p50_ms``/``p99_ms``.  The caller (CLI
-    ``kbqa scenario --assert-recall``, CI smoke leg) decides whether a
-    recall below 1.0 on the non-paraphrase axes is fatal.
-    """
-    binding = bind_scenarios(mega_dir, spec)
-    try:
-
-        async def _run() -> dict:
-            axes: dict[str, dict] = {}
-            for axis in spec.axes:
-                axes[axis] = await _AXIS_RUNNERS[axis](binding, spec)
-            return axes
-
-        axes = asyncio.run(_run())
-    finally:
-        binding.close()
-    manifest = binding.manifest
-    return {
-        "mega": {
-            "triples": manifest["triples"],
-            "gold_rows": manifest["gold_rows"],
-            "chunks": manifest["chunks"],
-            "peak_resident_entities": manifest["peak_resident_entities"],
-            "ru_maxrss_kb": manifest.get("ru_maxrss_kb"),
-        },
-        "axes": axes,
-    }
+    return ScenarioBinding(target=target, store=store, gold=gold)

@@ -301,7 +301,7 @@ class DiskTripleStore(BackendBase):
 
         Each (process, thread) gets a private connection; without eviction a
         serving workload that churns executor threads (server restarts,
-        scenario runs) accumulates one open SQLite handle per dead thread
+        benchmark runs) accumulates one open SQLite handle per dead thread
         until ``close()``.  Swept under ``_connections_lock`` whenever a new
         connection registers, so the registry stays bounded by the number of
         *live* threads.  ``_connections`` keeps its list-object identity —

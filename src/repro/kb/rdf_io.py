@@ -8,11 +8,9 @@ newlines are escaped so arbitrary literals round-trip.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
 
 from repro.kb.backend import KBBackend
 from repro.kb.store import TripleStore
-from repro.kb.triple import Triple
 
 _ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
 
@@ -71,9 +69,3 @@ def load_ntriples(path: str | Path, into: KBBackend | None = None) -> KBBackend:
                 raise ValueError(f"{path}:{line_no}: expected 3 fields, got {len(fields)}")
             store.add(*(_unescape(f) for f in fields))
     return store
-
-
-def iter_triples_text(triples: Iterable[Triple]) -> Iterable[str]:
-    """Render triples as serialized lines (used by tests for golden output)."""
-    for triple in triples:
-        yield "\t".join(_escape(f) for f in (triple.subject, triple.predicate, triple.object))

@@ -1,6 +1,6 @@
-"""Async serving subsystem: coalescing answer service + HTTP front + load gen.
+"""Async serving subsystem: coalescing answer service + HTTP front.
 
-The serving story in three layers:
+The serving story, module by module:
 
 * :mod:`repro.serve.async_answerer` — :class:`AsyncAnswerer`: answer-cache
   hits answered on the event loop (no queue, task or thread hop), and for
@@ -18,8 +18,6 @@ The serving story in three layers:
 * :mod:`repro.serve.control` — the adaptive control plane:
   :class:`SLOController` (AIMD feedback on the batching knobs against a
   p99 SLO) and per-tenant token-bucket quotas with weighted fair queueing;
-* :mod:`repro.serve.loadgen` — the deterministic closed-loop QPS load
-  generator behind ``benchmarks/bench_qps.py``;
 * :mod:`repro.serve.multiproc` — :class:`MultiProcessServer`: N forked
   server replicas sharing one port via ``SO_REUSEPORT``, with writes
   replicated through a shared op log + epoch counter (``kbqa serve
@@ -56,19 +54,6 @@ from repro.serve.metrics import (
     render_prometheus,
 )
 from repro.serve.multiproc import MultiProcessServer, multiproc_available
-from repro.serve.loadgen import (
-    LoadSpec,
-    OpenLoadSpec,
-    RampSpec,
-    build_request_stream,
-    latency_percentiles,
-    run_load,
-    run_load_cell,
-    run_open_load,
-    run_open_load_cell,
-    run_ramp_cell,
-    run_ramp_load,
-)
 
 __all__ = [
     "AnswerTarget",
@@ -79,21 +64,16 @@ __all__ = [
     "FairQueue",
     "Histogram",
     "KBQAServer",
-    "LoadSpec",
     "MultiProcessServer",
-    "OpenLoadSpec",
     "OverloadedError",
     "QuotaConfig",
     "QuotaExceeded",
-    "RampSpec",
     "SLOController",
     "ServeConfig",
     "ServeMetrics",
     "ServeStats",
     "TokenBucket",
     "WindowedHistogram",
-    "build_request_stream",
-    "latency_percentiles",
     "merge_states",
     "multiproc_available",
     "normalized_key",
@@ -101,11 +81,5 @@ __all__ = [
     "parse_quota",
     "render_prometheus",
     "result_payload",
-    "run_load",
-    "run_load_cell",
-    "run_open_load",
-    "run_open_load_cell",
-    "run_ramp_cell",
-    "run_ramp_load",
     "run_smoke",
 ]

@@ -1,28 +1,35 @@
-"""Mega-corpus compiler + scenario harness contracts.
+"""Mega-corpus compiler + model-binding contracts.
 
 * **Streaming equivalence** — the chunked, bounded-memory compile against the
   disk backend must produce byte-for-byte the same knowledge (triples, term
   ids, gold rows) as the identical sequence against the in-memory store:
   streaming is an execution strategy, never a semantic one.
-* **Scenario recall** — the four axes run against a small build and the gold
-  contract holds: recall 1.0 on skew/churn/temporal, zero wrong answers and
-  full abstention on the paraphrase axis, and the manifest's bounded-memory
-  accounting (peak resident = anchor + one chunk, not the whole world).
+* **Scenario recall** — the model bound to a small build holds the gold
+  contract: every plain gold question answers exactly right, a superseded
+  fact answers old then new, benign unicode renditions answer identically,
+  held-out rewordings abstain rather than guess; and the manifest's
+  bounded-memory accounting (peak resident = anchor + one chunk, not the
+  whole world).
+* **Relocatable builds** — a renamed, moved or copied build binds the
+  ``kb.db`` beside its manifest, never the path spelled at compile time.
 * **Temporal supersession through serve** — a ``/facts`` delete+add pair on a
   live ``kbqa serve`` HTTP front must make the *fresh* fact win on the very
   next ``/answer`` (the write-quiescence seam, end to end).
 """
 
+import asyncio
 import json
 import random
+import shutil
+import unicodedata
 import urllib.request
 
 import pytest
 
 from repro.core.system import KBQA
 from repro.corpus.mega import MegaSpec, compile_mega
-from repro.eval.scenarios import ScenarioSpec, run_scenarios
-from repro.serve import BackgroundServer, ServeConfig
+from repro.eval.scenarios import bind_scenarios
+from repro.serve import AsyncAnswerer, BackgroundServer, ServeConfig
 from repro.suite import build_suite
 
 SMALL = dict(chunk_people=300, chunk_cities=80, gold_per_chunk=12)
@@ -80,33 +87,117 @@ class TestScenarioRecall:
         return out
 
     def test_all_axes_hold_the_gold_contract(self, mega_dir):
-        report = run_scenarios(
-            mega_dir,
-            ScenarioSpec(
-                requests=120,
-                rate_qps=400.0,
-                churn_writes=8,
-                temporal_edits=4,
-                paraphrase_queries=12,
-            ),
-        )
-        axes = report["axes"]
-        for axis in ("skew", "churn", "temporal"):
-            assert axes[axis]["recall"] == 1.0, (axis, axes[axis])
-            assert axes[axis]["checked"] > 0
-            assert axes[axis]["p99_ms"] is not None
-        assert axes["temporal"]["stale_after_edit"] == 0
-        assert axes["churn"]["writes_applied"] == 8
-        para = axes["paraphrase"]
-        assert para["incorrect"] == 0  # benign rewrites answer correctly
-        assert para["heldout_wrong"] == 0  # held-out surfaces never guess
-        assert para["abstention_rate"] == 1.0
+        binding = bind_scenarios(mega_dir)
+        try:
+            target = binding.target
+            plain = binding.gold["plain"]
+            assert plain and binding.gold["temporal"]
+            for pair in plain:  # plain gold recall 1.0
+                assert _answers_gold(target, pair.question, pair)
 
-    def test_memory_backend_build_is_rejected(self, tmp_path):
+            async def supersede_each():
+                store = binding.store
+                async with AsyncAnswerer(target, ServeConfig(workers=2)) as answerer:
+                    for pair in binding.gold["temporal"]:
+                        edit = pair.meta["supersede"]
+                        before = await answerer.answer(pair.question)
+                        assert _values(before) == (edit["old_value"],)
+
+                        def supersede(edit=edit):
+                            store.delete(edit["subject"], edit["predicate"], edit["old_object"])
+                            store.add(edit["subject"], edit["predicate"], edit["new_object"])
+
+                        await answerer.apply(supersede)
+                        after = await answerer.answer(pair.question)
+                        assert _values(after) == (edit["new_value"],)  # the fresh fact wins
+
+            asyncio.run(supersede_each())
+
+            assert any(not pair.question.isascii() for pair in plain)
+            for pair in plain:  # benign unicode renditions fold to the same answer
+                benign = _strip_diacritics(pair.question).replace("'", "\u2019")
+                benign = benign.replace("?", "\uff1f")
+                assert _answers_gold(target, benign, pair), benign
+
+            for i, pair in enumerate(plain):  # unseen surfaces abstain, never guess
+                heldout = _HELDOUT_REWRITES[i % len(_HELDOUT_REWRITES)](pair.question)
+                assert not target.answer(heldout).answered, heldout
+        finally:
+            binding.close()
+
+    def test_memory_backend_build_is_rejected(self, tmp_path, monkeypatch):
         build = compile_mega(_small_spec(seed=7), tmp_path / "m", backend="memory")
+        monkeypatch.setattr(KBQA, "train", _no_training)
         with pytest.raises(ValueError, match="kb_path"):
-            run_scenarios(tmp_path / "m", ScenarioSpec(axes=("skew",)))
+            bind_scenarios(tmp_path / "m")
         assert build.manifest["kb_path"] is None
+
+
+class TestRelocatedBuild:
+    @pytest.fixture
+    def mega_dir(self, tmp_path):
+        build = compile_mega(_small_spec(seed=7), tmp_path / "compiled")
+        build.kb.store.close()
+        return tmp_path / "compiled"
+
+    def test_renamed_build_binds_its_own_store(self, mega_dir):
+        moved = mega_dir.rename(mega_dir.with_name("moved"))
+        binding = bind_scenarios(moved)
+        try:
+            for pair in binding.gold["plain"]:
+                assert _answers_gold(binding.target, pair.question, pair)
+        finally:
+            binding.close()
+
+    def test_writes_through_a_copy_leave_the_original_untouched(self, mega_dir):
+        original = (mega_dir / "kb.db").read_bytes()
+        copy = shutil.copytree(mega_dir, mega_dir.with_name("copy"))
+        binding = bind_scenarios(copy)
+        try:
+            pair = binding.gold["temporal"][0]
+            edit = pair.meta["supersede"]
+            binding.store.delete(edit["subject"], edit["predicate"], edit["old_object"])
+            binding.store.add(edit["subject"], edit["predicate"], edit["new_object"])
+            assert _values(binding.target.answer(pair.question)) == (edit["new_value"],)
+        finally:
+            binding.close()
+        assert (mega_dir / "kb.db").read_bytes() == original
+        assert sorted(path.name for path in mega_dir.iterdir()) == [
+            "gold.jsonl", "kb.db", "manifest.json",
+        ]
+
+    def test_directory_without_kb_db_is_rejected_before_training(self, mega_dir, monkeypatch):
+        (mega_dir / "kb.db").unlink()
+        monkeypatch.setattr(KBQA, "train", _no_training)
+        with pytest.raises(ValueError, match=r"kb\.db"):
+            bind_scenarios(mega_dir)
+        assert not (mega_dir / "kb.db").exists()  # and no empty database left behind
+
+
+# held-out rewordings: surfaces the template model never trained on
+_HELDOUT_REWRITES = (
+    lambda q: "regarding " + q.rstrip("?") + ", any thoughts?",
+    lambda q: q.rstrip("?") + " or not?",
+    lambda q: "quick trivia: " + q,
+)
+
+
+def _values(result) -> tuple:
+    return tuple(sorted(result.values)) if result.answered else ()
+
+
+def _answers_gold(target, question: str, pair) -> bool:
+    return _values(target.answer(question)) == tuple(pair.meta["values"])
+
+
+def _strip_diacritics(question: str) -> str:
+    """ASCII-only rendition of a diacritic-bearing name (José -> Jose)."""
+    decomposed = unicodedata.normalize("NFD", question)
+    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+
+
+def _no_training(*_args, **_kwargs):
+    raise AssertionError("bind_scenarios trained before rejecting the build")
 
 
 def _post(url: str, payload: dict) -> tuple[int, dict]:

@@ -23,10 +23,12 @@ import pytest
 from repro.cli import main
 from repro.core.learner import LearnerConfig
 from repro.core.online import OnlineAnswerer
+from repro.eval.scenarios import ScenarioSpec
 from repro.kb.backend import resolve_backend
 from repro.serve import ServeConfig, ServeStats
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_serve_config_and_stats_field_counts():
@@ -50,7 +52,28 @@ def test_online_answerer_constructor_parameter_count():
 
 def test_cli_flag_count():
     cli = (SRC / "repro" / "cli.py").read_text(encoding="utf-8")
-    assert cli.count("add_argument(") <= 45
+    assert cli.count("add_argument(") <= 37
+
+
+def test_one_benchmark_and_no_load_generator_in_src():
+    """``benchmarks/e2e`` + ``BENCHMARK.json`` is the one instrument and its
+    load generator lives there: ``repro.serve`` holds serving modules only
+    (listed, so a generator cannot come back under another name), exports no
+    load-cell runner, and the mega binding keeps one knob."""
+    import repro.serve
+
+    serve_modules = {path.stem for path in (SRC / "repro" / "serve").glob("*.py")}
+    assert serve_modules == {
+        "__init__", "app", "async_answerer", "control", "faults", "http", "metrics", "multiproc",
+    }
+    exported = set(repro.serve.__all__)
+    assert not exported & {
+        "LoadSpec", "OpenLoadSpec", "RampSpec", "build_request_stream", "latency_percentiles",
+    }
+    assert {name for name in exported if name.startswith("run_")} == {"run_smoke"}
+    assert len(fields(ScenarioSpec)) == 1
+    assert not list((ROOT / "scripts").glob("*.sh"))  # the shell driver stays gone
+    assert sorted(path.name for path in ROOT.glob("BENCH*")) == ["BENCHMARK.json"]
 
 
 def test_environment_variables():
@@ -86,8 +109,13 @@ def test_expanded_format_env_var_is_ignored(tmp_path, monkeypatch):
         ["train", "--scale", "small", "--workers", "2", "--model", "m.json"],
         ["shm-gc"],
         ["expand", "--scale", "small", "--save", "x.kbqa", "--expanded-format", "v3"],
+        ["scenario", "--mega", "x"],
+        ["mega-compile", "--out", "x", "--mega-backend", "memory"],
     ],
-    ids=["serve--exec", "answer--shards", "train--workers", "shm-gc", "expand--expanded-format"],
+    ids=[
+        "serve--exec", "answer--shards", "train--workers", "shm-gc", "expand--expanded-format",
+        "scenario", "mega-compile--mega-backend",
+    ],
 )
 def test_deleted_cli_surface_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -1,9 +1,9 @@
 """Timing regression tests for the ID-native hot paths.
 
 Marked ``perf`` so tier-1 (``pytest -x -q``) skips them — wall-clock asserts
-are machine-sensitive.  Run explicitly with ``pytest -m perf`` or via
-``scripts/bench.sh``; the authoritative before/after numbers live in
-``BENCH_perf.json`` (see ``benchmarks/perf_harness.py``).
+are machine-sensitive.  Run explicitly with ``pytest -m perf``; the gated
+end-to-end numbers (``kb.expansion.scan_s``, ``core.em.em_s`` on the
+``offline_train`` workload) come from ``python3 -m benchmarks.e2e``.
 """
 
 import time

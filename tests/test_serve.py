@@ -15,20 +15,15 @@ tests run against the real trained system.
 """
 
 import asyncio
+import itertools
+import random
 import threading
 import time
 
 import pytest
 
 from repro.core.online import AnswerResult
-from repro.serve import (
-    AsyncAnswerer,
-    LoadSpec,
-    OverloadedError,
-    ServeConfig,
-    build_request_stream,
-    normalized_key,
-)
+from repro.serve import AsyncAnswerer, OverloadedError, ServeConfig, normalized_key
 
 
 def _result(question: str, value: str) -> AnswerResult:
@@ -70,14 +65,23 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def duplicate_heavy_stream(pool, requests, duplicate_rate, seed):
+    """Seeded request stream: with ``duplicate_rate`` one of the first eight
+    questions, otherwise the next question of the pool in order."""
+    rng = random.Random(seed)
+    cold = itertools.cycle(pool)
+    return [
+        rng.choice(pool[:8]) if rng.random() < duplicate_rate else next(cold)
+        for _ in range(requests)
+    ]
+
+
 class TestEquivalence:
     def test_concurrent_results_identical_to_sequential(self, kbqa_fb, suite):
         """The acceptance gate: async output == synchronous output, under a
         concurrent duplicate-heavy workload."""
         pool = [q.question for q in suite.benchmark("qald3").bfqs()][:12]
-        stream = build_request_stream(
-            pool, LoadSpec(requests=60, concurrency=8, duplicate_rate=0.6, seed=3)
-        )
+        stream = duplicate_heavy_stream(pool, 60, duplicate_rate=0.6, seed=3)
         expected = [kbqa_fb.answer(q) for q in stream]
 
         async def main():
@@ -113,10 +117,7 @@ class TestServingEquivalence:
         """Async results over a randomized duplicate-heavy stream equal the
         synchronous path on both serving executors."""
         pool = [q.question for q in suite.benchmark("qald3").bfqs()][:12]
-        stream = build_request_stream(
-            pool,
-            LoadSpec(requests=48, concurrency=8, duplicate_rate=0.5, seed=stream_seed),
-        )
+        stream = duplicate_heavy_stream(pool, 48, duplicate_rate=0.5, seed=stream_seed)
         expected = [kbqa_fb.answer(q) for q in stream]
 
         async def main():
@@ -182,6 +183,25 @@ class TestCoalescing:
         stats = run(main())
         assert stats["coalesced"] == 0
         assert stats["evaluated"] == 4
+
+    def test_coalescing_reduces_evaluations_at_high_duplicate_rate(self, kbqa_fb, suite):
+        """With duplicates in flight, coalescing-on evaluates fewer questions
+        than coalescing-off for the same stream, on the real answerer.  Each
+        cell starts on a cold answer cache: a warm one answers the whole
+        stream in the cache-hit lane and neither cell evaluates anything."""
+        pool = [q.question for q in suite.benchmark("qald3").bfqs()]
+        stream = duplicate_heavy_stream(pool, 128, duplicate_rate=0.9, seed=5)
+
+        async def cell(coalesce: bool) -> dict:
+            kbqa_fb.answerer.clear_caches()
+            config = ServeConfig(workers=2, max_batch=4, coalesce=coalesce)
+            async with AsyncAnswerer(kbqa_fb.answerer, config) as answerer:
+                await asyncio.gather(*(answerer.answer(q) for q in stream))
+                return answerer.snapshot()
+
+        on, off = run(cell(True)), run(cell(False))
+        assert on["evaluated"] < off["evaluated"]
+        assert on["coalesced"] > 0 and off["coalesced"] == 0
 
 
 class TestAdmissionControl:
@@ -375,91 +395,3 @@ class TestLifecycle:
         assert len(served) >= 1  # the in-flight batch completed
         assert all("stopped" in str(o) for o in stopped)
         assert len(served) + len(stopped) == 3
-
-
-class TestLoadGenerator:
-    def test_stream_is_deterministic_and_duplicate_rated(self):
-        pool = [f"q {n} ?" for n in range(20)]
-        spec = LoadSpec(requests=200, concurrency=4, duplicate_rate=0.5, hot_set=4, seed=11)
-        first = build_request_stream(pool, spec)
-        second = build_request_stream(pool, spec)
-        assert first == second
-        assert len(first) == 200
-        hot = set(pool[:4])
-        hot_fraction = sum(1 for q in first if q in hot) / len(first)
-        assert 0.35 < hot_fraction < 0.75  # 0.5 target + cold-cursor overlap
-
-    def test_zero_duplicate_rate_cycles_the_pool(self):
-        pool = [f"q {n} ?" for n in range(5)]
-        spec = LoadSpec(requests=10, concurrency=2, duplicate_rate=0.0)
-        assert build_request_stream(pool, spec) == pool + pool
-
-    def test_coalescing_reduces_evaluations_at_high_duplicate_rate(self, kbqa_fb, suite):
-        """Counter-based (not timing-based) form of the QPS benchmark's
-        claim: with duplicates in flight, coalescing-on evaluates fewer
-        questions than coalescing-off for the same stream.  Each cell starts
-        on a cold answer cache: a warm one answers the whole stream in the
-        cache-hit lane and neither cell evaluates anything."""
-        from repro.serve.loadgen import run_load_cell
-
-        pool = [q.question for q in suite.benchmark("qald3").bfqs()]
-        spec = LoadSpec(requests=128, concurrency=32, duplicate_rate=0.9, seed=5)
-        kbqa_fb.answerer.clear_caches()
-        on = run_load_cell(kbqa_fb.answerer, pool, spec, coalesce=True, max_batch=4)
-        kbqa_fb.answerer.clear_caches()
-        off = run_load_cell(kbqa_fb.answerer, pool, spec, coalesce=False, max_batch=4)
-        assert on["completed"] == off["completed"] == 128
-        assert on["evaluated"] < off["evaluated"]
-        assert on["coalesced"] > 0
-
-
-class TestOpenLoopLoadGenerator:
-    def test_open_loop_cell_reports_latency_percentiles(self, kbqa_fb, suite):
-        from repro.serve.loadgen import OpenLoadSpec, run_open_load_cell
-
-        pool = [q.question for q in suite.benchmark("qald3").bfqs()]
-        spec = OpenLoadSpec(rate_qps=4000.0, requests=64, duplicate_rate=0.5, seed=3)
-        cell = run_open_load_cell(kbqa_fb.answerer, pool, spec, max_batch=8, workers=2)
-        assert cell["requests"] == 64
-        assert cell["completed"] + cell["rejected"] == 64
-        assert cell["p50_ms"] is not None
-        assert cell["p99_ms"] >= cell["p50_ms"]
-        assert cell["workers"] == 2
-
-    def test_worker_counts_default_to_two_and_never_clamp(self, kbqa_fb, suite):
-        """Two evaluation threads unless the caller says otherwise, and a
-        nonsense count is refused by ``ServeConfig`` instead of clamped."""
-        from repro.serve.loadgen import run_load_cell
-
-        pool = [q.question for q in suite.benchmark("qald3").bfqs()]
-        spec = LoadSpec(requests=16, concurrency=4, duplicate_rate=0.0, seed=2)
-        cell = run_load_cell(kbqa_fb.answerer, pool, spec)
-        assert cell["workers"] == 2
-        assert cell["completed"] == 16
-        cell = run_load_cell(kbqa_fb.answerer, pool, spec, workers=3)
-        assert cell["workers"] == 3
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            run_load_cell(kbqa_fb.answerer, pool, spec, workers=0)
-
-    def test_latency_percentiles_empty_safe(self):
-        from repro.serve.loadgen import latency_percentiles
-
-        empty = latency_percentiles([])
-        assert empty == {"p50_ms": None, "p95_ms": None, "p99_ms": None, "max_ms": None}
-        single = latency_percentiles([5.0])  # statistics.quantiles needs >= 2
-        assert single == {"p50_ms": 5.0, "p95_ms": 5.0, "p99_ms": 5.0, "max_ms": 5.0}
-        sample = latency_percentiles([1.0, 2.0, 3.0, 4.0])
-        assert sample["p50_ms"] == 2.5
-        assert sample["max_ms"] == 4.0
-
-    def test_single_request_open_loop_cell(self, kbqa_fb, suite):
-        """A one-arrival cell (the minimum OpenLoadSpec allows) must return
-        a well-formed cell, not a StatisticsError."""
-        from repro.serve.loadgen import OpenLoadSpec, run_open_load_cell
-
-        pool = [q.question for q in suite.benchmark("qald3").bfqs()]
-        cell = run_open_load_cell(
-            kbqa_fb.answerer, pool, OpenLoadSpec(rate_qps=100.0, requests=1)
-        )
-        assert cell["completed"] == 1
-        assert cell["p50_ms"] == cell["p99_ms"] is not None
