@@ -23,7 +23,7 @@ from repro.core.online import AnswerResult, render_term
 from repro.data.compile import CompiledKB
 from repro.kb.paths import PredicatePath, follow
 from repro.nlp.ner import EntityRecognizer
-from repro.nlp.question_class import answer_types_compatible, classify_question
+from repro.nlp.question_class import answer_types_compatible, classify_tokens
 from repro.nlp.synonyms import SynonymLexicon, jaccard
 from repro.nlp.tokenizer import tokenize
 
@@ -113,7 +113,7 @@ class SynonymQA:
         mentions = self.ner.find_mentions(tokens)
         if not mentions:
             return self._refuse(question)
-        question_type = classify_question(question)
+        question_type = classify_tokens(tokens)
 
         scored: list[tuple[float, str]] = []  # (score, path string)
         for phrase in self._candidate_phrases(tokens, mentions):

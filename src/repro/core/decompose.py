@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from repro.core.model import TemplateModel
@@ -35,7 +36,11 @@ def _pattern_key(tokens: Sequence[str]) -> str:
 
 
 class PatternStatistics:
-    """``fo`` / ``fv`` pattern counts over the QA corpus (Sec 5.2)."""
+    """``fo`` / ``fv`` pattern counts over the QA corpus (Sec 5.2).
+
+    ``fo`` holds only patterns some indexed question validated (``fo[k] >=
+    fv[k] > 0`` for every key): :meth:`validity` is 0 for any other pattern.
+    """
 
     def __init__(self) -> None:
         self.fo: Counter[str] = Counter()
@@ -50,37 +55,53 @@ class PatternStatistics:
         max_questions: int | None = None,
         max_tokens: int = 23,
     ) -> "PatternStatistics":
-        """Index corpus questions.
+        """:meth:`from_tokens` over raw question strings."""
+        token_tuples = (tuple(tokenize(question)) for question in questions)
+        return cls.from_tokens(token_tuples, ner, max_questions, max_tokens)
+
+    @classmethod
+    def from_tokens(
+        cls, token_tuples: Iterable[tuple[str, ...]], ner: EntityRecognizer,
+        max_questions: int | None = None, max_tokens: int = 23,
+    ) -> "PatternStatistics":
+        """Index already-tokenized corpus questions, ``fv`` first.
 
         ``max_tokens`` reflects the paper's observation that over 99% of
         corpus questions are under 23 words; longer ones are skipped.
         """
         stats = cls()
-        for count, question in enumerate(questions):
-            if max_questions is not None and count >= max_questions:
-                break
-            tokens = tokenize(question)
-            n = len(tokens)
-            if n == 0 or n > max_tokens:
+        indexed: list[tuple[str, ...]] = []
+        # prefix -> {suffix -> key} of the valid patterns, one entry per "$e"
+        # token of the pattern (a question may itself contain "$e")
+        valid: dict[tuple[str, ...], dict[tuple[str, ...], str]] = {}
+        for tokens in islice(token_tuples, max_questions):
+            if not 0 < len(tokens) <= max_tokens:
                 continue
-            stats.questions_indexed += 1
-            valid_spans = {
-                (m.start, m.end) for m in ner.find_all_spans(tokens)
-            }
-            seen_fo: set[str] = set()
+            indexed.append(tokens)
             seen_fv: set[str] = set()
-            for start in range(n):
-                for end in range(start + 1, n + 1):
-                    if (start, end) == (0, n):
-                        continue  # replacing everything leaves no pattern
-                    pattern = _pattern_key(
-                        tokens[:start] + [ENTITY_VARIABLE] + tokens[end:]
-                    )
-                    seen_fo.add(pattern)
-                    if (start, end) in valid_spans:
-                        seen_fv.add(pattern)
-            stats.fo.update(seen_fo)
+            for mention in ner.find_all_spans(tokens):
+                pattern = tokens[: mention.start] + (ENTITY_VARIABLE,) + tokens[mention.end :]
+                if len(pattern) == 1:
+                    continue  # replacing everything leaves no pattern
+                key = _pattern_key(pattern)
+                seen_fv.add(key)
+                if key not in stats.fv:
+                    for slot, token in enumerate(pattern):
+                        if token == ENTITY_VARIABLE:
+                            valid.setdefault(pattern[:slot], {})[pattern[slot + 1 :]] = key
             stats.fv.update(seen_fv)
+        stats.questions_indexed = len(indexed)
+        # fo: a question counts once per valid pattern it starts and ends like (prefix, suffix)
+        for tokens in indexed:
+            seen_fo: set[str] = set()
+            for start in range(len(tokens)):
+                suffixes = valid.get(tokens[:start])
+                if suffixes is not None:
+                    for end in range(start + 1, len(tokens) + 1):
+                        key = suffixes.get(tokens[end:])
+                        if key is not None:
+                            seen_fo.add(key)
+            stats.fo.update(seen_fo)
         return stats
 
     def validity(self, pattern_tokens: Sequence[str]) -> float:

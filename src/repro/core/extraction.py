@@ -29,7 +29,7 @@ from repro.nlp.ner import EntityRecognizer
 from repro.nlp.question_class import (
     AnswerType,
     answer_types_compatible,
-    classify_question,
+    classify_tokens,
 )
 from repro.nlp.tokenizer import tokenize
 
@@ -118,6 +118,19 @@ class ValueIndex:
         return spans
 
 
+# Per question ``(tokens, mentions)``, a mention being ``(start, end, candidates)``.  Plain tuples,
+# which the cyclic GC stops tracking: 30 k live records must not slow the Sec 6.2 scan.
+CorpusScan = list[tuple[tuple[str, ...], tuple[tuple[int, int, tuple[str, ...]], ...]]]
+
+
+def scan_questions(questions: Iterable[str], ner: EntityRecognizer) -> CorpusScan:
+    """The offline path's one read of the corpus (seeds, Eq 8 and Sec 5.2 all consume it)."""
+    return [
+        (tokens, tuple((m.start, m.end, m.candidates) for m in ner.find_mentions(tokens)))
+        for tokens in (tuple(tokenize(question)) for question in questions)
+    ]
+
+
 def extract_observations(
     qa_pairs: Iterable[tuple[str, str]],
     kbview: KBView,
@@ -126,19 +139,33 @@ def extract_observations(
     answer_type_of,
     config: ExtractionConfig | None = None,
 ) -> tuple[list[Observation], ExtractionStats]:
-    """Run Eq 8 extraction + refinement over ``(question, answer)`` pairs.
+    """:func:`extract_scanned` over raw ``(question, answer)`` strings."""
+    pairs = list(qa_pairs)
+    scan = scan_questions((question for question, _answer in pairs), ner)
+    answers = (answer for _question, answer in pairs)
+    return extract_scanned(scan, answers, kbview, value_index, answer_type_of, config)
+
+
+def extract_scanned(
+    scan: CorpusScan,
+    answers: Iterable[str],
+    kbview: KBView,
+    value_index: ValueIndex,
+    answer_type_of,
+    config: ExtractionConfig | None = None,
+) -> tuple[list[Observation], ExtractionStats]:
+    """Run Eq 8 extraction + refinement over scanned questions and their answers.
 
     ``answer_type_of(path) -> AnswerType`` supplies the manually-labelled
-    predicate categories of Sec 4.1.1.
+    predicate categories of Sec 4.1.1.  Observations reuse the scan's token tuples.
     """
     config = config or ExtractionConfig()
     observations: list[Observation] = []
     stats = ExtractionStats()
 
-    for question, answer in qa_pairs:
+    for (q_tokens, mentions), answer in zip(scan, answers):
         stats.qa_pairs += 1
-        q_tokens = tuple(tokenize(question))
-        mentions = ner.find_mentions(q_tokens)[: config.max_mentions_per_question]
+        mentions = mentions[: config.max_mentions_per_question]
         if not mentions:
             continue
         stats.pairs_with_mentions += 1
@@ -146,14 +173,14 @@ def extract_observations(
         values = value_index.find_values(a_tokens)[: config.max_values_per_answer]
         if not values:
             continue
-        question_type = classify_question(question) if config.use_refinement else AnswerType.UNKNOWN
+        question_type = classify_tokens(q_tokens) if config.use_refinement else AnswerType.UNKNOWN
 
         # Collect connected (mention, entity, value) triples first so that
         # P(e|q) can be normalized over the entities that survive (Eq 4).
         connected: list[tuple[tuple[int, int], str, str, tuple[PredicatePath, ...]]] = []
-        for mention in mentions:
-            stats.entity_candidates_total += len(mention.candidates)
-            for entity in mention.candidates:
+        for start, end, candidates in mentions:
+            stats.entity_candidates_total += len(candidates)
+            for entity in candidates:
                 for value in values:
                     stats.candidate_ev += 1
                     paths = kbview.paths_between(entity, value)
@@ -169,7 +196,7 @@ def extract_observations(
                             stats.refinement_rejections += 1
                             continue
                     connected.append(
-                        ((mention.start, mention.end), entity, value, tuple(sorted(paths, key=str)))
+                        ((start, end), entity, value, tuple(sorted(paths, key=str)))
                     )
 
         if not connected:

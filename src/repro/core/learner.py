@@ -11,20 +11,20 @@ from dataclasses import dataclass, field
 
 from repro.core.em import EMConfig, EMResult, EncodedObservations, run_em
 from repro.core.extraction import (
+    CorpusScan,
     ExtractionConfig,
     ExtractionStats,
     Observation,
     ValueIndex,
-    extract_observations,
+    extract_scanned,
+    scan_questions,
 )
 from repro.core.kbview import KBView
 from repro.core.model import TemplateModel
-from repro.core.template import Template
 from repro.corpus.qa import QACorpus
 from repro.data.compile import CompiledKB
 from repro.kb.expansion import ExpandedStore, expand_predicates
 from repro.nlp.ner import EntityRecognizer
-from repro.nlp.tokenizer import tokenize
 from repro.taxonomy.conceptualizer import Conceptualizer
 
 
@@ -80,11 +80,12 @@ def collect_seed_entities(corpus: QACorpus, ner: EntityRecognizer) -> set[str]:
     Module-level so the CLI's ``kbqa expand`` can materialize the same seed
     set the offline learner would use, without running the full pipeline.
     """
-    seeds: set[str] = set()
-    for question in corpus.questions():
-        for mention in ner.find_mentions(tokenize(question)):
-            seeds.update(mention.candidates)
-    return seeds
+    return _seed_entities(scan_questions(corpus.questions(), ner))
+
+
+def _seed_entities(scan: CorpusScan) -> set[str]:
+    mentions = (mention for _tokens, mentions in scan for mention in mentions)
+    return {entity for _start, _end, candidates in mentions for entity in candidates}
 
 
 class OfflineLearner:
@@ -101,13 +102,14 @@ class OfflineLearner:
         self.kb = kb
         self.conceptualizer = conceptualizer
         self.config = config or LearnerConfig()
+        self.ner = EntityRecognizer(kb.gazetteer)
         # a persisted ExpandedStore (ExpandedStore.load) skips the Sec 6.2
         # scan entirely — offline training resumes from the saved artifact
         self.precomputed_expansion = precomputed_expansion
 
-    def learn(self, corpus: QACorpus) -> LearnResult:
-        """Run the full offline pipeline over ``corpus``."""
-        prepared = self.encode_corpus(corpus)
+    def learn(self, corpus: QACorpus, scan: CorpusScan | None = None) -> LearnResult:
+        """Run the full offline pipeline over ``corpus`` (``scan``: see :meth:`encode_corpus`)."""
+        prepared = self.encode_corpus(corpus, scan)
         encoded, template_names, path_names = prepared.encoded
         em_result = run_em(encoded, self.config.em)
         model = self._build_model(
@@ -126,14 +128,17 @@ class OfflineLearner:
             seed_entities=prepared.seed_entities,
         )
 
-    def encode_corpus(self, corpus: QACorpus) -> "PreparedCorpus":
+    def encode_corpus(self, corpus: QACorpus, scan: CorpusScan | None = None) -> PreparedCorpus:
         """Run every offline stage up to (and including) candidate encoding.
 
         Split out from :meth:`learn` so the perf harness can time the EM
-        stage in isolation on real encoded observations.
+        stage in isolation on real encoded observations.  ``scan`` is
+        ``scan_questions(corpus.questions(), self.ner)`` if the caller holds
+        it already (``KBQA.train`` shares it with the Sec 5.2 statistics).
         """
-        ner = EntityRecognizer(self.kb.gazetteer)
-        seeds = self._collect_seed_entities(corpus, ner)
+        if scan is None:
+            scan = scan_questions(corpus.questions(), self.ner)
+        seeds = _seed_entities(scan)
 
         expanded: ExpandedStore | None = None
         if self.config.use_expansion and self.config.max_path_length > 1:
@@ -152,12 +157,11 @@ class OfflineLearner:
                 )
         kbview = KBView(self.kb.store, expanded)
 
-        value_index = ValueIndex(self.kb.store)
-        observations, extraction_stats = extract_observations(
-            ((pair.question, pair.answer) for pair in corpus),
+        observations, extraction_stats = extract_scanned(
+            scan,
+            (pair.answer for pair in corpus),
             kbview,
-            ner,
-            value_index,
+            ValueIndex(self.kb.store),
             answer_type_of=self.kb.answer_type_for_path,
             config=ExtractionConfig(use_refinement=self.config.use_refinement),
         )
@@ -165,7 +169,7 @@ class OfflineLearner:
         encoded = self._encode_candidates(observations, kbview)
         return PreparedCorpus(
             kbview=kbview,
-            ner=ner,
+            ner=self.ner,
             expanded=expanded,
             extraction=extraction_stats,
             encoded=encoded,
@@ -175,11 +179,6 @@ class OfflineLearner:
         )
 
     # -- Stages -----------------------------------------------------------
-
-    def _collect_seed_entities(self, corpus: QACorpus, ner: EntityRecognizer) -> set[str]:
-        """Entities mentioned in corpus questions — the BFS seed reduction of
-        Sec 6.2 ('we only use subjects occurring in the questions')."""
-        return collect_seed_entities(corpus, ner)
 
     def _encode_candidates(
         self, observations: list[Observation], kbview: KBView
@@ -200,27 +199,30 @@ class OfflineLearner:
 
         for obs in observations:
             start, end = obs.mention_span
-            context = obs.question_tokens[:start] + obs.question_tokens[end:]
-            concept_distribution = self.conceptualizer.conceptualize(obs.entity, context)
+            head, tail = obs.question_tokens[:start], obs.question_tokens[end:]
+            concept_distribution = self.conceptualizer.conceptualize(obs.entity, head + tail)
             if not concept_distribution:
                 continue
             top_concepts = sorted(
                 concept_distribution.items(), key=lambda kv: (-kv[1], kv[0])
             )[: self.config.max_concepts_per_mention]
+            # neither P(v|e,p) (Eq 6) nor the path's name depends on the concept
+            paths = [
+                (str(p), kbview.value_probability(obs.entity, p, obs.value)) for p in obs.paths
+            ]
 
             for concept, concept_prob in top_concepts:
-                template = Template.from_question(obs.question_tokens, obs.mention_span, concept)
-                t_id = template_ids.setdefault(template.text, len(template_ids))
+                template_text = " ".join(head + (concept,) + tail)  # the online path's key
+                t_id = template_ids.setdefault(template_text, len(template_ids))
                 if t_id == len(template_names):
-                    template_names.append(template.text)
-                for path in obs.paths:
-                    value_prob = kbview.value_probability(obs.entity, path, obs.value)
+                    template_names.append(template_text)
+                for path_name, value_prob in paths:
                     f = obs.entity_weight * concept_prob * value_prob
                     if f <= 0.0:
                         continue
-                    p_id = path_ids.setdefault(str(path), len(path_ids))
+                    p_id = path_ids.setdefault(path_name, len(path_ids))
                     if p_id == len(path_names):
-                        path_names.append(str(path))
+                        path_names.append(path_name)
                     encoded.append_candidate(t_id, p_id, f)
             if encoded.open_candidates:
                 encoded.close_observation()

@@ -26,6 +26,7 @@ from repro.core.decompose import (
     Decomposition,
     PatternStatistics,
 )
+from repro.core.extraction import scan_questions
 from repro.core.fallback import (
     DEFAULT_MARGIN,
     DEFAULT_THRESHOLD,
@@ -155,10 +156,12 @@ class KBQA:
         learner = OfflineLearner(
             kb, conceptualizer, config.learner, precomputed_expansion=expanded
         )
-        learn_result = learner.learn(corpus)
-        statistics = PatternStatistics.from_corpus(
-            corpus.questions(),
-            learn_result.ner,
+        # the one read of the corpus, shared by the learner and the Sec 5.2 statistics
+        scan = scan_questions(corpus.questions(), learner.ner)
+        learn_result = learner.learn(corpus, scan)
+        statistics = PatternStatistics.from_tokens(
+            (tokens for tokens, _mentions in scan),
+            learner.ner,
             max_questions=config.pattern_max_questions,
             max_tokens=config.pattern_max_tokens,
         )

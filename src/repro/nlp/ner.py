@@ -91,11 +91,12 @@ class EntityRecognizer:
             tokens = tuple(tokens)
         mentions: list[Mention] = []
         n = len(tokens)
-        for i in range(n):
-            longest = self._max_len_by_first.get(tokens[i], 0)
-            for length in range(1, min(longest, n - i) + 1):
-                span = tokens[i : i + length]
-                nodes = self._names.get(span)
-                if nodes:
-                    mentions.append(Mention(i, i + length, " ".join(span), nodes))
+        for i, token in enumerate(tokens):
+            longest = self._max_len_by_first.get(token)
+            if longest is not None:  # some name starts with this token
+                for length in range(1, min(longest, n - i) + 1):
+                    span = tokens[i : i + length]
+                    nodes = self._names.get(span)
+                    if nodes:
+                        mentions.append(Mention(i, i + length, " ".join(span), nodes))
         return mentions

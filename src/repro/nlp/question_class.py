@@ -10,6 +10,7 @@ the standard high-precision baseline for that taxonomy.
 from __future__ import annotations
 
 from enum import Enum
+from typing import Sequence
 
 from repro.nlp.tokenizer import tokenize
 
@@ -80,7 +81,11 @@ def classify_question(question: str) -> AnswerType:
     >>> classify_question("How many people are there in Honolulu?")
     <AnswerType.NUMERIC: 'NUM'>
     """
-    tokens = tokenize(question)
+    return classify_tokens(tokenize(question))
+
+
+def classify_tokens(tokens: Sequence[str]) -> AnswerType:
+    """:func:`classify_question` for a caller that already tokenized."""
     if not tokens:
         return AnswerType.UNKNOWN
 
@@ -110,7 +115,7 @@ def classify_question(question: str) -> AnswerType:
     return AnswerType.UNKNOWN
 
 
-def _first_head_word(tokens: list[str]) -> AnswerType | None:
+def _first_head_word(tokens: Sequence[str]) -> AnswerType | None:
     """First token with a known head-word class (skipping the wh-word)."""
     for token in tokens[1:]:
         cls = _HEAD_WORD_CLASSES.get(token)

@@ -37,14 +37,39 @@ class TestPatternStatistics:
         # both questions produce 'when was $e born ?' (from several spans in
         # principle) but fo counts each question once
         assert example4_stats.fo["when was $e born ?"] == 2
+        assert example4_stats.fv["when was $e born ?"] == 2
+
+    def test_fo_counts_any_substring_of_a_valid_pattern(self):
+        """``fo`` counts a question matching a valid pattern under *any*
+        substring replacement, entity or not — once per question."""
+        ner = EntityRecognizer({"barack obama": ["a"], "michelle obama": ["c"]})
+        stats = PatternStatistics.from_corpus(
+            [
+                "when was barack obama born?",
+                "when was michelle obama born?",
+                "when was the old bridge born?",  # matches on a non-entity span
+                "where was barack obama born?",
+            ],
+            ner,
+        )
+        assert stats.fo["when was $e born ?"] == 3
+        assert stats.fv["when was $e born ?"] == 2
+        assert stats.validity("when was $e born ?".split()) == pytest.approx(2 / 3)
+        assert stats.validity("where was $e born ?".split()) == 1.0
 
     def test_partial_entity_span_not_valid(self, example4_stats):
         # replacing only the first name ('barack' / 'michelle') is observed
         # in both questions but never on a full entity span
         pattern = "when was $e obama born ?"
-        assert example4_stats.fo[pattern] == 2
         assert example4_stats.fv[pattern] == 0
         assert example4_stats.validity(pattern.split()) == 0.0
+
+    def test_fo_holds_only_validated_patterns(self, example4_stats):
+        """The contract ``validity`` rests on: a stored key was validated by
+        some question and observed at least as often as validated."""
+        assert set(example4_stats.fo) == set(example4_stats.fv) == {"when was $e born ?"}
+        for key, observed in example4_stats.fo.items():
+            assert observed >= example4_stats.fv[key] > 0
 
     def test_long_questions_skipped(self):
         ner = EntityRecognizer({"x": ["n"]})

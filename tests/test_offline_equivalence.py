@@ -1,0 +1,201 @@
+"""The single-pass offline path against the string-level oracle.
+
+``KBQA.train`` reads the corpus once (``scan_questions``) and counts ``fo``
+only for patterns some question validated; ``tests/oracles/
+offline_reference.py`` tokenizes and NER-scans per stage and enumerates every
+pattern.  Everything the two produce must be equal — seeds, observations,
+extraction counters, the four EM buffers, the name tables, θ, the decoded
+``TemplateModel``, ``fv`` — and ``validity()`` must agree on *every* pattern
+the oracle ever observed, which is all the DP of Eq 28 reads.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles.offline_reference import (
+    reference_encode_corpus,
+    reference_model,
+    reference_pattern_statistics,
+)
+from repro.core.decompose import Decomposer, PatternStatistics
+from repro.core.extraction import ExtractionConfig, ValueIndex, extract_observations
+from repro.core.kbview import KBView
+from repro.core.learner import OfflineLearner, collect_seed_entities
+from repro.core.system import KBQA, KBQAConfig
+from repro.kb.disk import DiskTripleStore
+from repro.nlp import tokenizer
+from repro.nlp.ner import EntityRecognizer
+from repro.suite import build_suite
+
+
+def assert_statistics_equal_oracle(product: PatternStatistics, oracle: PatternStatistics) -> None:
+    assert product.questions_indexed == oracle.questions_indexed
+    assert product.fv == oracle.fv
+    for key in oracle.fo:  # every pattern any question ever produced
+        assert product.validity(key.split()) == oracle.validity(key.split()), key
+    # fo holds exactly the validated patterns, with the oracle's counts
+    assert set(product.fo) == set(oracle.fv)
+    assert all(product.fo[key] == oracle.fo[key] >= oracle.fv[key] > 0 for key in product.fo)
+
+
+def assert_offline_equals_oracle(suite, system: KBQA) -> None:
+    """``system`` is ``KBQA.train`` over ``suite`` with the default config."""
+    kb, corpus, conceptualizer = suite.freebase, suite.corpus, suite.conceptualizer
+    config = KBQAConfig()
+    reference = reference_encode_corpus(kb, corpus, conceptualizer, config.learner)
+    assert len(reference.observations) > 1000
+
+    # the string-level doors, stage by stage
+    learner = OfflineLearner(kb, conceptualizer, config.learner)
+    assert collect_seed_entities(corpus, learner.ner) == reference.seeds
+    observations, extraction = extract_observations(
+        ((pair.question, pair.answer) for pair in corpus),
+        KBView(kb.store, reference.expanded),
+        learner.ner,
+        ValueIndex(kb.store),
+        answer_type_of=kb.answer_type_for_path,
+        config=ExtractionConfig(use_refinement=config.learner.use_refinement),
+    )
+    assert observations == reference.observations
+    assert extraction == reference.extraction
+
+    # one scan through encode_corpus
+    prepared = learner.encode_corpus(corpus)
+    assert prepared.seed_entities == reference.seeds
+    assert prepared.n_observations == len(reference.observations)
+    assert prepared.extraction == reference.extraction
+    encoded, template_names, path_names = prepared.encoded
+    ref_encoded, ref_template_names, ref_path_names = reference.encoded
+    for buffer in ("offsets", "template_ids", "path_ids", "fs"):
+        assert getattr(encoded, buffer) == getattr(ref_encoded, buffer), buffer
+    assert template_names == ref_template_names
+    assert path_names == ref_path_names
+
+    # the whole of KBQA.train, which shares the scan with the statistics
+    ref_em, ref_model = reference_model(reference, config.learner)
+    assert system.learn_result.seed_entities == reference.seeds
+    assert system.learn_result.extraction == reference.extraction
+    assert system.learn_result.em.theta == ref_em.theta
+    assert system.learn_result.em.template_support == ref_em.template_support
+    assert system.model.n_observations == ref_model.n_observations
+    assert list(system.model.templates()) == list(ref_model.templates())
+    for template in ref_model.templates():
+        assert system.model.predicates_for(template) == ref_model.predicates_for(template)
+        assert system.model.support(template) == ref_model.support(template)
+
+    oracle_statistics = reference_pattern_statistics(
+        corpus.questions(),
+        reference.ner,
+        max_questions=config.pattern_max_questions,
+        max_tokens=config.pattern_max_tokens,
+    )
+    assert len(oracle_statistics.fo) > 20 * len(oracle_statistics.fv)
+    assert_statistics_equal_oracle(system.decomposer.statistics, oracle_statistics)
+
+    # Table 15: the DP reads the statistics through validity() alone
+    oracle_decomposer = Decomposer(
+        oracle_statistics, reference.ner, ref_model, conceptualizer,
+        max_concepts=config.max_concepts_online,
+    )
+    complex_questions = [item.question for item in suite.benchmark("complex").questions]
+    assert complex_questions
+    for question in complex_questions:
+        assert system.decompose(question) == oracle_decomposer.decompose(question)
+
+
+class TestSuiteAgainstOracle:
+    def test_session_backend(self, suite, kbqa_fb):
+        assert_offline_equals_oracle(suite, kbqa_fb)
+
+    def test_disk_backend(self):
+        disk_suite = build_suite("small", seed=7, backend="disk")
+        assert type(disk_suite.freebase.store) is DiskTripleStore
+        with KBQA.train(
+            disk_suite.freebase, disk_suite.corpus, disk_suite.conceptualizer
+        ) as system:
+            assert_offline_equals_oracle(disk_suite, system)
+
+    @pytest.mark.perf
+    def test_default_scale(self):
+        """The benchmark's suite: 30 k pairs, ≈ 225 k oracle ``fo`` keys."""
+        big = build_suite("default", seed=7)
+        with KBQA.train(big.freebase, big.corpus, big.conceptualizer) as system:
+            assert_offline_equals_oracle(big, system)
+
+
+# -- KBQA.train reads the corpus once --------------------------------------------
+
+
+class CountingRecognizer(EntityRecognizer):
+    calls: Counter = Counter()
+
+    def find_mentions(self, tokens):
+        self.calls["find_mentions"] += 1
+        return super().find_mentions(tokens)
+
+    def find_all_spans(self, tokens):
+        self.calls["find_all_spans"] += 1
+        return super().find_all_spans(tokens)
+
+
+def test_train_tokenizes_and_scans_each_question_once(suite, monkeypatch):
+    """Exact counts, so a refactor cannot quietly reintroduce a corpus pass."""
+    tokenized: Counter[str] = Counter()
+    original = tokenizer.tokenize
+
+    def counting_tokenize(text):
+        tokenized[text] += 1
+        return original(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and getattr(module, "tokenize", None) is original:
+            monkeypatch.setattr(module, "tokenize", counting_tokenize)
+    monkeypatch.setattr("repro.core.learner.EntityRecognizer", CountingRecognizer)
+    monkeypatch.setattr(CountingRecognizer, "calls", Counter())
+
+    corpus = suite.corpus
+    with KBQA.train(suite.freebase, corpus, suite.conceptualizer) as system:
+        assert type(system.learn_result.ner) is CountingRecognizer
+        indexed = system.decomposer.statistics.questions_indexed
+    assert len(corpus) < KBQAConfig().pattern_max_questions
+    occurrences = Counter(corpus.questions())
+    assert {question: tokenized[question] for question in occurrences} == occurrences
+    assert CountingRecognizer.calls == {"find_mentions": len(corpus), "find_all_spans": indexed}
+
+
+# -- fv-first statistics over hostile little corpora ------------------------------
+
+# "$e" is a token the tokenizer accepts, so a question (or a name) may contain
+# the entity variable itself: two spans of one question can then yield one
+# pattern, and one pattern has more than one prefix/suffix reading.
+_WORDS = st.sampled_from(["a", "b", "c", "who", "'s", "?", "$e"])
+_PHRASES = st.lists(_WORDS, min_size=0, max_size=7).map(" ".join)
+_NAMES = st.lists(_WORDS, min_size=1, max_size=3).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    names=st.lists(_NAMES, min_size=0, max_size=5),
+    questions=st.lists(_PHRASES, min_size=0, max_size=8),
+    max_questions=st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
+    max_tokens=st.integers(min_value=1, max_value=7),
+)
+# "$e $e" is validated through its second slot and matched by "b $e" through its first
+@example(names=["a"], questions=["$e a", "b $e"], max_questions=None, max_tokens=7)
+# both spans of "$e $e b" yield the same pattern: fo counts the question once
+@example(names=["$e"], questions=["$e $e b", "a $e b"], max_questions=None, max_tokens=7)
+def test_fv_first_statistics_equal_exhaustive_enumeration(
+    names, questions, max_questions, max_tokens
+):
+    """Overlapping names, a name spanning the whole question, questions longer
+    than ``max_tokens``, empty questions, ``max_questions`` cutting mid-corpus."""
+    ner = EntityRecognizer({name: [f"m.{index}"] for index, name in enumerate(names)})
+    product = PatternStatistics.from_corpus(questions, ner, max_questions, max_tokens)
+    oracle = reference_pattern_statistics(questions, ner, max_questions, max_tokens)
+    assert_statistics_equal_oracle(product, oracle)

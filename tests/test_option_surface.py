@@ -10,6 +10,7 @@ surface to failing loudly: a flag that is accepted and ignored is a bug.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import os
 import re
@@ -23,6 +24,7 @@ import pytest
 from repro.cli import main
 from repro.core.learner import LearnerConfig
 from repro.core.online import OnlineAnswerer
+from repro.core.system import KBQAConfig
 from repro.eval.scenarios import ScenarioSpec
 from repro.kb.backend import resolve_backend
 from repro.serve import ServeConfig, ServeStats
@@ -38,6 +40,47 @@ def test_serve_config_and_stats_field_counts():
 
 def test_learner_config_field_count():
     assert len(fields(LearnerConfig)) == 5
+
+
+def test_kbqa_config_field_count():
+    """The single corpus pass and the fv-first statistics bought their speed
+    with no knob: ``KBQAConfig`` is what it was, as are ``LearnerConfig``
+    above and the ``add_argument(`` count below."""
+    assert len(fields(KBQAConfig)) == 9
+
+
+def _max_loop_depth_of_pattern_joins(source: str, class_name: str) -> int:
+    """Deepest ``for`` nesting of a ``_pattern_key(...)`` / ``" ".join(...)``
+    call inside ``class_name`` (0 = not in a loop, -1 = no such call)."""
+    tree = ast.parse(source)
+    (target,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == class_name]
+    deepest = -1
+
+    def walk(node: ast.AST, depth: int) -> None:
+        nonlocal deepest
+        if isinstance(node, ast.Call):
+            callee = node.func
+            if (isinstance(callee, ast.Name) and callee.id == "_pattern_key") or (
+                isinstance(callee, ast.Attribute) and callee.attr == "join"
+            ):
+                deepest = max(deepest, depth)
+        for child in ast.iter_child_nodes(node):
+            walk(child, depth + isinstance(node, ast.For))
+
+    walk(target, 0)
+    return deepest
+
+
+def test_exhaustive_pattern_enumeration_lives_only_in_the_oracle():
+    """``PatternStatistics`` joins a pattern string per (question, entity
+    span) — loop depth 2 — never per (question, start, end): the O(n²)
+    builder is ``tests/oracles/offline_reference.py`` and nothing in ``src/``."""
+    product = (SRC / "repro" / "core" / "decompose.py").read_text("utf-8")
+    assert _max_loop_depth_of_pattern_joins(product, "PatternStatistics") == 2
+    oracle = (ROOT / "tests" / "oracles" / "offline_reference.py").read_text("utf-8")
+    assert "for end in range(start + 1, n + 1):" in oracle and "seen_fo.add(pattern)" in oracle
+    for path in SRC.rglob("*.py"):
+        assert "seen_fo.add(pattern)" not in path.read_text("utf-8"), path
 
 
 def test_online_answerer_constructor_parameter_count():
