@@ -10,12 +10,14 @@ to ``bench_table14_timecost.py``'s online numbers.
 
 import time
 
-from repro.core.em import EMConfig, run_em, run_em_reference
+from repro.core.em import EMConfig, run_em
 from repro.core.learner import LearnerConfig, OfflineLearner
-from repro.kb.expansion import expand_predicates, expand_predicates_baseline
+from repro.kb.expansion import expand_predicates
 from repro.utils.tables import Table
 
 from benchmarks.conftest import emit
+from tests.oracles.em_reference import run_em_reference
+from tests.oracles.expansion_reference import expand_predicates_baseline
 
 
 def _best_of(fn, repeats=3):

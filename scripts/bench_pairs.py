@@ -4,8 +4,12 @@
     python3 scripts/bench_pairs.py --base HEAD --workload http_zipf \\
         --workload inproc_unique --pairs 10
 
-Exports ``--base`` with ``git archive`` into a temporary directory (honours
-``TMPDIR``), then, for each ``--workload`` in turn, runs ``python3 -m
+Exports ``--base`` (``git archive``) and the working tree (tracked and
+untracked, not ignored, files) into two sibling directories of one
+temporary directory (honours ``TMPDIR``), ``base`` and ``edit``: the two
+sides run from paths of equal length, because path length alone moves
+``http_zipf`` (``benchmarks/results/pr23-pairs.txt``, A/A runs).  Then,
+for each ``--workload`` in turn, it runs ``python3 -m
 benchmarks.e2e --workload W --seed S --trace 0`` once per side per pair —
 base first on even pairs, the working tree first on odd ones, a fresh seed
 per pair — and prints, per end-to-end metric, each side's median and
@@ -45,6 +49,21 @@ def run_once(tree: Path, workload: str, seed: int) -> dict[str, float]:
     values = {name: metric["value"] for name, metric in result["metrics"].items()}
     values["failed_share"] = result["failed"] / max(result["attempted"], 1)
     return values
+
+
+def export_working_tree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked-but-not-ignored files."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=REPO, capture_output=True, check=True,
+    ).stdout.decode("utf-8").split("\0")
+    present = "\0".join(name for name in listed if name and (REPO / name).is_file())
+    archive = subprocess.run(
+        ["tar", "-c", "--null", "-T", "-"], cwd=REPO, input=present.encode("utf-8"),
+        capture_output=True, check=True,
+    ).stdout
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -95,12 +114,14 @@ def main() -> int:
     bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
     better["failed_share"] = "lower"
 
-    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as base_tree:
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as root:
+        trees = {"base": Path(root) / "base", "change": Path(root) / "edit"}
         archive = subprocess.run(
             ["git", "archive", args.base], cwd=REPO, capture_output=True, check=True
         ).stdout
-        subprocess.run(["tar", "-x", "-C", base_tree], input=archive, check=True)
-        trees = {"base": Path(base_tree), "change": REPO}
+        trees["base"].mkdir()
+        subprocess.run(["tar", "-x", "-C", trees["base"]], input=archive, check=True)
+        export_working_tree(trees["change"])
         for workload in args.workload:
             runs: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
             for pair in range(args.pairs):

@@ -163,10 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="evaluation threads per server process (default: 2)",
     )
     serve.add_argument(
-        "--no-coalesce", action="store_true",
-        help="disable duplicate-request coalescing (benchmark A/B)",
-    )
-    serve.add_argument(
         "--procs", type=int, default=1,
         help="server processes sharing the port via SO_REUSEPORT (each with "
              "its own event loop and evaluation threads — the way to serve "
@@ -181,22 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--deadline-ms", type=float, default=0.0,
         help="default per-request deadline in ms (0 disables; requests past "
              "it get a 504; the X-KBQA-Deadline-Ms header overrides)",
-    )
-    serve.add_argument(
-        "--slo-ms", type=float, default=0.0,
-        help="p99 latency objective in ms for the adaptive controller "
-             "(0 leaves it unset; --adaptive defaults it to 50)",
-    )
-    serve.add_argument(
-        "--adaptive", action="store_true",
-        help="run the SLO feedback controller: batch window / max batch / "
-             "admission bound re-tune against the --slo-ms p99 target",
-    )
-    serve.add_argument(
-        "--quota", metavar="RATE:BURST[;tenant=weight...]", default=None,
-        help="per-tenant token-bucket admission keyed on the X-KBQA-Client "
-             "header (e.g. '50:100;gold=4;free=1'; over-quota requests get "
-             "a 429; /healthz is never throttled)",
     )
     _fallback_args(serve)
     serve.set_defaults(handler=_cmd_serve)
@@ -413,18 +393,11 @@ def _cmd_serve(args) -> int:
 
     from repro.serve import BackgroundServer, ServeConfig, run_smoke
 
-    # --adaptive without an explicit objective gets a sane default SLO;
-    # --slo-ms alone (no controller) still feeds the /metrics histograms
-    slo_ms = args.slo_ms if args.slo_ms > 0 else (50.0 if args.adaptive else 0.0)
     config = ServeConfig(
         max_batch=args.max_batch,
         max_pending=args.max_pending,
         workers=args.workers,
-        coalesce=not args.no_coalesce,
         deadline_ms=args.deadline_ms,
-        slo_ms=slo_ms,
-        adaptive=args.adaptive,
-        quota=args.quota,
     )
     system, suite = _train_system(args)
     if args.smoke:

@@ -18,8 +18,9 @@ The estimator is array-based: observations are flattened into CSR-style
 parallel buffers (:class:`EncodedObservations`), every distinct ``(t, p)``
 pair becomes a dense *cell*, and each E/M iteration is vectorized numpy (or,
 without numpy, tight loops over flat ``array`` buffers) instead of nested
-dict gets.  ``run_em_reference`` keeps the original dict-of-dict
-implementation for equivalence tests and the before/after benchmark.
+dict gets.  The original dict-of-dict implementation is the test oracle
+``tests/oracles/em_reference.py`` (equivalence tests and the before/after
+benchmark).
 
 The per-iteration incomplete-data log-likelihood is recorded; it is
 non-decreasing (standard EM guarantee), which the test suite asserts.
@@ -118,19 +119,6 @@ class EncodedObservations:
         """Total candidates across all observations."""
         return len(self.template_ids)
 
-    def to_lists(self) -> list[list[Candidate]]:
-        """Inverse of :meth:`from_observations` (reference/tests only)."""
-        out: list[list[Candidate]] = []
-        for i in range(len(self)):
-            start, end = self.offsets[i], self.offsets[i + 1]
-            out.append(
-                [
-                    (self.template_ids[j], self.path_ids[j], self.fs[j])
-                    for j in range(start, end)
-                ]
-            )
-        return out
-
 
 def initialize_theta(observations: Sequence[Sequence[Candidate]]) -> dict[int, dict[int, float]]:
     """Eq 23: uniform over predicates co-occurring with each template."""
@@ -153,7 +141,7 @@ def run_em(
 
     Accepts either nested candidate lists (flattened on entry) or a
     pre-built :class:`EncodedObservations`.  Produces the same estimates as
-    :func:`run_em_reference` (equivalence-tested to 1e-9) in a fraction of
+    the dict-of-dict oracle (equivalence-tested to 1e-9) in a fraction of
     the time: the E/M recurrences run over contiguous buffers indexed by
     dense cell ids instead of chained dict lookups.
     """
@@ -332,62 +320,3 @@ def _iterate_python(fs, cells, obs_of, cell_template, theta_flat,
         previous_ll = log_likelihood
     return acc, support, trace, iterations
 
-
-def run_em_reference(
-    observations: Sequence[Sequence[Candidate]] | EncodedObservations,
-    config: EMConfig | None = None,
-) -> EMResult:
-    """The original dict-of-dict EM, kept as the correctness reference."""
-    config = config or EMConfig()
-    if isinstance(observations, EncodedObservations):
-        observations = observations.to_lists()
-    theta = initialize_theta(observations)
-    result = EMResult(theta=theta)
-    if not theta:
-        return result
-
-    previous_ll: float | None = None
-    for iteration in range(config.max_iterations):
-        accumulator: dict[int, dict[int, float]] = {}
-        support: dict[int, float] = {}
-        log_likelihood = 0.0
-        for candidates in observations:
-            # E-step for observation i: responsibilities ∝ f · θ (Eq 21).
-            weights: list[float] = []
-            total = 0.0
-            for template_id, path_id, f in candidates:
-                weight = f * theta.get(template_id, {}).get(path_id, 0.0)
-                weights.append(weight)
-                total += weight
-            if total <= 0.0:
-                continue
-            log_likelihood += math.log(total)
-            inv_total = 1.0 / total
-            for (template_id, path_id, _f), weight in zip(candidates, weights):
-                if weight <= 0.0:
-                    continue
-                responsibility = weight * inv_total
-                row = accumulator.setdefault(template_id, {})
-                row[path_id] = row.get(path_id, 0.0) + responsibility
-                support[template_id] = support.get(template_id, 0.0) + responsibility
-
-        # M-step: per-template normalization (Eq 22).
-        theta = {
-            template_id: {
-                path_id: mass / support[template_id]
-                for path_id, mass in row.items()
-            }
-            for template_id, row in accumulator.items()
-        }
-        result.theta = theta
-        result.template_support = support
-        result.log_likelihood.append(log_likelihood)
-        result.iterations = iteration + 1
-
-        if previous_ll is not None:
-            improvement = log_likelihood - previous_ll
-            scale = max(abs(previous_ll), 1.0)
-            if improvement / scale < config.tolerance:
-                break
-        previous_ll = log_likelihood
-    return result

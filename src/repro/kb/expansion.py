@@ -13,9 +13,9 @@ materialized ``(s, p+, o)`` triples are all dictionary-encoded integers, so
 no term string or :class:`~repro.kb.triple.Triple` object is built per row.
 Strings appear only at the :class:`ExpandedStore` public boundary, where
 decoded results are cached as frozen views (one decode per key, shared across
-calls).  ``expand_predicates_baseline`` preserves the original string-level
-implementation as the reference for equivalence tests and the before/after
-benchmark.
+calls).  The original string-level implementation is the test oracle
+``tests/oracles/expansion_reference.py`` (equivalence tests and the
+before/after benchmark).
 
 The scan consumes any :class:`~repro.kb.backend.KBBackend` through its one
 scan API, ``spo_items_ids()``, and runs inline in the caller: one loop, no
@@ -585,49 +585,3 @@ def compute_reach(
         frontier = next_frontier
     return recorded
 
-
-def expand_predicates_baseline(
-    store: KBBackend,
-    seeds: Iterable[str],
-    max_length: int = 3,
-    tail_predicates: frozenset[str] = DEFAULT_TAIL_PREDICATES,
-) -> ExpandedStore:
-    """The original string-level expansion, kept as the reference.
-
-    Scans ``store.triples()`` (materializing a :class:`~repro.kb.triple.Triple`
-    and three term strings per row) and joins on decoded subjects.  Equivalence
-    tests assert :func:`expand_predicates` produces the identical triple set;
-    ``benchmarks/bench_offline_timecost.py`` and the perf harness report the
-    before/after wall-clock.
-    """
-    if max_length < 1:
-        raise ValueError(f"max_length must be >= 1, got {max_length}")
-
-    expanded = ExpandedStore(max_length=max_length, tail_predicates=tail_predicates)
-    seed_set = {s for s in seeds if store.has_subject(s)}
-    if not seed_set:
-        return expanded
-
-    frontier: dict[str, set[tuple[str, PredicatePath | None]]] = {
-        seed: {(seed, None)} for seed in seed_set
-    }
-
-    for round_index in range(1, max_length + 1):
-        next_frontier: dict[str, set[tuple[str, PredicatePath | None]]] = defaultdict(set)
-        for triple in store.triples():
-            provenance = frontier.get(triple.subject)
-            if not provenance:
-                continue
-            for seed, prefix in provenance:
-                path = (
-                    PredicatePath.single(triple.predicate)
-                    if prefix is None
-                    else prefix.extend(triple.predicate)
-                )
-                if len(path) == 1 or path.last in tail_predicates:
-                    expanded.record(seed, path, triple.object)
-                if round_index < max_length:
-                    next_frontier[triple.object].add((seed, path))
-        frontier = next_frontier
-
-    return expanded

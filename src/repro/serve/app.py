@@ -13,7 +13,8 @@ Endpoints (all JSON):
   request refused while a quiesced write holds the lane shut, and targets
   whose cache the lane cannot read (no ``cached_answer`` on the target).  An
   ``X-KBQA-Deadline-Ms`` header (or ``ServeConfig.deadline_ms``) bounds the
-  wait: past it the request gets a ``504``.
+  wait: past it the request gets a ``504``; a value that is not a finite
+  positive number gets a ``400``.
 * ``POST /batch``   ``{"questions": [...]}`` -> ``{"results": [...]}`` in
   input order (each question goes through coalescing individually); the
   deadline header applies per question, and the degraded fallback fires
@@ -23,19 +24,18 @@ Endpoints (all JSON):
   so the expansion refresh + cache invalidation happen with no evaluation
   in flight.
 * ``GET /healthz``  liveness + uptime — answered *before* the answerer, so
-  admission control and tenant quotas can never starve a liveness probe.
-* ``GET /stats``    serving counters, answerer cache occupancy, KB stats,
-  the metrics spine's windowed latency view and (when adaptive) the SLO
-  controller's knobs + tick trace.
+  admission control can never starve a liveness probe.
+* ``GET /stats``    serving counters, answerer cache occupancy, KB stats and
+  the metrics spine's lifetime latency view.
 * ``GET /metrics``  Prometheus text exposition of the telemetry spine
-  (stage latency histograms, serve/tenant counters, live-knob gauges);
+  (stage latency histograms, serve/tenant counters, gauges);
   under the multi-process front each replica periodically dumps its
   cumulative state to a shared directory and whichever replica serves the
   scrape merges the dumps with its own live state.
 
 Requests may carry an ``X-KBQA-Client`` header naming the tenant: it keys
-the per-tenant counters and — with ``ServeConfig.quota`` set — the
-token-bucket admission whose rejections map to ``429``.
+the per-tenant counters (at most ``MAX_TENANTS`` labels per answerer, see
+:mod:`repro.serve.metrics`).
 
 The server also subscribes to the KB backend's change stream (single and
 batched) and routes every external mutation into
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import asyncio
 import json as _json
+import math
 import os
 import threading
 import time
@@ -74,7 +75,6 @@ from repro.serve.async_answerer import (
     OverloadedError,
     ServeConfig,
 )
-from repro.serve.control import QuotaExceeded
 from repro.serve.http import (
     BadRequest,
     HTTPRequest,
@@ -377,7 +377,6 @@ class KBQAServer:
                         "disconnects": self.disconnects,
                     },
                     "metrics": self.answerer.metrics.snapshot(),
-                    "controller": self.answerer.controller_snapshot(),
                 }
                 if self.metrics_dir is not None:
                     merged, reporting = self._merged_state()
@@ -404,12 +403,10 @@ class KBQAServer:
             return 400, {"error": str(error)}
         except DeadlineExceeded as error:
             return 504, {"error": "deadline exceeded", "detail": str(error)}
-        except QuotaExceeded as error:
-            return 429, {"error": "quota exceeded", "detail": str(error)}
         except OverloadedError:
             return 503, {
                 "error": "overloaded",
-                "max_pending": self.answerer.max_pending,
+                "max_pending": self.answerer.config.max_pending,
             }
         except Exception as error:
             return _internal_error(error)
@@ -465,7 +462,7 @@ class KBQAServer:
         return merge_states(states), len(states)
 
     def _render_metrics(self) -> str:
-        """The ``/metrics`` body: merged counters + live-knob gauges."""
+        """The ``/metrics`` body: merged counters + gauges."""
         state, reporting = (
             self._merged_state()
             if self.metrics_dir is not None
@@ -473,9 +470,8 @@ class KBQAServer:
         )
         snapshot = self.answerer.snapshot()
         gauges = {
-            "kbqa_batch_window_ms": self.answerer.batch_window_ms,
-            "kbqa_max_batch": self.answerer.max_batch,
-            "kbqa_max_pending": self.answerer.max_pending,
+            "kbqa_max_batch": self.config.max_batch,
+            "kbqa_max_pending": self.config.max_pending,
             "kbqa_pending": snapshot["pending"],
             "kbqa_serving_epoch": snapshot["epoch"],
             "kbqa_replicas_reporting": reporting,
@@ -499,8 +495,8 @@ class KBQAServer:
             value = float(raw)
         except ValueError:
             raise BadRequest(f"invalid X-KBQA-Deadline-Ms: {raw!r}") from None
-        if value <= 0:
-            raise BadRequest("X-KBQA-Deadline-Ms must be > 0")
+        if not math.isfinite(value) or value <= 0:
+            raise BadRequest("X-KBQA-Deadline-Ms must be a finite number > 0")
         return value / 1000.0
 
     def _answer_args(
@@ -714,12 +710,9 @@ def run_smoke(
     parse as Prometheus text format.  Two raw-socket exchanges check the
     connection state machine: a pipelined pair must come back as two
     replies in request order, and an HTTP/1.0 request (no ``Connection``
-    header) must be answered ``Connection: close`` and hung up on.  With
-    ``config.adaptive`` the smoke additionally keeps load on the server
-    until the SLO controller has adjusted at least one knob (window / batch
-    / admission), failing if it never does.  Raises ``RuntimeError`` on any
-    non-200, mismatched payload, or unclean shutdown; returns a summary dict
-    on success.  This is the CI serving smoke test and the ``kbqa serve
+    header) must be answered ``Connection: close`` and hung up on.  Raises
+    ``RuntimeError`` on any non-200, mismatched payload, or unclean
+    shutdown; returns a summary dict on success.  This is the CI serving smoke test and the ``kbqa serve
     --smoke`` implementation.
 
     ``procs > 1`` runs the same client traffic against a
@@ -848,24 +841,6 @@ def run_smoke(
             # a timeout here is the server holding the connection open
             failures.append(f"raw-socket exchange failed: {error!r}")
 
-        controller_adjustments = 0
-        if config is not None and config.adaptive:
-            # keep traffic flowing until the controller proves it is alive:
-            # p99 well under the SLO must widen the window (or the admission
-            # target must move) within a few 250 ms control intervals
-            deadline = time.monotonic() + 20.0
-            while time.monotonic() < deadline:
-                for i in range(16):
-                    post(answer_url, {"question": questions[i % len(questions)]})
-                with urllib.request.urlopen(bg.url + "/stats", timeout=30) as resp:
-                    live = json.loads(resp.read().decode("utf-8"))
-                controller = live.get("controller") or {}
-                controller_adjustments = controller.get("adjustments", 0)
-                if controller_adjustments:
-                    break
-            if not controller_adjustments:
-                failures.append("adaptive controller never adjusted a knob")
-
         from repro.serve.metrics import parse_prometheus_text
 
         with urllib.request.urlopen(bg.url + "/metrics", timeout=30) as resp:
@@ -914,8 +889,4 @@ def run_smoke(
     }
     if procs > 1:
         summary["respawned"] = respawned
-    if config is not None and config.adaptive:
-        summary["controller_adjustments"] = controller_adjustments
-        summary["batch_window_ms"] = serve_stats["batch_window_ms"]
-        summary["max_pending"] = serve_stats["max_pending"]
     return summary

@@ -16,11 +16,12 @@ mechanisms:
 * **in-flight coalescing** — concurrent requests for the same *normalized*
   question (the answer-cache key) share one evaluation: the first arrival
   enqueues it, later arrivals await the same future.  N duplicates cost one
-  Eq 7 evaluation and one executor round trip.
+  Eq 7 evaluation and one executor round trip.  There is no switch for it.
 * **micro-batching** — distinct pending questions are drained into
-  ``answer_many`` batches of up to ``max_batch`` and evaluated on a bounded
-  thread pool, amortizing the event-loop/thread handoff and the
-  serving-cache probes across the batch.  Threads are the only executor:
+  ``answer_many`` batches of up to ``max_batch`` as soon as a worker slot
+  is free (no linger window) and evaluated on a bounded thread pool,
+  amortizing the event-loop/thread handoff and the serving-cache probes
+  across the batch.  Threads are the only executor:
   more cores are used by ``--procs N`` replicas of the whole server
   (DESIGN.md "Why serving has one executor").
 * **admission control** — at most ``max_pending`` evaluations may be queued
@@ -28,6 +29,9 @@ mechanisms:
   :class:`OverloadedError` *immediately* (the deterministic overload
   response the HTTP front maps to 503), instead of letting latency grow
   without bound.
+
+Every knob is a fixed :class:`ServeConfig` value: nothing retunes them while
+serving (DESIGN.md "Control plane" records why the SLO controller went).
 
 The failure model (``tests/test_fault_tolerance.py``): a request may carry
 a **deadline** — past it the caller gets :class:`DeadlineExceeded` (HTTP
@@ -77,13 +81,6 @@ from typing import Callable, Protocol, Sequence
 
 from repro.core.online import AnswerResult
 from repro.nlp.tokenizer import tokenize
-from repro.serve.control import (
-    ControllerConfig,
-    FairQueue,
-    QuotaExceeded,
-    SLOController,
-    parse_quota,
-)
 from repro.serve.metrics import ServeMetrics
 
 
@@ -143,40 +140,23 @@ class ServeConfig:
     executing (coalesced joiners are free and never rejected);
     ``workers`` sizes the evaluation thread pool; ``executor`` is
     ``"thread"`` (None means the same) or ``"serial"`` (inline on the event
-    loop; the determinism baseline for tests).  ``coalesce`` toggles
-    duplicate sharing (off exists for the A/B in the QPS benchmark);
-    ``batch_window_ms`` optionally lingers before dispatching an
-    under-filled batch, trading latency for fuller batches;
-    ``max_stale_retries`` bounds re-evaluation when invalidations keep
-    landing mid-flight — past it the freshest attempt is delivered anyway
-    (bounded staleness instead of livelock under sustained writes).
+    loop; the determinism baseline for tests).  ``max_stale_retries``
+    bounds re-evaluation when invalidations keep landing mid-flight — past
+    it the freshest attempt is delivered anyway (bounded staleness instead
+    of livelock under sustained writes).
 
     The failure-model knob: ``deadline_ms`` is the default per-request
     deadline (0 disables; the HTTP front's ``X-KBQA-Deadline-Ms`` header
     overrides per request) after which the caller gets
     :class:`DeadlineExceeded` (HTTP 504) instead of waiting forever.
-
-    The control-plane knobs (`repro.serve.control`): ``adaptive`` starts an
-    SLO feedback controller that treats ``batch_window_ms`` / ``max_batch``
-    / ``max_pending`` as *initial values* and retunes them live against the
-    ``slo_ms`` p99 target (required > 0 when adaptive); ``quota`` is a
-    per-tenant token-bucket spec (``"RATE:BURST[;tenant=weight...]"``) that
-    replaces the FIFO dispatch queue with weighted-fair per-tenant queues —
-    requests past quota get :class:`~repro.serve.control.QuotaExceeded`
-    (HTTP 429).
     """
 
     max_batch: int = 16
     max_pending: int = 256
     workers: int = 2
-    coalesce: bool = True
-    batch_window_ms: float = 0.0
     max_stale_retries: int = 5
     executor: str | None = None
     deadline_ms: float = 0.0
-    slo_ms: float = 0.0
-    adaptive: bool = False
-    quota: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -185,8 +165,6 @@ class ServeConfig:
             raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.batch_window_ms < 0:
-            raise ValueError(f"batch_window_ms must be >= 0, got {self.batch_window_ms}")
         if self.max_stale_retries < 1:
             raise ValueError(
                 f"max_stale_retries must be >= 1, got {self.max_stale_retries}"
@@ -198,12 +176,6 @@ class ServeConfig:
                 f"executor must be 'thread', 'serial' or None, got "
                 f"{self.executor!r} (to serve on N cores, run --procs N replicas)"
             )
-        if self.slo_ms < 0:
-            raise ValueError(f"slo_ms must be >= 0, got {self.slo_ms}")
-        if self.adaptive and self.slo_ms <= 0:
-            raise ValueError("adaptive serving requires slo_ms > 0")
-        if self.quota is not None:
-            parse_quota(self.quota)  # validate eagerly; ValueError on a bad spec
 
 
 @dataclass(slots=True)
@@ -223,7 +195,6 @@ class ServeStats:
     max_batch_seen: int = 0
     deadline_expired: int = 0  # requests abandoned at their deadline (504s)
     degraded: int = 0  # answer-cache hits served in degraded mode (by the app)
-    quota_rejected: int = 0  # per-tenant quota rejections (429s)
     fallback_served: int = 0  # answers recovered by the semantic fallback lane
     fallback_abstained: int = 0  # unanswered despite the lane being enabled
 
@@ -248,12 +219,6 @@ class AsyncAnswerer:
         self.stats = ServeStats()
         self.metrics = ServeMetrics()
         self._fallback_enabled = bool(getattr(target, "fallback_enabled", False))
-        # Live knobs, seeded from the (frozen) config: the SLO controller
-        # mutates these, never the config, so the configured values remain
-        # the restart baseline and the controller caps.
-        self.batch_window_ms: float = self.config.batch_window_ms
-        self.max_batch: int = self.config.max_batch
-        self.max_pending: int = self.config.max_pending
         self._key = key
         # The cache-hit lane's probe: only a target that exposes its answer
         # cache, and only when this answerer's key *is* that cache's key.
@@ -265,18 +230,8 @@ class AsyncAnswerer:
         # the evaluation thread pool; stays None for executor="serial"
         self._executor: ThreadPoolExecutor | None = None
         # (key, question, future, tenant, t_enq) items not yet dispatched;
-        # one entry per distinct in-flight key when coalescing is on.  With
-        # a quota configured the FIFO becomes per-tenant weighted-fair.
-        self._fair: FairQueue | None = (
-            FairQueue(parse_quota(self.config.quota))
-            if self.config.quota is not None
-            else None
-        )
-        self._queue: deque | FairQueue = (
-            self._fair if self._fair is not None else deque()
-        )
-        self.controller: SLOController | None = None
-        self._controller_task: asyncio.Task | None = None
+        # one entry per distinct in-flight key
+        self._queue: deque = deque()
         self._inflight: dict[str, asyncio.Future] = {}
         self._pending = 0  # queued + executing evaluations (admission gauge)
         self._epoch = 0
@@ -308,41 +263,12 @@ class AsyncAnswerer:
         self._dispatcher = self._loop.create_task(
             self._dispatch_loop(), name="kbqa-serve-dispatch"
         )
-        if self.config.adaptive:
-            # The window may widen to amortize dispatch, but never past half
-            # the SLO (a linger alone must not eat the whole budget) nor an
-            # absolute 50 ms; the configured window stays usable as a larger
-            # starting point for the static-vs-adaptive A/B.
-            max_window = max(
-                self.config.batch_window_ms, min(self.config.slo_ms / 2.0, 50.0)
-            )
-            self.controller = SLOController(
-                self,
-                self.metrics,
-                # the admission floor self-clamps to pending_cap in tick()
-                ControllerConfig(
-                    slo_p99_ms=self.config.slo_ms,
-                    max_window_ms=max_window,
-                ),
-                batch_cap=self.config.max_batch,
-                pending_cap=self.config.max_pending,
-            )
-            self._controller_task = self._loop.create_task(
-                self.controller.run(), name="kbqa-serve-controller"
-            )
 
     async def stop(self) -> None:
         """Stop admitting, fail queued requests, drain batches, shut down."""
         if not self._running:
             return
         self._running = False
-        if self._controller_task is not None:
-            self._controller_task.cancel()
-            try:
-                await self._controller_task
-            except asyncio.CancelledError:
-                pass
-            self._controller_task = None
         assert self._dispatcher is not None
         self._dispatcher.cancel()
         try:
@@ -398,12 +324,9 @@ class AsyncAnswerer:
         requests, and its result still warms the answer cache.
 
         ``tenant`` attributes the request to a client (the HTTP front passes
-        the ``X-KBQA-Client`` header): it keys the per-tenant metrics and,
-        with a quota configured, the token-bucket admission + fair-queue
-        scheduling — a tenant past its bucket and its weighted queue share
-        gets :class:`~repro.serve.control.QuotaExceeded` (HTTP 429).
-        Joining an in-flight evaluation is always free: a coalesced
-        duplicate costs the box nothing, so quotas never reject it.
+        the ``X-KBQA-Client`` header) in the per-tenant metrics.  Joining an
+        in-flight evaluation is always free: a coalesced duplicate costs the
+        box nothing, so admission never rejects it.
         """
         if not self._running:
             raise RuntimeError("AsyncAnswerer is not running (call start())")
@@ -416,7 +339,7 @@ class AsyncAnswerer:
             deadline_s = self.config.deadline_ms / 1000.0
         if tenant is not None:
             self.metrics.tenant_inc(tenant, "requests")
-        shared = self._inflight.get(key) if self.config.coalesce else None
+        shared = self._inflight.get(key)
         if shared is not None:
             self.stats.requests += 1
             self.stats.coalesced += 1
@@ -424,26 +347,17 @@ class AsyncAnswerer:
                 self.metrics.tenant_inc(tenant, "coalesced")
             result = await self._await_result(shared, deadline_s)
             return result if result.question == question else replace(result, question=question)
-        if self._fair is not None and not self._fair.admit(
-            tenant, time.monotonic(), max_pending=self.max_pending
-        ):
-            self.stats.quota_rejected += 1
-            if tenant is not None:
-                self.metrics.tenant_inc(tenant, "quota_rejected")
-            raise QuotaExceeded(
-                f"client {tenant or 'anonymous'} is over its request quota"
-            )
-        if self._pending >= self.max_pending:
+        max_pending = self.config.max_pending
+        if self._pending >= max_pending:
             self.stats.rejected += 1
             if tenant is not None:
                 self.metrics.tenant_inc(tenant, "rejected")
             raise OverloadedError(
-                f"serving queue full ({self.max_pending} pending evaluations)"
+                f"serving queue full ({max_pending} pending evaluations)"
             )
         assert self._loop is not None and self._wakeup is not None
         future: asyncio.Future = self._loop.create_future()
-        if self.config.coalesce:
-            self._inflight[key] = future
+        self._inflight[key] = future
         self._queue.append((key, question, future, tenant, time.monotonic()))
         self._pending += 1
         self.stats.requests += 1
@@ -490,8 +404,7 @@ class AsyncAnswerer:
         self.stats.requests += 1
         self.stats.inline_hits += 1
         self._count_fallback(hit)
-        now = time.monotonic()
-        self.metrics.observe_total((now - started) * 1000.0, now=now)
+        self.metrics.observe_total((time.monotonic() - started) * 1000.0)
         if tenant is not None:
             self.metrics.tenant_inc(tenant, "requests")
             self.metrics.tenant_inc(tenant, "completed")
@@ -534,11 +447,11 @@ class AsyncAnswerer:
         """Concurrent submission of a client batch (order preserved).
 
         Admission is checked for the *whole* batch up front: if the
-        questions that need an evaluation — not in the answer cache, and
-        distinct and not yet in flight when coalescing — cannot fit the
-        remaining capacity, the batch is rejected before any of it is
-        answered or enqueued — a 503'd client batch must shed load, not
-        consume ``max_pending`` evaluations whose results nobody reads.
+        questions that need an evaluation — not in the answer cache, distinct
+        and not yet in flight — cannot fit the remaining capacity, the
+        batch is rejected before any of it is answered or enqueued — a
+        503'd client batch must shed load, not consume ``max_pending``
+        evaluations whose results nobody reads.
         (Individual submissions can still race other clients for the last
         slots; that narrow window keeps the per-call admission check
         authoritative.)
@@ -550,18 +463,16 @@ class AsyncAnswerer:
         lane = None if self._paused else self._probe
         hits = [lane(q, k) if lane else None for q, k in zip(questions, keys)]
         missed = [k for k, hit in zip(keys, hits) if hit is None]
-        if self.config.coalesce:
-            needed = len(set(missed) - self._inflight.keys())
-        else:
-            needed = len(missed)
-        free = self.max_pending - self._pending
+        needed = len(set(missed) - self._inflight.keys())
+        max_pending = self.config.max_pending
+        free = max_pending - self._pending
         if needed > free:
             self.stats.rejected += len(questions)
             if tenant is not None:
                 self.metrics.tenant_inc(tenant, "rejected", len(questions))
             raise OverloadedError(
                 f"batch needs {needed} evaluations but only {max(free, 0)} "
-                f"of {self.max_pending} slots are free"
+                f"of {max_pending} slots are free"
             )
         for hit in hits:
             if hit is not None:
@@ -637,27 +548,24 @@ class AsyncAnswerer:
         """Drain the queue into bounded ``answer_many`` batches forever."""
         assert self._wakeup is not None and self._loop is not None
         worker_slots = asyncio.Semaphore(self.config.workers)
+        max_batch = self.config.max_batch
         while True:
             while not self._queue or self._paused:
                 self._wakeup.clear()
                 if self._queue and not self._paused:
                     break  # racing set() between check and clear()
                 await self._wakeup.wait()
-            window_ms = self.batch_window_ms  # live knob: controller-tunable
-            if window_ms > 0 and len(self._queue) < self.max_batch:
-                await asyncio.sleep(window_ms / 1000.0)
-                self.metrics.observe("batch_linger", window_ms)
             # Acquire the worker slot *before* popping: the only cancellation
             # points are awaits, so a stop() can never strand a popped batch.
             await worker_slots.acquire()
-            size = min(len(self._queue), self.max_batch)
+            size = min(len(self._queue), max_batch)
             if size == 0 or self._paused:
                 worker_slots.release()
                 continue
             batch = [self._queue.popleft() for _ in range(size)]
             now = time.monotonic()
             for item in batch:
-                self.metrics.observe("queue_wait", (now - item[4]) * 1000.0, now)
+                self.metrics.observe("queue_wait", (now - item[4]) * 1000.0)
             self._active_batches += 1
             task = self._loop.create_task(self._run_batch(batch, worker_slots))
             self._batch_tasks.add(task)
@@ -715,7 +623,7 @@ class AsyncAnswerer:
                 if not future.done():
                     future.set_result(result)
                 self._count_fallback(result)
-                self.metrics.observe_total((done - t_enq) * 1000.0, now=done)
+                self.metrics.observe_total((done - t_enq) * 1000.0)
                 if tenant is not None:
                     self.metrics.tenant_inc(tenant, "completed")
         except Exception as error:  # target failure: fail the whole batch
@@ -752,15 +660,10 @@ class AsyncAnswerer:
                 "active_batches": self._active_batches,
                 "epoch": self._epoch,
                 "running": self._running,
-                "coalesce": self.config.coalesce,
                 "executor": self.config.executor or "thread",
                 "workers": self.config.workers,
-                # live control-plane knobs (== config unless adaptive)
-                "batch_window_ms": round(self.batch_window_ms, 3),
-                "max_batch": self.max_batch,
-                "max_pending": self.max_pending,
-                "adaptive": self.config.adaptive,
-                "quota": self.config.quota is not None,
+                "max_batch": self.config.max_batch,
+                "max_pending": self.config.max_pending,
             }
         )
         return data
@@ -772,8 +675,3 @@ class AsyncAnswerer:
         state = self.metrics.state()
         state["counters"] = dataclasses.asdict(self.stats)
         return state
-
-    def controller_snapshot(self) -> dict | None:
-        """The SLO controller's counters, knobs and tick trace (None when
-        not adaptive)."""
-        return self.controller.snapshot() if self.controller is not None else None

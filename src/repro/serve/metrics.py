@@ -1,9 +1,9 @@
 """Serving telemetry spine: streaming latency histograms + counters.
 
-The adaptive control plane (`repro.serve.control`) steers three live knobs
-— batch window, batch size, admission bound — off *measured* tail latency,
-so the measurement layer has to be cheap enough to sit on the hot path and
-honest enough to steer by.  Three properties drive the design:
+The measurement layer sits on the hot path of every request, so it has to
+be cheap; and it feeds ``/stats``, ``/metrics`` and the benchmark's
+per-layer rows, so it has to merge exactly.  Two properties drive the
+design:
 
 * **fixed log-bucket histograms** — latencies land in geometrically spaced
   buckets (growth ``2**0.25``, ~±9% relative resolution, ~0.05 ms …
@@ -11,31 +11,27 @@ honest enough to steer by.  Three properties drive the design:
   no sample list ever grows.  Bucket bounds are a module constant, so any
   two histograms (across stages, replicas, or processes) merge by adding
   count arrays — that is what the multi-process front does at ``/stats``
-  and ``/metrics``.
-* **windowed percentiles** — the controller must react to the *recent*
-  p99, not the lifetime one, so each histogram keeps a ring of
-  sub-histograms rotated by monotonic time: a windowed view sums the
-  live slots (a few hundred ints), and stale slots are recycled lazily on
-  the next record.  The cumulative histogram is kept alongside for
-  Prometheus, whose scrape model wants monotonic totals.
-* **per-stage and per-tenant attribution** — queue wait, batch linger and
-  evaluation time are recorded separately from end-to-end total (the
-  controller's signal), and per-tenant counters make a noisy client
-  visible.
+  and ``/metrics``.  Every histogram is cumulative over the answerer's
+  life, the monotonic totals Prometheus' scrape model wants.
+* **per-stage and per-tenant attribution** — queue wait and evaluation
+  time are recorded separately from end-to-end total, and per-tenant
+  counters make a noisy client visible.  The tenant label comes from a
+  request header, i.e. from outside the program, so at most
+  :data:`MAX_TENANTS` labels are tracked; later ones share
+  :data:`OVERFLOW_TENANT`.
 
 Export formats: :func:`render_prometheus` writes the Prometheus text
 exposition format (``/metrics``); :meth:`ServeMetrics.snapshot` returns the
-JSON-friendly windowed view folded into ``/stats``;
-:meth:`ServeMetrics.state` / :func:`merge_states` are the mergeable
-cumulative form replicas dump to disk for cross-process aggregation.
-:func:`parse_prometheus_text` is the validating parser the smoke test and
-the test suite use to prove the exposition output is well-formed.
+JSON-friendly view folded into ``/stats``; :meth:`ServeMetrics.state` /
+:func:`merge_states` are the mergeable form replicas dump to disk for
+cross-process aggregation.  :func:`parse_prometheus_text` is the validating
+parser the smoke test and the test suite use to prove the exposition output
+is well-formed.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from bisect import bisect_left
 from math import ceil
 
@@ -56,6 +52,12 @@ def _build_bounds() -> tuple[float, ...]:
 BUCKET_BOUNDS_MS: tuple[float, ...] = _build_bounds()
 _OVERFLOW = len(BUCKET_BOUNDS_MS)  # index of the +Inf bucket
 
+# Distinct ``X-KBQA-Client`` labels one answerer tracks; later labels are
+# counted together under OVERFLOW_TENANT, so hostile or buggy clients cannot
+# grow /stats, /metrics or the replica dumps without bound.
+MAX_TENANTS = 64
+OVERFLOW_TENANT = "_overflow"
+
 
 class Histogram:
     """One fixed log-bucket latency histogram (values in milliseconds).
@@ -67,13 +69,6 @@ class Histogram:
 
     def __init__(self) -> None:
         self.counts = [0] * (_OVERFLOW + 1)
-        self.sum_ms = 0.0
-        self.count = 0
-
-    def reset(self) -> None:
-        """Zero every bucket and the running sum/count."""
-        for i in range(len(self.counts)):
-            self.counts[i] = 0
         self.sum_ms = 0.0
         self.count = 0
 
@@ -128,118 +123,56 @@ class Histogram:
         return hist
 
 
-class WindowedHistogram:
-    """A cumulative histogram plus a time-rotated ring of recent windows.
-
-    ``record`` lands the sample in the cumulative histogram *and* the ring
-    slot for ``now``'s window; a slot whose epoch fell out of the ring is
-    reset in place on first touch (no timer thread).  ``view`` sums the
-    slots still inside the lookback and reports the span they cover, which
-    is what turns a windowed count into a service *rate*.
-    """
-
-    __slots__ = ("window_s", "windows", "total", "_epochs", "_ring")
-
-    def __init__(self, window_s: float = 0.5, windows: int = 8) -> None:
-        if window_s <= 0:
-            raise ValueError(f"window_s must be > 0, got {window_s}")
-        if windows < 2:
-            raise ValueError(f"windows must be >= 2, got {windows}")
-        self.window_s = window_s
-        self.windows = windows
-        self.total = Histogram()
-        self._epochs = [-1] * windows
-        self._ring = [Histogram() for _ in range(windows)]
-
-    def record(self, value_ms: float, now: float) -> None:
-        """Record into the cumulative histogram and ``now``'s ring slot."""
-        self.total.record(value_ms)
-        epoch = int(now / self.window_s)
-        slot = epoch % self.windows
-        if self._epochs[slot] != epoch:
-            self._ring[slot].reset()
-            self._epochs[slot] = epoch
-        self._ring[slot].record(value_ms)
-
-    def view(self, now: float) -> tuple[Histogram, float]:
-        """(merged recent histogram, seconds of lookback it spans)."""
-        epoch = int(now / self.window_s)
-        merged = Histogram()
-        live = 0
-        for slot in range(self.windows):
-            if epoch - self._epochs[slot] < self.windows and self._epochs[slot] >= 0:
-                merged.merge(self._ring[slot])
-                live += 1
-        return merged, max(live, 1) * self.window_s
-
-
 class ServeMetrics:
     """The per-answerer telemetry hub: stage histograms + tenant counters.
 
-    The ``total`` stage holds every completed request and is what the SLO
-    controller steers by (:meth:`controller_view`).  All mutation happens
+    The ``total`` stage holds every completed request.  All mutation happens
     under one lock; the callers are the event loop and, for reads, the
     stats/bench threads.
     """
 
-    STAGES = ("total", "queue_wait", "batch_linger", "evaluate")
+    STAGES = ("total", "queue_wait", "evaluate")
 
-    def __init__(self, *, window_s: float = 0.5, windows: int = 8) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._window_s = window_s
-        self._stages = {
-            name: WindowedHistogram(window_s, windows) for name in self.STAGES
-        }
+        self._stages = {name: Histogram() for name in self.STAGES}
         self._tenants: dict[str, dict[str, int]] = {}
 
     # -- Recording ---------------------------------------------------------
 
-    def observe(self, stage: str, value_ms: float, now: float | None = None) -> None:
+    def observe(self, stage: str, value_ms: float) -> None:
         """Record one sample into the named stage histogram."""
-        now = time.monotonic() if now is None else now
         with self._lock:
-            self._stages[stage].record(value_ms, now)
+            self._stages[stage].record(value_ms)
 
-    def observe_total(self, value_ms: float, *, now: float | None = None) -> None:
+    def observe_total(self, value_ms: float) -> None:
         """Record one end-to-end latency (a completed request)."""
-        self.observe("total", value_ms, now)
+        self.observe("total", value_ms)
 
     def tenant_inc(self, tenant: str, event: str, n: int = 1) -> None:
-        """Bump one per-tenant event counter."""
+        """Bump one per-tenant event counter (past :data:`MAX_TENANTS`
+        labels, a new tenant counts under :data:`OVERFLOW_TENANT`)."""
         with self._lock:
-            counters = self._tenants.setdefault(tenant, {})
+            counters = self._tenants.get(tenant)
+            if counters is None:
+                if len(self._tenants) >= MAX_TENANTS:
+                    tenant = OVERFLOW_TENANT
+                counters = self._tenants.setdefault(tenant, {})
             counters[event] = counters.get(event, 0) + n
 
     # -- Views -------------------------------------------------------------
 
-    def controller_view(self, now: float | None = None) -> dict:
-        """The windowed signal the SLO controller ticks on."""
-        now = time.monotonic() if now is None else now
-        with self._lock:
-            hist, span_s = self._stages["total"].view(now)
-        return {
-            "count": hist.count,
-            "p50_ms": hist.percentile(50),
-            "p99_ms": hist.percentile(99),
-            "span_s": span_s,
-            "rate_qps": hist.count / span_s if span_s > 0 else 0.0,
-        }
-
-    def snapshot(self, now: float | None = None) -> dict:
-        """JSON-friendly windowed + cumulative view for ``/stats``."""
-        now = time.monotonic() if now is None else now
+    def snapshot(self) -> dict:
+        """JSON-friendly lifetime view for ``/stats``."""
         stages = {}
         with self._lock:
-            for name, wh in self._stages.items():
-                recent, span_s = wh.view(now)
+            for name, hist in self._stages.items():
                 stages[name] = {
-                    "count": wh.total.count,
-                    "mean_ms": _round3(wh.total.mean()),
-                    "recent_count": recent.count,
-                    "recent_span_s": span_s,
-                    "p50_ms": _round3(recent.percentile(50)),
-                    "p95_ms": _round3(recent.percentile(95)),
-                    "p99_ms": _round3(recent.percentile(99)),
+                    "count": hist.count,
+                    "mean_ms": _round3(hist.mean()),
+                    "p50_ms": _round3(hist.percentile(50)),
+                    "p95_ms": _round3(hist.percentile(95)),
+                    "p99_ms": _round3(hist.percentile(99)),
                 }
             tenants = {t: dict(c) for t, c in self._tenants.items()}
         return {"stages": stages, "tenants": tenants}
@@ -248,9 +181,7 @@ class ServeMetrics:
         """Cumulative, mergeable state (the replica dump / merge unit)."""
         with self._lock:
             return {
-                "stages": {
-                    name: wh.total.to_state() for name, wh in self._stages.items()
-                },
+                "stages": {name: hist.to_state() for name, hist in self._stages.items()},
                 "tenants": {t: dict(c) for t, c in self._tenants.items()},
                 "counters": {},
             }

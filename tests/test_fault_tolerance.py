@@ -257,7 +257,9 @@ class TestHTTPDeadlines:
         assert status == 504
         assert payload["error"] == "deadline exceeded"
 
-    @pytest.mark.parametrize("raw", ["abc", "-5", "0"])
+    # float() accepts "nan" and "inf", and nan <= 0 is false: both were
+    # once served with no deadline at all
+    @pytest.mark.parametrize("raw", ["abc", "-5", "0", "nan", "inf"])
     def test_invalid_deadline_header_is_400(self, serve_system, raw):
         server = KBQAServer(serve_system, ServeConfig())
         status, payload = _route(
@@ -317,12 +319,12 @@ class _Probeless:
 
 def _routed(server, question: str, during=None):
     """Route one ``POST /answer`` through a started answerer whose admission
-    bound is zero — every request that reaches admission is refused."""
+    slots are all taken — every request that reaches admission is refused."""
 
     async def main():
         await server.answerer.start()
         try:
-            server.answerer.max_pending = 0  # the live knob: deterministic overload
+            server.answerer._pending = server.answerer.config.max_pending  # full
             request = HTTPRequest(
                 method="POST",
                 path="/answer",

@@ -3,21 +3,18 @@
 The ID-native expansion scan, the array-based EM and the cached batch
 answering API are pure performance refactors: each must produce output
 identical to its reference implementation (the pre-refactor code, preserved
-as ``expand_predicates_baseline`` / ``run_em_reference``).
+as ``expand_predicates_baseline`` / ``run_em_reference`` in ``tests/oracles``).
 """
 
 import random
 
 import pytest
 
-from repro.core.em import (
-    EMConfig,
-    EncodedObservations,
-    run_em,
-    run_em_reference,
-)
+from oracles.em_reference import run_em_reference, to_lists
+from oracles.expansion_reference import expand_predicates_baseline
+from repro.core.em import EMConfig, EncodedObservations, run_em
 from repro.core.learner import LearnerConfig, OfflineLearner
-from repro.kb.expansion import expand_predicates, expand_predicates_baseline
+from repro.kb.expansion import expand_predicates
 from repro.kb.paths import PredicatePath
 from repro.kb.store import TripleStore
 from repro.kb.triple import make_literal
@@ -183,7 +180,7 @@ class TestEMEquivalence:
         encoded = EncodedObservations.from_observations(observations)
         assert len(encoded) == 2
         assert encoded.n_candidates == 3
-        assert encoded.to_lists() == observations
+        assert to_lists(encoded) == observations
 
 
 class TestAnswerManyEquivalence:

@@ -34,8 +34,10 @@ SRC = ROOT / "src"
 
 
 def test_serve_config_and_stats_field_counts():
-    assert len(fields(ServeConfig)) == 11
-    assert len(fields(ServeStats)) == 16
+    """The control plane's knobs (``slo_ms``, ``adaptive``, ``quota``,
+    ``batch_window_ms``) and the coalescing switch went with it."""
+    assert len(fields(ServeConfig)) == 6
+    assert len(fields(ServeStats)) == 15
 
 
 def test_learner_config_field_count():
@@ -95,7 +97,7 @@ def test_online_answerer_constructor_parameter_count():
 
 def test_cli_flag_count():
     cli = (SRC / "repro" / "cli.py").read_text(encoding="utf-8")
-    assert cli.count("add_argument(") <= 37
+    assert cli.count("add_argument(") <= 33
 
 
 def test_one_benchmark_and_no_load_generator_in_src():
@@ -107,12 +109,15 @@ def test_one_benchmark_and_no_load_generator_in_src():
 
     serve_modules = {path.stem for path in (SRC / "repro" / "serve").glob("*.py")}
     assert serve_modules == {
-        "__init__", "app", "async_answerer", "control", "faults", "http", "metrics", "multiproc",
+        "__init__", "app", "async_answerer", "faults", "http", "metrics", "multiproc",
     }
     exported = set(repro.serve.__all__)
     assert not exported & {
         "LoadSpec", "OpenLoadSpec", "RampSpec", "build_request_stream", "latency_percentiles",
+        "ControllerConfig", "FairQueue", "QuotaConfig", "QuotaExceeded", "SLOController",
+        "TokenBucket", "WindowedHistogram", "parse_quota",
     }
+    assert not hasattr(repro.serve, "control")
     assert {name for name in exported if name.startswith("run_")} == {"run_smoke"}
     assert len(fields(ScenarioSpec)) == 1
     assert not list((ROOT / "scripts").glob("*.sh"))  # the shell driver stays gone
@@ -154,10 +159,15 @@ def test_expanded_format_env_var_is_ignored(tmp_path, monkeypatch):
         ["expand", "--scale", "small", "--save", "x.kbqa", "--expanded-format", "v3"],
         ["scenario", "--mega", "x"],
         ["mega-compile", "--out", "x", "--mega-backend", "memory"],
+        ["serve", "--scale", "small", "--smoke", "--slo-ms", "50"],
+        ["serve", "--scale", "small", "--smoke", "--adaptive"],
+        ["serve", "--scale", "small", "--smoke", "--quota", "5:5"],
+        ["serve", "--scale", "small", "--smoke", "--no-coalesce"],
     ],
     ids=[
         "serve--exec", "answer--shards", "train--workers", "shm-gc", "expand--expanded-format",
-        "scenario", "mega-compile--mega-backend",
+        "scenario", "mega-compile--mega-backend", "serve--slo-ms", "serve--adaptive",
+        "serve--quota", "serve--no-coalesce",
     ],
 )
 def test_deleted_cli_surface_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):

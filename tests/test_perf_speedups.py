@@ -10,16 +10,18 @@ import time
 
 import pytest
 
+from oracles.em_reference import run_em_reference
+from oracles.expansion_reference import expand_predicates_baseline
 from oracles.offline_reference import (
     reference_encode_corpus,
     reference_model,
     reference_pattern_statistics,
 )
 from repro.core.decompose import PatternStatistics
-from repro.core.em import EMConfig, run_em, run_em_reference
+from repro.core.em import EMConfig, run_em
 from repro.core.learner import LearnerConfig, OfflineLearner
 from repro.core.system import KBQA, KBQAConfig
-from repro.kb.expansion import expand_predicates, expand_predicates_baseline
+from repro.kb.expansion import expand_predicates
 from repro.nlp.ner import EntityRecognizer
 from repro.suite import build_suite
 

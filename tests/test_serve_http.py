@@ -432,7 +432,7 @@ class TestMetricsEndpoint:
         series = parse_prometheus_text(text)  # raises on malformed output
         assert "kbqa_stage_latency_ms_bucket" in series
         assert "kbqa_serve_events_total" in series
-        assert "kbqa_batch_window_ms" in series
+        assert series["kbqa_max_pending"] == [({}, 256)]
         stage_counts = {
             labels["stage"]: value
             for labels, value in series["kbqa_stage_latency_ms_count"]
@@ -467,48 +467,35 @@ class TestMetricsEndpoint:
         assert tenant["requests"] >= 1
         assert tenant["completed"] + tenant.get("coalesced", 0) >= 1
 
-    def test_quota_exceeded_maps_to_429(self, serve_system):
-        """Route-layer contract: a throttled tenant sees exactly the
-        documented 429 — and /healthz, answered before the answerer, can
-        never be throttled."""
-        import asyncio
+    def test_distinct_client_headers_are_bounded(self, serve_system, suite):
+        """1 000 distinct ``X-KBQA-Client`` values leave at most
+        ``MAX_TENANTS`` + 1 tenant entries, and ``/metrics`` still parses."""
+        from repro.serve.metrics import MAX_TENANTS, OVERFLOW_TENANT, parse_prometheus_text
 
-        from repro.serve.control import QuotaExceeded
-
-        server = KBQAServer(serve_system, ServeConfig(quota="5:5"))
-
-        async def main():
-            async def throttling(_question, **_kwargs):
-                raise QuotaExceeded("client hog is over its request quota")
-
-            server.answerer.answer = throttling
-            answer = await server._route(
-                HTTPRequest(
-                    method="POST",
-                    path="/answer",
-                    body=json.dumps({"question": "anything?"}).encode(),
-                )
+        body = json.dumps({"question": _answerable_question(suite, serve_system)})
+        with BackgroundServer(serve_system) as background:
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", background.server.port, timeout=30
             )
-            health = await server._route(HTTPRequest(method="GET", path="/healthz"))
-            return answer, health
-
-        (status, payload), (health_status, _h) = asyncio.run(main())
-        assert status == 429
-        assert payload["error"] == "quota exceeded"
-        assert "hog" in payload["detail"]
-        assert health_status == 200
-
-    def test_stats_carries_controller_when_adaptive(self, serve_system):
-        config = ServeConfig(workers=2, adaptive=True, slo_ms=200.0)
-        with BackgroundServer(serve_system, config) as background:
-            status, stats = _get(background.url + "/stats")
-            assert status == 200
-            controller = stats["controller"]
-            assert controller["slo_p99_ms"] == 200.0
-            assert "adjustments" in controller
-            serve = stats["serve"]
-            assert serve["adaptive"] is True
-            assert "batch_window_ms" in serve
+            try:
+                for n in range(1000):
+                    connection.request(
+                        "POST", "/answer", body=body, headers={"X-KBQA-Client": f"c{n}"}
+                    )
+                    response = connection.getresponse()
+                    response.read()
+                    assert response.status == 200
+            finally:
+                connection.close()
+            _status, stats = _get(background.url + "/stats")
+            with urllib.request.urlopen(background.url + "/metrics", timeout=30) as resp:
+                series = parse_prometheus_text(resp.read().decode("utf-8"))
+        tenants = stats["metrics"]["tenants"]
+        assert len(tenants) == MAX_TENANTS + 1
+        assert tenants["c0"]["requests"] == 1  # the first labels keep their own
+        assert tenants[OVERFLOW_TENANT]["requests"] == 1000 - MAX_TENANTS
+        labels = {labels["tenant"] for labels, _ in series["kbqa_tenant_events_total"]}
+        assert labels == set(tenants)
 
 
 @needs_multiproc
@@ -561,19 +548,3 @@ class TestMultiProcessMetrics:
                     break
                 time.sleep(0.05)
         assert reporting == 2
-
-
-class TestAdaptiveSmoke:
-    def test_run_smoke_adaptive_asserts_controller_and_metrics(
-        self, serve_system, suite
-    ):
-        """The CI --adaptive smoke body: /metrics must parse and the
-        controller must have moved at least one knob under the self-load."""
-        questions = [q.question for q in suite.benchmark("qald3").bfqs()][:6]
-        config = ServeConfig(workers=2, adaptive=True, slo_ms=100.0)
-        summary = run_smoke(
-            serve_system, questions, threads=4, requests_per_thread=3, config=config
-        )
-        assert summary["clean_shutdown"] is True
-        assert summary["metrics_series"] > 0
-        assert summary["controller_adjustments"] >= 1

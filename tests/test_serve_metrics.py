@@ -1,14 +1,11 @@
-"""Telemetry spine contract: histograms, windows, merging, Prometheus.
+"""Telemetry spine contract: histograms, merging, Prometheus.
 
-The metrics layer steers the adaptive controller and feeds ``/metrics``,
-so its numerical honesty is load-bearing:
+The metrics layer feeds ``/stats``, ``/metrics`` and the benchmark's
+per-layer rows, so its numerical honesty is load-bearing:
 
 * log-bucket percentiles must bound the exact sample quantile from above
-  within one bucket's relative resolution (the controller over- rather
-  than under-reacts);
-* windowed views must forget old traffic (the controller reacts to the
-  recent p99, not the lifetime one) — driven with injected clocks, no
-  sleeps;
+  within one bucket's relative resolution (they over- rather than
+  under-report);
 * merging histograms/states must equal recording everything into one
   (the multi-process ``/metrics`` aggregation path);
 * the Prometheus exposition must round-trip through the validating
@@ -28,7 +25,6 @@ from repro.serve.metrics import (
     BUCKET_GROWTH,
     Histogram,
     ServeMetrics,
-    WindowedHistogram,
     merge_states,
     parse_prometheus_text,
     render_prometheus,
@@ -89,42 +85,15 @@ class TestHistogram:
         assert hist.percentile(50) > 80_000.0
 
 
-class TestWindowedHistogram:
-    def test_window_forgets_old_traffic(self):
-        wh = WindowedHistogram(window_s=1.0, windows=4)
-        for _ in range(100):
-            wh.record(500.0, now=0.5)  # slow burst at t=0.5
-        view, _span = wh.view(now=0.6)
-        assert view.count == 100
-        assert view.percentile(99) >= 500.0
-        # 10 windows later the burst has rotated out of the ring
-        for _ in range(10):
-            wh.record(1.0, now=10.5)
-        view, _span = wh.view(now=10.6)
-        assert view.count == 10
-        assert view.percentile(99) < 500.0
-        # but the cumulative total keeps everything (Prometheus view)
-        assert wh.total.count == 110
-
-    def test_slot_recycled_lazily_on_next_record(self):
-        wh = WindowedHistogram(window_s=1.0, windows=2)
-        wh.record(1.0, now=0.0)
-        wh.record(2.0, now=1.0)
-        # t=2 maps to the slot t=0 used; the old epoch's samples must go
-        wh.record(3.0, now=2.0)
-        view, _span = wh.view(now=2.0)
-        assert view.count == 2  # t=1 and t=2 samples, not t=0
-
-
 class TestServeMetrics:
     def test_tenant_counters(self):
         metrics = ServeMetrics()
         metrics.tenant_inc("gold", "requests")
         metrics.tenant_inc("gold", "requests")
-        metrics.tenant_inc("free", "quota_rejected", 3)
+        metrics.tenant_inc("free", "rejected", 3)
         snap = metrics.snapshot()
         assert snap["tenants"]["gold"]["requests"] == 2
-        assert snap["tenants"]["free"]["quota_rejected"] == 3
+        assert snap["tenants"]["free"]["rejected"] == 3
 
     def test_merge_states_equals_single_instance(self):
         a, b = ServeMetrics(), ServeMetrics()
@@ -132,8 +101,8 @@ class TestServeMetrics:
         rng = random.Random(3)
         for i in range(200):
             value = rng.uniform(0.1, 50.0)
-            (a if i % 2 else b).observe_total(value, now=1.0)
-            one.observe_total(value, now=1.0)
+            (a if i % 2 else b).observe_total(value)
+            one.observe_total(value)
         a.tenant_inc("t", "requests", 7)
         one.tenant_inc("t", "requests", 7)
         merged = merge_states([a.state(), b.state()])
@@ -150,7 +119,7 @@ class TestServeMetrics:
         or no stages at all) must merge as a no-op, not crash."""
         live = ServeMetrics()
         for _ in range(10):
-            live.observe_total(5.0, now=1.0)
+            live.observe_total(5.0)
         reference = merge_states([live.state()])
         merged = merge_states(
             [
@@ -166,7 +135,7 @@ class TestServeMetrics:
         """A bucket layout that disagrees with this process's bounds must
         raise (naming the stage), never positionally mis-bin the samples."""
         live = ServeMetrics()
-        live.observe_total(5.0, now=1.0)
+        live.observe_total(5.0)
         alien = {"stages": {"evaluate": {"counts": [3, 4], "sum_ms": 9.0, "count": 7}}}
         with pytest.raises(ValueError, match="evaluate"):
             merge_states([live.state(), alien])
@@ -178,25 +147,14 @@ class TestServeMetrics:
         with pytest.raises(ValueError, match="queue_wait"):
             merge_states([{"stages": {"queue_wait": [1, 2, 3]}}])
 
-    def test_rate_qps_from_window_span(self):
-        metrics = ServeMetrics(window_s=0.5, windows=8)
-        for i in range(100):
-            metrics.observe_total(1.0, now=10.0 + (i % 4) * 0.5)
-        view = metrics.controller_view(now=11.5)
-        assert view["count"] == 100
-        assert view["rate_qps"] == pytest.approx(100 / 2.0)  # 4 live windows
-        # the controller steers by the ``total`` stage itself, not a copy
-        assert metrics.snapshot(now=11.5)["stages"]["total"]["recent_count"] == 100
-
-
 class TestPrometheus:
     def _populated_state(self):
         metrics = ServeMetrics()
         rng = random.Random(9)
         for _ in range(300):
-            metrics.observe("total", rng.uniform(0.05, 2000.0), now=1.0)
-            metrics.observe("evaluate", rng.uniform(0.05, 100.0), now=1.0)
-        metrics.observe_total(5.0, now=1.0)
+            metrics.observe("total", rng.uniform(0.05, 2000.0))
+            metrics.observe("evaluate", rng.uniform(0.05, 100.0))
+        metrics.observe_total(5.0)
         metrics.tenant_inc('we"ird\\name', "requests", 2)
         state = metrics.state()
         state["counters"] = {"requests": 301, "batches": 44}
@@ -204,14 +162,14 @@ class TestPrometheus:
 
     def test_render_parse_roundtrip(self):
         text = render_prometheus(
-            self._populated_state(), {"kbqa_batch_window_ms": 2.5}
+            self._populated_state(), {"kbqa_example_gauge": 2.5}
         )
         series = parse_prometheus_text(text)
         assert "kbqa_stage_latency_ms_bucket" in series
         assert "kbqa_stage_latency_ms_count" in series
         assert "kbqa_serve_events_total" in series
         assert "kbqa_tenant_events_total" in series
-        assert series["kbqa_batch_window_ms"] == [({}, 2.5)]
+        assert series["kbqa_example_gauge"] == [({}, 2.5)]
         # label escaping round-trips
         tenants = {
             labels["tenant"] for labels, _ in series["kbqa_tenant_events_total"]
