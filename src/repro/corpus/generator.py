@@ -20,6 +20,7 @@ support (12 of 15 QALD-3 misses).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.corpus import surface
 from repro.corpus.qa import QACorpus, QAPair
@@ -58,13 +59,17 @@ def generate_corpus(world: World, config: CorpusConfig | None = None) -> QACorpu
     rng = SeedStream(config.seed).substream("corpus").rng()
     corpus = QACorpus()
 
-    instances, weights = _fact_instances(world, config)
+    # Weighted draws pass cumulative weights built once: ``choices(weights=)``
+    # re-accumulates the whole list on every call, and the same sums give the
+    # same single ``random()`` draw and bisect, so the corpus is unchanged.
+    instances, cum_weights = _fact_instances(world, config)
     if not instances:
         raise ValueError("world has no facts to generate a corpus from")
-
-    surfaces_by_intent = {
-        intent: surface.train_surfaces(intent) for intent in SCHEMA_BY_INTENT
-    }
+    surfaces_by_intent = {}
+    for intent in SCHEMA_BY_INTENT:
+        surfaces = surface.train_surfaces(intent)
+        surfaces_by_intent[intent] = (surfaces, list(accumulate(s.weight for s in surfaces)))
+    wrong_pools = _intent_pools(world)
 
     for index in range(config.target_pairs):
         qid = f"qa{index:07d}"
@@ -73,15 +78,17 @@ def generate_corpus(world: World, config: CorpusConfig | None = None) -> QACorpu
             corpus.add(QAPair(qid, question, answer, {"kind": "chitchat"}))
             continue
 
-        intent, node = rng.choices(instances, weights=weights, k=1)[0]
+        intent, node = rng.choices(instances, cum_weights=cum_weights, k=1)[0]
         entity = world.entity(node)
-        chosen = _pick_surface(rng, surfaces_by_intent[intent])
+        surfaces, surface_cum_weights = surfaces_by_intent[intent]
+        chosen = rng.choices(surfaces, cum_weights=surface_cum_weights, k=1)[0]
         question = chosen.text.format(e=entity.name)
 
         gold_values = sorted(world.gold_values(node, intent))
         wrong = rng.random() < config.wrong_answer_rate
         if wrong:
-            answer_values = [_wrong_value(rng, world, intent, node) or gold_values[0]]
+            pool = wrong_pools[entity.etype, intent]
+            answer_values = [_wrong_value(rng, world, pool, intent, node) or gold_values[0]]
         else:
             answer_values = gold_values
 
@@ -103,7 +110,7 @@ def generate_corpus(world: World, config: CorpusConfig | None = None) -> QACorpu
 
 
 def _fact_instances(world: World, config: CorpusConfig):
-    """(intent, node) pool and sampling weights."""
+    """(intent, node) pool and its cumulative sampling weights."""
     instances: list[tuple[str, str]] = []
     weights: list[float] = []
     for node, entity in world.entities.items():
@@ -112,21 +119,26 @@ def _fact_instances(world: World, config: CorpusConfig):
                 continue
             instances.append((intent, node))
             weights.append(config.intent_weights.get(intent, 1.0))
-    return instances, weights
+    return instances, list(accumulate(weights))
 
 
-def _pick_surface(rng, surfaces: list[surface.Surface]) -> surface.Surface:
-    weights = [s.weight for s in surfaces]
-    return rng.choices(surfaces, weights=weights, k=1)[0]
+def _intent_pools(world: World) -> dict[tuple[str, str], list[str]]:
+    """(etype, intent) -> nodes of that type carrying the intent.
+
+    Kept in ``by_type`` order: ``rng.choice`` draws by index, so the order
+    decides which wrong value a pair gets.
+    """
+    pools: dict[tuple[str, str], list[str]] = {}
+    for etype, nodes in world.by_type.items():
+        for node in nodes:
+            for intent in world.entity(node).facts:
+                pools.setdefault((etype, intent), []).append(node)
+    return pools
 
 
-def _wrong_value(rng, world: World, intent: str, node: str) -> str | None:
+def _wrong_value(rng, world: World, pool: list[str], intent: str, node: str) -> str | None:
     """A plausible-but-wrong value: the same intent's value on another entity."""
-    etype = world.entity(node).etype
-    candidates = [
-        other for other in world.by_type.get(etype, ())
-        if other != node and intent in world.entity(other).facts
-    ]
+    candidates = [other for other in pool if other != node]
     if not candidates:
         return None
     other = rng.choice(candidates)

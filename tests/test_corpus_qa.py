@@ -1,5 +1,9 @@
 """Tests for QA containers and the corpus generator."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from repro.corpus.generator import CorpusConfig, generate_corpus
@@ -133,3 +137,63 @@ class TestGenerateCorpus:
         empty = World(WorldConfig.small())
         with pytest.raises(ValueError):
             generate_corpus(empty, CorpusConfig.small())
+
+
+def _corpus_sha256(corpus) -> str:
+    digest = hashlib.sha256()
+    for pair in corpus:
+        line = json.dumps(
+            [pair.qid, pair.question, pair.answer, pair.meta], ensure_ascii=False, sort_keys=True
+        )
+        digest.update(line.encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+class TestPinnedDigests:
+    """The corpus and the model learned from it, pinned byte for byte.
+
+    The values were recorded before the generator drew from precomputed
+    ``cum_weights``, which must not move a single pair.  A change that is
+    meant to alter the corpus must re-pin these and say why.
+    """
+
+    SMALL_CORPUS = "d823ff1986fdc056f0df40399ae1b85bd5bbc178b0b7f1b840b3777d7643c3ec"
+    DEFAULT_CORPUS = "1032eb82d6486e550d658ff54f6bd201062dc3cbca44d9e0043afdfaa9d97184"
+    # keyed by the EM lane: the numpy-less flat-array fallback writes other bytes
+    SMALL_MODEL = {
+        "numpy": "ff551edebcbb82ab31b74ff924bd29dedc07599d0ad7057ea5d9c9615159ccb5",
+        "flat": "c77254d3af22ee5acaedcc24697c8931acde64f3a88fcb7b5fa7713e25995855",
+    }
+
+    def test_small_corpus(self, corpus):
+        assert _corpus_sha256(corpus) == self.SMALL_CORPUS
+
+    def test_default_corpus(self):
+        from repro.data.world import WorldConfig, build_world
+
+        world = build_world(WorldConfig(seed=7))
+        assert _corpus_sha256(generate_corpus(world, CorpusConfig(seed=7))) == self.DEFAULT_CORPUS
+
+    def test_small_model(self, kbqa_fb, tmp_path):
+        from repro.core import em
+
+        path = tmp_path / "model.json"
+        kbqa_fb.model.save(path)
+        lane = "flat" if em._np is None else "numpy"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SMALL_MODEL[lane]
+
+    def test_no_per_draw_weights(self, world, monkeypatch):
+        """Every weighted draw passes precomputed ``cum_weights``: with
+        ``weights=`` CPython re-accumulates the whole list on each call."""
+        original = random.Random.choices
+        calls = []
+
+        def recorder(self, population, weights=None, *, cum_weights=None, k=1):
+            calls.append((weights is None, cum_weights is not None))
+            return original(self, population, weights, cum_weights=cum_weights, k=k)
+
+        monkeypatch.setattr(random.Random, "choices", recorder)
+        generate_corpus(world, CorpusConfig.small())
+        assert calls
+        assert all(no_weights and has_cum for no_weights, has_cum in calls)
