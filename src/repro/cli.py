@@ -169,11 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "on more cores; POSIX only; default: 1)",
     )
     serve.add_argument(
-        "--smoke", action="store_true",
-        help="start on an ephemeral port, run concurrent self-requests, "
-             "assert clean shutdown, exit (the CI serving smoke test)",
-    )
-    serve.add_argument(
         "--deadline-ms", type=float, default=0.0,
         help="default per-request deadline in ms (0 disables; requests past "
              "it get a 504; the X-KBQA-Deadline-Ms header overrides)",
@@ -384,14 +379,13 @@ def _cmd_variants(args) -> int:
 def _cmd_serve(args) -> int:
     """Serve answers over HTTP through the coalescing async front.
 
-    Foreground mode trains, binds, prints the endpoints and blocks until
-    Ctrl-C.  ``--smoke`` instead binds an ephemeral port, fires concurrent
-    requests at itself from client threads, asserts every response and a
-    clean shutdown, and exits — deterministic enough for CI.
+    Trains, binds (``--port 0`` picks an ephemeral port, printed on the
+    ``serving on URL`` line), prints the endpoints and blocks until Ctrl-C,
+    then drains and exits 0.
     """
     import time
 
-    from repro.serve import BackgroundServer, ServeConfig, run_smoke
+    from repro.serve import BackgroundServer, ServeConfig
 
     config = ServeConfig(
         max_batch=args.max_batch,
@@ -399,19 +393,7 @@ def _cmd_serve(args) -> int:
         workers=args.workers,
         deadline_ms=args.deadline_ms,
     )
-    system, suite = _train_system(args)
-    if args.smoke:
-        questions = [q.question for q in suite.benchmark("qald3").bfqs()][:12]
-        try:
-            summary = run_smoke(system, questions, config=config, procs=args.procs)
-        except RuntimeError as error:
-            print(f"kbqa serve: smoke failed: {error}", file=sys.stderr)
-            return 1
-        for key, value in summary.items():
-            print(f"{key}={value}")
-        print("serving smoke: OK")
-        return 0
-
+    system, _suite = _train_system(args)
     if args.procs > 1:
         from repro.serve import MultiProcessServer
 

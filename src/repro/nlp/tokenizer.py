@@ -26,8 +26,9 @@ import unicodedata
 # the question mark, which is part of template identity.
 _TOKEN_RE = re.compile(r"[a-z0-9][a-z0-9\-]*|'s|\$[a-z_]+|[?$]")
 
-# Typographic punctuation NFKC leaves alone, mapped to the ASCII form the
-# token class understands.  (Fullwidth ？ etc. are already handled by NFKC.)
+# Typographic punctuation as NFKC leaves it, mapped to the ASCII form the
+# token class understands.  (Fullwidth ？, the non-breaking hyphen and the
+# ellipsis are already rewritten by NFKC, so they need no entry.)
 _PUNCT_FOLD = str.maketrans(
     {
         "’": "'",  # right single curly quote (apostrophe)
@@ -38,21 +39,25 @@ _PUNCT_FOLD = str.maketrans(
         "”": '"',  # right double curly quote
         "„": '"',  # double low quote
         "‐": "-",  # hyphen
-        "‑": "-",  # non-breaking hyphen
         "‒": "-",  # figure dash
         "–": "-",  # en dash
         "—": "-",  # em dash
         "−": "-",  # minus sign
-        "…": " ",  # ellipsis
     }
 )
 
 
 def _fold(text: str) -> str:
-    """Fold ``text`` toward ASCII: punctuation map, NFKC, strip diacritics."""
+    """Fold ``text`` toward ASCII: NFKC, punctuation map, strip diacritics.
+
+    The map runs *after* NFKC because NFKC rewrites some code points into
+    its keys (superscript minus -> U+2212, presentation-form dashes ->
+    U+2014, U+0149 -> U+02BC + n): mapped first, they would survive one
+    fold and be mapped by the next, and ``_fold`` would not be idempotent.
+    """
     if text.isascii():
         return text
-    text = unicodedata.normalize("NFKC", text.translate(_PUNCT_FOLD))
+    text = unicodedata.normalize("NFKC", text).translate(_PUNCT_FOLD)
     decomposed = unicodedata.normalize("NFD", text)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 

@@ -11,16 +11,14 @@ The serving story, module by module:
   front (one ``asyncio.Protocol`` per connection over the sans-IO parser
   of :mod:`repro.serve.http`; ``/answer``, ``/batch``, ``/facts``,
   ``/healthz``, ``/stats``, ``/metrics``) behind ``kbqa serve``, plus
-  :class:`BackgroundServer` and the CI smoke;
+  :class:`BackgroundServer`, its event-loop thread for synchronous callers;
 * :mod:`repro.serve.metrics` — the telemetry spine: mergeable log-bucket
   latency histograms, per-stage timers, bounded per-tenant counters,
   Prometheus text exposition;
 * :mod:`repro.serve.multiproc` — :class:`MultiProcessServer`: N forked
   server replicas sharing one port via ``SO_REUSEPORT``, with writes
-  replicated through a shared op log + epoch counter (``kbqa serve
-  --procs N``);
-* :mod:`repro.serve.faults` — the deterministic fault-injection harness
-  (``KBQA_FAULTS``) that lets tests kill a replica on cue.
+  replicated through a shared, ``flock``-guarded op log (``kbqa serve
+  --procs N``); a replica that dies, however abruptly, is replaced.
 """
 
 from repro.serve.async_answerer import (
@@ -32,12 +30,11 @@ from repro.serve.async_answerer import (
     ServeStats,
     normalized_key,
 )
-from repro.serve.app import BackgroundServer, KBQAServer, result_payload, run_smoke
+from repro.serve.app import BackgroundServer, KBQAServer, result_payload
 from repro.serve.metrics import (
     Histogram,
     ServeMetrics,
     merge_states,
-    parse_prometheus_text,
     render_prometheus,
 )
 from repro.serve.multiproc import MultiProcessServer, multiproc_available
@@ -57,8 +54,6 @@ __all__ = [
     "merge_states",
     "multiproc_available",
     "normalized_key",
-    "parse_prometheus_text",
     "render_prometheus",
     "result_payload",
-    "run_smoke",
 ]

@@ -54,7 +54,7 @@ Requests on one connection are answered strictly in order: while a miss is
 in flight (or the peer is not draining replies) later bytes stay buffered.
 
 :class:`BackgroundServer` runs the whole thing on a private event-loop
-thread for synchronous callers (tests, the CLI smoke mode, examples).
+thread for synchronous callers (``kbqa serve``, tests, examples).
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ import time
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.online import AnswerResult
-from repro.serve.faults import faults_active
 from repro.serve.async_answerer import (
     AsyncAnswerer,
     DeadlineExceeded,
@@ -691,202 +690,3 @@ class BackgroundServer:
                 raise RuntimeError("server thread did not shut down within 30s")
         if self._error is not None:
             raise RuntimeError("server loop crashed") from self._error
-
-
-def run_smoke(
-    system: "KBQA",
-    questions: list[str],
-    *,
-    threads: int = 8,
-    requests_per_thread: int = 4,
-    config: ServeConfig | None = None,
-    procs: int = 1,
-) -> dict:
-    """Start a server, hammer it from ``threads`` concurrent clients, stop.
-
-    Every client issues ``requests_per_thread`` ``POST /answer`` calls (the
-    question stream repeats, so coalescing gets exercised), one client-side
-    ``/batch``, and a ``/healthz`` + ``/stats`` read; ``/metrics`` must
-    parse as Prometheus text format.  Two raw-socket exchanges check the
-    connection state machine: a pipelined pair must come back as two
-    replies in request order, and an HTTP/1.0 request (no ``Connection``
-    header) must be answered ``Connection: close`` and hung up on.  Raises
-    ``RuntimeError`` on any non-200, mismatched payload, or unclean
-    shutdown; returns a summary dict on success.  This is the CI serving smoke test and the ``kbqa serve
-    --smoke`` implementation.
-
-    ``procs > 1`` runs the same client traffic against a
-    :class:`~repro.serve.multiproc.MultiProcessServer` — N forked replicas
-    sharing the port via ``SO_REUSEPORT`` — and additionally asserts every
-    replica process exited (the CI ``--procs 2`` smoke step).  The summary
-    then carries ``respawned``, the replicas the supervisor replaced, so the
-    CI replica-kill step can fail when the fault never fired.  With
-    ``KBQA_FAULTS`` armed the smoke first waits (bounded) for that
-    replacement: its clients are strict — no retries — and a connection
-    accepted by a replica about to die would be reset.
-    """
-    import json
-    import multiprocessing
-    import socket
-    import urllib.error
-    import urllib.parse
-    import urllib.request
-
-    if not questions:
-        raise ValueError("need at least one question for the smoke run")
-
-    def post(url: str, payload: dict) -> tuple[int, dict]:
-        data = json.dumps(payload).encode("utf-8")
-        req = urllib.request.Request(
-            url, data=data, headers={"Content-Type": "application/json"}
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=30) as resp:
-                return resp.status, json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            return error.code, json.loads(error.read().decode("utf-8"))
-
-    def raw_exchange(url: str, payload: bytes) -> list[tuple[bytes, dict]]:
-        """Send ``payload``, read to the server's close; (head, JSON) per reply."""
-        parts = urllib.parse.urlsplit(url)
-        with socket.create_connection((parts.hostname, parts.port), timeout=30) as sock:
-            sock.sendall(payload)
-            data = b""
-            while chunk := sock.recv(65536):
-                data += chunk
-        replies = []
-        while data:
-            head, _, rest = data.partition(b"\r\n\r\n")
-            length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
-            replies.append((head, json.loads(rest[:length])))
-            data = rest[length:]
-        return replies
-
-    def answer_bytes(question: str, version: str, *headers: str) -> bytes:
-        body = json.dumps({"question": question}).encode("utf-8")
-        lines = [f"POST /answer {version}", f"Content-Length: {len(body)}", *headers]
-        return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body
-
-    failures: list[str] = []
-    statuses: list[int] = []
-    lock = threading.Lock()
-
-    if procs > 1:
-        from repro.serve.multiproc import MultiProcessServer
-
-        front: "BackgroundServer | MultiProcessServer" = MultiProcessServer(
-            system, config, procs=procs
-        )
-    else:
-        front = BackgroundServer(system, config)
-
-    with front as bg:
-        if procs > 1 and faults_active():
-            deadline = time.monotonic() + 10.0
-            while not bg.respawned and time.monotonic() < deadline:
-                time.sleep(0.05)
-        answer_url = bg.url + "/answer"
-
-        def client(worker: int) -> None:
-            for i in range(requests_per_thread):
-                question = questions[(worker + i) % len(questions)]
-                try:
-                    status, payload = post(answer_url, {"question": question})
-                except Exception as error:  # transport failure is a failure
-                    with lock:
-                        failures.append(f"/answer transport error: {error!r}")
-                    continue
-                with lock:
-                    statuses.append(status)
-                    if status != 200:
-                        failures.append(f"/answer -> {status}: {payload}")
-                    elif payload.get("question") != question:
-                        failures.append(f"/answer echoed {payload.get('question')!r}")
-
-        workers = [
-            threading.Thread(target=client, args=(n,), name=f"smoke-{n}")
-            for n in range(threads)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-            if worker.is_alive():
-                failures.append(f"client thread {worker.name} hung")
-        expected = threads * requests_per_thread
-        if len(statuses) + sum("transport" in f for f in failures) != expected:
-            failures.append(
-                f"only {len(statuses)}/{expected} /answer responses recorded"
-            )
-
-        status, batch = post(bg.url + "/batch", {"questions": questions[:4] * 2})
-        if status != 200 or len(batch.get("results", [])) != len(questions[:4] * 2):
-            failures.append(f"/batch -> {status}: {batch}")
-
-        try:
-            pair = [questions[0], questions[-1]]
-            replies = raw_exchange(
-                bg.url,
-                answer_bytes(pair[0], "HTTP/1.1")
-                + answer_bytes(pair[1], "HTTP/1.1", "Connection: close"),
-            )
-            if [body.get("question") for _head, body in replies] != pair or not all(
-                head.startswith(b"HTTP/1.1 200 ") for head, _body in replies
-            ):
-                failures.append(f"pipelined pair came back as {replies}")
-            replies = raw_exchange(bg.url, answer_bytes(pair[0], "HTTP/1.0"))
-            if len(replies) != 1 or b"connection: close" not in replies[0][0].lower():
-                failures.append(f"HTTP/1.0 request was not answered-and-closed: {replies}")
-        except (OSError, ValueError, IndexError) as error:
-            # a timeout here is the server holding the connection open
-            failures.append(f"raw-socket exchange failed: {error!r}")
-
-        from repro.serve.metrics import parse_prometheus_text
-
-        with urllib.request.urlopen(bg.url + "/metrics", timeout=30) as resp:
-            metrics_text = resp.read().decode("utf-8")
-        try:
-            metrics_series = parse_prometheus_text(metrics_text)
-        except ValueError as error:
-            metrics_series = {}
-            failures.append(f"/metrics does not parse: {error}")
-        else:
-            for required in ("kbqa_stage_latency_ms_bucket", "kbqa_serve_events_total"):
-                if required not in metrics_series:
-                    failures.append(f"/metrics is missing {required}")
-
-        with urllib.request.urlopen(bg.url + "/healthz", timeout=30) as resp:
-            if resp.status != 200:
-                failures.append(f"/healthz -> {resp.status}")
-        with urllib.request.urlopen(bg.url + "/stats", timeout=30) as resp:
-            stats = json.loads(resp.read().decode("utf-8"))
-        thread = bg._thread if isinstance(bg, BackgroundServer) else None
-        respawned = bg.respawned if procs > 1 else 0
-
-    if thread is not None and thread.is_alive():
-        failures.append("server thread still alive after shutdown")
-    if procs > 1:
-        leftovers = [c for c in multiprocessing.active_children() if c.is_alive()]
-        if leftovers:
-            failures.append(
-                f"{len(leftovers)} server process(es) still alive after shutdown"
-            )
-    if failures:
-        raise RuntimeError("serving smoke failed: " + "; ".join(failures))
-    serve_stats = stats["serve"]
-    summary = {
-        "requests": len(statuses),
-        "http_200": sum(1 for s in statuses if s == 200),
-        "serve_requests": serve_stats["requests"],
-        "inline_hits": serve_stats["inline_hits"],
-        "coalesced": serve_stats["coalesced"],
-        "batches": serve_stats["batches"],
-        "max_batch_seen": serve_stats["max_batch_seen"],
-        "executor": serve_stats["executor"],
-        "procs": procs,
-        "metrics_series": len(metrics_series),
-        "clean_shutdown": True,
-    }
-    if procs > 1:
-        summary["respawned"] = respawned
-    return summary

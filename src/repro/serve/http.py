@@ -20,9 +20,13 @@ buffering, so a client that never ends its header block is cut off there —
 and 1 MiB of body): the server answers questions, it does not accept
 uploads.  Framing outside the subset is refused rather than guessed at: any
 ``Transfer-Encoding`` (a chunked body read as "no body" would have its
-chunks parsed as the next request) and two ``Content-Length`` headers that
-disagree.  Everything refused raises :class:`BadRequest`, which the app
-layer maps to a 400 and a closed connection.
+chunks parsed as the next request), two ``Content-Length`` headers that
+disagree, a ``Content-Length`` that is not plain ASCII digits (``int()``
+would take ``+2`` and ``0_2``) and whitespace between a header name and its
+colon (RFC 9112 §5.1) — each a way for this server and a proxy in front of
+it to frame the same bytes differently.  Everything refused raises
+:class:`BadRequest`, which the app layer maps to a 400 and a closed
+connection.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
-    429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -113,9 +116,9 @@ def parse_request(buffer: bytearray) -> HTTPRequest | None:
         if not line:
             continue
         name, sep, value = line.partition(":")
-        if not sep:
+        if not sep or name != name.strip():
             raise BadRequest(f"malformed header line: {line!r}")
-        name, value = name.strip().lower(), value.strip()
+        name, value = name.lower(), value.strip()
         if name == "content-length" and headers.get(name, value) != value:
             raise BadRequest("conflicting Content-Length headers")
         headers[name] = value
@@ -124,11 +127,11 @@ def parse_request(buffer: bytearray) -> HTTPRequest | None:
 
     length = 0
     if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError:
-            raise BadRequest("invalid Content-Length") from None
-        if length < 0 or length > MAX_BODY_BYTES:
+        value = headers["content-length"]
+        if not (value.isascii() and value.isdigit()):
+            raise BadRequest("invalid Content-Length")
+        length = int(value)
+        if length > MAX_BODY_BYTES:
             raise BadRequest(f"body too large ({length} bytes)")
     end = body_start + length
     if len(buffer) < end:

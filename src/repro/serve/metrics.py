@@ -24,9 +24,7 @@ Export formats: :func:`render_prometheus` writes the Prometheus text
 exposition format (``/metrics``); :meth:`ServeMetrics.snapshot` returns the
 JSON-friendly view folded into ``/stats``; :meth:`ServeMetrics.state` /
 :func:`merge_states` are the mergeable form replicas dump to disk for
-cross-process aggregation.  :func:`parse_prometheus_text` is the validating
-parser the smoke test and the test suite use to prove the exposition output
-is well-formed.
+cross-process aggregation.
 """
 
 from __future__ import annotations
@@ -297,121 +295,3 @@ def render_prometheus(state: dict, gauges: dict | None = None) -> str:
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name} {_fmt(gauges[name])}")
     return "\n".join(lines) + "\n"
-
-
-def parse_prometheus_text(text: str) -> dict[str, list[tuple[dict[str, str], float]]]:
-    """Parse (and validate) Prometheus text format into
-    ``{metric: [(labels, value), ...]}``.
-
-    Strict enough to catch real framing bugs — malformed sample lines,
-    unparseable values, non-monotonic ``le`` bucket counts — without
-    implementing the full exposition grammar.  Raises ``ValueError``.
-    """
-    series: dict[str, list[tuple[dict[str, str], float]]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        name_part, _, value_part = line.rpartition(" ")
-        if not name_part:
-            raise ValueError(f"line {lineno}: no metric name in {line!r}")
-        try:
-            value = float(value_part)
-        except ValueError:
-            raise ValueError(
-                f"line {lineno}: unparseable value {value_part!r}"
-            ) from None
-        labels: dict[str, str] = {}
-        if "{" in name_part:
-            if not name_part.endswith("}"):
-                raise ValueError(f"line {lineno}: unterminated labels in {line!r}")
-            name, _, label_blob = name_part.partition("{")
-            for pair in _split_labels(label_blob[:-1], lineno):
-                key, sep, raw = pair.partition("=")
-                if not sep or len(raw) < 2 or raw[0] != '"' or raw[-1] != '"':
-                    raise ValueError(f"line {lineno}: malformed label {pair!r}")
-                labels[key] = _unescape_label(raw[1:-1])
-        else:
-            name = name_part
-        if not name.replace("_", "").replace(":", "").isalnum():
-            raise ValueError(f"line {lineno}: invalid metric name {name!r}")
-        series.setdefault(name, []).append((labels, value))
-    for name, samples in series.items():
-        if name.endswith("_bucket"):
-            _check_bucket_monotonic(name, samples)
-    return series
-
-
-def _unescape_label(raw: str) -> str:
-    """Invert :func:`_escape_label` — a left-to-right scan, because chained
-    ``str.replace`` calls corrupt ``\\\\n`` (escaped-backslash + n)."""
-    out: list[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch == "\\" and i + 1 < len(raw):
-            nxt = raw[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt in ('"', "\\"):
-                out.append(nxt)
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
-def _split_labels(blob: str, lineno: int) -> list[str]:
-    """Split ``a="x",b="y"`` on commas outside quotes."""
-    parts: list[str] = []
-    current: list[str] = []
-    in_quotes = False
-    escaped = False
-    for ch in blob:
-        if escaped:
-            current.append(ch)
-            escaped = False
-            continue
-        if ch == "\\":
-            current.append(ch)
-            escaped = True
-            continue
-        if ch == '"':
-            in_quotes = not in_quotes
-            current.append(ch)
-            continue
-        if ch == "," and not in_quotes:
-            parts.append("".join(current))
-            current = []
-            continue
-        current.append(ch)
-    if in_quotes:
-        raise ValueError(f"line {lineno}: unterminated quote in labels")
-    if current:
-        parts.append("".join(current))
-    return [p for p in (part.strip() for part in parts) if p]
-
-
-def _check_bucket_monotonic(
-    name: str, samples: list[tuple[dict[str, str], float]]
-) -> None:
-    """Cumulative ``le`` bucket counts must be non-decreasing per series."""
-    groups: dict[tuple, list[tuple[float, float]]] = {}
-    for labels, value in samples:
-        le = labels.get("le")
-        if le is None:
-            raise ValueError(f"{name}: bucket sample without le label")
-        bound = float("inf") if le == "+Inf" else float(le)
-        key = tuple(sorted((k, v) for k, v in labels.items() if k != "le"))
-        groups.setdefault(key, []).append((bound, value))
-    for key, buckets in groups.items():
-        buckets.sort()
-        last = -1.0
-        for bound, value in buckets:
-            if value < last:
-                raise ValueError(
-                    f"{name}{dict(key)}: bucket counts not monotonic at le={bound}"
-                )
-            last = value

@@ -21,14 +21,17 @@ Topology and protocols:
   listening socket to the reserved port.
 * **cross-process writes** — each child registers a
   ``KBQAServer.fact_listener``: a successful ``/facts`` mutation is
-  appended (under a global lock) to a shared operation log and a shared
-  epoch counter (``multiprocessing.Value``) is bumped.  Every child polls
-  the counter from its loop and replays foreign log entries through
-  :meth:`AsyncAnswerer.apply` — the same write-quiescence path a local
-  mutation takes — so an edit served by any process becomes visible on all
-  of them (bounded by the poll interval), and each child's serving epoch
-  bumps exactly as if the write were local.  Replay skips a child's own
-  entries (already applied before they were logged).
+  appended to a shared operation log under an exclusive ``flock`` on the
+  log file.  Every child polls the log's size from its loop (``os.stat``,
+  no lock) and replays foreign entries, read under a shared ``flock``,
+  through :meth:`AsyncAnswerer.apply` — the same write-quiescence path a
+  local mutation takes — so an edit served by any process becomes visible
+  on all of them (bounded by the poll interval), and each child's serving
+  epoch bumps exactly as if the write were local.  Replay skips a child's
+  own entries (already applied before they were logged).  The kernel drops
+  a ``flock`` when its holder dies, so a replica SIGKILLed at any
+  instruction — mid-append included — cannot wedge its siblings (a
+  ``multiprocessing`` lock or ``Value`` would stay held forever).
 * **supervision / self-healing** — the parent runs a supervisor thread
   that polls the children: a replica that died (SIGKILL, OOM, crash) is
   reaped and a replacement is forked from the parent's pristine system.  The
@@ -53,6 +56,7 @@ writes are rare and idempotent (``add``/``delete`` of explicit triples).
 
 from __future__ import annotations
 
+import fcntl
 import json
 import multiprocessing
 import os
@@ -63,10 +67,10 @@ import sys
 import tempfile
 import threading
 import time
-from typing import TYPE_CHECKING
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator
 
 from repro.serve.async_answerer import ServeConfig
-from repro.serve.faults import fault_point
 
 if TYPE_CHECKING:
     from repro.core.system import KBQA
@@ -104,14 +108,38 @@ def multiproc_available() -> bool:
     )
 
 
-def _append_op(oplog_path: str, op_lock, op_count, entry: dict) -> int:
-    """Append one op under the global lock; returns its log index."""
-    with op_lock:
-        index = op_count.value
-        with open(oplog_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
-        op_count.value = index + 1
-    return index
+@contextmanager
+def _oplog_locked(oplog_path: str, mode: str) -> Iterator:
+    """Open the op log holding a ``flock`` on it: exclusive for ``"ab"``
+    (append), shared for ``"rb"`` (read).  The kernel releases the lock when
+    the file closes or its holder dies, however abruptly."""
+    with open(oplog_path, mode) as handle:
+        fcntl.flock(handle, fcntl.LOCK_EX if "a" in mode else fcntl.LOCK_SH)
+        yield handle
+
+
+def _append_op(oplog_path: str, entry: dict) -> int:
+    """Append one op to the log; returns its byte offset (its identity)."""
+    line = (json.dumps(entry, separators=(",", ":")) + "\n").encode("utf-8")
+    with _oplog_locked(oplog_path, "ab") as handle:
+        offset = handle.seek(0, os.SEEK_END)
+        handle.write(line)
+    return offset
+
+
+def _read_ops(oplog_path: str, start: int) -> tuple[list[tuple[int, dict]], int]:
+    """The entries from byte ``start`` on, as ``(offset, entry)`` pairs,
+    and the offset just past the last of them.  Read under the shared lock,
+    so no append is half-written."""
+    with _oplog_locked(oplog_path, "rb") as handle:
+        handle.seek(start)
+        data = handle.read()
+    entries = []
+    offset = start
+    for line in data.splitlines(keepends=True):
+        entries.append((offset, json.loads(line)))
+        offset += len(line)
+    return entries, offset
 
 
 def _apply_replicated(system, op: str, subject: str, predicate: str, obj: str) -> None:
@@ -135,30 +163,20 @@ def _apply_replicated(system, op: str, subject: str, predicate: str, obj: str) -
             store.notify_external(op, subject, predicate, obj)
 
 
-async def _replay_ops(
-    server, oplog_path: str, op_lock, op_count, applied: int, own: set[int]
-) -> int:
-    """Apply foreign log entries from ``applied`` onward; returns the new
-    cursor.  Each entry goes through the quiesced ``apply`` path, so the
-    local serving epoch bumps exactly as for a local write.
-
-    The read happens under the global op lock and is capped at the
-    published count, so a sibling's in-progress append can never be
-    observed as a torn line."""
-    with op_lock:
-        target = op_count.value
-        with open(oplog_path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()[:target]
-    for index in range(applied, len(lines)):
-        if index in own:
-            own.discard(index)
+async def _replay_ops(server, oplog_path: str, applied: int, own: set[int]) -> int:
+    """Apply foreign log entries from byte ``applied`` onward; returns the
+    new cursor.  Each entry goes through the quiesced ``apply`` path, so the
+    local serving epoch bumps exactly as for a local write."""
+    entries, cursor = _read_ops(oplog_path, applied)
+    for offset, entry in entries:
+        if offset in own:
+            own.discard(offset)
             continue
-        entry = json.loads(lines[index])
         mutation = lambda e=entry: _apply_replicated(  # noqa: E731
             server.system, e["op"], e["s"], e["p"], e["o"]
         )
         await server.answerer.apply(mutation)
-    return len(lines)
+    return cursor
 
 
 METRICS_DUMP_INTERVAL_S = 0.1
@@ -170,8 +188,6 @@ def _child_main(
     host: str,
     port: int,
     index: int,
-    op_count,
-    op_lock,
     stop_event,
     ready,
     errors,
@@ -200,14 +216,9 @@ def _child_main(
         # is running yet, so the replay is a plain synchronous loop — no
         # quiescence protocol needed.  (First-generation children see an
         # empty log; this is a no-op for them.)
-        with op_lock:
-            target = op_count.value
-            with open(oplog_path, encoding="utf-8") as handle:
-                lines = handle.read().splitlines()[:target]
-        for line in lines:
-            entry = json.loads(line)
+        entries, applied = _read_ops(oplog_path, 0)
+        for _offset, entry in entries:
             _apply_replicated(system, entry["op"], entry["s"], entry["p"], entry["o"])
-        applied = target
         own: set[int] = set()
         server = KBQAServer(
             system,
@@ -221,12 +232,7 @@ def _child_main(
 
         def on_fact(op: str, subject: str, predicate: str, obj: str) -> None:
             own.add(
-                _append_op(
-                    oplog_path,
-                    op_lock,
-                    op_count,
-                    {"op": op, "s": subject, "p": predicate, "o": obj},
-                )
+                _append_op(oplog_path, {"op": op, "s": subject, "p": predicate, "o": obj})
             )
 
         server.fact_listener = on_fact
@@ -235,14 +241,8 @@ def _child_main(
         last_dump = 0.0
         try:
             while not stop_event.is_set():
-                # the chaos harness kills replicas here — outside the op
-                # lock, so a SIGKILL can never strand the global lock in a
-                # held state and poison the surviving siblings
-                fault_point("serve.replica")
-                if op_count.value > applied:
-                    applied = await _replay_ops(
-                        server, oplog_path, op_lock, op_count, applied, own
-                    )
+                if os.stat(oplog_path).st_size > applied:
+                    applied = await _replay_ops(server, oplog_path, applied, own)
                 now = time.monotonic()
                 if now - last_dump >= METRICS_DUMP_INTERVAL_S:
                     # publish cumulative metrics so whichever sibling serves
@@ -313,8 +313,6 @@ class MultiProcessServer:
         self._metrics_dir: str | None = None
         self._stop_event = None
         self._errors = None
-        self._op_count = None
-        self._op_lock = None
         self._ready = None
         self._supervisor: threading.Thread | None = None
         self._given_up: set[int] = set()  # slots past the respawn budget
@@ -340,8 +338,6 @@ class MultiProcessServer:
         fd, self._oplog_path = tempfile.mkstemp(prefix="kbqa-oplog-", suffix=".jsonl")
         os.close(fd)
         self._metrics_dir = tempfile.mkdtemp(prefix="kbqa-metrics-")
-        self._op_count = self._ctx.Value("Q", 0)
-        self._op_lock = self._ctx.Lock()
         self._stop_event = self._ctx.Event()
         self._ready = self._ctx.Semaphore(0)
         self._errors = self._ctx.Queue()
@@ -389,8 +385,6 @@ class MultiProcessServer:
                 self.host,
                 self.port,
                 index,
-                self._op_count,
-                self._op_lock,
                 self._stop_event,
                 self._ready,
                 self._errors,

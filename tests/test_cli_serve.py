@@ -1,0 +1,133 @@
+"""``kbqa serve`` launched for real: a subprocess, its stdout, SIGINT.
+
+The in-process tests drive :class:`~repro.serve.BackgroundServer` and
+:class:`~repro.serve.MultiProcessServer` directly; this one goes through the
+command line an operator (or the ``http_zipf`` benchmark) runs, so argument
+parsing, training, the ``serving on URL`` line and the Ctrl-C shutdown path
+are covered too.  The child inherits the environment, so under
+``KBQA_BACKEND=disk`` it serves from the SQLite store.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import selectors
+import signal
+import socket
+import subprocess
+import sys
+import threading
+import urllib.error
+import urllib.parse
+import urllib.request
+from pathlib import Path
+
+import pytest
+
+from repro.serve import multiproc_available
+
+from tests.serve_harness import parse_prometheus_text
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+READY_TIMEOUT_S = 120.0
+EXIT_TIMEOUT_S = 30.0
+
+
+def _post(url: str, payload: dict) -> tuple[int, dict]:
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, json.loads(response.read().decode("utf-8"))
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read().decode("utf-8"))
+
+
+def _get(url: str) -> tuple[int, bytes]:
+    with urllib.request.urlopen(url, timeout=30) as response:
+        return response.status, response.read()
+
+
+def _first_line(child: subprocess.Popen) -> str:
+    """The child's first stdout line, or ``""`` if none comes in time."""
+    with selectors.DefaultSelector() as selector:
+        selector.register(child.stdout, selectors.EVENT_READ)
+        if not selector.select(READY_TIMEOUT_S):
+            return ""
+    return child.stdout.readline().decode("utf-8", "replace")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        [],
+        pytest.param(
+            ["--procs", "2"],
+            marks=pytest.mark.skipif(
+                not multiproc_available(), reason="needs SO_REUSEPORT + fork"
+            ),
+        ),
+        ["--fallback"],
+    ],
+    ids=["one-process", "procs-2", "fallback"],
+)
+def test_kbqa_serve_answers_then_exits_cleanly_on_sigint(extra, suite, kbqa_fb):
+    questions = [q.question for q in suite.benchmark("qald3").bfqs()][:6]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+    }
+    child = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.cli", "serve", "--scale", "small",
+         "--port", "0", *extra],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        line = _first_line(child)
+        assert line.startswith("serving on http://"), (line, child.poll())
+        url = line.split()[2]
+
+        failures: list[str] = []
+
+        def client(worker: int) -> None:
+            for i in range(3):
+                question = questions[(worker + i) % len(questions)]
+                status, payload = _post(url + "/answer", {"question": question})
+                if status != 200 or payload["value"] != kbqa_fb.answer(question).value:
+                    failures.append(f"{question!r} -> {status}: {payload}")
+
+        workers = [threading.Thread(target=client, args=(n,)) for n in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60)
+        assert not any(worker.is_alive() for worker in workers)
+        assert failures == []
+
+        status, batch = _post(url + "/batch", {"questions": questions})
+        assert status == 200
+        assert [r["question"] for r in batch["results"]] == questions
+        assert _get(url + "/healthz")[0] == 200
+        status, text = _get(url + "/metrics")
+        assert status == 200
+        series = parse_prometheus_text(text.decode("utf-8"))
+        assert "kbqa_stage_latency_ms_bucket" in series
+        assert "kbqa_serve_events_total" in series
+
+        child.send_signal(signal.SIGINT)
+        assert child.wait(EXIT_TIMEOUT_S) == 0, child.stderr.read().decode()
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+        child.stdout.close()
+        child.stderr.close()
+    parts = urllib.parse.urlsplit(url)
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection((parts.hostname, parts.port), timeout=5).close()

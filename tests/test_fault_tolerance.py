@@ -1,18 +1,18 @@
-"""Chaos suite: crash-safety contracts under injected faults.
+"""Chaos suite: crash-safety contracts under real faults.
 
-The serving failure model, exercised end to end through the
-`repro.serve.faults` harness (``KBQA_FAULTS``):
+The serving failure model, exercised end to end:
 
-* a SIGKILL'd ``--procs`` **replica** is reaped by the parent supervisor
-  and replaced by a freshly forked child that catches up from the op log
-  *before* binding its socket;
+* a SIGKILL'd ``--procs`` **replica** — killed by pid from the test, at
+  whatever instruction it happens to be running — is reaped by the parent
+  supervisor and replaced by a freshly forked child that catches up from
+  the op log *before* binding its socket;
+* the op log's lock is a ``flock`` the kernel drops with its holder, so a
+  replica killed while holding it cannot wedge the survivors;
 * requests carry **deadlines** (``DeadlineExceeded`` / HTTP 504) and the
   HTTP front serves **degraded** answer-cache hits instead of 503s when
   the evaluation backend is saturated.
 
-Real kills, real forks, real sockets — the only scripted parts are the
-fault points themselves, which fire deterministically (``times``/``after``
-per process, ``once=<token file>`` across processes).
+Real kills, real forks, real sockets.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 import multiprocessing
 import os
 import signal
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -39,17 +40,10 @@ from repro.serve import (
     OverloadedError,
     ServeConfig,
     multiproc_available,
-    run_smoke,
 )
 from repro.serve.app import KBQAServer
-from repro.serve.faults import (
-    FAULTS_ENV,
-    fault_point,
-    faults_active,
-    inject_faults,
-    parse_faults,
-)
 from repro.serve.http import HTTPRequest
+from repro.serve.multiproc import _append_op, _oplog_locked, _replay_ops
 
 TIMEOUT_S = 60.0
 
@@ -100,78 +94,6 @@ class SlowTarget:
     def answer_many(self, questions):
         time.sleep(self.delay_s)
         return [_result(q, "slow") for q in questions]
-
-
-# -- Fault-spec harness ------------------------------------------------------
-
-
-class TestFaultSpecs:
-    def test_parse_full_grammar(self, tmp_path):
-        token = str(tmp_path / "tok")
-        faults = parse_faults(
-            f"t.kill=kill,once={token};"
-            "serve.replica=sleep:25,times=3,after=2;"
-            "t.raise=raise:OSError"
-        )
-        assert faults["t.kill"].action == "kill"
-        assert faults["t.kill"].once == token
-        assert faults["serve.replica"].action == "sleep"
-        assert faults["serve.replica"].arg == "25"
-        assert faults["serve.replica"].times == 3
-        assert faults["serve.replica"].after == 2
-        assert faults["t.raise"].arg == "OSError"
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            "no-equals-sign",
-            "site=explode",
-            "site=kill,bogus=1",
-            "site=raise:NoSuchError",
-            "site=sleep:abc",
-            "site=exit:xyz",
-        ],
-    )
-    def test_malformed_specs_fail_loudly(self, spec):
-        with pytest.raises(ValueError):
-            parse_faults(spec)
-
-    def test_unarmed_fault_point_is_a_no_op(self):
-        assert not faults_active()
-        fault_point("anything.at.all")  # must not raise
-
-    def test_raise_action_with_after_and_times(self):
-        with inject_faults("t.site=raise:RuntimeError,after=2,times=2"):
-            assert faults_active()
-            fault_point("t.site")  # hit 1: skipped (after)
-            fault_point("t.site")  # hit 2: skipped (after)
-            with pytest.raises(RuntimeError, match="injected fault"):
-                fault_point("t.site")  # hit 3: fire 1
-            with pytest.raises(RuntimeError):
-                fault_point("t.site")  # hit 4: fire 2
-            fault_point("t.site")  # hit 5: budget exhausted
-        assert not faults_active()
-
-    def test_once_token_fires_exactly_once(self, tmp_path):
-        token = str(tmp_path / "one.tok")
-        with inject_faults(f"t.once=raise,once={token}"):
-            with pytest.raises(RuntimeError):
-                fault_point("t.once")
-            fault_point("t.once")  # token already claimed
-        assert os.path.exists(token)
-
-    def test_invalid_spec_rejected_before_arming(self):
-        with pytest.raises(ValueError):
-            inject_faults("site=explode")
-        assert os.environ.get(FAULTS_ENV) is None
-
-    def test_env_restored_on_exit(self):
-        with inject_faults("a=sleep:1"):
-            assert os.environ[FAULTS_ENV] == "a=sleep:1"
-            with inject_faults("b=sleep:1"):
-                assert os.environ[FAULTS_ENV] == "b=sleep:1"
-            assert os.environ[FAULTS_ENV] == "a=sleep:1"
-        assert os.environ.get(FAULTS_ENV) is None
 
 
 # -- Serving: deadlines ------------------------------------------------------
@@ -533,54 +455,108 @@ class TestReplicaSelfHealing:
         assert front.respawned >= 1
         _assert_no_children()
 
-    def test_smoke_reports_the_replica_an_armed_fault_killed(
-        self, serve_system, suite, tmp_path
-    ):
-        """The CI replica-kill step's body: the smoke lets the front heal,
-        gets every answer and says what was replaced, so the step can fail
-        when the fault never fired."""
-        token = str(tmp_path / "smoke.tok")
-        questions = [q.question for q in suite.benchmark("qald3").bfqs()][:6]
-        with inject_faults(f"serve.replica=kill,once={token}"):
-            summary = run_smoke(
-                serve_system, questions, threads=4, requests_per_thread=3, procs=2
-            )
-        assert summary["http_200"] == summary["requests"] == 12
-        assert summary["respawned"] == 1
-        assert os.path.exists(token)
-        _assert_no_children()
-
-    def test_combined_chaos_worker_and_replica_kill(self, serve_system, suite, tmp_path):
-        """The acceptance scenario: two replicas, one SIGKILLs itself
-        mid-load at the ``serve.replica`` fault site.  Every accepted
-        request must come back correct (or explicitly degraded), capacity
-        must recover without a restart, and no child process may outlive
-        stop()."""
+    def test_combined_chaos_worker_and_replica_kill(self, serve_system, suite):
+        """The acceptance scenario: two replicas, one SIGKILLed by pid after
+        the 10th request.  Every accepted request must come back correct
+        (or explicitly degraded), capacity must recover without a restart,
+        and no child process may outlive stop()."""
         question = _answerable_question(suite, serve_system)
         expected = serve_system.answer(question)
-        replica_tok = str(tmp_path / "replica.tok")
         config = ServeConfig(workers=2)
-        with inject_faults(f"serve.replica=kill,once={replica_tok},after=10"):
-            front = MultiProcessServer(
-                serve_system, config, procs=2, supervise_interval_s=0.02
-            )
-            with front:
-                outcomes = []
-                for i in range(30):
-                    status, payload = _post_with_retry(
-                        front.url + "/answer", {"question": question}
-                    )
-                    outcomes.append(status)
-                    assert status == 200, f"request {i} -> {status}: {payload}"
-                    assert payload["value"] == expected.value
-                    assert payload["degraded"] in (False, True)
-                assert len(outcomes) == 30  # no accepted request was lost
-                _wait_until(lambda: front.respawned >= 1)
-                _wait_until(lambda: all(c.is_alive() for c in front._children))
-                assert len(front._children) == 2  # full capacity, no restart
-                status, _payload = _post_with_retry(
+        front = MultiProcessServer(
+            serve_system, config, procs=2, supervise_interval_s=0.02
+        )
+        with front:
+            outcomes = []
+            for i in range(30):
+                if i == 10:
+                    os.kill(front._children[0].pid, signal.SIGKILL)
+                status, payload = _post_with_retry(
                     front.url + "/answer", {"question": question}
                 )
-                assert status == 200
-        assert os.path.exists(replica_tok)  # the fault really fired
+                outcomes.append(status)
+                assert status == 200, f"request {i} -> {status}: {payload}"
+                assert payload["value"] == expected.value
+                assert payload["degraded"] in (False, True)
+            assert len(outcomes) == 30  # no accepted request was lost
+            _wait_until(lambda: front.respawned >= 1)
+            _wait_until(lambda: all(c.is_alive() for c in front._children))
+            assert len(front._children) == 2  # full capacity, no restart
+            status, _payload = _post_with_retry(
+                front.url + "/answer", {"question": question}
+            )
+            assert status == 200
+        assert front.respawned >= 1
         _assert_no_children()
+
+
+class _ReplayRecorder:
+    """Stands in for a replica's server in ``_replay_ops``: ``system`` and
+    ``answerer`` are itself, and every replayed add is recorded."""
+
+    def __init__(self) -> None:
+        self.system = self
+        self.answerer = self
+        self.added: list[tuple[str, str, str]] = []
+
+    def add_fact(self, subject: str, predicate: str, obj: str) -> bool:
+        self.added.append((subject, predicate, obj))
+        return True
+
+    async def apply(self, mutation) -> None:
+        mutation()
+
+
+def _finishes_within(seconds: float, call) -> bool:
+    """Run ``call`` on a daemon thread; False if it is still blocked."""
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    return not worker.is_alive()
+
+
+@needs_multiproc
+class TestOpLogLock:
+    @pytest.mark.parametrize("mode", ["ab", "rb"], ids=["append", "read"])
+    def test_a_holder_killed_inside_the_lock_wedges_nobody(self, tmp_path, mode):
+        """A replica SIGKILLed while it holds the op-log lock — the moment
+        a process-shared semaphore would stay taken forever — must not
+        block the survivors' appends or replays."""
+        oplog = str(tmp_path / "oplog.jsonl")
+        _append_op(oplog, {"op": "add", "s": "m.a", "p": "p", "o": "x"})
+
+        def die_holding_the_lock() -> None:
+            with _oplog_locked(oplog, mode):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        holder = multiprocessing.get_context("fork").Process(target=die_holding_the_lock)
+        holder.start()
+        holder.join(TIMEOUT_S)
+        assert holder.exitcode == -signal.SIGKILL
+
+        offsets: list[int] = []
+        assert _finishes_within(
+            2.0,
+            lambda: offsets.append(
+                _append_op(oplog, {"op": "add", "s": "m.b", "p": "p", "o": "y"})
+            ),
+        ), "an append blocked on a dead holder's lock"
+        recorder = _ReplayRecorder()
+        cursors: list[int] = []
+        assert _finishes_within(
+            2.0,
+            lambda: cursors.append(asyncio.run(_replay_ops(recorder, oplog, 0, set()))),
+        ), "a replay blocked on a dead holder's lock"
+        assert recorder.added == [("m.a", "p", "x"), ("m.b", "p", "y")]
+        assert offsets[0] > 0 and cursors == [os.stat(oplog).st_size]
+
+    def test_replay_skips_the_replicas_own_entries(self, tmp_path):
+        """Entries are identified by byte offset: a replica's own append was
+        applied before it was logged, so its replay skips it once."""
+        oplog = str(tmp_path / "oplog.jsonl")
+        own = {_append_op(oplog, {"op": "add", "s": "m.own", "p": "p", "o": "x"})}
+        _append_op(oplog, {"op": "add", "s": "m.foreign", "p": "p", "o": "y"})
+        recorder = _ReplayRecorder()
+        cursor = asyncio.run(_replay_ops(recorder, oplog, 0, own))
+        assert recorder.added == [("m.foreign", "p", "y")]
+        assert cursor == os.stat(oplog).st_size and own == set()

@@ -1,6 +1,6 @@
 """Tests for the shared tokenizer."""
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.nlp.tokenizer import _fold, detokenize, tokenize
@@ -46,6 +46,12 @@ class TestTokenize:
     def test_idempotent_through_detokenize(self, text):
         tokens = tokenize(text)
         assert tokenize(detokenize(tokens)) == tokens
+
+    @given(st.text(max_size=80))
+    @example("jean\ufe58paul")  # small em dash: NFKC gives U+2014, a map key
+    @example("x\u207by\u208bz \ufe31 \ufe32 rock \u0149 roll")
+    def test_tokenizing_folded_text_changes_nothing(self, text):
+        assert tokenize(_fold(text)) == tokenize(text)
 
 
 class TestAsciiFastPath:
@@ -114,6 +120,10 @@ class TestUnicodeFolding:
         assert tokenize("well–known") == ["well-known"]  # en dash
         assert tokenize("well—known") == ["well-known"]  # em dash
         assert tokenize("well‑known") == ["well-known"]  # non-breaking hyphen
+        # NFKC rewrites these into U+2014 / U+2212, which the map then folds
+        assert tokenize("jean﹘paul") == ["jean-paul"]  # small em dash
+        assert tokenize("jean︱paul") == ["jean-paul"]  # vertical em dash
+        assert tokenize("x⁻y") == ["x-y"]  # superscript minus
 
     def test_fullwidth_question_mark(self):
         assert tokenize("when was obama born？") == [

@@ -97,19 +97,20 @@ def test_online_answerer_constructor_parameter_count():
 
 def test_cli_flag_count():
     cli = (SRC / "repro" / "cli.py").read_text(encoding="utf-8")
-    assert cli.count("add_argument(") <= 33
+    assert cli.count("add_argument(") <= 32
 
 
 def test_one_benchmark_and_no_load_generator_in_src():
     """``benchmarks/e2e`` + ``BENCHMARK.json`` is the one instrument and its
     load generator lives there: ``repro.serve`` holds serving modules only
-    (listed, so a generator cannot come back under another name), exports no
-    load-cell runner, and the mega binding keeps one knob."""
+    (listed, so a generator or a fault harness cannot come back under another
+    name), exports no runner — the serving smoke lives in
+    ``tests/serve_harness.py`` — and the mega binding keeps one knob."""
     import repro.serve
 
     serve_modules = {path.stem for path in (SRC / "repro" / "serve").glob("*.py")}
     assert serve_modules == {
-        "__init__", "app", "async_answerer", "faults", "http", "metrics", "multiproc",
+        "__init__", "app", "async_answerer", "http", "metrics", "multiproc",
     }
     exported = set(repro.serve.__all__)
     assert not exported & {
@@ -117,8 +118,9 @@ def test_one_benchmark_and_no_load_generator_in_src():
         "ControllerConfig", "FairQueue", "QuotaConfig", "QuotaExceeded", "SLOController",
         "TokenBucket", "WindowedHistogram", "parse_quota",
     }
-    assert not hasattr(repro.serve, "control")
-    assert {name for name in exported if name.startswith("run_")} == {"run_smoke"}
+    assert not hasattr(repro.serve, "control") and not hasattr(repro.serve, "faults")
+    assert {name for name in exported if name.startswith("run_")} == set()
+    assert "parse_prometheus_text" not in exported
     assert len(fields(ScenarioSpec)) == 1
     assert not list((ROOT / "scripts").glob("*.sh"))  # the shell driver stays gone
     assert sorted(path.name for path in ROOT.glob("BENCH*")) == ["BENCHMARK.json"]
@@ -128,7 +130,7 @@ def test_environment_variables():
     names = set()
     for path in SRC.rglob("*.py"):
         names.update(re.findall(r"""["'](KBQA_[A-Z_]+)["']""", path.read_text("utf-8")))
-    assert names == {"KBQA_BACKEND", "KBQA_FAULTS"}
+    assert names == {"KBQA_BACKEND"}
 
 
 def test_one_expansion_artifact_format():
@@ -152,22 +154,23 @@ def test_expanded_format_env_var_is_ignored(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["serve", "--scale", "small", "--smoke", "--exec", "process"],
+        ["serve", "--scale", "small", "--port", "0", "--exec", "process"],
         ["answer", "--scale", "small", "--shards", "2", "who?"],
         ["train", "--scale", "small", "--workers", "2", "--model", "m.json"],
         ["shm-gc"],
         ["expand", "--scale", "small", "--save", "x.kbqa", "--expanded-format", "v3"],
         ["scenario", "--mega", "x"],
         ["mega-compile", "--out", "x", "--mega-backend", "memory"],
-        ["serve", "--scale", "small", "--smoke", "--slo-ms", "50"],
-        ["serve", "--scale", "small", "--smoke", "--adaptive"],
-        ["serve", "--scale", "small", "--smoke", "--quota", "5:5"],
-        ["serve", "--scale", "small", "--smoke", "--no-coalesce"],
+        ["serve", "--scale", "small", "--port", "0", "--slo-ms", "50"],
+        ["serve", "--scale", "small", "--port", "0", "--adaptive"],
+        ["serve", "--scale", "small", "--port", "0", "--quota", "5:5"],
+        ["serve", "--scale", "small", "--port", "0", "--no-coalesce"],
+        ["serve", "--scale", "small", "--port", "0", "--smoke"],
     ],
     ids=[
         "serve--exec", "answer--shards", "train--workers", "shm-gc", "expand--expanded-format",
         "scenario", "mega-compile--mega-backend", "serve--slo-ms", "serve--adaptive",
-        "serve--quota", "serve--no-coalesce",
+        "serve--quota", "serve--no-coalesce", "serve--smoke",
     ],
 )
 def test_deleted_cli_surface_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
@@ -181,10 +184,10 @@ def test_deleted_cli_surface_is_a_usage_error(argv, capsys, tmp_path, monkeypatc
 
 def test_serve_rejects_zero_workers_before_training(capsys):
     """No silent clamp and no hang: ``ServeConfig`` refuses, nothing runs."""
-    assert main(["serve", "--scale", "small", "--smoke", "--workers", "0"]) == 1
+    assert main(["serve", "--scale", "small", "--port", "0", "--workers", "0"]) == 1
     captured = capsys.readouterr()
     assert "workers must be >= 1" in captured.err
-    assert "serving smoke" not in captured.out
+    assert "serving on" not in captured.out
 
 
 def test_sharded_backend_is_unknown(monkeypatch):

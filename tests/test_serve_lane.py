@@ -34,9 +34,9 @@ from repro.data.compile import compile_freebase_like
 from repro.kb.triple import make_literal
 from repro.serve import AsyncAnswerer, OverloadedError, ServeConfig, normalized_key
 from repro.serve.app import KBQAServer
-from repro.serve.metrics import parse_prometheus_text
 
 from tests.conftest import pick_entity
+from tests.serve_harness import parse_prometheus_text
 
 TIMEOUT_S = 30.0
 

@@ -26,9 +26,10 @@ from repro.serve.metrics import (
     Histogram,
     ServeMetrics,
     merge_states,
-    parse_prometheus_text,
     render_prometheus,
 )
+
+from tests.serve_harness import parse_prometheus_text
 
 
 class TestHistogram:

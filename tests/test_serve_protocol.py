@@ -119,7 +119,10 @@ class TestParser:
             (b"GET /healthz HTTP/2.0\r\n\r\n", "malformed request line"),
             (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", "malformed header line"),
             (b"POST /answer HTTP/1.1\r\nContent-Length: ten\r\n\r\n", "invalid Content-Length"),
-            (b"POST /answer HTTP/1.1\r\nContent-Length: -1\r\n\r\n", "body too large"),
+            (b"POST /answer HTTP/1.1\r\nContent-Length: -1\r\n\r\n", "invalid Content-Length"),
+            (b"POST /answer HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}", "invalid Content-Length"),
+            (b"POST /answer HTTP/1.1\r\nContent-Length: 0_2\r\n\r\n{}", "invalid Content-Length"),
+            (b"POST /answer HTTP/1.1\r\nContent-Length : 2\r\n\r\n{}", "malformed header line"),
             (
                 f"POST /answer HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode(),
                 "body too large",
