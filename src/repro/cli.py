@@ -12,9 +12,8 @@ shell::
 
 Every training command accepts ``--backend memory|disk`` (the KB store)
 and ``--expansion PATH`` (resume from a persisted predicate expansion
-instead of re-running the Sec 6.2 scan).  ``serve`` evaluates answer
-batches on ``--workers`` threads and uses more cores through ``--procs N``
-replicas.
+instead of re-running the Sec 6.2 scan).  ``serve`` is one process: one
+event loop plus ``--workers`` evaluation threads.
 """
 
 from __future__ import annotations
@@ -160,13 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=2,
-        help="evaluation threads per server process (default: 2)",
-    )
-    serve.add_argument(
-        "--procs", type=int, default=1,
-        help="server processes sharing the port via SO_REUSEPORT (each with "
-             "its own event loop and evaluation threads — the way to serve "
-             "on more cores; POSIX only; default: 1)",
+        help="evaluation threads (default: 2)",
     )
     serve.add_argument(
         "--deadline-ms", type=float, default=0.0,
@@ -394,18 +387,8 @@ def _cmd_serve(args) -> int:
         deadline_ms=args.deadline_ms,
     )
     system, _suite = _train_system(args)
-    if args.procs > 1:
-        from repro.serve import MultiProcessServer
-
-        front = MultiProcessServer(
-            system, config, host=args.host, port=args.port, procs=args.procs
-        )
-    else:
-        front = BackgroundServer(system, config, host=args.host, port=args.port)
-    with front as bg:
-        print(f"serving on {bg.url}" + (
-            f" ({args.procs} SO_REUSEPORT processes)" if args.procs > 1 else ""
-        ))
+    with BackgroundServer(system, config, host=args.host, port=args.port) as bg:
+        print(f"serving on {bg.url}")
         print(f"  POST {bg.url}/answer   {{\"question\": \"...\"}}")
         print(f"  POST {bg.url}/batch    {{\"questions\": [...]}}")
         print(f"  POST {bg.url}/facts    {{\"op\": \"add|delete\", ...}}")

@@ -266,8 +266,8 @@ class KBQA:
 
         The facade holds process-local wiring (backend subscriptions, the
         live expansion maintainer, unsubscribe closures) that cannot and
-        must not cross a process boundary; server replicas inherit a
-        trained system by ``fork`` instead (`repro.serve.multiproc`).
+        must not cross a process boundary.  Serving is one process: the
+        system stays in the process that trained it.
         """
         raise TypeError(
             "KBQA systems are not picklable (live backend subscriptions); "

@@ -10,9 +10,8 @@ covering indexes for sub-millisecond point lookups) — so a compiled KB
   check, independent of triple count;
 * **survives restarts**: ``kbqa compile --backend disk`` writes the DB once
   and every later ``kbqa answer/serve`` run reopens it without recompiling;
-* **is shared, not copied, across replicas**: forked ``--procs N`` replicas
-  lazily reopen per-process connections to the same file, so N serving
-  processes share SQLite's page cache instead of holding N heap copies.
+* **is paged, not copied**: reads go through SQLite's page cache instead of
+  an O(KB) heap copy of the dictionary and the indexes.
 
 Schema (``user_version`` guards the layout)::
 
@@ -31,19 +30,16 @@ Schema (``user_version`` guards the layout)::
 
 Concurrency: WAL journal mode — readers never block the (single) writer and
 vice versa; every (process, thread) gets its own lazily opened connection
-(SQLite connections are neither fork- nor thread-safe), writes serialize on
-SQLite's write lock with a busy timeout.  Change notifications
-(:class:`~repro.kb.backend.KBChange`) fire process-locally exactly as for
-the in-memory store; when several *processes* write the same file, row
-idempotence makes a replayed mutation a no-op, so replicas replaying a
-shared op-log call :meth:`DiskTripleStore.notify_external` to propagate a
-sibling's already-applied change into their process-local derived state
-(expansion maintainer, answer caches) — see `repro.serve.multiproc`.
+(SQLite connections are neither fork- nor thread-safe: a forked child never
+reuses its parent's), writes serialize on SQLite's write lock with a busy
+timeout.  Change notifications (:class:`~repro.kb.backend.KBChange`) fire
+exactly as for the in-memory store, for this store's own mutations.
 
 The ``(s, p)`` object-set reads carry a small bounded memo so the serving
-hot path does not re-run a query per probe; it is invalidated by local
-mutations and by ``notify_external``, i.e. cache coherence across processes
-rides on the same op-log replay that already orders replica writes.
+hot path does not re-run a query per probe; this store's mutations
+invalidate it.  A write made by another process to the same file reaches
+uncached reads at once but not this memo, so serve a file from the process
+that writes it.
 """
 
 from __future__ import annotations
@@ -216,7 +212,7 @@ class DiskTripleStore(BackendBase):
     the owning store is closed or garbage-collected); a named path opens —
     or creates — a persistent KB that later processes reopen in
     milliseconds.  ``read_only=True`` opens with ``mode=ro`` (a reader that
-    can never write the shared file).
+    can never write the file).
 
     >>> kb = DiskTripleStore()
     >>> kb.add("m.obama", "dob", '"1961"')
@@ -269,16 +265,6 @@ class DiskTripleStore(BackendBase):
     @property
     def read_only(self) -> bool:
         return self._read_only
-
-    @property
-    def shared_storage(self) -> bool:
-        """True: sibling processes opening the same path see this data.
-
-        `repro.serve.multiproc` keys its op-log replay behavior on this —
-        a replayed mutation that is a row-level no-op still has to reach
-        this process's listeners via :meth:`notify_external`.
-        """
-        return True
 
     def _connection(self) -> sqlite3.Connection:
         state = self._local
@@ -460,31 +446,6 @@ class DiskTripleStore(BackendBase):
         if self._listeners:
             self._notify(KBChange(DELETE, s, p, o))
         return True
-
-    def notify_external(self, action: str, subject: str, predicate: str, obj: str) -> None:
-        """Propagate a change a *sibling process* already applied to the file.
-
-        Row idempotence makes a replayed ``add``/``delete`` a local no-op,
-        which would leave this process's maintainer and caches stale; the
-        op-log replay calls this instead so listeners observe the change
-        exactly as if the mutation had been local.  ``action`` is
-        :data:`~repro.kb.backend.ADD` or :data:`~repro.kb.backend.DELETE`.
-        """
-        if action not in (ADD, DELETE):
-            raise ValueError(f"unknown change action {action!r}")
-        # lookup, never encode: the sibling already interned these terms in
-        # the shared file, and a read-only replica could not mint ids anyway
-        lookup = self.dictionary.lookup
-        s = lookup(subject)
-        p = lookup(predicate)
-        o = lookup(obj)
-        if s is None or p is None or o is None:
-            raise ValueError(
-                f"replayed {action!r} references terms missing from {self._path}"
-            )
-        self._objects_memo.pop((s, p), None)
-        if self._listeners:
-            self._notify(KBChange(action, s, p, o))
 
     # -- Point lookups -----------------------------------------------------
 

@@ -14,8 +14,8 @@ off the mapped arrays:
 * lookups run ``bisect`` over ``memoryview.cast`` windows of the mapping —
   term -> id through a lexicographic permutation index, subject / pair /
   reach probes over the sorted id arrays — so resident memory is whatever
-  the page cache keeps warm, and N ``SO_REUSEPORT`` replicas mapping the
-  same artifact share **one** page cache between them;
+  the page cache keeps warm, and every process mapping the same artifact
+  shares **one** page cache;
 * :meth:`ExpandedStoreV3.materialize` is the escape hatch: it inflates the
   mapping into the ordinary dict-backed form **in place** (same object
   identity, same term ids, same file-local path ids), and every mutating

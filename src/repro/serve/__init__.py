@@ -12,13 +12,12 @@ The serving story, module by module:
   of :mod:`repro.serve.http`; ``/answer``, ``/batch``, ``/facts``,
   ``/healthz``, ``/stats``, ``/metrics``) behind ``kbqa serve``, plus
   :class:`BackgroundServer`, its event-loop thread for synchronous callers;
-* :mod:`repro.serve.metrics` — the telemetry spine: mergeable log-bucket
+* :mod:`repro.serve.metrics` — the telemetry spine: fixed log-bucket
   latency histograms, per-stage timers, bounded per-tenant counters,
-  Prometheus text exposition;
-* :mod:`repro.serve.multiproc` — :class:`MultiProcessServer`: N forked
-  server replicas sharing one port via ``SO_REUSEPORT``, with writes
-  replicated through a shared, ``flock``-guarded op log (``kbqa serve
-  --procs N``); a replica that dies, however abruptly, is replaced.
+  Prometheus text exposition.
+
+Serving is one process: one event loop plus ``--workers`` evaluation
+threads (DESIGN.md "Why serving has one executor").
 """
 
 from repro.serve.async_answerer import (
@@ -31,13 +30,7 @@ from repro.serve.async_answerer import (
     normalized_key,
 )
 from repro.serve.app import BackgroundServer, KBQAServer, result_payload
-from repro.serve.metrics import (
-    Histogram,
-    ServeMetrics,
-    merge_states,
-    render_prometheus,
-)
-from repro.serve.multiproc import MultiProcessServer, multiproc_available
+from repro.serve.metrics import Histogram, ServeMetrics, render_prometheus
 
 __all__ = [
     "AnswerTarget",
@@ -46,13 +39,10 @@ __all__ = [
     "DeadlineExceeded",
     "Histogram",
     "KBQAServer",
-    "MultiProcessServer",
     "OverloadedError",
     "ServeConfig",
     "ServeMetrics",
     "ServeStats",
-    "merge_states",
-    "multiproc_available",
     "normalized_key",
     "render_prometheus",
     "result_payload",

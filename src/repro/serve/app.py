@@ -27,11 +27,8 @@ Endpoints (all JSON):
   admission control can never starve a liveness probe.
 * ``GET /stats``    serving counters, answerer cache occupancy, KB stats and
   the metrics spine's lifetime latency view.
-* ``GET /metrics``  Prometheus text exposition of the telemetry spine
-  (stage latency histograms, serve/tenant counters, gauges);
-  under the multi-process front each replica periodically dumps its
-  cumulative state to a shared directory and whichever replica serves the
-  scrape merges the dumps with its own live state.
+* ``GET /metrics``  Prometheus text exposition of this process's telemetry
+  spine (stage latency histograms, serve/tenant counters, gauges).
 
 Requests may carry an ``X-KBQA-Client`` header naming the tenant: it keys
 the per-tenant counters (at most ``MAX_TENANTS`` labels per answerer, see
@@ -60,12 +57,11 @@ thread for synchronous callers (``kbqa serve``, tests, examples).
 from __future__ import annotations
 
 import asyncio
-import json as _json
+import dataclasses
 import math
-import os
 import threading
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.core.online import AnswerResult
 from repro.serve.async_answerer import (
@@ -82,11 +78,7 @@ from repro.serve.http import (
     text_response_bytes,
     truncated,
 )
-from repro.serve.metrics import (
-    PROMETHEUS_CONTENT_TYPE,
-    merge_states,
-    render_prometheus,
-)
+from repro.serve.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
 
 if TYPE_CHECKING:
     from repro.core.system import KBQA
@@ -257,13 +249,6 @@ class KBQAServer:
 
     ``port=0`` binds an ephemeral port (read ``server.port`` after
     :meth:`start`).  Use ``async with`` or pair :meth:`start`/:meth:`stop`.
-
-    ``reuse_port=True`` binds the listening socket with
-    ``SO_REUSEPORT`` so N sibling server processes can share one port (the
-    `repro.serve.multiproc` front); ``fact_listener`` is called after every
-    successful ``/facts`` mutation with ``(op, subject, predicate, object)``
-    — the hook the multi-process front uses to replicate writes to its
-    siblings.
     """
 
     def __init__(
@@ -272,24 +257,11 @@ class KBQAServer:
         config: ServeConfig | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        *,
-        reuse_port: bool = False,
-        fact_listener: "Callable[[str, str, str, str], None] | None" = None,
-        metrics_dir: str | None = None,
-        replica_index: int = 0,
     ) -> None:
         self.system = system
         self.config = config or ServeConfig()
         self.host = host
         self.port = port
-        self.reuse_port = reuse_port
-        self.fact_listener = fact_listener
-        # multi-process metrics merging: replicas dump cumulative state
-        # here (dump_metrics, called from the multiproc poll loop) and any
-        # replica serving /metrics or /stats merges the siblings' dumps
-        # with its own live state
-        self.metrics_dir = metrics_dir
-        self.replica_index = replica_index
         self.answerer = AsyncAnswerer(system, self.config)
         self._server: asyncio.Server | None = None
         self._unsubscribe = None
@@ -312,10 +284,7 @@ class KBQAServer:
             lambda _changes: self.answerer.invalidate(),
         )
         self._server = await asyncio.get_running_loop().create_server(
-            lambda: _Connection(self),
-            self.host,
-            self.port,
-            reuse_port=self.reuse_port or None,
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_monotonic = time.monotonic()
@@ -337,7 +306,8 @@ class KBQAServer:
             # after the connections: from 3.12 this waits for them to close
             await self._server.wait_closed()
             self._server = None
-        # a write outlives its (cancelled) request: let it finish and replicate
+        # a write outlives its (cancelled) request: let it finish, so the
+        # store, the epoch and the caches agree before the answerer stops
         await asyncio.gather(*self._writes, return_exceptions=True)
         if self._unsubscribe is not None:
             self._unsubscribe()
@@ -367,7 +337,7 @@ class KBQAServer:
                     "uptime_s": round(time.monotonic() - self._started_monotonic, 3),
                 }
             if route == ("GET", "/stats"):
-                payload = {
+                return 200, {
                     "serve": self.answerer.snapshot(),
                     "caches": self.system.answerer.cache_info(),
                     "kb": self.system.kb.store.stats(),
@@ -377,14 +347,6 @@ class KBQAServer:
                     },
                     "metrics": self.answerer.metrics.snapshot(),
                 }
-                if self.metrics_dir is not None:
-                    merged, reporting = self._merged_state()
-                    payload["replicas"] = {
-                        "reporting": reporting,
-                        "requests": merged["counters"].get("requests", 0),
-                        "batches": merged["counters"].get("batches", 0),
-                    }
-                return 200, payload
             if route == ("GET", "/metrics"):
                 return 200, self._render_metrics()
             if route == ("POST", "/answer"):
@@ -412,70 +374,19 @@ class KBQAServer:
 
     # -- Metrics export ----------------------------------------------------
 
-    def _own_metrics_path(self) -> str:
-        assert self.metrics_dir is not None
-        return os.path.join(self.metrics_dir, f"replica-{self.replica_index}.json")
-
-    def dump_metrics(self) -> None:
-        """Atomically publish this replica's cumulative metrics state.
-
-        Called periodically from the multi-process front's poll loop; the
-        tmp-write + rename means a sibling merging mid-dump can never read
-        a torn file.
-        """
-        if self.metrics_dir is None:
-            return
-        path = self._own_metrics_path()
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            _json.dump(self.answerer.metrics_state(), handle, separators=(",", ":"))
-        os.replace(tmp, path)
-
-    def _merged_state(self) -> tuple[dict, int]:
-        """This replica's live state merged with every sibling's last dump.
-
-        Returns ``(state, replicas_reporting)`` where the count includes
-        this replica.  A sibling's dump of *this* replica's slot is ignored
-        in favor of the live state (fresher by up to one dump interval).
-        """
-        states = [self.answerer.metrics_state()]
-        if self.metrics_dir is not None:
-            own = (
-                os.path.basename(self._own_metrics_path()),
-                os.path.basename(self._own_metrics_path()) + ".tmp",
-            )
-            try:
-                names = sorted(os.listdir(self.metrics_dir))
-            except OSError:
-                names = []
-            for name in names:
-                if name in own or not name.endswith(".json"):
-                    continue
-                try:
-                    with open(
-                        os.path.join(self.metrics_dir, name), encoding="utf-8"
-                    ) as handle:
-                        states.append(_json.load(handle))
-                except (OSError, ValueError):
-                    continue  # sibling died mid-rename or dumped garbage
-        return merge_states(states), len(states)
-
     def _render_metrics(self) -> str:
-        """The ``/metrics`` body: merged counters + gauges."""
-        state, reporting = (
-            self._merged_state()
-            if self.metrics_dir is not None
-            else (merge_states([self.answerer.metrics_state()]), 1)
-        )
+        """The ``/metrics`` body: this process's histograms, counters and
+        gauges."""
         snapshot = self.answerer.snapshot()
         gauges = {
             "kbqa_max_batch": self.config.max_batch,
             "kbqa_max_pending": self.config.max_pending,
             "kbqa_pending": snapshot["pending"],
             "kbqa_serving_epoch": snapshot["epoch"],
-            "kbqa_replicas_reporting": reporting,
         }
-        return render_prometheus(state, gauges)
+        return render_prometheus(
+            self.answerer.metrics, dataclasses.asdict(self.answerer.stats), gauges
+        )
 
     @staticmethod
     def _tenant(request: HTTPRequest) -> str | None:
@@ -593,25 +504,20 @@ class KBQAServer:
         else:
             mutation = lambda: self.system.delete_fact(subject, predicate, obj)  # noqa: E731
 
-        async def write() -> bool:
-            changed = await self.answerer.apply(mutation)
-            if changed and self.fact_listener is not None:
-                self.fact_listener(op, subject, predicate, obj)
-            return bool(changed)
-
         # Its own task, shielded: a client that hangs up cancels its request
-        # (connection_lost), and a write cancelled between the mutation and
-        # the listener would be applied here but never replicated.
-        task = asyncio.ensure_future(write())
+        # (connection_lost), but a write cancelled inside apply() could land
+        # in the store without its epoch bump or the end of its quiesce.
+        # The write always runs to completion, and stop() awaits it.
+        task = asyncio.ensure_future(self.answerer.apply(mutation))
         self._writes.add(task)
         task.add_done_callback(self._writes.discard)
-        return 200, {"op": op, "changed": await asyncio.shield(task)}
+        return 200, {"op": op, "changed": bool(await asyncio.shield(task))}
 
 
 class BackgroundServer:
     """A :class:`KBQAServer` on a private event-loop thread.
 
-    Synchronous context manager for tests, examples and the CLI smoke mode::
+    Synchronous context manager for ``kbqa serve``, tests and examples::
 
         with BackgroundServer(system) as bg:
             urllib.request.urlopen(bg.url + "/healthz")

@@ -21,9 +21,9 @@ mechanisms:
   ``answer_many`` batches of up to ``max_batch`` as soon as a worker slot
   is free (no linger window) and evaluated on a bounded thread pool,
   amortizing the event-loop/thread handoff and the serving-cache probes
-  across the batch.  Threads are the only executor:
-  more cores are used by ``--procs N`` replicas of the whole server
-  (DESIGN.md "Why serving has one executor").
+  across the batch.  Threads are the only executor, and one server
+  process is the only serving topology (DESIGN.md "Why serving has one
+  executor").
 * **admission control** — at most ``max_pending`` evaluations may be queued
   or executing; beyond that :meth:`AsyncAnswerer.answer` raises
   :class:`OverloadedError` *immediately* (the deterministic overload
@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -146,7 +147,7 @@ class ServeConfig:
     of livelock under sustained writes).
 
     The failure-model knob: ``deadline_ms`` is the default per-request
-    deadline (0 disables; the HTTP front's ``X-KBQA-Deadline-Ms`` header
+    deadline, a finite number of milliseconds (0 disables; the HTTP front's ``X-KBQA-Deadline-Ms`` header
     overrides per request) after which the caller gets
     :class:`DeadlineExceeded` (HTTP 504) instead of waiting forever.
     """
@@ -169,12 +170,15 @@ class ServeConfig:
             raise ValueError(
                 f"max_stale_retries must be >= 1, got {self.max_stale_retries}"
             )
-        if self.deadline_ms < 0:
-            raise ValueError(f"deadline_ms must be >= 0, got {self.deadline_ms}")
+        if not (math.isfinite(self.deadline_ms) and self.deadline_ms >= 0):
+            raise ValueError(
+                f"deadline_ms must be a finite number >= 0, got {self.deadline_ms}"
+            )
         if self.executor not in (None, "thread", "serial"):
             raise ValueError(
                 f"executor must be 'thread', 'serial' or None, got "
-                f"{self.executor!r} (to serve on N cores, run --procs N replicas)"
+                f"{self.executor!r} (batches evaluate on a pool of `workers` "
+                f"threads; there is no process executor)"
             )
 
 
@@ -667,11 +671,3 @@ class AsyncAnswerer:
             }
         )
         return data
-
-    def metrics_state(self) -> dict:
-        """The mergeable telemetry unit: stage histograms + tenant counters
-        from the metrics spine, with the :class:`ServeStats` counters folded
-        in — what one replica dumps for cross-process ``/metrics`` merging."""
-        state = self.metrics.state()
-        state["counters"] = dataclasses.asdict(self.stats)
-        return state

@@ -7,9 +7,8 @@ that need them share one copy::
 
     from tests.serve_harness import parse_prometheus_text, run_smoke
 
-* :func:`run_smoke` starts a :class:`~repro.serve.BackgroundServer` (or a
-  :class:`~repro.serve.MultiProcessServer` with ``procs > 1``), drives it
-  from concurrent clients plus two raw-socket exchanges, and asserts every
+* :func:`run_smoke` starts a :class:`~repro.serve.BackgroundServer`, drives
+  it from concurrent clients plus two raw-socket exchanges, and asserts every
   reply and a clean shutdown;
 * :func:`parse_prometheus_text` validates ``/metrics`` output — malformed
   sample lines, unparseable values, non-monotonic ``le`` buckets — without
@@ -19,7 +18,6 @@ that need them share one copy::
 from __future__ import annotations
 
 import json
-import multiprocessing
 import socket
 import threading
 import urllib.error
@@ -27,7 +25,7 @@ import urllib.parse
 import urllib.request
 from typing import TYPE_CHECKING
 
-from repro.serve import BackgroundServer, MultiProcessServer, ServeConfig
+from repro.serve import BackgroundServer, ServeConfig
 
 if TYPE_CHECKING:
     from repro.core.system import KBQA
@@ -40,7 +38,6 @@ def run_smoke(
     threads: int = 8,
     requests_per_thread: int = 4,
     config: ServeConfig | None = None,
-    procs: int = 1,
 ) -> dict:
     """Start a server, hammer it from ``threads`` concurrent clients, stop.
 
@@ -53,13 +50,6 @@ def run_smoke(
     header) must be answered ``Connection: close`` and hung up on.  Raises
     ``RuntimeError`` on any non-200, mismatched payload, or unclean
     shutdown; returns a summary dict on success.
-
-    ``procs > 1`` runs the same client traffic against a
-    :class:`~repro.serve.multiproc.MultiProcessServer` — N forked replicas
-    sharing the port via ``SO_REUSEPORT`` — and additionally asserts every
-    replica process exited.  Its clients are strict (no retries), so a
-    replica must not die under it; the replica-kill tests in
-    ``tests/test_fault_tolerance.py`` drive their own retrying clients.
     """
     if not questions:
         raise ValueError("need at least one question for the smoke run")
@@ -100,14 +90,7 @@ def run_smoke(
     statuses: list[int] = []
     lock = threading.Lock()
 
-    if procs > 1:
-        front: "BackgroundServer | MultiProcessServer" = MultiProcessServer(
-            system, config, procs=procs
-        )
-    else:
-        front = BackgroundServer(system, config)
-
-    with front as bg:
+    with BackgroundServer(system, config) as bg:
         answer_url = bg.url + "/answer"
 
         def client(worker: int) -> None:
@@ -181,16 +164,10 @@ def run_smoke(
                 failures.append(f"/healthz -> {resp.status}")
         with urllib.request.urlopen(bg.url + "/stats", timeout=30) as resp:
             stats = json.loads(resp.read().decode("utf-8"))
-        thread = bg._thread if isinstance(bg, BackgroundServer) else None
+        thread = bg._thread
 
     if thread is not None and thread.is_alive():
         failures.append("server thread still alive after shutdown")
-    if procs > 1:
-        leftovers = [c for c in multiprocessing.active_children() if c.is_alive()]
-        if leftovers:
-            failures.append(
-                f"{len(leftovers)} server process(es) still alive after shutdown"
-            )
     if failures:
         raise RuntimeError("serving smoke failed: " + "; ".join(failures))
     serve_stats = stats["serve"]
@@ -203,7 +180,6 @@ def run_smoke(
         "batches": serve_stats["batches"],
         "max_batch_seen": serve_stats["max_batch_seen"],
         "executor": serve_stats["executor"],
-        "procs": procs,
         "metrics_series": len(metrics_series),
         "clean_shutdown": True,
     }

@@ -1,7 +1,7 @@
 """``kbqa serve`` launched for real: a subprocess, its stdout, SIGINT.
 
-The in-process tests drive :class:`~repro.serve.BackgroundServer` and
-:class:`~repro.serve.MultiProcessServer` directly; this one goes through the
+The in-process tests drive :class:`~repro.serve.BackgroundServer`
+directly; this one goes through the
 command line an operator (or the ``http_zipf`` benchmark) runs, so argument
 parsing, training, the ``serving on URL`` line and the Ctrl-C shutdown path
 are covered too.  The child inherits the environment, so under
@@ -24,8 +24,6 @@ import urllib.request
 from pathlib import Path
 
 import pytest
-
-from repro.serve import multiproc_available
 
 from tests.serve_harness import parse_prometheus_text
 
@@ -63,17 +61,8 @@ def _first_line(child: subprocess.Popen) -> str:
 
 @pytest.mark.parametrize(
     "extra",
-    [
-        [],
-        pytest.param(
-            ["--procs", "2"],
-            marks=pytest.mark.skipif(
-                not multiproc_available(), reason="needs SO_REUSEPORT + fork"
-            ),
-        ),
-        ["--fallback"],
-    ],
-    ids=["one-process", "procs-2", "fallback"],
+    [[], ["--fallback"]],
+    ids=["one-process", "fallback"],
 )
 def test_kbqa_serve_answers_then_exits_cleanly_on_sigint(extra, suite, kbqa_fb):
     questions = [q.question for q in suite.benchmark("qald3").bfqs()][:6]

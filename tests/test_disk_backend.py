@@ -5,10 +5,8 @@ as a :class:`TripleStore` must assign identical dictionary ids, answer every
 protocol read identically (randomized-KB checked), fire identical change
 notifications, and carry a whole KBQA system to byte-identical
 ``answer_many`` output.  On top of that come the disk-only properties:
-reopening a compiled file restores the store without a rebuild, a
-``read_only=True`` open can neither write nor own the shared file, and
-``notify_external`` keeps a replica's caches coherent with a sibling
-process's writes.
+reopening a compiled file restores the store without a rebuild, and a
+``read_only=True`` open can neither write nor own the file.
 """
 
 import os
@@ -291,29 +289,6 @@ class TestReadOnlyReplica:
         replica.close()
         store.close()
         assert os.path.exists(path)  # the read-only open never owns the file
-
-    def test_notify_external_restores_memo_coherence(self, tmp_path):
-        """A sibling's write is visible to uncached reads immediately and to
-        the memoized (s, p) object sets after the op-log replay calls
-        ``notify_external`` — the documented coherence contract."""
-        path = str(tmp_path / "kb.db")
-        writer = DiskTripleStore(path)
-        writer.add("a", "p", "b")
-        replica = DiskTripleStore(path, read_only=True)
-        seen: list[KBChange] = []
-        replica.subscribe(seen.append)
-        assert replica.objects("a", "p") == {"b"}  # memo primed
-        writer.add("a", "p", "c")
-        assert replica.has("a", "p", "c")  # point read: no cache
-        assert replica.objects("a", "p") == {"b"}  # memo: stale by design
-        replica.notify_external("add", "a", "p", "c")
-        assert replica.objects("a", "p") == {"b", "c"}
-        assert [c.action for c in seen] == [ADD]
-        assert replica.decode_id(seen[0].object_id) == "c"
-        with pytest.raises(ValueError, match="unknown change action"):
-            replica.notify_external("upsert", "a", "p", "c")
-        replica.close()
-        writer.close()
 
 
 class TestResolveBackend:

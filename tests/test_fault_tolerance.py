@@ -1,75 +1,36 @@
-"""Chaos suite: crash-safety contracts under real faults.
+"""Crash-safety contracts of the one serving process under real faults.
 
-The serving failure model, exercised end to end:
+* requests carry **deadlines** (``DeadlineExceeded`` / HTTP 504) — a
+  stalled evaluation never holds its caller past the deadline, and a
+  malformed deadline header is a 400;
+* the HTTP front serves **degraded** answer-cache hits instead of 503s
+  when the evaluation backend is saturated, and only then.
 
-* a SIGKILL'd ``--procs`` **replica** — killed by pid from the test, at
-  whatever instruction it happens to be running — is reaped by the parent
-  supervisor and replaced by a freshly forked child that catches up from
-  the op log *before* binding its socket;
-* the op log's lock is a ``flock`` the kernel drops with its holder, so a
-  replica killed while holding it cannot wedge the survivors;
-* requests carry **deadlines** (``DeadlineExceeded`` / HTTP 504) and the
-  HTTP front serves **degraded** answer-cache hits instead of 503s when
-  the evaluation backend is saturated.
-
-Real kills, real forks, real sockets.
+Real stalls, real threads, real event loops.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
-import os
-import signal
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.core.online import AnswerResult
 from repro.core.system import KBQA
 from repro.data.compile import compile_freebase_like
-from repro.kb.triple import make_literal
 from repro.serve import (
     AsyncAnswerer,
     DeadlineExceeded,
-    MultiProcessServer,
     OverloadedError,
     ServeConfig,
-    multiproc_available,
 )
 from repro.serve.app import KBQAServer
 from repro.serve.http import HTTPRequest
-from repro.serve.multiproc import _append_op, _oplog_locked, _replay_ops
 
 TIMEOUT_S = 60.0
-
-needs_multiproc = pytest.mark.skipif(
-    not multiproc_available(),
-    reason="needs SO_REUSEPORT + fork (POSIX multi-process serving)",
-)
-
-
-def _assert_no_children() -> None:
-    """Children unregister as they are reaped; poll briefly, then assert."""
-    for _ in range(300):
-        if not multiprocessing.active_children():
-            break
-        time.sleep(0.02)
-    assert multiprocessing.active_children() == []
-
-
-def _wait_until(predicate, timeout_s: float = TIMEOUT_S) -> None:
-    deadline = time.monotonic() + timeout_s
-    while not predicate():
-        assert time.monotonic() < deadline, "condition not met before timeout"
-        time.sleep(0.02)
-
-
-# -- Scripted targets --------------------------------------------------------
 
 
 def _result(question: str, value: str) -> AnswerResult:
@@ -282,7 +243,6 @@ class TestDegradedMode:
     def test_cached_answer_served_degraded_while_a_write_shuts_the_lane(
         self, serve_system, suite
     ):
-        import threading
 
         question = _answerable_question(suite, serve_system)
         expected = serve_system.answer(question)
@@ -383,180 +343,3 @@ class TestDegradedMode:
         status, payload = asyncio.run(main())
         assert status == 200
         assert payload["degraded"] is False
-
-
-# -- Replica self-healing ----------------------------------------------------
-
-
-def _post(url: str, payload: dict, timeout: float = 30.0) -> tuple[int, dict]:
-    data = json.dumps(payload).encode("utf-8")
-    request = urllib.request.Request(
-        url, data=data, headers={"Content-Type": "application/json"}
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read().decode("utf-8"))
-
-
-def _post_with_retry(url: str, payload: dict, attempts: int = 20) -> tuple[int, dict]:
-    """Client-side retry over replica-death connection drops: the accepted
-    request that finally lands is the one whose answer we assert on."""
-    last: Exception | None = None
-    for _ in range(attempts):
-        try:
-            return _post(url, payload, timeout=10.0)
-        except (urllib.error.URLError, ConnectionError, OSError) as error:
-            last = error
-            time.sleep(0.05)
-    raise AssertionError(f"request never landed after {attempts} attempts: {last!r}")
-
-
-@needs_multiproc
-class TestReplicaSelfHealing:
-    def test_sigkilled_replica_is_replaced_and_caught_up(self, serve_system, suite):
-        """Kill one of two replicas mid-load after a /facts write: the
-        supervisor forks a replacement that replays the op log before
-        binding, so every post-heal answer reflects the write."""
-        question = _answerable_question(suite, serve_system)
-        config = ServeConfig(workers=2)
-        front = MultiProcessServer(
-            serve_system, config, procs=2, supervise_interval_s=0.02
-        )
-        with front:
-            # land a write through one replica; both must converge on it
-            status, before = _post_with_retry(
-                front.url + "/answer", {"question": question}
-            )
-            assert status == 200 and before["answered"] is True
-            status, payload = _post_with_retry(
-                front.url + "/facts",
-                {"op": "add", "subject": before["entity"],
-                 "predicate": "population", "object": make_literal("123456789")},
-            )
-            assert status == 200 and payload["changed"] is True
-
-            victim = front._children[0]
-            os.kill(victim.pid, signal.SIGKILL)
-            _wait_until(lambda: front.respawned >= 1)
-            _wait_until(lambda: all(c.is_alive() for c in front._children))
-
-            # hammer both replicas: every answer must include the written
-            # value — a healed replica serving pre-write state would miss it
-            for _ in range(20):
-                status, payload = _post_with_retry(
-                    front.url + "/answer", {"question": question}
-                )
-                assert status == 200
-                assert "123456789" in payload["values"], (
-                    "a replica answered with pre-write state after healing"
-                )
-        assert front.respawned >= 1
-        _assert_no_children()
-
-    def test_combined_chaos_worker_and_replica_kill(self, serve_system, suite):
-        """The acceptance scenario: two replicas, one SIGKILLed by pid after
-        the 10th request.  Every accepted request must come back correct
-        (or explicitly degraded), capacity must recover without a restart,
-        and no child process may outlive stop()."""
-        question = _answerable_question(suite, serve_system)
-        expected = serve_system.answer(question)
-        config = ServeConfig(workers=2)
-        front = MultiProcessServer(
-            serve_system, config, procs=2, supervise_interval_s=0.02
-        )
-        with front:
-            outcomes = []
-            for i in range(30):
-                if i == 10:
-                    os.kill(front._children[0].pid, signal.SIGKILL)
-                status, payload = _post_with_retry(
-                    front.url + "/answer", {"question": question}
-                )
-                outcomes.append(status)
-                assert status == 200, f"request {i} -> {status}: {payload}"
-                assert payload["value"] == expected.value
-                assert payload["degraded"] in (False, True)
-            assert len(outcomes) == 30  # no accepted request was lost
-            _wait_until(lambda: front.respawned >= 1)
-            _wait_until(lambda: all(c.is_alive() for c in front._children))
-            assert len(front._children) == 2  # full capacity, no restart
-            status, _payload = _post_with_retry(
-                front.url + "/answer", {"question": question}
-            )
-            assert status == 200
-        assert front.respawned >= 1
-        _assert_no_children()
-
-
-class _ReplayRecorder:
-    """Stands in for a replica's server in ``_replay_ops``: ``system`` and
-    ``answerer`` are itself, and every replayed add is recorded."""
-
-    def __init__(self) -> None:
-        self.system = self
-        self.answerer = self
-        self.added: list[tuple[str, str, str]] = []
-
-    def add_fact(self, subject: str, predicate: str, obj: str) -> bool:
-        self.added.append((subject, predicate, obj))
-        return True
-
-    async def apply(self, mutation) -> None:
-        mutation()
-
-
-def _finishes_within(seconds: float, call) -> bool:
-    """Run ``call`` on a daemon thread; False if it is still blocked."""
-    worker = threading.Thread(target=call, daemon=True)
-    worker.start()
-    worker.join(seconds)
-    return not worker.is_alive()
-
-
-@needs_multiproc
-class TestOpLogLock:
-    @pytest.mark.parametrize("mode", ["ab", "rb"], ids=["append", "read"])
-    def test_a_holder_killed_inside_the_lock_wedges_nobody(self, tmp_path, mode):
-        """A replica SIGKILLed while it holds the op-log lock — the moment
-        a process-shared semaphore would stay taken forever — must not
-        block the survivors' appends or replays."""
-        oplog = str(tmp_path / "oplog.jsonl")
-        _append_op(oplog, {"op": "add", "s": "m.a", "p": "p", "o": "x"})
-
-        def die_holding_the_lock() -> None:
-            with _oplog_locked(oplog, mode):
-                os.kill(os.getpid(), signal.SIGKILL)
-
-        holder = multiprocessing.get_context("fork").Process(target=die_holding_the_lock)
-        holder.start()
-        holder.join(TIMEOUT_S)
-        assert holder.exitcode == -signal.SIGKILL
-
-        offsets: list[int] = []
-        assert _finishes_within(
-            2.0,
-            lambda: offsets.append(
-                _append_op(oplog, {"op": "add", "s": "m.b", "p": "p", "o": "y"})
-            ),
-        ), "an append blocked on a dead holder's lock"
-        recorder = _ReplayRecorder()
-        cursors: list[int] = []
-        assert _finishes_within(
-            2.0,
-            lambda: cursors.append(asyncio.run(_replay_ops(recorder, oplog, 0, set()))),
-        ), "a replay blocked on a dead holder's lock"
-        assert recorder.added == [("m.a", "p", "x"), ("m.b", "p", "y")]
-        assert offsets[0] > 0 and cursors == [os.stat(oplog).st_size]
-
-    def test_replay_skips_the_replicas_own_entries(self, tmp_path):
-        """Entries are identified by byte offset: a replica's own append was
-        applied before it was logged, so its replay skips it once."""
-        oplog = str(tmp_path / "oplog.jsonl")
-        own = {_append_op(oplog, {"op": "add", "s": "m.own", "p": "p", "o": "x"})}
-        _append_op(oplog, {"op": "add", "s": "m.foreign", "p": "p", "o": "y"})
-        recorder = _ReplayRecorder()
-        cursor = asyncio.run(_replay_ops(recorder, oplog, 0, own))
-        assert recorder.added == [("m.foreign", "p", "y")]
-        assert cursor == os.stat(oplog).st_size and own == set()

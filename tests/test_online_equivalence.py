@@ -11,6 +11,8 @@ fallback lane on and off, the serving caches on and off, on both backends.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles.online_reference import ReferenceAnswerer
 from repro.core.fallback import FallbackIndex
@@ -181,6 +183,81 @@ def test_hostile_inputs(store_type, caches):
     finally:
         if store_type is DiskTripleStore:
             store.close()
+
+
+# Code points that stress ``_fold``: combining marks, NFKC compatibility
+# forms (fullwidth letters and ``？``, ligatures, circled and roman-numeral
+# letters, super/subscripts, the Kelvin and Ohm signs, long s), letters whose
+# case mapping leaves ASCII (dotted capital I, sharp s), invisible spaces
+# and the lone surrogate a JSON body can carry.
+FOLD_STRESS = (
+    "\u0300\u0301\u0303\u0308\u0327\u0345\u20dd"
+    "\uff21\uff4f\uff10\uff1f\ufb01\ufb03\u24b6\u2160\u00b2\u2082"
+    "\u212a\u2126\u017f\u0130\u0131\u00df\u1e9e\u0149"
+    "\u00a0\u2009\u3000\u200b\ufeff\u2019\u2014\u2212\ud800"
+)
+CODE_POINTS = st.one_of(
+    st.characters(exclude_categories=()),  # any code point, surrogates too
+    st.sampled_from(FOLD_STRESS),
+    st.sampled_from("aeiou sp?'$-"),
+)
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "replace", "delete", "swapcase"]),
+        st.integers(min_value=0, max_value=64),
+        CODE_POINTS,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def mutate(question: str, edits) -> str:
+    """Apply ``edits`` — (kind, position, code point) — to ``question``."""
+    chars = list(question)
+    for kind, position, code_point in edits:
+        at = position % (len(chars) + 1)
+        if kind == "insert":
+            chars.insert(at, code_point)
+        elif at < len(chars):
+            if kind == "replace":
+                chars[at] = code_point
+            elif kind == "delete":
+                del chars[at]
+            else:
+                chars[at] = chars[at].swapcase()
+    return "".join(chars)
+
+
+@pytest.fixture(scope="module")
+def hand_built_products():
+    """(product, oracle) over the hand-built world: both store types, caches
+    on and off, the fallback lane on and off.  Module-scoped, so the caches
+    carry over from one example to the next, as they do in serving."""
+    stores = [TripleStore(), DiskTripleStore()]
+    pairs = []
+    for store in stores:
+        kbview, ner, conceptualizer, model = hand_built(store)
+        for fallback in (None, FallbackIndex.build(model)):
+            for answer_cache, lookup_cache in CACHES:
+                product = OnlineAnswerer(
+                    kbview, ner, conceptualizer, model, answer_cache_size=answer_cache,
+                    lookup_cache_size=lookup_cache, fallback=fallback,
+                )
+                pairs.append((product, ReferenceAnswerer.shadowing(product)))
+    yield pairs
+    stores[1].close()
+
+
+@settings(max_examples=150, deadline=None)
+@given(question=st.sampled_from(HOSTILE), edits=EDITS)
+def test_mutated_hostile_questions_match_the_oracle(hand_built_products, question, edits):
+    """Whole questions mutated code point by code point still go through
+    ``_fold`` -> NER -> Eq 7 -> the KB exactly as the string-level oracle
+    does, on every store, cache and lane configuration."""
+    mutant = mutate(question, edits)
+    for product, oracle in hand_built_products:
+        assert product.answer(mutant) == oracle.answer(mutant), mutant
 
 
 def test_non_concept_slot_is_refused():

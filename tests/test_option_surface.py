@@ -27,7 +27,7 @@ from repro.core.online import OnlineAnswerer
 from repro.core.system import KBQAConfig
 from repro.eval.scenarios import ScenarioSpec
 from repro.kb.backend import resolve_backend
-from repro.serve import ServeConfig, ServeStats
+from repro.serve import KBQAServer, ServeConfig, ServeStats
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -97,7 +97,14 @@ def test_online_answerer_constructor_parameter_count():
 
 def test_cli_flag_count():
     cli = (SRC / "repro" / "cli.py").read_text(encoding="utf-8")
-    assert cli.count("add_argument(") <= 32
+    assert cli.count("add_argument(") <= 31
+
+
+def test_kbqa_server_constructor_parameter_count():
+    """The system, its config, a host and a port: ``reuse_port``,
+    ``fact_listener``, ``metrics_dir`` and ``replica_index`` served only the
+    deleted multi-process front."""
+    assert len(inspect.signature(KBQAServer).parameters) == 4
 
 
 def test_one_benchmark_and_no_load_generator_in_src():
@@ -110,13 +117,14 @@ def test_one_benchmark_and_no_load_generator_in_src():
 
     serve_modules = {path.stem for path in (SRC / "repro" / "serve").glob("*.py")}
     assert serve_modules == {
-        "__init__", "app", "async_answerer", "http", "metrics", "multiproc",
+        "__init__", "app", "async_answerer", "http", "metrics",
     }
     exported = set(repro.serve.__all__)
     assert not exported & {
         "LoadSpec", "OpenLoadSpec", "RampSpec", "build_request_stream", "latency_percentiles",
         "ControllerConfig", "FairQueue", "QuotaConfig", "QuotaExceeded", "SLOController",
         "TokenBucket", "WindowedHistogram", "parse_quota",
+        "MultiProcessServer", "multiproc_available", "merge_states",
     }
     assert not hasattr(repro.serve, "control") and not hasattr(repro.serve, "faults")
     assert {name for name in exported if name.startswith("run_")} == set()
@@ -166,11 +174,12 @@ def test_expanded_format_env_var_is_ignored(tmp_path, monkeypatch):
         ["serve", "--scale", "small", "--port", "0", "--quota", "5:5"],
         ["serve", "--scale", "small", "--port", "0", "--no-coalesce"],
         ["serve", "--scale", "small", "--port", "0", "--smoke"],
+        ["serve", "--scale", "small", "--port", "0", "--procs", "2"],
     ],
     ids=[
         "serve--exec", "answer--shards", "train--workers", "shm-gc", "expand--expanded-format",
         "scenario", "mega-compile--mega-backend", "serve--slo-ms", "serve--adaptive",
-        "serve--quota", "serve--no-coalesce", "serve--smoke",
+        "serve--quota", "serve--no-coalesce", "serve--smoke", "serve--procs",
     ],
 )
 def test_deleted_cli_surface_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
@@ -178,7 +187,9 @@ def test_deleted_cli_surface_is_a_usage_error(argv, capsys, tmp_path, monkeypatc
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2  # argparse usage error, nothing trained
-    assert "kbqa" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "kbqa" in captured.err
+    assert "serving on" not in captured.out  # nothing served
     assert list(tmp_path.iterdir()) == []  # and nothing built
 
 
@@ -187,6 +198,18 @@ def test_serve_rejects_zero_workers_before_training(capsys):
     assert main(["serve", "--scale", "small", "--port", "0", "--workers", "0"]) == 1
     captured = capsys.readouterr()
     assert "workers must be >= 1" in captured.err
+    assert "serving on" not in captured.out
+
+
+@pytest.mark.parametrize("deadline", ["nan", "inf", "-inf", "-1"])
+def test_serve_rejects_a_non_finite_deadline_before_training(deadline, capsys):
+    """``nan < 0`` is False, so a ``>= 0`` check alone let ``nan`` through
+    and the deadline was silently off; the config now demands what the
+    ``X-KBQA-Deadline-Ms`` header does, a finite number."""
+    argv = ["serve", "--scale", "small", "--port", "0", f"--deadline-ms={deadline}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "deadline_ms must be a finite number >= 0" in captured.err
     assert "serving on" not in captured.out
 
 

@@ -132,9 +132,16 @@ class TestSelectionRules:
     def test_serve_config_rejects_unknown_executor(self):
         with pytest.raises(ValueError, match="executor"):
             ServeConfig(executor="fibers")
-        # serving has no process executor; the error names the multi-core way
-        with pytest.raises(ValueError, match="--procs"):
+        # serving has no process executor; the error says what evaluates
+        with pytest.raises(ValueError, match="no process executor"):
             ServeConfig(executor="process")
+
+    @pytest.mark.parametrize("deadline_ms", [float("nan"), float("inf"), float("-inf")])
+    def test_serve_config_rejects_a_non_finite_deadline(self, deadline_ms):
+        """``nan >= 0`` and ``nan > 0`` are both False: a ``< 0`` check let
+        ``nan`` through as a silently disabled deadline."""
+        with pytest.raises(ValueError, match="deadline_ms must be a finite number"):
+            ServeConfig(deadline_ms=deadline_ms)
 
 
 class TestCoalescing:

@@ -10,7 +10,6 @@ routes through a real ``kbqa serve`` subprocess.
 
 import http.client
 import json
-import multiprocessing
 import socket
 import threading
 import time
@@ -22,13 +21,7 @@ import pytest
 from repro.core.system import KBQA
 from repro.data.compile import compile_freebase_like
 from repro.kb.triple import make_literal
-from repro.serve import (
-    BackgroundServer,
-    MultiProcessServer,
-    OverloadedError,
-    ServeConfig,
-    multiproc_available,
-)
+from repro.serve import BackgroundServer, OverloadedError, ServeConfig
 from repro.serve.app import KBQAServer
 from repro.serve.http import HTTPRequest
 
@@ -116,7 +109,7 @@ class TestRoutes:
     def test_stats_shape(self, server):
         status, payload = _get(server.url + "/stats")
         assert status == 200
-        assert {"serve", "caches", "kb"} <= payload.keys()
+        assert payload.keys() == {"serve", "caches", "kb", "http", "metrics"}
         assert payload["serve"]["running"] is True
         assert payload["kb"]["triples"] > 0
 
@@ -291,115 +284,6 @@ class TestConcurrency:
         assert payload == {"error": "overloaded", "max_pending": 7}
 
 
-needs_multiproc = pytest.mark.skipif(
-    not multiproc_available(),
-    reason="multi-process serving needs SO_REUSEPORT + fork (POSIX)",
-)
-
-
-@needs_multiproc
-class TestMultiProcess:
-    """The SO_REUSEPORT front: N forked replicas answer like one process,
-    replicate writes, and shut down without leaking a single child."""
-
-    def test_n_process_answers_match_single_process(self, serve_system, suite):
-        """Acceptance: identical answer payloads from a 2-process front,
-        the 1-process server, and the synchronous path — across enough
-        fresh connections for the kernel to spread load over replicas."""
-        questions = [q.question for q in suite.benchmark("qald3").bfqs()][:6]
-        sync_payloads = []
-        with BackgroundServer(serve_system, ServeConfig(workers=2)) as single:
-            for question in questions:
-                status, payload = _post(single.url + "/answer", {"question": question})
-                assert status == 200
-                sync_payloads.append(payload)
-        with MultiProcessServer(serve_system, ServeConfig(workers=2), procs=2) as front:
-            for round_index in range(3):  # fresh connections spread across replicas
-                for question, reference in zip(questions, sync_payloads):
-                    status, payload = _post(
-                        front.url + "/answer", {"question": question}
-                    )
-                    assert status == 200
-                    assert payload == reference, (
-                        f"replica answer diverged on {question!r} "
-                        f"(round {round_index})"
-                    )
-
-    def test_cross_process_invalidation_after_facts_apply(self, serve_system, suite):
-        """A /facts write served by one replica must become visible on all
-        replicas (shared epoch counter + op-log replay), and the delete
-        must restore the original answer everywhere."""
-        entity = next(e for e in suite.world.of_type("city"))
-        question = f"what is the population of {entity.name}?"
-        procs = 3
-
-        def until_streak(url, predicate, what, streak_target=2 * procs):
-            deadline = time.monotonic() + 30
-            streak = 0
-            while streak < streak_target:
-                assert time.monotonic() < deadline, f"{what} never converged"
-                status, payload = _post(url + "/answer", {"question": question})
-                assert status == 200
-                streak = streak + 1 if predicate(payload) else 0
-                time.sleep(0.01)
-            return payload
-
-        with MultiProcessServer(
-            serve_system, ServeConfig(workers=2), procs=procs
-        ) as front:
-            before = _post(front.url + "/answer", {"question": question})[1]
-            assert before["answered"] is True
-            fact = {
-                "subject": before["entity"],
-                "predicate": "population",
-                "object": make_literal("31337"),
-            }
-            status, payload = _post(front.url + "/facts", {"op": "add", **fact})
-            assert (status, payload["changed"]) == (200, True)
-            until_streak(
-                front.url, lambda p: "31337" in p["values"], "the added fact"
-            )
-            status, payload = _post(front.url + "/facts", {"op": "delete", **fact})
-            assert (status, payload["changed"]) == (200, True)
-            restored = until_streak(
-                front.url,
-                lambda p: "31337" not in p["values"],
-                "the delete",
-            )
-            assert restored["values"] == before["values"]
-
-    def test_clean_shutdown_leaves_no_children(self, serve_system):
-        baseline = {c.pid for c in multiprocessing.active_children()}
-        with MultiProcessServer(serve_system, ServeConfig(workers=2), procs=2) as front:
-            assert _get(front.url + "/healthz")[0] == 200
-            during = multiprocessing.active_children()
-            assert len(during) >= 2  # the replicas are real processes
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            leftover = {
-                c.pid for c in multiprocessing.active_children()
-            } - baseline
-            if not leftover:
-                break
-            time.sleep(0.02)
-        assert {c.pid for c in multiprocessing.active_children()} - baseline == set()
-
-    def test_run_smoke_multiproc(self, serve_system, suite):
-        """The smoke over ``--procs 2``: concurrent clients against the
-        forked front, asserted responses, all replicas exited."""
-        questions = [q.question for q in suite.benchmark("qald3").bfqs()][:6]
-        summary = run_smoke(
-            serve_system, questions, threads=4, requests_per_thread=3, procs=2
-        )
-        assert summary["clean_shutdown"] is True
-        assert summary["procs"] == 2
-        assert summary["http_200"] == summary["requests"] == 12
-
-    def test_procs_validation(self, serve_system):
-        with pytest.raises(ValueError, match="procs"):
-            MultiProcessServer(serve_system, procs=0)
-
-
 class TestShutdownAndSmoke:
     def test_background_server_shuts_down_cleanly(self, serve_system):
         with BackgroundServer(serve_system) as background:
@@ -432,6 +316,7 @@ class TestMetricsEndpoint:
         assert "kbqa_stage_latency_ms_bucket" in series
         assert "kbqa_serve_events_total" in series
         assert series["kbqa_max_pending"] == [({}, 256)]
+        assert "kbqa_replicas_reporting" not in series  # one process, no merge
         stage_counts = {
             labels["stage"]: value
             for labels, value in series["kbqa_stage_latency_ms_count"]
@@ -495,53 +380,3 @@ class TestMetricsEndpoint:
         assert tenants[OVERFLOW_TENANT]["requests"] == 1000 - MAX_TENANTS
         labels = {labels["tenant"] for labels, _ in series["kbqa_tenant_events_total"]}
         assert labels == set(tenants)
-
-
-@needs_multiproc
-class TestMultiProcessMetrics:
-    def test_scrape_merges_all_replicas(self, serve_system, suite):
-        """Any replica serving /metrics must fold in its siblings' dumped
-        state: kbqa_replicas_reporting reaches the replica count and the
-        merged request counter covers traffic served by *both* processes.
-        The question is cached before the fork, so each replica answers it
-        in the cache-hit lane and the merged ``inline_hits`` event covers
-        every post too."""
-        question = _answerable_question(suite, serve_system)
-        posts = 8
-        with MultiProcessServer(serve_system, procs=2) as front:
-            for _ in range(posts):
-                status, _payload = _post(front.url + "/answer", {"question": question})
-                assert status == 200
-            deadline = time.time() + 15.0
-            reporting = requests_seen = inline_hits = 0
-            while time.time() < deadline:
-                with urllib.request.urlopen(front.url + "/metrics", timeout=30) as resp:
-                    series = parse_prometheus_text(resp.read().decode("utf-8"))
-                reporting = series["kbqa_replicas_reporting"][0][1]
-                events = {
-                    labels["event"]: value
-                    for labels, value in series.get("kbqa_serve_events_total", [])
-                }
-                requests_seen = events.get("requests", 0)
-                inline_hits = events.get("inline_hits", 0)
-                if reporting == 2 and min(requests_seen, inline_hits) >= posts:
-                    break
-                time.sleep(0.05)
-        assert reporting == 2
-        assert requests_seen >= posts
-        assert inline_hits >= posts
-
-    def test_stats_reports_replica_merge(self, serve_system, suite):
-        question = _answerable_question(suite, serve_system)
-        with MultiProcessServer(serve_system, procs=2) as front:
-            _post(front.url + "/answer", {"question": question})
-            deadline = time.time() + 15.0
-            reporting = 0
-            while time.time() < deadline:
-                status, stats = _get(front.url + "/stats")
-                assert status == 200
-                reporting = stats["replicas"]["reporting"]
-                if reporting == 2:
-                    break
-                time.sleep(0.05)
-        assert reporting == 2

@@ -453,13 +453,16 @@ class TestAbandonedRequests:
 
     def test_a_write_outlives_its_cancelled_request(self, serve_system):
         """``/facts`` whose client hung up mid-write: the request is
-        cancelled, the write is still applied *and* handed to the
-        replication listener, and ``stop()`` waits for it."""
+        cancelled, the write still lands exactly once on the KB's change
+        stream (the one ``KBQAServer.start`` subscribes to), its epoch bump
+        runs, and ``stop()`` waits for it rather than outrunning it."""
+        from repro.kb.backend import ADD
         from repro.kb.triple import make_literal
         from repro.serve.app import KBQAServer
 
         entered, release = threading.Event(), threading.Event()
-        node = next(serve_system.kb.store.subjects_iter())
+        store = serve_system.kb.store
+        node = next(store.subjects_iter())
         fact = (node, "population", make_literal("777000777"))
 
         class SlowWrites:
@@ -471,14 +474,12 @@ class TestAbandonedRequests:
                 assert release.wait(TIMEOUT_S)
                 return serve_system.add_fact(subject, predicate, obj)
 
-        replicated = []
+        changes = []
+        unsubscribe = store.subscribe(changes.append, changes.extend)
 
-        async def main() -> None:
+        async def main() -> int:
             loop = asyncio.get_running_loop()
-            server = KBQAServer(
-                SlowWrites(), ServeConfig(workers=1),
-                fact_listener=lambda *op: replicated.append(op),
-            )
+            server = KBQAServer(SlowWrites(), ServeConfig(workers=1))
             async with server:
                 body = dict(zip(("subject", "predicate", "object"), fact), op="add")
                 request = HTTPRequest(
@@ -489,14 +490,24 @@ class TestAbandonedRequests:
                 routed.cancel()  # what connection_lost does to the request
                 with pytest.raises(asyncio.CancelledError):
                     await routed
-                release.set()
+                # still blocked in the store when stop() begins
+                loop.call_later(0.2, release.set)
+            # stop() has returned: the write, its change and its epoch bump
+            # are all done, not still running on an executor thread
+            assert [change.action for change in changes] == [ADD]
+            return server.answerer.stats.applies
 
         try:
-            asyncio.run(main())
-            assert replicated == [("add", *fact)]
-            assert fact[2] in serve_system.kb.store.objects(fact[0], fact[1])
+            assert asyncio.run(main()) == 1
+            (change,) = changes
+            assert tuple(
+                store.decode_id(term_id)
+                for term_id in (change.subject_id, change.predicate_id, change.object_id)
+            ) == fact
+            assert fact[2] in store.objects(fact[0], fact[1])
         finally:
             release.set()
+            unsubscribe()
             serve_system.delete_fact(*fact)
 
 

@@ -47,8 +47,9 @@ class TestKBQAFacade:
 
 
 class TestLiveSystemPickle:
-    """Nothing in the product crosses a process boundary by pickle: replicas
-    get the trained system by ``fork``.  The facade's refusal is the one
+    """Nothing in the product crosses a process boundary by pickle: a
+    trained system stays in the process that trained it, or reaches a child
+    by ``fork``.  The facade's refusal is the one
     crisp failure every accidental ``pickle.dumps`` of a system (or of
     anything that holds one) falls through to."""
 
