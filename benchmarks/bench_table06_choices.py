@@ -44,7 +44,7 @@ def _measure(fb_system, bench_suite):
     expanded = fb_system.learn_result.expanded
     value_counts = []
     for subject, path, _obj in list(expanded.triples())[:20000]:
-        value_counts.append(expanded.value_count(subject, path))
+        value_counts.append(len(expanded.objects(subject, path)))
 
     mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
     return {

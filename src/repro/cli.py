@@ -448,11 +448,7 @@ def _cmd_expand(args) -> int:
             kb = suite.freebase if args.kb == "freebase" else suite.dbpedia
             ner = EntityRecognizer(kb.gazetteer)
             seeds = collect_seed_entities(suite.corpus, ner)
-            # record reach so the saved artifact supports live updates on
-            # reload without a rebuild at maintainer attach
-            expanded = expand_predicates(
-                kb.store, seeds, max_length=args.max_length, record_reach=True
-            )
+            expanded = expand_predicates(kb.store, seeds, max_length=args.max_length)
             expanded.save(args.save)
             print(f"saved expansion to {args.save}")
         else:

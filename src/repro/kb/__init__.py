@@ -1,11 +1,14 @@
 """RDF knowledge-base substrate.
 
 The paper runs on Trinity.RDF over billion-triple graphs; this package
-provides the equivalent functionality at library scale: a dictionary-encoded
-in-memory triple store with subject/predicate/object orderings, predicate
-paths (the paper's *expanded predicates*), a scan-based multi-source BFS that
-mirrors the memory-efficient generation of Sec 6.2, and a plain-text
-serialization format.
+provides what KBQA asks of it at library scale: dictionary-encoded triple
+stores (in memory, or one SQLite file) with SPO and OSP orderings for the
+``V(e, p)`` probe of Eq 6 and the ``predicates_between`` probe of Eq 24,
+predicate paths (the paper's *expanded predicates*), a scan-based
+multi-source BFS that mirrors the memory-efficient generation of Sec 6.2 and
+records which seeds reached which node, live maintenance of that expansion
+under KB edits, and a plain-text serialization format.  There is no query
+language: KBQA makes point lookups and one scan, nothing else.
 """
 
 from repro.kb.backend import BACKEND_KINDS, KBBackend, KBChange, resolve_backend
@@ -16,7 +19,6 @@ from repro.kb.disk import DiskTripleStore
 from repro.kb.paths import PredicatePath
 from repro.kb.expansion import ExpandedStore, expand_predicates
 from repro.kb.live import LiveExpansionMaintainer
-from repro.kb.query import select, solve
 from repro.kb.rdf_io import load_ntriples, save_ntriples
 
 __all__ = [
@@ -37,6 +39,4 @@ __all__ = [
     "load_ntriples",
     "resolve_backend",
     "save_ntriples",
-    "solve",
-    "select",
 ]

@@ -154,7 +154,10 @@ class BackendBase:
 class KBBackend(Protocol):
     """What every knowledge-base backend must provide.
 
-    The protocol has three faces:
+    It holds the lookups KBQA makes and nothing else: ``objects`` for
+    ``V(e, p)`` (Eq 6), ``predicates_between`` for the EM pruning (Eq 24),
+    and the grouped ``spo_items_ids`` scan for the Sec 6.2 expansion.  There
+    is no reverse ``(p, o) -> s`` lookup.  The protocol has three faces:
 
     * **string reads** — the public boundary the NLP/eval layers use;
     * **id-level reads** — the hot-path API (``objects_ids``,
@@ -200,10 +203,6 @@ class KBBackend(Protocol):
         """``V(e, p)`` — all objects for a (subject, predicate) pair."""
         ...
 
-    def subjects(self, predicate: str, obj: str) -> set[str]:
-        """All subjects s with (s, predicate, obj) in the store."""
-        ...
-
     def predicates_between(self, subject: str, obj: str) -> set[str]:
         """All direct predicates p with (subject, p, obj) in the store."""
         ...
@@ -228,10 +227,6 @@ class KBBackend(Protocol):
         """All distinct subjects, decoded."""
         ...
 
-    def predicates(self) -> set[str]:
-        """All distinct predicates in the store."""
-        ...
-
     def stats(self) -> dict[str, int]:
         """Store-level counts (triples/terms/resources/predicates/subjects)."""
         ...
@@ -252,10 +247,6 @@ class KBBackend(Protocol):
 
     def objects_ids(self, subject_id: int, predicate_id: int) -> set[int] | frozenset[int]:
         """``V(e, p)`` as object ids (read-only view)."""
-        ...
-
-    def predicates_ids_of(self, subject_id: int):
-        """Ids of predicates leaving ``subject_id`` (read-only view)."""
         ...
 
     def triples_ids(self) -> Iterator[tuple[int, int, int]]:

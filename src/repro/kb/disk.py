@@ -3,7 +3,7 @@
 The in-memory backend rebuilds its dict indexes from the source world on
 every process start and pays O(KB) private RAM per process.  This backend
 keeps the dictionary and the triple set in one SQLite file instead — the
-shape of the SNIPPETS.md knowledge-graph exemplar (terms/alias tables plus
+shape of the SNIPPETS.md knowledge-graph exemplar (a terms table plus
 covering indexes for sub-millisecond point lookups) — so a compiled KB
 
 * **loads in milliseconds**: opening is one ``sqlite3.connect`` + a schema
@@ -20,13 +20,14 @@ Schema (``user_version`` guards the layout)::
             in-memory Dictionary, so a disk-compiled KB and a memory-compiled
             KB built by the same add sequence assign identical ids
     triples (s, p, o) PRIMARY KEY (s, p, o) WITHOUT ROWID -- covering index
-            for (subject, predicate) prefix probes (V(e, p), Eq 6)
-    idx_triples_pos ON triples (p, o, s)                  -- covering index
-            for (predicate, object) reverse lookups
+            for (subject, predicate) prefix probes (V(e, p), Eq 6) and the
+            ordered scan of the Sec 6.2 expansion
     idx_triples_osp ON triples (o, s, p)                  -- covering index
             for predicates_between(e, v) (the EM pruning probe, Eq 24)
-    aliases VIEW (alias, entity)                          -- name/alias edges
-            joined back through terms, the exemplar's alias table as a view
+
+Every query the store runs uses one of those two.  A file written by an
+older layout that also carried a ``(p, o, s)`` index and an alias view opens
+unchanged (same ``user_version``); both are left in place and unused.
 
 Concurrency: WAL journal mode — readers never block the (single) writer and
 vice versa; every (process, thread) gets its own lazily opened connection
@@ -72,14 +73,7 @@ CREATE TABLE IF NOT EXISTS triples (
     o INTEGER NOT NULL,
     PRIMARY KEY (s, p, o)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS idx_triples_pos ON triples (p, o, s);
 CREATE INDEX IF NOT EXISTS idx_triples_osp ON triples (o, s, p);
-CREATE VIEW IF NOT EXISTS aliases (alias, entity) AS
-    SELECT alias_term.term, entity_term.term
-    FROM triples
-    JOIN terms AS entity_term ON entity_term.id = triples.s
-    JOIN terms AS alias_term ON alias_term.id = triples.o
-    WHERE triples.p IN (SELECT id FROM terms WHERE term IN ('name', 'alias'));
 """
 
 
@@ -128,10 +122,6 @@ class SQLiteDictionary:
         term_id = self.lookup(term)
         if term_id is not None:
             return term_id
-        if self._store.read_only:
-            raise TypeError(
-                f"{self._store.path}: read-only KB cannot intern new term {term!r}"
-            )
         conn = self._store._connection()
         # the id subquery runs inside the insert's write transaction, so
         # concurrent writers cannot mint the same id
@@ -211,8 +201,7 @@ class DiskTripleStore(BackendBase):
     ``path=None`` creates an ephemeral store in a temp file (removed when
     the owning store is closed or garbage-collected); a named path opens —
     or creates — a persistent KB that later processes reopen in
-    milliseconds.  ``read_only=True`` opens with ``mode=ro`` (a reader that
-    can never write the file).
+    milliseconds.
 
     >>> kb = DiskTripleStore()
     >>> kb.add("m.obama", "dob", '"1961"')
@@ -221,13 +210,12 @@ class DiskTripleStore(BackendBase):
     ['"1961"']
     """
 
-    def __init__(self, path: str | None = None, *, read_only: bool = False) -> None:
+    def __init__(self, path: str | None = None) -> None:
         self._ephemeral = path is None
         if path is None:
             fd, path = tempfile.mkstemp(prefix="kbqa-disk-", suffix=".db")
             os.close(fd)
         self._path = str(path)
-        self._read_only = bool(read_only)
         self._owner_pid = os.getpid()
         self._local = threading.local()
         self._connections: list[sqlite3.Connection] = []
@@ -236,23 +224,22 @@ class DiskTripleStore(BackendBase):
         self._objects_memo: dict[tuple[int, int], frozenset[int]] = {}
         self.dictionary = SQLiteDictionary(self)
         self._init_backend_state()
-        if not self._read_only:
-            conn = self._connection()
-            conn.executescript(_SCHEMA)
-            version = conn.execute("PRAGMA user_version").fetchone()[0]
-            if version == 0:
-                conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
-            elif version != _SCHEMA_VERSION:
-                raise ValueError(
-                    f"{self._path}: unsupported KB schema version {version} "
-                    f"(supported: {_SCHEMA_VERSION})"
-                )
+        conn = self._connection()
+        conn.executescript(_SCHEMA)
+        version = conn.execute("PRAGMA user_version").fetchone()[0]
+        if version == 0:
+            conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
+        elif version != _SCHEMA_VERSION:
+            raise ValueError(
+                f"{self._path}: unsupported KB schema version {version} "
+                f"(supported: {_SCHEMA_VERSION})"
+            )
         self._finalizer = weakref.finalize(
             self,
             DiskTripleStore._finalize,
             self._connections,
             self._path,
-            self._ephemeral and not self._read_only,
+            self._ephemeral,
         )
 
     # -- Connections (per process x thread; SQLite is fork/thread-hostile) --
@@ -261,10 +248,6 @@ class DiskTripleStore(BackendBase):
     def path(self) -> str:
         """The backing database file."""
         return self._path
-
-    @property
-    def read_only(self) -> bool:
-        return self._read_only
 
     def _connection(self) -> sqlite3.Connection:
         state = self._local
@@ -311,25 +294,14 @@ class DiskTripleStore(BackendBase):
         self._conn_threads[:] = live
 
     def _open_connection(self) -> sqlite3.Connection:
-        if self._read_only:
-            conn = sqlite3.connect(
-                f"file:{self._path}?mode=ro",
-                uri=True,
-                timeout=_BUSY_TIMEOUT_S,
-                check_same_thread=False,
-            )
-        else:
-            conn = sqlite3.connect(
-                self._path, timeout=_BUSY_TIMEOUT_S, check_same_thread=False
-            )
+        conn = sqlite3.connect(self._path, timeout=_BUSY_TIMEOUT_S, check_same_thread=False)
         conn.isolation_level = None  # autocommit; WAL orders concurrent writers
-        if not self._read_only:
-            conn.execute("PRAGMA journal_mode=WAL")
-            # an ephemeral store is scratch space: crash durability is moot,
-            # so skip the fsyncs; named files keep WAL-grade durability
-            conn.execute(
-                "PRAGMA synchronous=OFF" if self._ephemeral else "PRAGMA synchronous=NORMAL"
-            )
+        conn.execute("PRAGMA journal_mode=WAL")
+        # an ephemeral store is scratch space: crash durability is moot, so
+        # skip the fsyncs; named files keep WAL-grade durability
+        conn.execute(
+            "PRAGMA synchronous=OFF" if self._ephemeral else "PRAGMA synchronous=NORMAL"
+        )
         return conn
 
     @staticmethod
@@ -345,15 +317,13 @@ class DiskTripleStore(BackendBase):
             _close_connections(self._connections)
             self._conn_threads.clear()
         self._local = threading.local()
-        if self._ephemeral and not self._read_only and os.getpid() == self._owner_pid:
+        if self._ephemeral and os.getpid() == self._owner_pid:
             _unlink_db(self._path)
 
     # -- Mutation ----------------------------------------------------------
 
     def add(self, subject: str, predicate: str, obj: str) -> bool:
         """Insert a triple; returns False if it was already present."""
-        if self._read_only:
-            raise ValueError(f"{self._path}: KB opened read-only")
         encode = self.dictionary.encode
         s = encode(subject)
         p = encode(predicate)
@@ -391,8 +361,6 @@ class DiskTripleStore(BackendBase):
         back to per-triple adds inside one notification batch so the change
         stream stays exact.
         """
-        if self._read_only:
-            raise ValueError(f"{self._path}: KB opened read-only")
         if self._listeners:
             with self.batch():
                 return self.add_all(triples)
@@ -429,8 +397,6 @@ class DiskTripleStore(BackendBase):
         exactly like the in-memory store), so ``resources`` does not
         decrease on delete.
         """
-        if self._read_only:
-            raise ValueError(f"{self._path}: KB opened read-only")
         lookup = self.dictionary.lookup
         s = lookup(subject)
         p = lookup(predicate)
@@ -481,20 +447,6 @@ class DiskTripleStore(BackendBase):
         decode = self.dictionary.decode
         return {decode(o) for o in self.objects_ids(s, p)}
 
-    def subjects(self, predicate: str, obj: str) -> set[str]:
-        """All subjects s with (s, predicate, obj) in the store."""
-        p = self.dictionary.lookup(predicate)
-        o = self.dictionary.lookup(obj)
-        if p is None or o is None:
-            return set()
-        decode = self.dictionary.decode
-        return {
-            decode(s)
-            for (s,) in self._connection().execute(
-                "SELECT s FROM triples WHERE p = ? AND o = ?", (p, o)
-            )
-        }
-
     def predicates_between(self, subject: str, obj: str) -> set[str]:
         """All direct predicates p with (subject, p, obj) in the store."""
         s = self.dictionary.lookup(subject)
@@ -537,15 +489,6 @@ class DiskTripleStore(BackendBase):
         s = self.dictionary.lookup(subject)
         return s is not None and self.has_subject_id(s)
 
-    def lookup_alias(self, alias: str) -> set[str]:
-        """Entities carrying ``alias`` as a name/alias literal (alias view)."""
-        return {
-            entity
-            for (entity,) in self._connection().execute(
-                "SELECT entity FROM aliases WHERE alias = ?", (alias,)
-            )
-        }
-
     # -- Id-level API (hot paths) ------------------------------------------
 
     def lookup_id(self, term: str) -> int | None:
@@ -581,15 +524,6 @@ class DiskTripleStore(BackendBase):
             self._objects_memo[key] = cached
         return cached
 
-    def predicates_ids_of(self, subject_id: int) -> set[int]:
-        """Ids of predicates leaving ``subject_id``."""
-        return {
-            p
-            for (p,) in self._connection().execute(
-                "SELECT DISTINCT p FROM triples WHERE s = ?", (subject_id,)
-            )
-        }
-
     def triples_ids(self) -> Iterator[tuple[int, int, int]]:
         """Scan all triples as ``(s_id, p_id, o_id)``, subject-grouped."""
         yield from self._connection().execute(
@@ -624,14 +558,6 @@ class DiskTripleStore(BackendBase):
             decode(s)
             for (s,) in self._connection().execute("SELECT DISTINCT s FROM triples")
         )
-
-    def predicates(self) -> set[str]:
-        """All distinct predicates in the store."""
-        decode = self.dictionary.decode
-        return {
-            decode(p)
-            for (p,) in self._connection().execute("SELECT DISTINCT p FROM triples")
-        }
 
     # -- Statistics ----------------------------------------------------------
 

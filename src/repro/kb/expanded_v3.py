@@ -4,8 +4,8 @@ The one on-disk form of the Sec 6.2 expansion.  The file stores the
 canonical content (terms, seeds, sorted path keys, grouped triples, reach)
 **plus the index structure itself**: every per-count section is a prefix-sum
 offset table and every id array is a binary-search index, so the reader
-answers ``objects``/``paths_between``/``paths_of``/``seeds_through`` straight
-off the mapped arrays:
+answers ``objects``/``paths_between``/``seeds_through`` straight off the
+mapped arrays:
 
 * :func:`load_v3` maps the file, parses the fixed header, derives every
   section boundary arithmetically and validates the total against the file
@@ -567,13 +567,15 @@ class ExpandedStoreV3(ExpandedStore):
     """An :class:`ExpandedStore` served directly from a mapped v3 artifact.
 
     Two modes, one object identity.  **Mapped** (after :func:`load_v3`):
-    every read — ``objects``, ``paths_between``, ``paths_of``,
-    ``value_count``, ``seeds_through``, scans, stats — binary-searches the
-    memory-mapped sections; nothing KB-sized lives on the Python heap.
-    **Materialized** (after :meth:`materialize`, triggered automatically by
-    the first mutation): the ordinary dict-backed superclass takes over,
-    with the same term ids and the same (file-local) path ids, so cached
-    frozen views and any external id references stay valid across the flip.
+    every read — ``objects``, ``paths_between``, ``seeds_through``, scans,
+    stats — binary-searches the memory-mapped sections; nothing KB-sized
+    lives on the Python heap.  **Materialized** (after :meth:`materialize`,
+    triggered automatically by the first mutation): the ordinary dict-backed
+    superclass takes over, with the same term ids and the same (file-local)
+    path ids, so cached frozen views and any external id references stay
+    valid across the flip.  :meth:`close` on a mapped store ends both: every
+    later read, :meth:`verify` and :meth:`materialize` raise
+    :class:`ValueError` naming the file instead of answering empty.
     """
 
     def __init__(self, sections: _V3Sections) -> None:
@@ -583,6 +585,8 @@ class ExpandedStoreV3(ExpandedStore):
             tail_predicates=frozenset(sections.tails),
         )
         self._mapped: _V3Sections | None = sections
+        # the artifact's path once close() released the mapping
+        self._closed_path: str | None = None
         n_terms = sections.n_terms
         for seed in sections.seed_ids:
             if not 0 <= seed < n_terms:
@@ -592,15 +596,16 @@ class ExpandedStoreV3(ExpandedStore):
 
     # -- Mode management ---------------------------------------------------
 
+    def _sections(self) -> _V3Sections | None:
+        """The mapped sections, ``None`` once materialized; raises once closed."""
+        if self._closed_path is not None:
+            raise ValueError(f"{self._closed_path}: expansion artifact is closed")
+        return self._mapped
+
     @property
     def is_mapped(self) -> bool:
         """True while lookups are answered from the mmap (no dict indexes)."""
         return self._mapped is not None
-
-    @property
-    def artifact_path(self) -> str | None:
-        """The backing file while mapped (``None`` after materialization)."""
-        return self._mapped.source_path if self._mapped is not None else None
 
     def materialize(self) -> "ExpandedStoreV3":
         """Inflate the mapping into the dict-backed form, in place.
@@ -610,7 +615,7 @@ class ExpandedStoreV3(ExpandedStore):
         so views and caches built while mapped remain valid.  Idempotent;
         returns ``self``.
         """
-        sections = self._mapped
+        sections = self._sections()
         if sections is None:
             return self
         dictionary = Dictionary()
@@ -623,10 +628,10 @@ class ExpandedStoreV3(ExpandedStore):
         self._direct_paths = None
         path_offsets = sections.path_offsets
         path_ids = sections.path_ids
+        intern = super().path_id
         for index in range(sections.n_paths):
-            key = tuple(path_ids[path_offsets[index] : path_offsets[index + 1]])
-            self.path_id(key)
-        record = self.record_encoded
+            intern(tuple(path_ids[path_offsets[index] : path_offsets[index + 1]]))
+        record = super().record_encoded
         keys = self._path_keys
         subject_ids = sections.subject_ids
         group_offsets = sections.group_offsets
@@ -639,7 +644,7 @@ class ExpandedStoreV3(ExpandedStore):
                 key = keys[group_path_ids[group]]
                 for slot in range(object_offsets[group], object_offsets[group + 1]):
                     record(s_id, key, object_ids[slot])
-        note_reach = self.note_reach
+        note_reach = super().note_reach
         reach_nodes = sections.reach_nodes
         reach_offsets = sections.reach_offsets
         reach_seeds = sections.reach_seeds
@@ -651,10 +656,12 @@ class ExpandedStoreV3(ExpandedStore):
         return self
 
     def close(self) -> None:
-        """Release the mapping (no-op once materialized)."""
+        """Release the mapping; later reads raise.  Idempotent, and a no-op
+        once materialized (the store no longer depends on the file)."""
         sections = self._mapped
         if sections is not None:
             self._mapped = None
+            self._closed_path = sections.source_path
             sections.close()
 
     # -- Mapped search primitives ------------------------------------------
@@ -723,7 +730,7 @@ class ExpandedStoreV3(ExpandedStore):
 
     def path_id(self, path_key: tuple[int, ...]) -> int:
         """File-local id of ``path_key`` by binary search over sorted keys."""
-        if self._mapped is None:
+        if self._sections() is None:
             return super().path_id(path_key)
         existing = self._find_path_key(path_key)
         if existing is not None:
@@ -745,7 +752,7 @@ class ExpandedStoreV3(ExpandedStore):
         return None
 
     def _lookup_path_id(self, path: PredicatePath) -> int | None:
-        if self._mapped is None:
+        if self._sections() is None:
             return super()._lookup_path_id(path)
         lookup = self.dictionary.lookup
         key: list[int] = []
@@ -757,7 +764,7 @@ class ExpandedStoreV3(ExpandedStore):
         return self._find_path_key(tuple(key))
 
     def _decode_path(self, path_id: int) -> PredicatePath:
-        if self._mapped is None:
+        if self._sections() is None:
             return super()._decode_path(path_id)
         path = self._decoded_paths.get(path_id)
         if path is None:
@@ -773,7 +780,7 @@ class ExpandedStoreV3(ExpandedStore):
 
     def objects_ids(self, subject_id: int, path_id: int) -> set[int] | frozenset[int]:
         """Object ids of ``(subject_id, path_id)`` as a prefix-sum slice."""
-        if self._mapped is None:
+        if self._sections() is None:
             return super().objects_ids(subject_id, path_id)
         slot = self._subject_slot(subject_id)
         if slot is None:
@@ -783,32 +790,27 @@ class ExpandedStoreV3(ExpandedStore):
             return _EMPTY_FROZEN
         return frozenset(self._object_slice(group))
 
+    # mutations materialize first (a mapped store is frozen, and the mapped
+    # dictionary cannot mint ids); materialize() raises once closed
+
     def record_encoded(self, subject_id, path_key, object_id) -> bool:
-        if self._mapped is not None:
-            self.materialize()
+        self.materialize()
         return super().record_encoded(subject_id, path_key, object_id)
 
     def record(self, subject: str, path: PredicatePath, obj: str) -> bool:
-        """Record a triple, materializing first (mapped stores are frozen)."""
-        if self._mapped is not None:
-            # the string boundary encodes before record_encoded runs, and
-            # the mapped dictionary cannot mint ids
-            self.materialize()
+        self.materialize()
         return super().record(subject, path, obj)
 
     def note_reach(self, node_id: int, seed_id: int) -> None:
-        if self._mapped is not None:
-            self.materialize()
+        self.materialize()
         super().note_reach(node_id, seed_id)
 
     def invalidate_seed(self, seed: str) -> bool:
-        if self._mapped is not None:
-            self.materialize()
+        self.materialize()
         return super().invalidate_seed(seed)
 
     def merge_from(self, other: "ExpandedStore") -> int:
-        if self._mapped is not None:
-            self.materialize()
+        self.materialize()
         return super().merge_from(other)
 
     def save(self, path: str | Path, format: str = "v3") -> None:
@@ -821,15 +823,17 @@ class ExpandedStoreV3(ExpandedStore):
     # -- Overridden reach API ----------------------------------------------
 
     def has_reach(self) -> bool:
-        if self._mapped is None:
+        """True when the artifact's reach section is non-empty (header count)."""
+        sections = self._sections()
+        if sections is None:
             return super().has_reach()
-        return self._mapped.n_reach_nodes > 0
+        return sections.n_reach_nodes > 0
 
     def seeds_through(self, node_id: int) -> tuple[int, ...] | set[int]:
         """Seeds whose BFS scanned ``node_id`` (reach section slice)."""
-        if self._mapped is None:
+        sections = self._sections()
+        if sections is None:
             return super().seeds_through(node_id)
-        sections = self._mapped
         nodes = sections.reach_nodes
         slot = bisect_left(nodes, node_id, 0, sections.n_reach_nodes)
         if slot >= sections.n_reach_nodes or nodes[slot] != node_id:
@@ -842,10 +846,10 @@ class ExpandedStoreV3(ExpandedStore):
 
     def reach_items(self):
         """Iterate ``(node_id, seed_ids)`` reach pairs off the mmap."""
-        if self._mapped is None:
+        sections = self._sections()
+        if sections is None:
             yield from super().reach_items()
             return
-        sections = self._mapped
         for slot in range(sections.n_reach_nodes):
             node_id = sections.reach_nodes[slot]
             lo = sections.reach_offsets[slot]
@@ -858,7 +862,7 @@ class ExpandedStoreV3(ExpandedStore):
 
     def objects(self, subject: str, path: PredicatePath) -> frozenset[str]:
         """``V(e, p+)`` — two binary searches + one offset slice, decoded."""
-        if self._mapped is None:
+        if self._sections() is None:
             return super().objects(subject, path)
         s = self.dictionary.lookup(subject)
         if s is None:
@@ -881,7 +885,8 @@ class ExpandedStoreV3(ExpandedStore):
 
     def paths_between(self, subject: str, obj: str) -> frozenset[PredicatePath]:
         """Paths joining ``subject`` to ``obj`` via the (s, o) pair index."""
-        if self._mapped is None:
+        sections = self._sections()
+        if sections is None:
             return super().paths_between(subject, obj)
         lookup = self.dictionary.lookup
         s = lookup(subject)
@@ -894,7 +899,6 @@ class ExpandedStoreV3(ExpandedStore):
             slot = self._pair_slot(s, o)
             if slot is None:
                 return _EMPTY_FROZEN
-            sections = self._mapped
             lo = sections.pair_offsets[slot]
             hi = sections.pair_offsets[slot + 1]
             if not 0 <= lo <= hi <= sections.n_triples:
@@ -905,76 +909,27 @@ class ExpandedStoreV3(ExpandedStore):
             self._pairs_cache[key] = cached
         return cached
 
-    def paths_of(self, subject: str) -> frozenset[PredicatePath]:
-        """All expanded paths rooted at ``subject`` (group index slice)."""
-        if self._mapped is None:
-            return super().paths_of(subject)
-        s = self.dictionary.lookup(subject)
-        if s is None:
-            return _EMPTY_FROZEN
-        cached = self._paths_of_cache.get(s)
-        if cached is None:
-            slot = self._subject_slot(s)
-            if slot is None:
-                return _EMPTY_FROZEN
-            sections = self._mapped
-            lo = sections.group_offsets[slot]
-            hi = sections.group_offsets[slot + 1]
-            if not 0 <= lo <= hi <= sections.n_groups:
-                raise ValueError(f"{sections.source_path}: corrupt group offsets")
-            cached = frozenset(
-                self._decode_path(p) for p in sections.group_path_ids[lo:hi]
-            )
-            self._paths_of_cache[s] = cached
-        return cached
-
-    def value_count(self, subject: str, path: PredicatePath) -> int:
-        """``|V(e, p+)|`` from offset arithmetic alone — no decoding."""
-        if self._mapped is None:
-            return super().value_count(subject, path)
-        s = self.dictionary.lookup(subject)
-        if s is None:
-            return 0
-        p = self._lookup_path_id(path)
-        if p is None:
-            return 0
-        slot = self._subject_slot(s)
-        if slot is None:
-            return 0
-        group = self._group_slot(slot, p)
-        if group is None:
-            return 0
-        return len(self._object_slice(group))
-
     # -- Overridden inventory ----------------------------------------------
 
     def __len__(self) -> int:
-        if self._mapped is None:
+        sections = self._sections()
+        if sections is None:
             return super().__len__()
-        return self._mapped.n_triples
-
-    def subjects(self):
-        """Decoded subjects in id order, straight off the subject index."""
-        if self._mapped is None:
-            yield from super().subjects()
-            return
-        sections = self._mapped
-        decode = self.dictionary.decode
-        check = self._check_term_id
-        for slot in range(sections.n_subjects):
-            yield decode(check(sections.subject_ids[slot]))
+        return sections.n_triples
 
     def distinct_paths(self) -> set[PredicatePath]:
-        if self._mapped is None:
+        """Every path in the sorted path-key section, decoded."""
+        sections = self._sections()
+        if sections is None:
             return super().distinct_paths()
-        return {self._decode_path(p) for p in range(self._mapped.n_paths)}
+        return {self._decode_path(p) for p in range(sections.n_paths)}
 
     def triples_ids(self):
         """Iterate id-level ``(s, path_key, o)`` rows without decoding."""
-        if self._mapped is None:
+        sections = self._sections()
+        if sections is None:
             yield from super().triples_ids()
             return
-        sections = self._mapped
         for slot in range(sections.n_subjects):
             s_id = sections.subject_ids[slot]
             lo = sections.group_offsets[slot]
@@ -988,7 +943,7 @@ class ExpandedStoreV3(ExpandedStore):
 
     def triples(self):
         """Iterate decoded ``(subject, path, object)`` triples."""
-        if self._mapped is None:
+        if self._sections() is None:
             yield from super().triples()
             return
         decode = self.dictionary.decode
@@ -998,9 +953,9 @@ class ExpandedStoreV3(ExpandedStore):
 
     def stats(self) -> dict[str, int]:
         """Inventory counts read from the header — no section walk."""
-        if self._mapped is None:
+        sections = self._sections()
+        if sections is None:
             return super().stats()
-        sections = self._mapped
         n_direct = self._direct_paths
         if n_direct is None:
             offsets = sections.path_offsets
@@ -1030,9 +985,10 @@ class ExpandedStoreV3(ExpandedStore):
         and that the pair index is consistent with the triple sections.  Cost is one pass over the
         mapped arrays (no Python-object materialization); ``kbqa expand
         --load`` runs this on every artifact, the serve path does not.
-        No-op once materialized (there is no file left to check).
+        No-op once materialized (there is no file left to check); raises
+        once closed.
         """
-        sections = self._mapped
+        sections = self._sections()
         if sections is None:
             return
         src = sections.source_path

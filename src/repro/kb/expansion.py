@@ -107,7 +107,6 @@ class ExpandedStore:
         self._decoded_paths: dict[int, PredicatePath] = {}
         self._objects_cache: dict[tuple[int, int], frozenset[str]] = {}
         self._pairs_cache: dict[tuple[int, int], frozenset[PredicatePath]] = {}
-        self._paths_of_cache: dict[int, frozenset[PredicatePath]] = {}
 
     # -- Id-level mutation / lookup ----------------------------------------
 
@@ -133,7 +132,6 @@ class ExpandedStore:
         # invalidate any frozen views covering this key
         self._objects_cache.pop((subject_id, p_id), None)
         self._pairs_cache.pop((subject_id, object_id), None)
-        self._paths_of_cache.pop(subject_id, None)
         return True
 
     def objects_ids(self, subject_id: int, path_id: int) -> set[int] | frozenset[int]:
@@ -177,8 +175,8 @@ class ExpandedStore:
     def has_reach(self) -> bool:
         """True when the reach-provenance index is populated.
 
-        `repro.kb.live` gates its upfront :func:`compute_reach` on this
-        rather than peeking at ``_reached_from`` so a mapped artifact
+        `repro.kb.live` refuses a seeded store without reach through this
+        rather than peeking at ``_reached_from``, so a mapped artifact
         (`repro.kb.expanded_v3`) can answer from its header without
         materializing anything.
         """
@@ -219,7 +217,6 @@ class ExpandedStore:
                         if not paths:
                             del self._by_pair[pair]
                     self._pairs_cache.pop(pair, None)
-        self._paths_of_cache.pop(s, None)
         # the reach index has no inverse (it would double the GC-tracked
         # containers on the expansion hot path); a linear sweep is fine for
         # this rare operation
@@ -290,7 +287,7 @@ class ExpandedStore:
     def load(cls, path: str | Path) -> "ExpandedStore":
         """Map an artifact written by :meth:`save` (with its own dictionary).
 
-        The loaded store answers ``objects``/``paths_between``/``paths_of``
+        The loaded store answers ``objects``/``paths_between``/``seeds_through``
         by binary search over the mmap — no re-expansion and no dict
         materialization until the first mutation; offline training passes
         it straight to the learner (``KBQA.train(..., expanded=...)``) to
@@ -360,40 +357,11 @@ class ExpandedStore:
             self._pairs_cache[key] = cached
         return cached
 
-    def paths_of(self, subject: str) -> frozenset[PredicatePath]:
-        """All expanded predicates leaving ``subject`` (frozen view)."""
-        s = self.dictionary.lookup(subject)
-        if s is None:
-            return _EMPTY_FROZEN
-        cached = self._paths_of_cache.get(s)
-        if cached is None:
-            by_path = self._by_subject.get(s)
-            if not by_path:
-                return _EMPTY_FROZEN
-            cached = frozenset(self._decode_path(p) for p in by_path)
-            self._paths_of_cache[s] = cached
-        return cached
-
-    def value_count(self, subject: str, path: PredicatePath) -> int:
-        """``|V(e, p+)|`` without decoding a single object."""
-        s = self.dictionary.lookup(subject)
-        if s is None:
-            return 0
-        p = self._lookup_path_id(path)
-        if p is None:
-            return 0
-        return len(self._by_subject.get(s, {}).get(p, ()))
-
     # -- Inventory ----------------------------------------------------------
 
     def __len__(self) -> int:
         """Number of materialized (s, p+, o) triples."""
         return self._triple_count
-
-    def subjects(self) -> Iterator[str]:
-        """All subjects with at least one expanded triple."""
-        decode = self.dictionary.decode
-        return (decode(s) for s in self._by_subject)
 
     def distinct_paths(self) -> set[PredicatePath]:
         """All expanded predicates materialized for any subject."""
@@ -435,7 +403,6 @@ def expand_predicates(
     tail_predicates: frozenset[str] = DEFAULT_TAIL_PREDICATES,
     *,
     into: ExpandedStore | None = None,
-    record_reach: bool = False,
 ) -> ExpandedStore:
     """Generate all ``(s, p+, o)`` with ``s`` in ``seeds``, ``|p+| <= max_length``.
 
@@ -449,11 +416,10 @@ def expand_predicates(
 
     Passing ``into=`` appends to an existing :class:`ExpandedStore` sharing
     the backend's dictionary (used by the live maintainer for single-seed
-    refreshes) instead of building a fresh one.  ``record_reach=True``
-    additionally fills the reach-provenance index from the frontier as it
-    goes; the default leaves the offline hot path free of that bookkeeping
-    (its extra allocations provoke full GC passes mid-scan) — live systems
-    build reach once at maintainer attach via :func:`compute_reach`.
+    refreshes) instead of building a fresh one.  Every round also fills the
+    reach-provenance index from its frontier (which seeds' BFS scanned which
+    node), the index `repro.kb.live` resolves affected seeds through; there
+    is no second BFS that rebuilds it.
 
     Length-1 paths are recorded unconditionally (they are ordinary KB
     predicates); longer paths are recorded only when their final predicate is
@@ -494,12 +460,11 @@ def expand_predicates(
     note_reach = expanded.note_reach
 
     for round_index in range(1, max_length + 1):
-        if record_reach:
-            # this round scans the out-edges of every frontier node on
-            # behalf of the seeds that reached it
-            for node_id, provenance in frontier.items():
-                for seed_id, _prefix in provenance:
-                    note_reach(node_id, seed_id)
+        # this round scans the out-edges of every frontier node on behalf
+        # of the seeds that reached it
+        for node_id, provenance in frontier.items():
+            for seed_id, _prefix in provenance:
+                note_reach(node_id, seed_id)
 
         is_last_round = round_index == max_length
         next_frontier: _Frontier = defaultdict(set)
@@ -520,68 +485,4 @@ def expand_predicates(
                             next_frontier[o_id].add(extended)
         frontier = next_frontier
     return expanded
-
-
-def compute_reach(
-    store: KBBackend,
-    expanded: ExpandedStore,
-    seeds: Iterable[str],
-    max_length: int | None = None,
-) -> int:
-    """(Re)build ``expanded``'s reach-provenance index from the backend.
-
-    A seeds-only multi-source BFS: the frontier maps a node to the set of
-    seeds that reached it — no path prefixes, no triple recording — so one
-    pass costs a fraction of the full expansion and allocates almost
-    nothing.  Reach ids are recorded in ``expanded``'s dictionary (which may
-    be a loaded artifact's own dictionary, distinct from the backend's).
-    Returns the number of (node, seed) reach facts recorded.
-
-    The live maintainer calls this once at attach time, *before* any
-    mutation arrives — a delete's affected seeds must be resolved against
-    pre-change reachability.
-    """
-    if max_length is None:
-        max_length = expanded.max_length
-    dictionary = store.dictionary
-    seed_ids = {
-        seed_id
-        for seed in seeds
-        if (seed_id := dictionary.lookup(seed)) is not None
-        and store.has_subject_id(seed_id)
-    }
-    if not seed_ids:
-        return 0
-
-    shared = expanded.dictionary is dictionary
-    note_reach = expanded.note_reach
-    decode = dictionary.decode
-    encode = expanded.dictionary.encode
-    recorded = 0
-    # node -> frozenset of seed ids that reached it (store-id space)
-    frontier: dict[int, frozenset[int]] = {
-        seed_id: frozenset((seed_id,)) for seed_id in seed_ids
-    }
-    for round_index in range(1, max_length + 1):
-        for node_id, node_seeds in frontier.items():
-            node = node_id if shared else encode(decode(node_id))
-            for seed_id in node_seeds:
-                note_reach(node, seed_id if shared else encode(decode(seed_id)))
-                recorded += 1
-        if round_index == max_length:
-            break
-        next_frontier: dict[int, frozenset[int]] = {}
-        for s_id, by_predicate in store.spo_items_ids():
-            node_seeds = frontier.get(s_id)
-            if not node_seeds:
-                continue
-            for object_ids in by_predicate.values():
-                for o_id in object_ids:
-                    existing = next_frontier.get(o_id)
-                    if existing is None:
-                        next_frontier[o_id] = node_seeds
-                    elif not (existing >= node_seeds):
-                        next_frontier[o_id] = existing | node_seeds
-        frontier = next_frontier
-    return recorded
 

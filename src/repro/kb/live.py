@@ -4,10 +4,12 @@ The ROADMAP's incremental-update item: a live ``add``/``delete`` on the KB
 backend must flow into the expansion layer as *per-seed invalidation plus a
 targeted single-seed re-expansion*, never a full re-run of the Sec 6.2 scan.
 
-The mechanism is the reach-provenance index :class:`ExpandedStore` records
-during expansion (node -> seeds whose BFS scanned that node): an edge change
-under subject ``s`` can only alter expanded triples of (a) seeds whose BFS
-scanned ``s`` and (b) ``s`` itself when it is a seed.  The maintainer
+The mechanism is the reach-provenance index :func:`expand_predicates`
+records during every scan (node -> seeds whose BFS scanned that node): an
+edge change under subject ``s`` can only alter expanded triples of (a) seeds
+whose BFS scanned ``s`` and (b) ``s`` itself when it is a seed.  Attaching
+builds nothing — the index is already there, in a fresh expansion and in
+every artifact :meth:`ExpandedStore.save` wrote from one.  The maintainer
 subscribes to the backend's :class:`~repro.kb.backend.KBChange` stream,
 resolves that affected-seed set per change, invalidates exactly those seeds'
 materialized rows (:meth:`ExpandedStore.invalidate_seed`) and re-expands each
@@ -18,10 +20,10 @@ seed's reach (the common case for feed-style inserts).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.kb.backend import KBBackend, KBChange
-from repro.kb.expansion import ExpandedStore, compute_reach, expand_predicates
+from repro.kb.expansion import ExpandedStore, expand_predicates
 
 
 class LiveExpansionMaintainer:
@@ -29,9 +31,8 @@ class LiveExpansionMaintainer:
 
     Subscribe-and-forget: construction registers a change listener on the
     backend; every subsequent ``add``/``delete`` triggers the minimal set of
-    single-seed refreshes.  ``on_invalidate`` (when given) fires once per
-    change that actually invalidated something — the serving layer hooks its
-    answer-cache clear there.
+    single-seed refreshes.  The serving layer subscribes its own listener
+    for the answer-cache clear.
     """
 
     def __init__(
@@ -39,23 +40,21 @@ class LiveExpansionMaintainer:
         backend: KBBackend,
         expanded: ExpandedStore,
         seeds: Iterable[str],
-        on_invalidate: Callable[[], None] | None = None,
     ) -> None:
+        # A delete's affected seeds are found through edges that may no
+        # longer exist, so reach must describe the pre-change KB from the
+        # start.  Only an artifact saved without reach (by an older build)
+        # has seeds but no reach; refuse it rather than miss refreshes.
+        if expanded.seed_ids and not expanded.has_reach():
+            raise ValueError(
+                "expansion has seeds but no reach index; regenerate it with "
+                "`kbqa expand --save`"
+            )
         self.backend = backend
         self.expanded = expanded
         self.seeds = frozenset(seeds)
-        self.on_invalidate = on_invalidate
         self.events_seen = 0
         self.seeds_refreshed = 0
-        # The reach index must reflect *pre-change* reachability (a delete's
-        # affected seeds are found through edges that may no longer exist),
-        # so build it now — before the first mutation can arrive.  Expansions
-        # built with record_reach=True (or loaded artifacts carrying reach)
-        # skip this.
-        if not expanded.has_reach():
-            decode = expanded.dictionary.decode
-            reach_seeds = self.seeds | {decode(s) for s in expanded.seed_ids}
-            compute_reach(backend, expanded, reach_seeds)
         self._unsubscribe = backend.subscribe(self._on_change, self._on_changes)
 
     def close(self) -> None:
@@ -85,15 +84,10 @@ class LiveExpansionMaintainer:
         return sorted(affected)
 
     def _on_change(self, change: KBChange) -> None:
-        """Backend listener: refresh every affected seed, then notify."""
+        """Backend listener: refresh every affected seed."""
         self.events_seen += 1
-        affected = self.affected_seeds(change)
-        if not affected:
-            return
-        for seed in affected:
+        for seed in self.affected_seeds(change):
             self.refresh_seed(seed)
-        if self.on_invalidate is not None:
-            self.on_invalidate()
 
     def _on_changes(self, changes: tuple[KBChange, ...]) -> None:
         """Coalesced handler for a ``backend.batch()`` burst.
@@ -110,12 +104,8 @@ class LiveExpansionMaintainer:
         affected: set[str] = set()
         for change in changes:
             affected.update(self.affected_seeds(change))
-        if not affected:
-            return
         for seed in sorted(affected):
             self.refresh_seed(seed)
-        if self.on_invalidate is not None:
-            self.on_invalidate()
 
     def refresh_seed(self, seed: str) -> None:
         """Invalidate and rebuild one seed's expanded triples in place.
@@ -135,7 +125,6 @@ class LiveExpansionMaintainer:
                 max_length=self.expanded.max_length,
                 tail_predicates=self.expanded.tail_predicates,
                 into=self.expanded,
-                record_reach=True,
             )
         else:
             fresh = expand_predicates(
@@ -143,7 +132,6 @@ class LiveExpansionMaintainer:
                 [seed],
                 max_length=self.expanded.max_length,
                 tail_predicates=self.expanded.tail_predicates,
-                record_reach=True,
             )
             self.expanded.merge_from(fresh)
         self.seeds_refreshed += 1

@@ -1,13 +1,15 @@
 """In-memory dictionary-encoded triple store.
 
-Maintains three index orderings so every single-variable lookup the KBQA
-pipeline performs is a hash probe:
+Maintains two index orderings so every lookup the KBQA pipeline performs is
+a hash probe:
 
-* ``SPO`` — ``subject -> predicate -> {objects}`` for ``V(e, p)`` (Eq 6);
-* ``POS`` — ``predicate -> object -> {subjects}`` for reverse lookups and the
-  bootstrapping baseline;
+* ``SPO`` — ``subject -> predicate -> {objects}`` for ``V(e, p)`` (Eq 6) and
+  the grouped scan of the Sec 6.2 expansion;
 * ``OSP`` — ``object -> subject -> {predicates}`` for
   ``predicates_between(e, v)``, the pruning step of the EM M-step (Eq 24).
+
+KBQA never asks for the subjects of a ``(predicate, object)`` pair, so there
+is no ``POS`` ordering.
 
 The public API speaks term strings.  The hot paths (the Sec 6.2 expansion
 scan, the benchmark harness) additionally get an *id-level* API —
@@ -31,7 +33,7 @@ from repro.kb.triple import Triple
 
 
 class TripleStore(BackendBase):
-    """A set of RDF triples with SPO/POS/OSP hash indexes.
+    """A set of RDF triples with SPO/OSP hash indexes.
 
     Change-listener and resource-count plumbing comes from
     :class:`~repro.kb.backend.BackendBase` (shared with the disk store).
@@ -46,7 +48,6 @@ class TripleStore(BackendBase):
     def __init__(self) -> None:
         self.dictionary = Dictionary()
         self._spo: dict[int, dict[int, set[int]]] = defaultdict(dict)
-        self._pos: dict[int, dict[int, set[int]]] = defaultdict(dict)
         self._osp: dict[int, dict[int, set[int]]] = defaultdict(dict)
         self._size = 0
         self._init_backend_state()
@@ -63,7 +64,6 @@ class TripleStore(BackendBase):
         if o in objects:
             return False
         objects.add(o)
-        self._pos[p].setdefault(o, set()).add(s)
         self._osp[o].setdefault(s, set()).add(p)
         self._size += 1
         if self._listeners:
@@ -99,12 +99,6 @@ class TripleStore(BackendBase):
             del by_predicate[p]
             if not by_predicate:
                 del self._spo[s]
-        subjects = self._pos[p][o]
-        subjects.remove(s)
-        if not subjects:
-            del self._pos[p][o]
-            if not self._pos[p]:
-                del self._pos[p]
         predicates = self._osp[o][s]
         predicates.remove(p)
         if not predicates:
@@ -141,15 +135,6 @@ class TripleStore(BackendBase):
             return set()
         decode = self.dictionary.decode
         return {decode(o) for o in self._spo.get(s, {}).get(p, ())}
-
-    def subjects(self, predicate: str, obj: str) -> set[str]:
-        """All subjects s with (s, predicate, obj) in the store."""
-        p = self.dictionary.lookup(predicate)
-        o = self.dictionary.lookup(obj)
-        if p is None or o is None:
-            return set()
-        decode = self.dictionary.decode
-        return {decode(s) for s in self._pos.get(p, {}).get(o, ())}
 
     def predicates_between(self, subject: str, obj: str) -> set[str]:
         """All direct predicates p with (subject, p, obj) in the store."""
@@ -203,10 +188,6 @@ class TripleStore(BackendBase):
         frozenset so accidental mutation raises instead of corrupting)."""
         return self._spo.get(subject_id, {}).get(predicate_id, _EMPTY_ID_SET)
 
-    def predicates_ids_of(self, subject_id: int):
-        """Ids of predicates leaving ``subject_id`` (read-only view)."""
-        return self._spo.get(subject_id, {}).keys()
-
     def triples_ids(self) -> Iterator[tuple[int, int, int]]:
         """Scan all triples as ``(s_id, p_id, o_id)`` — the id-native
         analogue of :meth:`triples`, with zero string materialization."""
@@ -241,11 +222,6 @@ class TripleStore(BackendBase):
         decode = self.dictionary.decode
         return (decode(s) for s in self._spo)
 
-    def predicates(self) -> set[str]:
-        """All distinct predicates in the store."""
-        decode = self.dictionary.decode
-        return {decode(p) for p in self._pos}
-
     # -- Statistics ------------------------------------------------------------
 
     def stats(self) -> dict[str, int]:
@@ -260,7 +236,7 @@ class TripleStore(BackendBase):
             "triples": self._size,
             "terms": len(self.dictionary),
             "resources": self._n_resources,
-            "predicates": len(self._pos),
+            "predicates": len({p for by_predicate in self._spo.values() for p in by_predicate}),
             "subjects": len(self._spo),
         }
 

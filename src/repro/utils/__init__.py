@@ -1,16 +1,12 @@
-"""Shared utilities: deterministic RNG streams, text helpers, timing, tables."""
+"""Shared utilities: deterministic RNG streams, timing, tables."""
 
 from repro.utils.rng import SeedStream, stable_hash
-from repro.utils.text import normalize_space, ngrams, token_spans
 from repro.utils.timing import Stopwatch
 from repro.utils.tables import Table
 
 __all__ = [
     "SeedStream",
     "stable_hash",
-    "normalize_space",
-    "ngrams",
-    "token_spans",
     "Stopwatch",
     "Table",
 ]

@@ -6,6 +6,10 @@ The original implementation of ``expand_predicates``: it scans
 in :mod:`repro.kb.expansion` is held to the same triple set by
 ``tests/test_id_native_equivalence.py``; ``benchmarks/bench_offline_timecost.py``
 and the ``-m perf`` floors time the two side by side.
+
+:func:`reach_reference` is the matching oracle for the reach-provenance
+index the scan records (``tests/test_properties.py`` holds the product and
+the live maintainer to it).
 """
 
 from __future__ import annotations
@@ -63,3 +67,31 @@ def expand_predicates_baseline(
         frontier = next_frontier
 
     return expanded
+
+
+def reach_reference(
+    store: KBBackend, seeds: Iterable[str], max_length: int = 3
+) -> dict[str, frozenset[str]]:
+    """Which seeds' expansion scans each node's out-edges, as strings.
+
+    A seeds-only BFS over ``store.triples()``: round ``r`` (``1..max_length``)
+    scans every node at distance ``r - 1`` from a seed, so a node maps to the
+    seeds that reach it in fewer than ``max_length`` hops.  Seeds absent from
+    subject position start nothing, as in the expansion.
+    """
+    reach: dict[str, set[str]] = defaultdict(set)
+    frontier: dict[str, set[str]] = {
+        seed: {seed} for seed in seeds if store.has_subject(seed)
+    }
+    for round_index in range(1, max_length + 1):
+        for node, node_seeds in frontier.items():
+            reach[node] |= node_seeds
+        if round_index == max_length:
+            break
+        next_frontier: dict[str, set[str]] = defaultdict(set)
+        for triple in store.triples():
+            node_seeds = frontier.get(triple.subject)
+            if node_seeds:
+                next_frontier[triple.object] |= node_seeds
+        frontier = next_frontier
+    return {node: frozenset(node_seeds) for node, node_seeds in reach.items()}

@@ -89,9 +89,7 @@ def section_offsets(data) -> dict[str, tuple[int, int]]:
 def expanded(suite):
     seeds = [e.node for e in suite.world.of_type("person")[:12]]
     seeds += [e.node for e in suite.world.of_type("city")[:6]]
-    return expand_predicates(
-        suite.freebase.store, seeds, max_length=3, record_reach=True
-    )
+    return expand_predicates(suite.freebase.store, seeds, max_length=3)
 
 
 class TestRoundTrip:
@@ -107,7 +105,6 @@ class TestRoundTrip:
             (s, str(p), o) for s, p, o in expanded.triples()
         }
         assert loaded.distinct_paths() == expanded.distinct_paths()
-        assert set(loaded.subjects()) == set(expanded.subjects())
 
     def test_frozen_views_equal_after_reload(self, expanded, tmp_path):
         path = tmp_path / "expansion.kbqa"
@@ -116,7 +113,6 @@ class TestRoundTrip:
         subject, p_plus, obj = next(expanded.triples())
         assert loaded.objects(subject, p_plus) == expanded.objects(subject, p_plus)
         assert loaded.paths_between(subject, obj) == expanded.paths_between(subject, obj)
-        assert loaded.paths_of(subject) == expanded.paths_of(subject)
         # the reloaded store serves shared frozen views exactly like the original
         assert loaded.objects(subject, p_plus) is loaded.objects(subject, p_plus)
 
@@ -308,25 +304,15 @@ class TestV3Format:
         assert mapped.stats() == reference.stats() == expanded.stats()
         assert len(mapped) == len(reference)
         assert mapped.distinct_paths() == reference.distinct_paths()
-        assert set(mapped.subjects()) == set(reference.subjects())
         assert {(s, str(p), o) for s, p, o in mapped.triples()} == {
             (s, str(p), o) for s, p, o in reference.triples()
         }
-        for subject in reference.subjects():
-            assert {str(p) for p in mapped.paths_of(subject)} == {
-                str(p) for p in reference.paths_of(subject)
-            }
-            for p_plus in reference.paths_of(subject):
-                assert mapped.objects(subject, p_plus) == reference.objects(
-                    subject, p_plus
-                )
-                assert mapped.value_count(subject, p_plus) == reference.value_count(
-                    subject, p_plus
-                )
-                for obj in reference.objects(subject, p_plus):
-                    assert {str(p) for p in mapped.paths_between(subject, obj)} == {
-                        str(p) for p in reference.paths_between(subject, obj)
-                    }
+        for subject, p_plus in {(s, p) for s, p, _o in reference.triples()}:
+            assert mapped.objects(subject, p_plus) == reference.objects(subject, p_plus)
+            for obj in reference.objects(subject, p_plus):
+                assert {str(p) for p in mapped.paths_between(subject, obj)} == {
+                    str(p) for p in reference.paths_between(subject, obj)
+                }
         assert mapped.objects("no-such-subject", next(iter(reference.distinct_paths()))) == set()
         assert mapped.is_mapped, "a read materialized the mapped store"
 
@@ -477,6 +463,59 @@ class TestV3Format:
         assert err.startswith("kbqa expand: error:")
 
 
+_SPOUSE = PredicatePath(("marriage", "person", "name"))
+
+# every reader a mapped artifact serves, plus the two sweeps over the file
+_CLOSED_READERS = {
+    "objects": lambda store: store.objects("a", _SPOUSE),
+    "paths_between": lambda store: store.paths_between("a", make_literal("bob")),
+    "objects_ids": lambda store: store.objects_ids(0, 0),
+    "seeds_through": lambda store: store.seeds_through(0),
+    "reach_items": lambda store: list(store.reach_items()),
+    "has_reach": lambda store: store.has_reach(),
+    "len": len,
+    "distinct_paths": lambda store: store.distinct_paths(),
+    "triples": lambda store: list(store.triples()),
+    "triples_ids": lambda store: list(store.triples_ids()),
+    "stats": lambda store: store.stats(),
+    "verify": lambda store: store.verify(),
+    "materialize": lambda store: store.materialize(),
+    "record": lambda store: store.record("z", PredicatePath.single("name"), "zz"),
+}
+
+
+class TestClosedArtifact:
+    """A closed mapped artifact fails by name instead of answering empty."""
+
+    @pytest.fixture()
+    def closed(self, tmp_path):
+        kb = TripleStore()
+        kb.add("a", "marriage", "cvt1")
+        kb.add("cvt1", "person", "b")
+        kb.add("b", "name", make_literal("bob"))
+        path = tmp_path / "closed.kbqa"
+        expand_predicates(kb, ["a"], max_length=3).save(path)
+        store = ExpandedStore.load(path)
+        assert store.objects("a", _SPOUSE) == {make_literal("bob")}
+        store.close()
+        store.close()  # idempotent
+        return store, path
+
+    @pytest.mark.parametrize("reader", sorted(_CLOSED_READERS))
+    def test_every_reader_raises_naming_the_file(self, closed, reader):
+        store, path = closed
+        with pytest.raises(ValueError, match="closed") as error:
+            _CLOSED_READERS[reader](store)
+        assert str(path) in str(error.value)
+
+    def test_close_after_materialize_keeps_the_store_readable(self, expanded, tmp_path):
+        path = tmp_path / "materialized.kbqa"
+        expanded.save(path)
+        store = ExpandedStore.load(path).materialize()
+        store.close()
+        assert len(store) == len(expanded)
+
+
 class TestAtomicSave:
     """``save`` replaces its target by rename, never by truncation."""
 
@@ -565,9 +604,7 @@ class TestMutationFuzzer:
                 rng.choice(["p0", "p1", "name"]),
                 rng.choice(entities + [make_literal(f"v{rng.randrange(6)}é")]),
             )
-        store = expand_predicates(
-            kb, rng.sample(entities, 3), max_length=3, record_reach=True
-        )
+        store = expand_predicates(kb, rng.sample(entities, 3), max_length=3)
         path = tmp_path / "pristine.v3"
         store.save(path)
         return store, path.read_bytes()
@@ -584,11 +621,10 @@ class TestMutationFuzzer:
 
     @staticmethod
     def probe_all(store, keys):
-        subject_paths, pairs, subjects, nodes = keys
+        subject_paths, pairs, nodes = keys
         return (
             [store.objects(s, p) for s, p in subject_paths],
             [store.paths_between(s, o) for s, o in pairs],
-            [store.paths_of(s) for s in subjects],
             [frozenset(store.seeds_through(node)) for node in nodes],
             sorted((s, str(p), o) for s, p, o in store.triples()),
         )
@@ -597,11 +633,10 @@ class TestMutationFuzzer:
         self, pristine, tmp_path, capsys
     ):
         store, data = pristine
-        subject_paths = [(s, p) for s in store.subjects() for p in store.paths_of(s)]
+        subject_paths = list(dict.fromkeys((s, p) for s, p, _o in store.triples()))
         keys = (
             subject_paths,
             [(s, o) for s, p in subject_paths for o in store.objects(s, p)],
-            list(store.subjects()),
             [node for node, _seeds in store.reach_items()],
         )
         sections = section_offsets(data)
@@ -674,8 +709,9 @@ class TestMutationFuzzer:
         path = tmp_path / "termsort.v3"
         path.write_bytes(mutant)
         corrupt = ExpandedStore.load(path)
+        subject, p_plus, _obj = next(store.triples())
         with pytest.raises(ValueError, match="out of range"):
-            corrupt.paths_of(next(store.subjects()))
+            corrupt.objects(subject, p_plus)
         with pytest.raises(ValueError, match="out of range"):
             corrupt.verify()
 
@@ -697,7 +733,7 @@ class TestV3RandomizedEquivalence:
                 entities + [make_literal(f"v{rng.randrange(10)}")]
             ))
         seeds = rng.sample(entities, 6)
-        expanded = expand_predicates(kb, seeds, max_length=3, record_reach=True)
+        expanded = expand_predicates(kb, seeds, max_length=3)
         path = tmp_path / f"r{seed}.v3"
         expanded.save(path)
         mapped = ExpandedStore.load(path)
@@ -707,14 +743,8 @@ class TestV3RandomizedEquivalence:
         assert {(s, str(p), o) for s, p, o in mapped.triples()} == {
             (s, str(p), o) for s, p, o in expanded.triples()
         }
-        for subject in expanded.subjects():
-            for p_plus in expanded.paths_of(subject):
-                assert mapped.objects(subject, p_plus) == expanded.objects(
-                    subject, p_plus
-                )
-                assert mapped.value_count(subject, p_plus) == expanded.value_count(
-                    subject, p_plus
-                )
+        for subject, p_plus in {(s, p) for s, p, _o in expanded.triples()}:
+            assert mapped.objects(subject, p_plus) == expanded.objects(subject, p_plus)
         assert mapped.is_mapped
 
 

@@ -49,9 +49,8 @@ class TestDelete:
         assert len(kb) == n - 1
         assert not kb.has("cvt1", "person", "b")
         assert kb.objects("cvt1", "person") == set()
-        assert kb.subjects("person", "b") == set()
         assert kb.predicates_between("cvt1", "b") == set()
-        assert "person" not in kb.predicates()
+        assert kb.stats()["predicates"] == 5  # "person" had one triple
 
     @_BACKENDS
     def test_delete_prunes_ghost_subjects(self, factory):

@@ -50,7 +50,7 @@ class TestExpandPredicates:
 
     def test_only_seeds_expanded(self, cvt_kb):
         expanded = expand_predicates(cvt_kb, ["a"], max_length=3)
-        assert set(expanded.subjects()) <= {"a"}
+        assert {s for s, _p, _o in expanded.triples()} <= {"a"}
         assert expanded.objects("city", PredicatePath(("mayor", "name"))) == set()
 
     def test_seeds_missing_from_store_ignored(self, cvt_kb):
@@ -89,13 +89,6 @@ class TestExpandedStore:
         store.record("s", path, "o")
         assert len(store) == 1
 
-    def test_value_count(self):
-        store = ExpandedStore(max_length=3)
-        path = PredicatePath.single("p")
-        store.record("s", path, "o1")
-        store.record("s", path, "o2")
-        assert store.value_count("s", path) == 2
-
     def test_stats_split_direct_and_expanded(self):
         store = ExpandedStore(max_length=3)
         store.record("s", PredicatePath.single("p"), "o")
@@ -104,12 +97,6 @@ class TestExpandedStore:
         assert stats["direct_paths"] == 1
         assert stats["expanded_paths"] == 1
         assert stats["spo_triples"] == 2
-
-    def test_paths_of(self):
-        store = ExpandedStore(max_length=3)
-        store.record("s", PredicatePath.single("p"), "o")
-        assert store.paths_of("s") == {PredicatePath.single("p")}
-        assert store.paths_of("ghost") == set()
 
 
 class TestExpansionOnCompiledKB:

@@ -70,9 +70,6 @@ class TestTripleStore:
     def test_objects_missing_subject(self, toy_store):
         assert toy_store.objects("ghost", "dob") == set()
 
-    def test_subjects_lookup(self, toy_store):
-        assert toy_store.subjects("dob", LIT_1961) == {"a"}
-
     def test_predicates_between(self, toy_store):
         assert toy_store.predicates_between("a", "d") == {"pob"}
         assert toy_store.predicates_between("a", "c") == set()
@@ -96,10 +93,6 @@ class TestTripleStore:
         assert Triple("a", "pob", "d") in toy_store
         assert Triple("a", "pob", "c") not in toy_store
 
-    def test_predicates_inventory(self, toy_store):
-        expected = {"name", "dob", "pob", "marriage", "person", "date", "population"}
-        assert toy_store.predicates() == expected
-
     def test_add_all_counts_new(self, toy_store):
         added = toy_store.add_all([
             Triple("a", "pob", "d"),  # duplicate
@@ -122,7 +115,7 @@ _preds = st.sampled_from(["p1", "p2"])
 class TestTripleStoreProperties:
     @given(st.lists(st.tuples(_terms, _preds, _terms), max_size=60))
     def test_indexes_agree(self, triples):
-        """SPO, POS and OSP must answer consistently for every triple."""
+        """SPO and OSP must answer consistently for every triple."""
         kb = TripleStore()
         for s, p, o in triples:
             kb.add(s, p, o)
@@ -130,7 +123,6 @@ class TestTripleStoreProperties:
         assert len(kb) == len(unique)
         for s, p, o in unique:
             assert o in kb.objects(s, p)
-            assert s in kb.subjects(p, o)
             assert p in kb.predicates_between(s, o)
 
     @given(st.lists(st.tuples(_terms, _preds, _terms), max_size=60))

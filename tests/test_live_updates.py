@@ -80,7 +80,7 @@ class TestMaintainer:
         kb = _toy_kb()
         expanded = expand_predicates(kb, ["a", "ghost"], max_length=3)
         LiveExpansionMaintainer(kb, expanded, ["a", "ghost"])
-        assert expanded.paths_of("ghost") == frozenset()
+        assert not any(s == "ghost" for s, _p, _o in expanded.triples())
         kb.add("ghost", "name", make_literal("the ghost"))
         assert expanded.objects("ghost", PredicatePath.single("name")) == {
             make_literal("the ghost")
@@ -92,7 +92,7 @@ class TestMaintainer:
         from repro.kb.expansion import ExpandedStore
 
         kb = _toy_kb()
-        built = expand_predicates(kb, ["a", "c"], max_length=3, record_reach=True)
+        built = expand_predicates(kb, ["a", "c"], max_length=3)
         path = tmp_path / "expansion.kbqa"
         built.save(path)
         loaded = ExpandedStore.load(path)
@@ -103,6 +103,21 @@ class TestMaintainer:
         assert loaded.objects("a", alias_path) == {make_literal("bobby")}
         kb.delete("cvt1", "person", "b")
         assert loaded.objects("a", SPOUSE_PATH) == frozenset()
+
+    def test_seeded_expansion_without_reach_is_refused(self, tmp_path):
+        """Seeds but no reach: only an artifact saved by an older build whose
+        scan skipped reach.  Attaching would miss every refresh, so the
+        maintainer refuses and names the command that regenerates it."""
+        from repro.kb.expansion import ExpandedStore
+
+        kb = _toy_kb()
+        expanded = expand_predicates(kb, ["a"], max_length=3)
+        expanded._reached_from.clear()
+        path = tmp_path / "reachless.kbqa"
+        expanded.save(path)
+        for store in (expanded, ExpandedStore.load(path)):
+            with pytest.raises(ValueError, match="kbqa expand --save"):
+                LiveExpansionMaintainer(kb, store, ["a"])
 
     def test_close_detaches(self):
         kb = _toy_kb()
@@ -119,7 +134,7 @@ class TestInvalidateSeed:
         expanded = expand_predicates(kb, ["a", "c"], max_length=3)
         before = {(s, str(p), o) for s, p, o in expanded.triples()}
         assert expanded.invalidate_seed("a")
-        assert expanded.paths_of("a") == frozenset()
+        assert not any(s == "a" for s, _p, _o in expanded.triples())
         expand_predicates(kb, ["a"], max_length=3, into=expanded)
         assert {(s, str(p), o) for s, p, o in expanded.triples()} == before
 

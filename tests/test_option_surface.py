@@ -159,6 +159,73 @@ def test_expanded_format_env_var_is_ignored(tmp_path, monkeypatch):
     assert is_v3_file(path)
 
 
+def test_kb_layer_serves_only_the_lookups_kbqa_makes():
+    """Reach is recorded one way, the store keeps two triple orderings, and
+    the BGP solver, the reverse lookups, the alias view and the read-only
+    open mode stay gone."""
+    import repro.kb
+    from repro.kb import disk
+    from repro.kb.backend import KBBackend
+    from repro.kb.disk import DiskTripleStore
+    from repro.kb.expansion import expand_predicates
+    from repro.kb.live import LiveExpansionMaintainer
+    from repro.kb.store import TripleStore
+
+    assert "record_reach" not in inspect.signature(expand_predicates).parameters
+    assert list(inspect.signature(DiskTripleStore).parameters) == ["path"]
+    assert list(inspect.signature(LiveExpansionMaintainer).parameters) == [
+        "backend", "expanded", "seeds",
+    ]
+    for owner in (KBBackend, TripleStore, DiskTripleStore):
+        for name in ("subjects", "predicates", "predicates_ids_of"):
+            assert not hasattr(owner, name), (owner, name)
+    assert not {"solve", "select"} & set(repro.kb.__all__)
+    with pytest.raises(ModuleNotFoundError):
+        import repro.kb.query  # noqa: F401
+    assert "idx_triples_pos" not in disk._SCHEMA
+    assert "VIEW" not in disk._SCHEMA.upper()
+
+
+def test_kb_db_from_the_older_layout_still_opens(tmp_path):
+    """A ``kb.db`` written with the former ``(p, o, s)`` index and alias view
+    opens at ``user_version`` 1 and reads exactly like a current one."""
+    from repro.kb import disk
+    from repro.kb.disk import DiskTripleStore
+
+    def build(path):
+        store = DiskTripleStore(str(path))
+        for s, p, o in [("a", "name", '"al"'), ("a", "pob", "c"), ("c", "name", '"cee"')]:
+            store.add(s, p, o)
+        return store
+
+    current = build(tmp_path / "current.db")
+    older = build(tmp_path / "older.db")
+    older._connection().executescript(
+        """
+        CREATE INDEX idx_triples_pos ON triples (p, o, s);
+        CREATE VIEW aliases (alias, entity) AS
+            SELECT alias_term.term, entity_term.term
+            FROM triples
+            JOIN terms AS entity_term ON entity_term.id = triples.s
+            JOIN terms AS alias_term ON alias_term.id = triples.o
+            WHERE triples.p IN (SELECT id FROM terms WHERE term IN ('name', 'alias'));
+        """
+    )
+    older.close()
+    reopened = DiskTripleStore(str(tmp_path / "older.db"))
+    conn = reopened._connection()
+    assert conn.execute("PRAGMA user_version").fetchone()[0] == disk._SCHEMA_VERSION == 1
+    assert {row[0] for row in conn.execute("SELECT name FROM sqlite_master")} >= {
+        "idx_triples_pos", "aliases",
+    }
+    assert reopened.stats() == current.stats()
+    for s, p in [("a", "name"), ("a", "pob"), ("c", "name"), ("c", "pob")]:
+        assert reopened.objects(s, p) == current.objects(s, p)
+    assert reopened.predicates_between("a", "c") == {"pob"}
+    reopened.close()
+    current.close()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

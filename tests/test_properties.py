@@ -1,72 +1,30 @@
 """Cross-module property-based tests.
 
 These exercise invariants that span several components: the decomposition
-DP against brute force, the BGP solver against a naive reference, the
-expansion against live traversal on random graphs, and a statistical
-end-to-end accuracy sweep of the trained system.
+DP against brute force, the expansion against live traversal on random
+graphs, its reach index and live maintenance against a seeds-only BFS, and
+a statistical end-to-end accuracy sweep of the trained system.
 """
 
 from __future__ import annotations
 
-import itertools
+import tempfile
+from contextlib import nullcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kb.expansion import expand_predicates
+from repro.kb.expansion import ExpandedStore, expand_predicates
+from repro.kb.live import LiveExpansionMaintainer
 from repro.kb.paths import follow
-from repro.kb.query import is_variable, solve
 from repro.kb.store import TripleStore
 from repro.utils.rng import SeedStream
+from tests.oracles.expansion_reference import reach_reference
 
-
-# ---------------------------------------------------------------------------
-# BGP solver vs. naive reference
-# ---------------------------------------------------------------------------
 
 _nodes = st.sampled_from(["n1", "n2", "n3", "n4"])
-_preds = st.sampled_from(["p", "q"])
-_terms_or_vars = st.sampled_from(["n1", "n2", "n3", "?x", "?y"])
-_pred_or_var = st.sampled_from(["p", "q", "?r"])
-
-
-def _naive_solve(store: TripleStore, patterns) -> set[frozenset]:
-    """Reference: enumerate every assignment of variables to store terms."""
-    variables = sorted({
-        t for pattern in patterns for t in pattern if is_variable(t)
-    })
-    universe = sorted({
-        term for triple in store.triples()
-        for term in (triple.subject, triple.predicate, triple.object)
-    })
-    solutions = set()
-    for assignment in itertools.product(universe, repeat=len(variables)):
-        binding = dict(zip(variables, assignment))
-        if all(
-            store.has(*(binding.get(t, t) for t in pattern))
-            for pattern in patterns
-        ):
-            solutions.add(frozenset(binding.items()))
-    return solutions
-
-
-class TestQueryAgainstReference:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(st.tuples(_nodes, _preds, _nodes), min_size=1, max_size=8),
-        st.lists(
-            st.tuples(_terms_or_vars, _pred_or_var, _terms_or_vars),
-            min_size=1,
-            max_size=2,
-        ),
-    )
-    def test_solver_matches_naive_enumeration(self, triples, patterns):
-        store = TripleStore()
-        for s, p, o in triples:
-            store.add(s, p, o)
-        fast = {frozenset(b.items()) for b in solve(store, patterns)}
-        assert fast == _naive_solve(store, patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +54,77 @@ class TestExpansionAgainstTraversal:
         expanded = expand_predicates(store, ["n1"], max_length=3)
         for path in expanded.distinct_paths():
             assert path.is_direct or path.last in ("name", "alias")
+
+
+# ---------------------------------------------------------------------------
+# Reach provenance and live maintenance vs. a seeds-only BFS
+# ---------------------------------------------------------------------------
+
+_edges = st.tuples(_nodes, st.sampled_from(["p", "name"]), _nodes)
+_seed_sets = st.lists(_nodes, min_size=1, max_size=3, unique=True)
+# one step = one edit, or several applied inside ``kb.batch()``
+_edit_steps = st.lists(
+    st.lists(st.tuples(st.booleans(), _edges), min_size=1, max_size=3), max_size=6
+)
+
+
+def _decoded(expanded: ExpandedStore):
+    """Triples, seeds and reach of an expansion, as strings."""
+    decode = expanded.dictionary.decode
+    return (
+        {(s, str(p), o) for s, p, o in expanded.triples()},
+        {decode(seed) for seed in expanded.seed_ids},
+        {
+            decode(node): frozenset(decode(seed) for seed in seeds)
+            for node, seeds in expanded.reach_items()
+        },
+    )
+
+
+def _kb(triples) -> TripleStore:
+    store = TripleStore()
+    for s, p, o in triples:
+        store.add(s, p, o)
+    return store
+
+
+class TestReachAgainstReference:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_edges, max_size=14), _seed_sets, st.sampled_from([1, 2, 3]))
+    def test_recorded_reach_equals_seeds_only_bfs(self, triples, seeds, max_length):
+        store = _kb(triples)
+        expanded = expand_predicates(store, seeds, max_length=max_length)
+        _triples, _seeds, reach = _decoded(expanded)
+        assert reach == reach_reference(store, seeds, max_length)
+
+    @pytest.mark.parametrize("arm", ["shared", "artifact"])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        triples=st.lists(_edges, max_size=10),
+        seeds=_seed_sets,
+        max_length=st.sampled_from([2, 3]),
+        steps=_edit_steps,
+    )
+    def test_live_maintenance_matches_a_fresh_expansion(
+        self, arm, triples, seeds, max_length, steps
+    ):
+        kb = _kb(triples)
+        with tempfile.TemporaryDirectory() as scratch:
+            expanded = expand_predicates(kb, seeds, max_length=max_length)
+            if arm == "artifact":
+                path = Path(scratch) / "expansion.kbqa"
+                expanded.save(path)
+                expanded = ExpandedStore.load(path)
+            maintainer = LiveExpansionMaintainer(kb, expanded, seeds)
+            for step in steps:
+                with kb.batch() if len(step) > 1 else nullcontext():
+                    for is_add, (s, p, o) in step:
+                        (kb.add if is_add else kb.delete)(s, p, o)
+                fresh = expand_predicates(kb, seeds, max_length=max_length)
+                assert _decoded(expanded) == _decoded(fresh), step
+            maintainer.close()
+            if arm == "artifact":
+                expanded.close()
 
 
 # ---------------------------------------------------------------------------
