@@ -4,17 +4,20 @@
     python3 scripts/bench_pairs.py --base HEAD --workload http_zipf \\
         --workload inproc_unique --pairs 10
 
-Exports ``--base`` (``git archive``) and the working tree (tracked and
-untracked, not ignored, files) into two sibling directories of one
-temporary directory (honours ``TMPDIR``), ``base`` and ``edit``: the two
-sides run from paths of equal length, because path length alone moves
-``http_zipf`` (``benchmarks/results/pr23-pairs.txt``, A/A runs).  Then,
-for each ``--workload`` in turn, it runs ``python3 -m
-benchmarks.e2e --workload W --seed S --trace 0`` once per side per pair —
-base first on even pairs, the working tree first on odd ones, a fresh seed
-per pair — and prints, per end-to-end metric, each side's median and
-quartiles, how many pairs the change won (ties count for neither side), and
-a verdict against the metric's bound in ``BENCHMARK.json``:
+Snapshots ``--base`` (``git archive``) and the working tree (tracked and
+untracked, not ignored, files) once.  Every pair then extracts both anew
+into two sibling directories of a fresh temporary directory (honours
+``TMPDIR``), ``base`` and ``edit``: the two sides run from paths of equal
+length, because path length alone moves ``http_zipf``
+(``benchmarks/results/pr23-pairs.txt``, A/A runs), and each pair gets new
+directories, because placement alone moves ``http_zipf`` by −14 % to
++10 % between otherwise equal runs.  For each ``--workload`` in turn, it
+runs ``python3 -m benchmarks.e2e --workload W --seed S --trace 0`` once per
+side per pair — base first on even pairs, the working tree first on odd
+ones, a fresh seed per pair — and prints, per end-to-end metric, each
+side's median and quartiles, how many pairs the change won (ties count for
+neither side), and a verdict against the metric's bound in
+``BENCHMARK.json``:
 
 * ``improved`` — the change won at least nine tenths of the pairs and its
   median is better by more than the base's own interquartile range;
@@ -51,19 +54,27 @@ def run_once(tree: Path, workload: str, seed: int) -> dict[str, float]:
     return values
 
 
-def export_working_tree(dest: Path) -> None:
-    """Copy the working tree's tracked and untracked-but-not-ignored files."""
+def working_tree_archive() -> bytes:
+    """A tar of the working tree's tracked and untracked-but-not-ignored files."""
     listed = subprocess.run(
         ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
         cwd=REPO, capture_output=True, check=True,
     ).stdout.decode("utf-8").split("\0")
     present = "\0".join(name for name in listed if name and (REPO / name).is_file())
-    archive = subprocess.run(
+    return subprocess.run(
         ["tar", "-c", "--null", "-T", "-"], cwd=REPO, input=present.encode("utf-8"),
         capture_output=True, check=True,
     ).stdout
-    dest.mkdir()
-    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def run_pair(archives: dict[str, bytes], order, workload: str, seed: int):
+    """Extract both sides into a fresh temporary directory and run each once."""
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as root:
+        trees = {"base": Path(root) / "base", "change": Path(root) / "edit"}
+        for side, tree in trees.items():
+            tree.mkdir()
+            subprocess.run(["tar", "-x", "-C", tree], input=archives[side], check=True)
+        return {side: run_once(trees[side], workload, seed) for side in order}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -114,21 +125,21 @@ def main() -> int:
     bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
     better["failed_share"] = "lower"
 
-    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as root:
-        trees = {"base": Path(root) / "base", "change": Path(root) / "edit"}
-        archive = subprocess.run(
+    archives = {
+        "base": subprocess.run(
             ["git", "archive", args.base], cwd=REPO, capture_output=True, check=True
-        ).stdout
-        trees["base"].mkdir()
-        subprocess.run(["tar", "-x", "-C", trees["base"]], input=archive, check=True)
-        export_working_tree(trees["change"])
-        for workload in args.workload:
-            runs: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
-            for pair in range(args.pairs):
-                for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
-                    runs[side].append(run_once(trees[side], workload, args.seed + pair))
-                print(f"{workload}: pair {pair + 1}/{args.pairs} done", file=sys.stderr)
-            report(workload, runs, better, bounds, args)
+        ).stdout,
+        "change": working_tree_archive(),
+    }
+    for workload in args.workload:
+        runs: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
+        for pair in range(args.pairs):
+            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+            results = run_pair(archives, order, workload, args.seed + pair)
+            for side in order:
+                runs[side].append(results[side])
+            print(f"{workload}: pair {pair + 1}/{args.pairs} done", file=sys.stderr)
+        report(workload, runs, better, bounds, args)
     return 0
 
 

@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     expand = sub.add_parser(
         "expand",
-        help="materialize the Sec 6.2 predicate expansion and save/load it",
+        help="run the Sec 6.2 predicate expansion and save it, or check a saved one",
     )
     _common_args(expand)
     expand.add_argument(
@@ -109,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     expand.add_argument(
         "--load", metavar="PATH",
-        help="reload a persisted ExpandedStore and print its inventory",
+        help="load a persisted ExpandedStore, checking its checksum and "
+             "structure, and print its inventory",
     )
     expand.add_argument(
         "--max-length", type=int, default=3,
@@ -434,7 +435,7 @@ def _cmd_mega_compile(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    """Materialize (``--save``) or reload (``--load``) a predicate expansion."""
+    """Run and save (``--save``) or load and check (``--load``) an expansion."""
     if bool(args.save) == bool(args.load):
         print("kbqa expand: error: pass exactly one of --save/--load", file=sys.stderr)
         return 1
@@ -452,11 +453,9 @@ def _cmd_expand(args) -> int:
             expanded.save(args.save)
             print(f"saved expansion to {args.save}")
         else:
+            # load checks the whole file (size, checksum, offsets, ids),
+            # so a corrupt artifact exits 1 here as on every --expansion
             expanded = ExpandedStore.load(args.load)
-            # the artifact maps with O(1) structural checks only; --load is
-            # the operator's integrity gate, so run the full
-            # index-consistency sweep here (a corrupt file exits 1)
-            expanded.verify()
             print(f"loaded expansion from {args.load}")
     except (OSError, ValueError) as error:
         print(f"kbqa expand: error: {error}", file=sys.stderr)

@@ -5,7 +5,7 @@ The generative model treats a predicate and an expanded predicate uniformly
 need some slight changes').  :class:`KBView` is that adaptation point: one
 interface for ``paths_between(e, v)`` (EM candidate enumeration, Eq 24) and
 ``values(e, p+)`` (online ``P(v|e,p)``, Eq 6), backed by the base store for
-length-1 paths and by the materialized :class:`ExpandedStore` — with a live
+length-1 paths and by the precomputed :class:`ExpandedStore` — with a live
 graph-walk fallback for entities outside the expansion's seed set.
 """
 
@@ -45,7 +45,7 @@ class KBView:
         return paths
 
     def values(self, entity: str, path: PredicatePath) -> set[str]:
-        """``V(e, p+)``.  Expanded paths use the materialized store when the
+        """``V(e, p+)``.  Expanded paths use the precomputed store when the
         entity was a BFS seed and fall back to a graph traversal otherwise
         (online questions may mention entities absent from the QA corpus).
 

@@ -77,7 +77,7 @@ def collect_seed_entities(corpus: QACorpus, ner: EntityRecognizer) -> set[str]:
     """Entities mentioned in corpus questions — the BFS seed reduction of
     Sec 6.2 ('we only use subjects occurring in the questions').
 
-    Module-level so the CLI's ``kbqa expand`` can materialize the same seed
+    Module-level so the CLI's ``kbqa expand`` can collect the same seed
     set the offline learner would use, without running the full pipeline.
     """
     return _seed_entities(scan_questions(corpus.questions(), ner))

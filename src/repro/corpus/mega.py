@@ -1,7 +1,7 @@
 """Streaming mega-corpus compiler: N-million-triple worlds in bounded memory.
 
 The paper's headline claim is online QA over billion-triple KBs, but the
-suite's `build_world` materializes every entity before compiling — fine at
+suite's `build_world` holds every entity in memory before compiling — fine at
 10^3 triples, impossible at 10^6+.  :func:`compile_mega` instead streams:
 
 * a **small anchor world** (the ordinary ``WorldConfig.small`` build) is
@@ -25,7 +25,7 @@ triple target; ``manifest.json`` records the accounting
 
 The same code path runs against the in-memory backend (``backend="memory"``)
 — identical entity/triple sequence, hence identical dictionary ids — which
-is what the streaming-vs-materialized equivalence test keys on.
+is what the streaming-vs-in-memory equivalence test keys on.
 """
 
 from __future__ import annotations

@@ -640,7 +640,7 @@ def _assign_capitals(world: World, stream: SeedStream, countries, cities) -> Non
 # Chunked minting (the streaming mega-compile seam)
 # ---------------------------------------------------------------------------
 #
-# `build_world` materializes every entity in one registry — fine at 10^3
+# `build_world` holds every entity in one registry — fine at 10^3
 # entities, impossible at 10^6+.  The mega compiler instead mints entities in
 # fixed-size chunks: each chunk is derived from (seed, chunk index) alone, so
 # chunk k can be regenerated without holding chunks 0..k-1, and every fact

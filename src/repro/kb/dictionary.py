@@ -26,6 +26,21 @@ class Dictionary:
         self._term_to_id: dict[str, int] = {}
         self._id_to_term: list[str] = []
 
+    @classmethod
+    def from_terms(cls, terms: Iterable[str]) -> "Dictionary":
+        """A dictionary assigning id ``i`` to the ``i``-th term, in bulk.
+
+        Raises :class:`ValueError` if a term repeats (two ids, one term).
+        """
+        dictionary = cls()
+        dictionary._id_to_term = list(terms)
+        dictionary._term_to_id = {
+            term: term_id for term_id, term in enumerate(dictionary._id_to_term)
+        }
+        if len(dictionary._term_to_id) != len(dictionary._id_to_term):
+            raise ValueError("duplicate term in dictionary")
+        return dictionary
+
     def __len__(self) -> int:
         return len(self._id_to_term)
 

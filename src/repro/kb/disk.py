@@ -356,7 +356,7 @@ class DiskTripleStore(BackendBase):
         same sequence — the backend-equivalence contract), but rows land via
         one ``executemany`` per ``batch_size`` chunk inside an explicit
         ``BEGIN``/``COMMIT``: one fsync per batch instead of per triple.
-        Accepts any triple iterable and never materializes it.  Returns the
+        Accepts any triple iterable and never holds it as a list.  Returns the
         number of rows that were new.  With subscribed listeners it falls
         back to per-triple adds inside one notification batch so the change
         stream stays exact.

@@ -9,7 +9,7 @@ never a per-node graph walk), which keeps the cost ``O(k * |K| + #spo)`` as
 analysed in the paper.
 
 The scan and join are *ID-native*: the frontier, the prefix paths and the
-materialized ``(s, p+, o)`` triples are all dictionary-encoded integers, so
+expanded ``(s, p+, o)`` triples are all dictionary-encoded integers, so
 no term string or :class:`~repro.kb.triple.Triple` object is built per row.
 Strings appear only at the :class:`ExpandedStore` public boundary, where
 decoded results are cached as frozen views (one decode per key, shared across
@@ -27,8 +27,9 @@ measurements).  :class:`ExpandedStore` additionally:
   seeds (`repro.kb.live`) instead of re-expanding everything;
 * serializes its id-encoded buffers together with the dictionary
   (:meth:`ExpandedStore.save` / :meth:`ExpandedStore.load`) as the canonical,
-  versioned, mmap-served artifact of `repro.kb.expanded_v3`, so offline
-  training resumes without re-scanning.
+  checksummed artifact of `repro.kb.expanded_v3`, which loads back into an
+  ordinary dict-backed store, so offline training resumes without
+  re-scanning.
 
 Two paper-mandated restrictions are honoured:
 
@@ -175,10 +176,9 @@ class ExpandedStore:
     def has_reach(self) -> bool:
         """True when the reach-provenance index is populated.
 
-        `repro.kb.live` refuses a seeded store without reach through this
-        rather than peeking at ``_reached_from``, so a mapped artifact
-        (`repro.kb.expanded_v3`) can answer from its header without
-        materializing anything.
+        `repro.kb.live` refuses a seeded store without reach through this:
+        only an artifact saved from a store whose reach was dropped can be
+        in that state.
         """
         return bool(self._reached_from)
 
@@ -194,7 +194,7 @@ class ExpandedStore:
         """Drop every expanded triple and reach entry of one seed.
 
         Per-key invalidation for live KB updates: all of the seed's
-        materialized ``(s, p+, o)`` rows, its pair index entries, its frozen
+        expanded ``(s, p+, o)`` rows, its pair index entries, its frozen
         views, and its reach provenance are removed so a targeted single-seed
         re-expansion (see :class:`repro.kb.live.LiveExpansionMaintainer`)
         can rebuild them.  Returns True when anything was dropped.
@@ -264,41 +264,48 @@ class ExpandedStore:
     def save(self, path: str | Path, format: str = "v3") -> None:
         """Serialize the id-encoded buffers together with the dictionary.
 
-        Writes the artifact of `repro.kb.expanded_v3` (layout documented
-        there), replacing ``path`` atomically.  The bytes are canonical:
-        paths are written in sorted key order, subjects in id order, object
-        sets sorted — so two stores whose dictionaries assign the same term
-        ids (e.g. a memory and a disk backend built by the same add
-        sequence) serialize to byte-identical files regardless of internal
-        path/set interning order.  Stores with *differently ordered*
-        dictionaries hold different ids and produce different bytes even
-        for equal content.
+        Writes the checksummed artifact of `repro.kb.expanded_v3` (layout
+        documented there), replacing ``path`` atomically.  The bytes are
+        canonical: paths are written in sorted key order, subjects in id
+        order, object sets sorted — so two stores whose dictionaries assign
+        the same term ids (e.g. a memory and a disk backend built by the
+        same add sequence) serialize to byte-identical files regardless of
+        internal path/set interning order.  Stores with *differently
+        ordered* dictionaries hold different ids and produce different bytes
+        even for equal content.
         """
         # `format` survives for the frozen benchmarks/e2e caller; remove with it
         if format != "v3":
             raise ValueError(
                 f"unknown expansion format {format!r} (the only format is 'v3')"
             )
-        from repro.kb import expanded_v3  # local: v3 subclasses this module
+        from repro.kb import expanded_v3  # local: that module imports this one
 
-        expanded_v3.save_v3(self, path)
+        expanded_v3.save(self, path)
 
     @classmethod
     def load(cls, path: str | Path) -> "ExpandedStore":
-        """Map an artifact written by :meth:`save` (with its own dictionary).
+        """Read an artifact written by :meth:`save` into a new store.
 
-        The loaded store answers ``objects``/``paths_between``/``seeds_through``
-        by binary search over the mmap — no re-expansion and no dict
-        materialization until the first mutation; offline training passes
+        The whole file is checked (magic, version, size, CRC32, offset
+        chains, id ranges, UTF-8) and then built in bulk into an ordinary
+        dict-backed store with its own dictionary; offline training passes
         it straight to the learner (``KBQA.train(..., expanded=...)``) to
-        skip the Sec 6.2 scan entirely.  Raises :class:`ValueError` on a bad
-        magic, a retired format, an unsupported version, or a size that
-        disagrees with the header; ``verify()`` on the result is the full
-        integrity sweep.
+        skip the Sec 6.2 scan.  A retired or corrupt artifact raises
+        :class:`ValueError` naming the file (an unreadable one, ``OSError``).
         """
-        from repro.kb import expanded_v3  # local: v3 subclasses this module
+        from repro.kb import expanded_v3  # local: that module imports this one
 
-        return expanded_v3.load_v3(path)
+        return expanded_v3.load(path)
+
+    # `verify` and `close` survive only for the frozen benchmarks/e2e
+    # offline_train round trip, which calls both; remove them with those calls
+
+    def verify(self) -> None:
+        """No-op: :meth:`load` has already checked the whole artifact."""
+
+    def close(self) -> None:
+        """No-op: a loaded store holds no file open."""
 
     # -- Decoding helpers ----------------------------------------------------
 
@@ -360,15 +367,15 @@ class ExpandedStore:
     # -- Inventory ----------------------------------------------------------
 
     def __len__(self) -> int:
-        """Number of materialized (s, p+, o) triples."""
+        """Number of stored (s, p+, o) triples."""
         return self._triple_count
 
     def distinct_paths(self) -> set[PredicatePath]:
-        """All expanded predicates materialized for any subject."""
+        """All expanded predicates stored for any subject."""
         return {self._decode_path(p) for p in range(len(self._path_keys))}
 
     def triples(self) -> Iterator[tuple[str, PredicatePath, str]]:
-        """Scan every materialized (s, p+, o), decoded."""
+        """Scan every stored (s, p+, o), decoded."""
         decode = self.dictionary.decode
         for s, by_path in self._by_subject.items():
             subject = decode(s)
@@ -378,7 +385,7 @@ class ExpandedStore:
                     yield subject, path, decode(o)
 
     def triples_ids(self) -> Iterator[tuple[int, int, int]]:
-        """Id-native scan: ``(s_id, path_id, o_id)`` per materialized triple."""
+        """Id-native scan: ``(s_id, path_id, o_id)`` per stored triple."""
         for s, by_path in self._by_subject.items():
             for p, object_ids in by_path.items():
                 for o in object_ids:

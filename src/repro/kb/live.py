@@ -12,7 +12,7 @@ builds nothing — the index is already there, in a fresh expansion and in
 every artifact :meth:`ExpandedStore.save` wrote from one.  The maintainer
 subscribes to the backend's :class:`~repro.kb.backend.KBChange` stream,
 resolves that affected-seed set per change, invalidates exactly those seeds'
-materialized rows (:meth:`ExpandedStore.invalidate_seed`) and re-expands each
+expanded rows (:meth:`ExpandedStore.invalidate_seed`) and re-expands each
 one alone — cost ``O(k * |K|)`` per affected seed versus ``O(k * |K|)``
 times *all* seeds for a full rebuild, and zero when the edit touches no
 seed's reach (the common case for feed-style inserts).
@@ -113,7 +113,7 @@ class LiveExpansionMaintainer:
         The rebuild is a single-seed Sec 6.2 expansion over the backend.
         When the expanded store shares the backend's dictionary (the
         trained-in-process case) it expands directly ``into=`` the store —
-        pure id-level writes, zero string materialization.  A loaded
+        pure id-level writes, no term string built.  A loaded
         artifact carries its own dictionary, so that case expands into a
         fresh store and merges back string-level.
         """

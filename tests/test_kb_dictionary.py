@@ -51,6 +51,16 @@ class TestDictionary:
             d.encode(term)
         assert list(d.terms()) == ["z", "a", "m"]
 
+    def test_from_terms_assigns_ids_in_order(self):
+        d = Dictionary.from_terms(["z", "a", "m"])
+        assert list(d.terms()) == ["z", "a", "m"]
+        assert d.lookup("a") == 1 and d.decode(2) == "m"
+        assert d.encode("new") == 3
+
+    def test_from_terms_rejects_a_repeated_term(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            Dictionary.from_terms(["a", "b", "a"])
+
     @given(st.lists(st.text(min_size=1), min_size=1, max_size=50))
     def test_roundtrip_property(self, terms):
         d = Dictionary()

@@ -142,21 +142,26 @@ def test_environment_variables():
 
 
 def test_one_expansion_artifact_format():
-    """The retired formats' module, resolver and format list stay gone."""
+    """The retired formats' module, resolver and format list stay gone, and
+    so does the mmap reader: a loaded artifact is the dict-backed store."""
     for path in SRC.rglob("*.py"):
         text = path.read_text("utf-8")
-        for name in ("expanded_v2", "resolve_expanded_format", "EXPANSION_FORMATS"):
+        for name in (
+            "expanded_v2", "resolve_expanded_format", "EXPANSION_FORMATS",
+            "ExpandedStoreV3", "MappedDictionary", "materialize", "is_mapped",
+            "V3StreamWriter",
+        ):
             assert name not in text, (path, name)
 
 
 def test_expanded_format_env_var_is_ignored(tmp_path, monkeypatch):
     """Not an error and not a switch: the variable no longer exists."""
-    from repro.kb.expanded_v3 import is_v3_file
+    from repro.kb.expanded_v3 import EXPANSION_MAGIC
 
     monkeypatch.setenv("KBQA_EXPANDED_FORMAT", "v1")
     path = tmp_path / "expansion.kbqa"
     assert main(["expand", "--scale", "small", "--save", str(path)]) == 0
-    assert is_v3_file(path)
+    assert path.read_bytes().startswith(EXPANSION_MAGIC)
 
 
 def test_kb_layer_serves_only_the_lookups_kbqa_makes():

@@ -123,8 +123,6 @@ class TestReachAgainstReference:
                 fresh = expand_predicates(kb, seeds, max_length=max_length)
                 assert _decoded(expanded) == _decoded(fresh), step
             maintainer.close()
-            if arm == "artifact":
-                expanded.close()
 
 
 # ---------------------------------------------------------------------------
