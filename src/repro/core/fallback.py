@@ -28,6 +28,20 @@ inner loop).  ``fsum`` is exactly rounded, so the score equals the full
 dense dot product bit for bit — the zeros the scan skips contribute nothing
 to an exact sum — which is what the tests' dense oracle
 (``tests/oracles/fallback_reference.py``) checks.
+
+Retrieval is memoized per index.  A query is the embedding of a question's
+de-slotted remainder, which every entity asked about with that surface
+shares (827 distinct remainders among the 20 798 lane queries of one pass
+over the held-out benchmark stream), so :meth:`FallbackIndex.top_paths`
+reads an LRU keyed on ``(query, k)`` — ``SparseVector`` is hashable —
+bounded at 4 096 entries.  The memo holds an immutable tuple and every call
+returns a fresh list.  Nothing needs invalidating: an index never changes
+after construction and ``OnlineAnswerer.replace_model`` swaps it whole, so a
+new index brings an empty memo; the gate still runs and counts on every
+call; and KB values are probed by the answerer after retrieval, outside the
+memo, so a live write is seen at once.  Worst case, 4 096 distinct 8-token
+remainders hold about 12 MiB across this memo and the embedding memo of
+``repro.nlp.embed``.
 """
 
 from __future__ import annotations
@@ -37,6 +51,7 @@ import re
 import threading
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter, mul
 
 from repro.core.model import TemplateModel
@@ -50,6 +65,9 @@ from repro.nlp.embed import DEFAULT_DIM, SparseVector, accumulate, embed_tokens
 _NAME_WEIGHT = 0.25
 
 _NAME_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+# Distinct (query, k) retrievals kept per index (see the module docstring).
+_RETRIEVAL_MEMO_SIZE = 4096
 
 DEFAULT_THRESHOLD = 0.35
 DEFAULT_MARGIN = 0.05
@@ -66,6 +84,13 @@ class FallbackConfig:
     top_k: int = 5  # ranked paths handed to the caller per query
 
     def __post_init__(self) -> None:
+        # nan compares False against everything: a nan threshold counted every
+        # gate query as passed while the lane returned no path.
+        for name, value in (("threshold", self.threshold), ("margin", self.margin)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
 
@@ -95,14 +120,20 @@ class FallbackIndex:
             tuple(self.matrix[start : start + dim])
             for start in range(0, len(self.path_strs) * dim, dim)
         ]
+        self._retrieve = lru_cache(maxsize=_RETRIEVAL_MEMO_SIZE)(self._scan)
         # Serving executor threads share one index and all count into it.
         self._outcomes_lock = threading.Lock()
         self.reset_counters()
 
     def reset_counters(self) -> None:
-        """Zero this process's gate-outcome counters."""
+        """Zero this process's gate-outcome and retrieval-memo counters.
+
+        ``lru_cache`` keeps its counters with its entries, so the memo is
+        emptied too; that is always safe, as it only holds retrievals.
+        """
         with self._outcomes_lock:
             self._outcomes = {"passed": 0, "abstained_threshold": 0, "abstained_margin": 0}
+        self._retrieve.cache_clear()
 
     def __len__(self) -> int:
         return len(self.path_strs)
@@ -159,11 +190,15 @@ class FallbackIndex:
         """The ``k`` highest-cosine paths for a unit query vector.
 
         Returns ``(path_str, score)`` pairs sorted by descending score with
-        lexicographic tie-breaks.
+        lexicographic tie-breaks, as a new list on every call.
         """
         k = self.config.top_k if k is None else k
         if k <= 0:
             return []
+        return list(self._retrieve(query, k))
+
+    def _scan(self, query: SparseVector, k: int) -> tuple[tuple[str, float], ...]:
+        """:meth:`top_paths` without the memo: score every path row."""
         indices, weights = query
         if len(indices) > 1:
             gather = itemgetter(*indices)
@@ -171,7 +206,7 @@ class FallbackIndex:
             gather = lambda row: [row[i] for i in indices]  # noqa: E731
         scores = [math.fsum(map(mul, weights, gather(row))) for row in self._rows]
         ranked = sorted(zip(scores, self.path_strs), key=lambda pair: (-pair[0], pair[1]))
-        return [(path_str, score) for score, path_str in ranked[:k]]
+        return tuple((path_str, score) for score, path_str in ranked[:k])
 
     def gated_paths(self, query: SparseVector) -> list[tuple[str, float]]:
         """Retrieval plus the confidence gate; empty means *abstain*.
@@ -200,10 +235,12 @@ class FallbackIndex:
         return self._by_str[path_str]
 
     def describe(self) -> dict[str, object]:
-        """The gate's settings and this process's outcome counters
-        (``cache_info()["fallback"]``, hence ``/stats``)."""
+        """The gate's settings, this process's outcome counters and the
+        retrieval memo's counters (``cache_info()["fallback"]``, hence
+        ``/stats``)."""
         with self._outcomes_lock:
             outcomes = dict(self._outcomes)
+        memo = self._retrieve.cache_info()
         return {
             "paths": len(self.path_strs),
             "dim": self.config.dim,
@@ -211,4 +248,7 @@ class FallbackIndex:
             "margin": self.config.margin,
             "queries": sum(outcomes.values()),
             **outcomes,
+            "memo_hits": memo.hits,
+            "memo_misses": memo.misses,
+            "memo_entries": memo.currsize,
         }

@@ -153,6 +153,12 @@ class KBQA:
         Sec 6.2 scan and trains directly against the loaded store.
         """
         config = config or KBQAConfig()
+        # Built first, so gate settings it refuses fail before the training pass.
+        fallback_config = (
+            FallbackConfig(threshold=config.fallback_threshold, margin=config.fallback_margin)
+            if config.fallback
+            else None
+        )
         learner = OfflineLearner(
             kb, conceptualizer, config.learner, precomputed_expansion=expanded
         )
@@ -168,14 +174,8 @@ class KBQA:
         # Build the semantic fallback index once the model is final, so the
         # index sees exactly the θ the answerer will serve.
         fallback_index: FallbackIndex | None = None
-        if config.fallback:
-            fallback_index = FallbackIndex.build(
-                learn_result.model,
-                FallbackConfig(
-                    threshold=config.fallback_threshold,
-                    margin=config.fallback_margin,
-                ),
-            )
+        if fallback_config is not None:
+            fallback_index = FallbackIndex.build(learn_result.model, fallback_config)
         return cls(
             kb, conceptualizer, learn_result, statistics, config,
             fallback_index=fallback_index,

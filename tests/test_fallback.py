@@ -12,6 +12,8 @@ The lane's contract, in test form:
 * the sparse gather scan equals the dense oracle in ``tests/oracles``, on
   single queries and over the whole held-out stream,
 * the gate's outcome counters are conserved and surface in ``cache_info()``,
+* the embedding and retrieval memos change no vector, ranking or answer,
+  and hold no KB value: a live delete is seen by the next asking,
 * the serving layer counts ``fallback_served``/``fallback_abstained``.
 """
 
@@ -29,7 +31,9 @@ from oracles.fallback_reference import OracleIndex, reference_top_paths
 
 from repro.core.fallback import FallbackConfig, FallbackIndex
 from repro.core.online import OnlineAnswerer
-from repro.nlp.embed import SparseVector, _bucket, dot, embed_tokens
+from repro.core.system import KBQA, KBQAConfig
+from repro.data.compile import compile_freebase_like
+from repro.nlp.embed import DEFAULT_DIM, SparseVector, _bucket, _embed, dot, embed_tokens
 from repro.nlp.tokenizer import tokenize
 from repro.serve.async_answerer import AsyncAnswerer, ServeConfig
 
@@ -71,6 +75,19 @@ HELDOUT_REWRITES = (
     lambda q: q.rstrip("?") + " or not?",
     lambda q: "quick trivia: " + q,
 )
+
+
+@pytest.fixture(scope="module")
+def heldout_stream(suite) -> list[str]:
+    """Every gold factoid question through every held-out rewrite."""
+    gold = sorted(
+        {
+            pair.question
+            for pair in suite.corpus
+            if pair.meta.get("kind") == "factoid" and not pair.meta["wrong"]
+        }
+    )
+    return [rewrite(question) for question in gold for rewrite in HELDOUT_REWRITES]
 
 
 def _random_query(rng: random.Random, dim: int) -> SparseVector:
@@ -125,7 +142,25 @@ class TestEmbed:
         tokens = tuple(tokenize("when was barack obama born?"))
         warm = embed_tokens(tokens)
         _bucket.cache_clear()
+        _embed.cache_clear()
         assert embed_tokens(tokens) == warm
+
+    def test_memo_equals_uncached_body_on_heldout_remainders(self, kbqa_fb, heldout_stream):
+        """The lane's real queries: each de-slotted remainder of the stream
+        embeds through the memo exactly as through the uncached body, and a
+        list embeds as the tuple with the same tokens."""
+        ner = kbqa_fb.answerer.ner
+        remainders = set()
+        for question in heldout_stream:
+            tokens = tuple(tokenize(question))
+            for mention in ner.find_mentions(tokens):
+                if mention.candidates:
+                    remainders.add(tokens[: mention.start] + tokens[mention.end :])
+        assert len(remainders) > 10
+        for remainder in sorted(remainders):
+            memoized = embed_tokens(remainder)
+            assert memoized == _embed.__wrapped__(remainder, DEFAULT_DIM, 0)
+            assert embed_tokens(list(remainder)) == memoized
 
 
 class TestFallbackIndex:
@@ -205,12 +240,17 @@ class TestFallbackIndex:
         assert clear.gated_paths(query) == [("a", 1.0)]  # at most top_k returned
 
     def test_gate_counters_conserved(self, kbqa_fb, training_questions):
+        """Every query is counted, memo hits included: each is asked twice
+        in a row, a memo miss and then a hit."""
         index = FallbackIndex.build(kbqa_fb.model)
-        asked = 0
+        asked, distinct = 0, set()
         for question in training_questions:
             for rewrite in HELDOUT_REWRITES:
-                index.gated_paths(embed_tokens(tuple(tokenize(rewrite(question)))))
-                asked += 1
+                query = embed_tokens(tuple(tokenize(rewrite(question))))
+                distinct.add(query)
+                for _ in range(2):
+                    index.gated_paths(query)
+                    asked += 1
         index.gated_paths(SparseVector((), ()))  # nothing clears the threshold
         info = index.describe()
         assert info["queries"] == asked + 1
@@ -219,6 +259,38 @@ class TestFallbackIndex:
         )
         assert info["passed"] > 0 and info["abstained_threshold"] > 0
         assert (info["paths"], info["dim"]) == (len(index), index.config.dim)
+        assert info["memo_misses"] == info["memo_entries"] == len(distinct) + 1
+        assert info["memo_hits"] == info["queries"] - info["memo_misses"]
+
+    def test_memoized_result_is_not_shared_with_callers(self, fb_index):
+        query = embed_tokens(("where", "born"))
+        first = fb_index.top_paths(query, 5)
+        want = list(first)
+        first.clear()
+        second = fb_index.top_paths(query, 5)
+        assert second == want
+        second.append(("not-a-path", 2.0))
+        assert fb_index.top_paths(query, 5) == want
+
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [
+            ("threshold", math.nan),
+            ("threshold", math.inf),
+            ("threshold", -math.inf),
+            ("margin", math.nan),
+            ("margin", math.inf),
+            ("dim", 0),
+            ("dim", -3),
+            ("top_k", 0),
+        ],
+    )
+    def test_config_refuses_settings_that_break_the_gate(self, name, value):
+        """A nan threshold passed every gate query while the lane returned
+        nothing (``nan`` compares False both ways); ``dim=0`` divided by
+        zero inside ``_bucket`` at build time."""
+        with pytest.raises(ValueError, match=name):
+            FallbackConfig(**{name: value})
 
     def test_gate_counters_lose_no_update_across_threads(self):
         """Executor threads share one index; a lost increment would break
@@ -257,29 +329,37 @@ class TestFallbackLane:
             assert a == b  # frozen dataclass: full field-wise equality
             assert not b.fallback
 
-    def test_whole_heldout_stream_equals_oracle(self, suite, kbqa_fb, fb_index):
+    def test_whole_heldout_stream_equals_oracle(self, kbqa_fb, fb_index, heldout_stream):
         """Every gold factoid question through every held-out rewrite: the
-        sparse index answers exactly as one scoring through the dense oracle."""
-        gold = sorted(
-            {
-                pair.question
-                for pair in suite.corpus
-                if pair.meta.get("kind") == "factoid" and not pair.meta["wrong"]
-            }
-        )
-        stream = [rewrite(question) for question in gold for rewrite in HELDOUT_REWRITES]
+        sparse index answers exactly as one scoring through the dense oracle,
+        on a cold pass and on a second pass served wholly by its memo, and
+        its gate counts every query of both passes as the oracle's does."""
+        stream = heldout_stream
+        product = FallbackIndex(fb_index.config, fb_index.path_strs, fb_index.matrix)
         oracle = OracleIndex(fb_index.config, fb_index.path_strs, fb_index.matrix)
-        sparse_answers = _clone_answerer(kbqa_fb, fallback=fb_index).answer_many(stream)
         oracle_answers = _clone_answerer(kbqa_fb, fallback=oracle).answer_many(stream)
-        recovered = 0
-        for got, want in zip(sparse_answers, oracle_answers, strict=True):
-            assert got.values == want.values
-            assert got.predicate == want.predicate
-            assert got.entity == want.entity
-            assert got.fallback == want.fallback
-            assert abs(got.score - want.score) < 1e-12
-            recovered += got.fallback
-        assert recovered > len(stream) // 4
+        answerer = _clone_answerer(kbqa_fb, fallback=product)
+        cold = answerer.answer_many(stream)
+        cold_info = product.describe()
+        answerer.clear_caches()  # the answer cache, not the retrieval memo
+        warm = answerer.answer_many(stream)
+        warm_info = product.describe()
+        assert warm_info["memo_misses"] == cold_info["memo_misses"]  # all hits
+        assert warm_info["memo_hits"] - cold_info["memo_hits"] == cold_info["queries"]
+        gate = ("queries", "passed", "abstained_threshold", "abstained_margin")
+        for outcome in gate:
+            assert cold_info[outcome] == oracle.describe()[outcome]
+            assert warm_info[outcome] == 2 * cold_info[outcome]
+        for answers in (cold, warm):
+            recovered = 0
+            for got, want in zip(answers, oracle_answers, strict=True):
+                assert got.values == want.values
+                assert got.predicate == want.predicate
+                assert got.entity == want.entity
+                assert got.fallback == want.fallback
+                assert abs(got.score - want.score) < 1e-12
+                recovered += got.fallback
+            assert recovered > len(stream) // 4
 
     def test_heldout_paraphrase_recovered(self, kbqa_fb, fb_answerer, training_questions):
         recovered = 0
@@ -336,8 +416,62 @@ class TestFallbackLane:
         assert info["queries"] == (
             info["passed"] + info["abstained_threshold"] + info["abstained_margin"]
         )
+        assert info["memo_misses"] == info["memo_entries"] >= 1
+        assert info["memo_hits"] == info["queries"] - info["memo_misses"]
+        answerer.clear_caches()
+        answerer.answer(HELDOUT_REWRITES[0](training_questions[0]))
+        again = answerer.cache_info()["fallback"]
+        assert again["memo_hits"] > info["memo_hits"]
+        assert again["memo_misses"] == info["memo_misses"]
         answerer.replace_model(answerer.model, fallback=index)
-        assert answerer.cache_info()["fallback"]["queries"] == 0
+        reset = answerer.cache_info()["fallback"]
+        assert reset["queries"] == 0
+        assert reset["memo_hits"] == reset["memo_misses"] == reset["memo_entries"] == 0
+
+    def test_new_index_brings_an_empty_memo(self, kbqa_fb, training_questions):
+        old = FallbackIndex.build(kbqa_fb.model)
+        answerer = _clone_answerer(kbqa_fb, fallback=old)
+        heldout = HELDOUT_REWRITES[0](training_questions[0])
+        before = answerer.answer(heldout)
+        assert old.describe()["memo_entries"] >= 1
+        new = FallbackIndex.build(kbqa_fb.model)
+        answerer.replace_model(answerer.model, fallback=new)
+        assert answerer.cache_info()["fallback"]["memo_entries"] == 0
+        assert answerer.answer(heldout) == before
+        assert new.describe()["memo_misses"] >= 1
+
+    def test_live_delete_is_seen_through_the_memo(self, suite):
+        """The memo holds retrieval, never KB values: after ``delete_fact``
+        removes ``V(e, p)`` of a fallback answer, the same question (same
+        remainder, answer cache dropped by the delete) no longer returns it,
+        though its retrieval is a memo hit."""
+        kb = compile_freebase_like(suite.world)  # private copy: safe to mutate
+        with KBQA.train(
+            kb, suite.corpus, suite.conceptualizer, KBQAConfig(fallback=True)
+        ) as system:
+            recovered = None
+            for question in suite.corpus.questions():
+                if not system.answer(question).answered:
+                    continue
+                for rewrite in HELDOUT_REWRITES:
+                    result = system.answer(rewrite(question))
+                    if result.fallback and result.predicate.is_direct:
+                        recovered = result
+                        break
+                if recovered is not None:
+                    break
+            assert recovered is not None, "no fallback answer over a direct path"
+            (predicate,) = recovered.predicate.predicates
+            kbview = system.answerer.kbview
+            for obj in sorted(kbview.values(recovered.entity, recovered.predicate)):
+                assert system.delete_fact(recovered.entity, predicate, obj)
+            index = system.answerer.fallback_index
+            hits = index.describe()["memo_hits"]
+            after = system.answer(recovered.question)
+            assert index.describe()["memo_hits"] > hits
+            assert not kbview.values(recovered.entity, recovered.predicate)
+            assert (after.entity, after.predicate) != (recovered.entity, recovered.predicate)
+            assert recovered.value not in after.values
 
     def test_clear_caches_keeps_index(self, kbqa_fb, fb_index):
         answerer = _clone_answerer(kbqa_fb, fallback=fb_index)

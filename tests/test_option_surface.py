@@ -285,6 +285,26 @@ def test_serve_rejects_a_non_finite_deadline_before_training(deadline, capsys):
     assert "serving on" not in captured.out
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_answer_rejects_a_non_finite_fallback_threshold_before_training(
+    threshold, capsys, monkeypatch
+):
+    """``nan`` compares False both ways, so a nan threshold counted every gate
+    query as passed while the lane returned nothing; now ``FallbackConfig``
+    refuses it, and ``KBQA.train`` builds that config before it trains."""
+
+    def no_training(*_args, **_kwargs):
+        raise AssertionError("trained despite a refused gate setting")
+
+    monkeypatch.setattr("repro.core.system.OfflineLearner", no_training)
+    argv = ["answer", "--scale", "small", "--fallback",
+            f"--fallback-threshold={threshold}", "who is the mayor of x?"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "threshold must be a finite number" in captured.err
+    assert "Q:" not in captured.out
+
+
 def test_sharded_backend_is_unknown(monkeypatch):
     with pytest.raises(ValueError, match="memory, disk"):
         resolve_backend("sharded")
