@@ -41,7 +41,7 @@ def main() -> None:
     city = next(e for e in suite.world.of_type("city") if e.get_fact("population"))
     question = f"what is the population of {city.name}?"
 
-    config = ServeConfig(workers=2, max_batch=8)
+    config = ServeConfig(max_batch=8)
     with BackgroundServer(system, config) as bg:
         print(f"\nserver up on {bg.url} (ephemeral port, private event loop)")
 
@@ -68,7 +68,7 @@ def main() -> None:
               f"coalesced={stats['coalesced']} batches={stats['batches']} "
               f"evaluated={stats['evaluated']}")
 
-        print("\nPOST /facts: live-edit the KB through the quiesced write path")
+        print("\nPOST /facts: live-edit the KB between two evaluation batches")
         node = answer["entity"]
         fact = {"subject": node, "predicate": "population",
                 "object": make_literal("424242")}

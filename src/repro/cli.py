@@ -13,7 +13,7 @@ shell::
 Every training command accepts ``--backend memory|disk`` (the KB store)
 and ``--expansion PATH`` (resume from a persisted predicate expansion
 instead of re-running the Sec 6.2 scan).  ``serve`` is one process: one
-event loop plus ``--workers`` evaluation threads.
+event loop that evaluates every batch inline.
 """
 
 from __future__ import annotations
@@ -157,10 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-pending", type=int, default=256,
         help="admission bound: queued+executing evaluations before 503",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=2,
-        help="evaluation threads (default: 2)",
     )
     serve.add_argument(
         "--deadline-ms", type=float, default=0.0,
@@ -384,7 +380,6 @@ def _cmd_serve(args) -> int:
     config = ServeConfig(
         max_batch=args.max_batch,
         max_pending=args.max_pending,
-        workers=args.workers,
         deadline_ms=args.deadline_ms,
     )
     system, _suite = _train_system(args)

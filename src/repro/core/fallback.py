@@ -121,7 +121,8 @@ class FallbackIndex:
             for start in range(0, len(self.path_strs) * dim, dim)
         ]
         self._retrieve = lru_cache(maxsize=_RETRIEVAL_MEMO_SIZE)(self._scan)
-        # Serving executor threads share one index and all count into it.
+        # Threads answering through one system share one index and all
+        # count into it.
         self._outcomes_lock = threading.Lock()
         self.reset_counters()
 

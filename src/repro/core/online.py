@@ -117,11 +117,11 @@ class OnlineAnswerer:
         self._ranked: dict[str, tuple[tuple[str, PredicatePath, float], ...]] = {}
         self.answer_cache_size = answer_cache_size
         self._answer_cache: OrderedDict[str, AnswerResult] = OrderedDict()
-        # The serve layer (`repro.serve`) evaluates batches on executor
-        # threads while live-update listeners clear caches from mutator
-        # threads; the lock keeps the LRU's compound get/move/evict steps
-        # atomic.  Uncontended acquisition is tens of nanoseconds — noise
-        # next to one Eq 7 evaluation.  The generation counter prevents a
+        # Library callers may answer from several threads while live-update
+        # listeners clear caches from mutator threads; the lock keeps the
+        # LRU's compound get/move/evict steps atomic.  Uncontended
+        # acquisition is tens of nanoseconds — noise next to one Eq 7
+        # evaluation.  The generation counter prevents a
         # result computed *before* a clear_caches() from being inserted
         # *after* it (which would pin a pre-invalidation answer).
         self._cache_lock = threading.Lock()

@@ -269,7 +269,7 @@ class DiskTripleStore(BackendBase):
         """Close and drop connections owned by threads that have exited.
 
         Each (process, thread) gets a private connection; without eviction a
-        serving workload that churns executor threads (server restarts,
+        workload that churns threads (server restarts, mutator threads,
         benchmark runs) accumulates one open SQLite handle per dead thread
         until ``close()``.  Swept under ``_connections_lock`` whenever a new
         connection registers, so the registry stays bounded by the number of

@@ -5,8 +5,9 @@ The serving story, module by module:
 * :mod:`repro.serve.async_answerer` — :class:`AsyncAnswerer`: answer-cache
   hits answered on the event loop (no queue, task or thread hop), and for
   misses in-flight request coalescing on the normalized-question key,
-  micro-batching into ``answer_many``, bounded-queue admission control,
-  deadlines, epoch-checked freshness under live KB updates;
+  micro-batching into ``answer_many`` evaluated inline on the event loop,
+  bounded-queue admission control, deadlines, writes ordered between two
+  batches and epoch-checked freshness for writes from other threads;
 * :mod:`repro.serve.app` — :class:`KBQAServer`: the stdlib asyncio HTTP
   front (one ``asyncio.Protocol`` per connection over the sans-IO parser
   of :mod:`repro.serve.http`; ``/answer``, ``/batch``, ``/facts``,
@@ -16,8 +17,8 @@ The serving story, module by module:
   latency histograms, per-stage timers, bounded per-tenant counters,
   Prometheus text exposition.
 
-Serving is one process: one event loop plus ``--workers`` evaluation
-threads (DESIGN.md "Why serving has one executor").
+Serving is one process and one event loop, which evaluates every batch
+itself (DESIGN.md "Why serving evaluates on the loop").
 """
 
 from repro.serve.async_answerer import (

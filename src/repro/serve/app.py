@@ -9,9 +9,8 @@ Endpoints (all JSON):
   it.  A miss takes the queue; ``503`` with ``{"error": "overloaded", ...}``
   when admission control rejects.  The degraded fallback — a cached result
   served with ``"degraded": true`` because an answer beats a refusal — is
-  therefore left with the refusals the lane did not already absorb: a
-  request refused while a quiesced write holds the lane shut, and targets
-  whose cache the lane cannot read (no ``cached_answer`` on the target).  An
+  therefore left with the refusals the lane cannot absorb: targets whose
+  cache the lane cannot read (no ``cached_answer`` on the target).  An
   ``X-KBQA-Deadline-Ms`` header (or ``ServeConfig.deadline_ms``) bounds the
   wait: past it the request gets a ``504``; a value that is not a finite
   positive number gets a ``400``.
@@ -20,9 +19,9 @@ Endpoints (all JSON):
   deadline header applies per question, and the degraded fallback fires
   only when *every* question is cached.
 * ``POST /facts``   ``{"op": "add"|"delete", "subject", "predicate",
-  "object"}`` -> applies a live KB edit through the write-quiescence path,
-  so the expansion refresh + cache invalidation happen with no evaluation
-  in flight.
+  "object"}`` -> applies a live KB edit through :meth:`AsyncAnswerer.apply`,
+  on the event loop between two batches, so the expansion refresh + cache
+  invalidation happen with no evaluation in flight.
 * ``GET /healthz``  liveness + uptime — answered *before* the answerer, so
   admission control can never starve a liveness probe.
 * ``GET /stats``    serving counters, answerer cache occupancy, KB stats and
@@ -45,7 +44,7 @@ per-connection task.  A request's two lanes::
 
     hit:   data_received -> parse_request -> key -> probe -> payload -> write
     miss:  data_received -> parse_request -> task(_route -> answer ->
-           queue -> batch -> pool thread -> future) -> write
+           queue -> inline batch on the loop -> future) -> write
 
 Requests on one connection are answered strictly in order: while a miss is
 in flight (or the peer is not draining replies) later bytes stay buffered.
@@ -266,7 +265,6 @@ class KBQAServer:
         self._server: asyncio.Server | None = None
         self._unsubscribe = None
         self._connections: set[_Connection] = set()
-        self._writes: set[asyncio.Task] = set()  # /facts writes in flight
         self._started_monotonic = 0.0
         self.bad_requests = 0  # malformed/truncated requests answered with 400
         self.disconnects = 0  # connections dropped mid-request by the client
@@ -277,8 +275,8 @@ class KBQAServer:
         """Start the answerer, subscribe to KB changes, bind the socket."""
         await self.answerer.start()
         # External mutations (library calls, other threads) invalidate too —
-        # /facts goes further and quiesces, but the change stream is the
-        # correctness backstop for *any* write path.
+        # /facts runs its write between two batches, but the change stream
+        # is the correctness backstop for *any* write path.
         self._unsubscribe = self.system.kb.store.subscribe(
             lambda _change: self.answerer.invalidate(),
             lambda _changes: self.answerer.invalidate(),
@@ -306,9 +304,6 @@ class KBQAServer:
             # after the connections: from 3.12 this waits for them to close
             await self._server.wait_closed()
             self._server = None
-        # a write outlives its (cancelled) request: let it finish, so the
-        # store, the epoch and the caches agree before the answerer stops
-        await asyncio.gather(*self._writes, return_exceptions=True)
         if self._unsubscribe is not None:
             self._unsubscribe()
             self._unsubscribe = None
@@ -448,8 +443,8 @@ class KBQAServer:
             # degraded mode: the evaluation backend is saturated — a cached
             # answer beats a refusal, so probe the answer cache (free)
             # before surfacing the 503.  The cache-hit lane already answered
-            # every hit it could read, so this fires only where the lane was
-            # shut or blind (see the module docstring).
+            # every hit it could read, so this fires only where the lane is
+            # blind (see the module docstring).
             cached = self.system.answerer.cached_answer(question)
             if cached is None:
                 raise error
@@ -503,15 +498,9 @@ class KBQAServer:
             mutation = lambda: self.system.add_fact(subject, predicate, obj)  # noqa: E731
         else:
             mutation = lambda: self.system.delete_fact(subject, predicate, obj)  # noqa: E731
-
-        # Its own task, shielded: a client that hangs up cancels its request
-        # (connection_lost), but a write cancelled inside apply() could land
-        # in the store without its epoch bump or the end of its quiesce.
-        # The write always runs to completion, and stop() awaits it.
-        task = asyncio.ensure_future(self.answerer.apply(mutation))
-        self._writes.add(task)
-        task.add_done_callback(self._writes.discard)
-        return 200, {"op": op, "changed": bool(await asyncio.shield(task))}
+        # apply() never suspends: a client that hangs up (connection_lost
+        # cancels its request) cannot stop the write halfway
+        return 200, {"op": op, "changed": bool(await self.answerer.apply(mutation))}
 
 
 class BackgroundServer:

@@ -7,23 +7,23 @@ the synchronous ``answer_many`` batch API into an asyncio service with four
 mechanisms:
 
 * **cache-hit lane** — a question the target's answer cache already holds
-  is answered *on the event loop*, at the instant it is submitted: one
-  tokenization (the coalescing key, which is also the cache key), one
-  probe, and the result is returned — no future, no queue entry, no
-  dispatcher wake-up, no executor hand-off.  :meth:`AsyncAnswerer.
-  answer_nowait` is the same step without a coroutine, for the HTTP
-  front.  Everything below is what a *miss* takes.
+  is answered at the instant it is submitted: one tokenization (the
+  coalescing key, which is also the cache key), one probe, and the result
+  is returned — no future, no queue entry, no dispatcher wake-up.
+  :meth:`AsyncAnswerer.answer_nowait` is the same step without a
+  coroutine, for the HTTP front.  Everything below is what a *miss* takes.
 * **in-flight coalescing** — concurrent requests for the same *normalized*
   question (the answer-cache key) share one evaluation: the first arrival
   enqueues it, later arrivals await the same future.  N duplicates cost one
-  Eq 7 evaluation and one executor round trip.  There is no switch for it.
+  Eq 7 evaluation.  There is no switch for it.
 * **micro-batching** — distinct pending questions are drained into
-  ``answer_many`` batches of up to ``max_batch`` as soon as a worker slot
-  is free (no linger window) and evaluated on a bounded thread pool,
-  amortizing the event-loop/thread handoff and the serving-cache probes
-  across the batch.  Threads are the only executor, and one server
-  process is the only serving topology (DESIGN.md "Why serving has one
-  executor").
+  ``answer_many`` batches of up to ``max_batch`` and evaluated *inline on
+  the event loop*, one batch at a time, amortizing the serving-cache probes
+  across the batch.  The dispatcher yields to the loop between two batches,
+  so socket reads, deadline timers and writes interleave with a long queue.
+  Eq 7 is pure Python: under the GIL an evaluation thread bought no
+  parallelism, only a hand-off each way (DESIGN.md "Why serving evaluates
+  on the loop").  One server process is the only serving topology.
 * **admission control** — at most ``max_pending`` evaluations may be queued
   or executing; beyond that :meth:`AsyncAnswerer.answer` raises
   :class:`OverloadedError` *immediately* (the deterministic overload
@@ -35,38 +35,38 @@ serving (DESIGN.md "Control plane" records why the SLO controller went).
 
 The failure model (``tests/test_fault_tolerance.py``): a request may carry
 a **deadline** — past it the caller gets :class:`DeadlineExceeded` (HTTP
-504) while the evaluation itself keeps running for its coalesced siblings
-and the answer cache; an exception out of the target fails exactly the
-batch that hit it.
+504).  The loop runs the deadline's timer at the first point it is free
+after it passes: between two batches for a queued request, when its own
+batch returns for one being evaluated.  The evaluation itself is not
+cancelled: it still resolves its coalesced siblings and warms the answer
+cache.  An exception out of the target fails exactly the batch that hit it.
 
-Correctness under live KB updates rests on an epoch protocol: every
-invalidation (:meth:`AsyncAnswerer.invalidate`, thread-safe) bumps an epoch
-counter on the event loop; a batch whose evaluation straddled a bump is
-**re-evaluated** before its futures resolve, so any request admitted after
-an invalidation can never observe a pre-invalidation answer.  Writers that
-want stronger serialization use :meth:`AsyncAnswerer.apply`, which pauses
-dispatch, drains in-flight batches, runs the mutation on the executor, bumps
-the epoch and resumes — single-writer/multi-reader with quiescence.
+Correctness under live KB updates needs no quiesce.  :meth:`AsyncAnswerer.
+apply` runs its mutation synchronously on the loop, which is always between
+two batches: every batch is computed at one KB state, and a request
+admitted after ``apply()`` returned is evaluated after the write.  A write
+that bypasses ``apply()`` — a library call or the KB's change stream on
+another thread — ends in :meth:`AsyncAnswerer.invalidate`, which bumps an
+epoch counter from any thread.  A batch reads the counter before and after
+evaluating and **re-evaluates**, with no cap, until no bump landed in
+between, so a result computed before an ``invalidate()`` returned is never
+delivered (``stale_delivered`` stays 0).
 
-The lane keeps that freshness without an epoch check of its own.  A hit is
-one read of the target's answer cache at one instant on the loop thread —
-where the epoch cannot move — so it is exactly what a batch dispatched at
-that instant would have read from the same cache.  The cache in turn never
-outlives a write: the target's KB change listener clears it *before* the
-serving epoch bump is scheduled (``KBQA`` subscribes at construction, the
-server after it), and the answerer's generation counter refuses to insert a
-result whose evaluation straddled a clear.  The lane is shut while
-:meth:`AsyncAnswerer.apply` holds the write pause, so a request issued
-during a quiesced write waits for it like every other request.  There is no
+The lane needs no epoch check of its own.  A hit is one read of the
+target's answer cache at one instant on the loop thread, so it is exactly
+what a batch dispatched at that instant would have read from the same
+cache.  The cache in turn never outlives a write: the target's KB change
+listener clears it *before* the serving epoch bump (``KBQA`` subscribes at
+construction, the server after it), and the answerer's generation counter
+refuses to insert a result whose evaluation straddled a clear.  There is no
 switch for the lane: it is on exactly when it can be right — the target
 exposes ``cached_answer(question, key)`` and the answerer's key function is
 :func:`normalized_key`, the cache's own key — and a target without the
 probe (a wrapper, a scripted test double) or a custom ``key=`` keeps every
 request on the queue path.
 
-All mutable state is confined to the event loop; the only cross-thread entry
-points are ``invalidate`` (via ``call_soon_threadsafe``) and the pool
-threads, which touch nothing but the target's own (locked) caches.
+All mutable state is confined to the event loop; the only cross-thread
+entry point is ``invalidate``.
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import math
+import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from typing import Callable, Protocol, Sequence
 
 from repro.core.online import AnswerResult
@@ -138,13 +138,7 @@ class ServeConfig:
 
     ``max_batch`` bounds distinct questions per ``answer_many`` dispatch;
     ``max_pending`` is the admission bound on evaluations queued or
-    executing (coalesced joiners are free and never rejected);
-    ``workers`` sizes the evaluation thread pool; ``executor`` is
-    ``"thread"`` (None means the same) or ``"serial"`` (inline on the event
-    loop; the determinism baseline for tests).  ``max_stale_retries``
-    bounds re-evaluation when invalidations keep landing mid-flight — past
-    it the freshest attempt is delivered anyway (bounded staleness instead
-    of livelock under sustained writes).
+    executing (coalesced joiners are free and never rejected).
 
     The failure-model knob: ``deadline_ms`` is the default per-request
     deadline, a finite number of milliseconds (0 disables; the HTTP front's ``X-KBQA-Deadline-Ms`` header
@@ -154,31 +148,29 @@ class ServeConfig:
 
     max_batch: int = 16
     max_pending: int = 256
-    workers: int = 2
-    max_stale_retries: int = 5
-    executor: str | None = None
     deadline_ms: float = 0.0
+    # Validated and ignored: batches evaluate on the event loop, so there is
+    # no pool to size or pick.  Accepted only for callers written against the
+    # retired thread pool; they go with ROADMAP item 1 (i).
+    workers: InitVar[int | None] = None
+    executor: InitVar[str | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, workers: int | None, executor: str | None) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.max_stale_retries < 1:
-            raise ValueError(
-                f"max_stale_retries must be >= 1, got {self.max_stale_retries}"
-            )
         if not (math.isfinite(self.deadline_ms) and self.deadline_ms >= 0):
             raise ValueError(
                 f"deadline_ms must be a finite number >= 0, got {self.deadline_ms}"
             )
-        if self.executor not in (None, "thread", "serial"):
+        if workers is not None and workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if executor not in (None, "thread", "serial"):
             raise ValueError(
-                f"executor must be 'thread', 'serial' or None, got "
-                f"{self.executor!r} (batches evaluate on a pool of `workers` "
-                f"threads; there is no process executor)"
+                f"executor must be 'thread', 'serial' or None, got {executor!r} "
+                "(batches evaluate inline on the event loop; there is no "
+                "process executor)"
             )
 
 
@@ -193,9 +185,9 @@ class ServeStats:
     batches: int = 0  # answer_many dispatches that delivered results
     evaluated: int = 0  # questions sent through answer_many (incl. retries)
     stale_retries: int = 0  # re-evaluations forced by a mid-flight invalidation
-    stale_delivered: int = 0  # batches delivered at the retry cap (bounded staleness)
+    stale_delivered: int = 0  # always 0: re-evaluation has no cap (kept for readers)
     invalidations: int = 0  # epoch bumps observed
-    applies: int = 0  # quiesced writes through apply()
+    applies: int = 0  # writes run on the loop through apply()
     max_batch_seen: int = 0
     deadline_expired: int = 0  # requests abandoned at their deadline (504s)
     degraded: int = 0  # answer-cache hits served in degraded mode (by the app)
@@ -208,8 +200,7 @@ class AsyncAnswerer:
 
     Lifecycle: ``await start()`` inside a running event loop (or use
     ``async with``), submit with :meth:`answer` / :meth:`answer_many`,
-    ``await stop()`` to drain and shut the executor down.  One instance
-    binds to one event loop.
+    ``await stop()`` to shut down.  One instance binds to one event loop.
     """
 
     def __init__(
@@ -231,22 +222,18 @@ class AsyncAnswerer:
             probe if callable(probe) and key is normalized_key else None
         )
         self._loop: asyncio.AbstractEventLoop | None = None
-        # the evaluation thread pool; stays None for executor="serial"
-        self._executor: ThreadPoolExecutor | None = None
         # (key, question, future, tenant, t_enq) items not yet dispatched;
         # one entry per distinct in-flight key
         self._queue: deque = deque()
         self._inflight: dict[str, asyncio.Future] = {}
         self._pending = 0  # queued + executing evaluations (admission gauge)
+        # bumped by invalidate() from any thread, under the lock so that no
+        # two writers' bumps collapse into one
         self._epoch = 0
+        self._epoch_lock = threading.Lock()
         self._running = False
-        self._paused = False
-        self._active_batches = 0
-        self._batch_tasks: set[asyncio.Task] = set()
         self._dispatcher: asyncio.Task | None = None
         self._wakeup: asyncio.Event | None = None
-        self._quiesced: asyncio.Event | None = None
-        self._write_lock: asyncio.Lock | None = None
 
     # -- Lifecycle ---------------------------------------------------------
 
@@ -255,21 +242,18 @@ class AsyncAnswerer:
         if self._running:
             raise RuntimeError("AsyncAnswerer already started")
         self._loop = asyncio.get_running_loop()
-        if self.config.executor != "serial":
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.workers, thread_name_prefix="kbqa-serve-eval"
-            )
         self._wakeup = asyncio.Event()
-        self._quiesced = asyncio.Event()
-        self._quiesced.set()
-        self._write_lock = asyncio.Lock()
         self._running = True
         self._dispatcher = self._loop.create_task(
             self._dispatch_loop(), name="kbqa-serve-dispatch"
         )
 
     async def stop(self) -> None:
-        """Stop admitting, fail queued requests, drain batches, shut down."""
+        """Stop admitting, stop dispatching, fail queued requests.
+
+        No batch is ever caught halfway: the dispatcher is cancelled at one
+        of its awaits, which lie between two batches.
+        """
         if not self._running:
             return
         self._running = False
@@ -288,14 +272,6 @@ class AsyncAnswerer:
                 del self._inflight[key]
             if not future.done():
                 future.set_exception(RuntimeError("serving stopped"))
-        # In-flight batches are allowed to finish (their futures resolve).
-        while self._active_batches:
-            assert self._quiesced is not None
-            self._quiesced.clear()
-            await self._quiesced.wait()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)  # joins the pool threads
-            self._executor = None
 
     async def __aenter__(self) -> "AsyncAnswerer":
         await self.start()
@@ -389,12 +365,8 @@ class AsyncAnswerer:
     def _lane_hit(
         self, question: str, key: str, tenant: str | None, started: float
     ) -> AnswerResult | None:
-        """Probe the target's answer cache at this instant on the loop.
-
-        Shut while :meth:`apply` pauses dispatch: a request issued during a
-        quiesced write queues behind it instead of reading around it.
-        """
-        if self._probe is None or self._paused:
+        """Probe the target's answer cache at this instant on the loop."""
+        if self._probe is None:
             return None
         hit = self._probe(question, key)
         if hit is not None:
@@ -426,13 +398,18 @@ class AsyncAnswerer:
         """Await an evaluation future, abandoning it at the deadline.
 
         ``shield`` keeps the future alive either way — a timeout cancels
-        only the waiter.  An abandoned future gets a consuming callback so
-        a later batch failure is not logged as an unretrieved exception.
+        only the waiter.  The deadline wins over a result that arrives in
+        the same loop step as its timer: a caller whose deadline passed
+        during an inline batch gets :class:`DeadlineExceeded`, whether or not
+        that batch carried its question.  An abandoned future gets a
+        consuming callback so a later batch failure is not logged as an
+        unretrieved exception.
         """
         if deadline_s is None:
             return await asyncio.shield(future)
         try:
-            return await asyncio.wait_for(asyncio.shield(future), timeout=deadline_s)
+            async with asyncio.timeout(deadline_s):
+                return await asyncio.shield(future)
         except TimeoutError:
             self.stats.deadline_expired += 1
             future.add_done_callback(_consume_failure)
@@ -464,7 +441,7 @@ class AsyncAnswerer:
             raise RuntimeError("AsyncAnswerer is not running (call start())")
         started = time.monotonic()
         keys = [self._key(q) for q in questions]
-        lane = None if self._paused else self._probe
+        lane = self._probe
         hits = [lane(q, k) if lane else None for q, k in zip(questions, keys)]
         missed = [k for k, hit in zip(keys, hits) if hit is None]
         needed = len(set(missed) - self._inflight.keys())
@@ -495,118 +472,75 @@ class AsyncAnswerer:
     # -- Invalidation + writes ---------------------------------------------
 
     def invalidate(self) -> None:
-        """Bump the serving epoch (thread-safe).
+        """Bump the serving epoch (thread-safe, from any thread).
 
-        Call after any KB mutation visible to the target answerer.  Batches
-        whose evaluation overlapped the bump re-evaluate before resolving,
-        so requests admitted after this call never see pre-invalidation
-        answers.  The HTTP server wires the KB backend's change stream here.
+        Call after any KB mutation visible to the target answerer.  A batch
+        whose evaluation overlapped the bump re-evaluates before resolving,
+        so a request is never answered from a KB state older than the last
+        ``invalidate()`` that returned before its batch finished.  The HTTP
+        server wires the KB backend's change stream here.
         """
-        loop = self._loop
-        if loop is None:
-            return
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        if running is loop:
-            self._invalidate_on_loop()
-        else:
-            loop.call_soon_threadsafe(self._invalidate_on_loop)
-
-    def _invalidate_on_loop(self) -> None:
-        self._epoch += 1
-        self.stats.invalidations += 1
+        with self._epoch_lock:
+            self._epoch += 1
+            self.stats.invalidations += 1
 
     async def apply(self, mutation: Callable[[], object]) -> object:
-        """Run ``mutation`` with write-quiescence; returns its result.
+        """Run ``mutation`` on the loop, between two batches; returns its result.
 
-        Dispatch pauses, in-flight batches drain, the mutation runs off the
-        event loop (so synchronous change listeners — expansion refresh,
-        cache clears — never block it), the epoch bumps, dispatch resumes.
-        Writers serialize against each other on an async lock.
+        Never suspends: the mutation, its synchronous change listeners
+        (expansion refresh, cache clears) and the epoch bump run in one loop
+        step, so no batch overlaps the write, a request admitted after the
+        call returns is evaluated after it, and a cancelled caller cannot
+        interrupt it halfway.
         """
         if not self._running:
             raise RuntimeError("AsyncAnswerer is not running (call start())")
-        assert self._write_lock is not None and self._loop is not None
-        async with self._write_lock:
-            self._paused = True
-            try:
-                while self._active_batches:
-                    assert self._quiesced is not None
-                    self._quiesced.clear()
-                    await self._quiesced.wait()
-                # serial has no pool of its own: the loop's default one
-                result = await self._loop.run_in_executor(self._executor, mutation)
-                self._invalidate_on_loop()
-                self.stats.applies += 1
-                return result
-            finally:
-                self._paused = False
-                assert self._wakeup is not None
-                self._wakeup.set()
+        result = mutation()
+        self.invalidate()
+        self.stats.applies += 1
+        return result
 
     # -- Dispatch ----------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
-        """Drain the queue into bounded ``answer_many`` batches forever."""
-        assert self._wakeup is not None and self._loop is not None
-        worker_slots = asyncio.Semaphore(self.config.workers)
+        """Evaluate the queue in bounded ``answer_many`` batches forever.
+
+        One batch at a time, inline; the ``sleep(0)`` after each hands the
+        loop to socket reads, expired deadlines and writers before the next.
+        """
+        assert self._wakeup is not None
         max_batch = self.config.max_batch
         while True:
-            while not self._queue or self._paused:
+            if not self._queue:
                 self._wakeup.clear()
-                if self._queue and not self._paused:
-                    break  # racing set() between check and clear()
                 await self._wakeup.wait()
-            # Acquire the worker slot *before* popping: the only cancellation
-            # points are awaits, so a stop() can never strand a popped batch.
-            await worker_slots.acquire()
-            size = min(len(self._queue), max_batch)
-            if size == 0 or self._paused:
-                worker_slots.release()
                 continue
-            batch = [self._queue.popleft() for _ in range(size)]
+            batch = [
+                self._queue.popleft() for _ in range(min(len(self._queue), max_batch))
+            ]
             now = time.monotonic()
             for item in batch:
                 self.metrics.observe("queue_wait", (now - item[4]) * 1000.0)
-            self._active_batches += 1
-            task = self._loop.create_task(self._run_batch(batch, worker_slots))
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
+            self._run_batch(batch)
+            await asyncio.sleep(0)
 
-    async def _run_batch(
-        self,
-        batch: list[tuple[str, str, asyncio.Future, str | None, float]],
-        worker_slots: asyncio.Semaphore,
+    def _run_batch(
+        self, batch: list[tuple[str, str, asyncio.Future, str | None, float]]
     ) -> None:
-        """Evaluate one micro-batch; deliver or retry.
+        """Evaluate one micro-batch on the loop and resolve its futures.
 
-        The batch runs on a pool thread, or — for ``executor="serial"`` —
-        inline (blocks the loop; the determinism baseline for tests and a
-        degenerate single-user mode).
-
-        The freshness invariant lives in the retry loop: a result set is
-        delivered only if the epoch did not change between dispatch and
-        completion, otherwise the batch re-evaluates against the (already
-        invalidated, hence refreshed) target caches.  Retries are capped at
-        ``max_stale_retries`` so a writer mutating faster than one epoch
-        bump per evaluation degrades to *bounded staleness* (the freshest
-        attempt is delivered, ``stale_delivered`` counts it) instead of
-        livelocking the batch's futures.
+        The freshness invariant lives in the re-evaluation loop: a result
+        set is delivered only if no :meth:`invalidate` bumped the epoch while
+        it was computed — a write from another thread can land mid-batch —
+        otherwise the batch re-evaluates against the (already invalidated,
+        hence refreshed) target caches, as often as it takes.
         """
         questions = [item[1] for item in batch]
         try:
-            retries = 0
             while True:
                 epoch = self._epoch
                 eval_start = time.monotonic()
-                if self._executor is None:
-                    results = self.target.answer_many(questions)
-                else:
-                    results = await asyncio.wrap_future(
-                        self._executor.submit(self.target.answer_many, questions)
-                    )
+                results = self.target.answer_many(questions)
                 self.metrics.observe(
                     "evaluate", (time.monotonic() - eval_start) * 1000.0
                 )
@@ -614,10 +548,6 @@ class AsyncAnswerer:
                 if epoch == self._epoch:
                     break
                 self.stats.stale_retries += 1
-                retries += 1
-                if retries >= self.config.max_stale_retries:
-                    self.stats.stale_delivered += 1
-                    break
             self.stats.batches += 1
             self.stats.max_batch_seen = max(self.stats.max_batch_seen, len(questions))
             done = time.monotonic()
@@ -640,11 +570,6 @@ class AsyncAnswerer:
                     self.metrics.tenant_inc(tenant, "failed")
         finally:
             self._pending -= len(batch)
-            self._active_batches -= 1
-            worker_slots.release()
-            if self._active_batches == 0:
-                assert self._quiesced is not None
-                self._quiesced.set()
 
     # -- Introspection -----------------------------------------------------
 
@@ -661,11 +586,8 @@ class AsyncAnswerer:
             {
                 "pending": self._pending,
                 "inflight_keys": len(self._inflight),
-                "active_batches": self._active_batches,
                 "epoch": self._epoch,
                 "running": self._running,
-                "executor": self.config.executor or "thread",
-                "workers": self.config.workers,
                 "max_batch": self.config.max_batch,
                 "max_pending": self.config.max_pending,
             }

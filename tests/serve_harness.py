@@ -179,7 +179,6 @@ def run_smoke(
         "coalesced": serve_stats["coalesced"],
         "batches": serve_stats["batches"],
         "max_batch_seen": serve_stats["max_batch_seen"],
-        "executor": serve_stats["executor"],
         "metrics_series": len(metrics_series),
         "clean_shutdown": True,
     }

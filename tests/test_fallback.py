@@ -490,7 +490,7 @@ class TestServingCounters:
         assert recovered.answered and recovered.fallback
 
         async def drive() -> dict:
-            config = ServeConfig(executor="serial", workers=1)
+            config = ServeConfig()
             async with AsyncAnswerer(fb_answerer, config) as answerer:
                 await answerer.answer(heldout)
                 await answerer.answer("hello there, how are you?")
@@ -505,7 +505,7 @@ class TestServingCounters:
         plain = _clone_answerer(kbqa_fb)
 
         async def drive() -> dict:
-            config = ServeConfig(executor="serial", workers=1)
+            config = ServeConfig()
             async with AsyncAnswerer(plain, config) as answerer:
                 await answerer.answer(training_questions[0])
                 await answerer.answer("hello there, how are you?")

@@ -14,7 +14,7 @@
   ``kb.db`` beside its manifest, never the path spelled at compile time.
 * **Temporal supersession through serve** — a ``/facts`` delete+add pair on a
   live ``kbqa serve`` HTTP front must make the *fresh* fact win on the very
-  next ``/answer`` (the write-quiescence seam, end to end).
+  next ``/answer`` (``apply()`` between two batches, end to end).
 """
 
 import asyncio
@@ -97,7 +97,7 @@ class TestScenarioRecall:
 
             async def supersede_each():
                 store = binding.store
-                async with AsyncAnswerer(target, ServeConfig(workers=2)) as answerer:
+                async with AsyncAnswerer(target, ServeConfig()) as answerer:
                     for pair in binding.gold["temporal"]:
                         edit = pair.meta["supersede"]
                         before = await answerer.answer(pair.question)
@@ -227,7 +227,7 @@ class TestTemporalSupersessionThroughServe:
             c for c in world.of_type("city") if c.node != old_city.node
         )
         question = f"where does {person.name} live?"
-        with BackgroundServer(system, ServeConfig(workers=2, max_batch=8)) as bg:
+        with BackgroundServer(system, ServeConfig(max_batch=8)) as bg:
             _status, before = _post(bg.url + "/answer", {"question": question})
             assert before["answered"] is True
             assert before["values"] == [old_city.name]

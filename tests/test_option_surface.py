@@ -35,8 +35,10 @@ SRC = ROOT / "src"
 
 def test_serve_config_and_stats_field_counts():
     """The control plane's knobs (``slo_ms``, ``adaptive``, ``quota``,
-    ``batch_window_ms``) and the coalescing switch went with it."""
-    assert len(fields(ServeConfig)) == 6
+    ``batch_window_ms``) and the coalescing switch went with it; the pool's
+    ``workers``, ``executor`` and ``max_stale_retries`` went with inline
+    evaluation (the first two linger as validated, ignored ``InitVar``s)."""
+    assert len(fields(ServeConfig)) == 3
     assert len(fields(ServeStats)) == 15
 
 
@@ -97,7 +99,7 @@ def test_online_answerer_constructor_parameter_count():
 
 def test_cli_flag_count():
     cli = (SRC / "repro" / "cli.py").read_text(encoding="utf-8")
-    assert cli.count("add_argument(") <= 31
+    assert cli.count("add_argument(") <= 30
 
 
 def test_kbqa_server_constructor_parameter_count():
@@ -247,11 +249,13 @@ def test_kb_db_from_the_older_layout_still_opens(tmp_path):
         ["serve", "--scale", "small", "--port", "0", "--no-coalesce"],
         ["serve", "--scale", "small", "--port", "0", "--smoke"],
         ["serve", "--scale", "small", "--port", "0", "--procs", "2"],
+        ["serve", "--scale", "small", "--port", "0", "--workers", "2"],
     ],
     ids=[
         "serve--exec", "answer--shards", "train--workers", "shm-gc", "expand--expanded-format",
         "scenario", "mega-compile--mega-backend", "serve--slo-ms", "serve--adaptive",
         "serve--quota", "serve--no-coalesce", "serve--smoke", "serve--procs",
+        "serve--workers",
     ],
 )
 def test_deleted_cli_surface_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
@@ -263,14 +267,6 @@ def test_deleted_cli_surface_is_a_usage_error(argv, capsys, tmp_path, monkeypatc
     assert "kbqa" in captured.err
     assert "serving on" not in captured.out  # nothing served
     assert list(tmp_path.iterdir()) == []  # and nothing built
-
-
-def test_serve_rejects_zero_workers_before_training(capsys):
-    """No silent clamp and no hang: ``ServeConfig`` refuses, nothing runs."""
-    assert main(["serve", "--scale", "small", "--port", "0", "--workers", "0"]) == 1
-    captured = capsys.readouterr()
-    assert "workers must be >= 1" in captured.err
-    assert "serving on" not in captured.out
 
 
 @pytest.mark.parametrize("deadline", ["nan", "inf", "-inf", "-1"])

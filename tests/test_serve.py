@@ -2,12 +2,15 @@
 
 The serving layer's four invariants under test:
 
-* concurrent async results are byte-identical to the sequential path, on
-  both executors ``ServeConfig`` names (it rejects anything else);
+* concurrent async results are byte-identical to the sequential path
+  (``ServeConfig`` still accepts the retired pool keywords and ignores
+  them);
 * N concurrent identical questions cost one evaluation (coalescing);
 * admission control rejects deterministically with ``OverloadedError``;
-* an invalidation that lands mid-evaluation forces a re-evaluation, so a
-  request admitted after the invalidation never observes a stale answer.
+* batches evaluate inline on the event loop, so ``apply()`` lands between
+  two batches, and an invalidation that lands mid-evaluation — on the loop
+  or from another thread — forces a re-evaluation, so a request admitted
+  after the invalidation never observes a stale answer.
 
 Behavioral tests drive a scripted target (controllable latency and a
 mutable "KB" cell) so timing windows are held open explicitly; equivalence
@@ -47,18 +50,13 @@ class ScriptedTarget:
         self.delay = delay
         self.calls: list[list[str]] = []
         self.started = threading.Event()
-        self.active = 0
 
     def answer_many(self, questions):
         self.calls.append(list(questions))
-        self.active += 1
         self.started.set()
-        try:
-            if self.delay:
-                time.sleep(self.delay)
-            return [_result(q, self.value) for q in questions]
-        finally:
-            self.active -= 1
+        if self.delay:
+            time.sleep(self.delay)
+        return [_result(q, self.value) for q in questions]
 
 
 def run(coro):
@@ -85,7 +83,7 @@ class TestEquivalence:
         expected = [kbqa_fb.answer(q) for q in stream]
 
         async def main():
-            config = ServeConfig(workers=2, max_batch=8)
+            config = ServeConfig(max_batch=8)
             async with AsyncAnswerer(kbqa_fb, config) as answerer:
                 return await answerer.answer_many(stream)
 
@@ -115,13 +113,14 @@ class TestServingEquivalence:
     @pytest.mark.parametrize("stream_seed", [3, 11])
     def test_answer_many_equals_sync(self, backend, stream_seed, kbqa_fb, suite):
         """Async results over a randomized duplicate-heavy stream equal the
-        synchronous path on both serving executors."""
+        synchronous path, whichever retired ``executor`` value a caller
+        still passes (both are accepted and change nothing)."""
         pool = [q.question for q in suite.benchmark("qald3").bfqs()][:12]
         stream = duplicate_heavy_stream(pool, 48, duplicate_rate=0.5, seed=stream_seed)
         expected = [kbqa_fb.answer(q) for q in stream]
 
         async def main():
-            config = ServeConfig(workers=2, max_batch=8, executor=backend)
+            config = ServeConfig(max_batch=8, executor=backend)
             async with AsyncAnswerer(kbqa_fb, config) as answerer:
                 return await answerer.answer_many(stream)
 
@@ -136,6 +135,16 @@ class TestSelectionRules:
         with pytest.raises(ValueError, match="no process executor"):
             ServeConfig(executor="process")
 
+    def test_retired_pool_keywords_are_validated_and_ignored(self):
+        """Callers written against the thread pool still construct a config;
+        a value the pool would have refused is still refused."""
+        assert ServeConfig(workers=2, executor="thread") == ServeConfig()
+        assert ServeConfig(workers=1, executor="serial", max_batch=4) == ServeConfig(
+            max_batch=4
+        )
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ServeConfig(workers=0)
+
     @pytest.mark.parametrize("deadline_ms", [float("nan"), float("inf"), float("-inf")])
     def test_serve_config_rejects_a_non_finite_deadline(self, deadline_ms):
         """``nan >= 0`` and ``nan > 0`` are both False: a ``< 0`` check let
@@ -149,7 +158,7 @@ class TestCoalescing:
         target = ScriptedTarget(delay=0.02)
 
         async def main():
-            async with AsyncAnswerer(target, ServeConfig(workers=1)) as answerer:
+            async with AsyncAnswerer(target) as answerer:
                 results = await asyncio.gather(
                     *(answerer.answer("who is the mayor?") for _ in range(5))
                 )
@@ -166,7 +175,7 @@ class TestCoalescing:
         questions = [f"question number {n} ?" for n in range(8)]
 
         async def main():
-            config = ServeConfig(workers=1, max_batch=8)
+            config = ServeConfig(max_batch=8)
             async with AsyncAnswerer(target, config) as answerer:
                 await answerer.answer_many(questions)
                 return answerer.snapshot()
@@ -183,7 +192,7 @@ class TestCoalescing:
         n = 4
 
         async def main():
-            config = ServeConfig(workers=1, max_batch=4)
+            config = ServeConfig(max_batch=4)
             async with AsyncAnswerer(target, config) as answerer:
                 await asyncio.gather(
                     *(answerer.answer("same question ?") for _ in range(n))
@@ -205,7 +214,7 @@ class TestCoalescing:
 
         async def main() -> dict:
             kbqa_fb.answerer.clear_caches()
-            config = ServeConfig(workers=2, max_batch=4)
+            config = ServeConfig(max_batch=4)
             async with AsyncAnswerer(kbqa_fb.answerer, config) as answerer:
                 await asyncio.gather(*(answerer.answer(q) for q in stream))
                 return answerer.snapshot()
@@ -222,7 +231,7 @@ class TestAdmissionControl:
         questions = [f"distinct {n} ?" for n in range(6)]
 
         async def main():
-            config = ServeConfig(workers=1, max_batch=1, max_pending=2)
+            config = ServeConfig(max_batch=1, max_pending=2)
             async with AsyncAnswerer(target, config) as answerer:
                 outcomes = await asyncio.gather(
                     *(answerer.answer(q) for q in questions), return_exceptions=True
@@ -242,7 +251,7 @@ class TestAdmissionControl:
         target = ScriptedTarget(delay=0.05)
 
         async def main():
-            config = ServeConfig(workers=1, max_batch=1, max_pending=1)
+            config = ServeConfig(max_batch=1, max_pending=1)
             async with AsyncAnswerer(target, config) as answerer:
                 return await asyncio.gather(
                     *(answerer.answer("the hot question ?") for _ in range(5))
@@ -259,7 +268,7 @@ class TestAdmissionControl:
         questions = [f"distinct {n} ?" for n in range(5)]
 
         async def main():
-            config = ServeConfig(workers=1, max_batch=1, max_pending=2)
+            config = ServeConfig(max_batch=1, max_pending=2)
             async with AsyncAnswerer(target, config) as answerer:
                 with pytest.raises(OverloadedError, match="slots are free"):
                     await answerer.answer_many(questions)
@@ -274,30 +283,75 @@ class TestAdmissionControl:
 class TestFreshness:
     def test_midflight_invalidation_forces_reevaluation(self):
         """A result computed before an invalidation is never delivered
-        after it: the batch re-evaluates against the mutated target."""
-        target = ScriptedTarget(value="old", delay=0.2)
+        after it: the batch re-evaluates against the mutated target.  The
+        write lands inside the inline evaluation, as a synchronous KB change
+        listener would."""
+
+        class WritesDuringFirstBatch(ScriptedTarget):
+            answerer: AsyncAnswerer
+
+            def answer_many(self, questions):
+                results = super().answer_many(questions)
+                if len(self.calls) == 1:
+                    self.value = "new"  # the "KB edit"
+                    self.answerer.invalidate()
+                return results
+
+        target = WritesDuringFirstBatch(value="old")
 
         async def main():
-            async with AsyncAnswerer(target, ServeConfig(workers=1)) as answerer:
-                task = asyncio.ensure_future(answerer.answer("the question ?"))
-                loop = asyncio.get_running_loop()
-                await loop.run_in_executor(None, target.started.wait)
-                target.value = "new"  # the "KB edit"
-                target.delay = 0.0
-                answerer.invalidate()
-                result = await task
+            async with AsyncAnswerer(target) as answerer:
+                target.answerer = answerer
+                result = await answerer.answer("the question ?")
                 return result, answerer.snapshot()
 
         result, stats = run(main())
         assert result.value == "new"
-        assert stats["stale_retries"] >= 1
+        assert stats["stale_retries"] == 1
         assert stats["invalidations"] == 1
+
+    def test_write_from_another_thread_during_an_inline_batch_is_not_missed(self):
+        """A write that bypasses apply(): another thread mutates the KB and
+        calls invalidate() while the loop is inside ``answer_many``.  The
+        bump lands at once, not in a callback the busy loop cannot run, so
+        the batch re-evaluates and the pre-write result is never delivered."""
+
+        class ThreadWritesDuringFirstBatch(ScriptedTarget):
+            answerer: AsyncAnswerer
+
+            def answer_many(self, questions):
+                results = super().answer_many(questions)
+                if len(self.calls) == 1:
+
+                    def write() -> None:
+                        self.value = "new"
+                        self.answerer.invalidate()
+
+                    writer = threading.Thread(target=write)
+                    writer.start()
+                    writer.join(30.0)
+                    assert not writer.is_alive()
+                return results
+
+        target = ThreadWritesDuringFirstBatch(value="old")
+
+        async def main():
+            async with AsyncAnswerer(target, ServeConfig()) as answerer:
+                target.answerer = answerer
+                result = await answerer.answer("the question ?")
+                return result, answerer.snapshot()
+
+        result, stats = run(main())
+        assert result.value == "new"
+        assert stats["stale_retries"] == 1
+        assert stats["stale_delivered"] == 0
+        assert len(target.calls) == 2
 
     def test_invalidate_is_threadsafe(self):
         target = ScriptedTarget(value="old", delay=0.2)
 
         async def main():
-            async with AsyncAnswerer(target, ServeConfig(workers=1)) as answerer:
+            async with AsyncAnswerer(target) as answerer:
                 task = asyncio.ensure_future(answerer.answer("the question ?"))
                 loop = asyncio.get_running_loop()
 
@@ -312,61 +366,80 @@ class TestFreshness:
 
         assert run(main()).value == "new"
 
-    def test_sustained_invalidation_degrades_to_bounded_staleness(self):
-        """A writer bumping the epoch faster than one evaluation completes
-        must not livelock the batch: after max_stale_retries the freshest
-        attempt is delivered and counted."""
+    def test_sustained_invalidation_re_evaluates_until_fresh(self):
+        """There is no retry cap: a writer that bumps the epoch during every
+        evaluation keeps the batch re-evaluating until it stops, and only
+        the evaluation no bump overlapped is delivered."""
 
-        class SelfInvalidatingTarget(ScriptedTarget):
+        class InvalidatesSevenTimes(ScriptedTarget):
             answerer: AsyncAnswerer
 
             def answer_many(self, questions):
                 results = super().answer_many(questions)
-                self.answerer.invalidate()  # a concurrent write, every time
+                if len(self.calls) <= 7:  # past the old cap of 5
+                    self.value = f"v{len(self.calls)}"
+                    self.answerer.invalidate()  # a concurrent write, each time
                 return results
 
-        target = SelfInvalidatingTarget(value="v")
+        target = InvalidatesSevenTimes(value="v0")
 
         async def main():
-            config = ServeConfig(workers=1, max_stale_retries=2)
-            async with AsyncAnswerer(target, config) as answerer:
+            async with AsyncAnswerer(target) as answerer:
                 target.answerer = answerer
                 result = await answerer.answer("the question ?")
                 return result, answerer.snapshot()
 
         result, stats = run(main())
-        assert result.value == "v"  # resolved despite perpetual invalidation
-        assert stats["stale_retries"] == 2
-        assert stats["stale_delivered"] == 1
+        assert result.value == "v7"
+        assert stats["stale_retries"] == 7
+        assert stats["stale_delivered"] == 0
 
-    def test_apply_quiesces_writes(self):
-        """apply() runs the mutation with zero evaluations in flight and
-        subsequent requests see its effect."""
-        target = ScriptedTarget(value="old", delay=0.01)
-        observed_active: list[int] = []
+    def test_apply_runs_between_two_batches(self):
+        """An apply() issued while a long queue drains runs between two
+        batches, never inside one: the batches before it answer from the old
+        KB, the batches after it from the new one."""
+        log: list[str] = []
+
+        class LoggingTarget(ScriptedTarget):
+            def answer_many(self, questions):
+                log.append("batch start")
+                results = super().answer_many(questions)
+                log.append("batch end")
+                return results
+
+        target = LoggingTarget(value="old", delay=0.005)
 
         def mutation():
-            observed_active.append(target.active)
+            log.append("write")
             target.value = "new"
             return "changed"
 
         async def main():
-            config = ServeConfig(workers=2, max_batch=2)
+            config = ServeConfig(max_batch=2)
             async with AsyncAnswerer(target, config) as answerer:
-                warm = asyncio.gather(
-                    *(answerer.answer(f"warm {n} ?") for n in range(6))
+                readers = asyncio.gather(
+                    *(answerer.answer(f"queued {n} ?") for n in range(12))
                 )
+                while not target.calls:  # the queue has started draining
+                    await asyncio.sleep(0)
                 outcome = await answerer.apply(mutation)
                 after = await answerer.answer("after the write ?")
-                await warm
-                return outcome, after, answerer.snapshot()
+                return outcome, await readers, after, answerer.snapshot()
 
-        outcome, after, stats = run(main())
+        outcome, results, after, stats = run(main())
         assert outcome == "changed"
-        assert observed_active == [0]  # write saw a fully drained executor
+        write = log.index("write")
+        batch = ["batch start", "batch end"]
+        assert log[:write] == batch * (write // 2)
+        assert log[write + 1 :] == batch * ((len(log) - write - 1) // 2)
+        before = write // 2  # batches evaluated before the write
+        assert 0 < before < 6  # mid-queue: 12 questions are 6 batches
+        values = [r.value for r in results]
+        assert values == ["old"] * (2 * before) + ["new"] * (12 - 2 * before)
         assert after.value == "new"
         assert stats["applies"] == 1
-        assert stats["invalidations"] >= 1
+        assert stats["invalidations"] == 1
+        assert stats["stale_retries"] == 0
 
 
 class TestLifecycle:
@@ -393,7 +466,7 @@ class TestLifecycle:
         questions = [f"distinct {n} ?" for n in range(3)]
 
         async def main():
-            config = ServeConfig(workers=1, max_batch=1)
+            config = ServeConfig(max_batch=1)
             answerer = AsyncAnswerer(target, config)
             await answerer.start()
             tasks = [asyncio.ensure_future(answerer.answer(q)) for q in questions]

@@ -1,18 +1,17 @@
 """Concurrency hygiene: serving under write churn and clean shutdown.
 
 Serving: a request admitted after a KB mutation + invalidation can never
-observe a pre-mutation answer, however many readers are in flight; stopping
-an answerer joins its evaluation threads and fails what was still queued.
-Timing windows are held open deterministically with sentinel files: the
-target reports "mid-batch" by writing a file and blocks until the test
-writes the release file.
+observe a pre-mutation answer, however many readers are in flight or however
+hard a writer thread hammers ``invalidate()``; an answerer evaluates on its
+event loop, so serving starts no thread, and stopping it fails what was
+still queued.
 """
 
 from __future__ import annotations
 
 import asyncio
 import multiprocessing
-import os
+import sys
 import threading
 import time
 
@@ -22,7 +21,6 @@ from repro.core.online import AnswerResult
 from repro.serve import AsyncAnswerer, ServeConfig
 
 TIMEOUT_S = 30.0
-
 
 def _result(question: str, value: str) -> AnswerResult:
     return AnswerResult(
@@ -35,31 +33,6 @@ def _result(question: str, value: str) -> AnswerResult:
         predicate=None,
         found_predicate=True,
     )
-
-
-class FileGatedTarget:
-    """A scripted target whose evaluations signal through the FS.
-
-    Each ``answer_many`` appends a line to ``started_path`` (visible to the
-    test as "an evaluation is mid-batch") and then blocks until
-    ``gate_path`` exists.
-    """
-
-    def __init__(self, value: str, started_path: str, gate_path: str) -> None:
-        self.value = value
-        self.started_path = started_path
-        self.gate_path = gate_path
-
-    def answer_many(self, questions):
-        """Report mid-batch, hold until released, answer with the value."""
-        with open(self.started_path, "a", encoding="utf-8") as handle:
-            handle.write(f"{self.value}\n")
-        deadline = time.monotonic() + TIMEOUT_S
-        while not os.path.exists(self.gate_path):
-            if time.monotonic() > deadline:
-                raise RuntimeError("gate never opened")
-            time.sleep(0.005)
-        return [_result(q, self.value) for q in questions]
 
 
 class VersionedTarget:
@@ -78,24 +51,12 @@ class VersionedTarget:
         return [_result(q, str(self.version)) for q in questions]
 
 
-async def _wait_for(path: str, lines: int = 1) -> None:
-    deadline = time.monotonic() + TIMEOUT_S
-    while True:
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as handle:
-                if len(handle.readlines()) >= lines:
-                    return
-        if time.monotonic() > deadline:
-            raise AssertionError(f"timed out waiting for {path} x{lines}")
-        await asyncio.sleep(0.005)
-
-
 class TestSnapshotFreshness:
     def test_post_apply_requests_always_see_the_write(self):
         """Churn loop: after every apply() the next answer must carry the
-        new version — the write-quiescence path, repeated."""
+        new version — the apply() path, repeated."""
         target = VersionedTarget()
-        config = ServeConfig(workers=2, max_batch=4)
+        config = ServeConfig(max_batch=4)
 
         async def main():
             async with AsyncAnswerer(target, config) as answerer:
@@ -113,11 +74,11 @@ class TestSnapshotFreshness:
         assert stats["stale_delivered"] == 0
 
     def test_concurrent_churn_never_time_travels(self):
-        """Readers flooding the pool while a writer bumps versions: every
+        """Readers flooding the queue while a writer bumps versions: every
         delivered answer is a version that existed, and versions observed
         by successive post-apply probes never decrease."""
         target = VersionedTarget()
-        config = ServeConfig(workers=2, max_batch=4, max_pending=512)
+        config = ServeConfig(max_batch=4, max_pending=512)
 
         async def main():
             async with AsyncAnswerer(target, config) as answerer:
@@ -141,66 +102,130 @@ class TestSnapshotFreshness:
         observed = asyncio.run(main())
         assert len(observed) == 24
 
+    def test_writer_threads_hammering_invalidate_never_get_a_stale_delivery(self):
+        """Four writer threads (more than the cores) bump the version and
+        call ``invalidate()`` every millisecond, with a shortened thread
+        switch interval, while readers drain a queue of 2 ms batches: the
+        evaluations that straddle a bump re-evaluate, none is delivered
+        stale, no reader is lost to the churn and no bump is lost."""
+        target = SlowVersionedTarget(delay_s=0.002)
+        writers, bumps = 4, 50
+        version_lock = threading.Lock()
 
-def _evaluation_threads() -> list[str]:
-    return [
-        t.name for t in threading.enumerate() if t.name.startswith("kbqa-serve-eval")
-    ]
+        async def main():
+            async with AsyncAnswerer(target, ServeConfig(max_batch=4)) as answerer:
+
+                def hammer() -> None:
+                    for _ in range(bumps):
+                        with version_lock:
+                            target.bump()
+                        answerer.invalidate()
+                        time.sleep(0.001)
+
+                threads = [threading.Thread(target=hammer) for _ in range(writers)]
+                for thread in threads:
+                    thread.start()
+                results = []
+                while any(thread.is_alive() for thread in threads):
+                    results += await answerer.answer_many(
+                        [f"q{len(results) + n}?" for n in range(8)]
+                    )
+                for thread in threads:
+                    thread.join(TIMEOUT_S)
+                    assert not thread.is_alive()
+                final = await answerer.answer("after the writers?")
+                return results, final, answerer.snapshot()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results, final, stats = asyncio.run(main())
+        finally:
+            sys.setswitchinterval(interval)
+        total = writers * bumps
+        assert results and all(0 <= int(r.value) <= total for r in results)
+        assert final.value == str(total)
+        assert stats["invalidations"] == total
+        assert stats["stale_retries"] > 0
+        assert stats["stale_delivered"] == 0
+
+
+class SlowVersionedTarget(VersionedTarget):
+    """A versioned target whose batches take ``delay_s``."""
+
+    def __init__(self, delay_s: float) -> None:
+        super().__init__()
+        self.delay_s = delay_s
+
+    def answer_many(self, questions):
+        version = self.version
+        time.sleep(self.delay_s)
+        return [_result(q, str(version)) for q in questions]
 
 
 class TestCleanShutdown:
     def test_stop_leaves_no_worker_processes(self):
-        """stop() joins the evaluation threads, and serving never forked."""
+        """Serving evaluates on its own event loop: it starts no thread
+        while it serves and never forks."""
         target = VersionedTarget()
-        config = ServeConfig(workers=2)
+        before = set(threading.enumerate())
 
         async def main():
-            async with AsyncAnswerer(target, config) as answerer:
+            async with AsyncAnswerer(target) as answerer:
                 await answerer.answer_many([f"q{i}" for i in range(8)])
-                assert _evaluation_threads()
-            assert answerer._executor is None
+                assert set(threading.enumerate()) == before
 
         asyncio.run(main())
-        assert _evaluation_threads() == []
+        assert set(threading.enumerate()) == before
         assert multiprocessing.active_children() == []
 
     def test_repeated_cycles_do_not_accumulate_workers(self):
         target = VersionedTarget()
+        before = set(threading.enumerate())
 
         async def one_cycle(index: int):
-            async with AsyncAnswerer(target, ServeConfig(workers=2)) as answerer:
+            async with AsyncAnswerer(target) as answerer:
                 result = await answerer.answer(f"cycle {index}?")
                 assert result.value == "0"
 
         for index in range(3):
             asyncio.run(one_cycle(index))
-        assert _evaluation_threads() == []
+        assert set(threading.enumerate()) == before
 
-    def test_stop_fails_queued_requests_deterministically(self, tmp_path):
-        """Queued-but-undispatched requests fail with 'serving stopped'
-        (not a hang) even while an evaluation holds the only slot."""
-        started = str(tmp_path / "started")
-        gate = str(tmp_path / "gate")
-        target = FileGatedTarget("v", started, gate)
-        config = ServeConfig(workers=1, max_batch=1)
+    def test_stop_fails_queued_requests_deterministically(self):
+        """stop() requested while a batch evaluates: that batch completes,
+        and the request queued behind it fails with 'serving stopped'
+        (not a hang)."""
+
+        class StopsDuringFirstBatch(VersionedTarget):
+            answerer: AsyncAnswerer
+
+            def __init__(self) -> None:
+                super().__init__()
+                self.tasks: list[asyncio.Task] = []
+
+            def answer_many(self, questions):
+                if not self.tasks:  # mid-batch: queue one more, then stop
+                    loop = asyncio.get_running_loop()
+                    self.tasks.append(
+                        loop.create_task(self.answerer.answer("second, queued?"))
+                    )
+                    self.tasks.append(loop.create_task(self.answerer.stop()))
+                return super().answer_many(questions)
+
+        target = StopsDuringFirstBatch()
 
         async def main():
-            answerer = AsyncAnswerer(target, config)
+            answerer = AsyncAnswerer(target, ServeConfig(max_batch=1))
+            target.answerer = answerer
             await answerer.start()
-            inflight = asyncio.ensure_future(answerer.answer("first?"))
-            await _wait_for(started)  # slot taken, evaluation blocked on gate
-            queued = asyncio.ensure_future(answerer.answer("second, queued?"))
-            await asyncio.sleep(0.02)  # let the queued entry land
-            # begin shutdown while the evaluation still holds the gate: the
-            # queued request must fail *before* the slot could free up
-            stop_task = asyncio.ensure_future(answerer.stop())
+            first = await answerer.answer("first?")
+            queued, stopping = target.tasks
             with pytest.raises(RuntimeError, match="serving stopped"):
                 await queued
-            (tmp_path / "gate").write_text("go\n")
-            await stop_task
-            first = await inflight  # in-flight batch completed on stop
-            assert first.value == "v"
-            return True
+            await stopping
+            return first, answerer.snapshot()
 
-        assert asyncio.run(main())
-
+        first, stats = asyncio.run(main())
+        assert first.value == "0"  # the evaluating batch completed
+        assert stats["batches"] == 1 and stats["pending"] == 0

@@ -37,7 +37,7 @@ def serve_system(suite) -> KBQA:
 
 @pytest.fixture(scope="module")
 def server(serve_system):
-    config = ServeConfig(workers=2, max_batch=8)
+    config = ServeConfig(max_batch=8)
     with BackgroundServer(serve_system, config) as background:
         yield background
 
@@ -211,7 +211,7 @@ class TestConnectionHardening:
 
 class TestLiveFacts:
     def test_add_then_delete_fact_flows_into_answers(self, server, serve_system, suite):
-        """The /facts write path: quiesced add -> new answer -> quiesced
+        """The /facts write path: add between two batches -> new answer ->
         delete -> old answer, with no retraining and no restart."""
         entity = next(e for e in suite.world.of_type("city"))
         question = f"what is the population of {entity.name}?"

@@ -149,7 +149,7 @@ class TestStatsDrift:
             def answer_many(self, questions):
                 raise AssertionError("never evaluated")
 
-        answerer = AsyncAnswerer(_Target(), ServeConfig(workers=1))
+        answerer = AsyncAnswerer(_Target(), ServeConfig())
         snapshot = answerer.snapshot()
         stat_fields = set(dataclasses.asdict(ServeStats()))
         missing = stat_fields - set(snapshot)

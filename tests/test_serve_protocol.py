@@ -199,7 +199,7 @@ def serve_system(suite) -> KBQA:
 
 @pytest.fixture(scope="module")
 def server(serve_system):
-    with BackgroundServer(serve_system, ServeConfig(workers=2, max_batch=8)) as background:
+    with BackgroundServer(serve_system, ServeConfig(max_batch=8)) as background:
         yield background
 
 
@@ -407,102 +407,97 @@ class TestPipelining:
 class TestAbandonedRequests:
     def test_in_flight_request_is_cancelled_when_the_client_resets(self, serve_system):
         """A miss whose client vanished: the task is cancelled, the
-        connection forgotten, the reset counted, shutdown prompt."""
-        started, release = threading.Event(), threading.Event()
+        connection forgotten, the reset counted, shutdown prompt.  The miss
+        awaits an answer that never comes — evaluation is inline, so a
+        batch that blocked would block the loop that has to see the reset."""
+        started = threading.Event()
 
-        class Stalled:
-            """``serve_system`` with an evaluation that blocks; no probe."""
+        class Probeless:
+            """``serve_system`` without the probe: every request is a task."""
 
             cached_answer = None
             kb, answerer = serve_system.kb, serve_system.answerer
+            answer_many = serve_system.answer_many
 
-            def answer_many(self, questions):
-                started.set()
-                release.wait(TIMEOUT_S)
-                return serve_system.answer_many(questions)
+        async def never_answered(_question, **_kwargs):
+            started.set()
+            await asyncio.get_running_loop().create_future()
 
-        try:
-            with BackgroundServer(Stalled(), ServeConfig(workers=1)) as background:
-                sock = _connect(background)
-                sock.sendall(_answer("who is blocked?"))
-                assert started.wait(TIMEOUT_S)
-                (connection,) = background.server._connections
-                task = connection.task
-                assert task is not None and not task.done()
-                # SO_LINGER 0: close() sends RST, the transport reports an error
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-                sock.close()
-                deadline = time.monotonic() + TIMEOUT_S
-                while background.server._connections and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                assert not background.server._connections
-                # connection_lost forgets the connection, then requests the
-                # cancel; the task completes it on a later loop step
-                while not task.done() and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                assert task.cancelled()
-                assert background.server.disconnects == 1
-                # a second client's in-flight request is cancelled by stop()
-                other = _connect(background)
-                other.sendall(_answer("who else is blocked?"))
-                while not background.server._connections:
-                    time.sleep(0.01)
-                release.set()
-                began = time.monotonic()
-            assert time.monotonic() - began < 10.0
-            other.close()
-        finally:
-            release.set()
-
+        with BackgroundServer(Probeless(), ServeConfig()) as background:
+            background.server.answerer.answer = never_answered
+            sock = _connect(background)
+            sock.sendall(_answer("who is blocked?"))
+            assert started.wait(TIMEOUT_S)
+            (connection,) = background.server._connections
+            task = connection.task
+            assert task is not None and not task.done()
+            # SO_LINGER 0: close() sends RST, the transport reports an error
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            deadline = time.monotonic() + TIMEOUT_S
+            while background.server._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not background.server._connections
+            # connection_lost forgets the connection, then requests the
+            # cancel; the task completes it on a later loop step
+            while not task.done() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert task.cancelled()
+            assert background.server.disconnects == 1
+            # a second client's in-flight request is cancelled by stop()
+            other = _connect(background)
+            other.sendall(_answer("who else is blocked?"))
+            while not background.server._connections:
+                time.sleep(0.01)
+            began = time.monotonic()
+        assert time.monotonic() - began < 10.0
+        other.close()
 
     def test_a_write_outlives_its_cancelled_request(self, serve_system):
-        """``/facts`` whose client hung up mid-write: the request is
-        cancelled, the write still lands exactly once on the KB's change
-        stream (the one ``KBQAServer.start`` subscribes to), its epoch bump
-        runs, and ``stop()`` waits for it rather than outrunning it."""
+        """``/facts`` whose request is cancelled mid-write (what
+        ``connection_lost`` does when the client hangs up): ``apply()`` never
+        suspends, so the write still lands exactly once on the KB's change
+        stream (the one ``KBQAServer.start`` subscribes to) with its epoch
+        bump, and only then does the request end cancelled."""
         from repro.kb.backend import ADD
         from repro.kb.triple import make_literal
         from repro.serve.app import KBQAServer
 
-        entered, release = threading.Event(), threading.Event()
         store = serve_system.kb.store
         node = next(store.subjects_iter())
         fact = (node, "population", make_literal("777000777"))
+        routed: list[asyncio.Task] = []
 
-        class SlowWrites:
+        class CancelledMidWrite:
             kb, answerer = serve_system.kb, serve_system.answerer
             answer_many = serve_system.answer_many
 
             def add_fact(self, subject, predicate, obj):
-                entered.set()
-                assert release.wait(TIMEOUT_S)
+                routed[0].cancel()  # the client hangs up mid-write
                 return serve_system.add_fact(subject, predicate, obj)
 
         changes = []
         unsubscribe = store.subscribe(changes.append, changes.extend)
 
-        async def main() -> int:
-            loop = asyncio.get_running_loop()
-            server = KBQAServer(SlowWrites(), ServeConfig(workers=1))
+        async def main() -> tuple[int, int]:
+            server = KBQAServer(CancelledMidWrite(), ServeConfig())
             async with server:
                 body = dict(zip(("subject", "predicate", "object"), fact), op="add")
                 request = HTTPRequest(
                     method="POST", path="/facts", body=json.dumps(body).encode()
                 )
-                routed = asyncio.ensure_future(server._route(request))
-                assert await loop.run_in_executor(None, entered.wait, TIMEOUT_S)
-                routed.cancel()  # what connection_lost does to the request
+                routed.append(asyncio.ensure_future(server._route(request)))
                 with pytest.raises(asyncio.CancelledError):
-                    await routed
-                # still blocked in the store when stop() begins
-                loop.call_later(0.2, release.set)
-            # stop() has returned: the write, its change and its epoch bump
-            # are all done, not still running on an executor thread
-            assert [change.action for change in changes] == [ADD]
-            return server.answerer.stats.applies
+                    await routed[0]
+                # the request is gone, and its write, change and epoch bump
+                # are all done
+                assert [change.action for change in changes] == [ADD]
+                stats = server.answerer.stats
+                return stats.applies, stats.invalidations
 
         try:
-            assert asyncio.run(main()) == 1
+            # one bump from the change stream, one from apply() itself
+            assert asyncio.run(main()) == (1, 2)
             (change,) = changes
             assert tuple(
                 store.decode_id(term_id)
@@ -510,7 +505,6 @@ class TestAbandonedRequests:
             ) == fact
             assert fact[2] in store.objects(fact[0], fact[1])
         finally:
-            release.set()
             unsubscribe()
             serve_system.delete_fact(*fact)
 
