@@ -10,16 +10,21 @@ step then filters pairs whose predicate category conflicts with the
 question's expected answer type (the UIUC-classifier check that removes
 ``(obama, politician)`` from a birthday question — Example 2).
 
-Each surviving pair becomes an :class:`Observation` ``x_i = (q_i, e_i, v_i)``
-carrying ``P(e|q_i)`` (Eq 4) and the pruned candidate path set used by the
-EM algorithm's M-step (Eq 24).
+Each surviving pair is an observation ``x_i = (q_i, e_i, v_i)`` carrying
+``P(e|q_i)`` (Eq 4) and the pruned candidate path set used by the EM
+algorithm's M-step (Eq 24), each path with its ``P(v|e,p)`` (Eq 6).
+:func:`extract_records` is the one body: it works on dictionary ids and yields
+plain-tuple records, which the offline learner encodes as they arrive.
+:func:`extract_observations` is its door for callers holding raw pairs; it
+decodes each record into an :class:`Observation`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.kbview import KBView
 from repro.kb.paths import PredicatePath
@@ -139,29 +144,124 @@ def extract_observations(
     answer_type_of,
     config: ExtractionConfig | None = None,
 ) -> tuple[list[Observation], ExtractionStats]:
-    """:func:`extract_scanned` over raw ``(question, answer)`` strings."""
+    """:func:`extract_records` over raw ``(question, answer)`` strings, each
+    record decoded into an :class:`Observation`."""
     pairs = list(qa_pairs)
     scan = scan_questions((question for question, _answer in pairs), ner)
     answers = (answer for _question, answer in pairs)
-    return extract_scanned(scan, answers, kbview, value_index, answer_type_of, config)
+    stats = ExtractionStats()
+    records = extract_records(scan, answers, kbview, value_index, answer_type_of, stats, config)
+    observations = [
+        Observation(
+            question_tokens=q_tokens,
+            mention_span=(start, end),
+            entity=entity,
+            value=value,
+            entity_weight=entity_weight,
+            paths=tuple(path for _name, path, _value_prob in paths),
+        )
+        for q_tokens, start, end, entity, value, entity_weight, paths in records
+    ]
+    return observations, stats
 
 
-def extract_scanned(
+# One surviving pair of Eq 8, as plain tuples: (question tokens, mention start,
+# mention end, entity, value, P(e|q) of Eq 4, paths), ``paths`` being
+# ``((name, path, P(v|e,p) of Eq 6), ...)`` in name order.
+ExtractedRecord = tuple[
+    tuple[str, ...], int, int, str, str, float, tuple[tuple[str, PredicatePath, float], ...]
+]
+
+
+class _PathEntry:
+    """One predicate path as a pass meets it, resolved once per path key.
+
+    ``predicate_id`` is the store's id of a length-1 path's predicate;
+    ``expanded_id`` the expansion's path id of a longer one.
+    """
+
+    __slots__ = ("name", "path", "compatible", "predicate_id", "expanded_id")
+
+    def __init__(
+        self, path: PredicatePath, compatible: frozenset[AnswerType],
+        predicate_id: int | None, expanded_id: int | None,
+    ) -> None:
+        self.name = str(path)
+        self.path = path
+        self.compatible = compatible  # question types the refinement lets through
+        self.predicate_id = predicate_id
+        self.expanded_id = expanded_id
+
+
+_BY_NAME = attrgetter("name")  # Observation.paths are sorted by str(path)
+
+
+def extract_records(
     scan: CorpusScan,
     answers: Iterable[str],
     kbview: KBView,
     value_index: ValueIndex,
     answer_type_of,
+    stats: ExtractionStats,
     config: ExtractionConfig | None = None,
-) -> tuple[list[Observation], ExtractionStats]:
+) -> Iterator[ExtractedRecord]:
     """Run Eq 8 extraction + refinement over scanned questions and their answers.
 
-    ``answer_type_of(path) -> AnswerType`` supplies the manually-labelled
-    predicate categories of Sec 4.1.1.  Observations reuse the scan's token tuples.
+    The offline path's one extraction body: it yields one record per
+    surviving pair and counts into ``stats`` as it goes, so a consumer that
+    encodes each record at once (the learner) never holds them all.
+
+    It works on dictionary ids.  The paths of a pair are the store's direct
+    predicate ids (``predicates_between_ids``) joined with the expansion's
+    path ids (``path_ids_between``), and ``P(v|e,p)`` is membership in, and
+    the size of, the object-id set.  Each path key resolves once per pass to
+    one entry holding its name, its ``PredicatePath`` and the question types
+    ``answer_type_of(path) -> AnswerType`` (the manually-labelled predicate
+    categories of Sec 4.1.1) lets through.  Entries are interned by predicate
+    names, so a direct predicate and the expansion's length-1 path of the same
+    name are one entry even when the expansion has its own dictionary (a loaded
+    artifact).  Records reuse the scan's token tuples.
     """
     config = config or ExtractionConfig()
-    observations: list[Observation] = []
-    stats = ExtractionStats()
+    store, expanded = kbview.store, kbview.expanded
+    dictionary = store.dictionary
+    lookup, decode = dictionary.lookup, dictionary.decode
+    predicates_between = store.predicates_between_ids
+    objects_ids = store.objects_ids
+    if expanded is None:
+        path_ids_between = expanded_objects_ids = expanded_lookup = None
+    else:
+        path_ids_between = expanded.path_ids_between
+        expanded_objects_ids = expanded.objects_ids
+        expanded_lookup = (
+            None if expanded.dictionary is dictionary else expanded.dictionary.lookup
+        )
+    answer_types = tuple(AnswerType)
+    by_predicates: dict[tuple[str, ...], _PathEntry] = {}
+    direct_entries: dict[int, _PathEntry] = {}  # store predicate id -> entry
+    expanded_entries: dict[int, _PathEntry] = {}  # expansion path id -> entry
+
+    def entry_for(path: PredicatePath, expanded_id: int | None) -> _PathEntry:
+        entry = by_predicates.get(path.predicates)
+        if entry is None:
+            answer_type = answer_type_of(path)
+            entry = by_predicates[path.predicates] = _PathEntry(
+                path,
+                frozenset(t for t in answer_types if answer_types_compatible(t, answer_type)),
+                lookup(path.predicates[0]) if path.is_direct else None,
+                None if path.is_direct else expanded_id,
+            )
+        return entry
+
+    def direct_entry(predicate_id: int) -> _PathEntry:
+        entry = direct_entries[predicate_id] = entry_for(
+            PredicatePath.single(decode(predicate_id)), None
+        )
+        return entry
+
+    def expanded_entry(path_id: int) -> _PathEntry:
+        entry = expanded_entries[path_id] = entry_for(expanded.decode_path(path_id), path_id)
+        return entry
 
     for (q_tokens, mentions), answer in zip(scan, answers):
         stats.qa_pairs += 1
@@ -174,43 +274,65 @@ def extract_scanned(
         if not values:
             continue
         question_type = classify_tokens(q_tokens) if config.use_refinement else AnswerType.UNKNOWN
+        value_ids = []  # (value, store id, expansion id)
+        for value in values:
+            v_id = lookup(value)
+            value_ids.append((value, v_id, v_id if expanded_lookup is None else expanded_lookup(value)))
 
         # Collect connected (mention, entity, value) triples first so that
         # P(e|q) can be normalized over the entities that survive (Eq 4).
-        connected: list[tuple[tuple[int, int], str, str, tuple[PredicatePath, ...]]] = []
+        connected: list[tuple[int, int, str, str, tuple[tuple[str, PredicatePath, float], ...]]] = []
         for start, end, candidates in mentions:
             stats.entity_candidates_total += len(candidates)
             for entity in candidates:
-                for value in values:
+                e_id = lookup(entity)
+                e_x = e_id if expanded_lookup is None else expanded_lookup(entity)
+                for value, v_id, v_x in value_ids:
                     stats.candidate_ev += 1
-                    paths = kbview.paths_between(entity, value)
-                    if not paths:
+                    direct = (
+                        predicates_between(e_id, v_id)
+                        if e_id is not None and v_id is not None else ()
+                    )
+                    via = (
+                        path_ids_between(e_x, v_x)
+                        if path_ids_between is not None and e_x is not None and v_x is not None
+                        else ()
+                    )
+                    if not direct and not via:
                         continue
                     stats.connected_ev += 1
+                    entries = [direct_entries.get(p) or direct_entry(p) for p in direct]
+                    entries += [expanded_entries.get(p) or expanded_entry(p) for p in via]
+                    if direct and via:
+                        entries = list(dict.fromkeys(entries))
                     if config.use_refinement:
-                        paths = {
-                            p for p in paths
-                            if answer_types_compatible(question_type, answer_type_of(p))
-                        }
-                        if not paths:
+                        entries = [e for e in entries if question_type in e.compatible]
+                        if not entries:
                             stats.refinement_rejections += 1
                             continue
-                    connected.append(
-                        ((start, end), entity, value, tuple(sorted(paths, key=str)))
-                    )
+                    entries.sort(key=_BY_NAME)
+                    paths = []
+                    for entry in entries:
+                        if entry.expanded_id is None:
+                            objects = (
+                                objects_ids(e_id, entry.predicate_id)
+                                if e_id is not None and entry.predicate_id is not None
+                                else ()
+                            )
+                            value_prob = 1.0 / len(objects) if v_id in objects else 0.0
+                        else:
+                            objects = expanded_objects_ids(e_x, entry.expanded_id)
+                            if objects:
+                                value_prob = 1.0 / len(objects) if v_x in objects else 0.0
+                            else:  # not in the store: walk the graph (KBView.values)
+                                value_prob = kbview.value_probability(entity, entry.path, value)
+                        paths.append((entry.name, entry.path, value_prob))
+                    connected.append((start, end, entity, value, tuple(paths)))
 
         if not connected:
             continue
-        distinct_entities = {entity for _span, entity, _v, _p in connected}
+        distinct_entities = {entity for _start, _end, entity, _v, _p in connected}
         entity_weight = 1.0 / len(distinct_entities)
-        for span, entity, value, paths in connected:
+        for start, end, entity, value, paths in connected:
             stats.refined_ev += 1
-            observations.append(Observation(
-                question_tokens=q_tokens,
-                mention_span=span,
-                entity=entity,
-                value=value,
-                entity_weight=entity_weight,
-                paths=paths,
-            ))
-    return observations, stats
+            yield q_tokens, start, end, entity, value, entity_weight, paths

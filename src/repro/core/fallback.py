@@ -51,7 +51,7 @@ import re
 import threading
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter, mul
 
 from repro.core.model import TemplateModel
@@ -100,6 +100,20 @@ def _name_tokens(path_str: str) -> tuple[str, ...]:
     return tuple(_NAME_TOKEN_RE.findall(path_str.lower()))
 
 
+def _scan(
+    rows: list[tuple[float, ...]], path_strs: list[str], query: SparseVector, k: int
+) -> tuple[tuple[str, float], ...]:
+    """:meth:`FallbackIndex.top_paths` without the memo: score every path row."""
+    indices, weights = query
+    if len(indices) > 1:
+        gather = itemgetter(*indices)
+    else:  # itemgetter of fewer than two items does not return a tuple
+        gather = lambda row: [row[i] for i in indices]  # noqa: E731
+    scores = [math.fsum(map(mul, weights, gather(row))) for row in rows]
+    ranked = sorted(zip(scores, path_strs), key=lambda pair: (-pair[0], pair[1]))
+    return tuple((path_str, score) for score, path_str in ranked[:k])
+
+
 class FallbackIndex:
     """Packed predicate-path vectors with gated cosine retrieval."""
 
@@ -120,7 +134,10 @@ class FallbackIndex:
             tuple(self.matrix[start : start + dim])
             for start in range(0, len(self.path_strs) * dim, dim)
         ]
-        self._retrieve = lru_cache(maxsize=_RETRIEVAL_MEMO_SIZE)(self._scan)
+        # over the rows, not a bound method: a dropped index is freed by refcount
+        self._retrieve = lru_cache(maxsize=_RETRIEVAL_MEMO_SIZE)(
+            partial(_scan, self._rows, self.path_strs)
+        )
         # Threads answering through one system share one index and all
         # count into it.
         self._outcomes_lock = threading.Lock()
@@ -197,17 +214,6 @@ class FallbackIndex:
         if k <= 0:
             return []
         return list(self._retrieve(query, k))
-
-    def _scan(self, query: SparseVector, k: int) -> tuple[tuple[str, float], ...]:
-        """:meth:`top_paths` without the memo: score every path row."""
-        indices, weights = query
-        if len(indices) > 1:
-            gather = itemgetter(*indices)
-        else:  # itemgetter of fewer than two items does not return a tuple
-            gather = lambda row: [row[i] for i in indices]  # noqa: E731
-        scores = [math.fsum(map(mul, weights, gather(row))) for row in self._rows]
-        ranked = sorted(zip(scores, self.path_strs), key=lambda pair: (-pair[0], pair[1]))
-        return tuple((path_str, score) for score, path_str in ranked[:k])
 
     def gated_paths(self, query: SparseVector) -> list[tuple[str, float]]:
         """Retrieval plus the confidence gate; empty means *abstain*.

@@ -7,6 +7,8 @@ interface for ``paths_between(e, v)`` (EM candidate enumeration, Eq 24) and
 ``values(e, p+)`` (online ``P(v|e,p)``, Eq 6), backed by the base store for
 length-1 paths and by the precomputed :class:`ExpandedStore` — with a live
 graph-walk fallback for entities outside the expansion's seed set.
+The offline pass (`repro.core.extraction.extract_records`) runs the same
+join and the same ``P(v|e,p)`` on dictionary ids instead of strings.
 """
 
 from __future__ import annotations

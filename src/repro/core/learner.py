@@ -8,15 +8,16 @@ Pipeline: corpus questions -> seed entity collection -> predicate expansion
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.core.em import EMConfig, EMResult, EncodedObservations, run_em
 from repro.core.extraction import (
     CorpusScan,
+    ExtractedRecord,
     ExtractionConfig,
     ExtractionStats,
-    Observation,
     ValueIndex,
-    extract_scanned,
+    extract_records,
     scan_questions,
 )
 from repro.core.kbview import KBView
@@ -157,23 +158,24 @@ class OfflineLearner:
                 )
         kbview = KBView(self.kb.store, expanded)
 
-        observations, extraction_stats = extract_scanned(
+        extraction_stats = ExtractionStats()
+        records = extract_records(
             scan,
             (pair.answer for pair in corpus),
             kbview,
             ValueIndex(self.kb.store),
-            answer_type_of=self.kb.answer_type_for_path,
-            config=ExtractionConfig(use_refinement=self.config.use_refinement),
+            self.kb.answer_type_for_path,
+            extraction_stats,
+            ExtractionConfig(use_refinement=self.config.use_refinement),
         )
-
-        encoded = self._encode_candidates(observations, kbview)
+        encoded = self._encode_candidates(records)
         return PreparedCorpus(
             kbview=kbview,
             ner=self.ner,
             expanded=expanded,
             extraction=extraction_stats,
             encoded=encoded,
-            n_observations=len(observations),
+            n_observations=extraction_stats.refined_ev,
             n_seed_entities=len(seeds),
             seed_entities=frozenset(seeds),
         )
@@ -181,43 +183,47 @@ class OfflineLearner:
     # -- Stages -----------------------------------------------------------
 
     def _encode_candidates(
-        self, observations: list[Observation], kbview: KBView
+        self, records: Iterable[ExtractedRecord]
     ) -> tuple[EncodedObservations, list[str], list[str]]:
-        """Expand each observation into (template, path, f) candidates.
+        """Expand each extracted pair into (template, path, f) candidates.
 
         Candidates realize the pruned enumeration of Algorithm 1 line 7-8:
         templates from conceptualizing ``e_i`` in ``q_i`` (``P(t|e,q) > 0``),
-        paths connecting ``(e_i, v_i)`` (``P(v|e,p) > 0``).  Candidates are
-        appended straight into the flat CSR buffers of
-        :class:`EncodedObservations` — EM never sees a nested python list.
+        paths connecting ``(e_i, v_i)`` (``P(v|e,p) > 0``, computed by the
+        extraction body).  Candidates are appended straight into the flat CSR
+        buffers of :class:`EncodedObservations` as each record arrives — EM
+        never sees a nested python list, and no record outlives its turn.
+        ``P(c|e,q)`` depends only on the entity and the question's context, so
+        it is computed once per (entity, context) for the pass.
         """
         template_ids: dict[str, int] = {}
         path_ids: dict[str, int] = {}
         template_names: list[str] = []
         path_names: list[str] = []
         encoded = EncodedObservations()
+        conceptualize = self.conceptualizer.conceptualize
+        max_concepts = self.config.max_concepts_per_mention
+        # tuples throughout, so the collector untracks the memo's 20 k entries
+        top_concepts: dict[tuple[str, tuple[str, ...]], tuple[tuple[str, float], ...]] = {}
 
-        for obs in observations:
-            start, end = obs.mention_span
-            head, tail = obs.question_tokens[:start], obs.question_tokens[end:]
-            concept_distribution = self.conceptualizer.conceptualize(obs.entity, head + tail)
-            if not concept_distribution:
+        for q_tokens, start, end, entity, _value, entity_weight, paths in records:
+            head, tail = q_tokens[:start], q_tokens[end:]
+            context = head + tail
+            concepts = top_concepts.get((entity, context))
+            if concepts is None:
+                concepts = top_concepts[(entity, context)] = tuple(sorted(
+                    conceptualize(entity, context).items(), key=lambda kv: (-kv[1], kv[0])
+                )[:max_concepts])
+            if not concepts:
                 continue
-            top_concepts = sorted(
-                concept_distribution.items(), key=lambda kv: (-kv[1], kv[0])
-            )[: self.config.max_concepts_per_mention]
-            # neither P(v|e,p) (Eq 6) nor the path's name depends on the concept
-            paths = [
-                (str(p), kbview.value_probability(obs.entity, p, obs.value)) for p in obs.paths
-            ]
 
-            for concept, concept_prob in top_concepts:
+            for concept, concept_prob in concepts:
                 template_text = " ".join(head + (concept,) + tail)  # the online path's key
                 t_id = template_ids.setdefault(template_text, len(template_ids))
                 if t_id == len(template_names):
                     template_names.append(template_text)
-                for path_name, value_prob in paths:
-                    f = obs.entity_weight * concept_prob * value_prob
+                for path_name, _path, value_prob in paths:
+                    f = entity_weight * concept_prob * value_prob
                     if f <= 0.0:
                         continue
                     p_id = path_ids.setdefault(path_name, len(path_ids))

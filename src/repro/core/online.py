@@ -51,7 +51,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from typing import Sequence
 
@@ -127,28 +127,15 @@ class OnlineAnswerer:
         self._cache_lock = threading.Lock()
         self._cache_generation = 0
         self.lookup_cache_size = lookup_cache_size
-        # the NER/conceptualizer lookups, behind bounded LRUs
+        # the NER/conceptualizer lookups, behind bounded LRUs; they bind the
+        # collaborators, not self, so a dropped answerer is freed by refcount
+        self._find_mentions = partial(_find_mentions, ner)
+        self._top_concepts = partial(_top_concepts, conceptualizer)
         if lookup_cache_size > 0:
-            self._find_mentions = lru_cache(maxsize=lookup_cache_size)(
-                self._find_mentions_uncached
-            )
-            self._top_concepts = lru_cache(maxsize=lookup_cache_size)(
-                self._top_concepts_uncached
-            )
-        else:
-            self._find_mentions = self._find_mentions_uncached
-            self._top_concepts = self._top_concepts_uncached
+            self._find_mentions = lru_cache(maxsize=lookup_cache_size)(self._find_mentions)
+            self._top_concepts = lru_cache(maxsize=lookup_cache_size)(self._top_concepts)
 
     # -- Memoized lookups ---------------------------------------------------
-
-    def _find_mentions_uncached(self, tokens: tuple[str, ...]):
-        return tuple(self.ner.find_mentions(tokens))
-
-    def _top_concepts_uncached(
-        self, entity: str, context: tuple[str, ...]
-    ) -> tuple[tuple[str, float], ...]:
-        concepts = self.conceptualizer.conceptualize(entity, context)
-        return tuple(sorted(concepts.items(), key=lambda kv: (-kv[1], kv[0])))
 
     def _ranked_predicates(
         self, template_text: str
@@ -437,6 +424,17 @@ class OnlineAnswerer:
             question=question, value=None, values=(), score=0.0, entity=None,
             template=None, predicate=None, found_predicate=found_predicate,
         )
+
+
+def _find_mentions(ner: EntityRecognizer, tokens: tuple[str, ...]):
+    return tuple(ner.find_mentions(tokens))
+
+
+def _top_concepts(
+    conceptualizer: Conceptualizer, entity: str, context: tuple[str, ...]
+) -> tuple[tuple[str, float], ...]:
+    concepts = conceptualizer.conceptualize(entity, context)
+    return tuple(sorted(concepts.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 def _rendered(values) -> tuple[str, ...]:

@@ -89,25 +89,26 @@ def bind_scenarios(
     gold = _load_gold(mega_dir, spec.max_gold)
 
     suite = build_suite("small", seed=manifest["seed"])
-    system = KBQA.train(suite.freebase, suite.corpus, suite.conceptualizer)
+    # the target takes the model and the conceptualizer; the system itself is
+    # closed so it leaves no subscription on the suite's store
+    with KBQA.train(suite.freebase, suite.corpus, suite.conceptualizer) as system:
+        # working-set entity linking: gold display names -> nodes, gold
+        # entity -> concept weights into the trained conceptualizer's network
+        gazetteer: dict[str, list[str]] = {}
+        network = system.conceptualizer.network
+        for rows in gold.values():
+            for pair in rows:
+                gazetteer[pair.meta["name"]] = [pair.meta["node"]]
+                for concept, weight in pair.meta["concepts"]:
+                    network.add(pair.meta["node"], concept, weight)
 
-    # working-set entity linking: gold display names -> nodes, gold
-    # entity -> concept weights into the trained conceptualizer's network
-    gazetteer: dict[str, list[str]] = {}
-    network = system.conceptualizer.network
-    for rows in gold.values():
-        for pair in rows:
-            gazetteer[pair.meta["name"]] = [pair.meta["node"]]
-            for concept, weight in pair.meta["concepts"]:
-                network.add(pair.meta["node"], concept, weight)
-
-    store = DiskTripleStore(str(kb_path))
-    target = OnlineAnswerer(
-        KBView(store, expanded=None),
-        EntityRecognizer(gazetteer),
-        system.conceptualizer,
-        system.model,
-        answer_cache_size=0,
-        lookup_cache_size=0,
-    )
+        store = DiskTripleStore(str(kb_path))
+        target = OnlineAnswerer(
+            KBView(store, expanded=None),
+            EntityRecognizer(gazetteer),
+            system.conceptualizer,
+            system.model,
+            answer_cache_size=0,
+            lookup_cache_size=0,
+        )
     return ScenarioBinding(target=target, store=store, gold=gold)

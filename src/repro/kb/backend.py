@@ -94,13 +94,19 @@ class BackendBase:
         listener that also registered ``batch_listener`` receives the whole
         burst in **one** call (the coalescing hook), while plain listeners
         get the deferred changes replayed one by one in mutation order.
+        Unsubscribing twice is harmless.
         """
-        entry = (listener, batch_listener)
+        entry: tuple[ChangeListener, BatchListener | None] | None = (listener, batch_listener)
         self._listeners.append(entry)
 
         def unsubscribe() -> None:
+            # The entry is forgotten too: it holds the subscriber's bound
+            # listeners, and a subscriber that keeps this callable would stay
+            # in a reference cycle with it after detaching.
+            nonlocal entry
             if entry in self._listeners:
                 self._listeners.remove(entry)
+            entry = None
 
         return unsubscribe
 
@@ -161,7 +167,8 @@ class KBBackend(Protocol):
 
     * **string reads** — the public boundary the NLP/eval layers use;
     * **id-level reads** — the hot-path API (``objects_ids``,
-      ``triples_ids``, the grouped ``spo_items_ids`` scan) that hands out
+      ``predicates_between_ids``, ``triples_ids``, the grouped
+      ``spo_items_ids`` scan) that hands out
       dictionary-encoded views with zero per-row string materialization;
     * **writes** — ``add``/``delete`` with :class:`KBChange` notification.
     """
@@ -247,6 +254,12 @@ class KBBackend(Protocol):
 
     def objects_ids(self, subject_id: int, predicate_id: int) -> set[int] | frozenset[int]:
         """``V(e, p)`` as object ids (read-only view)."""
+        ...
+
+    def predicates_between_ids(
+        self, subject_id: int, object_id: int
+    ) -> set[int] | frozenset[int]:
+        """Direct predicate ids between two term ids (read-only view)."""
         ...
 
     def triples_ids(self) -> Iterator[tuple[int, int, int]]:

@@ -454,12 +454,7 @@ class DiskTripleStore(BackendBase):
         if s is None or o is None:
             return set()
         decode = self.dictionary.decode
-        return {
-            decode(p)
-            for (p,) in self._connection().execute(
-                "SELECT p FROM triples WHERE o = ? AND s = ?", (o, s)
-            )
-        }
+        return {decode(p) for p in self.predicates_between_ids(s, o)}
 
     def predicates_of(self, subject: str) -> set[str]:
         """All predicates leaving ``subject``."""
@@ -523,6 +518,15 @@ class DiskTripleStore(BackendBase):
                 self._objects_memo.clear()
             self._objects_memo[key] = cached
         return cached
+
+    def predicates_between_ids(self, subject_id: int, object_id: int) -> frozenset[int]:
+        """Direct predicate ids p with (subject, p, object) in the store."""
+        return frozenset(
+            p
+            for (p,) in self._connection().execute(
+                "SELECT p FROM triples WHERE o = ? AND s = ?", (object_id, subject_id)
+            )
+        )
 
     def triples_ids(self) -> Iterator[tuple[int, int, int]]:
         """Scan all triples as ``(s_id, p_id, o_id)``, subject-grouped."""

@@ -139,6 +139,10 @@ class ExpandedStore:
         """Id-level ``V(e, p+)`` (read-only view; empty is a frozenset)."""
         return self._by_subject.get(subject_id, {}).get(path_id, _EMPTY_FROZEN)
 
+    def path_ids_between(self, subject_id: int, object_id: int) -> set[int] | frozenset[int]:
+        """Id-level ``paths_between``: path ids connecting (s, o) (read-only view)."""
+        return self._by_pair.get((subject_id, object_id), _EMPTY_FROZEN)
+
     # -- Reach provenance --------------------------------------------------
 
     def note_reach(self, node_id: int, seed_id: int) -> None:
@@ -309,7 +313,8 @@ class ExpandedStore:
 
     # -- Decoding helpers ----------------------------------------------------
 
-    def _decode_path(self, path_id: int) -> PredicatePath:
+    def decode_path(self, path_id: int) -> PredicatePath:
+        """The :class:`PredicatePath` of a path id (decoded once, shared)."""
         path = self._decoded_paths.get(path_id)
         if path is None:
             decode = self.dictionary.decode
@@ -360,7 +365,7 @@ class ExpandedStore:
             path_ids = self._by_pair.get(key)
             if not path_ids:
                 return _EMPTY_FROZEN
-            cached = frozenset(self._decode_path(p) for p in path_ids)
+            cached = frozenset(self.decode_path(p) for p in path_ids)
             self._pairs_cache[key] = cached
         return cached
 
@@ -372,7 +377,7 @@ class ExpandedStore:
 
     def distinct_paths(self) -> set[PredicatePath]:
         """All expanded predicates stored for any subject."""
-        return {self._decode_path(p) for p in range(len(self._path_keys))}
+        return {self.decode_path(p) for p in range(len(self._path_keys))}
 
     def triples(self) -> Iterator[tuple[str, PredicatePath, str]]:
         """Scan every stored (s, p+, o), decoded."""
@@ -380,7 +385,7 @@ class ExpandedStore:
         for s, by_path in self._by_subject.items():
             subject = decode(s)
             for p, object_ids in by_path.items():
-                path = self._decode_path(p)
+                path = self.decode_path(p)
                 for o in object_ids:
                     yield subject, path, decode(o)
 

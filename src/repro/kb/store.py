@@ -13,7 +13,8 @@ is no ``POS`` ordering.
 
 The public API speaks term strings.  The hot paths (the Sec 6.2 expansion
 scan, the benchmark harness) additionally get an *id-level* API —
-``objects_ids``, ``triples_ids``, ``spo_items_ids`` — that exposes the
+``objects_ids``, ``predicates_between_ids``, ``triples_ids``,
+``spo_items_ids`` — that exposes the
 dictionary-encoded indexes directly so per-row string materialization can be
 skipped entirely; callers treat the returned containers as read-only views.
 
@@ -143,7 +144,7 @@ class TripleStore(BackendBase):
         if s is None or o is None:
             return set()
         decode = self.dictionary.decode
-        return {decode(p) for p in self._osp.get(o, {}).get(s, ())}
+        return {decode(p) for p in self.predicates_between_ids(s, o)}
 
     def predicates_of(self, subject: str) -> set[str]:
         """All predicates leaving ``subject``."""
@@ -187,6 +188,14 @@ class TripleStore(BackendBase):
         """``V(e, p)`` as object ids (read-only view; empty on absence is a
         frozenset so accidental mutation raises instead of corrupting)."""
         return self._spo.get(subject_id, {}).get(predicate_id, _EMPTY_ID_SET)
+
+    def predicates_between_ids(self, subject_id: int, object_id: int) -> set[int] | frozenset[int]:
+        """Direct predicate ids p with (subject, p, object) in the store
+        (read-only view)."""
+        by_subject = self._osp.get(object_id)
+        if by_subject is None:
+            return _EMPTY_ID_SET
+        return by_subject.get(subject_id, _EMPTY_ID_SET)
 
     def triples_ids(self) -> Iterator[tuple[int, int, int]]:
         """Scan all triples as ``(s_id, p_id, o_id)`` — the id-native

@@ -85,6 +85,21 @@ class TestRandomizedEquivalence:
             for p_id, objects in by_predicate.items():
                 assert set(disk.objects_ids(s_id, p_id)) == objects
 
+    def test_identical_predicates_between_ids(self, pair):
+        """Every (subject, object) id pair, connected, never connected or
+        connected only by a deleted edge."""
+        mem, disk = pair
+        expected: dict[tuple[int, int], set[int]] = {}
+        for s_id, p_id, o_id in mem.triples_ids():
+            expected.setdefault((s_id, o_id), set()).add(p_id)
+        term_ids = range(len(mem.dictionary))
+        for s_id in term_ids:
+            for o_id in term_ids:
+                between = expected.get((s_id, o_id), set())
+                assert set(mem.predicates_between_ids(s_id, o_id)) == between
+                assert set(disk.predicates_between_ids(s_id, o_id)) == between
+        assert any(len(predicates) > 1 for predicates in expected.values())
+
     def test_identical_expansion(self, pair):
         mem, disk = pair
         seeds = sorted(set(s for s, _p, _o in mem.triples()))[:8]

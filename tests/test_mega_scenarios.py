@@ -125,6 +125,25 @@ class TestScenarioRecall:
         finally:
             binding.close()
 
+    def test_binding_leaves_no_listener_on_the_suite_store(self, mega_dir, monkeypatch):
+        """The system trained for the binding is closed once the target has
+        its model and conceptualizer: its two subscriptions go with it."""
+        built = []
+
+        def recording_build_suite(*args, **kwargs):
+            built.append(build_suite(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr("repro.eval.scenarios.build_suite", recording_build_suite)
+        binding = bind_scenarios(mega_dir)
+        try:
+            (suite,) = built
+            assert suite.freebase.store._listeners == []
+            pair = binding.gold["plain"][0]
+            assert _answers_gold(binding.target, pair.question, pair)
+        finally:
+            binding.close()
+
     def test_memory_backend_build_is_rejected(self, tmp_path, monkeypatch):
         build = compile_mega(_small_spec(seed=7), tmp_path / "m", backend="memory")
         monkeypatch.setattr(KBQA, "train", _no_training)

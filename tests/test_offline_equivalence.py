@@ -7,6 +7,11 @@ pattern.  Everything the two produce must be equal — seeds, observations,
 extraction counters, the four EM buffers, the name tables, θ, the decoded
 ``TemplateModel``, ``fv`` — and ``validity()`` must agree on *every* pattern
 the oracle ever observed, which is all the DP of Eq 28 reads.
+
+The product extracts on dictionary ids, the oracle on strings, so the
+equality is checked on every learner arm that changes where a path comes
+from: the expansion on or off, a loaded artifact with its own dictionary,
+refinement on or off, and both backends.
 """
 
 from __future__ import annotations
@@ -26,9 +31,11 @@ from oracles.offline_reference import (
 from repro.core.decompose import Decomposer, PatternStatistics
 from repro.core.extraction import ExtractionConfig, ValueIndex, extract_observations
 from repro.core.kbview import KBView
-from repro.core.learner import OfflineLearner, collect_seed_entities
+from repro.core.learner import LearnerConfig, OfflineLearner, collect_seed_entities
 from repro.core.system import KBQA, KBQAConfig
 from repro.kb.disk import DiskTripleStore
+from repro.kb.expansion import ExpandedStore, expand_predicates
+from repro.kb.store import TripleStore
 from repro.nlp import tokenizer
 from repro.nlp.ner import EntityRecognizer
 from repro.suite import build_suite
@@ -44,19 +51,24 @@ def assert_statistics_equal_oracle(product: PatternStatistics, oracle: PatternSt
     assert all(product.fo[key] == oracle.fo[key] >= oracle.fv[key] > 0 for key in product.fo)
 
 
-def assert_offline_equals_oracle(suite, system: KBQA) -> None:
-    """``system`` is ``KBQA.train`` over ``suite`` with the default config."""
+def assert_offline_equals_oracle(
+    suite, system: KBQA, config: KBQAConfig | None = None, expanded: ExpandedStore | None = None
+) -> None:
+    """``system`` is ``KBQA.train(..., config, expanded=expanded)`` over ``suite``
+    (default config, no precomputed expansion when not given)."""
     kb, corpus, conceptualizer = suite.freebase, suite.corpus, suite.conceptualizer
-    config = KBQAConfig()
+    config = config or KBQAConfig()
     reference = reference_encode_corpus(kb, corpus, conceptualizer, config.learner)
     assert len(reference.observations) > 1000
 
     # the string-level doors, stage by stage
-    learner = OfflineLearner(kb, conceptualizer, config.learner)
+    learner = OfflineLearner(
+        kb, conceptualizer, config.learner, precomputed_expansion=expanded
+    )
     assert collect_seed_entities(corpus, learner.ner) == reference.seeds
     observations, extraction = extract_observations(
         ((pair.question, pair.answer) for pair in corpus),
-        KBView(kb.store, reference.expanded),
+        KBView(kb.store, reference.expanded if expanded is None else expanded),
         learner.ner,
         ValueIndex(kb.store),
         answer_type_of=kb.answer_type_for_path,
@@ -120,6 +132,39 @@ class TestSuiteAgainstOracle:
             disk_suite.freebase, disk_suite.corpus, disk_suite.conceptualizer
         ) as system:
             assert_offline_equals_oracle(disk_suite, system)
+
+    @pytest.mark.parametrize("learner", [
+        LearnerConfig(use_expansion=False),
+        LearnerConfig(max_path_length=1),
+        LearnerConfig(use_refinement=False),
+    ], ids=["no_expansion", "max_path_length_1", "no_refinement"])
+    def test_learner_arm(self, suite, learner):
+        """Without an expansion every path is a direct predicate id of the
+        store's ``predicates_between_ids``."""
+        config = KBQAConfig(learner=learner)
+        with KBQA.train(suite.freebase, suite.corpus, suite.conceptualizer, config) as system:
+            expands = learner.use_expansion and learner.max_path_length > 1
+            assert (system.learn_result.expanded is not None) == expands
+            assert_offline_equals_oracle(suite, system, config)
+
+    def test_precomputed_expansion(self, suite, tmp_path):
+        """A loaded artifact carries its own dictionary: its path ids and the
+        store's predicate ids are two id spaces joined by predicate name.  The
+        artifact is expanded from a copy of the KB whose terms were interned
+        in another order, so no id means the same term on both sides."""
+        kb = suite.freebase
+        shifted = TripleStore()
+        shifted.dictionary.encode("unrelated")
+        for triple in reversed(list(kb.store.triples())):
+            shifted.add_triple(triple)
+        seeds = collect_seed_entities(suite.corpus, EntityRecognizer(kb.gazetteer))
+        expand_predicates(shifted, seeds, max_length=3).save(tmp_path / "expansion")
+        loaded = ExpandedStore.load(tmp_path / "expansion")
+        lookup = loaded.dictionary.lookup
+        assert all(lookup(term) != i for i, term in enumerate(kb.store.dictionary.terms()))
+        with KBQA.train(kb, suite.corpus, suite.conceptualizer, expanded=loaded) as system:
+            assert system.learn_result.expanded is loaded
+            assert_offline_equals_oracle(suite, system, expanded=loaded)
 
     @pytest.mark.perf
     def test_default_scale(self):
