@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     answer.add_argument("questions", nargs="+", help="questions to answer")
     answer.add_argument(
         "--no-cache", action="store_true",
-        help="disable the answer cache and lookup memoization",
+        help="disable the answer cache",
     )
     answer.add_argument(
         "--repeat", type=int, default=1,
@@ -286,11 +286,7 @@ def _cmd_answer(args) -> int:
     """
     import time
 
-    config = (
-        KBQAConfig(answer_cache_size=0, lookup_cache_size=0)
-        if args.no_cache
-        else None
-    )
+    config = KBQAConfig(answer_cache_size=0) if args.no_cache else None
     try:
         system, _suite = _train_system(args, config)
         results = []

@@ -26,7 +26,7 @@ from repro.core.model import TemplateModel
 from repro.core.template import Template
 from repro.nlp.ner import EntityRecognizer
 from repro.nlp.tokenizer import tokenize
-from repro.taxonomy.conceptualizer import Conceptualizer
+from repro.taxonomy.conceptualizer import Conceptualizer, top_concepts
 
 ENTITY_VARIABLE = "$e"
 
@@ -158,8 +158,7 @@ class Decomposer:
             context = tokens[: mention.start] + tokens[mention.end :]
             for entity in mention.candidates:
                 concepts = self.conceptualizer.conceptualize(entity, context)
-                top = sorted(concepts.items(), key=lambda kv: (-kv[1], kv[0]))
-                for concept, _prob in top[: self.max_concepts]:
+                for concept, _prob in top_concepts(concepts, self.max_concepts):
                     template = Template.from_question(tokens, span, concept)
                     if template.text in self.model:
                         return True

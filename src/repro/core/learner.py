@@ -26,7 +26,7 @@ from repro.corpus.qa import QACorpus
 from repro.data.compile import CompiledKB
 from repro.kb.expansion import ExpandedStore, expand_predicates
 from repro.nlp.ner import EntityRecognizer
-from repro.taxonomy.conceptualizer import Conceptualizer
+from repro.taxonomy.conceptualizer import Conceptualizer, ContextScores, top_concepts
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,6 +38,13 @@ class LearnerConfig:
     use_refinement: bool = True
     max_concepts_per_mention: int = 4
     em: EMConfig = field(default_factory=EMConfig)
+
+    def __post_init__(self) -> None:
+        # below 1 the [:max_concepts] slice drops concepts (or every one)
+        if self.max_concepts_per_mention < 1:
+            raise ValueError(
+                f"max_concepts_per_mention must be >= 1, got {self.max_concepts_per_mention}"
+            )
 
 
 @dataclass
@@ -194,26 +201,35 @@ class OfflineLearner:
         buffers of :class:`EncodedObservations` as each record arrives — EM
         never sees a nested python list, and no record outlives its turn.
         ``P(c|e,q)`` depends only on the entity and the question's context, so
-        it is computed once per (entity, context) for the pass.
+        it is computed once per (entity, context) for the pass, from context
+        scores computed once per context — the online path's arithmetic
+        (``Conceptualizer.context_scores`` / ``posterior``).
         """
         template_ids: dict[str, int] = {}
         path_ids: dict[str, int] = {}
         template_names: list[str] = []
         path_names: list[str] = []
         encoded = EncodedObservations()
-        conceptualize = self.conceptualizer.conceptualize
+        conceptualizer = self.conceptualizer
+        prior_of, posterior = conceptualizer.network.prior, conceptualizer.posterior
         max_concepts = self.config.max_concepts_per_mention
         # tuples throughout, so the collector untracks the memo's 20 k entries
-        top_concepts: dict[tuple[str, tuple[str, ...]], tuple[tuple[str, float], ...]] = {}
+        memo: dict[tuple[str, tuple[str, ...]], tuple[tuple[str, float], ...]] = {}
+        scores_by_context: dict[tuple[str, ...], ContextScores | None] = {}
 
         for q_tokens, start, end, entity, _value, entity_weight, paths in records:
             head, tail = q_tokens[:start], q_tokens[end:]
             context = head + tail
-            concepts = top_concepts.get((entity, context))
+            concepts = memo.get((entity, context))
             if concepts is None:
-                concepts = top_concepts[(entity, context)] = tuple(sorted(
-                    conceptualize(entity, context).items(), key=lambda kv: (-kv[1], kv[0])
-                )[:max_concepts])
+                concepts = ()
+                prior = prior_of(entity)
+                if prior:
+                    if context not in scores_by_context:
+                        scores_by_context[context] = conceptualizer.context_scores(context)
+                    ranked = top_concepts(posterior(prior, scores_by_context[context]), max_concepts)
+                    concepts = tuple(ranked)
+                memo[(entity, context)] = concepts
             if not concepts:
                 continue
 

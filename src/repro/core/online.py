@@ -17,13 +17,21 @@ change is computed once, lazily, and dropped by the write that outdates it:
 * ``P(c|e)`` and the per-concept ``log P(w|c)`` tables live in
   ``repro.taxonomy``; a posterior costs one dict probe per context word per
   concept, no ``math.log`` and no normalisation pass;
-* a template's key is one ``" ".join`` over the question's own token tuple,
-  and its ``P(p|t)`` is a ranked ``(path_str, path, θ)`` array parsed from
-  the model once per *known* template (unknown texts are never stored);
+* a question is a template plus an entity, and many questions share a
+  template, so what the de-slotted context ``(tokens[:start], tokens[end:])``
+  fixes is kept in one *plan* per context: per concept, the context's
+  ``Σ_w log P(w|c)``, the template text (one ``" ".join`` over the
+  question's own tokens) and ``P(p|t)`` as a ranked ``(path_str, path, θ)``
+  array parsed from the model.  A context is kept only once one of its
+  templates is known to the model, so the plans cannot outnumber the
+  model's templates (no size knob); a KB write leaves them, a model swap or
+  a ``Conceptualizer.observe`` drops them.  Each question still pays for
+  NER, ``P(c|e)``, the softmax, Eq 7 and the KB probes;
 * Eq 7 accumulates with one dict probe per reading, sorts only when there
   is more than one, and renders a single value without the set machinery;
-* NER mention scans and conceptualizer posteriors are memoized behind
-  bounded LRUs (real traffic repeats entities and phrasings);
+* no NER or posterior memo: keyed on the whole token tuple and on
+  (entity, context), two LRUs hit 0 % of lookups on four of the five
+  benchmark workloads and < 1 % on the fifth, and cost more than they saved;
 * an optional answer cache keyed on *normalized* question text short-circuits
   repeat questions entirely;
 * :meth:`OnlineAnswerer.answer_many` batches questions through the warm
@@ -51,7 +59,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
 from itertools import repeat
 from typing import Sequence
 
@@ -63,7 +70,12 @@ from repro.kb.triple import LITERAL_PREFIX
 from repro.nlp.embed import embed_tokens
 from repro.nlp.ner import EntityRecognizer
 from repro.nlp.tokenizer import tokenize
-from repro.taxonomy.conceptualizer import Conceptualizer
+from repro.taxonomy.conceptualizer import Conceptualizer, ContextScores, top_concepts
+
+# ((path_str, path, θ), ...) sorted by (-θ, path_str); () for an unknown template
+Ranked = tuple[tuple[str, PredicatePath, float], ...]
+# one de-slotted context's scores and, per concept, its template and P(p|t)
+Plan = tuple[ContextScores | None, dict[str, tuple[str, Ranked]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,7 +102,9 @@ class OnlineAnswerer:
     """Evaluates Eq 7 against a knowledge base view and a template model.
 
     ``answer_cache_size`` bounds the normalized-question answer cache (0
-    disables it); ``lookup_cache_size`` bounds the NER/conceptualizer LRUs.
+    disables it).  ``lookup_cache_size`` is accepted and validated but
+    ignored: the NER/conceptualizer LRUs it sized are gone, and the context
+    plans that replaced them are bounded by the model.
     """
 
     def __init__(
@@ -111,10 +125,14 @@ class OnlineAnswerer:
         self.max_concepts = max_concepts
         # Semantic fallback lane — consulted only when Eq 7 yields no value.
         self.fallback_index = fallback
-        # known template text -> ranked ((path_str, path, θ), ...), parsed
-        # once; a text the model does not know is never stored, so this
-        # cannot outgrow the model
-        self._ranked: dict[str, tuple[tuple[str, PredicatePath, float], ...]] = {}
+        # (conceptualizer generation, {(head, tail): plan}): one tuple, so a
+        # reader takes the stamp and the plans it describes in one read, and
+        # a swap installs a fresh dict — a reader still holding the old one
+        # fills a mapping nobody reads any more
+        self._plans: tuple[int, dict[tuple[tuple[str, ...], tuple[str, ...]], Plan]] = (-1, {})
+        self._plan_hits = 0
+        self._plan_misses = 0
+        self._evaluations = 0
         self.answer_cache_size = answer_cache_size
         self._answer_cache: OrderedDict[str, AnswerResult] = OrderedDict()
         # Library callers may answer from several threads while live-update
@@ -126,35 +144,9 @@ class OnlineAnswerer:
         # *after* it (which would pin a pre-invalidation answer).
         self._cache_lock = threading.Lock()
         self._cache_generation = 0
+        if lookup_cache_size < 0:
+            raise ValueError(f"lookup_cache_size must be >= 0, got {lookup_cache_size}")
         self.lookup_cache_size = lookup_cache_size
-        # the NER/conceptualizer lookups, behind bounded LRUs; they bind the
-        # collaborators, not self, so a dropped answerer is freed by refcount
-        self._find_mentions = partial(_find_mentions, ner)
-        self._top_concepts = partial(_top_concepts, conceptualizer)
-        if lookup_cache_size > 0:
-            self._find_mentions = lru_cache(maxsize=lookup_cache_size)(self._find_mentions)
-            self._top_concepts = lru_cache(maxsize=lookup_cache_size)(self._top_concepts)
-
-    # -- Memoized lookups ---------------------------------------------------
-
-    def _ranked_predicates(
-        self, template_text: str
-    ) -> tuple[tuple[str, PredicatePath, float], ...]:
-        """``P(p|t)`` as a ranked array of (path_str, path, θ); ``()`` for a
-        template the model does not know."""
-        ranked = self._ranked.get(template_text)
-        if ranked is None:
-            distribution = self.model.predicates_for(template_text)
-            if not distribution:
-                return ()
-            ranked = tuple(
-                sorted(
-                    ((str(path), path, theta) for path, theta in distribution.items()),
-                    key=lambda row: (-row[2], row[0]),
-                )
-            )
-            self._ranked[template_text] = ranked
-        return ranked
 
     # -- Answering ----------------------------------------------------------
 
@@ -248,7 +240,8 @@ class OnlineAnswerer:
         The lane never touches an answered result, so deterministic answers
         are byte-identical with the lane on or off.
         """
-        mentions = self._find_mentions(tokens)
+        self._evaluations += 1
+        mentions = self.ner.find_mentions(tokens)
         result = self._answer_deterministic(question, tokens, mentions)
         if result.value is None and self.fallback_index is not None:
             recovered = self._fallback_answer(question, tokens, mentions)
@@ -267,19 +260,42 @@ class OnlineAnswerer:
             return self._no_answer(question)
         entity_prob = 1.0 / len(candidate_entities)  # uniform P(e|q), Sec 3.2
 
+        conceptualizer = self.conceptualizer
+        generation = conceptualizer.generation  # before any score is made
+        stamp, plans = self._plans
+        if stamp != generation:  # an observe() outdated every kept score
+            plans = {}
+            self._plans = (generation, plans)
+        model = self.model  # after the plans: see replace_model
+        prior_of, posterior = conceptualizer.network.prior, conceptualizer.posterior
+        max_concepts = self.max_concepts
+
         # Score (entity, path) readings: S = Σ_t P(e|q)·P(t|e,q)·P(p|t).
         # reading -> [S, first template that proposed it, path]
         readings: dict[tuple[str, str], list] = {}
-        ranked_predicates, max_concepts = self._ranked_predicates, self.max_concepts
-
         for mention, entity in candidate_entities:
+            prior = prior_of(entity)
+            if not prior:
+                continue
             head, tail = tokens[: mention.start], tokens[mention.end :]
-            for concept, concept_prob in self._top_concepts(entity, head + tail)[:max_concepts]:
-                if not concept.startswith("$"):
-                    raise ValueError(f"slot token must be a concept: {concept!r}")
-                template_text = " ".join(head + (concept,) + tail)
+            plan = plans.get((head, tail))
+            kept = plan is not None
+            if kept:
+                self._plan_hits += 1
+            else:
+                plan = (conceptualizer.context_scores(head + tail), {})
+            scores, templates = plan
+            for concept, concept_prob in top_concepts(posterior(prior, scores), max_concepts):
+                row = templates.get(concept)
+                if row is None:
+                    row = templates[concept] = _template_row(model, head, concept, tail)
+                    if row[1] and not kept:  # a known template: the context earns its plan
+                        plans[head, tail] = plan
+                        self._plan_misses += 1
+                        kept = True
+                template_text, ranked = row
                 weight = entity_prob * concept_prob
-                for path_str, path, theta in ranked_predicates(template_text):
+                for path_str, path, theta in ranked:
                     reading = readings.get((entity, path_str))
                     if reading is None:
                         readings[entity, path_str] = [weight * theta, template_text, path]
@@ -367,34 +383,32 @@ class OnlineAnswerer:
         )
 
     def clear_caches(self, model_changed: bool = False) -> None:
-        """Drop the answer cache and the NER/conceptualizer memos.
+        """Drop the answer cache.
 
-        The ranked-predicate arrays mirror the model, so by default they
-        stay; pass ``model_changed=True`` after swapping :attr:`model` (a
-        train-resume on a live answerer) so stale θ rankings are dropped
-        too — otherwise the answerer keeps serving the old distribution.
+        The context plans read no KB state and mirror the model, so by
+        default they stay; pass ``model_changed=True`` after swapping
+        :attr:`model` (a train-resume on a live answerer) so stale θ
+        rankings are dropped too — otherwise the answerer keeps serving the
+        old distribution.
         """
         with self._cache_lock:
             self._answer_cache.clear()
             self._cache_generation += 1
             if model_changed:
-                # Fresh dict, not .clear(): evaluator threads read the old
-                # mapping without the lock and must see either version
-                # whole, never a half-cleared one.
-                self._ranked = {}
-        for memo in (self._find_mentions, self._top_concepts):
-            cache_clear = getattr(memo, "cache_clear", None)
-            if cache_clear is not None:
-                cache_clear()
+                # Fresh dict, not .clear(): evaluators read the old mapping
+                # without the lock and must see either version whole.
+                self._plans = (-1, {})
 
     def replace_model(
         self, model: TemplateModel, fallback: FallbackIndex | None = None
     ) -> None:
         """Swap in a retrained model (and matching fallback index) safely.
 
-        Invalidates every model-derived cache — the answer cache, the
-        NER/conceptualizer memos, and the ranked θ arrays — so the next
-        answer reflects the new model rather than stale rankings.
+        Invalidates every model-derived cache — the answer cache and the
+        context plans with their ranked θ arrays — so the next answer
+        reflects the new model rather than stale rankings.  :attr:`model` is
+        set before the plans are dropped and evaluations read them in the
+        other order, so no plan built on the old model outlives the swap.
         """
         self.model = model
         self.fallback_index = fallback
@@ -404,16 +418,23 @@ class OnlineAnswerer:
 
     def cache_info(self) -> dict[str, object]:
         """Serving-cache occupancy/hit counters for ops dashboards."""
+        stamp, plans = self._plans
+        # plans stamped before the last observe() are never read again
+        plans = list(plans.values()) if stamp == self.conceptualizer.generation else []
         info: dict[str, object] = {
             "answer_cache_entries": len(self._answer_cache),
-            "ranked_templates": len(self._ranked),
+            "ranked_templates": sum(
+                1 for _scores, templates in plans for _text, ranked in list(templates.values())
+                if ranked
+            ),
+            "plans": len(plans),
+            "plan_hits": self._plan_hits,
+            "plan_misses": self._plan_misses,
+            # no NER memo any more: every evaluation scans, so every one is
+            # a miss (the count of evaluations past the answer cache)
+            "ner_hits": 0,
+            "ner_misses": self._evaluations,
         }
-        for name, memo in (("ner", self._find_mentions), ("concepts", self._top_concepts)):
-            stats = getattr(memo, "cache_info", None)
-            if stats is not None:
-                counters = stats()
-                info[f"{name}_hits"] = counters.hits
-                info[f"{name}_misses"] = counters.misses
         if self.fallback_index is not None:
             info["fallback"] = self.fallback_index.describe()
         return info
@@ -426,15 +447,22 @@ class OnlineAnswerer:
         )
 
 
-def _find_mentions(ner: EntityRecognizer, tokens: tuple[str, ...]):
-    return tuple(ner.find_mentions(tokens))
-
-
-def _top_concepts(
-    conceptualizer: Conceptualizer, entity: str, context: tuple[str, ...]
-) -> tuple[tuple[str, float], ...]:
-    concepts = conceptualizer.conceptualize(entity, context)
-    return tuple(sorted(concepts.items(), key=lambda kv: (-kv[1], kv[0])))
+def _template_row(
+    model: TemplateModel, head: tuple[str, ...], concept: str, tail: tuple[str, ...]
+) -> tuple[str, Ranked]:
+    """A context's template for ``concept`` and its ranked ``P(p|t)``."""
+    if not concept.startswith("$"):
+        raise ValueError(f"slot token must be a concept: {concept!r}")
+    template_text = " ".join(head + (concept,) + tail)
+    distribution = model.predicates_for(template_text)
+    if not distribution:
+        return template_text, ()
+    return template_text, tuple(
+        sorted(
+            ((str(path), path, theta) for path, theta in distribution.items()),
+            key=lambda row: (-row[2], row[0]),
+        )
+    )
 
 
 def _rendered(values) -> tuple[str, ...]:

@@ -47,8 +47,11 @@ class KBQAConfig:
     """End-to-end configuration (learner + decomposition + online).
 
     ``answer_cache_size`` bounds the online answer cache keyed on normalized
-    question text (0 disables it); ``lookup_cache_size`` bounds the
-    NER/conceptualizer memoization LRUs of the serving layer.
+    question text (0 disables it).  The other online memo, one plan per
+    de-slotted question context, has no size: it holds only contexts with a
+    template the model knows, so the model bounds it (see
+    ``repro.core.online``).  ``max_concepts_online`` is how many concepts of
+    each mention's ``P(c|e,q)`` become templates (at least one).
 
     ``fallback`` enables the semantic fallback lane (an embedding index over
     the learned predicate paths, consulted only when Eq 7 abstains);
@@ -60,10 +63,19 @@ class KBQAConfig:
     pattern_max_questions: int | None = 25_000
     pattern_max_tokens: int = 23
     answer_cache_size: int = 2048
-    lookup_cache_size: int = 8192
     fallback: bool = False
     fallback_threshold: float = DEFAULT_THRESHOLD
     fallback_margin: float = DEFAULT_MARGIN
+
+    def __post_init__(self) -> None:
+        # 0 made every question abstain and -1 dropped each mention's last
+        # concept through a slice; a negative cache size disabled the cache
+        if self.max_concepts_online < 1:
+            raise ValueError(
+                f"max_concepts_online must be >= 1, got {self.max_concepts_online}"
+            )
+        if self.answer_cache_size < 0:
+            raise ValueError(f"answer_cache_size must be >= 0, got {self.answer_cache_size}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +124,6 @@ class KBQA:
             learn_result.model,
             max_concepts=config.max_concepts_online,
             answer_cache_size=config.answer_cache_size,
-            lookup_cache_size=config.lookup_cache_size,
             fallback=fallback_index,
         )
         self.decomposer = Decomposer(

@@ -72,10 +72,9 @@ def bind_scenarios(
 
     The store opened is ``<mega_dir>/kb.db`` — the directory as it is named
     *now*, not the path the manifest recorded at compile time, so a renamed,
-    moved or copied build binds its own file.  Caches are disabled on the
-    bound answerer (``answer_cache_size=0``, ``lookup_cache_size=0``): its
-    callers measure the *store's* freshness contract, and a hit cache would
-    measure itself.
+    moved or copied build binds its own file.  The answer cache is disabled
+    on the bound answerer (``answer_cache_size=0``): its callers measure the
+    *store's* freshness contract, and a hit cache would measure itself.
     """
     manifest = load_manifest(mega_dir)
     if not manifest.get("kb_path"):
@@ -109,6 +108,5 @@ def bind_scenarios(
             system.conceptualizer,
             system.model,
             answer_cache_size=0,
-            lookup_cache_size=0,
         )
     return ScenarioBinding(target=target, store=store, gold=gold)

@@ -45,6 +45,9 @@ class Conceptualizer:
         # counts is followed by a *fresh* dict here and a table computed from
         # older counts can only land in a mapping nobody reads any more.
         self._log_tables: dict[str, tuple[dict[str, float], float]] = {}
+        # bumped after every fresh mapping above: whoever reads it before
+        # making ContextScores knows whether scores kept since are current
+        self.generation = 0
 
     # -- Context model construction ----------------------------------------
 
@@ -58,6 +61,7 @@ class Conceptualizer:
             self._concept_totals[concept] += weight
             self._vocabulary.add(word)
             self._log_tables = {}
+            self.generation += 1
 
     def observe_text(self, concept: str, text: str, weight: float = 1.0) -> None:
         self.observe(concept, text.lower().split(), weight)
@@ -82,15 +86,35 @@ class Conceptualizer:
         tables[concept] = table
         return table
 
+    def context_scores(self, context: Sequence[str]) -> ContextScores | None:
+        """``Σ_w log P(w|c)`` over ``context``'s non-stop words, per concept,
+        each scored on its first probe; ``None`` for an empty context.
+
+        The scores hold the log tables current when they were made, so they
+        describe this context until the next :meth:`observe` (which bumps
+        :attr:`generation`); a caller that keeps them checks that first.
+        """
+        if not context:
+            return None
+        return ContextScores(self, [w for w in context if w not in _STOPWORDS])
+
     def context_log_likelihood(self, concept: str, context: Sequence[str]) -> float:
         """``log Π P(w|c)`` with add-``smoothing`` estimation."""
-        tables = self._log_tables
-        logs, unseen = tables.get(concept) or self._log_table(tables, concept)
-        score = 0.0
-        for word in context:
-            if word not in _STOPWORDS:
-                score += logs.get(word, unseen)
-        return score
+        scores = self.context_scores(context)
+        return 0.0 if scores is None else scores[concept]
+
+    @staticmethod
+    def posterior(
+        prior: dict[str, float], scores: ContextScores | None
+    ) -> dict[str, float]:
+        """``P(c | e, q)`` from the prior ``P(c|e)`` and the context's scores:
+        ``softmax(log P(c|e) + Σ_w log P(w|c))``, or the prior itself when
+        there is no context."""
+        if scores is None or not prior:
+            return prior
+        return _softmax_from_logs(
+            {concept: math.log(p) + scores[concept] for concept, p in prior.items()}
+        )
 
     def conceptualize(
         self, entity: str, context: Sequence[str] = ()
@@ -104,18 +128,7 @@ class Conceptualizer:
         prior = self.network.prior(entity)
         if not prior:
             return {}
-        if not context:
-            return prior
-        words = [w for w in context if w not in _STOPWORDS]  # once, not per concept
-        tables = self._log_tables
-        log_scores = {}
-        for concept, p in prior.items():
-            logs, unseen = tables.get(concept) or self._log_table(tables, concept)
-            score = 0.0
-            for word in words:
-                score += logs.get(word, unseen)
-            log_scores[concept] = math.log(p) + score
-        return _softmax_from_logs(log_scores)
+        return self.posterior(prior, self.context_scores(context))
 
     def best_concept(self, entity: str, context: Sequence[str] = ()) -> str | None:
         """Most probable concept, or None for unknown entities."""
@@ -123,6 +136,38 @@ class Conceptualizer:
         if not posterior:
             return None
         return max(posterior.items(), key=lambda kv: (kv[1], kv[0]))[0]
+
+
+class ContextScores(dict):
+    """``concept -> Σ_w log P(w|c)`` for one context's non-stop ``words``,
+    filled on first probe from the log tables read when it was made (see
+    ``Conceptualizer.__init__``)."""
+
+    __slots__ = ("words", "_conceptualizer", "_tables")
+
+    def __init__(self, conceptualizer: Conceptualizer, words: list[str]) -> None:
+        self.words = words
+        self._conceptualizer = conceptualizer
+        self._tables = conceptualizer._log_tables
+
+    def __missing__(self, concept: str) -> float:
+        tables = self._tables
+        logs, unseen = tables.get(concept) or self._conceptualizer._log_table(tables, concept)
+        score = 0.0
+        for word in self.words:
+            score += logs.get(word, unseen)
+        self[concept] = score
+        return score
+
+
+def top_concepts(posterior: dict[str, float], limit: int) -> list[tuple[str, float]]:
+    """The ``limit`` most probable concepts of ``posterior``, ties by name —
+    the order every consumer of ``P(c|e,q)`` enumerates templates in."""
+    return sorted(posterior.items(), key=_by_probability)[:limit]
+
+
+def _by_probability(item: tuple[str, float]) -> tuple[float, str]:
+    return -item[1], item[0]
 
 
 def _softmax_from_logs(log_scores: dict[str, float]) -> dict[str, float]:

@@ -302,7 +302,7 @@ class TestModelSwap:
 
 class TestRankedArraysBounded:
     def test_novel_questions_leave_no_entry_behind(self, suite, kbqa_fb):
-        """``_ranked`` holds templates the model knows, nothing else: a
+        """The plans hold templates the model knows, nothing else: a
         serving process must not grow by one entry per novel (question,
         concept).  5 000 junk-prefixed questions over real entities — every
         one conceptualized, none matching a learned template."""
@@ -322,6 +322,8 @@ class TestRankedArraysBounded:
         ]
         assert not any(result.found_predicate for result in answerer.answer_many(novel))
         assert answerer.cache_info()["ranked_templates"] == 0
+        assert answerer.cache_info()["plans"] == 0
         known = f"what is the population of {names[0]}?"
         assert answerer.answer(known).answered
         assert 0 < answerer.cache_info()["ranked_templates"] <= len(kbqa_fb.model)
+        assert answerer.cache_info()["plans"] == 1

@@ -48,7 +48,6 @@ def _clone_answerer(kbqa, *, fallback=None, answer_cache_size=256) -> OnlineAnsw
         base.model,
         max_concepts=base.max_concepts,
         answer_cache_size=answer_cache_size,
-        lookup_cache_size=0,
         fallback=fallback,
     )
 

@@ -36,7 +36,7 @@ REWRITES = (
     lambda q: q.rstrip("?") + " or not?",
     lambda q: "quick trivia: " + q,
 )
-CACHES = ((2048, 8192), (0, 0))  # (answer cache, NER/concept LRUs): on, off
+ANSWER_CACHES = (2048, 0)  # on, off
 
 
 def gold_questions(corpus) -> list[str]:
@@ -58,16 +58,18 @@ def assert_product_equals_oracle(system: KBQA, questions: list[str]) -> None:
         )
         expected = [oracle.answer(question) for question in questions]
         assert any(r.fallback for r in expected) == (fallback is not None)
-        for answer_cache, lookup_cache in CACHES:
+        for answer_cache in ANSWER_CACHES:
             product = OnlineAnswerer(
                 parts.kbview, parts.ner, parts.conceptualizer, parts.model,
                 max_concepts=parts.max_concepts, answer_cache_size=answer_cache,
-                lookup_cache_size=lookup_cache, fallback=fallback,
+                fallback=fallback,
             )
             assert product.answer_many(questions) == expected
             # a second pass reads whatever the first one left in the caches
             assert product.answer_many(questions[:512]) == expected[:512]
-            assert product.cache_info()["ranked_templates"] <= len(system.model)
+            info = product.cache_info()
+            assert info["ranked_templates"] <= len(system.model)
+            assert info["plans"] <= len(system.model)
 
 
 class TestGoldStream:
@@ -159,15 +161,15 @@ HOSTILE = [
 
 
 @pytest.mark.parametrize("store_type", [TripleStore, DiskTripleStore])
-@pytest.mark.parametrize("caches", CACHES, ids=["caches-on", "caches-off"])
-def test_hostile_inputs(store_type, caches):
+@pytest.mark.parametrize("answer_cache", ANSWER_CACHES, ids=["caches-on", "caches-off"])
+def test_hostile_inputs(store_type, answer_cache):
     store = store_type()
     try:
         kbview, ner, conceptualizer, model = hand_built(store)
         for fallback in (None, FallbackIndex.build(model)):
             product = OnlineAnswerer(
-                kbview, ner, conceptualizer, model, answer_cache_size=caches[0],
-                lookup_cache_size=caches[1], fallback=fallback,
+                kbview, ner, conceptualizer, model, answer_cache_size=answer_cache,
+                fallback=fallback,
             )
             oracle = ReferenceAnswerer.shadowing(product)
             expected = [oracle.answer(question) for question in HOSTILE]
@@ -239,10 +241,10 @@ def hand_built_products():
     for store in stores:
         kbview, ner, conceptualizer, model = hand_built(store)
         for fallback in (None, FallbackIndex.build(model)):
-            for answer_cache, lookup_cache in CACHES:
+            for answer_cache in ANSWER_CACHES:
                 product = OnlineAnswerer(
                     kbview, ner, conceptualizer, model, answer_cache_size=answer_cache,
-                    lookup_cache_size=lookup_cache, fallback=fallback,
+                    fallback=fallback,
                 )
                 pairs.append((product, ReferenceAnswerer.shadowing(product)))
     yield pairs

@@ -48,9 +48,44 @@ def test_learner_config_field_count():
 
 def test_kbqa_config_field_count():
     """The single corpus pass and the fv-first statistics bought their speed
-    with no knob: ``KBQAConfig`` is what it was, as are ``LearnerConfig``
-    above and the ``add_argument(`` count below."""
-    assert len(fields(KBQAConfig)) == 9
+    with no knob, as did the context plans that replaced the NER/concept
+    LRUs — and ``lookup_cache_size`` went with them: ``LearnerConfig`` above
+    and the ``add_argument(`` count below are what they were."""
+    assert len(fields(KBQAConfig)) == 8
+    assert "lookup_cache_size" not in {f.name for f in fields(KBQAConfig)}
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_kbqa_config_refuses_fewer_than_one_online_concept(value):
+    """0 made every question abstain; -1 dropped each mention's last concept
+    through the ``[:max_concepts]`` slice."""
+    with pytest.raises(ValueError, match="max_concepts_online"):
+        KBQAConfig(max_concepts_online=value)
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_learner_config_refuses_fewer_than_one_concept_per_mention(value):
+    with pytest.raises(ValueError, match="max_concepts_per_mention"):
+        LearnerConfig(max_concepts_per_mention=value)
+
+
+def test_kbqa_config_refuses_a_negative_answer_cache_size():
+    """-5 silently disabled the cache; 0 is the one spelling of off."""
+    with pytest.raises(ValueError, match="answer_cache_size"):
+        KBQAConfig(answer_cache_size=-5)
+    assert KBQAConfig(answer_cache_size=0).answer_cache_size == 0
+
+
+def test_online_answerer_validates_and_ignores_lookup_cache_size(kbqa_fb):
+    view = kbqa_fb.learn_result
+    parts = (view.kbview, view.ner, kbqa_fb.conceptualizer, kbqa_fb.model)
+    with pytest.raises(ValueError, match="lookup_cache_size"):
+        OnlineAnswerer(*parts, lookup_cache_size=-1)
+    question = "what is the population of mapleton?"
+    sized, unsized = OnlineAnswerer(*parts, lookup_cache_size=0), OnlineAnswerer(*parts)
+    assert sized.lookup_cache_size == 0
+    assert sized.answer(question) == unsized.answer(question)
+    assert sized.cache_info() == unsized.cache_info()
 
 
 def _max_loop_depth_of_pattern_joins(source: str, class_name: str) -> int:
@@ -89,7 +124,9 @@ def test_exhaustive_pattern_enumeration_lives_only_in_the_oracle():
 
 def test_online_answerer_constructor_parameter_count():
     """Four collaborators, two cache sizes, ``max_concepts``, the fallback
-    index — ``precompute`` went when the oracle moved to ``tests/oracles``."""
+    index — ``precompute`` went when the oracle moved to ``tests/oracles``.
+    (``lookup_cache_size`` is validated and ignored: the LRUs it sized are
+    gone, and the frozen benchmark still passes it.)"""
     parameters = inspect.signature(OnlineAnswerer).parameters
     assert len(parameters) == 8
     assert "precompute" not in parameters

@@ -60,7 +60,6 @@ def _uncached(system: KBQA) -> OnlineAnswerer:
         system.answerer.model,
         max_concepts=system.config.max_concepts_online,
         answer_cache_size=0,
-        lookup_cache_size=0,
     )
 
 
