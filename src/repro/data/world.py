@@ -700,10 +700,6 @@ class MintAnchors:
         names.update({node: name for name, node in professions})
         return cls(cities, countries, professions, names)
 
-    @property
-    def n_entities(self) -> int:
-        return len(self.names)
-
 
 @dataclass(frozen=True, slots=True)
 class ChunkSpec:

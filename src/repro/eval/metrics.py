@@ -69,7 +69,6 @@ class QALDMetrics:
     partial: int = 0
     processed_bfq: int = 0
     right_bfq: int = 0
-    partial_bfq: int = 0
 
     def record(self, is_bfq: bool, processed: bool, judgement: Judgement | None) -> None:
         """Tally one evaluated question."""
@@ -87,8 +86,6 @@ class QALDMetrics:
                 self.right_bfq += 1
         elif judgement == Judgement.PARTIAL:
             self.partial += 1
-            if is_bfq:
-                self.partial_bfq += 1
 
     # -- Paper metrics --------------------------------------------------------
 
@@ -119,10 +116,6 @@ class QALDMetrics:
     @property
     def precision_bfq(self) -> float:
         return _ratio(self.right_bfq, self.processed_bfq)
-
-    @property
-    def precision_star_bfq(self) -> float:
-        return _ratio(self.right_bfq + self.partial_bfq, self.processed_bfq)
 
     def as_row(self) -> dict[str, float | int]:
         """The Table 7/8 column set."""

@@ -17,10 +17,13 @@ in bulk.
   directory, then ``os.replace``): a failed write leaves the previous
   artifact intact.
 * :func:`load` checks the magic, the version, the exact file size and the
-  checksum, then every offset chain, every id range, that every string is
-  valid UTF-8 and that terms, path keys and triples are distinct.  Any
-  failure is a :class:`ValueError` naming the file.  The ``paths_between``
-  pair index is not stored; it is rebuilt from the triples.
+  checksum, then every offset chain (no id group empty), every id range,
+  that the id sections marked sorted below strictly increase (within each
+  group where grouped; path keys are only required distinct), that every
+  string is valid UTF-8 and that terms and path keys are distinct.  Any failure is a :class:`ValueError` naming the
+  file.  The checked sections are then the very columns the scan's bulk
+  build takes (``ExpandedStore._extend``).  The ``paths_between`` pair index
+  is not stored; it is rebuilt from the triples.
 
 Layout (integers little-endian u32 unless noted; no padding)::
 
@@ -55,11 +58,12 @@ import os
 import struct
 import zlib
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, compress, filterfalse
+from operator import ge, gt
 from pathlib import Path
 
 from repro.kb.dictionary import Dictionary
-from repro.kb.expansion import ExpandedStore
+from repro.kb.expansion import ExpandedStore, _members
 
 EXPANSION_MAGIC = b"KBQAXPD4"
 EXPANSION_VERSION = 4
@@ -103,13 +107,13 @@ def save(store: ExpandedStore, path: str | Path) -> None:
         by_path = store._by_subject[s_id]
         for p_id in sorted(by_path, key=remap.__getitem__):
             group_paths.append(remap[p_id])
-            objects.extend(sorted(by_path[p_id]))
+            objects.extend(_members(by_path[p_id]))
             object_offsets.append(len(objects))
         group_offsets.append(len(group_paths))
     reach_nodes = sorted(store._reached_from)
     reach_offsets, reach_seeds = [0], []
     for node_id in reach_nodes:
-        reach_seeds.extend(sorted(store.seeds_through(node_id)))
+        reach_seeds.extend(store.seeds_through(node_id))
         reach_offsets.append(len(reach_seeds))
     body = b"".join(
         (
@@ -172,10 +176,12 @@ class _Reader:
         self.offset += count * (8 if code == "Q" else 4)
         return values
 
-    def offsets(self, count: int, total: int, what: str, code: str = "I"):
-        """``count + 1`` prefix sums running from 0 to ``total``, never down."""
+    def offsets(self, count: int, total: int, what: str, code: str = "I", *, groups: bool = False):
+        """``count + 1`` prefix sums running from 0 to ``total``, never down
+        (for ``groups``, always up: an id group is never empty)."""
         values = self.ints(count + 1, code)
-        if values[0] != 0 or values[-1] != total or list(values) != sorted(values):
+        down = ge if groups else gt
+        if values[0] != 0 or values[-1] != total or any(map(down, values, values[1:])):
             raise ValueError(f"{self.path}: corrupt {what} offsets")
         return values
 
@@ -184,6 +190,20 @@ class _Reader:
         if values and max(values) >= bound:
             raise ValueError(f"{self.path}: {what} id {max(values)} out of range")
         return values
+
+    def increasing(self, values: tuple[int, ...], what: str, offsets=None) -> None:
+        """``values`` strictly increase throughout, or within each group of
+        ``offsets``: the bulk build takes each section as a sorted set."""
+        # positions whose id does not exceed its predecessor's; with groups,
+        # only a group's first id may
+        drops = compress(range(1, len(values)), map(ge, values, values[1:]))
+        if offsets is not None:
+            drops = filterfalse(frozenset(offsets).__contains__, drops)
+        position = next(drops, None)
+        if position is not None:
+            raise ValueError(
+                f"{self.path}: {what} ids repeat or go out of order (index {position})"
+            )
 
     def strings(self, count: int, blob_len: int, what: str, code: str) -> list[str]:
         offsets = self.offsets(count, blob_len, what, code)
@@ -245,8 +265,12 @@ def load(path: str | Path) -> ExpandedStore:
 
     Raises :class:`ValueError` on a retired or unknown format, an
     unsupported version, a wrong size, a checksum mismatch, or content the
-    checksum sealed but the layout forbids (a broken offset chain, an id out
-    of range, invalid UTF-8, a repeated term, path key or triple).
+    checksum sealed but the layout forbids (a broken offset chain, an empty
+    group, an id out of range or out of order, invalid UTF-8, a repeated
+    term or path key).  The store is filled by the bulk pass the Sec 6.2
+    scan ends with (``ExpandedStore._extend``), which takes every id section
+    as a sorted set: a sealed file that repeats a subject, path, object,
+    reach node or reach seed is rejected here rather than merged.
     """
     data = Path(path).read_bytes()
     h = _check_frame(data, path)
@@ -257,13 +281,19 @@ def load(path: str | Path) -> ExpandedStore:
     path_offsets = read.offsets(h.n_paths, h.n_path_ids, "path")
     path_ids = read.ids(h.n_path_ids, h.n_terms, "predicate")
     subjects = read.ids(h.n_subjects, h.n_terms, "subject")
-    group_offsets = read.offsets(h.n_subjects, h.n_groups, "group")
+    group_offsets = read.offsets(h.n_subjects, h.n_groups, "group", groups=True)
     group_paths = read.ids(h.n_groups, h.n_paths, "path")
-    object_offsets = read.offsets(h.n_groups, h.n_triples, "object")
+    object_offsets = read.offsets(h.n_groups, h.n_triples, "object", groups=True)
     objects = read.ids(h.n_triples, h.n_terms, "object")
     reach_nodes = read.ids(h.n_reach_nodes, h.n_terms, "reach node")
-    reach_offsets = read.offsets(h.n_reach_nodes, h.n_reach_pairs, "reach")
+    reach_offsets = read.offsets(h.n_reach_nodes, h.n_reach_pairs, "reach", groups=True)
     reach_seeds = read.ids(h.n_reach_pairs, h.n_terms, "reach seed")
+    read.increasing(seeds, "seed")
+    read.increasing(subjects, "subject")
+    read.increasing(group_paths, "path", group_offsets)
+    read.increasing(objects, "object", object_offsets)
+    read.increasing(reach_nodes, "reach node")
+    read.increasing(reach_seeds, "reach seed", reach_offsets)
 
     try:
         dictionary = Dictionary.from_terms(terms)
@@ -276,22 +306,9 @@ def load(path: str | Path) -> ExpandedStore:
     store._path_key_to_id = {key: path_id for path_id, key in enumerate(keys)}
     if len(store._path_key_to_id) != h.n_paths:
         raise ValueError(f"{path}: duplicate path key")
-    by_subject, by_pair = store._by_subject, store._by_pair
-    for s_id, lo, hi in zip(subjects, group_offsets, group_offsets[1:]):
-        subject_groups = by_subject[s_id]
-        for group in range(lo, hi):
-            p_id = group_paths[group]
-            object_ids = set(objects[object_offsets[group] : object_offsets[group + 1]])
-            subject_groups[p_id] = object_ids
-            for o_id in object_ids:
-                by_pair[(s_id, o_id)].add(p_id)
-    # a repeated (subject, path) group or object drops triples from the count
-    store._triple_count = sum(
-        len(object_ids) for groups in by_subject.values() for object_ids in groups.values()
+
+    store._extend(
+        subjects, group_offsets, group_paths, object_offsets, objects,
+        reach_nodes, reach_offsets, reach_seeds,
     )
-    if store._triple_count != h.n_triples:
-        raise ValueError(f"{path}: duplicate triples")
-    reached = store._reached_from
-    for node_id, lo, hi in zip(reach_nodes, reach_offsets, reach_offsets[1:]):
-        reached[node_id] = reach_seeds[lo] if hi - lo == 1 else set(reach_seeds[lo:hi])
     return store

@@ -11,11 +11,16 @@ analysed in the paper.
 The scan and join are *ID-native*: the frontier, the prefix paths and the
 expanded ``(s, p+, o)`` triples are all dictionary-encoded integers, so
 no term string or :class:`~repro.kb.triple.Triple` object is built per row.
-Strings appear only at the :class:`ExpandedStore` public boundary, where
-decoded results are cached as frozen views (one decode per key, shared across
-calls).  The original string-level implementation is the test oracle
-``tests/oracles/expansion_reference.py`` (equivalence tests and the
-before/after benchmark).
+Each round collects its output as one set of *packed* ints (an id pair is
+``high << 32 | low``; every dictionary id fits the artifact's u32), sorts it
+once and groups it; the store is then filled in one bulk pass.  Nothing in
+the scan or the store allocates a container per expanded triple, so the
+cyclic collector's work does not grow with ``#spo`` (DESIGN.md "Expansion
+storage").  Strings appear only at the :class:`ExpandedStore` public
+boundary, where decoded results are cached as frozen views (one decode per
+key, shared across calls).  The original string-level implementation is the
+test oracle ``tests/oracles/expansion_reference.py`` (equivalence tests and
+the before/after benchmark).
 
 The scan consumes any :class:`~repro.kb.backend.KBBackend` through its one
 scan API, ``spo_items_ids()``, and runs inline in the caller: one loop, no
@@ -25,11 +30,11 @@ measurements).  :class:`ExpandedStore` additionally:
 * records *reach provenance* (which seeds' BFS scanned which nodes), the
   index that lets live KB ``add``/``delete`` invalidate exactly the affected
   seeds (`repro.kb.live`) instead of re-expanding everything;
-* serializes its id-encoded buffers together with the dictionary
+* serializes its id-encoded entries together with the dictionary
   (:meth:`ExpandedStore.save` / :meth:`ExpandedStore.load`) as the canonical,
-  checksummed artifact of `repro.kb.expanded_v3`, which loads back into an
-  ordinary dict-backed store, so offline training resumes without
-  re-scanning.
+  checksummed artifact of `repro.kb.expanded_v3`, which loads back through
+  the same bulk pass into an ordinary dict-backed store, so offline
+  training resumes without re-scanning.
 
 Two paper-mandated restrictions are honoured:
 
@@ -41,9 +46,11 @@ Two paper-mandated restrictions are honoured:
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_left
+from itertools import chain, compress, repeat
+from operator import and_, ne, rshift, sub
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.kb.backend import KBBackend
 from repro.kb.dictionary import Dictionary
@@ -53,9 +60,83 @@ DEFAULT_TAIL_PREDICATES = frozenset({"name", "alias"})
 
 _EMPTY_FROZEN: frozenset = frozenset()
 
-# frontier: node id -> set of (seed_id, prefix-key) provenance entries;
-# the empty prefix marks a seed node at round 0.
-_Frontier = dict[int, set[tuple[int, tuple[int, ...]]]]
+# Dictionary ids are u32 in the artifact, so two of them pack into one int
+# as ``high << _ID_BITS | low``.
+_ID_BITS = 32
+_ID_MASK = (1 << _ID_BITS) - 1
+
+# An entry is a set of ids held as an immutable value: a bare int for one
+# member, a sorted tuple of two or more.  Ints are not tracked by the cyclic
+# collector and a tuple of ints is untracked on the first pass that sees it,
+# so entries cost the collector nothing once built.
+Entry = int | tuple[int, ...]
+
+
+def _members(entry: Entry) -> tuple[int, ...]:
+    """An entry's members as a sorted tuple."""
+    return (entry,) if type(entry) is int else entry
+
+
+def _entry(members: tuple[int, ...]) -> Entry:
+    """The entry of a sorted, non-empty tuple of distinct ids."""
+    return members[0] if len(members) == 1 else members
+
+
+def _with(entry: Entry | None, item: int) -> Entry | None:
+    """``entry`` plus ``item`` (a missing entry is empty); None if already in."""
+    if entry is None:
+        return item
+    if type(entry) is int:
+        if entry == item:
+            return None
+        return (entry, item) if entry < item else (item, entry)
+    i = bisect_left(entry, item)
+    if i < len(entry) and entry[i] == item:
+        return None
+    return entry[:i] + (item,) + entry[i:]
+
+
+def _without(entry: Entry, item: int) -> Entry | None:
+    """``entry`` minus ``item``; None when nothing is left."""
+    if type(entry) is int:
+        return None if entry == item else entry
+    i = bisect_left(entry, item)
+    if i == len(entry) or entry[i] != item:
+        return entry
+    return _entry(entry[:i] + entry[i + 1 :])
+
+
+def _union(entry: Entry, members: tuple[int, ...]) -> Entry:
+    """``entry`` merged with a sorted tuple of members (an ``into=`` refresh,
+    which mostly adds one seed to a hub's reach)."""
+    if len(members) == 1:
+        grown = _with(entry, members[0])
+        return entry if grown is None else grown
+    return _entry(tuple(sorted({*_members(entry), *members})))
+
+
+def _runs(values: list[int]) -> tuple[list[int], list[int]]:
+    """The distinct values of a sorted list and the offsets of their runs
+    (``len(keys) + 1`` of them), found in C: one compare per neighbour pair."""
+    n = len(values)
+    if not n:
+        return [], [0]
+    offsets = [0, *compress(range(1, n), map(ne, values, values[1:])), n]
+    return list(map(values.__getitem__, offsets[:-1])), offsets
+
+
+def _split(
+    packed: list[int], low_bits: int = _ID_BITS
+) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """Columns of sorted, distinct ``high << low_bits | low`` ints: the
+    distinct highs, the offsets of each high's run, and every low.
+
+    A group is then one slice of the lows, never a tuple grown an element at
+    a time (a hub node carries thousands of members).
+    """
+    n = len(packed)
+    keys, offsets = _runs(list(map(rshift, packed, repeat(low_bits, n))))
+    return keys, offsets, tuple(map(and_, packed, repeat((1 << low_bits) - 1, n)))
 
 
 class ExpandedStore:
@@ -66,10 +147,14 @@ class ExpandedStore:
     same hash-probe complexity the base store offers for direct predicates.
 
     Storage is id-encoded: subjects/objects are dictionary ids and each
-    distinct predicate path is interned to a dense path id.  Public lookups
-    return decoded **frozen views**: the decode happens at most once per key
-    and the resulting frozenset is shared by every subsequent call (callers
-    must not mutate results — they never did; see ``core/kbview.py`` and
+    distinct predicate path is interned to a dense path id.  Every id set is
+    an immutable *entry* (a bare int for one member, a sorted tuple for
+    more): writes replace an entry, never mutate one, so the store holds one
+    collector-tracked container per subject and none per triple.  Id-level
+    lookups return tuples (``in``/``len``/iteration); public lookups return
+    decoded **frozen views**: the decode happens at most once per key and the
+    resulting frozenset is shared by every subsequent call (callers must not
+    mutate results — they never did; see ``core/kbview.py`` and
     ``core/extraction.py``, which build their own sets).
 
     Beyond the triples the store carries the expansion's *provenance*: the
@@ -90,20 +175,17 @@ class ExpandedStore:
         self.tail_predicates = frozenset(tail_predicates)
         # seeds this store was expanded from (dictionary ids)
         self.seed_ids: set[int] = set()
-        # s_id -> path_id -> {o_id}
-        self._by_subject: dict[int, dict[int, set[int]]] = defaultdict(dict)
-        # (s_id, o_id) -> {path_id}
-        self._by_pair: dict[tuple[int, int], set[int]] = defaultdict(set)
+        # s_id -> path_id -> objects entry
+        self._by_subject: dict[int, dict[int, Entry]] = {}
+        # s_id << 32 | o_id -> path-ids entry
+        self._by_pair: dict[int, Entry] = {}
         # path interning: tuple of predicate ids <-> dense path id
         self._path_key_to_id: dict[tuple[int, ...], int] = {}
         self._path_keys: list[tuple[int, ...]] = []
         self._triple_count = 0
-        # reach provenance: node -> seeds whose BFS scanned the node.  Most
-        # nodes are scanned on behalf of a single seed, so the common case
-        # stores a bare int and only promotes to a set on the second seed —
-        # this keeps the number of GC-tracked containers (and therefore the
-        # collector's mid-scan pauses) near the pre-reach-index level.
-        self._reached_from: dict[int, int | set[int]] = {}
+        # reach provenance: node -> seeds entry, the seeds whose BFS scanned
+        # the node (most nodes: one seed, a bare int)
+        self._reached_from: dict[int, Entry] = {}
         # decoded frozen views, built lazily, one per key
         self._decoded_paths: dict[int, PredicatePath] = {}
         self._objects_cache: dict[tuple[int, int], frozenset[str]] = {}
@@ -124,58 +206,127 @@ class ExpandedStore:
     def record_encoded(self, subject_id: int, path_key: tuple[int, ...], object_id: int) -> bool:
         """Insert one id-encoded (s, p+, o) triple (idempotent)."""
         p_id = self.path_id(path_key)
-        objects = self._by_subject[subject_id].setdefault(p_id, set())
-        if object_id in objects:
+        by_path = self._by_subject.get(subject_id)
+        if by_path is None:
+            by_path = self._by_subject[subject_id] = {}
+        objects = _with(by_path.get(p_id), object_id)
+        if objects is None:
             return False
-        objects.add(object_id)
-        self._by_pair[(subject_id, object_id)].add(p_id)
+        by_path[p_id] = objects
+        pair = subject_id << _ID_BITS | object_id
+        self._by_pair[pair] = _with(self._by_pair.get(pair), p_id)
         self._triple_count += 1
         # invalidate any frozen views covering this key
         self._objects_cache.pop((subject_id, p_id), None)
         self._pairs_cache.pop((subject_id, object_id), None)
         return True
 
-    def objects_ids(self, subject_id: int, path_id: int) -> set[int] | frozenset[int]:
-        """Id-level ``V(e, p+)`` (read-only view; empty is a frozenset)."""
-        return self._by_subject.get(subject_id, {}).get(path_id, _EMPTY_FROZEN)
+    def objects_ids(self, subject_id: int, path_id: int) -> tuple[int, ...]:
+        """Id-level ``V(e, p+)`` as a sorted tuple (empty when absent)."""
+        by_path = self._by_subject.get(subject_id)
+        objects = None if by_path is None else by_path.get(path_id)
+        if objects is None:
+            return ()
+        return (objects,) if type(objects) is int else objects
 
-    def path_ids_between(self, subject_id: int, object_id: int) -> set[int] | frozenset[int]:
-        """Id-level ``paths_between``: path ids connecting (s, o) (read-only view)."""
-        return self._by_pair.get((subject_id, object_id), _EMPTY_FROZEN)
+    def path_ids_between(self, subject_id: int, object_id: int) -> tuple[int, ...]:
+        """Id-level ``paths_between``: path ids connecting (s, o), sorted."""
+        paths = self._by_pair.get(subject_id << _ID_BITS | object_id)
+        if paths is None:
+            return ()
+        return (paths,) if type(paths) is int else paths
+
+    def _extend(
+        self,
+        subjects: Sequence[int],
+        group_offsets: Sequence[int],
+        group_paths: Sequence[int],
+        object_offsets: Sequence[int],
+        objects: Sequence[int],
+        reach_nodes: Sequence[int],
+        reach_offsets: Sequence[int],
+        reach_seeds: Sequence[int],
+    ) -> None:
+        """Fold sorted id columns into the store in one pass.
+
+        The bulk build behind both :func:`expand_predicates` and the
+        artifact load, whose columns these are: subject ``i`` holds groups
+        ``group_offsets[i]:group_offsets[i + 1]``, group ``g`` the path
+        ``group_paths[g]`` and the objects
+        ``objects[object_offsets[g]:object_offsets[g + 1]]``; reach node
+        ``j`` the seeds ``reach_seeds[reach_offsets[j]:reach_offsets[j + 1]]``.
+        Subjects and nodes increase, and so do the paths of a subject and
+        the ids of a group; no group is empty.  ``_by_pair`` is filled from
+        the same pass.  A subject or node the store already holds (only an
+        ``into=`` refresh meets one) is merged, and the frozen views over it
+        are dropped.
+        """
+        by_subject, by_pair = self._by_subject, self._by_pair
+        # the entry of each group, and the path of each triple
+        entries = [
+            objects[lo] if hi - lo == 1 else objects[lo:hi]
+            for lo, hi in zip(object_offsets, object_offsets[1:])
+        ]
+        group_sizes = map(sub, object_offsets[1:], object_offsets)
+        triple_paths = list(chain.from_iterable(map(repeat, group_paths, group_sizes)))
+        count = self._triple_count
+        for s_id, lo, hi in zip(subjects, group_offsets, group_offsets[1:]):
+            start, end = object_offsets[lo], object_offsets[hi]
+            by_path = by_subject.get(s_id)
+            if by_path is None:
+                by_subject[s_id] = dict(zip(group_paths[lo:hi], entries[lo:hi]))
+                count += end - start
+                added = zip(triple_paths[start:end], objects[start:end])
+            else:
+                added = []
+                for group in range(lo, hi):
+                    p_id = group_paths[group]
+                    new = objects[object_offsets[group] : object_offsets[group + 1]]
+                    held = by_path.get(p_id)
+                    if held is None:
+                        by_path[p_id] = _entry(new)
+                    else:
+                        known = set(_members(held))
+                        new = tuple(o for o in new if o not in known)
+                        by_path[p_id] = _union(held, new)
+                        self._objects_cache.pop((s_id, p_id), None)
+                    count += len(new)
+                    added += zip(repeat(p_id), new)
+            base = s_id << _ID_BITS
+            for p_id, o_id in added:
+                pair = base | o_id
+                paths = by_pair.setdefault(pair, p_id)
+                if paths != p_id:  # a second path between s and o
+                    by_pair[pair] = _with(paths, p_id)
+                    self._pairs_cache.pop((s_id, o_id), None)
+        self._triple_count = count
+        reached = self._reached_from
+        for node_id, lo, hi in zip(reach_nodes, reach_offsets, reach_offsets[1:]):
+            held = reached.get(node_id)
+            seeds = reach_seeds[lo:hi]
+            reached[node_id] = _entry(seeds) if held is None else _union(held, seeds)
 
     # -- Reach provenance --------------------------------------------------
 
     def note_reach(self, node_id: int, seed_id: int) -> None:
         """Record that ``seed_id``'s BFS scanned ``node_id``'s out-edges."""
-        existing = self._reached_from.get(node_id)
-        if existing is None:
-            self._reached_from[node_id] = seed_id
-        elif isinstance(existing, int):
-            if existing != seed_id:
-                self._reached_from[node_id] = {existing, seed_id}
-        else:
-            existing.add(seed_id)
+        seeds = _with(self._reached_from.get(node_id), seed_id)
+        if seeds is not None:
+            self._reached_from[node_id] = seeds
 
-    def seeds_through(self, node_id: int) -> tuple[int, ...] | set[int]:
-        """Seeds whose expansion scanned ``node_id`` (read-only view).
+    def seeds_through(self, node_id: int) -> tuple[int, ...]:
+        """Seeds whose expansion scanned ``node_id``, as a sorted tuple.
 
         This is the invalidation index: a base-KB edge change under subject
         ``node_id`` can only affect expanded triples of these seeds.
         """
-        existing = self._reached_from.get(node_id)
-        if existing is None:
-            return ()
-        if isinstance(existing, int):
-            return (existing,)
-        return existing
+        seeds = self._reached_from.get(node_id)
+        return () if seeds is None else _members(seeds)
 
     def reach_items(self) -> Iterator[tuple[int, frozenset[int]]]:
         """Normalized scan of the reach index: ``(node_id, {seed_ids})``."""
         for node_id, seeds in self._reached_from.items():
-            if isinstance(seeds, int):
-                yield node_id, frozenset((seeds,))
-            else:
-                yield node_id, frozenset(seeds)
+            yield node_id, frozenset(_members(seeds))
 
     def has_reach(self) -> bool:
         """True when the reach-provenance index is populated.
@@ -210,33 +361,35 @@ class ExpandedStore:
         by_path = self._by_subject.pop(s, None)
         if by_path:
             removed = True
-            for p_id, object_ids in by_path.items():
+            by_pair = self._by_pair
+            base = s << _ID_BITS
+            for p_id, objects in by_path.items():
+                object_ids = _members(objects)
                 self._triple_count -= len(object_ids)
                 self._objects_cache.pop((s, p_id), None)
                 for o_id in object_ids:
-                    pair = (s, o_id)
-                    paths = self._by_pair.get(pair)
+                    pair = base | o_id
+                    paths = by_pair.get(pair)
                     if paths is not None:
-                        paths.discard(p_id)
-                        if not paths:
-                            del self._by_pair[pair]
-                    self._pairs_cache.pop(pair, None)
-        # the reach index has no inverse (it would double the GC-tracked
-        # containers on the expansion hot path); a linear sweep is fine for
-        # this rare operation
-        orphaned = []
-        for node_id, seeds in self._reached_from.items():
-            if isinstance(seeds, int):
-                if seeds == s:
-                    orphaned.append(node_id)
+                        rest = _without(paths, p_id)
+                        if rest is None:
+                            del by_pair[pair]
+                        else:
+                            by_pair[pair] = rest
+                    self._pairs_cache.pop((s, o_id), None)
+        # the reach index has no inverse (it would add a container per node
+        # to the expansion); a linear sweep is fine for this rare operation
+        reached = self._reached_from
+        changed = [
+            (node_id, _without(seeds, s))
+            for node_id, seeds in reached.items()
+            if seeds == s or (type(seeds) is tuple and s in seeds)
+        ]
+        for node_id, rest in changed:
+            if rest is None:
+                del reached[node_id]
             else:
-                seeds.discard(s)
-                if not seeds:
-                    orphaned.append(node_id)
-                elif len(seeds) == 1:
-                    self._reached_from[node_id] = next(iter(seeds))
-        for node_id in orphaned:
-            del self._reached_from[node_id]
+                reached[node_id] = rest
         if s in self.seed_ids:
             self.seed_ids.discard(s)
             removed = True
@@ -266,7 +419,7 @@ class ExpandedStore:
     # -- Persistence -------------------------------------------------------
 
     def save(self, path: str | Path, format: str = "v3") -> None:
-        """Serialize the id-encoded buffers together with the dictionary.
+        """Serialize the id-encoded entries together with the dictionary.
 
         Writes the checksummed artifact of `repro.kb.expanded_v3` (layout
         documented there), replacing ``path`` atomically.  The bytes are
@@ -274,7 +427,7 @@ class ExpandedStore:
         order, object sets sorted — so two stores whose dictionaries assign
         the same term ids (e.g. a memory and a disk backend built by the
         same add sequence) serialize to byte-identical files regardless of
-        internal path/set interning order.  Stores with *differently
+        internal path interning order.  Stores with *differently
         ordered* dictionaries hold different ids and produce different bytes
         even for equal content.
         """
@@ -292,11 +445,12 @@ class ExpandedStore:
         """Read an artifact written by :meth:`save` into a new store.
 
         The whole file is checked (magic, version, size, CRC32, offset
-        chains, id ranges, UTF-8) and then built in bulk into an ordinary
-        dict-backed store with its own dictionary; offline training passes
-        it straight to the learner (``KBQA.train(..., expanded=...)``) to
-        skip the Sec 6.2 scan.  A retired or corrupt artifact raises
-        :class:`ValueError` naming the file (an unreadable one, ``OSError``).
+        chains, section order, id ranges, UTF-8) and then built in one bulk
+        pass into an ordinary dict-backed store with its own dictionary;
+        offline training passes it straight to the learner
+        (``KBQA.train(..., expanded=...)``) to skip the Sec 6.2 scan.  A
+        retired or corrupt artifact raises :class:`ValueError` naming the
+        file (an unreadable one, ``OSError``).
         """
         from repro.kb import expanded_v3  # local: that module imports this one
 
@@ -345,7 +499,7 @@ class ExpandedStore:
         key = (s, p)
         cached = self._objects_cache.get(key)
         if cached is None:
-            object_ids = self._by_subject.get(s, {}).get(p)
+            object_ids = self.objects_ids(s, p)
             if not object_ids:
                 return _EMPTY_FROZEN
             cached = frozenset(self.dictionary.decode_many(object_ids))
@@ -362,7 +516,7 @@ class ExpandedStore:
         key = (s, o)
         cached = self._pairs_cache.get(key)
         if cached is None:
-            path_ids = self._by_pair.get(key)
+            path_ids = self.path_ids_between(s, o)
             if not path_ids:
                 return _EMPTY_FROZEN
             cached = frozenset(self.decode_path(p) for p in path_ids)
@@ -382,18 +536,14 @@ class ExpandedStore:
     def triples(self) -> Iterator[tuple[str, PredicatePath, str]]:
         """Scan every stored (s, p+, o), decoded."""
         decode = self.dictionary.decode
-        for s, by_path in self._by_subject.items():
-            subject = decode(s)
-            for p, object_ids in by_path.items():
-                path = self.decode_path(p)
-                for o in object_ids:
-                    yield subject, path, decode(o)
+        for s, p, o in self.triples_ids():
+            yield decode(s), self.decode_path(p), decode(o)
 
     def triples_ids(self) -> Iterator[tuple[int, int, int]]:
         """Id-native scan: ``(s_id, path_id, o_id)`` per stored triple."""
         for s, by_path in self._by_subject.items():
-            for p, object_ids in by_path.items():
-                for o in object_ids:
+            for p, objects in by_path.items():
+                for o in _members(objects):
                     yield s, p, o
 
     def stats(self) -> dict[str, int]:
@@ -421,17 +571,26 @@ def expand_predicates(
     Implements the algorithm of Sec 6.2 entirely over dictionary ids: round
     ``i`` joins an id-keyed scan of the store (``spo_items_ids``) against the
     frontier produced by round ``i-1``.  ``frontier`` maps an intermediate
-    node id to the set of ``(seed_id, prefix-key)`` ways it was reached;
-    joining a subject group extends each way by the group's predicates.  The
-    grouped scan probes the frontier once per *subject*, not once per triple,
-    and no string leaves the dictionary during expansion.
+    node id to the sorted tuple of ways it was reached, each way one packed
+    ``seed_id << 32 | prefix`` int, where a prefix (the predicate ids walked
+    so far; 0 is the empty prefix of a seed at round 0) is interned to a
+    small id; joining a subject group extends each way by the group's
+    predicates.  The grouped scan probes the frontier once per *subject*,
+    not once per triple, and no string leaves the dictionary during
+    expansion.
+
+    A round collects the next frontier as one set of packed
+    ``o_id << 64 | way`` ints, sorted once and split into per-node slices,
+    and adds to one set of packed ``(seed_id << 32 | path_id) << 32 | o_id``
+    recorded triples.  The sorted triples and the reach-provenance index
+    (which seeds' BFS scanned which node, read off every frontier — the
+    index `repro.kb.live` resolves affected seeds through) then fill the
+    store in one bulk pass, the one an artifact load makes.  There is no
+    second BFS that rebuilds reach.
 
     Passing ``into=`` appends to an existing :class:`ExpandedStore` sharing
     the backend's dictionary (used by the live maintainer for single-seed
-    refreshes) instead of building a fresh one.  Every round also fills the
-    reach-provenance index from its frontier (which seeds' BFS scanned which
-    node), the index `repro.kb.live` resolves affected seeds through; there
-    is no second BFS that rebuilds it.
+    refreshes) instead of building a fresh one.
 
     Length-1 paths are recorded unconditionally (they are ordinary KB
     predicates); longer paths are recorded only when their final predicate is
@@ -467,34 +626,66 @@ def expand_predicates(
         if (tail_id := dictionary.lookup(tail)) is not None
     )
 
-    frontier: _Frontier = {seed_id: {(seed_id, ())} for seed_id in seed_ids}
-    record = expanded.record_encoded
-    note_reach = expanded.note_reach
+    # prefix id -> predicate ids; 0 is the empty prefix
+    prefix_keys: list[tuple[int, ...]] = [()]
+    # prefix id -> store path id of the path it spells, None when unrecorded
+    recorded: list[int | None] = [None]
+    # predicate id << 32 | prefix -> the extended prefix's id
+    children: dict[int, int] = {}
+    # a way is seed_id << 32 | prefix; a seed is reached by the empty prefix
+    frontier = {seed_id: (seed_id << _ID_BITS,) for seed_id in seed_ids}
+    # node_id << 32 | seed_id: the seeds whose BFS scans a node, one sorted
+    # run per round (round 1 scans the seeds themselves)
+    reach = sorted(seed_id << _ID_BITS | seed_id for seed_id in seed_ids)
+    triples: set[int] = set()  # (seed_id << 32 | path_id) << 32 | o_id
+    add_triple = triples.add
+    way_bits = 2 * _ID_BITS
 
     for round_index in range(1, max_length + 1):
-        # this round scans the out-edges of every frontier node on behalf
-        # of the seeds that reached it
-        for node_id, provenance in frontier.items():
-            for seed_id, _prefix in provenance:
-                note_reach(node_id, seed_id)
-
         is_last_round = round_index == max_length
-        next_frontier: _Frontier = defaultdict(set)
+        next_ways: set[int] = set()  # o_id << 64 | way
+        add_way = next_ways.add
         for s_id, by_predicate in store.spo_items_ids():
-            provenance = frontier.get(s_id)
-            if not provenance:
+            ways = frontier.get(s_id)
+            if ways is None:
                 continue
             for p_id, object_ids in by_predicate.items():
-                is_tail = p_id in tail_ids
-                for seed_id, prefix in provenance:
-                    path_key = prefix + (p_id,)
-                    if len(path_key) == 1 or is_tail:
+                step_base = p_id << _ID_BITS
+                for way in ways:
+                    prefix = way & _ID_MASK
+                    child = children.get(step_base | prefix)
+                    if child is None:
+                        child = children[step_base | prefix] = len(prefix_keys)
+                        key = prefix_keys[prefix] + (p_id,)
+                        prefix_keys.append(key)
+                        recorded.append(
+                            expanded.path_id(key) if len(key) == 1 or p_id in tail_ids else None
+                        )
+                    path_id = recorded[child]
+                    if path_id is not None:
+                        head = (way - prefix + path_id) << _ID_BITS
                         for o_id in object_ids:
-                            record(seed_id, path_key, o_id)
+                            add_triple(head | o_id)
                     if not is_last_round:
-                        extended = (seed_id, path_key)
+                        extended = way - prefix + child
                         for o_id in object_ids:
-                            next_frontier[o_id].add(extended)
-        frontier = next_frontier
-    return expanded
+                            add_way(o_id << way_bits | extended)
+        if not next_ways:
+            break
+        ordered = sorted(next_ways)
+        # the next round scans each way's node on behalf of the way's seed
+        reach += map(rshift, ordered, repeat(_ID_BITS))
+        nodes, offsets, node_ways = _split(ordered, way_bits)
+        frontier = dict(zip(nodes, map(node_ways.__getitem__, map(slice, offsets, offsets[1:]))))
 
+    # heads are seed_id << 32 | path_id, one per (seed, path) group
+    heads, object_offsets, objects = _split(sorted(triples))
+    subjects, group_offsets = _runs(list(map(rshift, heads, repeat(_ID_BITS))))
+    group_paths = tuple(map(and_, heads, repeat(_ID_MASK)))
+    # merging the sorted runs is linear; dict.fromkeys drops the repeats
+    reach_nodes, reach_offsets, reach_seeds = _split(list(dict.fromkeys(sorted(reach))))
+    expanded._extend(
+        subjects, group_offsets, group_paths, object_offsets, objects,
+        reach_nodes, reach_offsets, reach_seeds,
+    )
+    return expanded

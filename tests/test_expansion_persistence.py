@@ -550,6 +550,60 @@ class TestMutationFuzzer:
         with pytest.raises(ValueError, match="corrupt object offsets"):
             ExpandedStore.load(path)
 
+    # each sorted id section, with the offsets section that groups it (None:
+    # sorted as a whole); load builds the store in one pass that takes every
+    # one of them as a sorted set
+    SORTED_SECTIONS = {
+        "seeds": None,
+        "subject_ids": None,
+        "group_path_ids": "group_offsets",
+        "object_ids": "object_offsets",
+        "reach_nodes": None,
+        "reach_seeds": "reach_offsets",
+    }
+
+    @pytest.mark.parametrize("edit", ["repeat", "swap"])
+    @pytest.mark.parametrize("section", list(SORTED_SECTIONS))
+    def test_load_rejects_an_unsorted_section(self, pristine, section, edit, tmp_path):
+        """A sealed file whose ids repeat or go out of order inside a sorted
+        section is refused, not merged: a repeated reach node used to load
+        and drop the first node's seeds, so a live edit under that node
+        refreshed none of them."""
+        _store, data = pristine
+        sections = section_offsets(data)
+        start, end = sections[section]
+        ids = list(struct.unpack_from(f"<{(end - start) // 4}I", data, start))
+        grouped_by = self.SORTED_SECTIONS[section]
+        if grouped_by is None:
+            first = 0
+        else:
+            lo, hi = sections[grouped_by]
+            offsets = struct.unpack_from(f"<{(hi - lo) // 4}I", data, lo)
+            first = next(a for a, b in zip(offsets, offsets[1:]) if b - a >= 2)
+        assert ids[first] < ids[first + 1], "the fixture lost a two-id run here"
+        if edit == "repeat":
+            ids[first + 1] = ids[first]
+        else:
+            ids[first], ids[first + 1] = ids[first + 1], ids[first]
+        mutant = bytearray(data)
+        struct.pack_into(f"<{len(ids)}I", mutant, start, *ids)
+        path = tmp_path / f"{section}-{edit}.kbqa"
+        path.write_bytes(reseal(mutant))
+        with pytest.raises(ValueError, match="ids repeat or go out of order"):
+            ExpandedStore.load(path)
+
+    def test_load_rejects_an_empty_group(self, pristine, tmp_path):
+        """A group holds at least one id: a subject with no paths, a path with
+        no objects or a node with no seeds has no entry to build."""
+        _store, data = pristine
+        mutant = bytearray(data)
+        start, _end = section_offsets(data)["object_offsets"]
+        struct.pack_into("<I", mutant, start + 4, 0)  # group 0 now ends where it starts
+        path = tmp_path / "empty.kbqa"
+        path.write_bytes(reseal(mutant))
+        with pytest.raises(ValueError, match="corrupt object offsets"):
+            ExpandedStore.load(path)
+
     def test_load_rejects_an_undecodable_term(self, pristine, tmp_path):
         _store, data = pristine
         mutant = bytearray(data)
