@@ -7,9 +7,10 @@ needs: :meth:`KBQA.train` and :meth:`KBQA.answer` /
 
 The facade is also where live KB updates come together: a trained system
 subscribes to its backend's change stream, so :meth:`KBQA.add_fact` /
-:meth:`KBQA.delete_fact` (or any direct backend mutation) flow through
-per-seed expansion refresh (`repro.kb.live`) and answer-cache invalidation —
-answers reflect the edit with no retraining and no full re-expansion.
+:meth:`KBQA.delete_fact` (or any direct backend mutation) flow through an
+expansion refresh of the affected seeds (`repro.kb.live`) and answer-cache
+invalidation — answers reflect the edit with no retraining and no full
+re-expansion.
 Training can also resume from a persisted expansion
 (``KBQA.train(..., expanded=ExpandedStore.load(path))``), skipping the
 Sec 6.2 scan.
@@ -143,7 +144,7 @@ class KBQA:
                 learn_result.expanded,
                 learn_result.seed_entities,
             )
-        self._kb_unsubscribe = kb.store.subscribe(self._on_kb_change, self._on_kb_changes)
+        self._kb_unsubscribe = kb.store.subscribe(self._on_kb_changes)
 
     # -- Training -------------------------------------------------------------
 
@@ -218,15 +219,11 @@ class KBQA:
 
     # -- Live KB updates -------------------------------------------------------
 
-    def _on_kb_change(self, _change) -> None:
-        """Backend change listener: a mutated KB can invalidate any cached
-        answer (the subscription order puts the expansion maintainer first,
-        so the expanded store is already refreshed when this fires)."""
-        self.answerer.clear_caches()
-
     def _on_kb_changes(self, _changes) -> None:
-        """Coalesced form for a ``batch()`` burst: one cache drop per burst
-        instead of one per change."""
+        """Backend listener: a mutated KB can invalidate any cached answer,
+        so each burst drops the caches once (the subscription order puts the
+        expansion maintainer first, so the expanded store is already
+        refreshed when this fires)."""
         self.answerer.clear_caches()
 
     def batch(self):
@@ -234,9 +231,9 @@ class KBQA:
 
         ``with system.batch(): ...`` applies every :meth:`add_fact` /
         :meth:`delete_fact` inside the block immediately, but coalesces the
-        downstream maintenance: the expansion maintainer refreshes each
-        affected seed once for the whole burst, and the answer caches are
-        dropped once at exit — instead of per-change on both counts.
+        downstream maintenance: at exit the expansion maintainer refreshes
+        every seed the burst affects in one expansion, and the answer caches
+        are dropped once — instead of per change on both counts.
         """
         return self.kb.store.batch()
 
@@ -244,9 +241,9 @@ class KBQA:
         """Insert one triple into the live KB; returns True if new.
 
         The change flows through every layer without retraining: the backend
-        notifies the expansion maintainer (per-seed refresh, no full
-        re-expansion) and the answer caches are dropped, so the next
-        :meth:`answer` sees the new fact.
+        hands it to the expansion maintainer as a burst of one (the seeds it
+        affects are re-expanded, no others) and the answer caches are
+        dropped, so the next :meth:`answer` sees the new fact.
         """
         return self.kb.store.add(subject, predicate, obj)
 
@@ -266,7 +263,7 @@ class KBQA:
         the system reachable through them.  Call this (or use the system as
         a context manager) when training several transient systems against
         one shared store, so discarded systems neither leak nor burn
-        per-seed refreshes on later live edits.
+        expansion refreshes on later live edits.
         """
         if self.maintainer is not None:
             self.maintainer.close()

@@ -16,12 +16,12 @@ argument over the ``KBQA_BACKEND`` environment variable over ``memory`` —
 so the CLI, the suite builder and the tests all agree on what a backend
 name means.
 
-Backends are *live*: ``add``/``delete`` mutate the indexes in place and fan
-out a :class:`KBChange` to every subscribed listener, which is how the
-expansion layer (`repro.kb.live`) and the serving caches invalidate
-incrementally instead of rebuilding.  Bursts go through
-:meth:`BackendBase.batch`, which defers notifications so a bulk load costs
-one coalesced flush instead of one listener round per triple.
+Backends are *live*: ``add``/``delete`` mutate the indexes in place and hand
+every subscribed listener a burst of :class:`KBChange` values, which is how
+the expansion layer (`repro.kb.live`) and the serving caches invalidate
+incrementally instead of rebuilding.  A write on its own is a burst of one;
+:meth:`BackendBase.batch` defers notifications so a bulk load reaches each
+listener as one burst instead of one call per triple.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ class KBChange:
     object_id: int
 
 
-ChangeListener = Callable[[KBChange], None]
-BatchListener = Callable[[tuple[KBChange, ...]], None]
+Listener = Callable[[tuple[KBChange, ...]], None]
 
 
 class BackendBase:
@@ -70,7 +69,7 @@ class BackendBase:
 
     def _init_backend_state(self) -> None:
         """Initialize listener, batching and resource-count state."""
-        self._listeners: list[tuple[ChangeListener, BatchListener | None]] = []
+        self._listeners: list[Listener] = []
         self._batch_depth = 0
         self._deferred: list[KBChange] = []
         # Resource count, kept current by scanning only the dictionary tail
@@ -81,41 +80,36 @@ class BackendBase:
         self._n_resources = 0
         self._n_terms_counted = 0
 
-    def subscribe(
-        self,
-        listener: ChangeListener,
-        batch_listener: BatchListener | None = None,
-    ) -> Callable[[], None]:
+    def subscribe(self, listener: Listener) -> Callable[[], None]:
         """Register a change listener; returns an unsubscribe callable.
 
-        Listeners fire synchronously after every successful ``add`` /
-        ``delete``, with the indexes already reflecting the change.  Inside a
-        :meth:`batch` block, notifications are deferred; at block exit a
-        listener that also registered ``batch_listener`` receives the whole
-        burst in **one** call (the coalescing hook), while plain listeners
-        get the deferred changes replayed one by one in mutation order.
+        A listener takes a burst: a tuple of changes in mutation order,
+        delivered synchronously with the indexes already reflecting all of
+        them.  A write outside :meth:`batch` is a burst of one; a
+        :meth:`batch` block delivers its whole run in one call at exit.
         Unsubscribing twice is harmless.
         """
-        entry: tuple[ChangeListener, BatchListener | None] | None = (listener, batch_listener)
-        self._listeners.append(entry)
+        self._listeners.append(listener)
+        subscribed = [listener]
 
         def unsubscribe() -> None:
-            # The entry is forgotten too: it holds the subscriber's bound
-            # listeners, and a subscriber that keeps this callable would stay
-            # in a reference cycle with it after detaching.
-            nonlocal entry
-            if entry in self._listeners:
-                self._listeners.remove(entry)
-            entry = None
+            # Popping forgets the listener too: it holds the subscriber, and
+            # a subscriber that keeps this callable would stay in a
+            # reference cycle with it after detaching.
+            if subscribed:
+                self._listeners.remove(subscribed.pop())
 
         return unsubscribe
 
     def _notify(self, change: KBChange) -> None:
         if self._batch_depth:
             self._deferred.append(change)
-            return
-        for listener, _batch_listener in self._listeners:
-            listener(change)
+        else:
+            self._deliver((change,))
+
+    def _deliver(self, changes: tuple[KBChange, ...]) -> None:
+        for listener in list(self._listeners):
+            listener(changes)
 
     @contextmanager
     def batch(self):
@@ -124,10 +118,9 @@ class BackendBase:
         ``with backend.batch(): ...`` turns a burst of ``add``/``delete``
         calls (e.g. a bulk load) into one flush: the indexes mutate
         immediately — reads inside the block see every applied change — but
-        listeners hear nothing until exit.  Batch-aware listeners (those
-        registered with a ``batch_listener``) then get the entire run of
-        changes in a single call, which is what lets the expansion
-        maintainer refresh each affected seed exactly once instead of once
+        listeners hear nothing until exit, when each gets the entire run of
+        changes in a single call.  That is what lets the expansion
+        maintainer refresh every affected seed in one scan instead of once
         per change.  Blocks nest; only the outermost exit flushes.
         """
         self._batch_depth += 1
@@ -138,12 +131,7 @@ class BackendBase:
             if self._batch_depth == 0 and self._deferred:
                 changes = tuple(self._deferred)
                 self._deferred.clear()
-                for listener, batch_listener in list(self._listeners):
-                    if batch_listener is not None:
-                        batch_listener(changes)
-                    else:
-                        for change in changes:
-                            listener(change)
+                self._deliver(changes)
 
     def _reconcile_resources(self) -> None:
         """Fold dictionary terms added since the last call into the count."""
@@ -185,12 +173,8 @@ class KBBackend(Protocol):
         """Remove a triple; True if present.  Notifies listeners on success."""
         ...
 
-    def subscribe(
-        self,
-        listener: ChangeListener,
-        batch_listener: BatchListener | None = None,
-    ) -> Callable[[], None]:
-        """Register a change listener; returns an unsubscribe callable."""
+    def subscribe(self, listener: Listener) -> Callable[[], None]:
+        """Register a listener of change bursts; returns an unsubscribe callable."""
         ...
 
     def batch(self):

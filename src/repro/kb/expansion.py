@@ -345,23 +345,27 @@ class ExpandedStore:
         path_key = tuple(encode(p) for p in path.predicates)
         return self.record_encoded(encode(subject), path_key, encode(obj))
 
-    def invalidate_seed(self, seed: str) -> bool:
-        """Drop every expanded triple and reach entry of one seed.
+    def invalidate_seeds(self, seeds: Iterable[str]) -> bool:
+        """Drop every expanded triple and reach entry of a set of seeds.
 
-        Per-key invalidation for live KB updates: all of the seed's
-        expanded ``(s, p+, o)`` rows, its pair index entries, its frozen
-        views, and its reach provenance are removed so a targeted single-seed
-        re-expansion (see :class:`repro.kb.live.LiveExpansionMaintainer`)
-        can rebuild them.  Returns True when anything was dropped.
+        Invalidation for live KB updates: all of the seeds' expanded
+        ``(s, p+, o)`` rows, their pair index entries, their frozen views and
+        their reach provenance are removed, so one expansion of the set (see
+        :class:`repro.kb.live.LiveExpansionMaintainer`) can rebuild them.
+        Returns True when anything was dropped.
         """
-        s = self.dictionary.lookup(seed)
-        if s is None:
+        lookup = self.dictionary.lookup
+        dropped = {s for seed in seeds if (s := lookup(seed)) is not None}
+        if not dropped:
             return False
-        removed = False
-        by_path = self._by_subject.pop(s, None)
-        if by_path:
+        removed = bool(dropped & self.seed_ids)
+        self.seed_ids -= dropped
+        by_pair = self._by_pair
+        for s in dropped:
+            by_path = self._by_subject.pop(s, None)
+            if not by_path:
+                continue
             removed = True
-            by_pair = self._by_pair
             base = s << _ID_BITS
             for p_id, objects in by_path.items():
                 object_ids = _members(objects)
@@ -378,21 +382,18 @@ class ExpandedStore:
                             by_pair[pair] = rest
                     self._pairs_cache.pop((s, o_id), None)
         # the reach index has no inverse (it would add a container per node
-        # to the expansion); a linear sweep is fine for this rare operation
+        # to the expansion); one sweep serves the whole set
         reached = self._reached_from
         changed = [
-            (node_id, _without(seeds, s))
-            for node_id, seeds in reached.items()
-            if seeds == s or (type(seeds) is tuple and s in seeds)
+            (node_id, tuple(s for s in _members(entry) if s not in dropped))
+            for node_id, entry in reached.items()
+            if (entry in dropped if type(entry) is int else not dropped.isdisjoint(entry))
         ]
         for node_id, rest in changed:
-            if rest is None:
-                del reached[node_id]
+            if rest:
+                reached[node_id] = _entry(rest)
             else:
-                reached[node_id] = rest
-        if s in self.seed_ids:
-            self.seed_ids.discard(s)
-            removed = True
+                del reached[node_id]
         return removed
 
     def merge_from(self, other: "ExpandedStore") -> int:
@@ -589,8 +590,8 @@ def expand_predicates(
     second BFS that rebuilds reach.
 
     Passing ``into=`` appends to an existing :class:`ExpandedStore` sharing
-    the backend's dictionary (used by the live maintainer for single-seed
-    refreshes) instead of building a fresh one.
+    the backend's dictionary (used by the live maintainer to rebuild the
+    seeds a burst of edits affects) instead of building a fresh one.
 
     Length-1 paths are recorded unconditionally (they are ordinary KB
     predicates); longer paths are recorded only when their final predicate is

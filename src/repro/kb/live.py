@@ -1,8 +1,9 @@
 """Live KB updates — incremental expansion maintenance.
 
 The ROADMAP's incremental-update item: a live ``add``/``delete`` on the KB
-backend must flow into the expansion layer as *per-seed invalidation plus a
-targeted single-seed re-expansion*, never a full re-run of the Sec 6.2 scan.
+backend must flow into the expansion layer as *invalidation of the affected
+seeds plus one Sec 6.2 expansion of just those seeds*, never a full re-run
+over every seed.
 
 The mechanism is the reach-provenance index :func:`expand_predicates`
 records during every scan (node -> seeds whose BFS scanned that node): an
@@ -11,11 +12,11 @@ whose BFS scanned ``s`` and (b) ``s`` itself when it is a seed.  Attaching
 builds nothing — the index is already there, in a fresh expansion and in
 every artifact :meth:`ExpandedStore.save` wrote from one.  The maintainer
 subscribes to the backend's :class:`~repro.kb.backend.KBChange` stream,
-resolves that affected-seed set per change, invalidates exactly those seeds'
-expanded rows (:meth:`ExpandedStore.invalidate_seed`) and re-expands each
-one alone — cost ``O(k * |K|)`` per affected seed versus ``O(k * |K|)``
-times *all* seeds for a full rebuild, and zero when the edit touches no
-seed's reach (the common case for feed-style inserts).
+unions the affected seeds of a burst of changes, invalidates exactly those
+seeds' expanded rows (:meth:`ExpandedStore.invalidate_seeds`) and re-expands
+them together, as the paper expands all seeds together: at most ``k`` scans
+of the KB per burst however many seeds it touches, and none when the edit
+touches no seed's reach (the common case for feed-style inserts).
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ class LiveExpansionMaintainer:
     """Keeps an :class:`ExpandedStore` consistent under live KB edits.
 
     Subscribe-and-forget: construction registers a change listener on the
-    backend; every subsequent ``add``/``delete`` triggers the minimal set of
-    single-seed refreshes.  The serving layer subscribes its own listener
-    for the answer-cache clear.
+    backend; every subsequent burst of ``add``/``delete`` calls triggers one
+    refresh of the seeds it affects.  The serving layer subscribes its own
+    listener for the answer-cache clear.
     """
 
     def __init__(
@@ -55,7 +56,7 @@ class LiveExpansionMaintainer:
         self.seeds = frozenset(seeds)
         self.events_seen = 0
         self.seeds_refreshed = 0
-        self._unsubscribe = backend.subscribe(self._on_change, self._on_changes)
+        self._unsubscribe = backend.subscribe(self._on_changes)
 
     def close(self) -> None:
         """Detach from the backend's change stream."""
@@ -83,55 +84,43 @@ class LiveExpansionMaintainer:
             affected.add(subject)
         return sorted(affected)
 
-    def _on_change(self, change: KBChange) -> None:
-        """Backend listener: refresh every affected seed."""
-        self.events_seen += 1
-        for seed in self.affected_seeds(change):
-            self.refresh_seed(seed)
-
     def _on_changes(self, changes: tuple[KBChange, ...]) -> None:
-        """Coalesced handler for a ``backend.batch()`` burst.
+        """Backend listener: refresh the seeds a burst of changes affects.
 
         The affected-seed sets of every change in the burst are unioned
-        *before* any refresh, so a bulk load triggers exactly one rebuild
-        per affected seed rather than one per change.  Computing the union
-        against the pre-burst reach index is sound because each refresh runs
-        after *all* mutations are applied: a seed pulled in by any one
-        change re-expands against the final state of the KB, picking up
-        edges the other changes created along the way.
+        *before* the refresh, so a bulk load triggers one rebuild of the
+        whole set rather than one per change.  Computing the union against
+        the pre-burst reach index is sound because the refresh runs after
+        *all* mutations are applied: a seed pulled in by any one change
+        re-expands against the final state of the KB, picking up edges the
+        other changes created along the way.
         """
         self.events_seen += len(changes)
         affected: set[str] = set()
         for change in changes:
             affected.update(self.affected_seeds(change))
-        for seed in sorted(affected):
-            self.refresh_seed(seed)
+        if affected:
+            self.refresh(sorted(affected))
 
-    def refresh_seed(self, seed: str) -> None:
-        """Invalidate and rebuild one seed's expanded triples in place.
+    def refresh(self, seeds: list[str]) -> None:
+        """Invalidate and rebuild a set of seeds' expanded triples in place.
 
-        The rebuild is a single-seed Sec 6.2 expansion over the backend.
+        The rebuild is one Sec 6.2 expansion of the set over the backend.
         When the expanded store shares the backend's dictionary (the
         trained-in-process case) it expands directly ``into=`` the store —
-        pure id-level writes, no term string built.  A loaded
-        artifact carries its own dictionary, so that case expands into a
-        fresh store and merges back string-level.
+        pure id-level writes, no term string built.  A loaded artifact
+        carries its own dictionary, so that case expands into a fresh store
+        and merges back string-level.
         """
-        self.expanded.invalidate_seed(seed)
-        if self.expanded.dictionary is self.backend.dictionary:
-            expand_predicates(
-                self.backend,
-                [seed],
-                max_length=self.expanded.max_length,
-                tail_predicates=self.expanded.tail_predicates,
-                into=self.expanded,
-            )
-        else:
-            fresh = expand_predicates(
-                self.backend,
-                [seed],
-                max_length=self.expanded.max_length,
-                tail_predicates=self.expanded.tail_predicates,
-            )
+        self.expanded.invalidate_seeds(seeds)
+        shared = self.expanded.dictionary is self.backend.dictionary
+        fresh = expand_predicates(
+            self.backend,
+            seeds,
+            max_length=self.expanded.max_length,
+            tail_predicates=self.expanded.tail_predicates,
+            into=self.expanded if shared else None,
+        )
+        if not shared:
             self.expanded.merge_from(fresh)
-        self.seeds_refreshed += 1
+        self.seeds_refreshed += len(seeds)

@@ -33,8 +33,8 @@ Requests may carry an ``X-KBQA-Client`` header naming the tenant: it keys
 the per-tenant counters (at most ``MAX_TENANTS`` labels per answerer, see
 :mod:`repro.serve.metrics`).
 
-The server also subscribes to the KB backend's change stream (single and
-batched) and routes every external mutation into
+The server also subscribes to the KB backend's change stream and routes
+every burst of external mutations (one write, or one ``batch()`` block) into
 :meth:`AsyncAnswerer.invalidate`, so edits made directly against the store —
 not just through ``/facts`` — keep in-flight results fresh.
 
@@ -278,8 +278,7 @@ class KBQAServer:
         # /facts runs its write between two batches, but the change stream
         # is the correctness backstop for *any* write path.
         self._unsubscribe = self.system.kb.store.subscribe(
-            lambda _change: self.answerer.invalidate(),
-            lambda _changes: self.answerer.invalidate(),
+            lambda _changes: self.answerer.invalidate()
         )
         self._server = await asyncio.get_running_loop().create_server(
             lambda: _Connection(self), self.host, self.port

@@ -1,12 +1,10 @@
-"""Shared utilities: deterministic RNG streams, timing, tables."""
+"""Shared utilities: deterministic RNG streams, tables."""
 
 from repro.utils.rng import SeedStream, stable_hash
-from repro.utils.timing import Stopwatch
 from repro.utils.tables import Table
 
 __all__ = [
     "SeedStream",
     "stable_hash",
-    "Stopwatch",
     "Table",
 ]

@@ -115,8 +115,8 @@ class TestListenerParity:
         mem, disk = TripleStore(), DiskTripleStore()
         seen_mem: list[KBChange] = []
         seen_disk: list[KBChange] = []
-        mem.subscribe(seen_mem.append)
-        disk.subscribe(seen_disk.append)
+        mem.subscribe(seen_mem.extend)
+        disk.subscribe(seen_disk.extend)
         adds, deletes = _random_ops(5, n_adds=80, n_deletes=20)
         for s, p, o in adds:
             mem.add(s, p, o), disk.add(s, p, o)
@@ -128,7 +128,7 @@ class TestListenerParity:
     def test_batch_coalesces(self):
         disk = DiskTripleStore()
         bursts: list[tuple[KBChange, ...]] = []
-        disk.subscribe(lambda c: None, bursts.append)
+        disk.subscribe(bursts.append)
         with disk.batch():
             disk.add("a", "p", "b")
             disk.add("a", "p", "c")
@@ -141,6 +141,20 @@ class TestListenerParity:
             ADD,
             DELETE,
         ]
+        disk.close()
+
+    def test_a_write_outside_batch_is_a_burst_of_one(self):
+        mem, disk = TripleStore(), DiskTripleStore()
+        bursts_mem: list[tuple[KBChange, ...]] = []
+        bursts_disk: list[tuple[KBChange, ...]] = []
+        mem.subscribe(bursts_mem.append)
+        disk.subscribe(bursts_disk.append)
+        for store in (mem, disk):
+            store.add("a", "p", "b")
+            store.delete("a", "p", "b")
+        assert bursts_mem == bursts_disk
+        assert [type(burst) for burst in bursts_mem] == [tuple, tuple]
+        assert [[c.action for c in burst] for burst in bursts_mem] == [[ADD], [DELETE]]
         disk.close()
 
 
@@ -258,7 +272,7 @@ class TestIngestTriples:
 
         store = DiskTripleStore()
         seen: list[KBChange] = []
-        store.subscribe(seen.append)
+        store.subscribe(seen.extend)
         triples = [Triple("a", "p", f"o{i}") for i in range(5)] + [Triple("a", "p", "o0")]
         assert store.ingest_triples(triples) == 5
         assert len(seen) == 5 and all(c.action == ADD for c in seen)

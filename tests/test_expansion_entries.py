@@ -159,17 +159,22 @@ class TestHubs:
         expanded = expand_predicates(hub_kb, seeds, max_length=3)
         maintainer = LiveExpansionMaintainer(hub_kb, expanded, seeds)
         dropped = seeds[::250]
-        for seed in dropped:
-            assert expanded.invalidate_seed(seed)
+        assert expanded.invalidate_seeds(dropped)
         kept = [seed for seed in seeds if seed not in dropped]
         assert _decoded(expanded) == _reference(hub_kb, kept)
-        for seed in dropped:
-            maintainer.refresh_seed(seed)
+        maintainer.refresh(dropped)
         assert _decoded(expanded) == _reference(hub_kb, seeds)
-        # an edit under the hub refreshes every seed through it, once
+        # an edit under the hub refreshes every seed through it, once, in
+        # one expansion: at most max_length scans of the KB, not that many
+        # per seed
+        scans = []
+        scan = hub_kb.spo_items_ids
+        hub_kb.spo_items_ids = lambda: (scans.append(1), scan())[1]
         with hub_kb.batch():
             hub_kb.add("hub", "part", "leaf9")
             hub_kb.add("leaf9", "name", make_literal("leaf 9"))
+        assert 0 < len(scans) <= expanded.max_length
+        del hub_kb.spo_items_ids
         assert maintainer.seeds_refreshed == len(dropped) + self.N_SEEDS
         assert _decoded(expanded) == _reference(hub_kb, seeds)
         maintainer.close()

@@ -307,7 +307,7 @@ class TestV3Format:
         churned = ExpandedStore.load(original)
         pristine = ExpandedStore.load(original)
         seed = churned.dictionary.decode(min(churned.seed_ids))
-        assert churned.invalidate_seed(seed)  # drops the seed's rows and reach
+        assert churned.invalidate_seeds([seed])  # drops the seed's rows and reach
         assert len(churned) < len(pristine)
         churned.merge_from(pristine)  # and back: same content, rebuilt indexes
         via_churned = tmp_path / "c.kbqa"

@@ -79,7 +79,7 @@ class TestChangeNotification:
     def test_add_and_delete_notify(self, factory):
         kb = factory()
         changes: list[KBChange] = []
-        kb.subscribe(changes.append)
+        kb.subscribe(changes.extend)
         kb.add("s", "p", "o")
         assert [c.action for c in changes] == [ADD]
         s, p, o = changes[0].subject_id, changes[0].predicate_id, changes[0].object_id
@@ -93,7 +93,7 @@ class TestChangeNotification:
         kb = factory()
         kb.add("s", "p", "o")
         changes: list[KBChange] = []
-        kb.subscribe(changes.append)
+        kb.subscribe(changes.extend)
         kb.add("s", "p", "o")  # duplicate
         kb.delete("s", "p", "missing")  # absent
         assert changes == []
@@ -101,7 +101,7 @@ class TestChangeNotification:
     def test_unsubscribe(self):
         kb = TripleStore()
         changes: list[KBChange] = []
-        unsubscribe = kb.subscribe(changes.append)
+        unsubscribe = kb.subscribe(changes.extend)
         kb.add("s", "p", "o")
         unsubscribe()
         kb.add("s", "p", "o2")

@@ -1,9 +1,9 @@
 """Live KB add/delete flowing through every layer.
 
-The chain under test: backend mutation -> KBChange notification ->
-per-seed ExpandedStore invalidation + targeted single-seed re-expansion
-(`repro.kb.live`) -> answer-cache invalidation -> a *different answer*,
-with no retraining and no full re-expansion.
+The chain under test: backend mutation -> a burst of KBChange values ->
+ExpandedStore invalidation of the affected seeds + one re-expansion of just
+those seeds (`repro.kb.live`) -> answer-cache invalidation -> a *different
+answer*, with no retraining and no full re-expansion.
 """
 
 import pytest
@@ -67,8 +67,8 @@ class TestMaintainer:
 
         monkeypatch.setattr(live_module, "expand_predicates", _counting)
         kb.add("b", "alias", make_literal("bobby"))
-        # edge under 'b' is reached only from seed 'a': exactly one
-        # single-seed refresh, never a full re-expansion
+        # edge under 'b' is reached only from seed 'a': one refresh of 'a'
+        # alone, never a full re-expansion
         assert calls == [["a"]]
         assert maintainer.seeds_refreshed == 1
         calls.clear()
@@ -104,6 +104,36 @@ class TestMaintainer:
         kb.delete("cvt1", "person", "b")
         assert loaded.objects("a", SPOUSE_PATH) == frozenset()
 
+    def test_loaded_artifact_refreshes_a_burst_in_one_scan(self, tmp_path):
+        """A burst touching two seeds of a loaded artifact is rebuilt by one
+        fresh expansion and one merge: at most max_length scans, and the
+        result equals a fresh expansion of the edited KB."""
+        from repro.kb.expansion import ExpandedStore
+
+        kb = _toy_kb()
+        path = tmp_path / "expansion.kbqa"
+        expand_predicates(kb, ["a", "c"], max_length=3).save(path)
+        loaded = ExpandedStore.load(path)
+        maintainer = LiveExpansionMaintainer(kb, loaded, ["a", "c"])
+        scans = []
+        scan = kb.spo_items_ids
+        kb.spo_items_ids = lambda: (scans.append(1), scan())[1]
+        with kb.batch():
+            kb.add("b", "alias", make_literal("bobby"))
+            kb.add("c", "title", make_literal("dr"))
+        assert 0 < len(scans) <= loaded.max_length
+        del kb.spo_items_ids
+        assert maintainer.seeds_refreshed == 2
+
+        def contents(store):
+            decode = store.dictionary.decode
+            return (
+                {(s, str(p), o) for s, p, o in store.triples()},
+                {(decode(n), frozenset(map(decode, seeds))) for n, seeds in store.reach_items()},
+            )
+
+        assert contents(loaded) == contents(expand_predicates(kb, ["a", "c"], max_length=3))
+
     def test_seeded_expansion_without_reach_is_refused(self, tmp_path):
         """Seeds but no reach: only an artifact saved by an older build whose
         scan skipped reach.  Attaching would miss every refresh, so the
@@ -133,7 +163,7 @@ class TestInvalidateSeed:
         kb = _toy_kb()
         expanded = expand_predicates(kb, ["a", "c"], max_length=3)
         before = {(s, str(p), o) for s, p, o in expanded.triples()}
-        assert expanded.invalidate_seed("a")
+        assert expanded.invalidate_seeds(["a"])
         assert not any(s == "a" for s, _p, _o in expanded.triples())
         expand_predicates(kb, ["a"], max_length=3, into=expanded)
         assert {(s, str(p), o) for s, p, o in expanded.triples()} == before
@@ -142,7 +172,7 @@ class TestInvalidateSeed:
         kb = _toy_kb()
         expanded = expand_predicates(kb, ["a"], max_length=3)
         n = len(expanded)
-        assert not expanded.invalidate_seed("never-seen")
+        assert not expanded.invalidate_seeds(["never-seen"])
         assert len(expanded) == n
 
     def test_into_requires_shared_dictionary(self):
@@ -192,14 +222,16 @@ class TestSystemLevelLiveEdits:
         after = live_system.answer(question)
         assert after != before
         assert before.value not in after.values
-        # every refresh was a targeted single-seed expansion
-        assert calls and all(len(seeds) == 1 for seeds in calls)
+        # the write was refreshed by one expansion of the seeds it affects
+        n_seeds = len(live_system.maintainer.seeds)
+        assert len(calls) == 1 and 0 < len(calls[0]) < n_seeds
 
-        # restore: the answer comes back, again via per-seed refresh only
+        # restore: the answer comes back, again via one targeted refresh
         assert live_system.add_fact(cvt, "person", partner)
         restored = live_system.answer(question)
         assert restored.answered
         assert restored.value == before.value
+        assert len(calls) == 2 and 0 < len(calls[1]) < n_seeds
 
     def test_added_fact_is_served(self, live_system):
         entity = "m.live_new_entity"
@@ -242,7 +274,7 @@ class TestBatchContext:
             kb.add("b", "nick", make_literal("bo"))
             kb.add("cvt1", "since", make_literal("1999"))
             assert calls == []  # nothing refreshed inside the block
-        # one coalesced flush: exactly one single-seed rebuild for 'a'
+        # one coalesced flush: exactly one rebuild, of 'a' alone
         assert calls == [["a"]]
         assert maintainer.seeds_refreshed == 1
         assert maintainer.events_seen == 3
@@ -293,16 +325,6 @@ class TestBatchContext:
             kb.add("z", "name", make_literal("zed"))
             assert kb.has("z", "name", make_literal("zed"))
             assert kb.delete("z", "name", make_literal("zed"))
-
-    def test_plain_listeners_get_a_per_change_replay(self):
-        kb = _toy_kb()
-        seen = []
-        kb.subscribe(seen.append)  # no batch_listener registered
-        with kb.batch():
-            kb.add("b", "alias", make_literal("bobby"))
-            kb.add("b", "nick", make_literal("bo"))
-            assert seen == []
-        assert [c.action for c in seen] == ["add", "add"]
 
     def test_system_batch_drops_answer_cache_once(self, suite, live_system, monkeypatch):
         """KBQA.batch(): a burst of facts costs one cache invalidation."""

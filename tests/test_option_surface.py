@@ -204,14 +204,15 @@ def test_expanded_format_env_var_is_ignored(tmp_path, monkeypatch):
 
 
 def test_kb_layer_serves_only_the_lookups_kbqa_makes():
-    """Reach is recorded one way, the store keeps two triple orderings, and
+    """Reach is recorded one way, the store keeps two triple orderings, the
+    change stream has one listener kind, live refreshes go by seed set, and
     the BGP solver, the reverse lookups, the alias view and the read-only
     open mode stay gone."""
     import repro.kb
     from repro.kb import disk
     from repro.kb.backend import KBBackend
     from repro.kb.disk import DiskTripleStore
-    from repro.kb.expansion import expand_predicates
+    from repro.kb.expansion import ExpandedStore, expand_predicates
     from repro.kb.live import LiveExpansionMaintainer
     from repro.kb.store import TripleStore
 
@@ -223,6 +224,11 @@ def test_kb_layer_serves_only_the_lookups_kbqa_makes():
     for owner in (KBBackend, TripleStore, DiskTripleStore):
         for name in ("subjects", "predicates", "predicates_ids_of"):
             assert not hasattr(owner, name), (owner, name)
+        # one listener kind: a listener takes bursts of changes
+        assert list(inspect.signature(owner.subscribe).parameters) == ["self", "listener"]
+    # a live edit refreshes its affected seeds together, never one by one
+    assert not hasattr(LiveExpansionMaintainer, "refresh_seed")
+    assert not hasattr(ExpandedStore, "invalidate_seed")
     assert not {"solve", "select"} & set(repro.kb.__all__)
     with pytest.raises(ModuleNotFoundError):
         import repro.kb.query  # noqa: F401

@@ -477,7 +477,7 @@ class TestAbandonedRequests:
                 return serve_system.add_fact(subject, predicate, obj)
 
         changes = []
-        unsubscribe = store.subscribe(changes.append, changes.extend)
+        unsubscribe = store.subscribe(changes.extend)
 
         async def main() -> tuple[int, int]:
             server = KBQAServer(CancelledMidWrite(), ServeConfig())

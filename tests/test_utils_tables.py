@@ -1,11 +1,8 @@
-"""Tests for the table renderer and the stopwatch."""
-
-import time
+"""Tests for the table renderer."""
 
 import pytest
 
 from repro.utils.tables import Table
-from repro.utils.timing import Stopwatch
 
 
 class TestTable:
@@ -44,32 +41,3 @@ class TestTable:
         table.add_row([2.0])
         assert "2.0" in table.render()
 
-
-class TestStopwatch:
-    def test_accumulates(self):
-        sw = Stopwatch()
-        with sw:
-            time.sleep(0.01)
-        with sw:
-            time.sleep(0.01)
-        assert sw.calls == 2
-        assert sw.elapsed >= 0.02
-
-    def test_mean_ms(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        assert sw.mean_ms >= 0.0
-
-    def test_mean_ms_zero_calls(self):
-        assert Stopwatch().mean_ms == 0.0
-
-    def test_double_start_raises(self):
-        sw = Stopwatch()
-        sw.start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
