@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
 
+from repro.core.extraction import CorpusScan, scan_questions
 from repro.core.model import TemplateModel
 from repro.core.template import Template
 from repro.nlp.ner import EntityRecognizer
@@ -38,8 +39,11 @@ def _pattern_key(tokens: Sequence[str]) -> str:
 class PatternStatistics:
     """``fo`` / ``fv`` pattern counts over the QA corpus (Sec 5.2).
 
-    ``fo`` holds only patterns some indexed question validated (``fo[k] >=
-    fv[k] > 0`` for every key): :meth:`validity` is 0 for any other pattern.
+    Built from the offline pass's :class:`~repro.core.extraction.CorpusScan`
+    (:meth:`from_scan`): its entity spans give ``fv``, and each distinct
+    question is counted once, weighted by how often it occurs.  ``fo`` holds
+    only patterns some indexed question validated (``fo[k] >= fv[k] > 0`` for
+    every key): :meth:`validity` is 0 for any other pattern.
     """
 
     def __init__(self) -> None:
@@ -55,44 +59,50 @@ class PatternStatistics:
         max_questions: int | None = None,
         max_tokens: int = 23,
     ) -> "PatternStatistics":
-        """:meth:`from_tokens` over raw question strings."""
-        token_tuples = (tuple(tokenize(question)) for question in questions)
-        return cls.from_tokens(token_tuples, ner, max_questions, max_tokens)
+        """:meth:`from_scan` over raw question strings."""
+        scan = scan_questions(islice(questions, max_questions), ner)
+        return cls.from_scan(scan, max_tokens=max_tokens)
 
     @classmethod
-    def from_tokens(
-        cls, token_tuples: Iterable[tuple[str, ...]], ner: EntityRecognizer,
-        max_questions: int | None = None, max_tokens: int = 23,
+    def from_scan(
+        cls, scan: CorpusScan, max_questions: int | None = None, max_tokens: int = 23
     ) -> "PatternStatistics":
-        """Index already-tokenized corpus questions, ``fv`` first.
+        """Index the first ``max_questions`` scanned corpus questions, ``fv`` first.
 
+        The entity spans are the scan's, so no second NER pass runs.  Each
+        distinct question's ``fv`` and ``fo`` keys are found once and counted
+        as often as the question occurs among the indexed ones (the counts
+        are integers, so they equal a per-occurrence pass).
         ``max_tokens`` reflects the paper's observation that over 99% of
         corpus questions are under 23 words; longer ones are skipped.
         """
         stats = cls()
-        indexed: list[tuple[str, ...]] = []
+        fv, fo = stats.fv, stats.fo
+        indexed: list[tuple[tuple[str, ...], int]] = []  # (tokens, occurrences)
         # prefix -> {suffix -> key} of the valid patterns, one entry per "$e"
         # token of the pattern (a question may itself contain "$e")
         valid: dict[tuple[str, ...], dict[tuple[str, ...], str]] = {}
-        for tokens in islice(token_tuples, max_questions):
+        for row, count in Counter(islice(scan.order, max_questions)).items():
+            tokens, _mentions, spans = scan.rows[row]
             if not 0 < len(tokens) <= max_tokens:
                 continue
-            indexed.append(tokens)
+            indexed.append((tokens, count))
             seen_fv: set[str] = set()
-            for mention in ner.find_all_spans(tokens):
-                pattern = tokens[: mention.start] + (ENTITY_VARIABLE,) + tokens[mention.end :]
+            for start, end, _candidates in spans:
+                pattern = tokens[:start] + (ENTITY_VARIABLE,) + tokens[end:]
                 if len(pattern) == 1:
                     continue  # replacing everything leaves no pattern
                 key = _pattern_key(pattern)
                 seen_fv.add(key)
-                if key not in stats.fv:
+                if key not in fv:
                     for slot, token in enumerate(pattern):
                         if token == ENTITY_VARIABLE:
                             valid.setdefault(pattern[:slot], {})[pattern[slot + 1 :]] = key
-            stats.fv.update(seen_fv)
-        stats.questions_indexed = len(indexed)
+            for key in seen_fv:
+                fv[key] += count
+        stats.questions_indexed = sum(count for _tokens, count in indexed)
         # fo: a question counts once per valid pattern it starts and ends like (prefix, suffix)
-        for tokens in indexed:
+        for tokens, count in indexed:
             seen_fo: set[str] = set()
             for start in range(len(tokens)):
                 suffixes = valid.get(tokens[:start])
@@ -101,7 +111,8 @@ class PatternStatistics:
                         key = suffixes.get(tokens[end:])
                         if key is not None:
                             seen_fo.add(key)
-            stats.fo.update(seen_fo)
+            for key in seen_fo:
+                fo[key] += count
         return stats
 
     def validity(self, pattern_tokens: Sequence[str]) -> float:

@@ -24,13 +24,13 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.core.kbview import KBView
 from repro.kb.paths import PredicatePath
 from repro.kb.backend import KBBackend
 from repro.kb.triple import is_literal
-from repro.nlp.ner import EntityRecognizer
+from repro.nlp.ner import EntityRecognizer, Span, leftmost_longest
 from repro.nlp.question_class import (
     AnswerType,
     answer_types_compatible,
@@ -123,17 +123,38 @@ class ValueIndex:
         return spans
 
 
-# Per question ``(tokens, mentions)``, a mention being ``(start, end, candidates)``.  Plain tuples,
-# which the cyclic GC stops tracking: 30 k live records must not slow the Sec 6.2 scan.
-CorpusScan = list[tuple[tuple[str, ...], tuple[tuple[int, int, tuple[str, ...]], ...]]]
+# One row per distinct question string: ``(tokens, mentions, spans)``, the
+# mentions being the leftmost-longest subset of the spans (both ``Span``
+# tuples).  Plain tuples, which the cyclic GC stops tracking: 20 k live rows
+# must not slow the Sec 6.2 scan.
+ScanRow = tuple[tuple[str, ...], tuple[Span, ...], tuple[Span, ...]]
+
+
+class CorpusScan(NamedTuple):
+    """The corpus questions read once each: ``rows`` holds one row per
+    distinct question string in first-occurrence order, and ``order[i]`` is
+    the row of the ``i``-th corpus question."""
+
+    rows: list[ScanRow]
+    order: list[int]
 
 
 def scan_questions(questions: Iterable[str], ner: EntityRecognizer) -> CorpusScan:
-    """The offline path's one read of the corpus (seeds, Eq 8 and Sec 5.2 all consume it)."""
-    return [
-        (tokens, tuple((m.start, m.end, m.candidates) for m in ner.find_mentions(tokens)))
-        for tokens in (tuple(tokenize(question)) for question in questions)
-    ]
+    """The offline path's one read of the corpus (seeds, Eq 8 and Sec 5.2 all
+    consume it): each distinct question is tokenized once and walks the
+    gazetteer once (:meth:`EntityRecognizer.spans`)."""
+    row_of: dict[str, int] = {}
+    rows: list[ScanRow] = []
+    order: list[int] = []
+    for question in questions:
+        row = row_of.get(question)
+        if row is None:
+            row = row_of[question] = len(rows)
+            tokens = tuple(tokenize(question))
+            spans = tuple(ner.spans(tokens))
+            rows.append((tokens, leftmost_longest(spans), spans))
+        order.append(row)
+    return CorpusScan(rows, order)
 
 
 def extract_observations(
@@ -220,7 +241,9 @@ def extract_records(
     categories of Sec 4.1.1) lets through.  Entries are interned by predicate
     names, so a direct predicate and the expansion's length-1 path of the same
     name are one entry even when the expansion has its own dictionary (a loaded
-    artifact).  Records reuse the scan's token tuples.
+    artifact).  Each distinct answer string is tokenized and value-scanned
+    once per pass, each distinct question classified once, and records reuse
+    the scan's token tuples.
     """
     config = config or ExtractionConfig()
     store, expanded = kbview.store, kbview.expanded
@@ -263,21 +286,31 @@ def extract_records(
         entry = expanded_entries[path_id] = entry_for(expanded.decode_path(path_id), path_id)
         return entry
 
-    for (q_tokens, mentions), answer in zip(scan, answers):
+    rows = scan.rows
+    # (value, store id, expansion id) per distinct answer string, and the
+    # question type per distinct question: each read once per pass
+    values_of: dict[str, tuple[tuple[str, int | None, int | None], ...]] = {}
+    question_types: dict[int, AnswerType] = {}
+    for row, answer in zip(scan.order, answers):
         stats.qa_pairs += 1
+        q_tokens, mentions, _spans = rows[row]
         mentions = mentions[: config.max_mentions_per_question]
         if not mentions:
             continue
         stats.pairs_with_mentions += 1
-        a_tokens = tokenize(answer)
-        values = value_index.find_values(a_tokens)[: config.max_values_per_answer]
-        if not values:
+        value_ids = values_of.get(answer)
+        if value_ids is None:
+            values = value_index.find_values(tokenize(answer))[: config.max_values_per_answer]
+            value_ids = values_of[answer] = tuple(
+                (value, v_id, v_id if expanded_lookup is None else expanded_lookup(value))
+                for value, v_id in zip(values, map(lookup, values))
+            )
+        if not value_ids:
             continue
-        question_type = classify_tokens(q_tokens) if config.use_refinement else AnswerType.UNKNOWN
-        value_ids = []  # (value, store id, expansion id)
-        for value in values:
-            v_id = lookup(value)
-            value_ids.append((value, v_id, v_id if expanded_lookup is None else expanded_lookup(value)))
+        if not config.use_refinement:
+            question_type = AnswerType.UNKNOWN
+        elif (question_type := question_types.get(row)) is None:
+            question_type = question_types[row] = classify_tokens(q_tokens)
 
         # Collect connected (mention, entity, value) triples first so that
         # P(e|q) can be normalized over the entities that survive (Eq 4).

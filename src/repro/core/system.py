@@ -177,9 +177,8 @@ class KBQA:
         # the one read of the corpus, shared by the learner and the Sec 5.2 statistics
         scan = scan_questions(corpus.questions(), learner.ner)
         learn_result = learner.learn(corpus, scan)
-        statistics = PatternStatistics.from_tokens(
-            (tokens for tokens, _mentions in scan),
-            learner.ner,
+        statistics = PatternStatistics.from_scan(
+            scan,
             max_questions=config.pattern_max_questions,
             max_tokens=config.pattern_max_tokens,
         )

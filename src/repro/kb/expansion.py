@@ -306,6 +306,20 @@ class ExpandedStore:
             seeds = reach_seeds[lo:hi]
             reached[node_id] = _entry(seeds) if held is None else _union(held, seeds)
 
+    def _extend_packed(self, triples: list[int], reach: list[int]) -> None:
+        """:meth:`_extend` from sorted, distinct packed ints: triples as
+        ``(s_id << 32 | path_id) << 32 | o_id``, reach as ``node_id << 32 |
+        seed_id``."""
+        # heads are s_id << 32 | path_id, one per (subject, path) group
+        heads, object_offsets, objects = _split(triples)
+        subjects, group_offsets = _runs(list(map(rshift, heads, repeat(_ID_BITS))))
+        group_paths = tuple(map(and_, heads, repeat(_ID_MASK)))
+        reach_nodes, reach_offsets, reach_seeds = _split(reach)
+        self._extend(
+            subjects, group_offsets, group_paths, object_offsets, objects,
+            reach_nodes, reach_offsets, reach_seeds,
+        )
+
     # -- Reach provenance --------------------------------------------------
 
     def note_reach(self, node_id: int, seed_id: int) -> None:
@@ -399,23 +413,37 @@ class ExpandedStore:
     def merge_from(self, other: "ExpandedStore") -> int:
         """Fold another store's triples, seeds and reach into this one.
 
-        The merge is string-level, so it is correct whether or not the two
-        stores share a dictionary (a freshly loaded artifact has its own).
-        Returns the number of newly inserted triples.
+        One bulk pass: every id ``other`` uses is translated through one
+        ``other id -> self id`` map (each term encoded once, so the merge is
+        correct whether or not the two stores share a dictionary — a freshly
+        loaded artifact has its own), and the translated columns are sorted
+        and folded in by :meth:`_extend`.  Returns the number of newly
+        inserted triples.
         """
-        added = 0
-        for subject, path, obj in other.triples():
-            if self.record(subject, path, obj):
-                added += 1
-        encode = self.dictionary.encode
-        decode = other.dictionary.decode
-        for seed_id in other.seed_ids:
-            self.seed_ids.add(encode(decode(seed_id)))
-        for node_id, seeds in other.reach_items():
-            node = encode(decode(node_id))
-            for seed_id in seeds:
-                self.note_reach(node, encode(decode(seed_id)))
-        return added
+        by_subject, reached = other._by_subject, other._reached_from
+        used = {*by_subject, *reached, *other.seed_ids}
+        used.update(chain.from_iterable(other._path_keys))
+        for by_path in by_subject.values():
+            for objects in by_path.values():
+                used.update(_members(objects))
+        for seeds in reached.values():
+            used.update(_members(seeds))
+        encode, decode = self.dictionary.encode, other.dictionary.decode
+        id_of = {i: encode(decode(i)) for i in used}
+        path_of = [self.path_id(tuple(map(id_of.__getitem__, key))) for key in other._path_keys]
+        triples = sorted(
+            (id_of[s] << _ID_BITS | path_of[p]) << _ID_BITS | id_of[o]
+            for s, p, o in other.triples_ids()
+        )
+        reach = sorted(
+            id_of[node] << _ID_BITS | id_of[seed]
+            for node, seeds in reached.items()
+            for seed in _members(seeds)
+        )
+        self.seed_ids.update(map(id_of.__getitem__, other.seed_ids))
+        before = self._triple_count
+        self._extend_packed(triples, reach)
+        return self._triple_count - before
 
     # -- Persistence -------------------------------------------------------
 
@@ -679,14 +707,6 @@ def expand_predicates(
         nodes, offsets, node_ways = _split(ordered, way_bits)
         frontier = dict(zip(nodes, map(node_ways.__getitem__, map(slice, offsets, offsets[1:]))))
 
-    # heads are seed_id << 32 | path_id, one per (seed, path) group
-    heads, object_offsets, objects = _split(sorted(triples))
-    subjects, group_offsets = _runs(list(map(rshift, heads, repeat(_ID_BITS))))
-    group_paths = tuple(map(and_, heads, repeat(_ID_MASK)))
     # merging the sorted runs is linear; dict.fromkeys drops the repeats
-    reach_nodes, reach_offsets, reach_seeds = _split(list(dict.fromkeys(sorted(reach))))
-    expanded._extend(
-        subjects, group_offsets, group_paths, object_offsets, objects,
-        reach_nodes, reach_offsets, reach_seeds,
-    )
+    expanded._extend_packed(sorted(triples), list(dict.fromkeys(sorted(reach))))
     return expanded

@@ -110,7 +110,7 @@ class LiveExpansionMaintainer:
         trained-in-process case) it expands directly ``into=`` the store —
         pure id-level writes, no term string built.  A loaded artifact
         carries its own dictionary, so that case expands into a fresh store
-        and merges back string-level.
+        and merges it back in one bulk pass (:meth:`ExpandedStore.merge_from`).
         """
         self.expanded.invalidate_seeds(seeds)
         shared = self.expanded.dictionary is self.backend.dictionary

@@ -31,6 +31,11 @@ class Mention:
         return self.end - self.start
 
 
+# A gazetteer match as a plain tuple: ``(start, end, candidates)``, no surface
+# string joined, so a corpus of them costs the cyclic collector nothing.
+Span = tuple[int, int, tuple[str, ...]]
+
+
 class EntityRecognizer:
     """Longest-match gazetteer matcher over KB entity names.
 
@@ -81,22 +86,43 @@ class EntityRecognizer:
             i += 1
         return mentions
 
-    def find_all_spans(self, tokens: Sequence[str]) -> list[Mention]:
-        """Every matching span, including overlapping ones.
+    def spans(self, tokens: Sequence[str]) -> list[Span]:
+        """Every matching span, overlapping ones included, as plain
+        ``(start, end, candidates)`` tuples ordered by start, then length.
 
         The decomposition statistics (Sec 5.2) need *all* valid entity spans,
-        not a single segmentation, to count ``fv``.
+        not a single segmentation, to count ``fv``; the leftmost-longest
+        mentions of :meth:`find_mentions` are a linear pass over the same
+        list (:func:`leftmost_longest`), so the offline pass walks the
+        gazetteer once per question.
         """
         if not isinstance(tokens, tuple):
             tokens = tuple(tokens)
-        mentions: list[Mention] = []
+        names, longest_from = self._names, self._max_len_by_first
+        spans: list[Span] = []
         n = len(tokens)
         for i, token in enumerate(tokens):
-            longest = self._max_len_by_first.get(token)
+            longest = longest_from.get(token)
             if longest is not None:  # some name starts with this token
-                for length in range(1, min(longest, n - i) + 1):
-                    span = tokens[i : i + length]
-                    nodes = self._names.get(span)
+                for end in range(i + 1, i + min(longest, n - i) + 1):
+                    nodes = names.get(tokens[i:end])
                     if nodes:
-                        mentions.append(Mention(i, i + length, " ".join(span), nodes))
-        return mentions
+                        spans.append((i, end, nodes))
+        return spans
+
+
+def leftmost_longest(spans: Iterable[Span]) -> tuple[Span, ...]:
+    """The spans :meth:`EntityRecognizer.find_mentions` keeps, from
+    :meth:`EntityRecognizer.spans`' list: the longest span at each start,
+    skipping starts inside the last kept span."""
+    kept: list[Span] = []
+    kept_start, covered = -1, 0
+    for span in spans:  # ordered by start, then length
+        start = span[0]
+        if start == kept_start:  # a longer span at the kept start
+            kept[-1] = span
+            covered = span[1]
+        elif start >= covered:
+            kept.append(span)
+            kept_start, covered = start, span[1]
+    return tuple(kept)

@@ -136,7 +136,7 @@ def reference_pattern_statistics(
             continue
         stats.questions_indexed += 1
         valid_spans = {
-            (m.start, m.end) for m in ner.find_all_spans(tokens)
+            (start, end) for start, end, _candidates in ner.spans(tokens)
         }
         seen_fo: set[str] = set()
         seen_fv: set[str] = set()

@@ -52,16 +52,15 @@ class TestFindMentions:
         assert [m.surface for m in mentions] == ["obama", "honolulu"]
 
 
-class TestFindAllSpans:
+class TestSpans:
     def test_includes_overlapping(self, ner):
-        spans = ner.find_all_spans(tokenize("new york"))
-        surfaces = {m.surface for m in spans}
-        assert surfaces == {"new york", "york"}
+        spans = ner.spans(tokenize("new york"))
+        assert spans == [(0, 2, ("m.nyc",)), (1, 2, ("m.york",))]
 
     def test_all_spans_superset_of_mentions(self, ner):
         tokens = tokenize("is barack obama from honolulu?")
         greedy = {(m.start, m.end) for m in ner.find_mentions(tokens)}
-        every = {(m.start, m.end) for m in ner.find_all_spans(tokens)}
+        every = {(start, end) for start, end, _candidates in ner.spans(tokens)}
         assert greedy <= every
 
 

@@ -1,9 +1,9 @@
 """The single-pass offline path against the string-level oracle.
 
-``KBQA.train`` reads the corpus once (``scan_questions``) and counts ``fo``
-only for patterns some question validated; ``tests/oracles/
-offline_reference.py`` tokenizes and NER-scans per stage and enumerates every
-pattern.  Everything the two produce must be equal — seeds, observations,
+``KBQA.train`` reads each distinct corpus string once (``scan_questions``)
+and counts ``fo`` only for patterns some question validated; ``tests/
+oracles/offline_reference.py`` tokenizes and NER-scans every occurrence per
+stage and enumerates every pattern.  Everything the two produce must be equal — seeds, observations,
 extraction counters, the four EM buffers, the name tables, θ, the decoded
 ``TemplateModel``, ``fv`` — and ``validity()`` must agree on *every* pattern
 the oracle ever observed, which is all the DP of Eq 28 reads.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,9 +36,10 @@ from repro.core.learner import LearnerConfig, OfflineLearner, collect_seed_entit
 from repro.core.system import KBQA, KBQAConfig
 from repro.kb.disk import DiskTripleStore
 from repro.kb.expansion import ExpandedStore, expand_predicates
+from repro.corpus.qa import QACorpus
 from repro.kb.store import TripleStore
 from repro.nlp import tokenizer
-from repro.nlp.ner import EntityRecognizer
+from repro.nlp.ner import EntityRecognizer, leftmost_longest
 from repro.suite import build_suite
 
 
@@ -174,7 +176,7 @@ class TestSuiteAgainstOracle:
             assert_offline_equals_oracle(big, system)
 
 
-# -- KBQA.train reads the corpus once --------------------------------------------
+# -- KBQA.train reads each distinct corpus string once ------------------------------
 
 
 class CountingRecognizer(EntityRecognizer):
@@ -184,15 +186,23 @@ class CountingRecognizer(EntityRecognizer):
         self.calls["find_mentions"] += 1
         return super().find_mentions(tokens)
 
-    def find_all_spans(self, tokens):
-        self.calls["find_all_spans"] += 1
-        return super().find_all_spans(tokens)
+    def spans(self, tokens):
+        self.calls["spans"] += 1
+        return super().spans(tokens)
 
 
-def test_train_tokenizes_and_scans_each_question_once(suite, monkeypatch):
-    """Exact counts, so a refactor cannot quietly reintroduce a corpus pass."""
-    tokenized: Counter[str] = Counter()
+def assert_train_reads_each_distinct_string_once(suite, monkeypatch) -> tuple[int, int]:
+    """Exact counts, so a refactor cannot quietly reintroduce a per-occurrence
+    pass: every distinct question is tokenized and walks the gazetteer once,
+    every distinct answer that a question with a mention reaches is tokenized
+    once, and ``find_mentions`` never runs.  Returns the two distinct counts."""
+    kb, corpus = suite.freebase, suite.corpus
     original = tokenizer.tokenize
+    ner = EntityRecognizer(kb.gazetteer)
+    questions = set(corpus.questions())
+    reached = {pair.answer for pair in corpus if ner.find_mentions(original(pair.question))}
+
+    tokenized: Counter[str] = Counter()
 
     def counting_tokenize(text):
         tokenized[text] += 1
@@ -203,15 +213,43 @@ def test_train_tokenizes_and_scans_each_question_once(suite, monkeypatch):
             monkeypatch.setattr(module, "tokenize", counting_tokenize)
     monkeypatch.setattr("repro.core.learner.EntityRecognizer", CountingRecognizer)
     monkeypatch.setattr(CountingRecognizer, "calls", Counter())
+    # the gazetteer's names and the literals are tokenized to build the
+    # recognizer and the value index, not read from the corpus
+    EntityRecognizer(kb.gazetteer)
+    ValueIndex(kb.store)
+    built = tokenized.copy()
+    tokenized.clear()
 
-    corpus = suite.corpus
-    with KBQA.train(suite.freebase, corpus, suite.conceptualizer) as system:
+    with KBQA.train(kb, corpus, suite.conceptualizer) as system:
         assert type(system.learn_result.ner) is CountingRecognizer
-        indexed = system.decomposer.statistics.questions_indexed
-    assert len(corpus) < KBQAConfig().pattern_max_questions
-    occurrences = Counter(corpus.questions())
-    assert {question: tokenized[question] for question in occurrences} == occurrences
-    assert CountingRecognizer.calls == {"find_mentions": len(corpus), "find_all_spans": indexed}
+    assert tokenized == built + Counter(questions) + Counter(reached)
+    assert CountingRecognizer.calls == {"spans": len(questions)}
+    return len(questions), len(reached)
+
+
+def test_train_tokenizes_and_scans_each_question_once(suite, monkeypatch):
+    n_questions, n_answers = assert_train_reads_each_distinct_string_once(suite, monkeypatch)
+    assert n_questions < len(suite.corpus) and n_answers < len(suite.corpus)
+
+
+@pytest.mark.perf
+def test_default_scale_train_tokenizes_and_scans_each_question_once(monkeypatch):
+    """30 000 pairs, 8 912 of them repeating an earlier question."""
+    big = build_suite("default", seed=7)
+    assert len(big.corpus) == 30_000
+    assert assert_train_reads_each_distinct_string_once(big, monkeypatch) == (21_088, 11_669)
+
+
+def test_repeated_interleaved_corpus_matches_the_oracle(suite):
+    """Every pair twice, the copies interleaved: the distinct-string pass must
+    weigh each occurrence, not only drop the repeats.  Sec 5.2 indexes the
+    first 5/8 of the doubled corpus, where some questions occur twice and
+    others once."""
+    pairs = suite.corpus.pairs
+    doubled = replace(suite, corpus=QACorpus(p for two in zip(pairs, reversed(pairs)) for p in two))
+    config = KBQAConfig(pattern_max_questions=len(pairs) * 5 // 4)
+    with KBQA.train(doubled.freebase, doubled.corpus, doubled.conceptualizer, config) as system:
+        assert_offline_equals_oracle(doubled, system, config)
 
 
 # -- fv-first statistics over hostile little corpora ------------------------------
@@ -244,3 +282,19 @@ def test_fv_first_statistics_equal_exhaustive_enumeration(
     product = PatternStatistics.from_corpus(questions, ner, max_questions, max_tokens)
     oracle = reference_pattern_statistics(questions, ner, max_questions, max_tokens)
     assert_statistics_equal_oracle(product, oracle)
+
+
+# -- the leftmost-longest mentions derived from every span ------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=st.lists(_NAMES, min_size=0, max_size=5), words=st.lists(_WORDS, max_size=12))
+@example(names=["a b", "b c", "b", "a b c"], words=["a", "b", "c", "b", "c"])
+def test_leftmost_longest_of_spans_equals_find_mentions(names, words):
+    """Overlapping names, names nested in longer ones and names holding "$e"."""
+    ner = EntityRecognizer({name: [f"m.{index}"] for index, name in enumerate(names)})
+    tokens = tuple(tokenizer.tokenize(" ".join(words)))
+    mentions = ner.find_mentions(tokens)
+    assert leftmost_longest(ner.spans(tokens)) == tuple(
+        (m.start, m.end, m.candidates) for m in mentions
+    )
