@@ -27,6 +27,7 @@ from repro.data.compile import CompiledKB
 from repro.kb.expansion import ExpandedStore, expand_predicates
 from repro.nlp.ner import EntityRecognizer
 from repro.taxonomy.conceptualizer import Conceptualizer, ContextScores, top_concepts
+from repro.taxonomy.isa import PriorRow
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,10 +201,11 @@ class OfflineLearner:
         extraction body).  Candidates are appended straight into the flat CSR
         buffers of :class:`EncodedObservations` as each record arrives — EM
         never sees a nested python list, and no record outlives its turn.
-        ``P(c|e,q)`` depends only on the entity and the question's context, so
-        it is computed once per (entity, context) for the pass, from context
-        scores computed once per context — the online path's arithmetic
-        (``Conceptualizer.context_scores`` / ``posterior``).
+        ``P(c|e,q)`` depends on the entity only through its prior row
+        ``P(c|e)`` (``IsANetwork.prior_row``, shared by every entity with an
+        equal prior), so it is computed once per (prior row, context) for the
+        pass, from context scores computed once per context — the online
+        path's arithmetic (``Conceptualizer.context_scores`` / ``posterior``).
         """
         template_ids: dict[str, int] = {}
         path_ids: dict[str, int] = {}
@@ -211,27 +213,24 @@ class OfflineLearner:
         path_names: list[str] = []
         encoded = EncodedObservations()
         conceptualizer = self.conceptualizer
-        prior_of, posterior = conceptualizer.network.prior, conceptualizer.posterior
+        prior_row, posterior = conceptualizer.network.prior_row, conceptualizer.posterior
         max_concepts = self.config.max_concepts_per_mention
-        # tuples throughout, so the collector untracks the memo's 20 k entries
-        memo: dict[tuple[str, tuple[str, ...]], tuple[tuple[str, float], ...]] = {}
+        # tuples throughout, so the collector untracks the memo's entries
+        memo: dict[tuple[PriorRow, tuple[str, ...]], tuple[tuple[str, float], ...]] = {}
         scores_by_context: dict[tuple[str, ...], ContextScores | None] = {}
 
         for q_tokens, start, end, entity, _value, entity_weight, paths in records:
+            row = prior_row(entity)
+            if not row:
+                continue
             head, tail = q_tokens[:start], q_tokens[end:]
             context = head + tail
-            concepts = memo.get((entity, context))
+            concepts = memo.get((row, context))
             if concepts is None:
-                concepts = ()
-                prior = prior_of(entity)
-                if prior:
-                    if context not in scores_by_context:
-                        scores_by_context[context] = conceptualizer.context_scores(context)
-                    ranked = top_concepts(posterior(prior, scores_by_context[context]), max_concepts)
-                    concepts = tuple(ranked)
-                memo[(entity, context)] = concepts
-            if not concepts:
-                continue
+                if context not in scores_by_context:
+                    scores_by_context[context] = conceptualizer.context_scores(context)
+                ranked = top_concepts(posterior(row, scores_by_context[context]), max_concepts)
+                concepts = memo[row, context] = tuple(ranked)
 
             for concept, concept_prob in concepts:
                 template_text = " ".join(head + (concept,) + tail)  # the online path's key

@@ -25,13 +25,22 @@ change is computed once, lazily, and dropped by the write that outdates it:
   array parsed from the model.  A context is kept only once one of its
   templates is known to the model, so the plans cannot outnumber the
   model's templates (no size knob); a KB write leaves them, a model swap or
-  a ``Conceptualizer.observe`` drops them.  Each question still pays for
-  NER, ``P(c|e)``, the softmax, Eq 7 and the KB probes;
-* Eq 7 accumulates with one dict probe per reading, sorts only when there
-  is more than one, and renders a single value without the set machinery;
-* no NER or posterior memo: keyed on the whole token tuple and on
-  (entity, context), two LRUs hit 0 % of lookups on four of the five
-  benchmark workloads and < 1 % on the fifth, and cost more than they saved;
+  a ``Conceptualizer.observe`` drops them;
+* the entity enters ``P(t|e,q)`` only through its prior row ``P(c|e)``
+  (``IsANetwork.prior_row``), and thousands of entities share a handful of
+  rows, so a kept plan also holds, per prior row, the posterior's top
+  concepts with their templates and ``P(p|t)`` and the one-entity readings
+  already summed and ranked.  A single-candidate question walks those
+  readings until a KB probe returns values; a question with several
+  candidates sums the rows' top concepts at its own ``P(e|q)``.  Each
+  question still pays for NER and the KB probes;
+* a multi-candidate Eq 7 accumulates with one dict probe per reading, sorts
+  only when there is more than one, and a single value is rendered without
+  the set machinery;
+* no NER memo and no LRU: keyed on the whole token tuple and on
+  (entity, context), the two LRUs this path once had hit 0 % of lookups on
+  four of the five benchmark workloads and < 1 % on the fifth, and cost
+  more than they saved;
 * an optional answer cache keyed on *normalized* question text short-circuits
   repeat questions entirely;
 * :meth:`OnlineAnswerer.answer_many` batches questions through the warm
@@ -71,11 +80,21 @@ from repro.nlp.embed import embed_tokens
 from repro.nlp.ner import EntityRecognizer
 from repro.nlp.tokenizer import tokenize
 from repro.taxonomy.conceptualizer import Conceptualizer, ContextScores, top_concepts
+from repro.taxonomy.isa import PriorRow
 
 # ((path_str, path, θ), ...) sorted by (-θ, path_str); () for an unknown template
 Ranked = tuple[tuple[str, PredicatePath, float], ...]
-# one de-slotted context's scores and, per concept, its template and P(p|t)
-Plan = tuple[ContextScores | None, dict[str, tuple[str, Ranked]]]
+# ((P(c|e,q), template text, ranked), ...) for the top concepts of one prior
+# row in one context, in top_concepts order, unknown templates left out
+Tops = tuple[tuple[float, str, Ranked], ...]
+# ((S, template text, path), ...): one entity's readings at P(e|q) = 1,
+# sorted by (-S, path_str)
+Ordered = tuple[tuple[float, str, PredicatePath], ...]
+# one de-slotted context's scores; per concept, its template and P(p|t); and
+# per prior row P(c|e), its tops and ordered readings
+Plan = tuple[
+    ContextScores | None, dict[str, tuple[str, Ranked]], dict[PriorRow, tuple[Tops, Ordered]]
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,6 +277,7 @@ class OnlineAnswerer:
         ]
         if not candidate_entities:
             return self._no_answer(question)
+        single = len(candidate_entities) == 1
         entity_prob = 1.0 / len(candidate_entities)  # uniform P(e|q), Sec 3.2
 
         conceptualizer = self.conceptualizer
@@ -267,66 +287,90 @@ class OnlineAnswerer:
             plans = {}
             self._plans = (generation, plans)
         model = self.model  # after the plans: see replace_model
-        prior_of, posterior = conceptualizer.network.prior, conceptualizer.posterior
-        max_concepts = self.max_concepts
+        prior_row = conceptualizer.network.prior_row
 
         # Score (entity, path) readings: S = Σ_t P(e|q)·P(t|e,q)·P(p|t).
-        # reading -> [S, first template that proposed it, path]
         readings: dict[tuple[str, str], list] = {}
         for mention, entity in candidate_entities:
-            prior = prior_of(entity)
-            if not prior:
+            row = prior_row(entity)
+            if not row:
                 continue
             head, tail = tokens[: mention.start], tokens[mention.end :]
             plan = plans.get((head, tail))
-            kept = plan is not None
-            if kept:
+            if plan is not None:
                 self._plan_hits += 1
+                entry = plan[2].get(row)
+                if entry is None:
+                    tops = self._tops(plan, row, head, tail, model)
+                    entry = plan[2][row] = (tops, _ordered(tops))
             else:
-                plan = (conceptualizer.context_scores(head + tail), {})
-            scores, templates = plan
-            for concept, concept_prob in top_concepts(posterior(prior, scores), max_concepts):
-                row = templates.get(concept)
-                if row is None:
-                    row = templates[concept] = _template_row(model, head, concept, tail)
-                    if row[1] and not kept:  # a known template: the context earns its plan
-                        plans[head, tail] = plan
-                        self._plan_misses += 1
-                        kept = True
-                template_text, ranked = row
-                weight = entity_prob * concept_prob
-                for path_str, path, theta in ranked:
-                    reading = readings.get((entity, path_str))
-                    if reading is None:
-                        readings[entity, path_str] = [weight * theta, template_text, path]
-                    else:
-                        reading[0] += weight * theta
-
-        if not readings:
-            return self._no_answer(question)
+                plan = (conceptualizer.context_scores(head + tail), {}, {})
+                tops = self._tops(plan, row, head, tail, model)
+                if not tops:  # no known template: the plan is not kept
+                    continue
+                plans[head, tail] = plan
+                self._plan_misses += 1
+                entry = plan[2][row] = (tops, _ordered(tops))
+            tops, ordered = entry
+            if single:  # P(e|q) = 1: the row's readings are ranked already
+                return self._first_with_values(question, entity, ordered)
+            _accumulate(readings, entity, tops, entity_prob)
 
         # Rank readings, keep the best one that yields values.
-        ranked_readings = list(readings.items())
-        if len(ranked_readings) > 1:
-            ranked_readings.sort(key=lambda kv: (-kv[1][0], kv[0]))
-        for (entity, _path_str), (score, template_text, path) in ranked_readings:
+        for (entity, _path_str), (score, template_text, path) in _ranked(readings):
             values = self.kbview.values(entity, path)
-            if not values:
-                continue
-            rendered = _rendered(values)
-            score *= 1.0 / len(values)  # uniform P(v|e,p), Eq 6
-            return AnswerResult(
-                question=question,
-                value=rendered[0],
-                values=rendered,
-                score=score,
-                entity=entity,
-                template=template_text,
-                predicate=path,
-                found_predicate=True,
-                candidates=tuple(zip(rendered, repeat(score))),
-            )
-        return self._no_answer(question, found_predicate=True)
+            if values:
+                return self._answered(question, entity, score, template_text, path, values)
+        return self._no_answer(question, found_predicate=bool(readings))
+
+    def _tops(
+        self, plan: Plan, row: PriorRow, head: tuple[str, ...], tail: tuple[str, ...],
+        model: TemplateModel,
+    ) -> Tops:
+        """The ``max_concepts`` most probable concepts of ``P(c|e,q)`` for a
+        prior row in ``plan``'s context, those whose template the model
+        knows, as ``(P(c|e,q), template text, ranked P(p|t))``."""
+        scores, templates, _rows = plan
+        tops = []
+        posterior = self.conceptualizer.posterior(row, scores)
+        for concept, concept_prob in top_concepts(posterior, self.max_concepts):
+            template_row = templates.get(concept)
+            if template_row is None:
+                template_row = templates[concept] = _template_row(model, head, concept, tail)
+            template_text, ranked = template_row
+            if ranked:
+                tops.append((concept_prob, template_text, ranked))
+        return tuple(tops)
+
+    def _first_with_values(
+        self, question: str, entity: str, ordered: Ordered
+    ) -> AnswerResult:
+        """A one-entity question: the first of ``entity``'s ranked readings
+        whose values exist in the KB."""
+        for score, template_text, path in ordered:
+            values = self.kbview.values(entity, path)
+            if values:
+                return self._answered(question, entity, score, template_text, path, values)
+        return self._no_answer(question, found_predicate=bool(ordered))
+
+    @staticmethod
+    def _answered(
+        question: str, entity: str, score: float, template_text: str,
+        path: PredicatePath, values,
+    ) -> AnswerResult:
+        rendered = _rendered(values)
+        score *= 1.0 / len(values)  # uniform P(v|e,p), Eq 6
+        return AnswerResult(
+            question=question,
+            value=rendered[0],
+            values=rendered,
+            score=score,
+            entity=entity,
+            template=template_text,
+            predicate=path,
+            found_predicate=True,
+            candidates=tuple(zip(rendered, repeat(score))),
+        )
 
     def _fallback_answer(
         self, question: str, tokens: tuple[str, ...], mentions
@@ -424,12 +468,15 @@ class OnlineAnswerer:
         info: dict[str, object] = {
             "answer_cache_entries": len(self._answer_cache),
             "ranked_templates": sum(
-                1 for _scores, templates in plans for _text, ranked in list(templates.values())
-                if ranked
+                1 for _scores, templates, _rows in plans
+                for _text, ranked in list(templates.values()) if ranked
             ),
             "plans": len(plans),
             "plan_hits": self._plan_hits,
             "plan_misses": self._plan_misses,
+            # (plan, prior row) entries: at most plans × distinct P(c|e) rows
+            "prior_rows": sum(len(rows) for _scores, _templates, rows in plans),
+            "evaluations": self._evaluations,
             # no NER memo any more: every evaluation scans, so every one is
             # a miss (the count of evaluations past the answer cache)
             "ner_hits": 0,
@@ -463,6 +510,38 @@ def _template_row(
             key=lambda row: (-row[2], row[0]),
         )
     )
+
+
+def _accumulate(
+    readings: dict[tuple[str, str], list], entity: str, tops: Tops, entity_prob: float
+) -> None:
+    """Eq 7's ``S += P(e|q)·P(c|e,q)·P(p|t)`` over one candidate's top
+    concepts, one dict probe per reading; a reading ``(entity, path_str)``
+    maps to ``[S, first template that proposed it, path]``."""
+    for concept_prob, template_text, ranked in tops:
+        weight = entity_prob * concept_prob
+        for path_str, path, theta in ranked:
+            reading = readings.get((entity, path_str))
+            if reading is None:
+                readings[entity, path_str] = [weight * theta, template_text, path]
+            else:
+                reading[0] += weight * theta
+
+
+def _ranked(readings: dict[tuple[str, str], list]) -> list[tuple[tuple[str, str], list]]:
+    """Readings by ``(-S, (entity, path_str))``, sorted only when there are two."""
+    ranked = list(readings.items())
+    if len(ranked) > 1:
+        ranked.sort(key=lambda kv: (-kv[1][0], kv[0]))
+    return ranked
+
+
+def _ordered(tops: Tops) -> Ordered:
+    """One entity's readings at ``P(e|q) = 1``, ranked by ``(-S, path_str)``:
+    what a single-candidate question walks."""
+    readings: dict[tuple[str, str], list] = {}
+    _accumulate(readings, "", tops, 1.0)
+    return tuple((score, text, path) for _reading, (score, text, path) in _ranked(readings))
 
 
 def _rendered(values) -> tuple[str, ...]:

@@ -19,7 +19,7 @@ import math
 from collections import defaultdict
 from typing import Iterable, Sequence
 
-from repro.taxonomy.isa import IsANetwork
+from repro.taxonomy.isa import IsANetwork, PriorRow
 
 _STOPWORDS = frozenset(
     "a an the is are was were be been of in on at to for by with from what "
@@ -104,16 +104,15 @@ class Conceptualizer:
         return 0.0 if scores is None else scores[concept]
 
     @staticmethod
-    def posterior(
-        prior: dict[str, float], scores: ContextScores | None
-    ) -> dict[str, float]:
-        """``P(c | e, q)`` from the prior ``P(c|e)`` and the context's scores:
+    def posterior(prior: PriorRow, scores: ContextScores | None) -> dict[str, float]:
+        """``P(c | e, q)`` from the prior row ``P(c|e)``
+        (:meth:`IsANetwork.prior_row`) and the context's scores:
         ``softmax(log P(c|e) + Σ_w log P(w|c))``, or the prior itself when
         there is no context."""
         if scores is None or not prior:
-            return prior
+            return dict(prior)
         return _softmax_from_logs(
-            {concept: math.log(p) + scores[concept] for concept, p in prior.items()}
+            {concept: math.log(p) + scores[concept] for concept, p in prior}
         )
 
     def conceptualize(
@@ -125,7 +124,7 @@ class Conceptualizer:
         ``P(c|e)``, which is what the offline procedure uses when a question
         gives no disambiguating signal.
         """
-        prior = self.network.prior(entity)
+        prior = self.network.prior_row(entity)
         if not prior:
             return {}
         return self.posterior(prior, self.context_scores(context))

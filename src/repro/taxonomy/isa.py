@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+# ``P(c|e)`` as ``((concept, p), ...)`` in the entity's edge order; ``()``
+# for an entity the network does not know
+PriorRow = tuple[tuple[str, float], ...]
+
 
 def is_concept(term: str) -> bool:
     """Concept terms carry the ``$`` prefix used in templates."""
@@ -29,11 +33,14 @@ class IsANetwork:
     def __init__(self) -> None:
         self._concepts_of: dict[str, dict[str, float]] = defaultdict(dict)
         self._instances_of: dict[str, set[str]] = defaultdict(set)
-        # entity -> normalised P(c|e), filled on first use.  Readers take no
-        # lock, so every write to the weights is followed by a *fresh* dict
+        # entity -> normalised P(c|e) row, filled on first use.  Readers take
+        # no lock, so every write to the weights is followed by a *fresh* dict
         # here: a row computed from older weights can only land in a mapping
         # nobody reads any more.
-        self._priors: dict[str, dict[str, float]] = {}
+        self._priors: dict[str, PriorRow] = {}
+        # row -> the one object every entity with that row shares, replaced
+        # with _priors so it holds no more rows than the network has entities
+        self._interned: dict[PriorRow, PriorRow] = {}
 
     def add(self, entity: str, concept: str, weight: float = 1.0) -> None:
         """Record an is-a edge; repeated adds accumulate weight."""
@@ -45,6 +52,7 @@ class IsANetwork:
         self._concepts_of[entity][concept] = current + weight
         self._instances_of[concept].add(entity)
         self._priors = {}
+        self._interned = {}
 
     def concepts(self, entity: str) -> set[str]:
         return set(self._concepts_of.get(entity, ()))
@@ -60,16 +68,25 @@ class IsANetwork:
 
     def prior(self, entity: str) -> dict[str, float]:
         """``P(c|e)`` — concept weights normalized to a distribution."""
-        priors = self._priors  # before the weights: see __init__
-        prior = priors.get(entity)
-        if prior is None:
+        return dict(self.prior_row(entity))
+
+    def prior_row(self, entity: str) -> PriorRow:
+        """``P(c|e)`` as an immutable row, ``()`` for an unknown entity.
+
+        The row keeps the edges' order (the softmax sums in it), and entities
+        whose rows are equal share one object, so the row is a cheap key for
+        whatever depends on an entity only through its prior.
+        """
+        priors, interned = self._priors, self._interned  # before the weights
+        row = priors.get(entity)
+        if row is None:
             weights = self._concepts_of.get(entity)
             if not weights:
-                return {}
+                return ()
             total = sum(weights.values())
-            prior = {concept: weight / total for concept, weight in weights.items()}
-            priors[entity] = prior
-        return prior.copy()
+            row = tuple((concept, weight / total) for concept, weight in weights.items())
+            row = priors[entity] = interned.setdefault(row, row)
+        return row
 
     def merge(self, other: "IsANetwork") -> None:
         """Union another network into this one (weights accumulate)."""

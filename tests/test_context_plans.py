@@ -2,10 +2,13 @@
 
 ``OnlineAnswerer`` keeps one plan per de-slotted question context
 ``(tokens[:start], tokens[end:])``: per concept, ``Σ_w log P(w|c)``, the
-template text and the ranked ``P(p|t)``.  It reads no KB state, so a KB write
-leaves it warm; a model swap or a ``Conceptualizer.observe`` drops it.  Every
-answer here is held to the string-level oracle or to a freshly built
-answerer, score floats included, on both backends.
+template text and the ranked ``P(p|t)``; per prior row ``P(c|e)``, the
+posterior's top concepts and the one-entity readings, ranked.  It reads no
+KB state, so a KB write leaves it warm; a model swap or a
+``Conceptualizer.observe`` drops it, and a re-weighted entity gets a new
+prior row, hence a new entry.  Every answer here is held to the string-level
+oracle or to a freshly built answerer, score floats included, on both
+backends.
 """
 
 from __future__ import annotations
@@ -20,7 +23,10 @@ from oracles.online_reference import ReferenceAnswerer
 from repro.core.model import TemplateModel
 from repro.core.online import OnlineAnswerer
 from repro.core.system import KBQA
+from repro.kb.store import TripleStore
 from repro.kb.triple import make_literal
+from repro.nlp.ner import EntityRecognizer
+from repro.nlp.tokenizer import tokenize
 from repro.suite import build_suite
 from test_online_equivalence import HOSTILE, hand_built
 
@@ -91,8 +97,59 @@ def test_second_pass_over_the_gold_stream_builds_no_plan(suite, kbqa_fb):
     again = answerer.cache_info()
     assert again["plan_misses"] == built["plan_misses"]
     assert again["plan_hits"] > built["plan_hits"]
+    assert again["prior_rows"] == built["prior_rows"]
     # no NER memo: every evaluation counts as one NER miss
     assert again["ner_hits"] == 0 and again["ner_misses"] == 2 * len(questions)
+    assert again["evaluations"] == 2 * len(questions)
+
+
+def test_prior_rows_are_bounded_by_plans_times_rows(suite, kbqa_fb):
+    """One entry per (kept plan, distinct ``P(c|e)`` row) at most, however
+    many entities the questions name."""
+    questions = gold_stream(suite.corpus)
+    answerer = fresh_answerer(kbqa_fb.answerer)
+    answerer.answer_many(questions)
+    network = answerer.conceptualizer.network
+    named = {
+        entity
+        for question in questions
+        for mention in answerer.ner.find_mentions(tuple(tokenize(question)))
+        for entity in mention.candidates
+    }
+    rows = {network.prior_row(entity) for entity in named} - {()}
+    info = answerer.cache_info()
+    assert len(rows) < len(named)
+    assert 0 < info["prior_rows"] <= info["plans"] * len(rows)
+    assert info["plan_hits"] + info["plan_misses"] >= len(questions) > info["prior_rows"]
+
+
+def test_gold_stream_reaches_the_walk_and_the_sum(suite, kbqa_fb, monkeypatch):
+    """A one-entity question walks its row's ranked readings; a question with
+    several candidates sums their rows' top concepts.  The small gold stream
+    takes both branches, and each equals the oracle."""
+    questions = gold_stream(suite.corpus)
+    answerer = fresh_answerer(kbqa_fb.answerer)
+    oracle = ReferenceAnswerer.shadowing(answerer)
+
+    def candidates(question: str) -> int:
+        mentions = answerer.ner.find_mentions(tuple(tokenize(question)))
+        return sum(len(mention.candidates) for mention in mentions)
+
+    single = [q for q in questions if candidates(q) == 1]
+    several = [q for q in questions if candidates(q) > 1]
+    assert single and several
+    walks = []
+    walk = OnlineAnswerer._first_with_values
+    monkeypatch.setattr(
+        OnlineAnswerer, "_first_with_values",
+        lambda self, *args: walks.append(args) or walk(self, *args),
+    )
+    assert answerer.answer_many(single) == [oracle.answer(q) for q in single]
+    assert len(walks) == len(single)
+    summed = answerer.answer_many(several)
+    assert summed == [oracle.answer(q) for q in several]
+    assert len(walks) == len(single)  # the sum never walks
+    assert any(r.answered for r in summed)
 
 
 def test_warm_plans_survive_kb_writes(live_system):
@@ -176,10 +233,11 @@ def test_observe_drops_the_plans(live_system):
 
 
 def test_swaps_racing_readers_leave_no_stale_plan(live_system):
-    """Three threads answer while a fourth swaps models back and forth and
-    observes new words.  Whatever a reader built mid-swap, once the writer
-    stops the answerer agrees with a fresh one: a plan built on an outdated
-    model or outdated scores never lands where later readers look."""
+    """Three threads answer while a fourth swaps models back and forth,
+    observes new words and re-weights answered entities.  Whatever a reader
+    built mid-swap, once the writer stops the answerer agrees with a fresh
+    one: a plan built on an outdated model, outdated scores or an outdated
+    prior never lands where later readers look."""
     own, system = live_system
     answerer = fresh_answerer(system.answerer)
     questions = gold_stream(own.corpus)[:120]
@@ -197,11 +255,17 @@ def test_swaps_racing_readers_leave_no_stale_plan(live_system):
                 failures.append(exc)
                 return
 
+    entities = sorted({r.entity for r in answerer.answer_many(questions) if r.answered})
+    concepts = sorted(conceptualizer.network.all_concepts())
+
     def write() -> None:
         for step in range(60):
             answerer.replace_model(models[step % 2])
             if step % 15 == 0:
                 conceptualizer.observe("$racing", [f"racing{step}"])
+            if step % 4 == 0:  # re-weight: a new prior row mid-answer
+                entity = entities[step % len(entities)]
+                conceptualizer.network.add(entity, concepts[step % len(concepts)], 0.5)
             time.sleep(0.001)
         stop.set()
 
@@ -220,3 +284,112 @@ def test_swaps_racing_readers_leave_no_stale_plan(live_system):
     assert not failures
     assert answerer.model is system.model
     assert answerer.answer_many(questions) == fresh_answerer(answerer).answer_many(questions)
+
+
+# -- Hand-built prior rows ---------------------------------------------------------
+
+
+def shared_row_world():
+    """The hostile world plus two ``springfield``s that share one prior row
+    (``$city`` only, like ``cupertino``) and ``kiwi``, a ``$fruit`` that no
+    population template knows."""
+    store = TripleStore()
+    kbview, ner, conceptualizer, model = hand_built(store)
+    store.add("m.springfield_il", "population", make_literal("116000"))
+    store.add("m.springfield_ma", "population", make_literal("155000"))
+    store.add("m.kiwi", "population", make_literal("7"))
+    network = conceptualizer.network
+    network.add("m.springfield_il", "$city", 2.0)
+    network.add("m.springfield_ma", "$city", 5.0)
+    network.add("m.kiwi", "$fruit", 1.0)
+    gazetteer = {" ".join(name): nodes for name, nodes in ner._names.items()}
+    gazetteer["springfield"] = ["m.springfield_il", "m.springfield_ma"]
+    gazetteer["kiwi"] = ["m.kiwi"]
+    answerer = OnlineAnswerer(
+        kbview, EntityRecognizer(gazetteer), conceptualizer, model, answer_cache_size=0
+    )
+    return answerer, ReferenceAnswerer.shadowing(answerer)
+
+
+def plan_entries(answerer: OnlineAnswerer, question: str) -> dict:
+    """The prior-row entries of ``question``'s plan (one mention assumed)."""
+    tokens = tuple(tokenize(question))
+    (mention,) = answerer.ner.find_mentions(tokens)
+    _stamp, plans = answerer._plans
+    return plans[tokens[: mention.start], tokens[mention.end :]][2]
+
+
+def test_two_candidates_sharing_a_row_sum_one_entry():
+    answerer, oracle = shared_row_world()
+    network = answerer.conceptualizer.network
+    row = network.prior_row("m.springfield_il")
+    assert network.prior_row("m.springfield_ma") is row is network.prior_row("m.cupertino")
+    question = "what is the population of springfield?"
+    got = answerer.answer(question)
+    assert got == oracle.answer(question)
+    assert got.entity == "m.springfield_il"  # equal scores: the entity name decides
+    assert got.score == 0.5  # P(e|q) = 1/2, P(c|e,q) = θ = P(v|e,p) = 1
+    assert list(plan_entries(answerer, question)) == [row]
+    # the one-entity question on the same row and context reuses the entry
+    assert answerer.answer("what is the population of cupertino?") == oracle.answer(
+        "what is the population of cupertino?"
+    )
+    assert answerer.cache_info()["prior_rows"] == 1
+
+
+def test_two_mentions_sum_over_both_rows():
+    answerer, oracle = shared_row_world()
+    question = "is São Paulo bigger than Cupertino?"
+    tokens = tuple(tokenize(question))
+    assert len(answerer.ner.find_mentions(tokens)) == 2
+    got = answerer.answer(question)
+    assert got == oracle.answer(question) and got.answered
+    assert answerer.cache_info()["prior_rows"] == 2  # one per (context, row)
+    assert answerer.answer(question) == got
+
+
+def test_a_kept_plan_may_hold_an_empty_ordering():
+    """``kiwi`` lands in a plan ``são paulo`` keeps, but none of its
+    concepts has a template there: its entry is empty, and the answer is the
+    oracle's no-predicate one."""
+    answerer, oracle = shared_row_world()
+    kept = "what is the population of são paulo?"
+    assert answerer.answer(kept).answered
+    question = "what is the population of kiwi?"
+    got = answerer.answer(question)
+    assert got == oracle.answer(question)
+    assert not got.answered and not got.found_predicate
+    entries = plan_entries(answerer, question)
+    assert entries[answerer.conceptualizer.network.prior_row("m.kiwi")] == ((), ())
+    assert answerer.answer(question) == got  # read back from the entry
+    assert answerer.cache_info()["plans"] == 1
+
+
+def test_reweighting_an_answered_entity_gives_it_a_new_row(live_system):
+    """``network.add`` on an entity that has been answered, the answer cache
+    off — what binding a mega world's gold entities does.  The entity's new
+    prior row is a new key, so its next answer is conceptualized afresh;
+    entities that still share its old row keep their entry."""
+    own, system = live_system
+    answerer = fresh_answerer(system.answerer)
+    network = answerer.conceptualizer.network
+    questions = gold_stream(own.corpus)[:300]
+    before = answerer.answer_many(questions)
+    answered = [r for r in before if r.answered]
+    target, bystander = next(
+        (a, b) for a in answered for b in answered
+        if b.entity != a.entity and network.prior_row(b.entity) is network.prior_row(a.entity)
+    )
+    old_row = network.prior_row(target.entity)
+    concept = sorted(network.all_concepts() - {c for c, _p in old_row})[0]
+    entries = answerer.cache_info()["prior_rows"]
+
+    network.add(target.entity, concept, 1e6)
+    assert network.prior_row(target.entity) != old_row
+    assert network.prior_row(bystander.entity) == old_row
+    after = answerer.answer_many(questions)
+    assert after == [ReferenceAnswerer.shadowing(answerer).answer(q) for q in questions]
+    assert after == fresh_answerer(answerer).answer_many(questions)
+    assert answerer.answer(target.question) != target
+    assert answerer.answer(bystander.question) == bystander
+    assert answerer.cache_info()["prior_rows"] > entries

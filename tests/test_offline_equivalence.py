@@ -41,6 +41,7 @@ from repro.kb.store import TripleStore
 from repro.nlp import tokenizer
 from repro.nlp.ner import EntityRecognizer, leftmost_longest
 from repro.suite import build_suite
+from repro.taxonomy.conceptualizer import Conceptualizer
 
 
 def assert_statistics_equal_oracle(product: PatternStatistics, oracle: PatternStatistics) -> None:
@@ -238,6 +239,35 @@ def test_default_scale_train_tokenizes_and_scans_each_question_once(monkeypatch)
     big = build_suite("default", seed=7)
     assert len(big.corpus) == 30_000
     assert assert_train_reads_each_distinct_string_once(big, monkeypatch) == (21_088, 11_669)
+
+
+def assert_train_conceptualizes_once_per_row_and_context(suite, monkeypatch) -> int:
+    """``P(c|e,q)`` depends on the entity only through its prior row, so a
+    train runs the posterior once per distinct (prior row, context), never
+    once per record or per entity.  Returns the number of posteriors."""
+    calls: Counter = Counter()
+    posterior = Conceptualizer.posterior
+
+    def counting(prior, scores):
+        calls[prior, id(scores)] += 1  # a context's scores live through the pass
+        return posterior(prior, scores)
+
+    monkeypatch.setattr(Conceptualizer, "posterior", staticmethod(counting))
+    with KBQA.train(suite.freebase, suite.corpus, suite.conceptualizer):
+        pass
+    assert calls and max(calls.values()) == 1
+    return sum(calls.values())
+
+
+def test_train_conceptualizes_once_per_prior_row_and_context(suite, monkeypatch):
+    assert assert_train_conceptualizes_once_per_row_and_context(suite, monkeypatch) == 342
+
+
+@pytest.mark.perf
+def test_default_scale_train_conceptualizes_once_per_prior_row_and_context(monkeypatch):
+    """349 posteriors for 30 000 pairs; keyed on (entity, context) it took 20 398."""
+    big = build_suite("default", seed=7)
+    assert assert_train_conceptualizes_once_per_row_and_context(big, monkeypatch) == 349
 
 
 def test_repeated_interleaved_corpus_matches_the_oracle(suite):

@@ -70,6 +70,23 @@ class TestIsANetwork:
         assert is_concept("$city")
         assert not is_concept("city")
 
+    def test_prior_row_keeps_edge_order_and_is_shared_by_equal_priors(self):
+        net = IsANetwork()
+        net.add("e1", "$b", 1.0)
+        net.add("e1", "$a", 3.0)
+        net.add("e2", "$b", 2.0)
+        net.add("e2", "$a", 6.0)
+        net.add("e3", "$a", 3.0)
+        net.add("e3", "$b", 1.0)
+        row = net.prior_row("e1")
+        assert row == (("$b", 0.25), ("$a", 0.75)) == tuple(net.prior("e1").items())
+        assert net.prior_row("e2") is row  # equal content, one object
+        assert net.prior_row("e3") == (("$a", 0.75), ("$b", 0.25))  # its own order
+        assert net.prior_row("ghost") == ()
+        net.add("e2", "$a", 2.0)  # a re-weighting gives e2 a new row
+        assert net.prior_row("e2") == (("$b", 0.2), ("$a", 0.8))
+        assert net.prior_row("e1") == row
+
 
 class TestConceptualizer:
     @pytest.fixture
@@ -160,6 +177,7 @@ operations = st.lists(
         st.tuples(st.just("merge"), st.lists(edges, max_size=3)),
         st.tuples(st.just("observe"), st.tuples(st.sampled_from(CONCEPTS), contexts, weights)),
         st.tuples(st.just("prior"), st.sampled_from(ENTITIES)),
+        st.tuples(st.just("prior_row"), st.sampled_from(ENTITIES)),
         st.tuples(st.just("conceptualize"), st.tuples(st.sampled_from(ENTITIES), contexts)),
         st.tuples(st.just("likelihood"), st.tuples(st.sampled_from(CONCEPTS), contexts)),
     ),
@@ -203,6 +221,10 @@ class TestTableCoherence:
                 assert got == reference_prior(live.network, payload)
                 got["$scribble"] = 1.0  # the caller's copy, not the table
                 assert "$scribble" not in live.network.prior(payload)
+            elif kind == "prior_row":
+                got = live.network.prior_row(payload)
+                assert got == tuple(fresh.network.prior(payload).items())
+                assert got == tuple(reference_prior(live.network, payload).items())
             elif kind == "conceptualize":
                 got = live.conceptualize(*payload)
                 assert got == fresh.conceptualize(*payload)
@@ -217,8 +239,11 @@ class TestTableCoherence:
         net.add("e", "$c")
         for i in range(100):
             assert net.prior(f"ghost{i}") == {}
+            assert net.prior_row(f"ghost{i}") == ()
         assert net.prior("e") == {"$c": 1.0}
+        assert net.prior_row("e") == (("$c", 1.0),)
         assert set(net._priors) == {"e"}
+        assert set(net._interned) == {(("$c", 1.0),)}
 
     def test_readers_never_see_a_half_built_table(self):
         """Two threads conceptualize while a third keeps observing.  The
