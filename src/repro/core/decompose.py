@@ -161,12 +161,19 @@ class Decomposer:
         """δ(q) — does ``tokens`` read as a directly answerable BFQ?
 
         True when some entity mention, conceptualized in context, yields a
-        template the offline model has learned.
+        template the offline model has learned.  A mention whose de-slotted
+        context no learned template has (``TemplateModel.contexts``) yields
+        none whatever its concept, so it is not conceptualized; ``tokens``
+        are :func:`tokenize` output, which never holds a space.
         """
         tokens = tuple(tokens)
+        known = self.model.contexts
         for mention in self.ner.find_mentions(tokens):
+            head, tail = tokens[: mention.start], tokens[mention.end :]
+            if (head, tail) not in known:
+                continue
             span = (mention.start, mention.end)
-            context = tokens[: mention.start] + tokens[mention.end :]
+            context = head + tail
             for entity in mention.candidates:
                 concepts = self.conceptualizer.conceptualize(entity, context)
                 for concept, _prob in top_concepts(concepts, self.max_concepts):

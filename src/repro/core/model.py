@@ -12,16 +12,32 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.kb.paths import PredicatePath
+from repro.taxonomy.isa import is_concept
 
 MODEL_FORMAT_VERSION = 1
 
 
+# a template's de-slotted context: the tokens before and after its concept
+Context = tuple[tuple[str, ...], tuple[str, ...]]
+
+
 class TemplateModel:
-    """``template text -> {path string -> probability}`` with support counts."""
+    """``template text -> {path string -> probability}`` with support counts.
+
+    The model also keeps the *contexts* it knows: for every template key and
+    every ``$``-prefixed token in it, the ``(head, tail)`` token tuples around
+    that token (the key split on ``" "``).  Question tokens never hold a
+    space and concepts are one token, so ``" ".join(head + (c,) + tail)`` can
+    only be a key when ``(head, tail)`` is in :attr:`contexts`: a question
+    context outside the set reaches no template whatever concept fills it.
+    Templates are only ever added or re-weighted, never removed, so the set
+    only grows and never needs invalidating.
+    """
 
     def __init__(self) -> None:
         self._theta: dict[str, dict[str, float]] = {}
         self._support: dict[str, float] = {}
+        self._contexts: set[Context] = set()
         self.n_observations: int = 0
 
     # -- Construction ---------------------------------------------------------
@@ -39,6 +55,10 @@ class TemplateModel:
             path: prob / total for path, prob in distribution.items() if prob > 0
         }
         self._support[template_text] = support
+        tokens = tuple(template_text.split(" "))
+        for slot, token in enumerate(tokens):
+            if is_concept(token):
+                self._contexts.add((tokens[:slot], tokens[slot + 1 :]))
 
     # -- Lookup ----------------------------------------------------------------
 
@@ -62,6 +82,11 @@ class TemplateModel:
             return None
         path, prob = max(row.items(), key=lambda kv: (kv[1], kv[0]))
         return PredicatePath.parse(path), prob
+
+    @property
+    def contexts(self) -> set[Context]:
+        """The ``(head, tail)`` contexts of the known templates (read-only)."""
+        return self._contexts
 
     def support(self, template_text: str) -> float:
         return self._support.get(template_text, 0.0)

@@ -22,10 +22,13 @@ change is computed once, lazily, and dropped by the write that outdates it:
   fixes is kept in one *plan* per context: per concept, the context's
   ``Σ_w log P(w|c)``, the template text (one ``" ".join`` over the
   question's own tokens) and ``P(p|t)`` as a ranked ``(path_str, path, θ)``
-  array parsed from the model.  A context is kept only once one of its
-  templates is known to the model, so the plans cannot outnumber the
-  model's templates (no size knob); a KB write leaves them, a model swap or
-  a ``Conceptualizer.observe`` drops them;
+  array parsed from the model.  Plans are keyed on the contexts the model
+  knows (``TemplateModel.contexts``): a context no template has reaches no
+  template whatever concept fills it, so it is skipped before any
+  posterior is computed — a held-out paraphrase costs NER and one set
+  probe — and every known context gets its plan.  The plans cannot
+  outnumber the model's contexts (no size knob); a KB write leaves them, a
+  model swap or a ``Conceptualizer.observe`` drops them;
 * the entity enters ``P(t|e,q)`` only through its prior row ``P(c|e)``
   (``IsANetwork.prior_row``), and thousands of entities share a handful of
   rows, so a kept plan also holds, per prior row, the posterior's top
@@ -73,7 +76,7 @@ from typing import Sequence
 
 from repro.core.fallback import FallbackIndex
 from repro.core.kbview import KBView
-from repro.core.model import TemplateModel
+from repro.core.model import Context, TemplateModel
 from repro.kb.paths import PredicatePath
 from repro.kb.triple import LITERAL_PREFIX
 from repro.nlp.embed import embed_tokens
@@ -123,7 +126,7 @@ class OnlineAnswerer:
     ``answer_cache_size`` bounds the normalized-question answer cache (0
     disables it).  ``lookup_cache_size`` is accepted and validated but
     ignored: the NER/conceptualizer LRUs it sized are gone, and the context
-    plans that replaced them are bounded by the model.
+    plans that replaced them are bounded by the model's contexts.
     """
 
     def __init__(
@@ -144,11 +147,11 @@ class OnlineAnswerer:
         self.max_concepts = max_concepts
         # Semantic fallback lane — consulted only when Eq 7 yields no value.
         self.fallback_index = fallback
-        # (conceptualizer generation, {(head, tail): plan}): one tuple, so a
+        # (conceptualizer generation, {context: plan}): one tuple, so a
         # reader takes the stamp and the plans it describes in one read, and
         # a swap installs a fresh dict — a reader still holding the old one
         # fills a mapping nobody reads any more
-        self._plans: tuple[int, dict[tuple[tuple[str, ...], tuple[str, ...]], Plan]] = (-1, {})
+        self._plans: tuple[int, dict[Context, Plan]] = (-1, {})
         self._plan_hits = 0
         self._plan_misses = 0
         self._evaluations = 0
@@ -287,6 +290,7 @@ class OnlineAnswerer:
             plans = {}
             self._plans = (generation, plans)
         model = self.model  # after the plans: see replace_model
+        known = model.contexts
         prior_row = conceptualizer.network.prior_row
 
         # Score (entity, path) readings: S = Σ_t P(e|q)·P(t|e,q)·P(p|t).
@@ -295,21 +299,19 @@ class OnlineAnswerer:
             row = prior_row(entity)
             if not row:
                 continue
-            head, tail = tokens[: mention.start], tokens[mention.end :]
-            plan = plans.get((head, tail))
+            context = tokens[: mention.start], tokens[mention.end :]
+            plan = plans.get(context)
             if plan is not None:
                 self._plan_hits += 1
-                entry = plan[2].get(row)
-                if entry is None:
-                    tops = self._tops(plan, row, head, tail, model)
-                    entry = plan[2][row] = (tops, _ordered(tops))
-            else:
-                plan = (conceptualizer.context_scores(head + tail), {}, {})
-                tops = self._tops(plan, row, head, tail, model)
-                if not tops:  # no known template: the plan is not kept
-                    continue
-                plans[head, tail] = plan
+            elif context in known:
+                head, tail = context
+                plan = plans[context] = (conceptualizer.context_scores(head + tail), {}, {})
                 self._plan_misses += 1
+            else:  # no template has this context: no concept can reach one
+                continue
+            entry = plan[2].get(row)
+            if entry is None:
+                tops = self._tops(plan, row, context, model)
                 entry = plan[2][row] = (tops, _ordered(tops))
             tops, ordered = entry
             if single:  # P(e|q) = 1: the row's readings are ranked already
@@ -323,10 +325,7 @@ class OnlineAnswerer:
                 return self._answered(question, entity, score, template_text, path, values)
         return self._no_answer(question, found_predicate=bool(readings))
 
-    def _tops(
-        self, plan: Plan, row: PriorRow, head: tuple[str, ...], tail: tuple[str, ...],
-        model: TemplateModel,
-    ) -> Tops:
+    def _tops(self, plan: Plan, row: PriorRow, context: Context, model: TemplateModel) -> Tops:
         """The ``max_concepts`` most probable concepts of ``P(c|e,q)`` for a
         prior row in ``plan``'s context, those whose template the model
         knows, as ``(P(c|e,q), template text, ranked P(p|t))``."""
@@ -336,7 +335,7 @@ class OnlineAnswerer:
         for concept, concept_prob in top_concepts(posterior, self.max_concepts):
             template_row = templates.get(concept)
             if template_row is None:
-                template_row = templates[concept] = _template_row(model, head, concept, tail)
+                template_row = templates[concept] = _template_row(model, context, concept)
             template_text, ranked = template_row
             if ranked:
                 tops.append((concept_prob, template_text, ranked))
@@ -494,12 +493,11 @@ class OnlineAnswerer:
         )
 
 
-def _template_row(
-    model: TemplateModel, head: tuple[str, ...], concept: str, tail: tuple[str, ...]
-) -> tuple[str, Ranked]:
+def _template_row(model: TemplateModel, context: Context, concept: str) -> tuple[str, Ranked]:
     """A context's template for ``concept`` and its ranked ``P(p|t)``."""
     if not concept.startswith("$"):
         raise ValueError(f"slot token must be a concept: {concept!r}")
+    head, tail = context
     template_text = " ".join(head + (concept,) + tail)
     distribution = model.predicates_for(template_text)
     if not distribution:

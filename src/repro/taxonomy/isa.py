@@ -31,7 +31,8 @@ class IsANetwork:
     """
 
     def __init__(self) -> None:
-        self._concepts_of: dict[str, dict[str, float]] = defaultdict(dict)
+        # entity -> concept weights; add() replaces an entity's dict whole
+        self._concepts_of: dict[str, dict[str, float]] = {}
         self._instances_of: dict[str, set[str]] = defaultdict(set)
         # entity -> normalised P(c|e) row, filled on first use.  Readers take
         # no lock, so every write to the weights is followed by a *fresh* dict
@@ -46,10 +47,15 @@ class IsANetwork:
         """Record an is-a edge; repeated adds accumulate weight."""
         if not is_concept(concept):
             raise ValueError(f"concepts must start with '$': {concept!r}")
+        if concept.split() != [concept]:  # a template slot is one token
+            raise ValueError(f"concepts must not contain whitespace: {concept!r}")
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
-        current = self._concepts_of[entity].get(concept, 0.0)
-        self._concepts_of[entity][concept] = current + weight
+        # a fresh weights dict, not an in-place write: prior_row walks an
+        # entity's weights without a lock, and a dict grown mid-walk raises
+        weights = dict(self._concepts_of.get(entity, ()))
+        weights[concept] = weights.get(concept, 0.0) + weight
+        self._concepts_of[entity] = weights
         self._instances_of[concept].add(entity)
         self._priors = {}
         self._interned = {}

@@ -1,9 +1,11 @@
 """The online path's context plans stay coherent and bounded.
 
 ``OnlineAnswerer`` keeps one plan per de-slotted question context
-``(tokens[:start], tokens[end:])``: per concept, ``Σ_w log P(w|c)``, the
-template text and the ranked ``P(p|t)``; per prior row ``P(c|e)``, the
-posterior's top concepts and the one-entity readings, ranked.  It reads no
+``(tokens[:start], tokens[end:])`` that some learned template has
+(``TemplateModel.contexts``): per concept, ``Σ_w log P(w|c)``, the template
+text and the ranked ``P(p|t)``; per prior row ``P(c|e)``, the posterior's
+top concepts and the one-entity readings, ranked.  Any other context reaches
+no template, so it is neither scored nor kept.  It reads no
 KB state, so a KB write leaves it warm; a model swap or a
 ``Conceptualizer.observe`` drops it, and a re-weighted entity gets a new
 prior row, hence a new entry.  Every answer here is held to the string-level
@@ -18,8 +20,11 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles.online_reference import ReferenceAnswerer
+from repro.core.fallback import FallbackIndex
 from repro.core.model import TemplateModel
 from repro.core.online import OnlineAnswerer
 from repro.core.system import KBQA
@@ -28,7 +33,8 @@ from repro.kb.triple import make_literal
 from repro.nlp.ner import EntityRecognizer
 from repro.nlp.tokenizer import tokenize
 from repro.suite import build_suite
-from test_online_equivalence import HOSTILE, hand_built
+from repro.taxonomy.conceptualizer import Conceptualizer
+from test_online_equivalence import ANSWER_CACHES, HOSTILE, REWRITES, hand_built
 
 
 def gold_stream(corpus) -> list[str]:
@@ -393,3 +399,163 @@ def test_reweighting_an_answered_entity_gives_it_a_new_row(live_system):
     assert answerer.answer(target.question) != target
     assert answerer.answer(bystander.question) == bystander
     assert answerer.cache_info()["prior_rows"] > entries
+
+
+# -- Contexts no template has ------------------------------------------------------
+
+
+@pytest.fixture
+def scores_made(monkeypatch) -> list:
+    """Every context ``Conceptualizer.context_scores`` is asked to score."""
+    made: list = []
+    score = Conceptualizer.context_scores
+    monkeypatch.setattr(
+        Conceptualizer, "context_scores",
+        lambda self, context: made.append(tuple(context)) or score(self, context),
+    )
+    return made
+
+
+def test_held_out_rewrites_build_no_context_scores(live_system, scores_made):
+    """The three held-out rewrites of every gold question de-slot to contexts
+    no learned template has: one pass scores none of them and keeps no plan,
+    and every answer, lane on and off, is the oracle's."""
+    own, system = live_system
+    held_out = [rewrite(q) for q in gold_stream(own.corpus) for rewrite in REWRITES[1:]]
+    parts = system.answerer
+    for fallback in (None, FallbackIndex.build(system.model)):
+        answerer = OnlineAnswerer(
+            parts.kbview, parts.ner, parts.conceptualizer, parts.model,
+            max_concepts=parts.max_concepts, answer_cache_size=0, fallback=fallback,
+        )
+        got = answerer.answer_many(held_out)
+        assert scores_made == []
+        assert answerer.cache_info()["plans"] == 0
+        oracle = ReferenceAnswerer.shadowing(answerer)
+        assert got == [oracle.answer(question) for question in held_out]
+        assert any(r.fallback for r in got) == (fallback is not None)
+
+
+def test_plans_are_bounded_by_the_model_contexts(suite, kbqa_fb, scores_made):
+    """A gold pass scores each known context it meets exactly once."""
+    answerer = fresh_answerer(kbqa_fb.answerer)
+    answerer.answer_many(gold_stream(suite.corpus))
+    info = answerer.cache_info()
+    assert 0 < info["plans"] == info["plan_misses"] == len(scores_made)
+    assert info["plans"] <= len(kbqa_fb.model.contexts) < len(kbqa_fb.model)
+
+
+SLOT_TEMPLATES = {
+    "is $city bigger than $city ?": "population",
+    "what is the $ population of $city ?": "population",
+    "$ what color is $fruit ?": "color",
+}
+
+
+def slot_world():
+    """The hostile world plus templates whose context holds a concept token
+    (``$city``) or the bare ``$`` the tokenizer also emits: the model knows a
+    context at *every* ``$`` token of a key, not only at its first."""
+    kbview, ner, conceptualizer, model = hand_built(TripleStore())
+    for template, path in SLOT_TEMPLATES.items():
+        model.set_distribution(template, {path: 1.0})
+    return kbview, ner, conceptualizer, model
+
+
+SLOT_WORDS = (
+    "$", "$city", "$fruit", "$company", "?", "what", "is", "the", "population", "of",
+    "color", "bigger", "than", "who", "ceo", "apple", "cupertino", "sao paulo", "ghost",
+)
+
+
+def slotted(template: str, fillers) -> str:
+    """``template`` with each ``$`` token replaced by the next filler (None keeps it)."""
+    tokens = template.split(" ")
+    fillers = iter(fillers)
+    return " ".join(
+        (next(fillers, None) or token) if token.startswith("$") else token for token in tokens
+    )
+
+
+SLOT_QUESTIONS = st.one_of(
+    st.lists(st.sampled_from(SLOT_WORDS), max_size=9).map(" ".join),
+    st.builds(
+        slotted,
+        st.sampled_from(
+            [*SLOT_TEMPLATES, "what is the population of $city ?",
+             "is sao paulo bigger than $city ?"]
+        ),
+        st.lists(st.sampled_from([None, "$", "$city", "apple", "cupertino", "sao paulo"])),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def slot_products():
+    """(product, oracle) over :func:`slot_world`, lane and answer cache on and off."""
+    kbview, ner, conceptualizer, model = slot_world()
+    pairs = []
+    for fallback in (None, FallbackIndex.build(model)):
+        for answer_cache in ANSWER_CACHES:
+            product = OnlineAnswerer(
+                kbview, ner, conceptualizer, model, answer_cache_size=answer_cache,
+                fallback=fallback,
+            )
+            pairs.append((product, ReferenceAnswerer.shadowing(product)))
+    return pairs
+
+
+def test_a_concept_token_in_the_context_reaches_its_template(slot_products):
+    product, oracle = slot_products[0]
+    for question in (
+        "is $city bigger than cupertino?",
+        "what is the $ population of sao paulo?",
+        "$ what color is apple?",
+    ):
+        got = product.answer(question)
+        assert got == oracle.answer(question) and got.answered, question
+        assert got.template is not None and got.template.count("$") == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(question=SLOT_QUESTIONS)
+def test_questions_carrying_slot_tokens_match_the_oracle(slot_products, question):
+    for product, oracle in slot_products:
+        assert product.answer(question) == oracle.answer(question), question
+        assert product.cache_info()["plans"] <= len(product.model.contexts)
+
+
+UNKNOWN = "how many people live in cupertino?"  # no template has this context
+TEMPLATE = "how many people live in $city ?"
+
+
+def test_a_skipped_context_is_answered_after_replace_model():
+    kbview, ner, conceptualizer, model = hand_built(TripleStore())
+    answerer = OnlineAnswerer(kbview, ner, conceptualizer, model)
+    assert not answerer.answer(UNKNOWN).found_predicate
+    assert answerer.cache_info()["plans"] == 0  # nothing is remembered about it
+    learned = TemplateModel()
+    for template in model.templates():
+        distribution = {str(path): p for path, p in model.predicates_for(template).items()}
+        learned.set_distribution(template, distribution, model.support(template))
+    learned.set_distribution(TEMPLATE, {"population": 1.0})
+    answerer.replace_model(learned)
+    got = answerer.answer(UNKNOWN)
+    assert got == ReferenceAnswerer.shadowing(answerer).answer(UNKNOWN)
+    assert (got.value, got.template, got.fallback) == ("60000", TEMPLATE, False)
+
+
+@pytest.mark.parametrize("answer_cache", ANSWER_CACHES, ids=["caches-on", "caches-off"])
+def test_a_skipped_context_is_answered_after_set_distribution(answer_cache):
+    """A template learned into the live model: the context it adds is known
+    from then on (the answer cache, when on, is cleared as after any model
+    edit)."""
+    kbview, ner, conceptualizer, model = hand_built(TripleStore())
+    answerer = OnlineAnswerer(kbview, ner, conceptualizer, model, answer_cache_size=answer_cache)
+    assert not answerer.answer(UNKNOWN).found_predicate
+    model.set_distribution(TEMPLATE, {"population": 1.0})
+    answerer.clear_caches()
+    got = answerer.answer(UNKNOWN)
+    assert got == ReferenceAnswerer.shadowing(answerer).answer(UNKNOWN)
+    assert (got.value, got.template, got.fallback) == ("60000", TEMPLATE, False)
+    assert answerer.cache_info()["plans"] == 1

@@ -130,6 +130,44 @@ class TestDecomposition:
 
         assert not kbqa_fb.decomposer.is_primitive(tokenize("utterly novel phrasing here"))
 
+    def test_complex_questions_decompose_as_without_the_context_skip(
+        self, suite, kbqa_fb, monkeypatch
+    ):
+        """δ(q) skips mentions whose context no learned template has; the
+        DP over every complex benchmark question must not notice."""
+        from repro.core.decompose import Decomposer
+        from repro.core.template import Template
+        from repro.taxonomy.conceptualizer import top_concepts
+
+        decomposer = kbqa_fb.decomposer
+        questions = [bq.question for bq in suite.benchmark("complex").questions]
+        calls = []
+        conceptualize = decomposer.conceptualizer.conceptualize
+        monkeypatch.setattr(
+            decomposer.conceptualizer, "conceptualize",
+            lambda *args: calls.append(args) or conceptualize(*args),
+        )
+        product = [decomposer.decompose(question) for question in questions]
+        skipping = len(calls)
+
+        def reference_is_primitive(self, tokens) -> bool:
+            tokens = tuple(tokens)
+            for mention in self.ner.find_mentions(tokens):
+                span = (mention.start, mention.end)
+                context = tokens[: mention.start] + tokens[mention.end :]
+                for entity in mention.candidates:
+                    concepts = self.conceptualizer.conceptualize(entity, context)
+                    for concept, _prob in top_concepts(concepts, self.max_concepts):
+                        if Template.from_question(tokens, span, concept).text in self.model:
+                            return True
+            return False
+
+        monkeypatch.setattr(Decomposer, "is_primitive", reference_is_primitive)
+        calls.clear()
+        assert [decomposer.decompose(question) for question in questions] == product
+        assert any(len(d.sequence) > 1 for d in product)
+        assert 0 < skipping * 4 < len(calls)
+
 
 class TestComplexAnswering:
     def test_capital_population_chain(self, suite, kbqa_fb):

@@ -69,7 +69,7 @@ def assert_product_equals_oracle(system: KBQA, questions: list[str]) -> None:
             assert product.answer_many(questions[:512]) == expected[:512]
             info = product.cache_info()
             assert info["ranked_templates"] <= len(system.model)
-            assert info["plans"] <= len(system.model)
+            assert info["plans"] <= len(system.model.contexts) < len(system.model)
 
 
 class TestGoldStream:
@@ -87,13 +87,30 @@ class TestGoldStream:
             assert_product_equals_oracle(system, gold_questions(disk_suite.corpus))
 
     @pytest.mark.perf
-    def test_default_scale_all_gold(self):
-        """The ≈ 20 k gold factoids of the benchmark's suite, four surfaces each."""
+    def test_default_scale_all_gold(self, monkeypatch):
+        """The ≈ 20 k gold factoids of the benchmark's suite, four surfaces
+        each; the three held-out surfaces de-slot to contexts no learned
+        template has, so they build no context scores."""
         big = build_suite("default", seed=7)
         system = KBQA.train(big.freebase, big.corpus, big.conceptualizer)
         questions = gold_questions(big.corpus)
         assert len(questions) > 80_000
         assert_product_equals_oracle(system, questions)
+
+        made = []
+        score = Conceptualizer.context_scores
+        monkeypatch.setattr(
+            Conceptualizer, "context_scores",
+            lambda self, context: made.append(context) or score(self, context),
+        )
+        product = OnlineAnswerer(
+            system.answerer.kbview, system.answerer.ner, system.conceptualizer, system.model,
+            max_concepts=system.answerer.max_concepts, answer_cache_size=0,
+        )
+        product.answer_many([q for i, q in enumerate(questions) if i % len(REWRITES)])
+        assert made == [] and product.cache_info()["plans"] == 0
+        product.answer_many(questions[:: len(REWRITES)])  # the gold surface
+        assert 0 < product.cache_info()["plans"] == len(made) <= len(system.model.contexts)
 
 
 # -- Hostile inputs over a hand-built world --------------------------------------

@@ -40,6 +40,16 @@ class TestIsANetwork:
         with pytest.raises(ValueError):
             IsANetwork().add("e", "city")
 
+    @pytest.mark.parametrize("concept", ["$new york", "$city\t", "$a\nb"])
+    def test_multi_token_concept_refused(self, concept):
+        """A template slot is one token: ``$new york`` would be mis-slotted by
+        ``Template.from_text`` and split by the model's known contexts."""
+        net = IsANetwork()
+        with pytest.raises(ValueError, match="whitespace") as refused:
+            net.add("e", concept)
+        assert repr(concept) in str(refused.value)
+        assert not net.has_entity("e") and net.all_concepts() == set()
+
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             IsANetwork().add("e", "$c", 0.0)
@@ -303,3 +313,46 @@ class TestTableCoherence:
         live.observe("$b", ["unseen"])  # now the tables really do change
         assert live.conceptualize("e", context) == reference_conceptualize(live, "e", context)
         assert live.conceptualize("e", context) != expected
+
+    def test_a_prior_row_is_never_read_from_weights_mid_write(self):
+        """One thread re-reads an entity's prior row while another keeps
+        adding concepts to that entity.  ``prior_row`` walks the weights
+        without a lock, so an ``add`` that grew the dict it walks in place
+        would fail it with "dictionary changed size during iteration"; every
+        row read must instead be a whole, normalised snapshot."""
+        net = IsANetwork()
+        for i in range(40):
+            net.add("e", f"$c{i}")
+        errors: list[BaseException] = []
+        stop = threading.Event()
+
+        def read() -> None:
+            while not stop.is_set():
+                try:
+                    row = net.prior_row("e")
+                    assert abs(sum(p for _c, p in row) - 1.0) < 1e-9
+                except (RuntimeError, AssertionError) as exc:
+                    errors.append(exc)
+                    return
+
+        def write() -> None:
+            for i in range(40, 10040):
+                if stop.is_set():
+                    return
+                net.add("e", f"$c{i}")
+            stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fn) for fn in (read, read, write)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert len(net.prior_row("e")) == 10040
