@@ -205,7 +205,7 @@ class OnlineAnswerer:
         return self._answer_tokens(question, tokens)
 
     def cached_answer(
-        self, question: str, key: str | None = None
+        self, question: str | None, key: str | None = None
     ) -> AnswerResult | None:
         """Answer-cache probe: the cached result for ``question`` or None.
 
@@ -215,6 +215,9 @@ class OnlineAnswerer:
         once); its degraded mode uses it to keep answering while the
         evaluation backend is down or overloaded, without adding load.
         With the cache disabled it returns before touching the lock.
+        ``question=None`` (with a ``key``) returns the entry the cache
+        holds itself, in the spelling that first filled it: the HTTP
+        front's wire memo tests that object's identity.
         """
         if self.answer_cache_size <= 0:
             return None
@@ -224,7 +227,7 @@ class OnlineAnswerer:
             cached = self._answer_cache.get(key)
             if cached is not None:
                 self._answer_cache.move_to_end(key)
-        if cached is not None and cached.question != question:
+        if cached is not None and question is not None and cached.question != question:
             cached = replace(cached, question=question)
         return cached
 

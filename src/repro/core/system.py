@@ -209,7 +209,7 @@ class KBQA:
         return self.answerer.answer_many(questions)
 
     def cached_answer(
-        self, question: str, key: str | None = None
+        self, question: str | None, key: str | None = None
     ) -> AnswerResult | None:
         """Answer-cache probe (never evaluates): see
         :meth:`OnlineAnswerer.cached_answer` — the serving layer's

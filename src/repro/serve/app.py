@@ -24,8 +24,9 @@ Endpoints (all JSON):
   invalidation happen with no evaluation in flight.
 * ``GET /healthz``  liveness + uptime — answered *before* the answerer, so
   admission control can never starve a liveness probe.
-* ``GET /stats``    serving counters, answerer cache occupancy, KB stats and
-  the metrics spine's lifetime latency view.
+* ``GET /stats``    serving counters, answerer cache occupancy, KB stats,
+  the HTTP front's own counters (``http``: 400s, disconnects, wire-memo
+  hits and entries) and the metrics spine's lifetime latency view.
 * ``GET /metrics``  Prometheus text exposition of this process's telemetry
   spine (stage latency histograms, serve/tenant counters, gauges).
 
@@ -42,9 +43,15 @@ Transport: one :class:`asyncio.Protocol` per connection over the sans-IO
 parser of :mod:`repro.serve.http` — no stream reader/writer pair, no
 per-connection task.  A request's two lanes::
 
-    hit:   data_received -> parse_request -> key -> probe -> payload -> write
+    hit:   data_received -> parse_request -> memo -> probe -> is-entry -> write
     miss:  data_received -> parse_request -> task(_route -> answer ->
            queue -> inline batch on the loop -> future) -> write
+
+The hit lane's memo maps a ``POST /answer`` body already answered to its
+key, the answer-cache entry and the JSON bytes rendered from that entry;
+the bytes go out only while the probe still returns that very entry.  A
+body the memo lacks, or whose entry was replaced, takes the lane's long
+form (JSON decode -> key -> probe -> payload -> encode) and is stored.
 
 Requests on one connection are answered strictly in order: while a miss is
 in flight (or the peer is not draining replies) later bytes stay buffered.
@@ -68,13 +75,15 @@ from repro.serve.async_answerer import (
     DeadlineExceeded,
     OverloadedError,
     ServeConfig,
+    normalized_key,
 )
 from repro.serve.http import (
     BadRequest,
     HTTPRequest,
+    encode_json,
+    frame_response,
     parse_request,
     response_bytes,
-    text_response_bytes,
     truncated,
 )
 from repro.serve.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
@@ -109,6 +118,11 @@ def result_payload(result: AnswerResult, *, degraded: bool = False) -> dict:
 # miss in flight, or the peer not draining replies) before the socket stops
 # being read — the stream reader's old 64 KiB limit, as back-pressure.
 READ_HIGH_WATER = 64 * 1024
+
+# Largest ``POST /answer`` body the wire memo keeps.  A question is a few
+# hundred bytes; without a cap, distinct padded bodies of up to
+# MAX_BODY_BYTES each could pin gigabytes in a memo of 2 048 entries.
+WIRE_MEMO_MAX_BODY = 4096
 
 
 def _internal_error(error: Exception) -> tuple[int, dict]:
@@ -201,12 +215,12 @@ class _Connection(asyncio.Protocol):
             if request is None:
                 break
             try:
-                hit = server._inline_answer(request)
+                body = server._inline_answer(request)
             except Exception as error:
                 self._reply(request, *_internal_error(error))
                 continue
-            if hit is not None:
-                self._reply(request, 200, hit)
+            if body is not None:
+                self._send(request, 200, body)
             else:
                 self.task = asyncio.get_running_loop().create_task(
                     self._respond(request)
@@ -230,15 +244,23 @@ class _Connection(asyncio.Protocol):
             self._pump()
 
     def _reply(self, request: HTTPRequest, status: int, payload: dict | str) -> None:
+        if isinstance(payload, str):  # /metrics: Prometheus text
+            self._send(request, status, payload.encode("utf-8"), PROMETHEUS_CONTENT_TYPE)
+        else:
+            self._send(request, status, encode_json(payload))
+
+    def _send(
+        self,
+        request: HTTPRequest,
+        status: int,
+        body: bytes,
+        content_type: str = "application/json",
+    ) -> None:
         assert self.transport is not None
         keep = request.keep_alive
-        if isinstance(payload, str):  # /metrics: Prometheus text
-            data = text_response_bytes(
-                status, payload, keep_alive=keep, content_type=PROMETHEUS_CONTENT_TYPE
-            )
-        else:
-            data = response_bytes(status, payload, keep_alive=keep)
-        self.transport.write(data)
+        self.transport.write(
+            frame_response(status, body, keep_alive=keep, content_type=content_type)
+        )
         if not keep:
             self.transport.close()
 
@@ -268,6 +290,11 @@ class KBQAServer:
         self._started_monotonic = 0.0
         self.bad_requests = 0  # malformed/truncated requests answered with 400
         self.disconnects = 0  # connections dropped mid-request by the client
+        # The cache-hit lane's wire memo (event loop only): ``POST /answer``
+        # body -> (question, key, answer-cache entry, JSON body rendered from
+        # it), oldest first, at most the answer cache's size.
+        self._wire: dict[bytes, tuple[str, str, AnswerResult, bytes]] = {}
+        self.wire_hits = 0  # lane hits written from memo bytes
 
     # -- Lifecycle ---------------------------------------------------------
 
@@ -338,6 +365,8 @@ class KBQAServer:
                     "http": {
                         "bad_requests": self.bad_requests,
                         "disconnects": self.disconnects,
+                        "wire_hits": self.wire_hits,
+                        "wire_entries": len(self._wire),
                     },
                     "metrics": self.answerer.metrics.snapshot(),
                 }
@@ -412,22 +441,56 @@ class KBQAServer:
             raise BadRequest("'question' must be a non-empty string")
         return question, self._deadline_s(request), self._tenant(request)
 
-    def _inline_answer(self, request: HTTPRequest) -> dict | None:
-        """The cache-hit lane's payload for ``request``, else None.
+    def _inline_answer(self, request: HTTPRequest) -> bytes | None:
+        """The cache-hit lane's JSON body for ``request``, else None.
 
         Called from ``data_received``.  None covers every request
         :meth:`_route` must handle in a task: another route, a cache miss,
         and an invalid request — which is validated identically there and
         gets its 400 from the one place that maps errors to statuses.
+
+        The lane starts at the wire memo.  A body answered before skips
+        JSON decoding and tokenization (its question and key are stored);
+        only its headers are read.  The probe goes through the answerer
+        either way, so every counter and the cache's LRU order move as for
+        any hit.  The stored bytes are written only if the probe returned
+        the very cache entry they were rendered from; otherwise the body is
+        rendered from what the probe returned and stored again.  Every
+        write path — ``apply()``, a change-stream clear, ``clear_caches``,
+        ``replace_model``, LRU eviction — replaces or drops that entry, so
+        the memo is never staler than the cache.
         """
         if request.method != "POST" or request.path != "/answer":
             return None
+        body = request.body
+        memo = self._wire.get(body)
         try:
-            question, _deadline_s, tenant = self._answer_args(request)
+            if memo is None:
+                question, _deadline_s, tenant = self._answer_args(request)
+                key = normalized_key(question)
+            else:
+                question, key, entry, rendered = memo
+                self._deadline_s(request)
+                tenant = self._tenant(request)
         except BadRequest:
             return None
-        hit = self.answerer.answer_nowait(question, tenant)
-        return None if hit is None else result_payload(hit)
+        # the cache's own entry: one per key, whatever the spelling asked
+        held = self.answerer.answer_nowait(None, tenant, key=key)
+        if memo is not None:
+            if held is entry:
+                self.wire_hits += 1
+                return rendered
+            del self._wire[body]
+        if held is None:
+            return None
+        # the payload echoes the asked spelling
+        rendered = encode_json(result_payload(dataclasses.replace(held, question=question)))
+        size = self.system.answerer.answer_cache_size
+        if len(body) <= WIRE_MEMO_MAX_BODY and size > 0:
+            while len(self._wire) >= size:  # oldest first
+                del self._wire[next(iter(self._wire))]
+            self._wire[body] = (question, key, held, rendered)
+        return rendered
 
     async def _handle_answer(self, request: HTTPRequest) -> tuple[int, dict]:
         question, deadline_s, tenant = self._answer_args(request)

@@ -218,7 +218,7 @@ class AsyncAnswerer:
         # The cache-hit lane's probe: only a target that exposes its answer
         # cache, and only when this answerer's key *is* that cache's key.
         probe = getattr(target, "cached_answer", None)
-        self._probe: Callable[[str, str], AnswerResult | None] | None = (
+        self._probe: Callable[[str | None, str], AnswerResult | None] | None = (
             probe if callable(probe) and key is normalized_key else None
         )
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -346,7 +346,11 @@ class AsyncAnswerer:
         return result if result.question == question else replace(result, question=question)
 
     def answer_nowait(
-        self, question: str, tenant: str | None = None
+        self,
+        question: str | None,
+        tenant: str | None = None,
+        *,
+        key: str | None = None,
     ) -> AnswerResult | None:
         """The cache-hit lane as a plain call: the answer, or None.
 
@@ -355,15 +359,20 @@ class AsyncAnswerer:
         nothing is recorded here for it.  A hit is a completed request
         (``requests``, ``inline_hits``, the ``total`` histogram, the
         tenant's ``requests``/``completed``).  Event-loop only, like every
-        other entry point.
+        other entry point.  A caller that already holds the question's
+        ``key`` passes it; ``question=None`` with a ``key`` returns the
+        cache's own entry, in the spelling that filled it (the HTTP front
+        echoes the asked spelling itself).
         """
         if self._probe is None or not self._running:
             return None
         started = time.monotonic()
-        return self._lane_hit(question, self._key(question), tenant, started)
+        if key is None:
+            key = self._key(question)
+        return self._lane_hit(question, key, tenant, started)
 
     def _lane_hit(
-        self, question: str, key: str, tenant: str | None, started: float
+        self, question: str | None, key: str, tenant: str | None, started: float
     ) -> AnswerResult | None:
         """Probe the target's answer cache at this instant on the loop."""
         if self._probe is None:

@@ -33,7 +33,8 @@ from repro.core.system import KBQA
 from repro.data.compile import compile_freebase_like
 from repro.kb.triple import make_literal
 from repro.serve import AsyncAnswerer, OverloadedError, ServeConfig, normalized_key
-from repro.serve.app import KBQAServer
+from repro.serve.app import WIRE_MEMO_MAX_BODY, KBQAServer, result_payload
+from repro.serve.http import response_bytes
 
 from tests.conftest import pick_entity
 from tests.serve_harness import parse_prometheus_text
@@ -328,6 +329,8 @@ class TestConservation:
         assert (serve["coalesced"], queued) == (4, 5)
         assert serve["inline_hits"] == 12
         assert serve["requests"] == serve["inline_hits"] + serve["coalesced"] + queued
+        # HTTP hits after each body's first render are written from the memo
+        assert stats["http"]["wire_hits"] == 6 <= serve["inline_hits"]
         assert stats["metrics"]["stages"]["total"]["count"] == serve["requests"] - 4
         assert stats["metrics"]["tenants"]["tenant-a"] == {"requests": 1, "completed": 1}
         events = {
@@ -401,3 +404,277 @@ class TestBatchAdmission:
         assert (serve["inline_hits"], serve["coalesced"], queued) == (3, 1, 3)
         assert serve["requests"] == len(batch) == 7
         assert serve["rejected"] == 0
+
+
+# -- The wire memo: the HTTP front's hit lane starts at stored bytes -----------
+
+
+@pytest.fixture(scope="module", params=["memory", "disk"])
+def memo_system(request, suite):
+    """A trained system over a private KB copy of each backend."""
+    system = KBQA.train(
+        compile_freebase_like(suite.world, backend=request.param),
+        suite.corpus,
+        suite.conceptualizer,
+    )
+    yield system
+    system.close()
+
+
+def _answer_wire(question: str, *headers: str, version: str = "HTTP/1.1") -> bytes:
+    body = json.dumps({"question": question}).encode("utf-8")
+    lines = [f"POST /answer {version}", *headers, f"Content-Length: {len(body)}"]
+    return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body
+
+
+async def _raw(port: int, wire: bytes) -> bytes:
+    """Every byte the server sends for ``wire`` until it hangs up (the
+    client half-closes after sending, so a kept-alive socket closes too)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(wire)
+        writer.write_eof()
+        return await asyncio.wait_for(reader.read(), TIMEOUT_S)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+def _body(reply: bytes) -> dict:
+    return json.loads(reply.partition(b"\r\n\r\n")[2])
+
+
+class TestWireMemo:
+    @pytest.mark.parametrize(
+        "headers, version, keep_alive",
+        [((), "HTTP/1.1", True), (("Connection: close",), "HTTP/1.1", False),
+         ((), "HTTP/1.0", False)],
+        ids=["keep-alive", "close", "http-1.0"],
+    )
+    def test_memo_bytes_equal_a_fresh_render(
+        self, suite, memo_system, headers, version, keep_alive
+    ):
+        """A memo-served reply is byte for byte what the long form renders
+        for the same question at the same epoch."""
+        system = memo_system
+        question = _population_questions(suite, system, 1)[0][0]
+        wire = _answer_wire(question, *headers, version=version)
+
+        async def main() -> tuple[bytes, bytes, int]:
+            async with KBQAServer(system) as server:
+                first = await _raw(server.port, wire)  # renders and stores
+                before = server.wire_hits
+                second = await _raw(server.port, wire)
+                return first, second, server.wire_hits - before
+
+        first, second, wire_hits = asyncio.run(main())
+        expected = response_bytes(
+            200, result_payload(system.answer(question)), keep_alive=keep_alive
+        )
+        assert wire_hits == 1
+        assert second == first == expected
+
+    @pytest.mark.parametrize("refill", [False, True], ids=["miss", "replaced"])
+    @pytest.mark.parametrize(
+        "op", ["facts", "direct_store_edit", "clear_caches", "replace_model"]
+    )
+    def test_every_write_path_retires_the_memo(self, suite, memo_system, op, refill):
+        """After each write path the next request is answered from the new
+        state, never from memo bytes — whether the write left the cache
+        without the entry (``miss``) or a library call has already put a new
+        entry under the same key (``replaced``: the identity test) — and
+        once the new entry is rendered, the memo serves it again."""
+        system = memo_system
+        question, node = _population_questions(suite, system, 1)[0]
+        literal = make_literal("5151515")
+        original_model = system.answerer.model
+        reference = _uncached(system)
+        area_path = system.answer(
+            f"what is the area of {pick_entity(suite.world, 'city', 'area').name}?"
+        ).predicate
+        assert area_path is not None
+        area_model = TemplateModel()
+        for template in original_model.templates():
+            area_model.set_distribution(template, {str(area_path): 1.0}, 1.0)
+
+        async def main() -> tuple[dict, dict, list[int]]:
+            async with KBQAServer(system) as server:
+                hits = []
+                for _ in range(2):
+                    _status, stale = await _post_answer(server.port, question)
+                    hits.append(server.wire_hits)
+                if op == "facts":
+                    status, changed = await _post(server.port, "/facts", {
+                        "op": "add", "subject": node,
+                        "predicate": "population", "object": literal,
+                    })
+                    assert (status, changed["changed"]) == (200, True)
+                elif op == "direct_store_edit":  # the change-stream path
+                    loop = asyncio.get_running_loop()
+                    assert await loop.run_in_executor(
+                        None, system.add_fact, node, "population", literal
+                    )
+                elif op == "clear_caches":
+                    system.answerer.clear_caches()
+                else:
+                    system.answerer.replace_model(area_model)
+                    reference.replace_model(area_model)
+                if refill:
+                    system.answer(question)
+                for _ in range(3 - refill):
+                    status, fresh = await _post_answer(server.port, question)
+                    assert status == 200
+                    hits.append(server.wire_hits)
+                return stale, fresh, hits
+
+        try:
+            stale, fresh, hits = asyncio.run(main())
+            expected = result_payload(reference.answer(question))
+        finally:
+            system.answerer.replace_model(original_model)
+            if op in ("facts", "direct_store_edit"):
+                system.delete_fact(node, "population", literal)
+        assert fresh == expected
+        if op != "clear_caches":
+            assert fresh != stale
+        # render, memo hit; the write; then (a miss and) a render of the new
+        # entry; only the request after that is served from the memo again
+        assert [n - hits[0] for n in hits] == ([0, 1, 1, 2] if refill else [0, 1, 1, 1, 2])
+
+    def test_spellings_share_the_memo(self, suite, memo_system):
+        """Two spellings of one key are both memo hits, each echoing its own
+        question, against the one entry the cache holds."""
+        system = memo_system
+        question = _population_questions(suite, system, 1)[0][0]
+        spellings = [question, "  " + question.upper()]
+        assert len({normalized_key(s) for s in spellings}) == 1
+
+        async def main():
+            async with KBQAServer(system) as server:
+                for spelling in spellings:  # render and store both
+                    await _post_answer(server.port, spelling)
+                before = server.wire_hits
+                replies = [await _post_answer(server.port, s) for s in spellings]
+                entries = [memo[2] for memo in server._wire.values()]
+                return replies, server.wire_hits - before, entries
+
+        replies, wire_hits, entries = asyncio.run(main())
+        assert wire_hits == 2
+        assert [payload["question"] for _status, payload in replies] == spellings
+        assert replies[0][1] == {**replies[1][1], "question": question}
+        assert len(entries) == 2 and entries[0] is entries[1]
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5", "inf"])
+    def test_bad_deadline_on_a_memo_body_gets_its_400(self, suite, memo_system, raw):
+        system = memo_system
+        question = _population_questions(suite, system, 1)[0][0]
+
+        async def main():
+            async with KBQAServer(system) as server:
+                for _ in range(2):
+                    await _raw(server.port, _answer_wire(question))
+                before = server.wire_hits
+                reply = await _raw(
+                    server.port, _answer_wire(question, f"X-KBQA-Deadline-Ms: {raw}")
+                )
+                return reply, server.wire_hits - before
+
+        reply, wire_hits = asyncio.run(main())
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert "deadline" in _body(reply)["error"].lower()
+        assert wire_hits == 0
+
+    def test_tenants_and_conservation_hold_with_memo_hits(self, suite, memo_system):
+        system = memo_system
+        questions = [q for q, _node in _population_questions(suite, system, 3)]
+        system.answerer.clear_caches()
+
+        async def main():
+            async with KBQAServer(system, ServeConfig(max_batch=4)) as server:
+                for question in questions:  # a miss, a render, two memo hits
+                    for _ in range(4):
+                        reply = await _raw(
+                            server.port, _answer_wire(question, "X-KBQA-Client: t-memo")
+                        )
+                        assert reply.startswith(b"HTTP/1.1 200 ")
+                _status, stats = await _get(server.port, "/stats")
+                return json.loads(stats)
+
+        stats = asyncio.run(main())
+        serve, http = stats["serve"], stats["http"]
+        queued = stats["metrics"]["stages"]["queue_wait"]["count"]
+        assert (serve["requests"], serve["inline_hits"], queued) == (12, 9, 3)
+        assert serve["requests"] == serve["inline_hits"] + serve["coalesced"] + queued
+        assert http["wire_hits"] == 6 and http["wire_hits"] <= serve["inline_hits"]
+        assert http["wire_entries"] == 3
+        assert stats["metrics"]["tenants"]["t-memo"] == {"requests": 12, "completed": 12}
+        assert stats["metrics"]["stages"]["total"]["count"] == 12
+
+    def test_no_answer_cache_leaves_the_memo_empty(self, suite, memo_system):
+        system = memo_system
+        question = _population_questions(suite, system, 1)[0][0]
+        size = system.answerer.answer_cache_size
+        system.answerer.answer_cache_size = 0  # what --no-cache configures
+        system.answerer.clear_caches()
+
+        async def main():
+            async with KBQAServer(system) as server:
+                for _ in range(3):
+                    status, payload = await _post_answer(server.port, question)
+                    assert status == 200 and payload["answered"]
+                _status, stats = await _get(server.port, "/stats")
+                return json.loads(stats)
+
+        try:
+            stats = asyncio.run(main())
+        finally:
+            system.answerer.answer_cache_size = size
+        assert stats["http"]["wire_entries"] == 0 == stats["http"]["wire_hits"]
+        assert stats["serve"]["inline_hits"] == 0
+
+    def test_an_oversized_body_is_answered_but_not_stored(self, suite, memo_system):
+        """Padding is not a question: a body past ``WIRE_MEMO_MAX_BODY``
+        takes the long form every time, so padded bodies cannot fill the
+        memo with megabytes."""
+        system = memo_system
+        question = _population_questions(suite, system, 1)[0][0]
+        body = json.dumps({"question": question, "pad": "x" * WIRE_MEMO_MAX_BODY})
+        wire = (
+            f"POST /answer HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n{body}"
+        ).encode("utf-8")
+
+        async def main():
+            async with KBQAServer(system) as server:
+                replies = [await _raw(server.port, wire) for _ in range(3)]
+                return replies, server.wire_hits, len(server._wire)
+
+        replies, wire_hits, entries = asyncio.run(main())
+        expected = response_bytes(200, result_payload(system.answer(question)))
+        assert replies == [expected] * 3
+        assert (wire_hits, entries) == (0, 0)
+
+    def test_memo_never_holds_more_than_the_cache_size(self, suite, memo_system):
+        system = memo_system
+        questions = [q for q, _node in _population_questions(suite, system, 6)]
+        size = system.answerer.answer_cache_size
+        system.answerer.answer_cache_size = 3
+        system.answerer.clear_caches()
+
+        async def main():
+            async with KBQAServer(system) as server:
+                occupancy = []
+                for question in questions + questions[::-1]:
+                    for _ in range(2):
+                        status, _payload = await _post_answer(server.port, question)
+                        assert status == 200
+                        occupancy.append(len(server._wire))
+                _status, stats = await _get(server.port, "/stats")
+                return occupancy, json.loads(stats)["http"]
+
+        try:
+            occupancy, http = asyncio.run(main())
+        finally:
+            system.answerer.answer_cache_size = size
+            system.answerer.clear_caches()
+        assert max(occupancy) == 3 and http["wire_entries"] <= 3
+        assert http["wire_hits"] > 0

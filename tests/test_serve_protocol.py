@@ -110,6 +110,12 @@ class TestParser:
         assert keep("HTTP/1.1", "Connection: close") is False
         assert keep("HTTP/1.0") is False
         assert keep("HTTP/1.0", "Connection: Keep-Alive") is True
+        # a token list (RFC 9110 §7.6.1), not one value
+        assert keep("HTTP/1.1", "Connection: close, TE") is False
+        assert keep("HTTP/1.1", "Connection: TE,Close") is False
+        assert keep("HTTP/1.1", "Connection: TE") is True
+        assert keep("HTTP/1.0", "Connection: keep-alive, TE") is True
+        assert keep("HTTP/1.0", "Connection: TE") is False
         assert HTTPRequest(method="GET", path="/").keep_alive is True  # default 1.1
 
     @pytest.mark.parametrize(
@@ -280,6 +286,21 @@ class TestCloseSemantics:
         assert status == 200 and b"connection: close" in head.lower()
         assert json.loads(body)["question"] == warm_question
 
+    def test_memo_hit_with_a_close_token_list_is_answered_and_closed(
+        self, server, warm_question
+    ):
+        """``Connection: close, TE`` on a body the wire memo serves: the
+        reply says close and the server hangs up."""
+        _exchange(server, _answer(warm_question) * 2)  # rendered, then stored
+        before = _stats(server)["http"]["wire_hits"]
+        (status, head, body), = _exchange(
+            server, _answer(warm_question, headers=("Connection: close, TE",)),
+            half_close=False,
+        )  # returned at all: the server hung up without being asked to
+        assert status == 200 and b"connection: close" in head.lower()
+        assert json.loads(body)["question"] == warm_question
+        assert _stats(server)["http"]["wire_hits"] == before + 1
+
     def test_http_10_keep_alive_is_honoured(self, server, warm_question):
         wire = _answer(warm_question, version="HTTP/1.0", headers=("Connection: keep-alive",))
         with _connect(server) as sock:
@@ -295,11 +316,15 @@ class TestCloseSemantics:
                     body += sock.recv(length - len(body))
 
     def test_eof_between_requests_is_a_clean_close(self, server, warm_question):
-        before = _stats(server)["http"]
+        def errors() -> tuple[int, int]:
+            http = _stats(server)["http"]
+            return http["bad_requests"], http["disconnects"]
+
+        before = errors()
         replies = _exchange(server, _answer(warm_question) + _request("GET", "/healthz"))
         assert [status for status, _h, _b in replies] == [200, 200]
         assert _exchange(server, b"") == []  # connect, half-close: no reply, no error
-        assert _stats(server)["http"] == before
+        assert errors() == before
 
     def test_eof_mid_request_is_a_400(self, server, warm_question):
         before = _stats(server)["http"]["bad_requests"]
