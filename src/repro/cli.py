@@ -4,7 +4,6 @@ A thin front over the library so the whole pipeline is drivable from a
 shell::
 
     kbqa demo --scale small "what is the population of mapleton?"
-    kbqa train --scale small --kb freebase --model /tmp/model.json
     kbqa eval --scale small --benchmark qald3
     kbqa expand --scale small --save /tmp/expansion.kbqa
     kbqa answer --scale small --expansion /tmp/expansion.kbqa "..."
@@ -80,11 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _fallback_args(answer)
     answer.set_defaults(handler=_cmd_answer)
-
-    train = sub.add_parser("train", help="train and save a template model")
-    _common_args(train)
-    train.add_argument("--model", required=True, help="output path for the model JSON")
-    train.set_defaults(handler=_cmd_train)
 
     evaluate = sub.add_parser("eval", help="evaluate KBQA on a benchmark")
     _common_args(evaluate)
@@ -281,22 +275,18 @@ def _cmd_answer(args) -> int:
 
     An unknown entity or an empty answer set is a *normal* outcome — it
     prints ``A: (no answer)`` and the command still exits 0.  Only real
-    failures (an unreadable ``--expansion`` file, an internal error) exit
-    nonzero, with the message on stderr.
+    failures (an unreadable ``--expansion`` file) exit 1, through
+    :func:`main`'s one error line on stderr.
     """
     import time
 
     config = KBQAConfig(answer_cache_size=0) if args.no_cache else None
-    try:
-        system, _suite = _train_system(args, config)
-        results = []
-        start = time.perf_counter()
-        for _ in range(max(1, args.repeat)):
-            results = system.answer_many(args.questions)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-    except (OSError, ValueError) as error:
-        print(f"kbqa answer: error: {error}", file=sys.stderr)
-        return 1
+    system, _suite = _train_system(args, config)
+    results = []
+    start = time.perf_counter()
+    for _ in range(max(1, args.repeat)):
+        results = system.answer_many(args.questions)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
     for result in results:
         print(f"Q: {result.question}")
         if result.answered:
@@ -307,15 +297,6 @@ def _cmd_answer(args) -> int:
     n_answered = sum(1 for r in results if r.answered)
     per_q = elapsed_ms / (max(1, args.repeat) * len(results))
     print(f"-- answered {n_answered}/{len(results)}, {per_q:.2f}ms/question")
-    return 0
-
-
-def _cmd_train(args) -> int:
-    system, _suite = _train_system(args)
-    system.model.save(args.model)
-    info = system.describe()
-    print(f"saved model to {args.model}")
-    print(f"templates={info['templates']} predicates={info['predicates']}")
     return 0
 
 
@@ -430,27 +411,23 @@ def _cmd_expand(args) -> int:
     if bool(args.save) == bool(args.load):
         print("kbqa expand: error: pass exactly one of --save/--load", file=sys.stderr)
         return 1
-    try:
-        if args.save:
-            from repro.core.learner import collect_seed_entities
-            from repro.kb.expansion import expand_predicates
-            from repro.nlp.ner import EntityRecognizer
+    if args.save:
+        from repro.core.learner import collect_seed_entities
+        from repro.kb.expansion import expand_predicates
+        from repro.nlp.ner import EntityRecognizer
 
-            suite = build_suite(**_suite_kwargs(args))
-            kb = suite.freebase if args.kb == "freebase" else suite.dbpedia
-            ner = EntityRecognizer(kb.gazetteer)
-            seeds = collect_seed_entities(suite.corpus, ner)
-            expanded = expand_predicates(kb.store, seeds, max_length=args.max_length)
-            expanded.save(args.save)
-            print(f"saved expansion to {args.save}")
-        else:
-            # load checks the whole file (size, checksum, offsets, ids),
-            # so a corrupt artifact exits 1 here as on every --expansion
-            expanded = ExpandedStore.load(args.load)
-            print(f"loaded expansion from {args.load}")
-    except (OSError, ValueError) as error:
-        print(f"kbqa expand: error: {error}", file=sys.stderr)
-        return 1
+        suite = build_suite(**_suite_kwargs(args))
+        kb = suite.freebase if args.kb == "freebase" else suite.dbpedia
+        ner = EntityRecognizer(kb.gazetteer)
+        seeds = collect_seed_entities(suite.corpus, ner)
+        expanded = expand_predicates(kb.store, seeds, max_length=args.max_length)
+        expanded.save(args.save)
+        print(f"saved expansion to {args.save}")
+    else:
+        # load checks the whole file (size, checksum, offsets, ids), so a
+        # corrupt artifact exits 1 through main as on every --expansion
+        expanded = ExpandedStore.load(args.load)
+        print(f"loaded expansion from {args.load}")
     for key, value in expanded.stats().items():
         print(f"{key}={value}")
     return 0

@@ -1,21 +1,17 @@
 """The learned template model: ``P(p|t)`` plus template frequencies.
 
 This is the offline procedure's artifact (Figure 3): a distribution over
-predicate paths for every learned template, with JSON persistence so a
-trained model can be shipped and loaded without retraining.
+predicate paths for every learned template.  It lives in memory only:
+retraining is the restart, and the Sec 6.2 expansion is the one persisted
+offline state (:meth:`repro.kb.expansion.ExpandedStore.save`).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Iterable
 
 from repro.kb.paths import PredicatePath
 from repro.taxonomy.isa import is_concept
-
-MODEL_FORMAT_VERSION = 1
-
 
 # a template's de-slotted context: the tokens before and after its concept
 Context = tuple[tuple[str, ...], tuple[str, ...]]
@@ -150,31 +146,3 @@ class TemplateModel:
         ]
         matching.sort(key=lambda t: (-self._support.get(t, 0.0), t))
         return matching if count is None else matching[:count]
-
-    # -- Persistence ---------------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Serialize the model (versioned JSON)."""
-        payload = {
-            "format_version": MODEL_FORMAT_VERSION,
-            "n_observations": self.n_observations,
-            "templates": {
-                template: {"support": self._support.get(template, 0.0), "theta": row}
-                for template, row in self._theta.items()
-            },
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, ensure_ascii=False)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TemplateModel":
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        version = payload.get("format_version")
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version: {version}")
-        model = cls()
-        model.n_observations = payload.get("n_observations", 0)
-        for template, entry in payload["templates"].items():
-            model.set_distribution(template, entry["theta"], entry.get("support", 0.0))
-        return model

@@ -105,18 +105,6 @@ class MegaBuild:
     manifest: dict
     out_dir: str
 
-    @property
-    def gold_path(self) -> str:
-        return os.path.join(self.out_dir, "gold.jsonl")
-
-    def iter_gold(self) -> Iterator[QAPair]:
-        """Stream this build's gold QA rows from ``gold.jsonl``."""
-        with open(self.gold_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    yield QAPair.from_json(line)
-
 
 def load_manifest(out_dir: str | Path) -> dict:
     """Read a finished mega build's ``manifest.json`` accounting."""

@@ -1,10 +1,9 @@
-"""QA pair and corpus containers with JSONL persistence."""
+"""QA pair and corpus containers; a pair reads and writes one JSONL line."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 
@@ -61,26 +60,6 @@ class QACorpus:
 
     def head(self, count: int) -> "QACorpus":
         return QACorpus(self.pairs[:count])
-
-    # -- Persistence --------------------------------------------------------
-
-    def save(self, path: str | Path) -> int:
-        """Write the corpus as JSONL; returns the pair count."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for pair in self.pairs:
-                handle.write(pair.to_json())
-                handle.write("\n")
-        return len(self.pairs)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "QACorpus":
-        corpus = cls()
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    corpus.add(QAPair.from_json(line))
-        return corpus
 
     # -- Introspection ---------------------------------------------------------
 

@@ -6,9 +6,9 @@ stores (in memory, or one SQLite file) with SPO and OSP orderings for the
 ``V(e, p)`` probe of Eq 6 and the ``predicates_between`` probe of Eq 24,
 predicate paths (the paper's *expanded predicates*), a scan-based
 multi-source BFS that mirrors the memory-efficient generation of Sec 6.2 and
-records which seeds reached which node, live maintenance of that expansion
-under KB edits, and a plain-text serialization format.  There is no query
-language: KBQA makes point lookups and one scan, nothing else.
+records which seeds reached which node, and live maintenance of that
+expansion under KB edits.  There is no query language: KBQA makes point
+lookups and one scan, nothing else.
 """
 
 from repro.kb.backend import BACKEND_KINDS, KBBackend, KBChange, resolve_backend
@@ -19,7 +19,6 @@ from repro.kb.disk import DiskTripleStore
 from repro.kb.paths import PredicatePath
 from repro.kb.expansion import ExpandedStore, expand_predicates
 from repro.kb.live import LiveExpansionMaintainer
-from repro.kb.rdf_io import load_ntriples, save_ntriples
 
 __all__ = [
     "BACKEND_KINDS",
@@ -36,7 +35,5 @@ __all__ = [
     "is_literal",
     "make_literal",
     "literal_value",
-    "load_ntriples",
     "resolve_backend",
-    "save_ntriples",
 ]

@@ -1,4 +1,4 @@
-"""Tests for the template model container and persistence."""
+"""Tests for the template model container."""
 
 import pytest
 
@@ -79,31 +79,3 @@ class TestTemplateModel:
         assert stats[1]["templates"] == 2
         assert stats[3]["templates"] == 1
         assert stats[3]["predicates"] == 1
-
-    def test_save_load_roundtrip(self, model, tmp_path):
-        path = tmp_path / "model.json"
-        model.save(path)
-        loaded = TemplateModel.load(path)
-        assert loaded.n_templates == model.n_templates
-        assert loaded.n_observations == model.n_observations
-        assert loaded.support("who is the wife of $person ?") == pytest.approx(30.0)
-        original = model.predicates_for("how many people are there in $city ?")
-        restored = loaded.predicates_for("how many people are there in $city ?")
-        assert {str(k): v for k, v in original.items()} == pytest.approx(
-            {str(k): v for k, v in restored.items()}
-        )
-
-    def test_load_rejects_bad_version(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format_version": 99, "templates": {}}')
-        with pytest.raises(ValueError, match="format version"):
-            TemplateModel.load(path)
-
-    def test_trained_model_roundtrip(self, kbqa_fb, tmp_path):
-        """The real trained model must survive persistence."""
-        path = tmp_path / "trained.json"
-        kbqa_fb.model.save(path)
-        loaded = TemplateModel.load(path)
-        assert loaded.n_templates == kbqa_fb.model.n_templates
-        template = "what is the population of $city ?"
-        assert loaded.best_path(template) == kbqa_fb.model.best_path(template)

@@ -10,6 +10,7 @@ surface to failing loudly: a flag that is accepted and ignored is a bug.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import inspect
 import os
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.core.learner import LearnerConfig
 from repro.core.online import OnlineAnswerer
 from repro.core.system import KBQAConfig
@@ -136,7 +137,19 @@ def test_online_answerer_constructor_parameter_count():
 
 def test_cli_flag_count():
     cli = (SRC / "repro" / "cli.py").read_text(encoding="utf-8")
-    assert cli.count("add_argument(") <= 30
+    assert cli.count("add_argument(") <= 29
+
+
+def test_cli_subcommands():
+    """``train`` went with the model JSON it wrote, which no command read."""
+    (subparsers,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert set(subparsers.choices) == {
+        "demo", "answer", "eval", "stats", "expand", "compile", "decompose",
+        "variants", "serve", "mega-compile",
+    }
 
 
 def test_kbqa_server_constructor_parameter_count():
@@ -191,6 +204,20 @@ def test_one_expansion_artifact_format():
             "V3StreamWriter",
         ):
             assert name not in text, (path, name)
+
+
+def test_one_persisted_artifact():
+    """The expansion artifact is the only persisted state: the model JSON
+    format and the N-Triples dump stay gone, and retraining is the restart."""
+    from repro.core.model import TemplateModel
+    from repro.corpus.qa import QACorpus
+
+    for path in SRC.rglob("*.py"):
+        text = path.read_text("utf-8")
+        for name in ("rdf_io", "save_ntriples", "load_ntriples", "MODEL_FORMAT_VERSION"):
+            assert name not in text, (path, name)
+    for owner in (TemplateModel, QACorpus):
+        assert not hasattr(owner, "save") and not hasattr(owner, "load"), owner
 
 
 def test_expanded_format_env_var_is_ignored(tmp_path, monkeypatch):
@@ -293,12 +320,13 @@ def test_kb_db_from_the_older_layout_still_opens(tmp_path):
         ["serve", "--scale", "small", "--port", "0", "--smoke"],
         ["serve", "--scale", "small", "--port", "0", "--procs", "2"],
         ["serve", "--scale", "small", "--port", "0", "--workers", "2"],
+        ["train", "--scale", "small", "--model", "m.json"],
     ],
     ids=[
         "serve--exec", "answer--shards", "train--workers", "shm-gc", "expand--expanded-format",
         "scenario", "mega-compile--mega-backend", "serve--slo-ms", "serve--adaptive",
         "serve--quota", "serve--no-coalesce", "serve--smoke", "serve--procs",
-        "serve--workers",
+        "serve--workers", "train",
     ],
 )
 def test_deleted_cli_surface_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):

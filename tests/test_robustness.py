@@ -62,32 +62,13 @@ class TestAdversarialQuestions:
 
 
 class TestCorruptedArtifacts:
-    def test_truncated_model_file(self, kbqa_fb, tmp_path):
-        path = tmp_path / "model.json"
-        kbqa_fb.model.save(path)
-        path.write_text(path.read_text()[: path.stat().st_size // 2])
-        with pytest.raises(json.JSONDecodeError):
-            TemplateModel.load(path)
-
-    def test_model_with_negative_probability(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps({
-            "format_version": 1,
-            "n_observations": 1,
-            "templates": {"t $x": {"support": 1.0, "theta": {"p": -0.5}}},
-        }))
+    def test_model_with_negative_probability(self):
         with pytest.raises(ValueError):
-            TemplateModel.load(path)
+            TemplateModel().set_distribution("t $x", {"p": -0.5}, support=1.0)
 
-    def test_corrupted_corpus_line(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        path.write_text('{"qid": "a", "question": "x?", "answer": "y."}\nnot json\n')
+    def test_corrupted_corpus_line(self):
         with pytest.raises(json.JSONDecodeError):
-            QACorpus.load(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            TemplateModel.load(tmp_path / "ghost.json")
+            QAPair.from_json("not json")
 
 
 class TestDegenerateTraining:

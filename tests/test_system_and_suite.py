@@ -107,15 +107,6 @@ class TestCLI:
         gold = suite.world.gold_values(city.node, "population")
         assert any(v in out for v in gold)
 
-    def test_train_command_saves_model(self, tmp_path, capsys):
-        model_path = tmp_path / "model.json"
-        assert main(["train", "--scale", "small", "--model", str(model_path)]) == 0
-        assert model_path.exists()
-        from repro.core.model import TemplateModel
-
-        loaded = TemplateModel.load(model_path)
-        assert loaded.n_templates > 0
-
     def test_eval_command(self, capsys):
         assert main(["eval", "--scale", "small", "--benchmark", "qald5"]) == 0
         out = capsys.readouterr().out
@@ -123,22 +114,16 @@ class TestCLI:
 
 
 class TestEndToEnd:
-    def test_full_pipeline_fresh_build(self, tmp_path):
-        """Train, persist, reload, answer — the complete user journey on a
-        freshly built (tiny) suite, independent of session fixtures."""
+    def test_full_pipeline_fresh_build(self):
+        """Train and answer — the complete user journey on a freshly built
+        (tiny) suite, independent of session fixtures."""
         from repro.core.em import EMConfig
         from repro.core.learner import LearnerConfig
-        from repro.core.model import TemplateModel
         from repro.core.system import KBQA
 
         fresh = build_suite("small", seed=11)
         config = KBQAConfig(learner=LearnerConfig(em=EMConfig(max_iterations=8)))
         system = KBQA.train(fresh.freebase, fresh.corpus, fresh.conceptualizer, config)
-
-        model_path = tmp_path / "model.json"
-        system.model.save(model_path)
-        reloaded = TemplateModel.load(model_path)
-        assert reloaded.n_templates == system.model.n_templates
 
         city = pick_entity(fresh.world, "city", "population")
         result = system.answer(f"how many people live in {city.name}?")
@@ -185,6 +170,7 @@ class TestCrossProcessDeterminism:
         the reproducibility guarantee the whole suite rests on."""
         import subprocess
         import sys
+        from pathlib import Path
 
         script = (
             "import sys; "
@@ -195,16 +181,14 @@ class TestCrossProcessDeterminism:
             "s = build_suite('small', seed=23); "
             "cfg = KBQAConfig(learner=LearnerConfig(em=EMConfig(max_iterations=5))); "
             "k = KBQA.train(s.freebase, s.corpus, s.conceptualizer, cfg); "
-            "k.model.save(sys.argv[1])"
+            "from tests.test_corpus_qa import _model_json; "
+            "open(sys.argv[1], 'wb').write(_model_json(k.model))"
         )
+        root = Path(__file__).resolve().parent.parent
         paths = [tmp_path / "run_a.json", tmp_path / "run_b.json"]
         for path in paths:
             subprocess.run(
                 [sys.executable, "-c", script, str(path)],
-                check=True, timeout=300,
+                cwd=root, check=True, timeout=300,
             )
-        import json
-
-        a = json.loads(paths[0].read_text())
-        b = json.loads(paths[1].read_text())
-        assert a == b
+        assert paths[0].read_bytes() == paths[1].read_bytes()
