@@ -9,10 +9,11 @@ shell::
     kbqa answer --scale small --expansion /tmp/expansion.kbqa "..."
     kbqa serve --scale small --port 8080        # HTTP answer service
 
-Every training command accepts ``--backend memory|disk`` (the KB store)
-and ``--expansion PATH`` (resume from a persisted predicate expansion
-instead of re-running the Sec 6.2 scan).  ``serve`` is one process: one
-event loop that evaluates every batch inline.
+Every training command accepts ``--expansion PATH`` (resume from a
+persisted predicate expansion instead of re-running the Sec 6.2 scan); the
+KB store kind comes from ``$KBQA_BACKEND`` (``memory``, the default, or
+``disk``).  ``serve`` is one process: one event loop that evaluates every
+batch inline.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ import sys
 
 from dataclasses import replace
 
-from repro.core.fallback import DEFAULT_THRESHOLD
 from repro.core.system import KBQA, KBQAConfig
 from repro.eval.runner import evaluate_qald
-from repro.kb.backend import BACKEND_KINDS
 from repro.kb.expansion import ExpandedStore
 from repro.suite import build_suite
 from repro.utils.tables import Table
@@ -74,8 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="disable the answer cache",
     )
     answer.add_argument(
-        "--repeat", type=int, default=1,
-        help="answer the batch N times (cache warm-up demonstration)",
+        "--repeat", type=_positive_int, default=1,
+        help="answer the batch N >= 1 times (cache warm-up demonstration)",
     )
     _fallback_args(answer)
     answer.set_defaults(handler=_cmd_answer)
@@ -112,14 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     expand.set_defaults(handler=_cmd_expand)
 
-    compile_cmd = sub.add_parser(
-        "compile",
-        help="compile the synthetic KBs into a persistent on-disk store "
-             "(later kbqa runs reopen it with --backend disk --db-dir DIR)",
-    )
-    _common_args(compile_cmd)
-    compile_cmd.set_defaults(handler=_cmd_compile)
-
     decompose = sub.add_parser(
         "decompose", help="show a question's optimal decomposition (Sec 5)"
     )
@@ -141,8 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_args(serve)
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
-        "--port", type=int, default=8080,
-        help="bind port (0 picks an ephemeral port; default: 8080)",
+        "--port", type=_port, default=8080,
+        help="bind port, 0-65535 (0 picks an ephemeral port; default: 8080)",
     )
     serve.add_argument(
         "--max-batch", type=int, default=16,
@@ -189,21 +180,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive_int(text: str) -> int:
+    """An argparse ``type`` for a count of at least 1 (0 or less exits 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _port(text: str) -> int:
+    """An argparse ``type`` for a TCP port: an integer in 0-65535."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0-65535, got {value}")
+    return value
+
+
 def _common_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scale", default="small", choices=["small", "default"])
     sub.add_argument("--seed", type=int, default=7)
     sub.add_argument("--kb", default="freebase", choices=["freebase", "dbpedia"])
-    sub.add_argument(
-        "--backend", default=None, choices=list(BACKEND_KINDS),
-        help="KB backend: memory (dict indexes) or disk (SQLite file, "
-             "reopened across restarts) (default: $KBQA_BACKEND, else memory)",
-    )
-    sub.add_argument(
-        "--db-dir", metavar="DIR", default=None,
-        help="directory holding the disk backend's database files "
-             "(<DIR>/freebase.db, <DIR>/dbpedia.db); omit for an ephemeral "
-             "temp-file store.  See also: kbqa compile",
-    )
     sub.add_argument(
         "--expansion", metavar="PATH", default=None,
         help="resume from a persisted expansion (kbqa expand --save) "
@@ -212,7 +208,7 @@ def _common_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _fallback_args(sub: argparse.ArgumentParser) -> None:
-    """The semantic-fallback-lane flags (answer / serve)."""
+    """The semantic-fallback-lane flag (answer / serve)."""
     sub.add_argument(
         "--fallback", action="store_true",
         help="enable the semantic fallback lane: when the template match "
@@ -220,24 +216,10 @@ def _fallback_args(sub: argparse.ArgumentParser) -> None:
              "predicate paths behind a confidence gate (answers recovered "
              "this way are tagged fallback=true)",
     )
-    sub.add_argument(
-        "--fallback-threshold", type=float, default=None, metavar="COS",
-        help="minimum cosine for a fallback answer (default: "
-             f"{DEFAULT_THRESHOLD}; raise for fewer, safer recoveries)",
-    )
-
-
-def _suite_kwargs(args) -> dict:
-    return dict(
-        scale=args.scale,
-        seed=args.seed,
-        backend=getattr(args, "backend", None),
-        db_dir=getattr(args, "db_dir", None),
-    )
 
 
 def _train_system(args, config: KBQAConfig | None = None) -> tuple[KBQA, object]:
-    suite = build_suite(**_suite_kwargs(args))
+    suite = build_suite(args.scale, seed=args.seed)
     kb = suite.freebase if args.kb == "freebase" else suite.dbpedia
     expanded = None
     expansion_path = getattr(args, "expansion", None)
@@ -245,14 +227,7 @@ def _train_system(args, config: KBQAConfig | None = None) -> tuple[KBQA, object]
         expanded = ExpandedStore.load(expansion_path)
     config = config or KBQAConfig()
     if getattr(args, "fallback", False):
-        threshold = getattr(args, "fallback_threshold", None)
-        config = replace(
-            config,
-            fallback=True,
-            fallback_threshold=(
-                threshold if threshold is not None else config.fallback_threshold
-            ),
-        )
+        config = replace(config, fallback=True)
     system = KBQA.train(kb, suite.corpus, suite.conceptualizer, config, expanded=expanded)
     return system, suite
 
@@ -284,7 +259,7 @@ def _cmd_answer(args) -> int:
     system, _suite = _train_system(args, config)
     results = []
     start = time.perf_counter()
-    for _ in range(max(1, args.repeat)):
+    for _ in range(args.repeat):
         results = system.answer_many(args.questions)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     for result in results:
@@ -295,7 +270,7 @@ def _cmd_answer(args) -> int:
         else:
             print("A: (no answer)")
     n_answered = sum(1 for r in results if r.answered)
-    per_q = elapsed_ms / (max(1, args.repeat) * len(results))
+    per_q = elapsed_ms / (args.repeat * len(results))
     print(f"-- answered {n_answered}/{len(results)}, {per_q:.2f}ms/question")
     return 0
 
@@ -416,7 +391,7 @@ def _cmd_expand(args) -> int:
         from repro.kb.expansion import expand_predicates
         from repro.nlp.ner import EntityRecognizer
 
-        suite = build_suite(**_suite_kwargs(args))
+        suite = build_suite(args.scale, seed=args.seed)
         kb = suite.freebase if args.kb == "freebase" else suite.dbpedia
         ner = EntityRecognizer(kb.gazetteer)
         seeds = collect_seed_entities(suite.corpus, ner)
@@ -433,37 +408,8 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _cmd_compile(args) -> int:
-    """Compile both KBs into SQLite files under ``--db-dir``.
-
-    The write-once half of the disk-native flow: ``kbqa compile --db-dir D``
-    pays the world build + triple load a single time; every later command
-    run with ``--backend disk --db-dir D`` reopens the same files in
-    milliseconds (the adds replay as no-ops against the existing rows).
-    """
-    if not args.db_dir:
-        print("kbqa compile: error: --db-dir is required", file=sys.stderr)
-        return 1
-    if args.backend not in (None, "disk"):
-        print(
-            f"kbqa compile: error: only the disk backend compiles to --db-dir "
-            f"(got --backend {args.backend})",
-            file=sys.stderr,
-        )
-        return 1
-    args.backend = "disk"
-    suite = build_suite(**_suite_kwargs(args))
-    table = Table(["kb", "stat", "value"], title=f"compiled into {args.db_dir}")
-    for kind, compiled in (("freebase", suite.freebase), ("dbpedia", suite.dbpedia)):
-        table.add_row([kind, "path", compiled.store.path])
-        for key, value in compiled.store.stats().items():
-            table.add_row([kind, key, value])
-    table.print()
-    return 0
-
-
 def _cmd_stats(args) -> int:
-    suite = build_suite(**_suite_kwargs(args))
+    suite = build_suite(args.scale, seed=args.seed)
     table = Table(["component", "stat", "value"], title=f"suite ({args.scale}, seed {args.seed})")
     for key, value in suite.world.stats().items():
         table.add_row(["world", key, value])

@@ -16,11 +16,10 @@ connecting ``(e_i, v_i)`` appear, so each iteration is ``O(m)``.
 
 The estimator is array-based: observations are flattened into CSR-style
 parallel buffers (:class:`EncodedObservations`), every distinct ``(t, p)``
-pair becomes a dense *cell*, and each E/M iteration is vectorized numpy (or,
-without numpy, tight loops over flat ``array`` buffers) instead of nested
-dict gets.  The original dict-of-dict implementation is the test oracle
-``tests/oracles/em_reference.py`` (equivalence tests and the before/after
-benchmark).
+pair becomes a dense *cell*, and each E/M iteration is vectorized numpy
+instead of nested dict gets.  The original dict-of-dict implementation is
+the test oracle ``tests/oracles/em_reference.py`` (equivalence tests and the
+before/after benchmark).
 
 The per-iteration incomplete-data log-likelihood is recorded; it is
 non-decreasing (standard EM guarantee), which the test suite asserts.
@@ -28,15 +27,11 @@ non-decreasing (standard EM guarantee), which the test suite asserts.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-try:  # numpy is optional; the flat-array fallback keeps semantics identical
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less builds
-    _np = None
+import numpy as np
 
 Candidate = tuple[int, int, float]  # (template_id, path_id, f)
 
@@ -204,16 +199,33 @@ def run_em(
                 result.theta.setdefault(template_id, {})[path_id] = theta_flat[cell]
         return result
 
-    if _np is not None:
-        acc, support, trace, iterations = _iterate_numpy(
-            fs, cells, obs_of, cell_template, theta_flat,
-            n_cells, n_obs, n_templates, config,
-        )
-    else:
-        acc, support, trace, iterations = _iterate_python(
-            fs, cells, obs_of, cell_template, theta_flat,
-            n_cells, n_obs, n_templates, config,
-        )
+    # Vectorized E/M loop over the cell buffers.
+    fs_v = np.frombuffer(fs, dtype=np.float64)
+    cells_v = np.frombuffer(cells, dtype=np.int64)
+    obs_v = np.frombuffer(obs_of, dtype=np.int64)
+    tmpl_v = np.frombuffer(cell_template, dtype=np.int64)
+    theta_v = np.frombuffer(theta_flat, dtype=np.float64).copy()
+    previous_ll: float | None = None
+    for _ in range(config.max_iterations):
+        weights = fs_v * theta_v[cells_v]                     # E-step, Eq 21
+        totals = np.bincount(obs_v, weights=weights, minlength=n_obs)
+        live = totals > 0.0
+        log_likelihood = float(np.log(totals[live]).sum()) if live.any() else 0.0
+        inv_totals = np.zeros(n_obs)
+        inv_totals[live] = 1.0 / totals[live]
+        resp = weights * inv_totals[obs_v]
+        resp[weights <= 0.0] = 0.0
+        acc = np.bincount(cells_v, weights=resp, minlength=n_cells)
+        support = np.bincount(tmpl_v, weights=acc, minlength=n_templates)
+        denom = support[tmpl_v]                               # M-step, Eq 22
+        theta_v = np.divide(acc, denom, out=np.zeros(n_cells), where=denom > 0.0)
+        result.log_likelihood.append(log_likelihood)
+        result.iterations += 1
+        if previous_ll is not None:
+            scale = max(abs(previous_ll), 1.0)
+            if (log_likelihood - previous_ll) / scale < config.tolerance:
+                break
+        previous_ll = log_likelihood
 
     # Decode the flat estimate back into the sparse dict form of the result.
     theta: dict[int, dict[int, float]] = {}
@@ -229,94 +241,5 @@ def run_em(
             template_support[template_id] = support[dense]
     result.theta = theta
     result.template_support = template_support
-    result.log_likelihood = trace
-    result.iterations = iterations
     return result
-
-
-def _iterate_numpy(fs, cells, obs_of, cell_template, theta_flat,
-                   n_cells, n_obs, n_templates, config):
-    """Vectorized E/M loop; returns (acc, support, ll trace, iterations)."""
-    fs_v = _np.frombuffer(fs, dtype=_np.float64)
-    cells_v = _np.frombuffer(cells, dtype=_np.int64)
-    obs_v = _np.frombuffer(obs_of, dtype=_np.int64)
-    tmpl_v = _np.frombuffer(cell_template, dtype=_np.int64)
-    theta = _np.frombuffer(theta_flat, dtype=_np.float64).copy()
-
-    acc = _np.zeros(n_cells)
-    support = _np.zeros(n_templates)
-    trace: list[float] = []
-    iterations = 0
-    previous_ll: float | None = None
-
-    for _ in range(config.max_iterations):
-        weights = fs_v * theta[cells_v]                       # E-step, Eq 21
-        totals = _np.bincount(obs_v, weights=weights, minlength=n_obs)
-        live = totals > 0.0
-        log_likelihood = float(_np.log(totals[live]).sum()) if live.any() else 0.0
-        inv_totals = _np.zeros(n_obs)
-        inv_totals[live] = 1.0 / totals[live]
-        resp = weights * inv_totals[obs_v]
-        resp[weights <= 0.0] = 0.0
-        acc = _np.bincount(cells_v, weights=resp, minlength=n_cells)
-        support = _np.bincount(tmpl_v, weights=acc, minlength=n_templates)
-        denom = support[tmpl_v]                               # M-step, Eq 22
-        theta = _np.divide(acc, denom, out=_np.zeros(n_cells), where=denom > 0.0)
-        trace.append(log_likelihood)
-        iterations += 1
-        if previous_ll is not None:
-            scale = max(abs(previous_ll), 1.0)
-            if (log_likelihood - previous_ll) / scale < config.tolerance:
-                break
-        previous_ll = log_likelihood
-    return acc, support, trace, iterations
-
-
-def _iterate_python(fs, cells, obs_of, cell_template, theta_flat,
-                    n_cells, n_obs, n_templates, config):
-    """Flat-buffer E/M loop for numpy-less builds (identical semantics)."""
-    m = len(fs)
-    theta = array("d", theta_flat)
-    acc = array("d", bytes(8 * n_cells))
-    support = array("d", bytes(8 * n_templates))
-    trace: list[float] = []
-    iterations = 0
-    previous_ll: float | None = None
-    log = math.log
-
-    for _ in range(config.max_iterations):
-        weights = array("d", bytes(8 * m))
-        totals = array("d", bytes(8 * n_obs))
-        for j in range(m):
-            w = fs[j] * theta[cells[j]]
-            weights[j] = w
-            totals[obs_of[j]] += w
-        log_likelihood = 0.0
-        inv_totals = array("d", bytes(8 * n_obs))
-        for i in range(n_obs):
-            total = totals[i]
-            if total > 0.0:
-                log_likelihood += log(total)
-                inv_totals[i] = 1.0 / total
-        acc = array("d", bytes(8 * n_cells))
-        support = array("d", bytes(8 * n_templates))
-        for j in range(m):
-            w = weights[j]
-            if w <= 0.0:
-                continue
-            responsibility = w * inv_totals[obs_of[j]]
-            cell = cells[j]
-            acc[cell] += responsibility
-            support[cell_template[cell]] += responsibility
-        for cell in range(n_cells):                       # M-step, Eq 22
-            denom = support[cell_template[cell]]
-            theta[cell] = acc[cell] / denom if denom > 0.0 else 0.0
-        trace.append(log_likelihood)
-        iterations += 1
-        if previous_ll is not None:
-            scale = max(abs(previous_ll), 1.0)
-            if (log_likelihood - previous_ll) / scale < config.tolerance:
-                break
-        previous_ll = log_likelihood
-    return acc, support, trace, iterations
 

@@ -116,9 +116,11 @@ def compile_freebase_like(
 
     ``backend``/``db_path`` select the store kind via
     :func:`~repro.kb.backend.resolve_backend` (``"disk"`` compiles straight
-    into a SQLite file that later runs reopen without recompiling).  The add
-    sequence is identical for every backend, so all builds assign the same
-    dictionary ids (equivalence-tested).
+    into a SQLite file; a ``db_path`` names it, as the mega build's
+    ``<dir>/kb.db`` that :func:`~repro.eval.scenarios.bind_scenarios` opens
+    as the ``mega_disk_mixed`` benchmark input).  The add sequence is
+    identical for every backend, so all builds assign the same dictionary
+    ids (equivalence-tested).
     """
     store = resolve_backend(backend, path=db_path)
     _base_entity_triples(store, world, with_alias=True)
@@ -150,17 +152,12 @@ def compile_freebase_like(
     )
 
 
-def compile_dbpedia_like(
-    world: World,
-    backend: str | None = None,
-    db_path: str | None = None,
-) -> CompiledKB:
+def compile_dbpedia_like(world: World, backend: str | None = None) -> CompiledKB:
     """World -> DBpedia-like store (direct predicates, no mediators).
 
-    ``backend``/``db_path`` select the store kind exactly as in
-    :func:`compile_freebase_like`.
+    ``backend`` selects the store kind as in :func:`compile_freebase_like`.
     """
-    store = resolve_backend(backend, path=db_path)
+    store = resolve_backend(backend)
     _base_entity_triples(store, world, with_alias=False)
     for node, intent, value in world.iter_facts():
         schema = SCHEMA_BY_INTENT[intent]

@@ -9,12 +9,13 @@ never on a concrete store class.  Two implementations ship in-tree:
 
 * :class:`~repro.kb.store.TripleStore` — the in-memory store;
 * :class:`~repro.kb.disk.DiskTripleStore` — the same protocol over one
-  SQLite file, reopened (not rebuilt) across process restarts.
+  SQLite file; a named file (the mega world's ``kb.db``) is reopened, not
+  rebuilt, by a later process.
 
 :func:`resolve_backend` is the one place that choice is made — explicit
 argument over the ``KBQA_BACKEND`` environment variable over ``memory`` —
-so the CLI, the suite builder and the tests all agree on what a backend
-name means.
+so the CLI (through the variable), the suite builder and the tests all
+agree on what a backend name means.
 
 Backends are *live*: ``add``/``delete`` mutate the indexes in place and hand
 every subscribed listener a burst of :class:`KBChange` values, which is how

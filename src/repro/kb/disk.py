@@ -8,8 +8,9 @@ covering indexes for sub-millisecond point lookups) — so a compiled KB
 
 * **loads in milliseconds**: opening is one ``sqlite3.connect`` + a schema
   check, independent of triple count;
-* **survives restarts**: ``kbqa compile --backend disk`` writes the DB once
-  and every later ``kbqa answer/serve`` run reopens it without recompiling;
+* **reopens by path**: ``kbqa mega-compile`` writes ``<dir>/kb.db`` once
+  and :func:`~repro.eval.scenarios.bind_scenarios` reopens it as the
+  ``mega_disk_mixed`` benchmark input without recompiling;
 * **is paged, not copied**: reads go through SQLite's page cache instead of
   an O(KB) heap copy of the dictionary and the indexes.
 
@@ -200,8 +201,8 @@ class DiskTripleStore(BackendBase):
 
     ``path=None`` creates an ephemeral store in a temp file (removed when
     the owning store is closed or garbage-collected); a named path opens —
-    or creates — a persistent KB that later processes reopen in
-    milliseconds.
+    or creates — a KB file that a later process reopens in milliseconds
+    (the mega world's ``kb.db``).
 
     >>> kb = DiskTripleStore()
     >>> kb.add("m.obama", "dob", '"1961"')

@@ -307,9 +307,13 @@ class KBQAServer:
         self._unsubscribe = self.system.kb.store.subscribe(
             lambda _changes: self.answerer.invalidate()
         )
-        self._server = await asyncio.get_running_loop().create_server(
-            lambda: _Connection(self), self.host, self.port
-        )
+        try:
+            self._server = await asyncio.get_running_loop().create_server(
+                lambda: _Connection(self), self.host, self.port
+            )
+        except BaseException:
+            await self.stop()  # a failed bind leaves no listener on the store
+            raise
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_monotonic = time.monotonic()
 
@@ -633,7 +637,7 @@ class BackgroundServer:
         self._ready.wait(timeout=60)
         if self._error is not None:
             self._thread.join(timeout=5)
-            raise RuntimeError("server failed to start") from self._error
+            raise self._error
         if self.server is None:
             raise RuntimeError("server did not become ready within 60s")
         return self

@@ -8,7 +8,6 @@ all derived from one seed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.corpus.benchmark import (
@@ -61,15 +60,13 @@ def build_suite(
     scale: str = "small",
     seed: int = 7,
     backend: str | None = None,
-    db_dir: str | None = None,
 ) -> Suite:
     """Build the full setup at ``scale`` in {"small", "default"}.
 
     *small* is test-sized (seconds); *default* is benchmark-sized.
     ``backend`` picks the store kind per
-    :func:`~repro.kb.backend.resolve_backend` (``"disk"`` = SQLite-backed);
-    ``db_dir`` makes a disk build persistent, compiling into
-    ``<db_dir>/freebase.db`` and ``<db_dir>/dbpedia.db``.
+    :func:`~repro.kb.backend.resolve_backend` (``"disk"`` = a SQLite store
+    in a temporary file, dropped with the suite).
     """
     if scale == "small":
         world_config = WorldConfig.small(seed=seed)
@@ -84,15 +81,9 @@ def build_suite(
     else:
         raise ValueError(f"unknown scale {scale!r} (expected 'small' or 'default')")
 
-    fb_db = dbp_db = None
-    if db_dir is not None:
-        os.makedirs(db_dir, exist_ok=True)
-        fb_db = os.path.join(db_dir, "freebase.db")
-        dbp_db = os.path.join(db_dir, "dbpedia.db")
-
     world = build_world(world_config)
-    freebase = compile_freebase_like(world, backend=backend, db_path=fb_db)
-    dbpedia = compile_dbpedia_like(world, backend=backend, db_path=dbp_db)
+    freebase = compile_freebase_like(world, backend=backend)
+    dbpedia = compile_dbpedia_like(world, backend=backend)
     taxonomy = build_taxonomy(world)
     conceptualizer = build_conceptualizer(world, extra_contexts=surface_context_sources())
     corpus = generate_corpus(world, corpus_config)

@@ -1,6 +1,8 @@
 """``kbqa answer`` CLI contract: deterministic non-crash output for unknown
 entities / empty answers (exit 0), nonzero exit only on real failures."""
 
+import pytest
+
 from repro.cli import main
 
 
@@ -67,3 +69,13 @@ class TestAnswerErrorHandling:
         )
         assert code == 0
         assert "answered 1/1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("repeat", ["0", "-3"])
+    def test_repeat_below_one_is_a_usage_error(self, capsys, repeat):
+        """``max(1, repeat)`` answered once for 0 or -3; argparse now refuses."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["answer", "--scale", "small", f"--repeat={repeat}", "any question"])
+        assert exit_info.value.code == 2  # usage error, nothing trained
+        captured = capsys.readouterr()
+        assert "must be >= 1" in captured.err
+        assert "Q:" not in captured.out

@@ -50,6 +50,12 @@ def _get(url: str) -> tuple[int, bytes]:
         return response.status, response.read()
 
 
+def _child_env() -> dict[str, str]:
+    """This environment with ``src`` on the child's ``PYTHONPATH``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _first_line(child: subprocess.Popen) -> str:
     """The child's first stdout line, or ``""`` if none comes in time."""
     with selectors.DefaultSelector() as selector:
@@ -66,16 +72,12 @@ def _first_line(child: subprocess.Popen) -> str:
 )
 def test_kbqa_serve_answers_then_exits_cleanly_on_sigint(extra, suite, kbqa_fb):
     questions = [q.question for q in suite.benchmark("qald3").bfqs()][:6]
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
-    }
     child = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro.cli", "serve", "--scale", "small",
          "--port", "0", *extra],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_child_env(),
     )
     try:
         line = _first_line(child)
@@ -120,3 +122,33 @@ def test_kbqa_serve_answers_then_exits_cleanly_on_sigint(extra, suite, kbqa_fb):
     parts = urllib.parse.urlsplit(url)
     with pytest.raises(ConnectionRefusedError):
         socket.create_connection((parts.hostname, parts.port), timeout=5).close()
+
+
+def test_kbqa_serve_on_a_taken_port_exits_1_with_one_line():
+    """The bind error itself reaches ``main``: one stderr line naming it,
+    exit 1, no traceback (it used to surface as ``RuntimeError: server
+    failed to start`` with the ``OSError`` only as the chained cause)."""
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        port = holder.getsockname()[1]
+        child = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--scale", "small",
+             "--port", str(port)],
+            capture_output=True, text=True, env=_child_env(), timeout=READY_TIMEOUT_S,
+        )
+    assert child.returncode == 1, child.stderr
+    assert "Traceback" not in child.stderr
+    lines = child.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("kbqa serve: error: "), lines
+    assert "serving on" not in child.stdout
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_kbqa_serve_refuses_a_port_outside_0_65535(port, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--scale", "small", f"--port={port}"])
+    assert exit_info.value.code == 2  # argparse usage error, nothing trained
+    assert "0-65535" in capsys.readouterr().err

@@ -2,11 +2,7 @@
 
 import hashlib
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -177,11 +173,7 @@ class TestPinnedDigests:
 
     SMALL_CORPUS = "d823ff1986fdc056f0df40399ae1b85bd5bbc178b0b7f1b840b3777d7643c3ec"
     DEFAULT_CORPUS = "1032eb82d6486e550d658ff54f6bd201062dc3cbca44d9e0043afdfaa9d97184"
-    # keyed by the EM lane: the numpy-less flat-array fallback writes other bytes
-    SMALL_MODEL = {
-        "numpy": "ff551edebcbb82ab31b74ff924bd29dedc07599d0ad7057ea5d9c9615159ccb5",
-        "flat": "c77254d3af22ee5acaedcc24697c8931acde64f3a88fcb7b5fa7713e25995855",
-    }
+    SMALL_MODEL = "ff551edebcbb82ab31b74ff924bd29dedc07599d0ad7057ea5d9c9615159ccb5"
 
     def test_small_corpus(self, corpus):
         assert _corpus_sha256(corpus) == self.SMALL_CORPUS
@@ -193,31 +185,7 @@ class TestPinnedDigests:
         assert _corpus_sha256(generate_corpus(world, CorpusConfig(seed=7))) == self.DEFAULT_CORPUS
 
     def test_small_model(self, kbqa_fb):
-        from repro.core import em
-
-        lane = "flat" if em._np is None else "numpy"
-        assert _model_sha256(kbqa_fb.model) == self.SMALL_MODEL[lane]
-
-    def test_small_model_flat_lane(self):
-        """The numpy-less EM lane, in a child interpreter that cannot import
-        numpy, still learns the model its pin names."""
-        root = Path(__file__).resolve().parent.parent
-        script = (
-            "import sys; sys.modules['numpy'] = None\n"
-            "from repro.core import em\n"
-            "assert em._np is None\n"
-            "from repro.core.system import KBQA\n"
-            "from repro.suite import build_suite\n"
-            "from tests.test_corpus_qa import _model_sha256\n"
-            "s = build_suite('small', seed=7)\n"
-            "print(_model_sha256(KBQA.train(s.freebase, s.corpus, s.conceptualizer).model))\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(root / "src")}
-        child = subprocess.run(
-            [sys.executable, "-c", script], cwd=root, env=env,
-            capture_output=True, text=True, check=True, timeout=300,
-        )
-        assert child.stdout.strip() == self.SMALL_MODEL["flat"]
+        assert _model_sha256(kbqa_fb.model) == self.SMALL_MODEL
 
     def test_no_per_draw_weights(self, world, monkeypatch):
         """Every weighted draw passes precomputed ``cum_weights``: with

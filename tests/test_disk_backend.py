@@ -328,24 +328,3 @@ class TestSystemEquivalence:
             )
             after = disk_system.answer_complex("who is the mayor of mapleton?")
             assert before.values == after.values
-
-    def test_cli_compile_then_reopen(self, tmp_path, capsys):
-        from repro.cli import main
-
-        db_dir = str(tmp_path / "db")
-        assert main(["compile", "--scale", "small", "--db-dir", db_dir]) == 0
-        out = capsys.readouterr().out
-        assert "freebase.db" in out and "dbpedia.db" in out
-        assert os.path.exists(os.path.join(db_dir, "freebase.db"))
-        code = main(
-            ["answer", "--scale", "small", "--backend", "disk",
-             "--db-dir", db_dir, "what is the population of mapleton?"]
-        )
-        assert code == 0
-        assert "A: " in capsys.readouterr().out
-
-    def test_cli_compile_requires_db_dir(self, capsys):
-        from repro.cli import main
-
-        assert main(["compile", "--scale", "small"]) == 1
-        assert "--db-dir is required" in capsys.readouterr().err

@@ -136,20 +136,34 @@ def test_online_answerer_constructor_parameter_count():
 
 
 def test_cli_flag_count():
+    """``--backend`` and ``--db-dir`` went with the SQLite restart path
+    (``$KBQA_BACKEND`` picks the store), ``--fallback-threshold`` because
+    only ``--fallback`` read it."""
     cli = (SRC / "repro" / "cli.py").read_text(encoding="utf-8")
-    assert cli.count("add_argument(") <= 29
+    assert cli.count("add_argument(") <= 26
 
 
 def test_cli_subcommands():
-    """``train`` went with the model JSON it wrote, which no command read."""
+    """``train`` went with the model JSON it wrote, which no command read;
+    ``compile`` with the SQLite KB files no command reopened without
+    rebuilding the world."""
     (subparsers,) = [
         action for action in _build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
     assert set(subparsers.choices) == {
-        "demo", "answer", "eval", "stats", "expand", "compile", "decompose",
+        "demo", "answer", "eval", "stats", "expand", "decompose",
         "variants", "serve", "mega-compile",
     }
+
+
+def test_no_restart_store_and_one_em_lane():
+    """The suite's KBs are rebuilt from the seed on every start, and EM runs
+    on numpy only: no KB directory and no numpy-less branch in ``src/``."""
+    for path in SRC.rglob("*.py"):
+        text = path.read_text("utf-8")
+        for name in ("db_dir", "_np is None"):
+            assert name not in text, (path, name)
 
 
 def test_kbqa_server_constructor_parameter_count():
@@ -321,12 +335,17 @@ def test_kb_db_from_the_older_layout_still_opens(tmp_path):
         ["serve", "--scale", "small", "--port", "0", "--procs", "2"],
         ["serve", "--scale", "small", "--port", "0", "--workers", "2"],
         ["train", "--scale", "small", "--model", "m.json"],
+        ["compile", "--scale", "small"],
+        ["answer", "--scale", "small", "--db-dir", "db", "who?"],
+        ["answer", "--scale", "small", "--backend", "disk", "who?"],
+        ["answer", "--scale", "small", "--fallback", "--fallback-threshold", "0.5", "who?"],
     ],
     ids=[
         "serve--exec", "answer--shards", "train--workers", "shm-gc", "expand--expanded-format",
         "scenario", "mega-compile--mega-backend", "serve--slo-ms", "serve--adaptive",
         "serve--quota", "serve--no-coalesce", "serve--smoke", "serve--procs",
-        "serve--workers", "train",
+        "serve--workers", "train", "compile", "answer--db-dir", "answer--backend",
+        "answer--fallback-threshold",
     ],
 )
 def test_deleted_cli_surface_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
@@ -354,22 +373,20 @@ def test_serve_rejects_a_non_finite_deadline_before_training(deadline, capsys):
 
 @pytest.mark.parametrize("threshold", ["nan", "inf"])
 def test_answer_rejects_a_non_finite_fallback_threshold_before_training(
-    threshold, capsys, monkeypatch
+    threshold, suite, monkeypatch
 ):
     """``nan`` compares False both ways, so a nan threshold counted every gate
     query as passed while the lane returned nothing; now ``FallbackConfig``
     refuses it, and ``KBQA.train`` builds that config before it trains."""
+    from repro.core.system import KBQA
 
     def no_training(*_args, **_kwargs):
         raise AssertionError("trained despite a refused gate setting")
 
     monkeypatch.setattr("repro.core.system.OfflineLearner", no_training)
-    argv = ["answer", "--scale", "small", "--fallback",
-            f"--fallback-threshold={threshold}", "who is the mayor of x?"]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert "threshold must be a finite number" in captured.err
-    assert "Q:" not in captured.out
+    config = KBQAConfig(fallback=True, fallback_threshold=float(threshold))
+    with pytest.raises(ValueError, match="threshold must be a finite number"):
+        KBQA.train(suite.freebase, suite.corpus, suite.conceptualizer, config)
 
 
 def test_sharded_backend_is_unknown(monkeypatch):

@@ -291,6 +291,18 @@ class TestShutdownAndSmoke:
             thread = background._thread
         assert thread is not None and not thread.is_alive()
 
+    def test_failed_bind_raises_the_bind_error_and_unsubscribes(self, serve_system):
+        """The caller gets the ``OSError`` itself, and the half-started
+        server leaves no change listener behind on the store."""
+        listeners = len(serve_system.kb.store._listeners)
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            with pytest.raises(OSError):
+                with BackgroundServer(serve_system, port=holder.getsockname()[1]):
+                    pass
+        assert len(serve_system.kb.store._listeners) == listeners
+
     def test_run_smoke_end_to_end(self, serve_system, suite):
         """Concurrent clients, asserted responses, pipelining, HTTP/1.0
         close and a clean shutdown against one in-process server."""
