@@ -231,7 +231,9 @@ class OnlineAnswerer:
             cached = replace(cached, question=question)
         return cached
 
-    def answer_many(self, questions: Sequence[str]) -> list[AnswerResult]:
+    def answer_many(
+        self, questions: Sequence[str], keys: Sequence[str] | None = None
+    ) -> list[AnswerResult]:
         """Batch API: answer every question through the warm caches.
 
         Returns results in input order, identical to calling :meth:`answer`
@@ -240,12 +242,15 @@ class OnlineAnswerer:
         evaluation, so a batch with duplicates costs one Eq 7 evaluation per
         unique key even when the answer cache is disabled — the property the
         serving layer's micro-batching leans on.
+
+        ``keys``, when given, holds each question's normalized key (the
+        serving layer computed it for coalescing): the question is then not
+        tokenized again, its tokens are ``key.split()`` — exact, since no
+        token contains whitespace.
         """
         results: list[AnswerResult] = []
         seen: dict[str, AnswerResult] = {}
-        for question in questions:
-            tokens = tuple(tokenize(question))
-            key = " ".join(tokens)
+        for question, tokens, key in _keyed(questions, keys):
             hit = seen.get(key)
             if hit is None:
                 hit = self._answer_keyed(question, tokens, key)
@@ -494,6 +499,17 @@ class OnlineAnswerer:
             question=question, value=None, values=(), score=0.0, entity=None,
             template=None, predicate=None, found_predicate=found_predicate,
         )
+
+
+def _keyed(questions: Sequence[str], keys: Sequence[str] | None):
+    """``(question, tokens, key)`` per question; ``keys`` spares the tokenizer."""
+    if keys is None:
+        for question in questions:
+            tokens = tuple(tokenize(question))
+            yield question, tokens, " ".join(tokens)
+    else:
+        for question, key in zip(questions, keys, strict=True):
+            yield question, tuple(key.split()), key
 
 
 def _template_row(model: TemplateModel, context: Context, concept: str) -> tuple[str, Ranked]:

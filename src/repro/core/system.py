@@ -203,10 +203,14 @@ class KBQA:
         """Answer a binary factoid question (Sec 3.3)."""
         return self.answerer.answer(question)
 
-    def answer_many(self, questions: Sequence[str]) -> list[AnswerResult]:
+    def answer_many(
+        self, questions: Sequence[str], keys: Sequence[str] | None = None
+    ) -> list[AnswerResult]:
         """Batch-answer BFQs through the serving caches (input order kept;
-        results identical to per-question :meth:`answer`)."""
-        return self.answerer.answer_many(questions)
+        results identical to per-question :meth:`answer`).  ``keys``: each
+        question's normalized key, if the caller holds them (see
+        :meth:`OnlineAnswerer.answer_many`)."""
+        return self.answerer.answer_many(questions, keys)
 
     def cached_answer(
         self, question: str | None, key: str | None = None

@@ -44,8 +44,13 @@ parser of :mod:`repro.serve.http` — no stream reader/writer pair, no
 per-connection task.  A request's two lanes::
 
     hit:   data_received -> parse_request -> memo -> probe -> is-entry -> write
-    miss:  data_received -> parse_request -> task(_route -> answer ->
-           queue -> inline batch on the loop -> future) -> write
+    miss:  data_received -> parse_request -> json -> key -> probe (None) ->
+           task(_route -> answer(key) -> queue -> inline batch on the loop
+           -> its own future) -> write
+
+A miss hands the task what the lane already parsed — the question, its
+key, deadline and tenant (:class:`_Asked`) — so the task decodes no JSON
+and tokenizes nothing again; the batch passes the key on to the target.
 
 The hit lane's memo maps a ``POST /answer`` body already answered to its
 key, the answer-cache entry and the JSON bytes rendered from that entry;
@@ -67,7 +72,7 @@ import dataclasses
 import math
 import threading
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.online import AnswerResult
 from repro.serve.async_answerer import (
@@ -123,6 +128,15 @@ READ_HIGH_WATER = 64 * 1024
 # hundred bytes; without a cap, distinct padded bodies of up to
 # MAX_BODY_BYTES each could pin gigabytes in a memo of 2 048 entries.
 WIRE_MEMO_MAX_BODY = 4096
+
+
+class _Asked(NamedTuple):
+    """A validated ``POST /answer``: what the lane parsed and a miss reuses."""
+
+    question: str
+    key: str
+    deadline_s: float | None
+    tenant: str | None
 
 
 def _internal_error(error: Exception) -> tuple[int, dict]:
@@ -215,15 +229,15 @@ class _Connection(asyncio.Protocol):
             if request is None:
                 break
             try:
-                body = server._inline_answer(request)
+                inline = server._inline_answer(request)
             except Exception as error:
                 self._reply(request, *_internal_error(error))
                 continue
-            if body is not None:
-                self._send(request, 200, body)
+            if isinstance(inline, bytes):
+                self._send(request, 200, inline)
             else:
                 self.task = asyncio.get_running_loop().create_task(
-                    self._respond(request)
+                    self._respond(request, inline)
                 )
         blocked = self.task is not None or self.write_paused
         pause = blocked and len(self.buffer) > READ_HIGH_WATER
@@ -234,9 +248,9 @@ class _Connection(asyncio.Protocol):
             else:
                 transport.resume_reading()
 
-    async def _respond(self, request: HTTPRequest) -> None:
+    async def _respond(self, request: HTTPRequest, asked: _Asked | None) -> None:
         """The task path: everything but a cache-hit ``/answer``."""
-        status, payload = await self.server._route(request)
+        status, payload = await self.server._route(request, asked)
         self.task = None
         assert self.transport is not None
         if not self.transport.is_closing():
@@ -353,7 +367,11 @@ class KBQAServer:
 
     # -- Routing -----------------------------------------------------------
 
-    async def _route(self, request: HTTPRequest) -> tuple[int, dict | str]:
+    async def _route(
+        self, request: HTTPRequest, asked: _Asked | None = None
+    ) -> tuple[int, dict | str]:
+        """Status and payload for ``request``; ``asked`` is its ``/answer``
+        arguments when the cache-hit lane already parsed them."""
         route = (request.method, request.path)
         try:
             if route == ("GET", "/healthz"):
@@ -377,7 +395,7 @@ class KBQAServer:
             if route == ("GET", "/metrics"):
                 return 200, self._render_metrics()
             if route == ("POST", "/answer"):
-                return await self._handle_answer(request)
+                return await self._handle_answer(request, asked)
             if route == ("POST", "/batch"):
                 return await self._handle_batch(request)
             if route == ("POST", "/facts"):
@@ -436,22 +454,28 @@ class KBQAServer:
             raise BadRequest("X-KBQA-Deadline-Ms must be a finite number > 0")
         return value / 1000.0
 
-    def _answer_args(
-        self, request: HTTPRequest
-    ) -> tuple[str, float | None, str | None]:
-        """Validated ``(question, deadline_s, tenant)`` of a ``POST /answer``."""
+    def _answer_args(self, request: HTTPRequest) -> _Asked:
+        """The validated arguments of a ``POST /answer``, key included."""
         question = request.json().get("question")
         if not isinstance(question, str) or not question.strip():
             raise BadRequest("'question' must be a non-empty string")
-        return question, self._deadline_s(request), self._tenant(request)
+        return _Asked(
+            question,
+            normalized_key(question),
+            self._deadline_s(request),
+            self._tenant(request),
+        )
 
-    def _inline_answer(self, request: HTTPRequest) -> bytes | None:
-        """The cache-hit lane's JSON body for ``request``, else None.
+    def _inline_answer(self, request: HTTPRequest) -> bytes | _Asked | None:
+        """The cache-hit lane's JSON body for ``request``, else what the
+        task path needs.
 
-        Called from ``data_received``.  None covers every request
-        :meth:`_route` must handle in a task: another route, a cache miss,
-        and an invalid request — which is validated identically there and
-        gets its 400 from the one place that maps errors to statuses.
+        Called from ``data_received``.  Anything but bytes goes to
+        :meth:`_route` in a task: a cache miss returns its parsed
+        :class:`_Asked`, so the task neither decodes the body nor tokenizes
+        the question again; another route or an invalid request returns
+        None — the latter is validated identically there and gets its 400
+        from the one place that maps errors to statuses.
 
         The lane starts at the wire memo.  A body answered before skips
         JSON decoding and tokenization (its question and key are stored);
@@ -470,14 +494,15 @@ class KBQAServer:
         memo = self._wire.get(body)
         try:
             if memo is None:
-                question, _deadline_s, tenant = self._answer_args(request)
-                key = normalized_key(question)
+                asked = self._answer_args(request)
             else:
                 question, key, entry, rendered = memo
-                self._deadline_s(request)
-                tenant = self._tenant(request)
+                asked = _Asked(
+                    question, key, self._deadline_s(request), self._tenant(request)
+                )
         except BadRequest:
             return None
+        question, key, _deadline_s, tenant = asked
         # the cache's own entry: one per key, whatever the spelling asked
         held = self.answerer.answer_nowait(None, tenant, key=key)
         if memo is not None:
@@ -486,7 +511,7 @@ class KBQAServer:
                 return rendered
             del self._wire[body]
         if held is None:
-            return None
+            return asked
         # the payload echoes the asked spelling
         rendered = encode_json(result_payload(dataclasses.replace(held, question=question)))
         size = self.system.answerer.answer_cache_size
@@ -496,22 +521,22 @@ class KBQAServer:
             self._wire[body] = (question, key, held, rendered)
         return rendered
 
-    async def _handle_answer(self, request: HTTPRequest) -> tuple[int, dict]:
-        question, deadline_s, tenant = self._answer_args(request)
+    async def _handle_answer(
+        self, request: HTTPRequest, asked: _Asked | None = None
+    ) -> tuple[int, dict]:
+        question, key, deadline_s, tenant = asked or self._answer_args(request)
         try:
-            if deadline_s is None:  # config default applies inside answer()
-                result = await self.answerer.answer(question, tenant=tenant)
-            else:
-                result = await self.answerer.answer(
-                    question, deadline_s=deadline_s, tenant=tenant
-                )
+            # deadline_s None: the config default applies inside answer()
+            result = await self.answerer.answer(
+                question, deadline_s=deadline_s, tenant=tenant, key=key
+            )
         except OverloadedError as error:
             # degraded mode: the evaluation backend is saturated — a cached
             # answer beats a refusal, so probe the answer cache (free)
             # before surfacing the 503.  The cache-hit lane already answered
             # every hit it could read, so this fires only where the lane is
             # blind (see the module docstring).
-            cached = self.system.answerer.cached_answer(question)
+            cached = self.system.answerer.cached_answer(question, key)
             if cached is None:
                 raise error
             self.answerer.stats.degraded += 1
@@ -530,12 +555,9 @@ class KBQAServer:
         deadline_s = self._deadline_s(request)
         tenant = self._tenant(request)
         try:
-            if deadline_s is None:
-                results = await self.answerer.answer_many(questions, tenant=tenant)
-            else:
-                results = await self.answerer.answer_many(
-                    questions, deadline_s=deadline_s, tenant=tenant
-                )
+            results = await self.answerer.answer_many(
+                questions, deadline_s=deadline_s, tenant=tenant
+            )
         except OverloadedError as error:
             # a batch degrades only whole: partially-cached output would be
             # indistinguishable from a shorter result list

@@ -14,12 +14,17 @@ mechanisms:
   coroutine, for the HTTP front.  Everything below is what a *miss* takes.
 * **in-flight coalescing** — concurrent requests for the same *normalized*
   question (the answer-cache key) share one evaluation: the first arrival
-  enqueues it, later arrivals await the same future.  N duplicates cost one
-  Eq 7 evaluation.  There is no switch for it.
+  enqueues it, and every request, first or joiner, awaits a loop future of
+  its own, filed under the key; the batch resolves every waiter still
+  waiting.  N duplicates cost one Eq 7 evaluation.  There is no switch for
+  it.
 * **micro-batching** — distinct pending questions are drained into
   ``answer_many`` batches of up to ``max_batch`` and evaluated *inline on
   the event loop*, one batch at a time, amortizing the serving-cache probes
-  across the batch.  The dispatcher yields to the loop between two batches,
+  across the batch.  A queue entry carries its key, and when that key is
+  the target's own cache key (the lane's condition below) the batch hands
+  the keys over, ``answer_many(questions, keys)``, so a miss is tokenized
+  once, at submission.  The dispatcher yields to the loop between two batches,
   so socket reads, deadline timers and writes interleave with a long queue.
   Eq 7 is pure Python: under the GIL an evaluation thread bought no
   parallelism, only a hand-off each way (DESIGN.md "Why serving evaluates
@@ -37,9 +42,13 @@ The failure model (``tests/test_fault_tolerance.py``): a request may carry
 a **deadline** — past it the caller gets :class:`DeadlineExceeded` (HTTP
 504).  The loop runs the deadline's timer at the first point it is free
 after it passes: between two batches for a queued request, when its own
-batch returns for one being evaluated.  The evaluation itself is not
-cancelled: it still resolves its coalesced siblings and warms the answer
-cache.  An exception out of the target fails exactly the batch that hit it.
+batch returns for one being evaluated.  A result that lands in the same
+loop step as the timer loses to it: the waiter reads the loop clock after
+its future resolves.  An expired or cancelled waiter's future is simply
+done, and the batch skips it; the evaluation itself is not cancelled: it
+still resolves its coalesced siblings and warms the answer cache.  An
+exception out of the target fails exactly the batch that hit it, and
+reaches only waiters still waiting, so nothing is left unretrieved.
 
 Correctness under live KB updates needs no quiesce.  :meth:`AsyncAnswerer.
 apply` runs its mutation synchronously on the loop, which is always between
@@ -86,7 +95,12 @@ from repro.serve.metrics import ServeMetrics
 
 
 class AnswerTarget(Protocol):
-    """Anything with the batch answering API (``KBQA``, ``OnlineAnswerer``)."""
+    """Anything with the batch answering API (``KBQA``, ``OnlineAnswerer``).
+
+    A target that also exposes ``cached_answer(question, key)`` is called as
+    ``answer_many(questions, keys)``, each key the question's
+    :func:`normalized_key`; any other target gets the questions alone.
+    """
 
     def answer_many(self, questions: Sequence[str]) -> list[AnswerResult]:
         ...
@@ -109,17 +123,6 @@ class DeadlineExceeded(RuntimeError):
     duplicate may still be waiting on it — the expired caller just stops
     waiting.
     """
-
-
-def _consume_failure(future: asyncio.Future) -> None:
-    """Mark an abandoned future's exception as retrieved.
-
-    A deadline-expired caller walks away from its future; if the batch
-    later fails and nobody else awaits it, the loop would log an
-    "exception was never retrieved" traceback at GC time.
-    """
-    if not future.cancelled():
-        future.exception()
 
 
 def normalized_key(question: str) -> str:
@@ -222,10 +225,11 @@ class AsyncAnswerer:
             probe if callable(probe) and key is normalized_key else None
         )
         self._loop: asyncio.AbstractEventLoop | None = None
-        # (key, question, future, tenant, t_enq) items not yet dispatched;
-        # one entry per distinct in-flight key
+        # (key, question, tenant, t_enq) items not yet dispatched; one entry
+        # per distinct in-flight key
         self._queue: deque = deque()
-        self._inflight: dict[str, asyncio.Future] = {}
+        # key -> the loop futures of every request waiting on its evaluation
+        self._inflight: dict[str, list[asyncio.Future]] = {}
         self._pending = 0  # queued + executing evaluations (admission gauge)
         # bumped by invalidate() from any thread, under the lock so that no
         # two writers' bumps collapse into one
@@ -264,14 +268,13 @@ class AsyncAnswerer:
         except asyncio.CancelledError:
             pass
         self._dispatcher = None
-        # Queued-but-undispatched requests fail deterministically.
+        # Every waiter of a queued-but-undispatched key fails deterministically.
         while self._queue:
-            key, _question, future, _tenant, _t_enq = self._queue.popleft()
+            key = self._queue.popleft()[0]
             self._pending -= 1
-            if self._inflight.get(key) is future:
-                del self._inflight[key]
-            if not future.done():
-                future.set_exception(RuntimeError("serving stopped"))
+            for future in self._inflight.pop(key, ()):
+                if not future.done():
+                    future.set_exception(RuntimeError("serving stopped"))
 
     async def __aenter__(self) -> "AsyncAnswerer":
         await self.start()
@@ -288,6 +291,7 @@ class AsyncAnswerer:
         *,
         deadline_s: float | None = None,
         tenant: str | None = None,
+        key: str | None = None,
     ) -> AnswerResult:
         """Answer one question: the cache-hit lane, else coalescing +
         micro-batching.
@@ -306,12 +310,14 @@ class AsyncAnswerer:
         ``tenant`` attributes the request to a client (the HTTP front passes
         the ``X-KBQA-Client`` header) in the per-tenant metrics.  Joining an
         in-flight evaluation is always free: a coalesced duplicate costs the
-        box nothing, so admission never rejects it.
+        box nothing, so admission never rejects it.  A caller that already
+        holds the question's ``key`` passes it, as to :meth:`answer_nowait`.
         """
         if not self._running:
             raise RuntimeError("AsyncAnswerer is not running (call start())")
         started = time.monotonic()
-        key = self._key(question)
+        if key is None:
+            key = self._key(question)
         hit = self._lane_hit(question, key, tenant, started)
         if hit is not None:
             return hit
@@ -319,29 +325,28 @@ class AsyncAnswerer:
             deadline_s = self.config.deadline_ms / 1000.0
         if tenant is not None:
             self.metrics.tenant_inc(tenant, "requests")
-        shared = self._inflight.get(key)
-        if shared is not None:
-            self.stats.requests += 1
+        assert self._loop is not None and self._wakeup is not None
+        waiters = self._inflight.get(key)
+        if waiters is not None:
             self.stats.coalesced += 1
             if tenant is not None:
                 self.metrics.tenant_inc(tenant, "coalesced")
-            result = await self._await_result(shared, deadline_s)
-            return result if result.question == question else replace(result, question=question)
-        max_pending = self.config.max_pending
-        if self._pending >= max_pending:
-            self.stats.rejected += 1
-            if tenant is not None:
-                self.metrics.tenant_inc(tenant, "rejected")
-            raise OverloadedError(
-                f"serving queue full ({max_pending} pending evaluations)"
-            )
-        assert self._loop is not None and self._wakeup is not None
-        future: asyncio.Future = self._loop.create_future()
-        self._inflight[key] = future
-        self._queue.append((key, question, future, tenant, time.monotonic()))
-        self._pending += 1
+        else:
+            max_pending = self.config.max_pending
+            if self._pending >= max_pending:
+                self.stats.rejected += 1
+                if tenant is not None:
+                    self.metrics.tenant_inc(tenant, "rejected")
+                raise OverloadedError(
+                    f"serving queue full ({max_pending} pending evaluations)"
+                )
+            waiters = self._inflight[key] = []
+            self._queue.append((key, question, tenant, time.monotonic()))
+            self._pending += 1
+            self._wakeup.set()
         self.stats.requests += 1
-        self._wakeup.set()
+        future: asyncio.Future = self._loop.create_future()
+        waiters.append(future)
         result = await self._await_result(future, deadline_s)
         return result if result.question == question else replace(result, question=question)
 
@@ -404,28 +409,39 @@ class AsyncAnswerer:
     async def _await_result(
         self, future: asyncio.Future, deadline_s: float | None
     ) -> AnswerResult:
-        """Await an evaluation future, abandoning it at the deadline.
+        """Await this request's own waiter future, abandoning it at the
+        deadline.
 
-        ``shield`` keeps the future alive either way — a timeout cancels
-        only the waiter.  The deadline wins over a result that arrives in
-        the same loop step as its timer: a caller whose deadline passed
-        during an inline batch gets :class:`DeadlineExceeded`, whether or not
-        that batch carried its question.  An abandoned future gets a
-        consuming callback so a later batch failure is not logged as an
-        unretrieved exception.
+        The future belongs to this request alone, so a timeout (or a
+        cancelled caller) cancels it and nothing else: the batch finds it
+        done and skips it, and its siblings and the evaluation are
+        untouched.  The deadline wins over an outcome that lands in the same
+        loop step as its timer — a caller whose deadline passed during an
+        inline batch gets :class:`DeadlineExceeded`, whether or not that
+        batch carried its question — because the loop clock is read again
+        once the future has resolved: the task's wake-up can run before the
+        timer's callback in that step.
         """
         if deadline_s is None:
-            return await asyncio.shield(future)
+            return await future
+        loop = self._loop
+        assert loop is not None
+        expires = loop.time() + deadline_s
         try:
-            async with asyncio.timeout(deadline_s):
-                return await asyncio.shield(future)
+            async with asyncio.timeout_at(expires):
+                result = await future
+            if loop.time() < expires:
+                return result
         except TimeoutError:
-            self.stats.deadline_expired += 1
-            future.add_done_callback(_consume_failure)
-            raise DeadlineExceeded(
-                f"deadline of {deadline_s * 1000.0:g} ms expired before the "
-                "evaluation completed"
-            ) from None
+            pass
+        except Exception:  # the batch failed: the deadline still wins a tie
+            if loop.time() < expires:
+                raise
+        self.stats.deadline_expired += 1
+        raise DeadlineExceeded(
+            f"deadline of {deadline_s * 1000.0:g} ms expired before the "
+            "evaluation completed"
+        ) from None
 
     async def answer_many(
         self,
@@ -470,8 +486,8 @@ class AsyncAnswerer:
         evaluated = iter(
             await asyncio.gather(
                 *(
-                    self.answer(q, deadline_s=deadline_s, tenant=tenant)
-                    for q, hit in zip(questions, hits)
+                    self.answer(q, deadline_s=deadline_s, tenant=tenant, key=k)
+                    for q, k, hit in zip(questions, keys, hits)
                     if hit is None
                 )
             )
@@ -529,27 +545,35 @@ class AsyncAnswerer:
             ]
             now = time.monotonic()
             for item in batch:
-                self.metrics.observe("queue_wait", (now - item[4]) * 1000.0)
+                self.metrics.observe("queue_wait", (now - item[3]) * 1000.0)
             self._run_batch(batch)
             await asyncio.sleep(0)
 
-    def _run_batch(
-        self, batch: list[tuple[str, str, asyncio.Future, str | None, float]]
-    ) -> None:
-        """Evaluate one micro-batch on the loop and resolve its futures.
+    def _run_batch(self, batch: list[tuple[str, str, str | None, float]]) -> None:
+        """Evaluate one micro-batch on the loop and resolve its waiters.
 
         The freshness invariant lives in the re-evaluation loop: a result
         set is delivered only if no :meth:`invalidate` bumped the epoch while
         it was computed — a write from another thread can land mid-batch —
         otherwise the batch re-evaluates against the (already invalidated,
         hence refreshed) target caches, as often as it takes.
+
+        Every waiter still waiting on a key gets its result (or the
+        target's exception); an expired or cancelled one is already done
+        and is skipped.  The keys go to the target only when they are its
+        own cache keys (the lane's condition), which spares it the second
+        tokenization.
         """
         questions = [item[1] for item in batch]
+        if self._probe is None:
+            args: tuple = (questions,)
+        else:
+            args = (questions, [item[0] for item in batch])
         try:
             while True:
                 epoch = self._epoch
                 eval_start = time.monotonic()
-                results = self.target.answer_many(questions)
+                results = self.target.answer_many(*args)
                 self.metrics.observe(
                     "evaluate", (time.monotonic() - eval_start) * 1000.0
                 )
@@ -560,21 +584,19 @@ class AsyncAnswerer:
             self.stats.batches += 1
             self.stats.max_batch_seen = max(self.stats.max_batch_seen, len(questions))
             done = time.monotonic()
-            for (key, _question, future, tenant, t_enq), result in zip(batch, results):
-                if self._inflight.get(key) is future:
-                    del self._inflight[key]
-                if not future.done():
-                    future.set_result(result)
+            for (key, _question, tenant, t_enq), result in zip(batch, results):
+                for future in self._inflight.pop(key):
+                    if not future.done():
+                        future.set_result(result)
                 self._count_fallback(result)
                 self.metrics.observe_total((done - t_enq) * 1000.0)
                 if tenant is not None:
                     self.metrics.tenant_inc(tenant, "completed")
         except Exception as error:  # target failure: fail the whole batch
-            for key, _question, future, tenant, _t_enq in batch:
-                if self._inflight.get(key) is future:
-                    del self._inflight[key]
-                if not future.done():
-                    future.set_exception(error)
+            for key, _question, tenant, _t_enq in batch:
+                for future in self._inflight.pop(key, ()):
+                    if not future.done():
+                        future.set_exception(error)
                 if tenant is not None:
                     self.metrics.tenant_inc(tenant, "failed")
         finally:

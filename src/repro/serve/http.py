@@ -28,11 +28,15 @@ uploads.  Framing outside the subset is refused rather than guessed at: any
 ``Transfer-Encoding`` (a chunked body read as "no body" would have its
 chunks parsed as the next request), two ``Content-Length`` headers that
 disagree, a ``Content-Length`` that is not plain ASCII digits (``int()``
-would take ``+2`` and ``0_2``) and whitespace between a header name and its
-colon (RFC 9112 §5.1) — each a way for this server and a proxy in front of
-it to frame the same bytes differently.  Everything refused raises
-:class:`BadRequest`, which the app layer maps to a 400 and a closed
-connection.
+would take ``+2`` and ``0_2``), an empty header name (RFC 9110 §5.1 asks
+for a token) and whitespace between a header name and its colon (RFC 9112
+§5.1) — each a way for this server and a proxy in front of it to frame the
+same bytes differently.  Hostile digits are refused as well, never left to
+``int()``'s 4 300-digit limit: a ``Content-Length`` with more significant
+digits than ``MAX_BODY_BYTES`` is "body too large", and a JSON body
+holding a number too long to convert is invalid JSON.  Everything refused
+raises :class:`BadRequest`, which the app layer maps to a 400 (and, for
+the framing, a closed connection).
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from dataclasses import dataclass, field
 
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 1024 * 1024
+# a Content-Length with more significant digits is too large, however long
+_MAX_BODY_DIGITS = len(str(MAX_BODY_BYTES))
 
 _REASONS = {
     200: "OK",
@@ -89,7 +95,9 @@ class HTTPRequest:
         """Parse the body as a JSON object (the only payload shape used)."""
         try:
             payload = json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except ValueError as error:
+            # UnicodeDecodeError, JSONDecodeError, and the ValueError of an
+            # integer past the interpreter's int-digit limit
             raise BadRequest(f"invalid JSON body: {error}") from None
         except RecursionError:  # a megabyte of "[" is a bad request, not a 500
             raise BadRequest("invalid JSON body: nested too deeply") from None
@@ -128,7 +136,7 @@ def parse_request(buffer: bytearray) -> HTTPRequest | None:
         if not line:
             continue
         name, sep, value = line.partition(":")
-        if not sep or name != name.strip():
+        if not sep or not name or name != name.strip():
             raise BadRequest(f"malformed header line: {line!r}")
         name, value = name.lower(), value.strip()
         if name == "content-length" and headers.get(name, value) != value:
@@ -142,7 +150,10 @@ def parse_request(buffer: bytearray) -> HTTPRequest | None:
         value = headers["content-length"]
         if not (value.isascii() and value.isdigit()):
             raise BadRequest("invalid Content-Length")
-        length = int(value)
+        digits = value.lstrip("0")
+        if len(digits) > _MAX_BODY_DIGITS:  # never handed to int(), whose limit is 4 300
+            raise BadRequest(f"body too large ({len(digits)}-digit Content-Length)")
+        length = int(digits or "0")
         if length > MAX_BODY_BYTES:
             raise BadRequest(f"body too large ({length} bytes)")
     end = body_start + length

@@ -14,6 +14,7 @@ Real stalls, real event loops.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import time
 
@@ -94,6 +95,54 @@ class TestServingCrashRetry:
         assert snapshot["evaluated"] == 2  # the expired request was evaluated
         cached = serve_system.answerer.cached_answer(question)
         assert cached == serve_system.answer(question) and cached.answered
+
+    @pytest.mark.parametrize("ahead", [0, 3], ids=["in-batch", "queued"])
+    def test_a_batch_failing_after_its_waiter_expired_logs_nothing(self, ahead):
+        """A waiter that expired is done, so the batch's exception reaches
+        only futures someone reads: the loop's exception handler is never
+        called, not even once the futures are collected.
+
+        ``in-batch``: the deadline passes while the victim's own batch
+        stalls, and the failure lands in the step the deadline wins.
+        ``queued``: three stalled batches ahead of it, so its deadline's
+        timer, and every callback the expiry schedules, run between two
+        batches before the victim's batch fails."""
+
+        class FailsLate:
+            """Every batch stalls past the deadline; the victim's batch raises."""
+
+            calls: list[list[str]] = []
+
+            def answer_many(self, questions):
+                self.calls.append(list(questions))
+                time.sleep(0.15)
+                if "victim?" in questions:
+                    raise RuntimeError("evaluation failed")
+                return [_result(q, "ok") for q in questions]
+
+        target = FailsLate()
+        names = [f"ahead {n}?" for n in range(ahead)]
+        handled = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: handled.append(context)
+            )
+            async with AsyncAnswerer(target, ServeConfig(max_batch=1)) as answerer:
+                before = [asyncio.ensure_future(answerer.answer(q)) for q in names]
+                await asyncio.sleep(0)  # enqueued first
+                with pytest.raises(DeadlineExceeded):
+                    await answerer.answer("victim?", deadline_s=0.05)
+                assert [(await task).value for task in before] == ["ok"] * ahead
+                while answerer.snapshot()["pending"]:
+                    await asyncio.sleep(0.01)  # until the victim's batch has failed
+                return dict(answerer.snapshot())
+
+        stats = asyncio.run(main())
+        gc.collect()  # an unretrieved exception is reported when collected
+        assert handled == []
+        assert target.calls == [[q] for q in names] + [["victim?"]]
+        assert stats["deadline_expired"] == 1 and stats["batches"] == ahead
 
     def test_config_default_deadline_applies(self):
         config = ServeConfig(deadline_ms=40.0)

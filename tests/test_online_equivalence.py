@@ -5,7 +5,9 @@ priors, per-concept log tables, ranked θ arrays, joined template keys);
 ``tests/oracles/online_reference.py`` recomputes everything per question.
 Both must return the same ``AnswerResult`` — dataclass equality, score floats
 included — on every gold factoid, through every held-out rewrite, with the
-fallback lane on and off, the serving caches on and off, on both backends.
+fallback lane on and off, the serving caches on and off, on both backends,
+and whether ``answer_many`` tokenizes the questions itself or is handed
+their normalized keys (as the serving layer does).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.kb.disk import DiskTripleStore
 from repro.kb.store import TripleStore
 from repro.kb.triple import make_literal
 from repro.nlp.ner import EntityRecognizer
+from repro.serve import normalized_key
 from repro.suite import build_suite
 from repro.taxonomy.conceptualizer import Conceptualizer
 from repro.taxonomy.isa import IsANetwork
@@ -51,6 +54,7 @@ def gold_questions(corpus) -> list[str]:
 def assert_product_equals_oracle(system: KBQA, questions: list[str]) -> None:
     """Every lane × cache configuration over ``system``'s trained parts."""
     parts = system.answerer
+    keys = [normalized_key(question) for question in questions]
     for fallback in (None, FallbackIndex.build(system.model)):
         oracle = ReferenceAnswerer(
             parts.kbview, parts.ner, parts.conceptualizer, parts.model,
@@ -67,6 +71,8 @@ def assert_product_equals_oracle(system: KBQA, questions: list[str]) -> None:
             assert product.answer_many(questions) == expected
             # a second pass reads whatever the first one left in the caches
             assert product.answer_many(questions[:512]) == expected[:512]
+            # the serving layer's keyed call: cold with the answer cache off
+            assert product.answer_many(questions, keys) == expected
             info = product.cache_info()
             assert info["ranked_templates"] <= len(system.model)
             assert info["plans"] <= len(system.model.contexts) < len(system.model)
@@ -192,6 +198,12 @@ def test_hostile_inputs(store_type, answer_cache):
             expected = [oracle.answer(question) for question in HOSTILE]
             assert product.answer_many(HOSTILE) == expected
             assert [product.answer(question) for question in HOSTILE] == expected
+            keyed = OnlineAnswerer(  # a cold twin for the keyed call
+                kbview, ner, conceptualizer, model, answer_cache_size=answer_cache,
+                fallback=fallback,
+            )
+            keys = [normalized_key(question) for question in HOSTILE]
+            assert keyed.answer_many(HOSTILE, keys) == expected
             by_question = dict(zip(HOSTILE, expected))
             assert by_question["who is the ceo of apple?"].entity == "m.apple_co"
             assert by_question["what color is apple?"].values == ("green", "red")
@@ -275,8 +287,11 @@ def test_mutated_hostile_questions_match_the_oracle(hand_built_products, questio
     ``_fold`` -> NER -> Eq 7 -> the KB exactly as the string-level oracle
     does, on every store, cache and lane configuration."""
     mutant = mutate(question, edits)
+    key = normalized_key(mutant)
     for product, oracle in hand_built_products:
-        assert product.answer(mutant) == oracle.answer(mutant), mutant
+        expected = oracle.answer(mutant)
+        assert product.answer_many([mutant], [key]) == [expected], mutant
+        assert product.answer(mutant) == expected, mutant
 
 
 def test_non_concept_slot_is_refused():

@@ -26,7 +26,13 @@ import time
 import pytest
 
 from repro.core.online import AnswerResult
-from repro.serve import AsyncAnswerer, OverloadedError, ServeConfig, normalized_key
+from repro.serve import (
+    AsyncAnswerer,
+    DeadlineExceeded,
+    OverloadedError,
+    ServeConfig,
+    normalized_key,
+)
 
 
 def _result(question: str, value: str) -> AnswerResult:
@@ -223,6 +229,80 @@ class TestCoalescing:
         assert 0 < stats["evaluated"] <= len({normalized_key(q) for q in stream})
         assert stats["coalesced"] > 0
         assert stats["requests"] == len(stream)
+
+
+class TestPerWaiterFutures:
+    """Every request awaits a future of its own, first arrival and joiners
+    alike: walking away (cancelled, expired) resolves only that future."""
+
+    @staticmethod
+    async def _queued(answerer, target, question, n, **kwargs):
+        """``n`` submissions of ``question`` queued on one key, not yet
+        dispatched (tasks run in creation order, before the dispatcher's
+        wake-up)."""
+        tasks = [
+            asyncio.ensure_future(answerer.answer(question, **kwargs)) for _ in range(n)
+        ]
+        await asyncio.sleep(0)
+        assert target.calls == [] and answerer.snapshot()["inflight_keys"] == 1
+        return tasks
+
+    def test_cancelling_one_coalesced_waiter_leaves_the_others_answered(self):
+        """Even the first arrival, whose request enqueued the evaluation,
+        can leave: the evaluation still runs, once, for its siblings."""
+        target = ScriptedTarget()
+
+        async def main():
+            async with AsyncAnswerer(target) as answerer:
+                tasks = await self._queued(answerer, target, "who is the mayor?", 4)
+                tasks[0].cancel()
+                outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+                return outcomes, answerer.snapshot()
+
+        outcomes, stats = run(main())
+        assert isinstance(outcomes[0], asyncio.CancelledError)
+        assert [o.value for o in outcomes[1:]] == ["v0"] * 3
+        assert target.calls == [["who is the mayor?"]]
+        assert (stats["evaluated"], stats["coalesced"], stats["inflight_keys"]) == (1, 3, 0)
+
+    def test_a_deadline_expired_joiner_does_not_disturb_its_sibling(self):
+        """A stalled batch ahead of the key outlasts the joiner's deadline:
+        the joiner gets ``DeadlineExceeded``, its sibling the answer, and
+        the key is evaluated once."""
+        target = ScriptedTarget(delay=0.15)
+
+        async def main():
+            config = ServeConfig(max_batch=1)
+            async with AsyncAnswerer(target, config) as answerer:
+                ahead = asyncio.ensure_future(answerer.answer("stalls the loop?"))
+                sibling = asyncio.ensure_future(answerer.answer("the key?"))
+                joiner = asyncio.ensure_future(answerer.answer("the key?", deadline_s=0.05))
+                outcomes = await asyncio.gather(ahead, sibling, joiner, return_exceptions=True)
+                return outcomes, answerer.snapshot()
+
+        (ahead, sibling, joiner), stats = run(main())
+        assert isinstance(joiner, DeadlineExceeded)
+        assert sibling.question == "the key?" and sibling.value == "v0"
+        assert ahead.value == "v0"
+        assert target.calls == [["stalls the loop?"], ["the key?"]]
+        assert (stats["deadline_expired"], stats["coalesced"]) == (1, 1)
+
+    def test_stop_fails_every_waiter_of_a_queued_key(self):
+        target = ScriptedTarget()
+
+        async def main():
+            answerer = AsyncAnswerer(target)
+            await answerer.start()
+            tasks = await self._queued(answerer, target, "never dispatched?", 3)
+            await answerer.stop()
+            outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+            return outcomes, answerer.snapshot()
+
+        outcomes, stats = run(main())
+        assert [type(o) for o in outcomes] == [RuntimeError] * 3
+        assert all("serving stopped" in str(o) for o in outcomes)
+        assert target.calls == []
+        assert (stats["pending"], stats["inflight_keys"]) == (0, 0)
 
 
 class TestAdmissionControl:

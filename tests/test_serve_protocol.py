@@ -124,6 +124,7 @@ class TestParser:
             (b"\x00\xff TOTAL GARBAGE\r\n\r\n", "malformed request line"),
             (b"GET /healthz HTTP/2.0\r\n\r\n", "malformed request line"),
             (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", "malformed header line"),
+            (b"GET /healthz HTTP/1.1\r\n: x\r\n\r\n", "malformed header line"),
             (b"POST /answer HTTP/1.1\r\nContent-Length: ten\r\n\r\n", "invalid Content-Length"),
             (b"POST /answer HTTP/1.1\r\nContent-Length: -1\r\n\r\n", "invalid Content-Length"),
             (b"POST /answer HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}", "invalid Content-Length"),
@@ -158,6 +159,17 @@ class TestParser:
         request = parse_request(bytearray(wire))
         assert request is not None and request.body == b"{}"
 
+    def test_a_content_length_past_the_int_digit_limit_is_too_large(self):
+        """``int()`` raises a plain ``ValueError`` past 4 300 digits."""
+        wire = b"POST /answer HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n"
+        with pytest.raises(BadRequest, match="body too large"):
+            parse_request(bytearray(wire))
+
+    def test_leading_zeros_of_a_content_length_are_not_digits_of_its_size(self):
+        wire = b"POST /answer HTTP/1.1\r\nContent-Length: " + b"0" * 5000 + b"2\r\n\r\n{}"
+        request = parse_request(bytearray(wire))
+        assert request is not None and request.body == b"{}"
+
     def test_header_cap_is_enforced_while_buffering(self):
         """A header block that never ends is refused at 16 KiB, not when (if
         ever) its terminator arrives."""
@@ -170,6 +182,13 @@ class TestParser:
 
     def test_deeply_nested_json_is_a_bad_request(self):
         request = HTTPRequest(method="POST", path="/answer", body=b"[" * 200_000)
+        with pytest.raises(BadRequest, match="invalid JSON"):
+            request.json()
+
+    def test_a_json_integer_past_the_digit_limit_is_a_bad_request(self):
+        request = HTTPRequest(
+            method="POST", path="/answer", body=b'{"question": ' + b"1" * 5000 + b"}"
+        )
         with pytest.raises(BadRequest, match="invalid JSON"):
             request.json()
 
@@ -358,6 +377,44 @@ class TestRefusedFraming:
             (status, _head, body), = _replies(_read_to_close(sock))  # no terminator sent
         assert status == 400 and b"too large" in body
         assert _healthy(server)
+
+
+class TestHostileDigits:
+    """Numbers past the interpreter's 4 300-digit ``int()`` limit are client
+    errors like any other: a 400, never a 500 or a connection dropped with
+    an asyncio traceback."""
+
+    @staticmethod
+    def _errors(server) -> tuple[int, int]:
+        http = _stats(server)["http"]
+        return http["bad_requests"], http["disconnects"]
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"Content-Length: " + b"9" * 5000, b": x"],
+        ids=["content-length-digits", "empty-header-name"],
+    )
+    def test_refused_framing_is_a_counted_400(self, server, header):
+        bad_requests, disconnects = self._errors(server)
+        wire = b"POST /answer HTTP/1.1\r\n" + header + b"\r\n\r\n"
+        (status, head, _body), = _exchange(server, wire, half_close=False)
+        assert status == 400 and b"connection: close" in head.lower()
+        assert self._errors(server) == (bad_requests + 1, disconnects)
+        assert _healthy(server)
+
+    @pytest.mark.parametrize(
+        "path, field",
+        [("/answer", "question"), ("/batch", "questions"), ("/facts", "op")],
+    )
+    def test_a_json_integer_past_the_digit_limit_is_a_400(self, server, path, field):
+        """A body-level 400: the connection stays open (the ``/healthz``
+        behind it is answered) and no framing error is counted."""
+        errors = self._errors(server)
+        body = b'{"' + field.encode() + b'": ' + b"1" * 5000 + b"}"
+        replies = _exchange(server, _request("POST", path, body) + _request("GET", "/healthz"))
+        assert [status for status, _h, _b in replies] == [400, 200]
+        assert b"invalid JSON" in replies[0][2]
+        assert self._errors(server) == errors
 
 
 class TestPipelining:
