@@ -29,6 +29,10 @@ neither side), and a verdict against the metric's bound in
 
 So one command yields both the claim on the workload a change targets and
 the must-not-move rows on the workloads that bypass it.
+
+``--aa`` runs the ``--base`` archive on both sides (an A/A run): the same
+table then shows the spread and the verdicts an unchanged tree produces,
+to set beside a claim on the same workload.
 """
 
 from __future__ import annotations
@@ -117,6 +121,10 @@ def main() -> int:
     )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
+    parser.add_argument(
+        "--aa", action="store_true",
+        help="run the --base archive on both sides instead of the working tree",
+    )
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 (quartiles need two runs per side)")
@@ -125,12 +133,10 @@ def main() -> int:
     bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
     better["failed_share"] = "lower"
 
-    archives = {
-        "base": subprocess.run(
-            ["git", "archive", args.base], cwd=REPO, capture_output=True, check=True
-        ).stdout,
-        "change": working_tree_archive(),
-    }
+    base = subprocess.run(
+        ["git", "archive", args.base], cwd=REPO, capture_output=True, check=True
+    ).stdout
+    archives = {"base": base, "change": base if args.aa else working_tree_archive()}
     for workload in args.workload:
         runs: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
         for pair in range(args.pairs):
@@ -144,7 +150,8 @@ def main() -> int:
 
 
 def report(workload, runs, better, bounds, args) -> None:
-    print(f"{workload}: {args.pairs} pairs, base={args.base}, median [q1, q3]")
+    change = f"{args.base} (A/A)" if args.aa else "working tree"
+    print(f"{workload}: {args.pairs} pairs, base={args.base}, change={change}, median [q1, q3]")
     for name, direction in better.items():
         base = [run[name] for run in runs["base"]]
         change = [run[name] for run in runs["change"]]

@@ -25,8 +25,10 @@ Endpoints (all JSON):
 * ``GET /healthz``  liveness + uptime — answered *before* the answerer, so
   admission control can never starve a liveness probe.
 * ``GET /stats``    serving counters, answerer cache occupancy, KB stats,
-  the HTTP front's own counters (``http``: 400s, disconnects, wire-memo
-  hits and entries) and the metrics spine's lifetime latency view.
+  the HTTP front's own counters (``http``: ``bad_requests``, refused
+  framing answered 400 and closed; ``invalid_requests``, every other 400,
+  on a kept connection; disconnects; wire-memo hits and entries) and the
+  metrics spine's lifetime latency view.
 * ``GET /metrics``  Prometheus text exposition of this process's telemetry
   spine (stage latency histograms, serve/tenant counters, gauges).
 
@@ -41,9 +43,10 @@ not just through ``/facts`` — keep in-flight results fresh.
 
 Transport: one :class:`asyncio.Protocol` per connection over the sans-IO
 parser of :mod:`repro.serve.http` — no stream reader/writer pair, no
-per-connection task.  A request's two lanes::
+per-connection task.  A request's three lanes::
 
-    hit:   data_received -> parse_request -> memo -> probe -> is-entry -> write
+    memo:  data_received -> memo -> probe -> is-entry -> write
+    hit:   data_received -> parse_request -> json -> key -> probe -> write
     miss:  data_received -> parse_request -> json -> key -> probe (None) ->
            task(_route -> answer(key) -> queue -> inline batch on the loop
            -> its own future) -> write
@@ -52,11 +55,14 @@ A miss hands the task what the lane already parsed — the question, its
 key, deadline and tenant (:class:`_Asked`) — so the task decodes no JSON
 and tokenizes nothing again; the batch passes the key on to the target.
 
-The hit lane's memo maps a ``POST /answer`` body already answered to its
-key, the answer-cache entry and the JSON bytes rendered from that entry;
-the bytes go out only while the probe still returns that very entry.  A
-body the memo lacks, or whose entry was replaced, takes the lane's long
-form (JSON decode -> key -> probe -> payload -> encode) and is stored.
+The memo lane starts at the wire memo: the bytes of a ``POST /answer``
+already answered (request line, headers, body) -> its :class:`_Asked`, the
+answer-cache entry and the framed reply rendered from it.  Identical bytes
+parse identically, so a read on an idle connection equal to a memo key is
+answered by a probe and the stored bytes, sent only while the probe returns
+that very entry (a replaced entry is rendered again).  A miss, a split or
+pipelined request and new header bytes take the hit lane, which stores the
+reply when the request was the whole read.
 
 Requests on one connection are answered strictly in order: while a miss is
 in flight (or the peer is not draining replies) later bytes stay buffered.
@@ -124,10 +130,10 @@ def result_payload(result: AnswerResult, *, degraded: bool = False) -> dict:
 # being read — the stream reader's old 64 KiB limit, as back-pressure.
 READ_HIGH_WATER = 64 * 1024
 
-# Largest ``POST /answer`` body the wire memo keeps.  A question is a few
-# hundred bytes; without a cap, distinct padded bodies of up to
+# Largest ``POST /answer`` request the wire memo keeps.  A question is a few
+# hundred bytes; without a cap, distinct padded requests of up to
 # MAX_BODY_BYTES each could pin gigabytes in a memo of 2 048 entries.
-WIRE_MEMO_MAX_BODY = 4096
+WIRE_MEMO_MAX_BYTES = 4096
 
 
 class _Asked(NamedTuple):
@@ -139,6 +145,15 @@ class _Asked(NamedTuple):
     tenant: str | None
 
 
+class _Wired(NamedTuple):
+    """A framed 200 for an ``/answer`` hit: what the wire memo stores."""
+
+    asked: _Asked
+    keep_alive: bool
+    entry: AnswerResult  # the answer-cache entry ``reply`` was rendered from
+    reply: bytes
+
+
 def _internal_error(error: Exception) -> tuple[int, dict]:
     """The deterministic 500: never a traceback, never a hung socket."""
     return 500, {"error": f"{type(error).__name__}: {error}"}
@@ -147,11 +162,13 @@ def _internal_error(error: Exception) -> tuple[int, dict]:
 class _Connection(asyncio.Protocol):
     """One client connection: bytes in, in-order replies out.
 
-    Everything runs in transport callbacks on the event loop.  ``_pump`` is
-    the single place requests are taken off the buffer; it stops while the
-    connection is *blocked* — a miss's task is in flight, or the transport
-    asked us to stop writing — and is re-entered by whatever unblocks it
-    (``data_received``, the task's completion, ``resume_writing``, EOF).
+    Everything runs in transport callbacks on the event loop.  A read on an
+    idle connection (empty buffer, not blocked) is first looked up in the
+    wire memo; otherwise ``_pump`` is the single place requests are taken
+    off the buffer.  It stops while the connection is *blocked* — a miss's
+    task is in flight, or the transport asked us to stop writing — and is
+    re-entered by whatever unblocks it (``data_received``, the task's
+    completion, ``resume_writing``, EOF).
     """
 
     __slots__ = ("server", "transport", "buffer", "task", "eof", "read_paused", "write_paused")
@@ -173,8 +190,13 @@ class _Connection(asyncio.Protocol):
         self.server._connections.add(self)
 
     def data_received(self, data: bytes) -> None:
+        assert self.transport is not None
+        idle = not (self.buffer or self.task or self.write_paused or self.transport.is_closing())
+        if idle and (memo := self.server._replay(data)) is not None:
+            self._write(memo.reply, memo.keep_alive)
+            return
         self.buffer += data
-        self._pump()
+        self._pump(data if idle else None)
 
     def eof_received(self) -> bool:
         self.eof = True
@@ -206,8 +228,9 @@ class _Connection(asyncio.Protocol):
 
     # -- Request loop ---------------------------------------------------------
 
-    def _pump(self) -> None:
-        """Answer buffered requests until blocked or out of bytes."""
+    def _pump(self, read: bytes | None = None) -> None:
+        """Answer buffered requests until blocked or out of bytes (``read``:
+        the bytes just buffered, when the buffer was empty before them)."""
         transport, server = self.transport, self.server
         assert transport is not None
         while not (self.task or self.write_paused or transport.is_closing()):
@@ -228,13 +251,14 @@ class _Connection(asyncio.Protocol):
                 return
             if request is None:
                 break
+            wire, read = (None if self.buffer else read), None  # the whole read?
             try:
-                inline = server._inline_answer(request)
+                inline = server._inline_answer(request, wire)
             except Exception as error:
                 self._reply(request, *_internal_error(error))
                 continue
-            if isinstance(inline, bytes):
-                self._send(request, 200, inline)
+            if isinstance(inline, _Wired):
+                self._write(inline.reply, inline.keep_alive)
             else:
                 self.task = asyncio.get_running_loop().create_task(
                     self._respond(request, inline)
@@ -259,23 +283,16 @@ class _Connection(asyncio.Protocol):
 
     def _reply(self, request: HTTPRequest, status: int, payload: dict | str) -> None:
         if isinstance(payload, str):  # /metrics: Prometheus text
-            self._send(request, status, payload.encode("utf-8"), PROMETHEUS_CONTENT_TYPE)
+            body, content_type = payload.encode("utf-8"), PROMETHEUS_CONTENT_TYPE
         else:
-            self._send(request, status, encode_json(payload))
-
-    def _send(
-        self,
-        request: HTTPRequest,
-        status: int,
-        body: bytes,
-        content_type: str = "application/json",
-    ) -> None:
-        assert self.transport is not None
+            body, content_type = encode_json(payload), "application/json"
         keep = request.keep_alive
-        self.transport.write(
-            frame_response(status, body, keep_alive=keep, content_type=content_type)
-        )
-        if not keep:
+        self._write(frame_response(status, body, keep_alive=keep, content_type=content_type), keep)
+
+    def _write(self, reply: bytes, keep_alive: bool) -> None:
+        assert self.transport is not None
+        self.transport.write(reply)
+        if not keep_alive:
             self.transport.close()
 
 
@@ -302,12 +319,12 @@ class KBQAServer:
         self._unsubscribe = None
         self._connections: set[_Connection] = set()
         self._started_monotonic = 0.0
-        self.bad_requests = 0  # malformed/truncated requests answered with 400
+        self.bad_requests = 0  # refused framing: a 400, then the connection closes
+        self.invalid_requests = 0  # route-level 400s (bad JSON, question, deadline)
         self.disconnects = 0  # connections dropped mid-request by the client
-        # The cache-hit lane's wire memo (event loop only): ``POST /answer``
-        # body -> (question, key, answer-cache entry, JSON body rendered from
-        # it), oldest first, at most the answer cache's size.
-        self._wire: dict[bytes, tuple[str, str, AnswerResult, bytes]] = {}
+        # The wire memo (event loop only): request bytes -> their reply,
+        # oldest first, at most the answer cache's size.
+        self._wire: dict[bytes, _Wired] = {}
         self.wire_hits = 0  # lane hits written from memo bytes
 
     # -- Lifecycle ---------------------------------------------------------
@@ -386,6 +403,7 @@ class KBQAServer:
                     "kb": self.system.kb.store.stats(),
                     "http": {
                         "bad_requests": self.bad_requests,
+                        "invalid_requests": self.invalid_requests,
                         "disconnects": self.disconnects,
                         "wire_hits": self.wire_hits,
                         "wire_entries": len(self._wire),
@@ -406,6 +424,7 @@ class KBQAServer:
                 return 405, {"error": f"method {request.method} not allowed"}
             return 404, {"error": f"no route for {request.path}"}
         except BadRequest as error:
+            self.invalid_requests += 1
             return 400, {"error": str(error)}
         except DeadlineExceeded as error:
             return 504, {"error": "deadline exceeded", "detail": str(error)}
@@ -466,60 +485,68 @@ class KBQAServer:
             self._tenant(request),
         )
 
-    def _inline_answer(self, request: HTTPRequest) -> bytes | _Asked | None:
-        """The cache-hit lane's JSON body for ``request``, else what the
+    def _replay(self, wire: bytes) -> _Wired | None:
+        """The memo lane: the reply to request bytes answered before, else
+        None (the hit lane's long form takes them).
+
+        The probe goes through the answerer, so every counter and the
+        cache's LRU order move as for any hit.  The stored reply is sent
+        only if the probe returned the very cache entry it was rendered
+        from; a replaced entry is rendered again from what the probe
+        returned.  Every write path — ``apply()``, a change-stream clear,
+        ``clear_caches``, ``replace_model``, LRU eviction — replaces or drops
+        that entry, so the memo is never staler than the cache.
+        """
+        memo = self._wire.get(wire)
+        if memo is None:
+            return None
+        asked, keep_alive, entry, _reply = memo
+        held = self.answerer.answer_nowait(None, asked.tenant, key=asked.key)
+        if held is entry:
+            self.wire_hits += 1
+            return memo
+        del self._wire[wire]
+        return None if held is None else self._render(wire, asked, keep_alive, held)
+
+    def _render(
+        self, wire: bytes | None, asked: _Asked, keep_alive: bool, held: AnswerResult
+    ) -> _Wired:
+        """Frame ``held`` in the asked spelling; kept under ``wire`` if any."""
+        body = encode_json(result_payload(dataclasses.replace(held, question=asked.question)))
+        memo = _Wired(asked, keep_alive, held, frame_response(200, body, keep_alive=keep_alive))
+        size = self.system.answerer.answer_cache_size
+        if wire is not None and len(wire) <= WIRE_MEMO_MAX_BYTES and size > 0:
+            while len(self._wire) >= size:  # oldest first
+                del self._wire[next(iter(self._wire))]
+            self._wire[wire] = memo
+        return memo
+
+    def _inline_answer(
+        self, request: HTTPRequest, wire: bytes | None = None
+    ) -> _Wired | _Asked | None:
+        """The cache-hit lane's framed reply for ``request`` (kept under
+        ``wire``, its bytes when they were the whole read), else what the
         task path needs.
 
-        Called from ``data_received``.  Anything but bytes goes to
-        :meth:`_route` in a task: a cache miss returns its parsed
+        Called from ``data_received``.  Anything but a :class:`_Wired` goes
+        to :meth:`_route` in a task: a cache miss returns its parsed
         :class:`_Asked`, so the task neither decodes the body nor tokenizes
         the question again; another route or an invalid request returns
         None — the latter is validated identically there and gets its 400
-        from the one place that maps errors to statuses.
-
-        The lane starts at the wire memo.  A body answered before skips
-        JSON decoding and tokenization (its question and key are stored);
-        only its headers are read.  The probe goes through the answerer
-        either way, so every counter and the cache's LRU order move as for
-        any hit.  The stored bytes are written only if the probe returned
-        the very cache entry they were rendered from; otherwise the body is
-        rendered from what the probe returned and stored again.  Every
-        write path — ``apply()``, a change-stream clear, ``clear_caches``,
-        ``replace_model``, LRU eviction — replaces or drops that entry, so
-        the memo is never staler than the cache.
+        from the one place that maps errors to statuses, so it is never
+        stored.
         """
         if request.method != "POST" or request.path != "/answer":
             return None
-        body = request.body
-        memo = self._wire.get(body)
         try:
-            if memo is None:
-                asked = self._answer_args(request)
-            else:
-                question, key, entry, rendered = memo
-                asked = _Asked(
-                    question, key, self._deadline_s(request), self._tenant(request)
-                )
+            asked = self._answer_args(request)
         except BadRequest:
             return None
-        question, key, _deadline_s, tenant = asked
         # the cache's own entry: one per key, whatever the spelling asked
-        held = self.answerer.answer_nowait(None, tenant, key=key)
-        if memo is not None:
-            if held is entry:
-                self.wire_hits += 1
-                return rendered
-            del self._wire[body]
+        held = self.answerer.answer_nowait(None, asked.tenant, key=asked.key)
         if held is None:
             return asked
-        # the payload echoes the asked spelling
-        rendered = encode_json(result_payload(dataclasses.replace(held, question=question)))
-        size = self.system.answerer.answer_cache_size
-        if len(body) <= WIRE_MEMO_MAX_BODY and size > 0:
-            while len(self._wire) >= size:  # oldest first
-                del self._wire[next(iter(self._wire))]
-            self._wire[body] = (question, key, held, rendered)
-        return rendered
+        return self._render(wire, asked, request.keep_alive, held)
 
     async def _handle_answer(
         self, request: HTTPRequest, asked: _Asked | None = None

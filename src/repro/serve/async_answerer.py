@@ -572,12 +572,12 @@ class AsyncAnswerer:
         try:
             while True:
                 epoch = self._epoch
+                self.stats.evaluated += len(questions)  # a failing attempt counts too
                 eval_start = time.monotonic()
                 results = self.target.answer_many(*args)
                 self.metrics.observe(
                     "evaluate", (time.monotonic() - eval_start) * 1000.0
                 )
-                self.stats.evaluated += len(questions)
                 if epoch == self._epoch:
                     break
                 self.stats.stale_retries += 1

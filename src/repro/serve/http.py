@@ -18,8 +18,8 @@ hold a stream (the end-to-end benchmark's parse replay, tests).
 A response is built in two halves: :func:`encode_json` turns a payload into
 body bytes, and :func:`frame_response` — the one place that writes a status
 line and headers — frames any body.  :func:`response_bytes` is both in a
-row.  The split lets the app's cache-hit lane keep a rendered body and
-frame it per request, since ``Connection`` depends on the request.
+row.  The app's cache-hit lane frames a rendered body once per distinct
+request and keeps the framed bytes (``Connection`` depends on the request).
 
 Limits are deliberate and small (16 KiB of headers — enforced while
 buffering, so a client that never ends its header block is cut off there —

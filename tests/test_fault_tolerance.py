@@ -143,6 +143,7 @@ class TestServingCrashRetry:
         assert handled == []
         assert target.calls == [[q] for q in names] + [["victim?"]]
         assert stats["deadline_expired"] == 1 and stats["batches"] == ahead
+        assert stats["evaluated"] == ahead + 1  # the failed batch's question counts
 
     def test_config_default_deadline_applies(self):
         config = ServeConfig(deadline_ms=40.0)

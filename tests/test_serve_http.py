@@ -114,6 +114,10 @@ class TestRoutes:
         assert payload["kb"]["triples"] > 0
 
     def test_error_paths_are_deterministic(self, server):
+        def invalid() -> int:
+            return _get(server.url + "/stats")[1]["http"]["invalid_requests"]
+
+        before = invalid()
         status, payload = _post(server.url + "/answer", {"nope": 1})
         assert (status, "question" in payload["error"]) == (400, True)
         status, _ = _post(server.url + "/batch", {"questions": []})
@@ -122,6 +126,7 @@ class TestRoutes:
         assert status == 404
         status, payload = _get(server.url + "/answer")  # GET on a POST route
         assert status == 405
+        assert invalid() == before + 2  # the two 400s; a 404 or 405 is not one
 
     def test_malformed_json_is_400(self, server):
         connection = http.client.HTTPConnection(

@@ -23,7 +23,10 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import sys
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,8 +36,10 @@ from repro.core.system import KBQA
 from repro.data.compile import compile_freebase_like
 from repro.kb.triple import make_literal
 from repro.serve import AsyncAnswerer, OverloadedError, ServeConfig, normalized_key
-from repro.serve.app import WIRE_MEMO_MAX_BODY, KBQAServer, result_payload
-from repro.serve.http import response_bytes
+from repro.nlp.tokenizer import tokenize
+from repro.serve import app as serve_app, http as serve_http
+from repro.serve.app import WIRE_MEMO_MAX_BYTES, KBQAServer, result_payload
+from repro.serve.http import parse_request, response_bytes
 
 from tests.conftest import pick_entity
 from tests.serve_harness import parse_prometheus_text
@@ -406,7 +411,7 @@ class TestBatchAdmission:
         assert serve["rejected"] == 0
 
 
-# -- The wire memo: the HTTP front's hit lane starts at stored bytes -----------
+# -- The wire memo: a request's bytes seen before are answered from stored bytes
 
 
 @pytest.fixture(scope="module", params=["memory", "disk"])
@@ -425,6 +430,13 @@ def _answer_wire(question: str, *headers: str, version: str = "HTTP/1.1") -> byt
     body = json.dumps({"question": question}).encode("utf-8")
     lines = [f"POST /answer {version}", *headers, f"Content-Length: {len(body)}"]
     return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body
+
+
+async def _read_reply(reader: asyncio.StreamReader) -> bytes:
+    """One whole reply, head and body, off a kept connection."""
+    head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), TIMEOUT_S)
+    length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+    return head + await asyncio.wait_for(reader.readexactly(length), TIMEOUT_S)
 
 
 async def _raw(port: int, wire: bytes) -> bytes:
@@ -447,7 +459,7 @@ def _body(reply: bytes) -> dict:
 class TestWireMemo:
     @pytest.mark.parametrize(
         "headers, version, keep_alive",
-        [((), "HTTP/1.1", True), (("Connection: close",), "HTTP/1.1", False),
+        [((), "HTTP/1.1", True), (("Connection: close, TE",), "HTTP/1.1", False),
          ((), "HTTP/1.0", False)],
         ids=["keep-alive", "close", "http-1.0"],
     )
@@ -455,7 +467,7 @@ class TestWireMemo:
         self, suite, memo_system, headers, version, keep_alive
     ):
         """A memo-served reply is byte for byte what the long form renders
-        for the same question at the same epoch."""
+        for the same request at the same epoch, ``Connection`` included."""
         system = memo_system
         question = _population_questions(suite, system, 1)[0][0]
         wire = _answer_wire(question, *headers, version=version)
@@ -555,7 +567,7 @@ class TestWireMemo:
                     await _post_answer(server.port, spelling)
                 before = server.wire_hits
                 replies = [await _post_answer(server.port, s) for s in spellings]
-                entries = [memo[2] for memo in server._wire.values()]
+                entries = [memo.entry for memo in server._wire.values()]
                 return replies, server.wire_hits - before, entries
 
         replies, wire_hits, entries = asyncio.run(main())
@@ -566,23 +578,27 @@ class TestWireMemo:
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-5", "inf"])
     def test_bad_deadline_on_a_memo_body_gets_its_400(self, suite, memo_system, raw):
+        """A body the memo holds, with a bad deadline header: other bytes, so
+        the long form answers each send with its 400, and never stores it."""
         system = memo_system
         question = _population_questions(suite, system, 1)[0][0]
+        bad = _answer_wire(question, f"X-KBQA-Deadline-Ms: {raw}")
 
         async def main():
             async with KBQAServer(system) as server:
                 for _ in range(2):
                     await _raw(server.port, _answer_wire(question))
-                before = server.wire_hits
-                reply = await _raw(
-                    server.port, _answer_wire(question, f"X-KBQA-Deadline-Ms: {raw}")
-                )
-                return reply, server.wire_hits - before
+                before = server.wire_hits, len(server._wire), server.invalid_requests
+                replies = [await _raw(server.port, bad) for _ in range(2)]
+                after = server.wire_hits, len(server._wire), server.invalid_requests
+                return replies, before, after, bad in server._wire
 
-        reply, wire_hits = asyncio.run(main())
-        assert reply.startswith(b"HTTP/1.1 400 ")
-        assert "deadline" in _body(reply)["error"].lower()
-        assert wire_hits == 0
+        replies, before, after, stored = asyncio.run(main())
+        for reply in replies:
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert "deadline" in _body(reply)["error"].lower()
+        assert after == (before[0], before[1], before[2] + 2) and before[1] == 1
+        assert not stored
 
     def test_tenants_and_conservation_hold_with_memo_hits(self, suite, memo_system):
         system = memo_system
@@ -633,12 +649,12 @@ class TestWireMemo:
         assert stats["serve"]["inline_hits"] == 0
 
     def test_an_oversized_body_is_answered_but_not_stored(self, suite, memo_system):
-        """Padding is not a question: a body past ``WIRE_MEMO_MAX_BODY``
-        takes the long form every time, so padded bodies cannot fill the
+        """Padding is not a question: a request past ``WIRE_MEMO_MAX_BYTES``
+        takes the long form every time, so padded requests cannot fill the
         memo with megabytes."""
         system = memo_system
         question = _population_questions(suite, system, 1)[0][0]
-        body = json.dumps({"question": question, "pad": "x" * WIRE_MEMO_MAX_BODY})
+        body = json.dumps({"question": question, "pad": "x" * WIRE_MEMO_MAX_BYTES})
         wire = (
             f"POST /answer HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n{body}"
         ).encode("utf-8")
@@ -678,3 +694,120 @@ class TestWireMemo:
             system.answerer.clear_caches()
         assert max(occupancy) == 3 and http["wire_entries"] <= 3
         assert http["wire_hits"] > 0
+
+    def test_a_memo_hit_parses_decodes_and_tokenizes_nothing(
+        self, suite, memo_system, monkeypatch
+    ):
+        system = memo_system
+        question = _population_questions(suite, system, 1)[0][0]
+        wire = _answer_wire(question, "X-KBQA-Client: t-spy")
+        calls: Counter = Counter()
+
+        def counted(name, function):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(serve_app, "parse_request", counted("parse_request", parse_request))
+        monkeypatch.setattr(serve_http, "json", SimpleNamespace(
+            loads=counted("json.loads", json.loads), dumps=json.dumps
+        ))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and getattr(module, "tokenize", None) is tokenize:
+                monkeypatch.setattr(module, "tokenize", counted("tokenize", tokenize))
+
+        async def main():
+            async with KBQAServer(system) as server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                try:
+                    replies, seen = [], []
+                    for _ in range(3):  # rendered and stored, then twice from the memo
+                        calls.clear()
+                        writer.write(wire)
+                        replies.append(await _read_reply(reader))
+                        seen.append(dict(calls))
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                return replies, seen, server.wire_hits
+
+        replies, seen, wire_hits = asyncio.run(main())
+        assert seen[0].keys() == {"parse_request", "json.loads", "tokenize"}  # the long form
+        assert seen[1:] == [{}, {}]
+        assert wire_hits == 2 and replies[0] == replies[1] == replies[2]
+
+    def test_a_split_request_is_served_from_the_memo_once_whole(self, suite, memo_system):
+        """Half a request is not a memo key: the split send takes the long
+        form (and stores nothing); the same bytes sent whole are a hit."""
+        system = memo_system
+        question = _population_questions(suite, system, 1)[0][0]
+        wire = _answer_wire(question)
+
+        async def main():
+            async with KBQAServer(system) as server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                try:
+                    writer.write(wire)
+                    stored = await _read_reply(reader)
+                    counts = [(server.wire_hits, len(server._wire))]
+                    writer.write(wire[:40])
+                    await writer.drain()
+                    await asyncio.sleep(0.05)  # the server reads the first half alone
+                    writer.write(wire[40:])
+                    split = await _read_reply(reader)
+                    counts.append((server.wire_hits, len(server._wire)))
+                    writer.write(wire)
+                    whole = await _read_reply(reader)
+                    counts.append((server.wire_hits, len(server._wire)))
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                return stored, split, whole, counts
+
+        stored, split, whole, counts = asyncio.run(main())
+        assert stored == split == whole
+        assert counts == [(0, 1), (0, 1), (1, 1)]
+
+    def test_pipelined_requests_are_answered_in_order(self, suite, memo_system):
+        """Two requests in one read: neither is the whole read, so both are
+        parsed, answered in order and not stored — even one the memo holds."""
+        system = memo_system
+        questions = [q for q, _node in _population_questions(suite, system, 2)]
+        first, second = (_answer_wire(q) for q in questions)
+
+        async def main():
+            async with KBQAServer(system) as server:
+                await _raw(server.port, first)  # stored
+                reply = await _raw(server.port, first + second)
+                return reply, server.wire_hits, list(server._wire)
+
+        reply, wire_hits, keys = asyncio.run(main())
+        expected = b"".join(
+            response_bytes(200, result_payload(system.answer(q))) for q in questions
+        )
+        assert reply == expected
+        assert (wire_hits, keys) == (0, [first])
+
+    def test_a_second_tenant_gets_its_own_entry_and_counters(self, suite, memo_system):
+        system = memo_system
+        question = _population_questions(suite, system, 1)[0][0]
+        tenants = ["t-one", "t-two"]
+
+        async def main():
+            async with KBQAServer(system) as server:
+                for tenant in tenants:
+                    for _ in range(3):  # rendered and stored, then two memo hits
+                        reply = await _raw(
+                            server.port, _answer_wire(question, f"X-KBQA-Client: {tenant}")
+                        )
+                        assert reply.startswith(b"HTTP/1.1 200 ")
+                memos = list(server._wire.values())
+                return memos, server.wire_hits, server.answerer.metrics.snapshot()
+
+        memos, wire_hits, metrics = asyncio.run(main())
+        assert [memo.asked.tenant for memo in memos] == tenants
+        assert memos[0].entry is memos[1].entry and memos[0].reply == memos[1].reply
+        assert wire_hits == 4
+        for tenant in tenants:
+            assert metrics["tenants"][tenant] == {"requests": 3, "completed": 3}

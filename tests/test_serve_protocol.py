@@ -308,13 +308,13 @@ class TestCloseSemantics:
     def test_memo_hit_with_a_close_token_list_is_answered_and_closed(
         self, server, warm_question
     ):
-        """``Connection: close, TE`` on a body the wire memo serves: the
+        """``Connection: close, TE`` on a request the wire memo serves: the
         reply says close and the server hangs up."""
-        _exchange(server, _answer(warm_question) * 2)  # rendered, then stored
+        wire = _answer(warm_question, headers=("Connection: close, TE",))
+        _exchange(server, wire, half_close=False)  # rendered and stored
         before = _stats(server)["http"]["wire_hits"]
         (status, head, body), = _exchange(
-            server, _answer(warm_question, headers=("Connection: close, TE",)),
-            half_close=False,
+            server, wire, half_close=False
         )  # returned at all: the server hung up without being asked to
         assert status == 200 and b"connection: close" in head.lower()
         assert json.loads(body)["question"] == warm_question
@@ -408,13 +408,16 @@ class TestHostileDigits:
     )
     def test_a_json_integer_past_the_digit_limit_is_a_400(self, server, path, field):
         """A body-level 400: the connection stays open (the ``/healthz``
-        behind it is answered) and no framing error is counted."""
+        behind it is answered), no framing error is counted, and the 400
+        is counted as an invalid request."""
         errors = self._errors(server)
+        invalid = _stats(server)["http"]["invalid_requests"]
         body = b'{"' + field.encode() + b'": ' + b"1" * 5000 + b"}"
         replies = _exchange(server, _request("POST", path, body) + _request("GET", "/healthz"))
         assert [status for status, _h, _b in replies] == [400, 200]
         assert b"invalid JSON" in replies[0][2]
         assert self._errors(server) == errors
+        assert _stats(server)["http"]["invalid_requests"] == invalid + 1
 
 
 class TestPipelining:
