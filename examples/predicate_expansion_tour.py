@@ -23,7 +23,8 @@ def main() -> None:
 
     print(f"entity: {person.name} ({person.node}); spouse: {spouse_name}\n")
     print("direct predicates leaving the entity:")
-    print(" ", sorted(store.predicates_of(person.node)))
+    direct = expand_predicates(store, [person.node], max_length=1)
+    print(" ", sorted(str(path) for path in direct.distinct_paths()))
     print("note: no 'spouse' edge — the relation runs through a CVT node.\n")
 
     expanded = expand_predicates(store, [person.node], max_length=3)

@@ -68,6 +68,3 @@ class KBView:
         if value not in values:
             return 0.0
         return 1.0 / len(values)
-
-    def has_entity(self, entity: str) -> bool:
-        return self.store.has_subject(entity)

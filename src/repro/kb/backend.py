@@ -1,16 +1,27 @@
-"""The pluggable KB backend seam.
+"""The KB contract: one class, :class:`KBBackend`.
 
 The paper's systems story (Sec 6.2, Table 14) assumes the billion-scale KB
 is queried through a uniform interface (Trinity.RDF).  At library scale the
-same shape is the :class:`KBBackend` protocol: everything above the KB
-layer — predicate expansion, :class:`~repro.core.kbview.KBView`, the online
-answerer, the CLI and the benchmark harness — depends on this protocol,
-never on a concrete store class.  Two implementations ship in-tree:
+same shape is :class:`KBBackend`: everything above the KB layer — predicate
+expansion, :class:`~repro.core.kbview.KBView`, the online answerer, the CLI
+and the benchmark harness — depends on this class, never on a concrete
+store.  It is written in two parts:
+
+* **storage primitives** — what each store defines over its own indexes:
+  ``add``/``delete``, ``__len__``, ``stats`` and the id-level reads
+  (``has_subject_id``, ``objects_ids``, ``predicates_between_ids``,
+  ``triples_ids``, the grouped ``spo_items_ids`` scan);
+* **derived reads** — the string boundary (``objects`` for ``V(e, p)``,
+  Eq 6; ``predicates_between`` for the EM pruning, Eq 24; ``has``,
+  ``has_subject``, ``triples``) and ``add_triple``/``add_all``, written
+  once here over ``self.dictionary`` and the primitives, so the two stores
+  cannot answer a string read differently.
+
+Two stores ship in-tree:
 
 * :class:`~repro.kb.store.TripleStore` — the in-memory store;
-* :class:`~repro.kb.disk.DiskTripleStore` — the same protocol over one
-  SQLite file; a named file (the mega world's ``kb.db``) is reopened, not
-  rebuilt, by a later process.
+* :class:`~repro.kb.disk.DiskTripleStore` — one SQLite file; a named file
+  (the mega world's ``kb.db``) is reopened, not rebuilt, by a later process.
 
 :func:`resolve_backend` is the one place that choice is made — explicit
 argument over the ``KBQA_BACKEND`` environment variable over ``memory`` —
@@ -21,16 +32,17 @@ Backends are *live*: ``add``/``delete`` mutate the indexes in place and hand
 every subscribed listener a burst of :class:`KBChange` values, which is how
 the expansion layer (`repro.kb.live`) and the serving caches invalidate
 incrementally instead of rebuilding.  A write on its own is a burst of one;
-:meth:`BackendBase.batch` defers notifications so a bulk load reaches each
+:meth:`KBBackend.batch` defers notifications so a bulk load reaches each
 listener as one burst instead of one call per triple.
 """
 
 from __future__ import annotations
 
 import os
+from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol, runtime_checkable
+from typing import AbstractSet, Callable, Iterable, Iterator
 
 from repro.kb.dictionary import Dictionary
 from repro.kb.triple import Triple, is_literal
@@ -57,16 +69,19 @@ class KBChange:
 Listener = Callable[[tuple[KBChange, ...]], None]
 
 
-class BackendBase:
-    """Shared plumbing for concrete backends: change listeners + the
-    incremental resource count.
+class KBBackend(ABC):
+    """A live, dictionary-encoded triple store.
 
-    Both in-tree backends mix this in so listener semantics and literal
-    counting are written exactly once.  ``_init_backend_state`` must run in
-    the subclass ``__init__`` after ``self.dictionary`` exists.
+    It holds the lookups KBQA makes and nothing else: ``objects`` for
+    ``V(e, p)`` (Eq 6), ``predicates_between`` for the EM pruning (Eq 24),
+    and the grouped ``spo_items_ids`` scan for the Sec 6.2 expansion.  There
+    is no reverse ``(p, o) -> s`` lookup.  A store defines the abstract
+    storage primitives; the string reads, the change listeners and the
+    resource count are written once here.  ``_init_backend_state`` must run
+    in the store's ``__init__`` after ``self.dictionary`` exists.
     """
 
-    dictionary: "Dictionary"
+    dictionary: Dictionary
 
     def _init_backend_state(self) -> None:
         """Initialize listener, batching and resource-count state."""
@@ -80,6 +95,100 @@ class BackendBase:
         # ExpandedStore) rather than through ``add``.
         self._n_resources = 0
         self._n_terms_counted = 0
+
+    # -- Storage primitives (each store defines these) ---------------------
+
+    @abstractmethod
+    def add(self, subject: str, predicate: str, obj: str) -> bool:
+        """Insert a triple; True if new.  Notifies listeners on success."""
+
+    @abstractmethod
+    def delete(self, subject: str, predicate: str, obj: str) -> bool:
+        """Remove a triple; True if present.  Notifies listeners on success."""
+
+    @abstractmethod
+    def __len__(self) -> int:
+        """Number of triples."""
+
+    @abstractmethod
+    def stats(self) -> dict[str, int]:
+        """Store-level counts (triples/terms/resources/predicates/subjects)."""
+
+    @abstractmethod
+    def has_subject_id(self, subject_id: int) -> bool:
+        """True when ``subject_id`` occurs in subject position."""
+
+    @abstractmethod
+    def objects_ids(self, subject_id: int, predicate_id: int) -> AbstractSet[int]:
+        """``V(e, p)`` as object ids (a read-only view)."""
+
+    @abstractmethod
+    def predicates_between_ids(self, subject_id: int, object_id: int) -> AbstractSet[int]:
+        """Direct predicate ids between two term ids (a read-only view)."""
+
+    @abstractmethod
+    def triples_ids(self) -> Iterator[tuple[int, int, int]]:
+        """Scan all triples as ``(s_id, p_id, o_id)``, in no specified order."""
+
+    @abstractmethod
+    def spo_items_ids(self) -> Iterator[tuple[int, dict[int, set[int]]]]:
+        """Grouped id-keyed scan: ``(s_id, {p_id: {o_id}})`` per subject."""
+
+    # -- Derived reads and writes (written once, over the primitives) ------
+
+    def add_triple(self, triple: Triple) -> bool:
+        """Insert one :class:`~repro.kb.triple.Triple`; True if new."""
+        return self.add(triple.subject, triple.predicate, triple.object)
+
+    def add_all(self, triples: Iterable[Triple]) -> int:
+        """Insert many triples; returns how many were new."""
+        return sum(1 for t in triples if self.add_triple(t))
+
+    def objects(self, subject: str, predicate: str) -> set[str]:
+        """``V(e, p)`` — all objects for a (subject, predicate) pair."""
+        lookup = self.dictionary.lookup
+        s = lookup(subject)
+        p = lookup(predicate)
+        if s is None or p is None:
+            return set()
+        decode = self.dictionary.decode
+        return {decode(o) for o in self.objects_ids(s, p)}
+
+    def predicates_between(self, subject: str, obj: str) -> set[str]:
+        """All direct predicates p with (subject, p, obj) in the store."""
+        lookup = self.dictionary.lookup
+        s = lookup(subject)
+        o = lookup(obj)
+        if s is None or o is None:
+            return set()
+        decode = self.dictionary.decode
+        return {decode(p) for p in self.predicates_between_ids(s, o)}
+
+    def has(self, subject: str, predicate: str, obj: str) -> bool:
+        """Point membership test for one triple."""
+        lookup = self.dictionary.lookup
+        s = lookup(subject)
+        p = lookup(predicate)
+        o = lookup(obj)
+        if s is None or p is None or o is None:
+            return False
+        return o in self.objects_ids(s, p)
+
+    def __contains__(self, triple: Triple) -> bool:
+        return self.has(triple.subject, triple.predicate, triple.object)
+
+    def has_subject(self, subject: str) -> bool:
+        """True when ``subject`` occurs in subject position."""
+        s = self.dictionary.lookup(subject)
+        return s is not None and self.has_subject_id(s)
+
+    def triples(self) -> Iterator[Triple]:
+        """Scan all triples, decoded; the order is unspecified."""
+        decode = self.dictionary.decode
+        for s, p, o in self.triples_ids():
+            yield Triple(decode(s), decode(p), decode(o))
+
+    # -- Change listeners --------------------------------------------------
 
     def subscribe(self, listener: Listener) -> Callable[[], None]:
         """Register a change listener; returns an unsubscribe callable.
@@ -143,117 +252,6 @@ class BackendBase:
             if not is_literal(term):
                 self._n_resources += 1
         self._n_terms_counted = n_terms
-
-
-@runtime_checkable
-class KBBackend(Protocol):
-    """What every knowledge-base backend must provide.
-
-    It holds the lookups KBQA makes and nothing else: ``objects`` for
-    ``V(e, p)`` (Eq 6), ``predicates_between`` for the EM pruning (Eq 24),
-    and the grouped ``spo_items_ids`` scan for the Sec 6.2 expansion.  There
-    is no reverse ``(p, o) -> s`` lookup.  The protocol has three faces:
-
-    * **string reads** — the public boundary the NLP/eval layers use;
-    * **id-level reads** — the hot-path API (``objects_ids``,
-      ``predicates_between_ids``, ``triples_ids``, the grouped
-      ``spo_items_ids`` scan) that hands out
-      dictionary-encoded views with zero per-row string materialization;
-    * **writes** — ``add``/``delete`` with :class:`KBChange` notification.
-    """
-
-    dictionary: Dictionary
-
-    # -- Writes (with change notification) ---------------------------------
-
-    def add(self, subject: str, predicate: str, obj: str) -> bool:
-        """Insert a triple; True if new.  Notifies listeners on success."""
-        ...
-
-    def delete(self, subject: str, predicate: str, obj: str) -> bool:
-        """Remove a triple; True if present.  Notifies listeners on success."""
-        ...
-
-    def subscribe(self, listener: Listener) -> Callable[[], None]:
-        """Register a listener of change bursts; returns an unsubscribe callable."""
-        ...
-
-    def batch(self):
-        """Context manager deferring change notifications until exit."""
-        ...
-
-    # -- String-level reads ------------------------------------------------
-
-    def __len__(self) -> int:
-        ...
-
-    def has(self, subject: str, predicate: str, obj: str) -> bool:
-        """Point membership test for one triple."""
-        ...
-
-    def objects(self, subject: str, predicate: str) -> set[str]:
-        """``V(e, p)`` — all objects for a (subject, predicate) pair."""
-        ...
-
-    def predicates_between(self, subject: str, obj: str) -> set[str]:
-        """All direct predicates p with (subject, p, obj) in the store."""
-        ...
-
-    def predicates_of(self, subject: str) -> set[str]:
-        """All predicates leaving ``subject``."""
-        ...
-
-    def out_degree(self, subject: str) -> int:
-        """Number of triples with ``subject`` in subject position."""
-        ...
-
-    def has_subject(self, subject: str) -> bool:
-        """True when ``subject`` occurs in subject position."""
-        ...
-
-    def triples(self) -> Iterator[Triple]:
-        """Scan all triples, decoded."""
-        ...
-
-    def subjects_iter(self) -> Iterator[str]:
-        """All distinct subjects, decoded."""
-        ...
-
-    def stats(self) -> dict[str, int]:
-        """Store-level counts (triples/terms/resources/predicates/subjects)."""
-        ...
-
-    # -- Id-level reads (hot paths) ----------------------------------------
-
-    def lookup_id(self, term: str) -> int | None:
-        """Dictionary id of ``term`` (None when never interned)."""
-        ...
-
-    def decode_id(self, term_id: int) -> str:
-        """Term string for a dictionary id."""
-        ...
-
-    def has_subject_id(self, subject_id: int) -> bool:
-        """True when ``subject_id`` occurs in subject position."""
-        ...
-
-    def objects_ids(self, subject_id: int, predicate_id: int) -> set[int] | frozenset[int]:
-        """``V(e, p)`` as object ids (read-only view)."""
-        ...
-
-    def predicates_between_ids(
-        self, subject_id: int, object_id: int
-    ) -> set[int] | frozenset[int]:
-        """Direct predicate ids between two term ids (read-only view)."""
-        ...
-
-    def triples_ids(self) -> Iterator[tuple[int, int, int]]:
-        """Scan all triples as ``(s_id, p_id, o_id)``."""
-        ...
-
-    def spo_items_ids(self) -> Iterator[tuple[int, dict[int, set[int]]]]:
-        """Grouped id-keyed scan: ``(s_id, {p_id: {o_id}})`` per subject."""
-        ...
 
 
 BACKEND_KINDS = ("memory", "disk")

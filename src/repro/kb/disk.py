@@ -1,4 +1,4 @@
-"""SQLite-backed :class:`~repro.kb.backend.KBBackend`: the KB on disk.
+"""The KB on disk: a :class:`~repro.kb.backend.KBBackend` store over SQLite.
 
 The in-memory backend rebuilds its dict indexes from the source world on
 every process start and pays O(KB) private RAM per process.  This backend
@@ -30,6 +30,12 @@ Every query the store runs uses one of those two.  A file written by an
 older layout that also carried a ``(p, o, s)`` index and an alias view opens
 unchanged (same ``user_version``); both are left in place and unused.
 
+The store defines only the storage primitives of
+:class:`~repro.kb.backend.KBBackend` (the writes, ``__len__``, ``stats`` and
+the id-level reads) plus its connection, ingest and close plumbing; the
+string reads are the base class's, so they decode exactly as the in-memory
+store's do.
+
 Concurrency: WAL journal mode — readers never block the (single) writer and
 vice versa; every (process, thread) gets its own lazily opened connection
 (SQLite connections are neither fork- nor thread-safe: a forked child never
@@ -54,7 +60,7 @@ import threading
 import weakref
 from typing import Iterable, Iterator
 
-from repro.kb.backend import ADD, DELETE, BackendBase, KBChange
+from repro.kb.backend import ADD, DELETE, KBBackend, KBChange
 from repro.kb.triple import Triple
 
 _SCHEMA_VERSION = 1
@@ -141,10 +147,15 @@ class SQLiteDictionary:
         # millions of one-shot terms, so the cache resets instead of growing
         # with the dictionary
         if len(self._term_to_id) >= _DICT_MEMO_CAP:
-            self._term_to_id.clear()
-            self._id_to_term.clear()
+            self._forget()
         self._term_to_id[term] = term_id
         self._id_to_term[term_id] = term
+
+    def _forget(self) -> None:
+        """Drop the memo: after a ``ROLLBACK`` it may name ids that no longer
+        exist, which the next ``encode`` would mint again for another term."""
+        self._term_to_id.clear()
+        self._id_to_term.clear()
 
     def lookup(self, term: str) -> int | None:
         """Id of ``term`` if interned, else ``None`` (memoized point query)."""
@@ -196,8 +207,9 @@ class SQLiteDictionary:
             yield term
 
 
-class DiskTripleStore(BackendBase):
-    """The :class:`~repro.kb.backend.KBBackend` protocol over one SQLite file.
+class DiskTripleStore(KBBackend):
+    """The :class:`~repro.kb.backend.KBBackend` storage primitives over one
+    SQLite file; the string reads are the base class's.
 
     ``path=None`` creates an ephemeral store in a temp file (removed when
     the owning store is closed or garbage-collected); a named path opens —
@@ -339,13 +351,6 @@ class DiskTripleStore(BackendBase):
             self._notify(KBChange(ADD, s, p, o))
         return True
 
-    def add_triple(self, triple: Triple) -> bool:
-        return self.add(triple.subject, triple.predicate, triple.object)
-
-    def add_all(self, triples: Iterable[Triple]) -> int:
-        """Insert many triples; returns how many were new."""
-        return sum(1 for t in triples if self.add_triple(t))
-
     def ingest_triples(
         self, triples: Iterable[Triple], *, batch_size: int = _INGEST_BATCH
     ) -> int:
@@ -358,9 +363,10 @@ class DiskTripleStore(BackendBase):
         one ``executemany`` per ``batch_size`` chunk inside an explicit
         ``BEGIN``/``COMMIT``: one fsync per batch instead of per triple.
         Accepts any triple iterable and never holds it as a list.  Returns the
-        number of rows that were new.  With subscribed listeners it falls
-        back to per-triple adds inside one notification batch so the change
-        stream stays exact.
+        number of rows that were new.  A chunk that raises is rolled back
+        whole, terms included, and the memos forget it.  With subscribed
+        listeners it falls back to per-triple adds inside one notification
+        batch so the change stream stays exact.
         """
         if self._listeners:
             with self.batch():
@@ -386,6 +392,9 @@ class DiskTripleStore(BackendBase):
                 inserted += conn.total_changes - before
             except BaseException:
                 conn.execute("ROLLBACK")
+                # the chunk's freshly minted term ids are gone with it
+                self.dictionary._forget()
+                self._objects_memo.clear()
                 raise
             conn.execute("COMMIT")
             self._objects_memo.clear()
@@ -414,86 +423,10 @@ class DiskTripleStore(BackendBase):
             self._notify(KBChange(DELETE, s, p, o))
         return True
 
-    # -- Point lookups -----------------------------------------------------
+    # -- Reads -------------------------------------------------------------
 
     def __len__(self) -> int:
         return self._connection().execute("SELECT COUNT(*) FROM triples").fetchone()[0]
-
-    def __contains__(self, triple: Triple) -> bool:
-        return self.has(triple.subject, triple.predicate, triple.object)
-
-    def has(self, subject: str, predicate: str, obj: str) -> bool:
-        """Point membership test for one triple."""
-        lookup = self.dictionary.lookup
-        s = lookup(subject)
-        p = lookup(predicate)
-        o = lookup(obj)
-        if s is None or p is None or o is None:
-            return False
-        return (
-            self._connection()
-            .execute(
-                "SELECT 1 FROM triples WHERE s = ? AND p = ? AND o = ?", (s, p, o)
-            )
-            .fetchone()
-            is not None
-        )
-
-    def objects(self, subject: str, predicate: str) -> set[str]:
-        """``V(e, p)`` — all objects for a (subject, predicate) pair."""
-        s = self.dictionary.lookup(subject)
-        p = self.dictionary.lookup(predicate)
-        if s is None or p is None:
-            return set()
-        decode = self.dictionary.decode
-        return {decode(o) for o in self.objects_ids(s, p)}
-
-    def predicates_between(self, subject: str, obj: str) -> set[str]:
-        """All direct predicates p with (subject, p, obj) in the store."""
-        s = self.dictionary.lookup(subject)
-        o = self.dictionary.lookup(obj)
-        if s is None or o is None:
-            return set()
-        decode = self.dictionary.decode
-        return {decode(p) for p in self.predicates_between_ids(s, o)}
-
-    def predicates_of(self, subject: str) -> set[str]:
-        """All predicates leaving ``subject``."""
-        s = self.dictionary.lookup(subject)
-        if s is None:
-            return set()
-        decode = self.dictionary.decode
-        return {
-            decode(p)
-            for (p,) in self._connection().execute(
-                "SELECT DISTINCT p FROM triples WHERE s = ?", (s,)
-            )
-        }
-
-    def out_degree(self, subject: str) -> int:
-        """Number of triples with ``subject`` in subject position."""
-        s = self.dictionary.lookup(subject)
-        if s is None:
-            return 0
-        return (
-            self._connection()
-            .execute("SELECT COUNT(*) FROM triples WHERE s = ?", (s,))
-            .fetchone()[0]
-        )
-
-    def has_subject(self, subject: str) -> bool:
-        s = self.dictionary.lookup(subject)
-        return s is not None and self.has_subject_id(s)
-
-    # -- Id-level API (hot paths) ------------------------------------------
-
-    def lookup_id(self, term: str) -> int | None:
-        """Dictionary id of ``term`` (None when never interned)."""
-        return self.dictionary.lookup(term)
-
-    def decode_id(self, term_id: int) -> str:
-        """Term string for a dictionary id."""
-        return self.dictionary.decode(term_id)
 
     def has_subject_id(self, subject_id: int) -> bool:
         """True when ``subject_id`` occurs in subject position."""
@@ -547,22 +480,6 @@ class DiskTripleStore(BackendBase):
             for _s, p_id, o_id in group:
                 by_predicate.setdefault(p_id, set()).add(o_id)
             yield s_id, by_predicate
-
-    # -- Scans ---------------------------------------------------------------
-
-    def triples(self) -> Iterator[Triple]:
-        """Scan all triples in (s, p, o) id order, decoded."""
-        decode = self.dictionary.decode
-        for s, p, o in self.triples_ids():
-            yield Triple(decode(s), decode(p), decode(o))
-
-    def subjects_iter(self) -> Iterator[str]:
-        """All distinct subjects."""
-        decode = self.dictionary.decode
-        return (
-            decode(s)
-            for (s,) in self._connection().execute("SELECT DISTINCT s FROM triples")
-        )
 
     # -- Statistics ----------------------------------------------------------
 

@@ -73,7 +73,7 @@ class LiveExpansionMaintainer:
         when it is a registered seed (it may gain its first triples from an
         ``add``, or lose its last from a ``delete``).
         """
-        subject = self.backend.decode_id(change.subject_id)
+        subject = self.backend.dictionary.decode(change.subject_id)
         affected: set[str] = set()
         node_id = self.expanded.dictionary.lookup(subject)
         if node_id is not None:

@@ -77,37 +77,3 @@ def follow(store: KBBackend, subject: str, path: PredicatePath) -> set[str]:
         frontier = next_frontier
     return frontier
 
-
-def paths_between(
-    store: KBBackend, subject: str, obj: str, max_length: int
-) -> set[PredicatePath]:
-    """All predicate paths of length <= ``max_length`` from subject to obj.
-
-    Used during entity-value extraction to decide whether a candidate (e, v)
-    pair 'has some corresponding relationship in the knowledge base' (Eq 8)
-    when expanded predicates are enabled.  Depth-limited DFS; the fan-out at
-    each step is bounded by the entity's out-degree, which is small in
-    practice (Table 6 reports ~3.69 values per entity-predicate pair).
-    """
-    found: set[PredicatePath] = set()
-    _dfs_paths(store, subject, obj, max_length, (), found)
-    return found
-
-
-def _dfs_paths(
-    store: KBBackend,
-    node: str,
-    target: str,
-    budget: int,
-    prefix: tuple[str, ...],
-    found: set[PredicatePath],
-) -> None:
-    if budget == 0:
-        return
-    for predicate in store.predicates_of(node):
-        objects = store.objects(node, predicate)
-        if target in objects:
-            found.add(PredicatePath(prefix + (predicate,)))
-        if budget > 1:
-            for nxt in objects:
-                _dfs_paths(store, nxt, target, budget - 1, prefix + (predicate,), found)

@@ -11,33 +11,26 @@ a hash probe:
 KBQA never asks for the subjects of a ``(predicate, object)`` pair, so there
 is no ``POS`` ordering.
 
-The public API speaks term strings.  The hot paths (the Sec 6.2 expansion
-scan, the benchmark harness) additionally get an *id-level* API —
-``objects_ids``, ``predicates_between_ids``, ``triples_ids``,
-``spo_items_ids`` — that exposes the
-dictionary-encoded indexes directly so per-row string materialization can be
-skipped entirely; callers treat the returned containers as read-only views.
-
-:class:`TripleStore` is the in-memory implementation of the
-:class:`~repro.kb.backend.KBBackend` protocol: it supports live ``add`` /
-``delete`` with :class:`~repro.kb.backend.KBChange` notification.
+:class:`TripleStore` defines only the storage primitives of
+:class:`~repro.kb.backend.KBBackend` — ``add``/``delete`` with
+:class:`~repro.kb.backend.KBChange` notification, ``__len__``, ``stats`` and
+the id-level reads, which hand out the dictionary-encoded indexes directly
+(callers treat the returned containers as read-only views).  The string
+reads (``objects``, ``predicates_between``, ``has``, ``triples``, ...) are
+the base class's, derived from those primitives.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from repro.kb.backend import ADD, DELETE, BackendBase, KBChange
+from repro.kb.backend import ADD, DELETE, KBBackend, KBChange
 from repro.kb.dictionary import Dictionary
-from repro.kb.triple import Triple
 
 
-class TripleStore(BackendBase):
+class TripleStore(KBBackend):
     """A set of RDF triples with SPO/OSP hash indexes.
-
-    Change-listener and resource-count plumbing comes from
-    :class:`~repro.kb.backend.BackendBase` (shared with the disk store).
 
     >>> kb = TripleStore()
     >>> kb.add("m.obama", "dob", '"1961"')
@@ -70,13 +63,6 @@ class TripleStore(BackendBase):
         if self._listeners:
             self._notify(KBChange(ADD, s, p, o))
         return True
-
-    def add_triple(self, triple: Triple) -> bool:
-        return self.add(triple.subject, triple.predicate, triple.object)
-
-    def add_all(self, triples: Iterable[Triple]) -> int:
-        """Insert many triples; returns how many were new."""
-        return sum(1 for t in triples if self.add_triple(t))
 
     def delete(self, subject: str, predicate: str, obj: str) -> bool:
         """Remove a triple; returns False if it was not present.
@@ -111,74 +97,14 @@ class TripleStore(BackendBase):
             self._notify(KBChange(DELETE, s, p, o))
         return True
 
-    # -- Point lookups -------------------------------------------------------
-
     def __len__(self) -> int:
         return self._size
-
-    def __contains__(self, triple: Triple) -> bool:
-        return self.has(triple.subject, triple.predicate, triple.object)
-
-    def has(self, subject: str, predicate: str, obj: str) -> bool:
-        """Point membership test for one triple."""
-        s = self.dictionary.lookup(subject)
-        p = self.dictionary.lookup(predicate)
-        o = self.dictionary.lookup(obj)
-        if s is None or p is None or o is None:
-            return False
-        return o in self._spo.get(s, {}).get(p, ())
-
-    def objects(self, subject: str, predicate: str) -> set[str]:
-        """``V(e, p)`` — all objects for a (subject, predicate) pair."""
-        s = self.dictionary.lookup(subject)
-        p = self.dictionary.lookup(predicate)
-        if s is None or p is None:
-            return set()
-        decode = self.dictionary.decode
-        return {decode(o) for o in self._spo.get(s, {}).get(p, ())}
-
-    def predicates_between(self, subject: str, obj: str) -> set[str]:
-        """All direct predicates p with (subject, p, obj) in the store."""
-        s = self.dictionary.lookup(subject)
-        o = self.dictionary.lookup(obj)
-        if s is None or o is None:
-            return set()
-        decode = self.dictionary.decode
-        return {decode(p) for p in self.predicates_between_ids(s, o)}
-
-    def predicates_of(self, subject: str) -> set[str]:
-        """All predicates leaving ``subject``."""
-        s = self.dictionary.lookup(subject)
-        if s is None:
-            return set()
-        decode = self.dictionary.decode
-        return {decode(p) for p in self._spo.get(s, ())}
-
-    def out_degree(self, subject: str) -> int:
-        """Number of triples with ``subject`` as the subject (entity frequency
-        in the sense of Sec 6.3)."""
-        s = self.dictionary.lookup(subject)
-        if s is None:
-            return 0
-        return sum(len(objs) for objs in self._spo.get(s, {}).values())
-
-    def has_subject(self, subject: str) -> bool:
-        s = self.dictionary.lookup(subject)
-        return s is not None and s in self._spo
 
     # -- Id-level API (hot paths) ------------------------------------------
     #
     # These methods hand out the dictionary-encoded indexes without decoding
     # a single term.  Returned dicts/sets are the live internal structures:
     # callers must treat them as read-only views.
-
-    def lookup_id(self, term: str) -> int | None:
-        """Dictionary id of ``term`` (None when never interned)."""
-        return self.dictionary.lookup(term)
-
-    def decode_id(self, term_id: int) -> str:
-        """Term string for a dictionary id."""
-        return self.dictionary.decode(term_id)
 
     def has_subject_id(self, subject_id: int) -> bool:
         """True when ``subject_id`` occurs in subject position."""
@@ -212,24 +138,6 @@ class TripleStore(BackendBase):
         probe per *subject group* instead of one per triple.
         """
         return iter(self._spo.items())
-
-    # -- Scans ---------------------------------------------------------------
-
-    def triples(self) -> Iterator[Triple]:
-        """Scan all triples in subject id order (the disk-scan analogue the
-        expansion algorithm of Sec 6.2 relies on)."""
-        decode = self.dictionary.decode
-        for s, by_predicate in self._spo.items():
-            subject = decode(s)
-            for p, objects in by_predicate.items():
-                predicate = decode(p)
-                for o in objects:
-                    yield Triple(subject, predicate, decode(o))
-
-    def subjects_iter(self) -> Iterator[str]:
-        """All distinct subjects."""
-        decode = self.dictionary.decode
-        return (decode(s) for s in self._spo)
 
     # -- Statistics ------------------------------------------------------------
 

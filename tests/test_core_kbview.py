@@ -70,8 +70,3 @@ class TestKBView:
     def test_max_path_length_from_expansion(self, view_setup):
         _kb, view = view_setup
         assert view.max_path_length == 3
-
-    def test_has_entity(self, view_setup):
-        _kb, view = view_setup
-        assert view.has_entity("a")
-        assert not view.has_entity("ghost")

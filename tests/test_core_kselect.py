@@ -1,15 +1,43 @@
 """Tests for valid(k) and the expansion-length selection (Sec 6.3)."""
 
+from collections import Counter
+
+import pytest
 
 from repro.core.kselect import choose_k, top_entities_by_frequency, valid_k
+from repro.kb.disk import DiskTripleStore
+from repro.kb.store import TripleStore
+
+
+def _out_degrees(store) -> Counter:
+    """Triples per subject, counted off the decoded scan."""
+    return Counter(t.subject for t in store.triples())
+
+
+def _reference_top_entities(store, count: int) -> list[str]:
+    """The per-subject formulation the grouped scan replaced: every
+    subject's out-degree, entity nodes only, by degree then name."""
+    degrees = _out_degrees(store)
+    subjects = [(degrees[s], s) for s in degrees if s.startswith("m.")]
+    subjects.sort(key=lambda pair: (-pair[0], pair[1]))
+    return [s for _degree, s in subjects[:count]]
 
 
 class TestTopEntities:
     def test_ordered_by_out_degree(self, suite):
         store = suite.freebase.store
         top = top_entities_by_frequency(store, 10)
-        degrees = [store.out_degree(e) for e in top]
+        degrees = [_out_degrees(store)[e] for e in top]
         assert degrees == sorted(degrees, reverse=True)
+
+    @pytest.mark.parametrize("kb", ["freebase", "dbpedia"])
+    @pytest.mark.parametrize("factory", [TripleStore, DiskTripleStore], ids=["memory", "disk"])
+    def test_matches_the_reference_on_both_backends(self, suite, kb, factory):
+        store = factory()
+        store.add_all(getattr(suite, kb).store.triples())
+        for count in (10, 500, len(store)):
+            expected = _reference_top_entities(store, count)
+            assert top_entities_by_frequency(store, count) == expected
 
     def test_excludes_cvt_nodes(self, suite):
         top = top_entities_by_frequency(suite.freebase.store, 100)

@@ -77,7 +77,7 @@ class TestDBpediaCompile:
     def test_no_cvt_nodes(self, suite):
         assert all(
             not subject.startswith("cvt.")
-            for subject in suite.dbpedia.store.subjects_iter()
+            for subject, _p, _o in suite.dbpedia.store.triples()
         )
 
     def test_spouse_direct_edge(self, suite):

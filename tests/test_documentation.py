@@ -2,9 +2,11 @@
 
 Every public module, class and function of the library must carry a
 docstring — deliverable (e) requires doc comments on every public item —
-and the repository's documents must reference artifacts that exist.
+every docstring example must run as written, and the repository's documents
+must reference artifacts that exist.
 """
 
+import doctest
 import importlib
 import inspect
 import pkgutil
@@ -53,6 +55,22 @@ def test_public_items_have_docstrings(module):
                     if len(inspect.getsource(method).splitlines()) > 4:
                         undocumented.append(f"{name}.{method_name}")
     assert not undocumented, f"{module.__name__}: {undocumented}"
+
+
+def _modules_with_examples():
+    finder = doctest.DocTestFinder()
+    return [
+        module for module in _public_modules()
+        if any(test.examples for test in finder.find(module))
+    ]
+
+
+@pytest.mark.parametrize("module", _modules_with_examples(), ids=lambda m: m.__name__)
+def test_docstring_examples_pass(module):
+    """The module's doctests, run as ``python -m doctest`` would; the failed
+    examples are printed to the captured output."""
+    result = doctest.testmod(module)
+    assert result.attempted and not result.failed, (module.__name__, result)
 
 
 class TestRepositoryDocuments:

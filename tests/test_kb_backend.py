@@ -83,7 +83,8 @@ class TestChangeNotification:
         kb.add("s", "p", "o")
         assert [c.action for c in changes] == [ADD]
         s, p, o = changes[0].subject_id, changes[0].predicate_id, changes[0].object_id
-        assert (kb.decode_id(s), kb.decode_id(p), kb.decode_id(o)) == ("s", "p", "o")
+        decode = kb.dictionary.decode
+        assert (decode(s), decode(p), decode(o)) == ("s", "p", "o")
         kb.delete("s", "p", "o")
         assert [c.action for c in changes] == [ADD, DELETE]
         assert changes[1] == KBChange(DELETE, s, p, o)

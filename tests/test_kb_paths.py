@@ -2,9 +2,18 @@
 
 import pytest
 
-from repro.kb.paths import PredicatePath, follow, paths_between
+from repro.kb.expansion import expand_predicates
+from repro.kb.paths import PredicatePath, follow
 from repro.kb.store import TripleStore
 from repro.kb.triple import make_literal
+
+
+def paths_between(kb, subject, obj, max_length):
+    """Every path of length <= ``max_length`` from ``subject`` to ``obj``:
+    a one-seed expansion that keeps every tail predicate."""
+    tails = frozenset(t.predicate for t in kb.triples())
+    expanded = expand_predicates(kb, [subject], max_length, tail_predicates=tails)
+    return set(expanded.paths_between(subject, obj))
 
 
 @pytest.fixture
@@ -77,6 +86,9 @@ class TestFollow:
 
 
 class TestPathsBetween:
+    """Path enumeration between two nodes is the expansion's
+    ``paths_between`` (Sec 6.2); there is no separate graph walk."""
+
     def test_finds_direct(self, figure1):
         found = paths_between(figure1, "a", make_literal("1961"), max_length=3)
         assert PredicatePath.single("dob") in found
@@ -90,7 +102,8 @@ class TestPathsBetween:
         assert found == set()
 
     def test_zero_budget(self, figure1):
-        assert paths_between(figure1, "a", make_literal("1961"), max_length=0) == set()
+        with pytest.raises(ValueError, match="max_length"):
+            paths_between(figure1, "a", make_literal("1961"), max_length=0)
 
     def test_multiple_paths_to_same_value(self):
         kb = TripleStore()
@@ -132,6 +145,6 @@ class TestPathsBetween:
                 for combo in itertools.product(*edge_options):
                     expected.add(PredicatePath(tuple(combo)))
         found = paths_between(kb, source, target, max_length=3)
-        # paths_between also walks cyclic (non-simple) routes; every simple
+        # the expansion also walks cyclic (non-simple) routes; every simple
         # path must be found.
         assert expected <= found

@@ -1,4 +1,4 @@
-"""Tests for the triple store and its three index orderings."""
+"""Tests for the triple store and its two index orderings."""
 
 import pytest
 from hypothesis import given
@@ -74,14 +74,6 @@ class TestTripleStore:
         assert toy_store.predicates_between("a", "d") == {"pob"}
         assert toy_store.predicates_between("a", "c") == set()
 
-    def test_predicates_of(self, toy_store):
-        assert "dob" in toy_store.predicates_of("a")
-        assert "marriage" in toy_store.predicates_of("a")
-
-    def test_out_degree(self, toy_store):
-        assert toy_store.out_degree("a") == 4
-        assert toy_store.out_degree("ghost") == 0
-
     def test_has_subject(self, toy_store):
         assert toy_store.has_subject("a")
         assert not toy_store.has_subject(LIT_1961)
@@ -134,8 +126,9 @@ class TestTripleStoreProperties:
         assert scanned == set(triples)
 
     @given(st.lists(st.tuples(_terms, _preds, _terms), max_size=60))
-    def test_out_degree_sums_to_size(self, triples):
+    def test_grouped_scan_sums_to_size(self, triples):
         kb = TripleStore()
         for s, p, o in triples:
             kb.add(s, p, o)
-        assert sum(kb.out_degree(s) for s in kb.subjects_iter()) == len(kb)
+        grouped = kb.spo_items_ids()
+        assert sum(len(objs) for _s, g in grouped for objs in g.values()) == len(kb)

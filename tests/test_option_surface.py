@@ -246,11 +246,13 @@ def test_expanded_format_env_var_is_ignored(tmp_path, monkeypatch):
 
 def test_kb_layer_serves_only_the_lookups_kbqa_makes():
     """Reach is recorded one way, the store keeps two triple orderings, the
-    change stream has one listener kind, live refreshes go by seed set, and
-    the BGP solver, the reverse lookups, the alias view and the read-only
-    open mode stay gone."""
+    change stream has one listener kind, live refreshes go by seed set, the
+    string reads are written once on the one contract class, and the BGP
+    solver, the reverse lookups, the reads nothing calls, the alias view and
+    the read-only open mode stay gone."""
     import repro.kb
-    from repro.kb import disk
+    from repro.core.kbview import KBView
+    from repro.kb import backend, disk, paths
     from repro.kb.backend import KBBackend
     from repro.kb.disk import DiskTripleStore
     from repro.kb.expansion import ExpandedStore, expand_predicates
@@ -262,14 +264,27 @@ def test_kb_layer_serves_only_the_lookups_kbqa_makes():
     assert list(inspect.signature(LiveExpansionMaintainer).parameters) == [
         "backend", "expanded", "seeds",
     ]
+    deleted = (
+        "subjects", "predicates", "predicates_ids_of",
+        "lookup_id", "decode_id", "predicates_of", "out_degree", "subjects_iter",
+    )
+    shared = (
+        "objects", "predicates_between", "has", "__contains__", "has_subject",
+        "triples", "add_triple", "add_all",
+    )
     for owner in (KBBackend, TripleStore, DiskTripleStore):
-        for name in ("subjects", "predicates", "predicates_ids_of"):
+        for name in deleted:
             assert not hasattr(owner, name), (owner, name)
+        for name in shared:
+            assert getattr(owner, name) is getattr(KBBackend, name), (owner, name)
         # one listener kind: a listener takes bursts of changes
         assert list(inspect.signature(owner.subscribe).parameters) == ["self", "listener"]
     # a live edit refreshes its affected seeds together, never one by one
     assert not hasattr(LiveExpansionMaintainer, "refresh_seed")
     assert not hasattr(ExpandedStore, "invalidate_seed")
+    # one contract class, no Protocol beside it; no graph walk beside the scan
+    assert not hasattr(backend, "BackendBase") and not hasattr(backend, "Protocol")
+    assert not hasattr(paths, "paths_between") and not hasattr(KBView, "has_entity")
     assert not {"solve", "select"} & set(repro.kb.__all__)
     with pytest.raises(ModuleNotFoundError):
         import repro.kb.query  # noqa: F401

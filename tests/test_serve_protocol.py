@@ -549,7 +549,7 @@ class TestAbandonedRequests:
         from repro.serve.app import KBQAServer
 
         store = serve_system.kb.store
-        node = next(store.subjects_iter())
+        node = next(store.triples()).subject
         fact = (node, "population", make_literal("777000777"))
         routed: list[asyncio.Task] = []
 
@@ -585,7 +585,7 @@ class TestAbandonedRequests:
             assert asyncio.run(main()) == (1, 2)
             (change,) = changes
             assert tuple(
-                store.decode_id(term_id)
+                store.dictionary.decode(term_id)
                 for term_id in (change.subject_id, change.predicate_id, change.object_id)
             ) == fact
             assert fact[2] in store.objects(fact[0], fact[1])
