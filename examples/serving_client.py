@@ -1,6 +1,6 @@
 """Serving tour: start the HTTP answer service in-process, talk to it.
 
-Shows the whole serving story: a trained system behind the coalescing
+Shows the whole serving story: a trained system behind the micro-batching
 async front (`repro.serve`), queried over plain HTTP — single answers,
 client batches, a live KB edit through /facts, and the serving counters.
 
@@ -50,7 +50,7 @@ def main() -> None:
         print(f"  -> {answer['value']}  (answered={answer['answered']}, "
               f"predicate={answer['predicate']})")
 
-        print("\nPOST /batch with duplicates (the server coalesces in flight)")
+        print("\nPOST /batch with duplicates (the answer cache serves them)")
         batch = post(bg.url + "/batch", {"questions": [question] * 4})
         values = {r["value"] for r in batch["results"]}
         print(f"  -> {len(batch['results'])} results, {len(values)} distinct value")
@@ -63,10 +63,12 @@ def main() -> None:
             w.start()
         for w in workers:
             w.join()
-        stats = get(bg.url + "/stats")["serve"]
-        print(f"  serve counters: requests={stats['requests']} "
-              f"coalesced={stats['coalesced']} batches={stats['batches']} "
-              f"evaluated={stats['evaluated']}")
+        stats = get(bg.url + "/stats")
+        serve = stats["serve"]
+        print(f"  serve counters: requests={serve['requests']} "
+              f"inline_hits={serve['inline_hits']} "
+              f"wire_hits={stats['http']['wire_hits']} "
+              f"batches={serve['batches']} evaluated={serve['evaluated']}")
 
         print("\nPOST /facts: live-edit the KB between two evaluation batches")
         node = answer["entity"]

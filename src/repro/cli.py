@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="train and serve answers over HTTP (coalescing async front)",
+        help="train and serve answers over HTTP (micro-batching async front)",
     )
     _common_args(serve)
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -319,7 +319,7 @@ def _cmd_variants(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    """Serve answers over HTTP through the coalescing async front.
+    """Serve answers over HTTP through the micro-batching async front.
 
     Trains, binds (``--port 0`` picks an ephemeral port, printed on the
     ``serving on URL`` line), prints the endpoints and blocks until Ctrl-C,

@@ -210,10 +210,9 @@ class OnlineAnswerer:
         """Answer-cache probe: the cached result for ``question`` or None.
 
         Never evaluates.  The serving layer's cache-hit lane calls this on
-        the event loop for every request (passing the normalized ``key`` it
-        already computed for coalescing, so the question is tokenized
-        once); its degraded mode uses it to keep answering while the
-        evaluation backend is down or overloaded, without adding load.
+        the event loop for every request, passing the normalized ``key`` it
+        computed at submission, so the question is tokenized once (a miss
+        carries the same key into :meth:`answer_many`).
         With the cache disabled it returns before touching the lock.
         ``question=None`` (with a ``key``) returns the entry the cache
         holds itself, in the spelling that first filled it: the HTTP
@@ -244,7 +243,7 @@ class OnlineAnswerer:
         serving layer's micro-batching leans on.
 
         ``keys``, when given, holds each question's normalized key (the
-        serving layer computed it for coalescing): the question is then not
+        serving layer computed it at submission): the question is then not
         tokenized again, its tokens are ``key.split()`` — exact, since no
         token contains whitespace.
         """

@@ -1,13 +1,13 @@
-"""Async serving subsystem: coalescing answer service + HTTP front.
+"""Async serving subsystem: micro-batching answer service + HTTP front.
 
 The serving story, module by module:
 
 * :mod:`repro.serve.async_answerer` — :class:`AsyncAnswerer`: answer-cache
   hits answered on the event loop (no queue, task or thread hop), and for
-  misses in-flight request coalescing on the normalized-question key,
-  micro-batching into ``answer_many`` evaluated inline on the event loop,
-  bounded-queue admission control, deadlines, writes ordered between two
-  batches and epoch-checked freshness for writes from other threads;
+  misses one queue entry each, micro-batched into ``answer_many`` evaluated
+  inline on the event loop, bounded-queue admission control, deadlines,
+  writes ordered between two batches and epoch-checked freshness for writes
+  from other threads;
 * :mod:`repro.serve.app` — :class:`KBQAServer`: the stdlib asyncio HTTP
   front (one ``asyncio.Protocol`` per connection over the sans-IO parser
   of :mod:`repro.serve.http`; ``/answer``, ``/batch``, ``/facts``,

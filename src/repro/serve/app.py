@@ -4,20 +4,16 @@ Endpoints (all JSON):
 
 * ``POST /answer``  ``{"question": "..."}`` -> one answer payload.  A
   question the answer cache holds is answered in the callback that received
-  its last byte (:meth:`AsyncAnswerer.answer_nowait`, ``"degraded":
-  false``): it never reaches admission control, so overload cannot refuse
-  it.  A miss takes the queue; ``503`` with ``{"error": "overloaded", ...}``
-  when admission control rejects.  The degraded fallback — a cached result
-  served with ``"degraded": true`` because an answer beats a refusal — is
-  therefore left with the refusals the lane cannot absorb: targets whose
-  cache the lane cannot read (no ``cached_answer`` on the target).  An
-  ``X-KBQA-Deadline-Ms`` header (or ``ServeConfig.deadline_ms``) bounds the
-  wait: past it the request gets a ``504``; a value that is not a finite
-  positive number gets a ``400``.
+  its last byte (:meth:`AsyncAnswerer.answer_nowait`): it never reaches
+  admission control, so overload cannot refuse it.  A miss takes the queue;
+  ``503`` with ``{"error": "overloaded", ...}`` when admission control
+  rejects.  An ``X-KBQA-Deadline-Ms`` header (or
+  ``ServeConfig.deadline_ms``) bounds the wait: past it the request gets a
+  ``504``; a value that is not a finite positive number gets a ``400``.
 * ``POST /batch``   ``{"questions": [...]}`` -> ``{"results": [...]}`` in
-  input order (each question goes through coalescing individually); the
-  deadline header applies per question, and the degraded fallback fires
-  only when *every* question is cached.
+  input order (:meth:`AsyncAnswerer.answer_many`: cached questions from
+  the lane, each distinct miss queued once, admitted as a whole); the
+  deadline header applies per question.
 * ``POST /facts``   ``{"op": "add"|"delete", "subject", "predicate",
   "object"}`` -> applies a live KB edit through :meth:`AsyncAnswerer.apply`,
   on the event loop between two batches, so the expansion refresh + cache
@@ -103,13 +99,8 @@ if TYPE_CHECKING:
     from repro.core.system import KBQA
 
 
-def result_payload(result: AnswerResult, *, degraded: bool = False) -> dict:
-    """JSON shape of one answer (stable: clients and tests key off this).
-
-    ``degraded=True`` marks an answer served from the answer cache while the
-    evaluation backend was unavailable — correct as of its caching, but not
-    freshly evaluated.
-    """
+def result_payload(result: AnswerResult) -> dict:
+    """JSON shape of one answer (stable: clients and tests key off this)."""
     return {
         "question": result.question,
         "answered": result.answered,
@@ -120,7 +111,6 @@ def result_payload(result: AnswerResult, *, degraded: bool = False) -> dict:
         "template": result.template,
         "predicate": str(result.predicate) if result.predicate is not None else None,
         "found_predicate": result.found_predicate,
-        "degraded": degraded,
         "fallback": result.fallback,
     }
 
@@ -552,22 +542,10 @@ class KBQAServer:
         self, request: HTTPRequest, asked: _Asked | None = None
     ) -> tuple[int, dict]:
         question, key, deadline_s, tenant = asked or self._answer_args(request)
-        try:
-            # deadline_s None: the config default applies inside answer()
-            result = await self.answerer.answer(
-                question, deadline_s=deadline_s, tenant=tenant, key=key
-            )
-        except OverloadedError as error:
-            # degraded mode: the evaluation backend is saturated — a cached
-            # answer beats a refusal, so probe the answer cache (free)
-            # before surfacing the 503.  The cache-hit lane already answered
-            # every hit it could read, so this fires only where the lane is
-            # blind (see the module docstring).
-            cached = self.system.answerer.cached_answer(question, key)
-            if cached is None:
-                raise error
-            self.answerer.stats.degraded += 1
-            return 200, result_payload(cached, degraded=True)
+        # deadline_s None: the config default applies inside answer()
+        result = await self.answerer.answer(
+            question, deadline_s=deadline_s, tenant=tenant, key=key
+        )
         return 200, result_payload(result)
 
     async def _handle_batch(self, request: HTTPRequest) -> tuple[int, dict]:
@@ -579,22 +557,9 @@ class KBQAServer:
             or not all(isinstance(q, str) and q.strip() for q in questions)
         ):
             raise BadRequest("'questions' must be a non-empty list of strings")
-        deadline_s = self._deadline_s(request)
-        tenant = self._tenant(request)
-        try:
-            results = await self.answerer.answer_many(
-                questions, deadline_s=deadline_s, tenant=tenant
-            )
-        except OverloadedError as error:
-            # a batch degrades only whole: partially-cached output would be
-            # indistinguishable from a shorter result list
-            cached = [self.system.answerer.cached_answer(q) for q in questions]
-            if any(c is None for c in cached):
-                raise error
-            self.answerer.stats.degraded += len(cached)
-            return 200, {
-                "results": [result_payload(c, degraded=True) for c in cached]
-            }
+        results = await self.answerer.answer_many(
+            questions, deadline_s=self._deadline_s(request), tenant=self._tenant(request)
+        )
         return 200, {"results": [result_payload(r) for r in results]}
 
     async def _handle_facts(self, request: HTTPRequest) -> tuple[int, dict]:

@@ -1,34 +1,32 @@
-"""Asyncio serving core: coalescing + micro-batching over the sync answerer.
+"""Asyncio serving core: the cache-hit lane + micro-batching over the sync answerer.
 
 The paper answers one BFQ in tens of milliseconds (Table 14); serving heavy
 traffic is then a *concurrency* problem, and real question traffic is
 heavily duplicated (the head of the query distribution).  This module turns
-the synchronous ``answer_many`` batch API into an asyncio service with four
+the synchronous ``answer_many`` batch API into an asyncio service with three
 mechanisms:
 
 * **cache-hit lane** — a question the target's answer cache already holds
   is answered at the instant it is submitted: one tokenization (the
-  coalescing key, which is also the cache key), one probe, and the result
-  is returned — no future, no queue entry, no dispatcher wake-up.
+  normalized key, which is the cache key), one probe, and the result is
+  returned — no future, no queue entry, no dispatcher wake-up.
   :meth:`AsyncAnswerer.answer_nowait` is the same step without a
   coroutine, for the HTTP front.  Everything below is what a *miss* takes.
-* **in-flight coalescing** — concurrent requests for the same *normalized*
-  question (the answer-cache key) share one evaluation: the first arrival
-  enqueues it, and every request, first or joiner, awaits a loop future of
-  its own, filed under the key; the batch resolves every waiter still
-  waiting.  N duplicates cost one Eq 7 evaluation.  There is no switch for
-  it.
-* **micro-batching** — distinct pending questions are drained into
-  ``answer_many`` batches of up to ``max_batch`` and evaluated *inline on
-  the event loop*, one batch at a time, amortizing the serving-cache probes
-  across the batch.  A queue entry carries its key, and when that key is
-  the target's own cache key (the lane's condition below) the batch hands
-  the keys over, ``answer_many(questions, keys)``, so a miss is tokenized
-  once, at submission.  The dispatcher yields to the loop between two batches,
-  so socket reads, deadline timers and writes interleave with a long queue.
-  Eq 7 is pure Python: under the GIL an evaluation thread bought no
-  parallelism, only a hand-off each way (DESIGN.md "Why serving evaluates
-  on the loop").  One server process is the only serving topology.
+* **micro-batching** — every miss is one queue entry with a loop future of
+  its own; pending entries are drained into ``answer_many`` batches of up
+  to ``max_batch`` and evaluated *inline on the event loop*, one batch at a
+  time, amortizing the serving-cache probes across the batch.  A queue
+  entry carries its key, and when that key is the target's own cache key
+  (the lane's condition below) the batch hands the keys over,
+  ``answer_many(questions, keys)``, so a miss is tokenized once, at
+  submission.  A duplicate miss costs a queue slot, never a second Eq 7
+  evaluation while the answer cache is on: in the same batch
+  ``answer_many`` deduplicates it, in a later one it is a cache hit.  The
+  dispatcher yields to the loop between two batches, so socket reads,
+  deadlines and writes interleave with a long queue.  Eq 7 is pure
+  Python: under the GIL an evaluation thread bought no parallelism, only a
+  hand-off each way (DESIGN.md "Why serving evaluates on the loop").  One
+  server process is the only serving topology.
 * **admission control** — at most ``max_pending`` evaluations may be queued
   or executing; beyond that :meth:`AsyncAnswerer.answer` raises
   :class:`OverloadedError` *immediately* (the deterministic overload
@@ -40,15 +38,14 @@ serving (DESIGN.md "Control plane" records why the SLO controller went).
 
 The failure model (``tests/test_fault_tolerance.py``): a request may carry
 a **deadline** — past it the caller gets :class:`DeadlineExceeded` (HTTP
-504).  The loop runs the deadline's timer at the first point it is free
-after it passes: between two batches for a queued request, when its own
-batch returns for one being evaluated.  A result that lands in the same
-loop step as the timer loses to it: the waiter reads the loop clock after
-its future resolves.  An expired or cancelled waiter's future is simply
-done, and the batch skips it; the evaluation itself is not cancelled: it
-still resolves its coalesced siblings and warms the answer cache.  An
-exception out of the target fails exactly the batch that hit it, and
-reaches only waiters still waiting, so nothing is left unretrieved.
+504) at the first point the loop is free: between two batches for a queued
+request, which the next batch then leaves out, and when its own batch
+returns for one being evaluated, which still finishes and warms the answer
+cache.  A result that lands in the same loop step as the deadline loses to
+it: the waiter reads the loop clock after its future resolves.  A request
+cancelled while queued is left out too.  An exception out of the target
+fails exactly the batch that hit it, and reaches only waiters still
+waiting, so nothing is left unretrieved.
 
 Correctness under live KB updates needs no quiesce.  :meth:`AsyncAnswerer.
 apply` runs its mutation synchronously on the loop, which is always between
@@ -68,10 +65,9 @@ cache.  The cache in turn never outlives a write: the target's KB change
 listener clears it *before* the serving epoch bump (``KBQA`` subscribes at
 construction, the server after it), and the answerer's generation counter
 refuses to insert a result whose evaluation straddled a clear.  There is no
-switch for the lane: it is on exactly when it can be right — the target
-exposes ``cached_answer(question, key)`` and the answerer's key function is
-:func:`normalized_key`, the cache's own key — and a target without the
-probe (a wrapper, a scripted test double) or a custom ``key=`` keeps every
+switch for the lane: it is on exactly when the target exposes
+``cached_answer(question, key)``, whose key is :func:`normalized_key`; a
+target without the probe (a wrapper, a scripted test double) keeps every
 request on the queue path.
 
 All mutable state is confined to the event loop; the only cross-thread
@@ -118,15 +114,15 @@ class OverloadedError(RuntimeError):
 class DeadlineExceeded(RuntimeError):
     """The request's deadline expired before its evaluation completed.
 
-    The HTTP front maps this to a ``504``.  The underlying evaluation is
-    *not* cancelled — its batch carries other requests, and a coalesced
-    duplicate may still be waiting on it — the expired caller just stops
-    waiting.
+    The HTTP front maps this to a ``504``.  A request that expires while
+    queued is left out of the next batch; one whose batch is already
+    running is not cancelled — the batch carries other requests — the
+    expired caller just stops waiting.
     """
 
 
 def normalized_key(question: str) -> str:
-    """The coalescing key: tokenized-and-rejoined question text.
+    """The normalized question: tokenized-and-rejoined question text.
 
     Identical to the :class:`~repro.core.online.OnlineAnswerer` answer-cache
     key, so the serving layer and the answerer agree on which questions are
@@ -139,9 +135,9 @@ def normalized_key(question: str) -> str:
 class ServeConfig:
     """Tuning knobs for :class:`AsyncAnswerer` (defaults favor tests/laptops).
 
-    ``max_batch`` bounds distinct questions per ``answer_many`` dispatch;
-    ``max_pending`` is the admission bound on evaluations queued or
-    executing (coalesced joiners are free and never rejected).
+    ``max_batch`` bounds queue entries per ``answer_many`` dispatch;
+    ``max_pending`` is the admission bound on queue entries waiting or
+    executing.
 
     The failure-model knob: ``deadline_ms`` is the default per-request
     deadline, a finite number of milliseconds (0 disables; the HTTP front's ``X-KBQA-Deadline-Ms`` header
@@ -183,7 +179,7 @@ class ServeStats:
 
     requests: int = 0  # accepted question submissions
     inline_hits: int = 0  # requests answered on the loop from the answer cache
-    coalesced: int = 0  # requests that joined an in-flight evaluation
+    coalesced: int = 0  # answer_many duplicates of a miss the same call submitted
     rejected: int = 0  # admission-control rejections
     batches: int = 0  # answer_many dispatches that delivered results
     evaluated: int = 0  # questions sent through answer_many (incl. retries)
@@ -193,44 +189,36 @@ class ServeStats:
     applies: int = 0  # writes run on the loop through apply()
     max_batch_seen: int = 0
     deadline_expired: int = 0  # requests abandoned at their deadline (504s)
-    degraded: int = 0  # answer-cache hits served in degraded mode (by the app)
+    degraded: int = 0  # always 0: nothing serves degraded (kept for readers; ROADMAP 1A)
     fallback_served: int = 0  # answers recovered by the semantic fallback lane
     fallback_abstained: int = 0  # unanswered despite the lane being enabled
 
 
 class AsyncAnswerer:
-    """Coalescing, micro-batching asyncio front over a synchronous answerer.
+    """Cache-hit lane + micro-batching asyncio front over a synchronous answerer.
 
     Lifecycle: ``await start()`` inside a running event loop (or use
     ``async with``), submit with :meth:`answer` / :meth:`answer_many`,
     ``await stop()`` to shut down.  One instance binds to one event loop.
     """
 
-    def __init__(
-        self,
-        target: AnswerTarget,
-        config: ServeConfig | None = None,
-        key: Callable[[str], str] = normalized_key,
-    ) -> None:
+    def __init__(self, target: AnswerTarget, config: ServeConfig | None = None) -> None:
         self.target = target
         self.config = config or ServeConfig()
         self.stats = ServeStats()
         self.metrics = ServeMetrics()
         self._fallback_enabled = bool(getattr(target, "fallback_enabled", False))
-        self._key = key
-        # The cache-hit lane's probe: only a target that exposes its answer
-        # cache, and only when this answerer's key *is* that cache's key.
+        # The cache-hit lane's probe: only a target that exposes its answer cache.
         probe = getattr(target, "cached_answer", None)
         self._probe: Callable[[str | None, str], AnswerResult | None] | None = (
-            probe if callable(probe) and key is normalized_key else None
+            probe if callable(probe) else None
         )
         self._loop: asyncio.AbstractEventLoop | None = None
-        # (key, question, tenant, t_enq) items not yet dispatched; one entry
-        # per distinct in-flight key
+        # (key, question, tenant, t_enq, future, expires) items not yet
+        # dispatched: one per miss, each with the loop future its request
+        # awaits and its deadline on the loop clock (inf: none)
         self._queue: deque = deque()
-        # key -> the loop futures of every request waiting on its evaluation
-        self._inflight: dict[str, list[asyncio.Future]] = {}
-        self._pending = 0  # queued + executing evaluations (admission gauge)
+        self._pending = 0  # queued + executing entries (admission gauge)
         # bumped by invalidate() from any thread, under the lock so that no
         # two writers' bumps collapse into one
         self._epoch = 0
@@ -268,13 +256,12 @@ class AsyncAnswerer:
         except asyncio.CancelledError:
             pass
         self._dispatcher = None
-        # Every waiter of a queued-but-undispatched key fails deterministically.
+        # Every queued-but-undispatched request fails deterministically.
         while self._queue:
-            key = self._queue.popleft()[0]
+            future = self._queue.popleft()[4]
             self._pending -= 1
-            for future in self._inflight.pop(key, ()):
-                if not future.done():
-                    future.set_exception(RuntimeError("serving stopped"))
+            if not future.done():
+                future.set_exception(RuntimeError("serving stopped"))
 
     async def __aenter__(self) -> "AsyncAnswerer":
         await self.start()
@@ -293,8 +280,7 @@ class AsyncAnswerer:
         tenant: str | None = None,
         key: str | None = None,
     ) -> AnswerResult:
-        """Answer one question: the cache-hit lane, else coalescing +
-        micro-batching.
+        """Answer one question: the cache-hit lane, else micro-batching.
 
         Raises :class:`OverloadedError` when admission control rejects the
         request; otherwise resolves to exactly what the synchronous path
@@ -303,21 +289,20 @@ class AsyncAnswerer:
         rejected, throttled or expired — it costs the box no evaluation.
         ``deadline_s`` bounds the wait (defaulting from
         ``config.deadline_ms`` when that is > 0): past it
-        :class:`DeadlineExceeded` is raised and the caller walks away, but
-        the evaluation itself keeps running — its batch carries other
-        requests, and its result still warms the answer cache.
+        :class:`DeadlineExceeded` is raised and the caller walks away.  A
+        request still queued then is left out of the next batch; one whose
+        batch is running is still evaluated and warms the answer cache.
 
         ``tenant`` attributes the request to a client (the HTTP front passes
-        the ``X-KBQA-Client`` header) in the per-tenant metrics.  Joining an
-        in-flight evaluation is always free: a coalesced duplicate costs the
-        box nothing, so admission never rejects it.  A caller that already
-        holds the question's ``key`` passes it, as to :meth:`answer_nowait`.
+        the ``X-KBQA-Client`` header) in the per-tenant metrics.  A caller
+        that already holds the question's ``key`` passes it, as to
+        :meth:`answer_nowait`.
         """
         if not self._running:
             raise RuntimeError("AsyncAnswerer is not running (call start())")
         started = time.monotonic()
         if key is None:
-            key = self._key(question)
+            key = normalized_key(question)
         hit = self._lane_hit(question, key, tenant, started)
         if hit is not None:
             return hit
@@ -325,30 +310,21 @@ class AsyncAnswerer:
             deadline_s = self.config.deadline_ms / 1000.0
         if tenant is not None:
             self.metrics.tenant_inc(tenant, "requests")
-        assert self._loop is not None and self._wakeup is not None
-        waiters = self._inflight.get(key)
-        if waiters is not None:
-            self.stats.coalesced += 1
+        max_pending = self.config.max_pending
+        if self._pending >= max_pending:
+            self.stats.rejected += 1
             if tenant is not None:
-                self.metrics.tenant_inc(tenant, "coalesced")
-        else:
-            max_pending = self.config.max_pending
-            if self._pending >= max_pending:
-                self.stats.rejected += 1
-                if tenant is not None:
-                    self.metrics.tenant_inc(tenant, "rejected")
-                raise OverloadedError(
-                    f"serving queue full ({max_pending} pending evaluations)"
-                )
-            waiters = self._inflight[key] = []
-            self._queue.append((key, question, tenant, time.monotonic()))
-            self._pending += 1
-            self._wakeup.set()
+                self.metrics.tenant_inc(tenant, "rejected")
+            raise OverloadedError(f"serving queue full ({max_pending} pending evaluations)")
+        loop = self._loop
+        assert loop is not None and self._wakeup is not None
+        future: asyncio.Future = loop.create_future()
+        expires = math.inf if deadline_s is None else loop.time() + deadline_s
+        self._queue.append((key, question, tenant, time.monotonic(), future, expires))
+        self._pending += 1
         self.stats.requests += 1
-        future: asyncio.Future = self._loop.create_future()
-        waiters.append(future)
-        result = await self._await_result(future, deadline_s)
-        return result if result.question == question else replace(result, question=question)
+        self._wakeup.set()
+        return await self._await_result(future, expires, deadline_s)
 
     def answer_nowait(
         self,
@@ -373,7 +349,7 @@ class AsyncAnswerer:
             return None
         started = time.monotonic()
         if key is None:
-            key = self._key(question)
+            key = normalized_key(question)
         return self._lane_hit(question, key, tenant, started)
 
     def _lane_hit(
@@ -407,26 +383,27 @@ class AsyncAnswerer:
             self.stats.fallback_abstained += 1
 
     async def _await_result(
-        self, future: asyncio.Future, deadline_s: float | None
+        self, future: asyncio.Future, expires: float, deadline_s: float | None
     ) -> AnswerResult:
-        """Await this request's own waiter future, abandoning it at the
-        deadline.
+        """Await this request's own waiter future, abandoning it at
+        ``expires`` (loop clock).
 
         The future belongs to this request alone, so a timeout (or a
-        cancelled caller) cancels it and nothing else: the batch finds it
-        done and skips it, and its siblings and the evaluation are
-        untouched.  The deadline wins over an outcome that lands in the same
+        cancelled caller) cancels it and nothing else: the dispatcher finds
+        it done and leaves it out of the next batch, or the running batch
+        skips it.  The deadline wins over an outcome that lands in the same
         loop step as its timer — a caller whose deadline passed during an
         inline batch gets :class:`DeadlineExceeded`, whether or not that
         batch carried its question — because the loop clock is read again
         once the future has resolved: the task's wake-up can run before the
-        timer's callback in that step.
+        timer's callback in that step.  That check is also what turns the
+        dispatcher's expiry of a queued request (an empty result) into
+        :class:`DeadlineExceeded`.
         """
         if deadline_s is None:
             return await future
         loop = self._loop
         assert loop is not None
-        expires = loop.time() + deadline_s
         try:
             async with asyncio.timeout_at(expires):
                 result = await future
@@ -452,12 +429,14 @@ class AsyncAnswerer:
     ) -> list[AnswerResult]:
         """Concurrent submission of a client batch (order preserved).
 
+        Each distinct missed key is submitted once, in its first spelling,
+        and its result goes to every duplicate in the duplicate's own
+        spelling; the duplicates count as ``coalesced`` requests.
         Admission is checked for the *whole* batch up front: if the
-        questions that need an evaluation — not in the answer cache, distinct
-        and not yet in flight — cannot fit the remaining capacity, the
-        batch is rejected before any of it is answered or enqueued — a
-        503'd client batch must shed load, not consume ``max_pending``
-        evaluations whose results nobody reads.
+        distinct misses cannot fit the remaining capacity, the batch is
+        rejected before any of it is answered or enqueued — a 503'd client
+        batch must shed load, not consume ``max_pending`` evaluations whose
+        results nobody reads.
         (Individual submissions can still race other clients for the last
         slots; that narrow window keeps the per-call admission check
         authoritative.)
@@ -465,34 +444,52 @@ class AsyncAnswerer:
         if not self._running:
             raise RuntimeError("AsyncAnswerer is not running (call start())")
         started = time.monotonic()
-        keys = [self._key(q) for q in questions]
+        keys = [normalized_key(q) for q in questions]
         lane = self._probe
         hits = [lane(q, k) if lane else None for q, k in zip(questions, keys)]
-        missed = [k for k, hit in zip(keys, hits) if hit is None]
-        needed = len(set(missed) - self._inflight.keys())
+        missed: dict[str, str] = {}  # key -> its first spelling
+        for question, key, hit in zip(questions, keys, hits):
+            if hit is None:
+                missed.setdefault(key, question)
         max_pending = self.config.max_pending
         free = max_pending - self._pending
-        if needed > free:
+        if len(missed) > free:
             self.stats.rejected += len(questions)
             if tenant is not None:
                 self.metrics.tenant_inc(tenant, "rejected", len(questions))
             raise OverloadedError(
-                f"batch needs {needed} evaluations but only {max(free, 0)} "
+                f"batch needs {len(missed)} evaluations but only {max(free, 0)} "
                 f"of {max_pending} slots are free"
             )
         for hit in hits:
             if hit is not None:
                 self._record_hit(hit, tenant, started)
-        evaluated = iter(
-            await asyncio.gather(
-                *(
-                    self.answer(q, deadline_s=deadline_s, tenant=tenant, key=k)
-                    for q, k, hit in zip(questions, keys, hits)
-                    if hit is None
-                )
+        duplicates = hits.count(None) - len(missed)
+        self.stats.requests += duplicates
+        self.stats.coalesced += duplicates
+        if tenant is not None and duplicates:
+            self.metrics.tenant_inc(tenant, "requests", duplicates)
+        answered = dict(
+            zip(
+                missed,
+                await asyncio.gather(
+                    *(
+                        self.answer(q, deadline_s=deadline_s, tenant=tenant, key=k)
+                        for k, q in missed.items()
+                    )
+                ),
             )
         )
-        return [hit if hit is not None else next(evaluated) for hit in hits]
+        if tenant is not None and duplicates:
+            self.metrics.tenant_inc(tenant, "completed", duplicates)
+        results = []
+        for question, key, hit in zip(questions, keys, hits):
+            if hit is None:
+                hit = answered[key]
+                if hit.question != question:
+                    hit = replace(hit, question=question)
+            results.append(hit)
+        return results
 
     # -- Invalidation + writes ---------------------------------------------
 
@@ -531,25 +528,39 @@ class AsyncAnswerer:
         """Evaluate the queue in bounded ``answer_many`` batches forever.
 
         One batch at a time, inline; the ``sleep(0)`` after each hands the
-        loop to socket reads, expired deadlines and writers before the next.
+        loop to socket reads and writers before the next.  A deadline timer
+        that fell due during the batch would run only behind the next one
+        (asyncio queues due timers after the ready callbacks), so before it
+        yields the dispatcher expires every queued request whose deadline
+        has passed: the waiter raises first, and its done future keeps it
+        out of the next batch, as it does a cancelled request's.
         """
-        assert self._wakeup is not None
+        loop, queue, wakeup = self._loop, self._queue, self._wakeup
+        assert loop is not None and wakeup is not None
         max_batch = self.config.max_batch
         while True:
-            if not self._queue:
-                self._wakeup.clear()
-                await self._wakeup.wait()
+            if not queue:
+                wakeup.clear()
+                await wakeup.wait()
                 continue
-            batch = [
-                self._queue.popleft() for _ in range(min(len(self._queue), max_batch))
-            ]
+            batch = []
             now = time.monotonic()
-            for item in batch:
+            while queue and len(batch) < max_batch:
+                item = queue.popleft()
                 self.metrics.observe("queue_wait", (now - item[3]) * 1000.0)
-            self._run_batch(batch)
-            await asyncio.sleep(0)
+                if item[4].done():  # its caller expired or left while queued
+                    self._pending -= 1
+                else:
+                    batch.append(item)
+            if batch:
+                self._run_batch(batch)
+                clock = loop.time()  # the clock deadlines are set on
+                for item in queue:
+                    if item[5] <= clock and not item[4].done():
+                        item[4].set_result(None)  # _await_result raises DeadlineExceeded
+                await asyncio.sleep(0)
 
-    def _run_batch(self, batch: list[tuple[str, str, str | None, float]]) -> None:
+    def _run_batch(self, batch: list[tuple]) -> None:
         """Evaluate one micro-batch on the loop and resolve its waiters.
 
         The freshness invariant lives in the re-evaluation loop: a result
@@ -558,11 +569,11 @@ class AsyncAnswerer:
         otherwise the batch re-evaluates against the (already invalidated,
         hence refreshed) target caches, as often as it takes.
 
-        Every waiter still waiting on a key gets its result (or the
-        target's exception); an expired or cancelled one is already done
-        and is skipped.  The keys go to the target only when they are its
-        own cache keys (the lane's condition), which spares it the second
-        tokenization.
+        Every waiter still waiting gets its result (or the target's
+        exception); one whose deadline passed during the batch wins its
+        tie in :meth:`_await_result`.  The keys go to the target only when
+        they are its own cache keys (the lane's condition), which spares it
+        the second tokenization.
         """
         questions = [item[1] for item in batch]
         if self._probe is None:
@@ -584,19 +595,17 @@ class AsyncAnswerer:
             self.stats.batches += 1
             self.stats.max_batch_seen = max(self.stats.max_batch_seen, len(questions))
             done = time.monotonic()
-            for (key, _question, tenant, t_enq), result in zip(batch, results):
-                for future in self._inflight.pop(key):
-                    if not future.done():
-                        future.set_result(result)
+            for (_key, _question, tenant, t_enq, future, _), result in zip(batch, results):
+                if not future.done():
+                    future.set_result(result)
                 self._count_fallback(result)
                 self.metrics.observe_total((done - t_enq) * 1000.0)
                 if tenant is not None:
                     self.metrics.tenant_inc(tenant, "completed")
         except Exception as error:  # target failure: fail the whole batch
-            for key, _question, tenant, _t_enq in batch:
-                for future in self._inflight.pop(key, ()):
-                    if not future.done():
-                        future.set_exception(error)
+            for _key, _question, tenant, _t_enq, future, _expires in batch:
+                if not future.done():
+                    future.set_exception(error)
                 if tenant is not None:
                     self.metrics.tenant_inc(tenant, "failed")
         finally:
@@ -616,7 +625,6 @@ class AsyncAnswerer:
         data.update(
             {
                 "pending": self._pending,
-                "inflight_keys": len(self._inflight),
                 "epoch": self._epoch,
                 "running": self._running,
                 "max_batch": self.config.max_batch,

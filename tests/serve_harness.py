@@ -1,18 +1,20 @@
-"""Test instruments for the serving layer: a serving smoke and a strict
-Prometheus text parser.
+"""Test instruments for the serving layer: a serving smoke, a strict
+Prometheus text parser and an Eq 7 evaluation spy.
 
 Neither is product code: the server never parses its own exposition, and
 nothing in ``kbqa serve`` runs a self-test.  They live here so the tests
 that need them share one copy::
 
-    from tests.serve_harness import parse_prometheus_text, run_smoke
+    from tests.serve_harness import count_evaluations, parse_prometheus_text, run_smoke
 
 * :func:`run_smoke` starts a :class:`~repro.serve.BackgroundServer`, drives
   it from concurrent clients plus two raw-socket exchanges, and asserts every
   reply and a clean shutdown;
 * :func:`parse_prometheus_text` validates ``/metrics`` output — malformed
   sample lines, unparseable values, non-monotonic ``le`` buckets — without
-  implementing the full exposition grammar.
+  implementing the full exposition grammar;
+* :func:`count_evaluations` counts an ``OnlineAnswerer``'s Eq 7
+  evaluations past its answer cache.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ def run_smoke(
     """Start a server, hammer it from ``threads`` concurrent clients, stop.
 
     Every client issues ``requests_per_thread`` ``POST /answer`` calls (the
-    question stream repeats, so coalescing gets exercised), one client-side
+    question stream repeats, so the cache-hit lane and the wire memo get
+    exercised), one client-side
     ``/batch``, and a ``/healthz`` + ``/stats`` read; ``/metrics`` must
     parse as Prometheus text format.  Two raw-socket exchanges check the
     connection state machine: a pipelined pair must come back as two
@@ -182,6 +185,21 @@ def run_smoke(
         "metrics_series": len(metrics_series),
         "clean_shutdown": True,
     }
+
+
+def count_evaluations(answerer, monkeypatch) -> list[str]:
+    """Spy on ``answerer``'s Eq 7 evaluations (``_answer_tokens``): the
+    returned list grows by the question of every evaluation past the
+    answer cache."""
+    seen: list[str] = []
+    evaluate = answerer._answer_tokens
+
+    def spy(question, tokens):
+        seen.append(question)
+        return evaluate(question, tokens)
+
+    monkeypatch.setattr(answerer, "_answer_tokens", spy)
+    return seen
 
 
 def parse_prometheus_text(text: str) -> dict[str, list[tuple[dict[str, str], float]]]:

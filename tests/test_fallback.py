@@ -8,7 +8,7 @@ The lane's contract, in test form:
   ``fallback=True``,
 * the confidence gate turns low-confidence matches back into abstentions
   (and a question with no KB mention can never reach the lane),
-* degraded mode (``cached_answer``) never invokes the lane,
+* the answer-cache probe (``cached_answer``) never invokes the lane,
 * the sparse gather scan equals the dense oracle in ``tests/oracles``, on
   single queries and over the whole held-out stream,
 * the gate's outcome counters are conserved and surface in ``cache_info()``,

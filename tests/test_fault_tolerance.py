@@ -2,11 +2,10 @@
 
 * requests carry **deadlines** (``DeadlineExceeded`` / HTTP 504) — a
   request whose deadline passes while it waits behind a stalled inline
-  batch gets its 504 as soon as the loop is free again, and a malformed
-  deadline header is a 400;
-* the HTTP front serves **degraded** answer-cache hits instead of 503s
-  when the evaluation backend is saturated and the cache-hit lane cannot
-  read the cache, and only then.
+  batch gets its 504 as soon as the loop is free again, before the next
+  batch, and is left out of it; a malformed deadline header is a 400;
+* under overload a cached question is a cache-hit-lane answer and an
+  uncached one gets the 503: nothing is served or marked degraded.
 
 Real stalls, real event loops.
 """
@@ -61,10 +60,10 @@ class SlowTarget:
 
 class TestServingCrashRetry:
     def test_deadline_expires_with_stalled_backend(self, serve_system, suite):
-        """A request whose deadline passes while it is queued behind a
-        stalled inline batch gets ``DeadlineExceeded`` once that batch
-        returns.  Its evaluation is not cancelled: the next batch still
-        evaluates it and warms the answer cache."""
+        """A request whose deadline passes while its own batch stalls gets
+        ``DeadlineExceeded`` once that batch returns.  Its evaluation is not
+        cancelled: it completes and warms the answer cache, and the request
+        queued behind it is evaluated next."""
         question = _answerable_question(suite, serve_system)
         serve_system.answerer.clear_caches()
 
@@ -104,9 +103,9 @@ class TestServingCrashRetry:
 
         ``in-batch``: the deadline passes while the victim's own batch
         stalls, and the failure lands in the step the deadline wins.
-        ``queued``: three stalled batches ahead of it, so its deadline's
-        timer, and every callback the expiry schedules, run between two
-        batches before the victim's batch fails."""
+        ``queued``: three stalled batches ahead of it, so it expires between
+        the first two and is left out of every batch: the failing batch
+        never runs."""
 
         class FailsLate:
             """Every batch stalls past the deadline; the victim's batch raises."""
@@ -141,9 +140,49 @@ class TestServingCrashRetry:
         stats = asyncio.run(main())
         gc.collect()  # an unretrieved exception is reported when collected
         assert handled == []
-        assert target.calls == [[q] for q in names] + [["victim?"]]
+        victim = [] if ahead else [["victim?"]]
+        assert target.calls == [[q] for q in names] + victim
         assert stats["deadline_expired"] == 1 and stats["batches"] == ahead
-        assert stats["evaluated"] == ahead + 1  # the failed batch's question counts
+        assert stats["evaluated"] == ahead + len(victim)  # a failed batch counts
+
+    def test_a_queued_deadline_expires_before_the_next_batch(self):
+        """Four requests ahead of a 50 ms deadline, one per 0.15 s batch: the
+        deadline passes during the first batch, so the request expires as
+        soon as that batch returns — before the second starts — and is left
+        out of every batch: the dispatcher expires it before it yields."""
+        stall_s = 0.15
+
+        class Stalls:
+            calls: list[list[str]] = []
+
+            def answer_many(self, questions):
+                self.calls.append(list(questions))
+                time.sleep(stall_s)
+                return [_result(q, "ok") for q in questions]
+
+        target = Stalls()
+
+        async def main():
+            async with AsyncAnswerer(target, ServeConfig(max_batch=1)) as answerer:
+                ahead = [
+                    asyncio.ensure_future(answerer.answer(f"ahead {n}?")) for n in range(4)
+                ]
+                await asyncio.sleep(0)  # enqueued first
+                asked = time.monotonic()
+                with pytest.raises(DeadlineExceeded):
+                    await answerer.answer("victim?", deadline_s=0.05)
+                expired_after = time.monotonic() - asked
+                calls_by_then = len(target.calls)
+                assert [(await task).value for task in ahead] == ["ok"] * 4
+                while answerer.snapshot()["pending"]:
+                    await asyncio.sleep(0.01)
+                return expired_after, calls_by_then, dict(answerer.snapshot())
+
+        expired_after, calls_by_then, stats = asyncio.run(main())
+        assert calls_by_then == 1 and expired_after < 2 * stall_s
+        assert target.calls == [[f"ahead {n}?"] for n in range(4)]
+        assert stats["evaluated"] == 4
+        assert stats["deadline_expired"] == 1 and stats["pending"] == 0
 
     def test_config_default_deadline_applies(self):
         config = ServeConfig(deadline_ms=40.0)
@@ -158,7 +197,7 @@ class TestServingCrashRetry:
         assert snapshot["deadline_expired"] == 1
 
 
-# -- HTTP lifecycle: 504 + degraded mode -------------------------------------
+# -- HTTP lifecycle: 504, 503 and the cache under overload --------------------
 
 
 @pytest.fixture(scope="module")
@@ -252,17 +291,6 @@ class SlowTargetSystem:
         return self.answerer.answer_many(questions)
 
 
-class _Probeless:
-    """``system`` as a target the cache-hit lane cannot read: same KB, same
-    answerer, no ``cached_answer`` on the target itself."""
-
-    cached_answer = None
-
-    def __init__(self, system) -> None:
-        self.kb, self.answerer = system.kb, system.answerer
-        self.answer_many = system.answer_many
-
-
 def _routed(server, question: str):
     """Route one ``POST /answer`` through a started answerer whose admission
     slots are all taken — every request that reaches admission is refused."""
@@ -284,9 +312,9 @@ def _routed(server, question: str):
 
 
 class TestDegradedMode:
-    """Under overload a cached question is an ordinary cache-hit-lane answer:
-    it never reaches admission, so there is nothing to degrade.  Degraded
-    mode is what is left for the refusals the lane could not absorb."""
+    """There is no degraded mode: under overload a cached question is an
+    ordinary cache-hit-lane answer — it never reaches admission — and an
+    uncached one gets the 503.  No payload carries a ``degraded`` key."""
 
     def test_cached_answer_is_a_lane_hit_that_overload_cannot_refuse(
         self, serve_system, suite
@@ -296,23 +324,10 @@ class TestDegradedMode:
         server = KBQAServer(serve_system, ServeConfig())
         status, payload = _routed(server, question)
         assert status == 200
-        assert payload["degraded"] is False
+        assert "degraded" not in payload
         assert payload["value"] == expected.value
         stats = server.answerer.stats
         assert (stats.inline_hits, stats.rejected, stats.degraded) == (1, 0, 0)
-
-    def test_cached_answer_served_degraded_when_the_lane_cannot_read_the_cache(
-        self, serve_system, suite
-    ):
-        question = _answerable_question(suite, serve_system)
-        expected = serve_system.answer(question)
-        server = KBQAServer(_Probeless(serve_system), ServeConfig())
-        status, payload = _routed(server, question)
-        assert status == 200
-        assert payload["degraded"] is True
-        assert payload["value"] == expected.value
-        stats = server.answerer.stats
-        assert (stats.inline_hits, stats.rejected, stats.degraded) == (0, 1, 1)
 
     def test_uncached_question_still_gets_the_503(self, serve_system):
         server = KBQAServer(serve_system, ServeConfig(max_pending=7))
@@ -329,31 +344,6 @@ class TestDegradedMode:
         )
         assert status == 503
         assert payload == {"error": "overloaded", "max_pending": 7}
-
-    def test_batch_degrades_only_when_fully_cached(self, serve_system, suite):
-        question = _answerable_question(suite, serve_system)
-        serve_system.answer(question)  # cached
-        server = KBQAServer(serve_system, ServeConfig(max_pending=7))
-
-        async def rejecting(_questions, **_kwargs):
-            raise OverloadedError("serving queue full (7 pending evaluations)")
-
-        server.answerer.answer_many = rejecting
-        status, payload = _route(
-            server,
-            "POST",
-            "/batch",
-            {"questions": [question, "never cached zorp?"]},
-        )
-        assert status == 503
-        status, payload = _route(
-            server, "POST", "/batch", {"questions": [question, question]}
-        )
-        assert status == 200
-        assert all(r["degraded"] for r in payload["results"])
-        assert [r["value"] for r in payload["results"]] == [
-            serve_system.answer(question).value
-        ] * 2
 
     def test_fresh_answers_are_not_marked_degraded(self, serve_system, suite):
         question = _answerable_question(suite, serve_system)
@@ -373,4 +363,5 @@ class TestDegradedMode:
 
         status, payload = asyncio.run(main())
         assert status == 200
-        assert payload["degraded"] is False
+        assert "degraded" not in payload
+        assert payload["values"] == list(serve_system.answer(question).values)

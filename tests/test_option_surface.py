@@ -40,6 +40,8 @@ def test_serve_config_and_stats_field_counts():
     ``workers``, ``executor`` and ``max_stale_retries`` went with inline
     evaluation (the first two linger as validated, ignored ``InitVar``s)."""
     assert len(fields(ServeConfig)) == 3
+    # ``coalesced`` now counts ``answer_many`` duplicates and ``degraded``
+    # reads 0: both stay for the frozen benchmark, which reads them by name
     assert len(fields(ServeStats)) == 15
 
 
@@ -171,6 +173,28 @@ def test_kbqa_server_constructor_parameter_count():
     ``fact_listener``, ``metrics_dir`` and ``replica_index`` served only the
     deleted multi-process front."""
     assert len(inspect.signature(KBQAServer).parameters) == 4
+
+
+def test_one_queue_entry_per_miss_and_no_degraded_mode():
+    """In-flight coalescing, degraded mode and the ``key=`` knob stay gone:
+    the answerer takes a target and a config and keeps no waiter lists, an
+    answer payload has no ``degraded`` key, and the app never probes the
+    answer cache itself — the answerer's cache-hit lane is the one probe."""
+    from repro.core.online import AnswerResult
+    from repro.serve import AsyncAnswerer, result_payload
+
+    assert list(inspect.signature(AsyncAnswerer).parameters) == ["target", "config"]
+    answerer = AsyncAnswerer(object())
+    assert not hasattr(answerer, "_inflight")
+    assert "inflight_keys" not in answerer.snapshot()
+    assert list(inspect.signature(result_payload).parameters) == ["result"]
+    unanswered = AnswerResult("q?", None, (), 0.0, None, None, None, False)
+    assert "degraded" not in result_payload(unanswered)
+    assert "cached_answer" not in (SRC / "repro" / "serve" / "app.py").read_text("utf-8")
+    for path in (SRC / "repro" / "serve").glob("*.py"):
+        text = path.read_text("utf-8")
+        for name in ("_inflight", "inflight_keys", "degraded="):
+            assert name not in text, (path, name)
 
 
 def test_one_benchmark_and_no_load_generator_in_src():

@@ -1,11 +1,13 @@
-"""AsyncAnswerer contract: equivalence, coalescing, admission, freshness.
+"""AsyncAnswerer contract: equivalence, micro-batching, admission, freshness.
 
 The serving layer's four invariants under test:
 
 * concurrent async results are byte-identical to the sequential path
   (``ServeConfig`` still accepts the retired pool keywords and ignores
   them);
-* N concurrent identical questions cost one evaluation (coalescing);
+* every miss is one queue entry with a future of its own, and N cold
+  duplicates still cost one Eq 7 evaluation (``answer_many`` submits a
+  distinct key once; a micro-batch deduplicates what it carries);
 * admission control rejects deterministically with ``OverloadedError``;
 * batches evaluate inline on the event loop, so ``apply()`` lands between
   two batches, and an invalidation that lands mid-evaluation — on the loop
@@ -33,6 +35,8 @@ from repro.serve import (
     ServeConfig,
     normalized_key,
 )
+
+from tests.serve_harness import count_evaluations
 
 
 def _result(question: str, value: str) -> AnswerResult:
@@ -96,8 +100,8 @@ class TestEquivalence:
         assert run(main()) == expected
 
     def test_question_surface_form_is_preserved(self):
-        """Coalesced joiners get their own question text back, not the
-        canonical in-flight phrasing."""
+        """Two spellings of one key each get their own question text back,
+        through ``answer`` and through ``answer_many``."""
         target = ScriptedTarget(delay=0.05)
 
         async def main():
@@ -112,6 +116,14 @@ class TestEquivalence:
         assert first.question == "what is X ?"
         assert second.question == "What  is  X?"
         assert first.values == second.values
+
+        async def batched():
+            async with AsyncAnswerer(target) as answerer:
+                return await answerer.answer_many(["what is X ?", "What  is  X?"])
+
+        target.calls.clear()
+        assert [r.question for r in run(batched())] == ["what is X ?", "What  is  X?"]
+        assert target.calls == [["what is X ?"]]  # one submission per distinct key
 
 
 class TestServingEquivalence:
@@ -161,20 +173,23 @@ class TestSelectionRules:
 
 class TestCoalescing:
     def test_identical_questions_cost_one_evaluation(self):
+        """A client batch submits each distinct miss once: the other four
+        copies are ``coalesced`` requests that share its result, and the
+        tenant sees five requests completed."""
         target = ScriptedTarget(delay=0.02)
 
         async def main():
             async with AsyncAnswerer(target) as answerer:
-                results = await asyncio.gather(
-                    *(answerer.answer("who is the mayor?") for _ in range(5))
-                )
-                return results, answerer.snapshot()
+                results = await answerer.answer_many(["who is the mayor?"] * 5, tenant="t")
+                return results, answerer.snapshot(), answerer.metrics.snapshot()
 
-        results, stats = run(main())
+        results, stats, metrics = run(main())
         assert len({r.value for r in results}) == 1
         assert stats["coalesced"] == 4
         assert stats["evaluated"] == 1
+        assert stats["requests"] == 5
         assert target.calls == [["who is the mayor?"]]
+        assert metrics["tenants"]["t"] == {"requests": 5, "completed": 5}
 
     def test_distinct_questions_form_one_micro_batch(self):
         target = ScriptedTarget()
@@ -191,65 +206,51 @@ class TestCoalescing:
         assert stats["max_batch_seen"] == 8
         assert [len(call) for call in target.calls] == [8]
 
-    def test_duplicates_submitted_together_cost_one_evaluation(self):
-        """No target delay: all N duplicates arrive before the dispatcher
-        runs, the first enqueues and the other N-1 join it."""
-        target = ScriptedTarget()
-        n = 4
+    def test_duplicates_submitted_together_cost_one_evaluation(
+        self, kbqa_fb, suite, monkeypatch
+    ):
+        """Four cold duplicates through ``answer`` are four queue entries, but
+        they arrive before the dispatcher runs and share one micro-batch,
+        whose ``answer_many`` evaluates Eq 7 once for their key."""
+        question = next(
+            q.question for q in suite.benchmark("qald3").bfqs()
+            if kbqa_fb.answer(q.question).answered
+        )
+        expected = kbqa_fb.answer(question)
+        kbqa_fb.answerer.clear_caches()
+        evaluations = count_evaluations(kbqa_fb.answerer, monkeypatch)
 
         async def main():
-            config = ServeConfig(max_batch=4)
-            async with AsyncAnswerer(target, config) as answerer:
-                await asyncio.gather(
-                    *(answerer.answer("same question ?") for _ in range(n))
-                )
-                return answerer.snapshot()
+            async with AsyncAnswerer(kbqa_fb, ServeConfig(max_batch=4)) as answerer:
+                results = await asyncio.gather(*(answerer.answer(question) for _ in range(4)))
+                return results, answerer.snapshot()
 
-        stats = run(main())
-        assert stats["evaluated"] == 1
-        assert stats["coalesced"] == n - 1
-        assert target.calls == [["same question ?"]]
-
-    def test_coalescing_reduces_evaluations_at_high_duplicate_rate(self, kbqa_fb, suite):
-        """On the real answerer a duplicate-heavy stream evaluates at most
-        one question per distinct key.  The answer cache starts cold: a warm
-        one answers the whole stream in the cache-hit lane and nothing is
-        evaluated at all."""
-        pool = [q.question for q in suite.benchmark("qald3").bfqs()]
-        stream = duplicate_heavy_stream(pool, 128, duplicate_rate=0.9, seed=5)
-
-        async def main() -> dict:
-            kbqa_fb.answerer.clear_caches()
-            config = ServeConfig(max_batch=4)
-            async with AsyncAnswerer(kbqa_fb.answerer, config) as answerer:
-                await asyncio.gather(*(answerer.answer(q) for q in stream))
-                return answerer.snapshot()
-
-        stats = run(main())
-        assert 0 < stats["evaluated"] <= len({normalized_key(q) for q in stream})
-        assert stats["coalesced"] > 0
-        assert stats["requests"] == len(stream)
+        results, stats = run(main())
+        assert results == [expected] * 4
+        assert evaluations == [question]
+        assert (stats["batches"], stats["evaluated"], stats["coalesced"]) == (1, 4, 0)
 
 
 class TestPerWaiterFutures:
-    """Every request awaits a future of its own, first arrival and joiners
-    alike: walking away (cancelled, expired) resolves only that future."""
+    """Every request is a queue entry with a future of its own: walking away
+    (cancelled, expired) resolves only that future, and a request that left
+    while queued is left out of its batch."""
 
     @staticmethod
     async def _queued(answerer, target, question, n, **kwargs):
-        """``n`` submissions of ``question`` queued on one key, not yet
+        """``n`` submissions of ``question``, one queue entry each, not yet
         dispatched (tasks run in creation order, before the dispatcher's
         wake-up)."""
         tasks = [
             asyncio.ensure_future(answerer.answer(question, **kwargs)) for _ in range(n)
         ]
         await asyncio.sleep(0)
-        assert target.calls == [] and answerer.snapshot()["inflight_keys"] == 1
+        assert target.calls == [] and answerer.snapshot()["pending"] == n
         return tasks
 
-    def test_cancelling_one_coalesced_waiter_leaves_the_others_answered(self):
-        """Even the first arrival, whose request enqueued the evaluation,
-        can leave: the evaluation still runs, once, for its siblings."""
+    def test_a_cancelled_queued_request_is_left_out_of_its_batch(self):
+        """The first of four queued duplicates leaves before dispatch: the
+        other three are evaluated, in one batch, and it is not."""
         target = ScriptedTarget()
 
         async def main():
@@ -262,13 +263,14 @@ class TestPerWaiterFutures:
         outcomes, stats = run(main())
         assert isinstance(outcomes[0], asyncio.CancelledError)
         assert [o.value for o in outcomes[1:]] == ["v0"] * 3
-        assert target.calls == [["who is the mayor?"]]
-        assert (stats["evaluated"], stats["coalesced"], stats["inflight_keys"]) == (1, 3, 0)
+        assert target.calls == [["who is the mayor?"] * 3]
+        assert (stats["evaluated"], stats["pending"]) == (3, 0)
 
-    def test_a_deadline_expired_joiner_does_not_disturb_its_sibling(self):
-        """A stalled batch ahead of the key outlasts the joiner's deadline:
-        the joiner gets ``DeadlineExceeded``, its sibling the answer, and
-        the key is evaluated once."""
+    def test_an_expired_duplicate_does_not_disturb_its_sibling(self):
+        """A stalled batch ahead of the key outlasts one duplicate's
+        deadline: it gets ``DeadlineExceeded`` before the next batch and is
+        left out of it, its sibling gets the answer, and the key is
+        evaluated once."""
         target = ScriptedTarget(delay=0.15)
 
         async def main():
@@ -276,16 +278,16 @@ class TestPerWaiterFutures:
             async with AsyncAnswerer(target, config) as answerer:
                 ahead = asyncio.ensure_future(answerer.answer("stalls the loop?"))
                 sibling = asyncio.ensure_future(answerer.answer("the key?"))
-                joiner = asyncio.ensure_future(answerer.answer("the key?", deadline_s=0.05))
-                outcomes = await asyncio.gather(ahead, sibling, joiner, return_exceptions=True)
+                expiring = asyncio.ensure_future(answerer.answer("the key?", deadline_s=0.05))
+                outcomes = await asyncio.gather(ahead, sibling, expiring, return_exceptions=True)
                 return outcomes, answerer.snapshot()
 
-        (ahead, sibling, joiner), stats = run(main())
-        assert isinstance(joiner, DeadlineExceeded)
+        (ahead, sibling, expiring), stats = run(main())
+        assert isinstance(expiring, DeadlineExceeded)
         assert sibling.question == "the key?" and sibling.value == "v0"
         assert ahead.value == "v0"
         assert target.calls == [["stalls the loop?"], ["the key?"]]
-        assert (stats["deadline_expired"], stats["coalesced"]) == (1, 1)
+        assert (stats["deadline_expired"], stats["pending"]) == (1, 0)
 
     def test_stop_fails_every_waiter_of_a_queued_key(self):
         target = ScriptedTarget()
@@ -302,7 +304,7 @@ class TestPerWaiterFutures:
         assert [type(o) for o in outcomes] == [RuntimeError] * 3
         assert all("serving stopped" in str(o) for o in outcomes)
         assert target.calls == []
-        assert (stats["pending"], stats["inflight_keys"]) == (0, 0)
+        assert stats["pending"] == 0
 
 
 class TestAdmissionControl:
@@ -325,21 +327,26 @@ class TestAdmissionControl:
         assert stats["rejected"] == 4
         assert "queue full" in str(rejected[0])
 
-    def test_coalesced_joiners_are_never_rejected(self):
-        """Duplicates of an in-flight question are free: they must be
-        admitted even when the queue is at capacity."""
+    def test_a_duplicate_miss_takes_its_own_slot(self):
+        """A queued key is not free to ask again: each ``answer`` of a miss
+        is one queue entry, so at capacity a duplicate is refused too.  A
+        client batch asks its duplicates once, in one slot."""
         target = ScriptedTarget(delay=0.05)
 
         async def main():
             config = ServeConfig(max_batch=1, max_pending=1)
             async with AsyncAnswerer(target, config) as answerer:
-                return await asyncio.gather(
-                    *(answerer.answer("the hot question ?") for _ in range(5))
+                singles = await asyncio.gather(
+                    *(answerer.answer("the hot question ?") for _ in range(3)),
+                    return_exceptions=True,
                 )
+                batched = await answerer.answer_many(["the hot question ?"] * 3)
+                return singles, batched, answerer.snapshot()
 
-        results = run(main())
-        assert len(results) == 5
-        assert len({r.value for r in results}) == 1
+        singles, batched, stats = run(main())
+        assert [type(o) for o in singles] == [AnswerResult, OverloadedError, OverloadedError]
+        assert [r.value for r in batched] == ["v0"] * 3
+        assert (stats["rejected"], stats["coalesced"]) == (2, 2)
 
     def test_oversized_batch_is_rejected_before_enqueueing(self):
         """A client batch that cannot fit the remaining capacity sheds load

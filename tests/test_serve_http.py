@@ -366,7 +366,7 @@ class TestMetricsEndpoint:
         assert status == 200
         tenant = stats["metrics"]["tenants"]["tenant-a"]
         assert tenant["requests"] >= 1
-        assert tenant["completed"] + tenant.get("coalesced", 0) >= 1
+        assert tenant["completed"] >= 1
 
     def test_distinct_client_headers_are_bounded(self, serve_system, suite):
         """1 000 distinct ``X-KBQA-Client`` values leave at most

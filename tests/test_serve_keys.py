@@ -1,6 +1,6 @@
 """One tokenization per served miss: the key is computed once and travels.
 
-The coalescing key is the normalized question — its tokens joined by single
+The queue key is the normalized question — its tokens joined by single
 spaces, which is also the answer cache's key.  ``AsyncAnswerer`` computes
 it at submission and hands it on: to the queue entry, to the target's
 ``answer_many(questions, keys)``, and from the HTTP lane's parse to the
