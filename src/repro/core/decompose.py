@@ -83,7 +83,7 @@ class PatternStatistics:
         # token of the pattern (a question may itself contain "$e")
         valid: dict[tuple[str, ...], dict[tuple[str, ...], str]] = {}
         for row, count in Counter(islice(scan.order, max_questions)).items():
-            tokens, _mentions, spans = scan.rows[row]
+            tokens, spans = scan.tokens[row], scan.spans[row]
             if not 0 < len(tokens) <= max_tokens:
                 continue
             indexed.append((tokens, count))

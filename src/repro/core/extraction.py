@@ -123,19 +123,24 @@ class ValueIndex:
         return spans
 
 
-# One row per distinct question string: ``(tokens, mentions, spans)``, the
-# mentions being the leftmost-longest subset of the spans (both ``Span``
-# tuples).  Plain tuples, which the cyclic GC stops tracking: 20 k live rows
-# must not slow the Sec 6.2 scan.
-ScanRow = tuple[tuple[str, ...], tuple[Span, ...], tuple[Span, ...]]
-
-
 class CorpusScan(NamedTuple):
-    """The corpus questions read once each: ``rows`` holds one row per
-    distinct question string in first-occurrence order, and ``order[i]`` is
-    the row of the ``i``-th corpus question."""
+    """The corpus questions read once each, as columns: the ``i``-th
+    distinct question string (first-occurrence order) has the token tuple
+    ``tokens[i]``, every gazetteer span ``spans[i]`` and their
+    leftmost-longest subset ``mentions[i]`` (tuples of ``Span`` tuples),
+    and ``order[j]`` is the row of the ``j``-th corpus question.
 
-    rows: list[ScanRow]
+    Columns, not one ``(tokens, mentions, spans)`` tuple per row: the cyclic
+    GC untracks a tuple only once its items are untracked, one level per
+    collection, so a row over tuples of ``Span`` tuples stays tracked until
+    a full collection, and a default-scale train promoted ~21 k of them
+    into generation 2.  The column tuples are untracked by the second
+    collection.
+    """
+
+    tokens: list[tuple[str, ...]]
+    mentions: list[tuple[Span, ...]]
+    spans: list[tuple[Span, ...]]
     order: list[int]
 
 
@@ -144,17 +149,21 @@ def scan_questions(questions: Iterable[str], ner: EntityRecognizer) -> CorpusSca
     consume it): each distinct question is tokenized once and walks the
     gazetteer once (:meth:`EntityRecognizer.spans`)."""
     row_of: dict[str, int] = {}
-    rows: list[ScanRow] = []
+    tokens_of: list[tuple[str, ...]] = []
+    mentions_of: list[tuple[Span, ...]] = []
+    spans_of: list[tuple[Span, ...]] = []
     order: list[int] = []
     for question in questions:
         row = row_of.get(question)
         if row is None:
-            row = row_of[question] = len(rows)
+            row = row_of[question] = len(tokens_of)
             tokens = tuple(tokenize(question))
             spans = tuple(ner.spans(tokens))
-            rows.append((tokens, leftmost_longest(spans), spans))
+            tokens_of.append(tokens)
+            mentions_of.append(leftmost_longest(spans))
+            spans_of.append(spans)
         order.append(row)
-    return CorpusScan(rows, order)
+    return CorpusScan(tokens_of, mentions_of, spans_of, order)
 
 
 def extract_observations(
@@ -286,18 +295,18 @@ def extract_records(
         entry = expanded_entries[path_id] = entry_for(expanded.decode_path(path_id), path_id)
         return entry
 
-    rows = scan.rows
+    tokens_of, mentions_of = scan.tokens, scan.mentions
     # (value, store id, expansion id) per distinct answer string, and the
     # question type per distinct question: each read once per pass
     values_of: dict[str, tuple[tuple[str, int | None, int | None], ...]] = {}
     question_types: dict[int, AnswerType] = {}
     for row, answer in zip(scan.order, answers):
         stats.qa_pairs += 1
-        q_tokens, mentions, _spans = rows[row]
-        mentions = mentions[: config.max_mentions_per_question]
+        mentions = mentions_of[row][: config.max_mentions_per_question]
         if not mentions:
             continue
         stats.pairs_with_mentions += 1
+        q_tokens = tokens_of[row]
         value_ids = values_of.get(answer)
         if value_ids is None:
             values = value_index.find_values(tokenize(answer))[: config.max_values_per_answer]

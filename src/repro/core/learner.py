@@ -93,7 +93,7 @@ def collect_seed_entities(corpus: QACorpus, ner: EntityRecognizer) -> set[str]:
 
 
 def _seed_entities(scan: CorpusScan) -> set[str]:
-    mentions = (mention for _tokens, mentions, _spans in scan.rows for mention in mentions)
+    mentions = (mention for mentions in scan.mentions for mention in mentions)
     return {entity for _start, _end, candidates in mentions for entity in candidates}
 
 

@@ -40,8 +40,18 @@ Concurrency: WAL journal mode — readers never block the (single) writer and
 vice versa; every (process, thread) gets its own lazily opened connection
 (SQLite connections are neither fork- nor thread-safe: a forked child never
 reuses its parent's), writes serialize on SQLite's write lock with a busy
-timeout.  Change notifications (:class:`~repro.kb.backend.KBChange`) fire
-exactly as for the in-memory store, for this store's own mutations.
+timeout.  A term's id is minted as ``MAX(id)+1`` under that lock: inside the
+insert for a single :meth:`SQLiteDictionary.encode`, and for a bulk load
+(:meth:`DiskTripleStore.ingest_triples`) once per batch — the batch's
+transaction opens with ``BEGIN IMMEDIATE``, so the ``MAX(id)`` read already
+holds the lock that the one ``executemany`` of the batch's new terms needs,
+and two writers on one file still mint dense, distinct ids.  The batch finds
+its already-interned terms with ``SELECT … WHERE term IN (…)`` padded to a
+fixed width of :data:`_LOOKUP_WIDTH` parameters: the ``sqlite3`` module
+caches one prepared statement per statement text, so a list as wide as each
+remainder would cache (and hold the memory of) one statement per width.
+Change notifications (:class:`~repro.kb.backend.KBChange`) fire exactly as
+for the in-memory store, for this store's own mutations.
 
 The ``(s, p)`` object-set reads carry a small bounded memo so the serving
 hot path does not re-run a query per probe; this store's mutations
@@ -68,6 +78,12 @@ _BUSY_TIMEOUT_S = 30.0
 _OBJECTS_MEMO_CAP = 65536
 _DICT_MEMO_CAP = 1 << 17
 _INGEST_BATCH = 4096
+# a bulk load looks terms up this many at a time, padded with NULLs (which
+# match no term): one statement text, so one cached prepared statement
+_LOOKUP_WIDTH = 256
+_LOOKUP_TERMS = (
+    "SELECT term, id FROM terms WHERE term IN (" + ", ".join("?" * _LOOKUP_WIDTH) + ")"
+)
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS terms (
@@ -104,8 +120,8 @@ def _unlink_db(path: str) -> None:
 class SQLiteDictionary:
     """``Dictionary`` facade over the store's ``terms`` table.
 
-    Ids are dense and insertion-ordered (``MAX(id)+1`` minted inside the
-    insert, under SQLite's write lock), matching the in-memory
+    Ids are dense and insertion-ordered (``MAX(id)+1`` minted under SQLite's
+    write lock, per term or per bulk-load batch), matching the in-memory
     :class:`~repro.kb.dictionary.Dictionary` exactly, so id-level
     equivalence suites hold across backends.  Positive lookups and decodes
     are memoized write-through; *negative* lookups are never cached, because
@@ -151,11 +167,57 @@ class SQLiteDictionary:
         self._term_to_id[term] = term_id
         self._id_to_term[term_id] = term
 
+    def _remember_many(self, learned: dict[str, int]) -> None:
+        if len(self._term_to_id) + len(learned) > _DICT_MEMO_CAP:
+            self._forget()
+            if len(learned) > _DICT_MEMO_CAP:
+                return
+        self._term_to_id.update(learned)
+        self._id_to_term.update(zip(learned.values(), learned))
+
     def _forget(self) -> None:
         """Drop the memo: after a ``ROLLBACK`` it may name ids that no longer
         exist, which the next ``encode`` would mint again for another term."""
         self._term_to_id.clear()
         self._id_to_term.clear()
+
+    def _intern(self, terms: Iterable[str]) -> dict[str, int]:
+        """Ids of the distinct ``terms``, minting the missing ones.
+
+        The batch form of :meth:`encode`: the memo answers what it can, one
+        fixed-width ``IN`` lookup per :data:`_LOOKUP_WIDTH` remaining terms
+        finds the interned ones, and the rest get ``MAX(id)+1, +2, …`` in
+        first-occurrence order — the ids a sequential :meth:`encode` loop
+        would mint — through one ``executemany``.  The caller holds the
+        write lock (``BEGIN IMMEDIATE``), so no other writer can mint
+        between the ``MAX(id)`` read and the insert.
+        """
+        ids = dict.fromkeys(terms)
+        memo = self._term_to_id
+        missing = []
+        for term in ids:
+            term_id = memo.get(term)
+            if term_id is None:
+                missing.append(term)
+            else:
+                ids[term] = term_id
+        if not missing:
+            return ids
+        conn = self._store._connection()
+        learned: dict[str, int] = {}
+        for start in range(0, len(missing), _LOOKUP_WIDTH):
+            part = missing[start : start + _LOOKUP_WIDTH]
+            part += [None] * (_LOOKUP_WIDTH - len(part))
+            learned.update(conn.execute(_LOOKUP_TERMS, part))
+        fresh = [term for term in missing if term not in learned]
+        if fresh:
+            (next_id,) = conn.execute("SELECT COALESCE(MAX(id) + 1, 0) FROM terms").fetchone()
+            minted = dict(zip(fresh, range(next_id, next_id + len(fresh))))
+            conn.executemany("INSERT INTO terms (term, id) VALUES (?, ?)", minted.items())
+            learned.update(minted)
+        ids.update(learned)
+        self._remember_many(learned)
+        return ids
 
     def lookup(self, term: str) -> int | None:
         """Id of ``term`` if interned, else ``None`` (memoized point query)."""
@@ -324,8 +386,16 @@ class DiskTripleStore(KBBackend):
             _unlink_db(path)
 
     def close(self) -> None:
-        """Close this process's connections; delete the file if ephemeral."""
+        """Close this process's connections and drop the memos; delete the
+        file if ephemeral.
+
+        The store and its dictionary reference each other, so a dropped
+        store waits for a full collection; a closed one must not pin its
+        memos (over 10 MB after a mega compile) until then.
+        """
         self._finalizer.detach()
+        self.dictionary._forget()
+        self._objects_memo.clear()
         with self._connections_lock:
             _close_connections(self._connections)
             self._conn_threads.clear()
@@ -356,35 +426,40 @@ class DiskTripleStore(KBBackend):
     ) -> int:
         """Bulk-load ``triples`` in batched write transactions (streaming seam).
 
-        The mega-compile ingest path: terms are encoded in the same order a
-        sequential :meth:`add` loop would encode them (so the dense
-        dictionary ids stay identical to an in-memory store built from the
-        same sequence — the backend-equivalence contract), but rows land via
-        one ``executemany`` per ``batch_size`` chunk inside an explicit
-        ``BEGIN``/``COMMIT``: one fsync per batch instead of per triple.
-        Accepts any triple iterable and never holds it as a list.  Returns the
-        number of rows that were new.  A chunk that raises is rolled back
-        whole, terms included, and the memos forget it.  With subscribed
-        listeners it falls back to per-triple adds inside one notification
-        batch so the change stream stays exact.
+        The mega-compile ingest path.  Each ``batch_size`` chunk is one
+        ``BEGIN IMMEDIATE``/``COMMIT`` transaction: one interning step
+        (:meth:`SQLiteDictionary._intern`) resolves the chunk's distinct
+        terms, minting the new ones with the ids a sequential :meth:`add`
+        loop would give them (so the dense dictionary ids stay identical to
+        an in-memory store built from the same sequence — the
+        backend-equivalence contract), and the rows land via one
+        ``executemany``: a handful of statements and one fsync per batch
+        instead of several per term and per triple.  Accepts any triple
+        iterable and never holds it as a list.  Returns the number of rows
+        that were new.  A chunk that raises is rolled back whole, terms
+        included, and the memos forget it.  With subscribed listeners it
+        falls back to per-triple adds inside one notification batch so the
+        change stream stays exact.
         """
         if self._listeners:
             with self.batch():
                 return self.add_all(triples)
         conn = self._connection()
-        encode = self.dictionary.encode
+        intern = self.dictionary._intern
         inserted = 0
         iterator = iter(triples)
         while True:
             chunk = list(itertools.islice(iterator, batch_size))
             if not chunk:
                 break
-            conn.execute("BEGIN")
+            # IMMEDIATE: the interning step's MAX(id) read must already hold
+            # the write lock its insert takes
+            conn.execute("BEGIN IMMEDIATE")
             try:
-                rows = [
-                    (encode(t.subject), encode(t.predicate), encode(t.object))
-                    for t in chunk
-                ]
+                ids = intern(
+                    term for t in chunk for term in (t.subject, t.predicate, t.object)
+                )
+                rows = [(ids[t.subject], ids[t.predicate], ids[t.object]) for t in chunk]
                 before = conn.total_changes
                 conn.executemany(
                     "INSERT OR IGNORE INTO triples (s, p, o) VALUES (?, ?, ?)", rows

@@ -10,6 +10,8 @@ reopening a compiled file restores the store without a rebuild.
 
 import os
 import random
+import sys
+import threading
 
 import pytest
 
@@ -21,10 +23,11 @@ from repro.kb.backend import (
     KBChange,
     resolve_backend,
 )
+from repro.kb import disk
 from repro.kb.disk import DiskTripleStore
 from repro.kb.expansion import expand_predicates
 from repro.kb.store import TripleStore
-from repro.kb.triple import make_literal
+from repro.kb.triple import Triple, make_literal
 from repro.suite import build_suite
 
 
@@ -178,6 +181,19 @@ class TestPersistence:
         ) == snapshot
         reopened.close()
 
+    def test_close_drops_the_memos(self, tmp_path):
+        """A closed store still reopens its file on the next read, but holds
+        no memo until then: the store and its dictionary form a cycle, so a
+        dropped store would pin the memo until a full collection."""
+        store = DiskTripleStore(str(tmp_path / "kb.db"))
+        store.ingest_triples([Triple("a", "p", "b"), Triple("a", "p", "c")])
+        assert store.objects("a", "p") == {"b", "c"}
+        store.close()
+        assert not store.dictionary._term_to_id and not store.dictionary._id_to_term
+        assert not store._objects_memo
+        assert store.objects("a", "p") == {"b", "c"}
+        store.close()
+
     def test_schema_version_guard(self, tmp_path):
         path = str(tmp_path / "kb.db")
         store = DiskTripleStore(path)
@@ -252,8 +268,6 @@ class TestConnectionChurn:
 class TestIngestTriples:
     def test_ingest_matches_sequential_adds(self):
         """The batched ingest seam assigns ids exactly like per-triple adds."""
-        from repro.kb.triple import Triple
-
         adds, _ = _random_ops(21, n_adds=400, n_deletes=0)
         triples = [Triple(s, p, o) for s, p, o in adds]
         sequential, batched = DiskTripleStore(), DiskTripleStore()
@@ -265,8 +279,6 @@ class TestIngestTriples:
         batched.close()
 
     def test_ingest_with_listeners_keeps_change_stream(self):
-        from repro.kb.triple import Triple
-
         store = DiskTripleStore()
         seen: list[KBChange] = []
         store.subscribe(seen.extend)
@@ -279,8 +291,6 @@ class TestIngestTriples:
         """A chunk that raises is rolled back terms and all, so the ids it
         minted must not stay memoized: the next new term would be minted one
         of them again and two terms would share an id."""
-        from repro.kb.triple import Triple
-
         store, mem = DiskTripleStore(), TripleStore()
         with pytest.raises(AttributeError):
             store.ingest_triples([Triple("ghost_s", "p", "ghost_o"), ("not", "a", "triple")])
@@ -289,6 +299,101 @@ class TestIngestTriples:
             assert store.add(s, p, o) and mem.add(s, p, o)
         assert store.objects("fresh", "p") == {"x"}
         assert store.objects("ghost_s", "p") == {"late"}
+        assert list(store.dictionary.terms()) == list(mem.dictionary.terms())
+        assert set(store.triples_ids()) == set(mem.triples_ids())
+        store.close()
+
+    def test_interning_reads_the_term_table_per_batch_not_per_term(self):
+        """A chunk's unseen terms cost one ``MAX(id)`` read plus one
+        fixed-width lookup per 256 of them, not a lookup per term.  The trace
+        callback reports an ``executemany`` once per row, so the inserts are
+        counted apart: exactly one per fresh term."""
+        n, batch_size = 3000, 500
+        triples = [Triple(f"s{i}", "p", f"o{i}") for i in range(n)]
+        store = DiskTripleStore()
+        traced: list[str] = []
+        store._connection().set_trace_callback(traced.append)
+        assert store.ingest_triples(triples, batch_size=batch_size) == n
+        store._connection().set_trace_callback(None)
+        term_reads = [sql for sql in traced if sql.startswith("SELECT") and " FROM terms" in sql]
+        term_inserts = [sql for sql in traced if sql.startswith("INSERT INTO terms")]
+        batches = n // batch_size
+        lookups_per_batch = -(-(2 * batch_size + 1) // disk._LOOKUP_WIDTH)
+        assert len(term_reads) <= batches * (1 + lookups_per_batch)
+        assert len(term_inserts) == 2 * n + 1
+        # every lookup is padded to the one width: one statement text
+        lookups = [sql for sql in term_reads if " IN (" in sql]
+        assert lookups and all(
+            len(sql[sql.index(" IN (") + 5 : -1].split(", ")) == disk._LOOKUP_WIDTH
+            for sql in lookups
+        )
+        store.close()
+
+    def test_writers_on_one_file_keep_ids_dense(self, tmp_path):
+        """Stores on one file ingest overlapping term sets from more threads
+        than cores: each batch interns under the write lock, so the terms
+        table ends dense, each term once, and every triple of every load is
+        in."""
+        path = str(tmp_path / "kb.db")
+        stores = [DiskTripleStore(path) for _ in range(3)]
+        loads = [
+            [Triple(f"e{i}", f"p{i % 7}", f"e{i + 1}") for i in range(start, start + 1200)]
+            for start in (0, 400, 800)
+        ]
+        barrier = threading.Barrier(len(stores))
+        errors: list[Exception] = []
+
+        def load(store, triples):
+            try:
+                barrier.wait()
+                store.ingest_triples(triples, batch_size=50)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=load, args=pair) for pair in zip(stores, loads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        rows = stores[0]._connection().execute("SELECT id, term FROM terms ORDER BY id").fetchall()
+        expected_terms = {term for triples in loads for t in triples for term in t}
+        assert [term_id for term_id, _term in rows] == list(range(len(rows)))
+        assert sorted(term for _id, term in rows) == sorted(expected_terms)
+        expected = {tuple(t) for triples in loads for t in triples}
+        for store in stores:
+            assert {tuple(t) for t in store.triples()} == expected
+            store.close()
+
+    def test_ingest_after_reopen_reuses_interned_ids(self, tmp_path):
+        """A reopened store starts with an empty memo: terms already in the
+        file are found by the lookup, not minted again."""
+        path = str(tmp_path / "kb.db")
+        before = [Triple("a", "p", "b"), Triple("c", "p", "d")]
+        after = [Triple("d", "p", "a"), Triple("e", "q", "b"), Triple("a", "p", "b")]
+        first = DiskTripleStore(path)
+        first.ingest_triples(before)
+        first.close()
+        reopened, mem = DiskTripleStore(path), TripleStore()
+        mem.add_all(before)
+        assert reopened.ingest_triples(after) == mem.add_all(after) == 2
+        assert list(reopened.dictionary.terms()) == list(mem.dictionary.terms())
+        assert set(reopened.triples_ids()) == set(mem.triples_ids())
+        reopened.close()
+
+    def test_ingest_keeps_the_term_memo_bounded(self, monkeypatch):
+        monkeypatch.setattr(disk, "_DICT_MEMO_CAP", 100)
+        triples = [Triple(f"s{i}", "p", f"o{i % 300}") for i in range(1000)]
+        store, mem = DiskTripleStore(), TripleStore()
+        assert store.ingest_triples(triples, batch_size=40) == mem.add_all(triples)
+        assert len(store.dictionary._term_to_id) <= 100
+        assert len(store.dictionary._id_to_term) <= 100
         assert list(store.dictionary.terms()) == list(mem.dictionary.terms())
         assert set(store.triples_ids()) == set(mem.triples_ids())
         store.close()

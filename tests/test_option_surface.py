@@ -142,7 +142,12 @@ def test_cli_flag_count():
     (``$KBQA_BACKEND`` picks the store), ``--fallback-threshold`` because
     only ``--fallback`` read it."""
     cli = (SRC / "repro" / "cli.py").read_text(encoding="utf-8")
-    assert cli.count("add_argument(") <= 26
+    count = cli.count("add_argument(")
+    assert count <= 26
+    # README states the count; the two must not drift apart
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"The CLI has (\d+)\s+`add_argument`\s+calls", readme)
+    assert stated == [str(count)]
 
 
 def test_cli_subcommands():
