@@ -24,8 +24,9 @@ from repro.data.compile import CompiledKB
 from repro.kb.paths import PredicatePath, follow
 from repro.nlp.ner import EntityRecognizer
 from repro.nlp.question_class import answer_types_compatible, classify_tokens
-from repro.nlp.synonyms import SynonymLexicon, jaccard
 from repro.nlp.tokenizer import tokenize
+
+from benchmarks.baselines.lexicon import SynonymLexicon, jaccard
 
 # Curated synonym phrases per intent: (phrase, association score).  Good but
 # incomplete — the regime synonym systems actually operate in.

@@ -19,6 +19,7 @@ from repro.kb.paths import PredicatePath
 from repro.utils.tables import Table
 
 from benchmarks.conftest import emit
+from benchmarks.model_inventory import stats_by_path_length
 
 
 @pytest.fixture(scope="module")
@@ -149,4 +150,4 @@ def test_ablation_expansion_length(benchmark, bench_suite, fb_system):
     assert counts[3][0] > counts[2][0], "k=3 unlocks CVT intents"
     assert counts[3][1] > counts[1][1]
 
-    benchmark(fb_system.model.stats_by_path_length)
+    benchmark(stats_by_path_length, fb_system.model)

@@ -6,10 +6,10 @@ this reproduction's three baselines (synonym / keyword / rule) and verify
 the uplift holds for each.
 """
 
-from repro.baselines.hybrid import HybridSystem
 from repro.eval.runner import evaluate_qald
 from repro.utils.tables import Table
 
+from benchmarks.baselines.hybrid import HybridSystem
 from benchmarks.conftest import emit
 
 PAPER_ROWS = [

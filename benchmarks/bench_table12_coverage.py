@@ -9,9 +9,9 @@ templates and strictly more predicates than pattern bootstrapping, because
 cannot reach CVT-mediated relations from flat sentences.
 """
 
-from repro.baselines.bootstrapping import BootstrapLearner
 from repro.utils.tables import Table
 
+from benchmarks.baselines.bootstrapping import BootstrapLearner
 from benchmarks.conftest import emit
 
 PAPER_ROWS = [
@@ -22,8 +22,8 @@ PAPER_ROWS = [
 ]
 
 
-def test_table12_coverage(benchmark, bench_suite, fb_system, dbp_system):
-    boot = BootstrapLearner(bench_suite.freebase).learn(bench_suite.sentences)
+def test_table12_coverage(benchmark, bench_suite, bench_sentences, fb_system, dbp_system):
+    boot = BootstrapLearner(bench_suite.freebase).learn(bench_sentences)
 
     table = Table(
         ["system", "corpus", "templates", "predicates", "templates/predicate"],
@@ -41,7 +41,7 @@ def test_table12_coverage(benchmark, bench_suite, fb_system, dbp_system):
             round(model.templates_per_predicate(), 1),
         ])
     table.add_row([
-        "Bootstrapping (measured)", f"{len(bench_suite.sentences)} sentences",
+        "Bootstrapping (measured)", f"{len(bench_sentences)} sentences",
         boot.n_patterns, boot.n_predicates, round(boot.n_patterns / max(boot.n_predicates, 1), 1),
     ])
     emit(table, "table12_coverage.txt")
@@ -51,4 +51,4 @@ def test_table12_coverage(benchmark, bench_suite, fb_system, dbp_system):
     assert dbp_system.model.n_templates > 10 * boot.n_patterns
 
     learner = BootstrapLearner(bench_suite.freebase)
-    benchmark(learner.learn, bench_suite.sentences[:500])
+    benchmark(learner.learn, bench_sentences[:500])

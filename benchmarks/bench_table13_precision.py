@@ -18,6 +18,7 @@ from repro.utils.rng import SeedStream
 from repro.utils.tables import Table
 
 from benchmarks.conftest import emit
+from benchmarks.model_inventory import top_templates
 
 _SLOT = "entityslot"
 
@@ -66,7 +67,7 @@ def test_table13_predicate_inference_precision(benchmark, bench_suite, fb_system
     kb = bench_suite.freebase
     gold_by_surface = _gold_intents(bench_suite.corpus)
 
-    top100 = model.top_templates(100)
+    top100 = top_templates(model, 100)
     eligible = [t for t in model.templates() if model.support(t) > 1.0]
     random100 = SeedStream(7).substream("table13").shuffled(sorted(eligible))[:100]
 
@@ -100,4 +101,4 @@ def test_table13_predicate_inference_precision(benchmark, bench_suite, fb_system
     assert random_star >= 0.6, "random templates mostly right or partial"
     assert rows[0][4] >= rows[1][4], "top templates at least as precise as random"
 
-    benchmark(model.top_templates, 100)
+    benchmark(top_templates, model, 100)

@@ -10,12 +10,13 @@ both counts substantially.
 from repro.utils.tables import Table
 
 from benchmarks.conftest import emit
+from benchmarks.model_inventory import stats_by_path_length
 
 PAPER = {"len1": (467393, 246), "len2k": (26658962, 2536), "ratio": (57.0, 10.3)}
 
 
 def test_table16_expansion_effect(benchmark, fb_system, fb_system_noexp):
-    by_length = fb_system.model.stats_by_path_length()
+    by_length = stats_by_path_length(fb_system.model)
     len1 = by_length.get(1, {"templates": 0, "predicates": 0})
     len2k_templates = sum(
         v["templates"] for length, v in by_length.items() if length >= 2
@@ -46,4 +47,4 @@ def test_table16_expansion_effect(benchmark, fb_system, fb_system_noexp):
     assert fb_system.model.n_templates > 1.5 * noexp.n_templates
     assert fb_system.model.n_predicates > 1.3 * noexp.n_predicates
 
-    benchmark(fb_system.model.stats_by_path_length)
+    benchmark(stats_by_path_length, fb_system.model)

@@ -10,6 +10,7 @@ from repro.kb.paths import PredicatePath
 from repro.utils.tables import Table
 
 from benchmarks.conftest import emit
+from benchmarks.model_inventory import templates_for_path
 
 PAPER_TEMPLATES = [
     "who is $person marry to?",
@@ -24,7 +25,7 @@ SPOUSE_WORDS = ("wife", "husband", "marry", "married", "spouse", "knot")
 
 def test_table17_spouse_templates(benchmark, fb_system):
     spouse_path = PredicatePath(("marriage", "person", "name"))
-    learned = fb_system.model.templates_for_path(spouse_path, count=10)
+    learned = templates_for_path(fb_system.model, spouse_path, count=10)
 
     table = Table(
         ["paper template", "measured template"],
@@ -45,4 +46,4 @@ def test_table17_spouse_templates(benchmark, fb_system):
     concepts = {tok for t in learned for tok in t.split() if tok.startswith("$")}
     assert len(concepts) >= 2
 
-    benchmark(fb_system.model.templates_for_path, spouse_path, 10)
+    benchmark(templates_for_path, fb_system.model, spouse_path, 10)

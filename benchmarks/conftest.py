@@ -1,7 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
 Everything trains once per session at the ``default`` scale: the world, both
-compiled KBs, KBQA systems (with and without expansion) and the baselines.
+compiled KBs, KBQA systems (with and without expansion), the comparison
+systems of ``benchmarks/baselines/`` and the declarative sentences the
+bootstrapping baseline learns from (Table 12).
 Each ``bench_tableNN`` module regenerates one table of the paper's
 evaluation section, prints it, and archives it under
 ``benchmarks/results/``; EXPERIMENTS.md records the paper-vs-measured
@@ -14,12 +16,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines.keyword import KeywordQA
-from repro.baselines.rule import RuleQA
-from repro.baselines.synonym import SynonymQA
-from repro.core.system import KBQA, train_without_expansion
+from repro.core.learner import LearnerConfig
+from repro.core.system import KBQA, KBQAConfig
 from repro.suite import build_suite
 from repro.utils.tables import Table
+
+from benchmarks.baselines.keyword import KeywordQA
+from benchmarks.baselines.rule import RuleQA
+from benchmarks.baselines.sentences import generate_sentences
+from benchmarks.baselines.synonym import SynonymQA
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -41,9 +46,17 @@ def dbp_system(bench_suite) -> KBQA:
 
 @pytest.fixture(scope="session")
 def fb_system_noexp(bench_suite) -> KBQA:
-    return train_without_expansion(
-        bench_suite.freebase, bench_suite.corpus, bench_suite.conceptualizer
+    """KBQA restricted to direct predicates (Table 16's length-1 row)."""
+    config = KBQAConfig(learner=LearnerConfig(use_expansion=False))
+    return KBQA.train(
+        bench_suite.freebase, bench_suite.corpus, bench_suite.conceptualizer, config
     )
+
+
+@pytest.fixture(scope="session")
+def bench_sentences(bench_suite) -> list[str]:
+    """The declarative sentences bootstrapping mines (Table 12)."""
+    return generate_sentences(bench_suite.world, 20_000, seed=bench_suite.seed)
 
 
 @pytest.fixture(scope="session")

@@ -43,10 +43,15 @@ def main() -> None:
 
     print("training KBQA to see what the spouse path's templates look like...")
     system = KBQA.train(suite.freebase, suite.corpus, suite.conceptualizer)
-    templates = system.model.templates_for_path(spouse_path, count=8)
+    model = system.model
+    # the templates whose argmax P(p|t) is the spouse path, by support
+    templates = sorted(
+        (t for t in model.templates() if model.best_path(t)[0] == spouse_path),
+        key=lambda t: (-model.support(t), t),
+    )[:8]
     print(f"top templates learned for {spouse_path}:")
     for template in templates:
-        print(f"  {template}   (support {system.model.support(template):.1f})")
+        print(f"  {template}   (support {model.support(template):.1f})")
 
 
 if __name__ == "__main__":

@@ -6,9 +6,11 @@ Public entry points:
 * :func:`repro.suite.build_suite` — assemble world, KBs, corpus, benchmarks;
 * :class:`repro.core.KBQA` — train and answer (``KBQA.train(...)``,
   ``.answer(...)``, ``.answer_complex(...)``);
-* :mod:`repro.baselines` — keyword / rule / synonym (DEANNA-like) /
-  bootstrapping comparators and the hybrid composition;
 * :mod:`repro.eval` — QALD- and WebQuestions-style metrics and runners.
+
+The paper's comparison systems (keyword, rule, synonym, bootstrapping and
+the hybrid composition) are instruments of its evaluation tables, not part
+of the product: they live in ``benchmarks/baselines/``.
 """
 
 from repro.core.system import KBQA, KBQAConfig

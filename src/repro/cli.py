@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "structure, and print its inventory",
     )
     expand.add_argument(
-        "--max-length", type=int, default=3,
+        "--max-length", type=_positive_int, default=3,
         help="maximum expanded-predicate length k (paper default: 3)",
     )
     expand.set_defaults(handler=_cmd_expand)

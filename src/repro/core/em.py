@@ -115,19 +115,6 @@ class EncodedObservations:
         return len(self.template_ids)
 
 
-def initialize_theta(observations: Sequence[Sequence[Candidate]]) -> dict[int, dict[int, float]]:
-    """Eq 23: uniform over predicates co-occurring with each template."""
-    paths_per_template: dict[int, set[int]] = {}
-    for candidates in observations:
-        for template_id, path_id, f in candidates:
-            if f > 0.0:
-                paths_per_template.setdefault(template_id, set()).add(path_id)
-    return {
-        template_id: {path_id: 1.0 / len(path_ids) for path_id in path_ids}
-        for template_id, path_ids in paths_per_template.items()
-    }
-
-
 def run_em(
     observations: Sequence[Sequence[Candidate]] | EncodedObservations,
     config: EMConfig | None = None,

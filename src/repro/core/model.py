@@ -90,11 +90,6 @@ class TemplateModel:
     def templates(self) -> Iterable[str]:
         return self._theta.keys()
 
-    def top_templates(self, count: int) -> list[str]:
-        """Templates ordered by observed frequency (Table 13's selection)."""
-        ordered = sorted(self._theta, key=lambda t: (-self._support.get(t, 0.0), t))
-        return ordered[:count]
-
     # -- Inventory statistics (Tables 12 and 16) ----------------------------------
 
     @property
@@ -118,31 +113,3 @@ class TemplateModel:
         if n_paths == 0:
             return 0.0
         return self.n_templates / n_paths
-
-    def stats_by_path_length(self) -> dict[int, dict[str, int]]:
-        """Template/predicate counts grouped by the argmax path's length
-        (the Table 16 breakdown: direct vs expanded predicates)."""
-        by_length: dict[int, dict[str, set | int]] = {}
-        for template in self._theta:
-            best = self.best_path(template)
-            if best is None:
-                continue
-            length = len(best[0])
-            bucket = by_length.setdefault(length, {"templates": 0, "paths": set()})
-            bucket["templates"] += 1
-            bucket["paths"].add(str(best[0]))
-        return {
-            length: {"templates": bucket["templates"], "predicates": len(bucket["paths"])}
-            for length, bucket in by_length.items()
-        }
-
-    def templates_for_path(self, path: PredicatePath, count: int | None = None) -> list[str]:
-        """Templates whose argmax predicate is ``path``, by support
-        (the Table 17 case study)."""
-        key = str(path)
-        matching = [
-            t for t in self._theta
-            if (best := self.best_path(t)) is not None and str(best[0]) == key
-        ]
-        matching.sort(key=lambda t: (-self._support.get(t, 0.0), t))
-        return matching if count is None else matching[:count]

@@ -18,7 +18,7 @@ Sec 6.2 scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.decompose import (
@@ -332,15 +332,3 @@ class KBQA:
             "em_iterations": self.learn_result.em.iterations,
         }
 
-
-def train_without_expansion(
-    kb: CompiledKB,
-    corpus: QACorpus,
-    conceptualizer: Conceptualizer,
-    config: KBQAConfig | None = None,
-) -> KBQA:
-    """Ablation helper: KBQA restricted to direct predicates (Table 16's
-    length-1 row)."""
-    config = config or KBQAConfig()
-    ablated = replace(config, learner=replace(config.learner, use_expansion=False))
-    return KBQA.train(kb, corpus, conceptualizer, ablated)

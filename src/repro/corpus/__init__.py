@@ -8,7 +8,6 @@ banks, with answer sentences that embed the value among noise tokens
 
 from repro.corpus.qa import QAPair, QACorpus
 from repro.corpus.generator import CorpusConfig, generate_corpus
-from repro.corpus.sentences import generate_sentences
 from repro.corpus.benchmark import Benchmark, BenchmarkQuestion, build_qald_like, build_webquestions_like, build_complex_benchmark
 
 __all__ = [
@@ -16,7 +15,6 @@ __all__ = [
     "QACorpus",
     "CorpusConfig",
     "generate_corpus",
-    "generate_sentences",
     "Benchmark",
     "BenchmarkQuestion",
     "build_qald_like",

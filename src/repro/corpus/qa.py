@@ -60,14 +60,3 @@ class QACorpus:
 
     def head(self, count: int) -> "QACorpus":
         return QACorpus(self.pairs[:count])
-
-    # -- Introspection ---------------------------------------------------------
-
-    def intent_counts(self) -> dict[str, int]:
-        """Generator-provenance histogram (evaluation only)."""
-        counts: dict[str, int] = {}
-        for pair in self.pairs:
-            intent = pair.meta.get("intent")
-            if intent:
-                counts[intent] = counts.get(intent, 0) + 1
-        return counts

@@ -270,15 +270,6 @@ class World:
                 for value in values:
                     yield node, intent, value
 
-    def ambiguous_names(self) -> dict[str, list[str]]:
-        """Names carried by entities of more than one type."""
-        out: dict[str, list[str]] = {}
-        for name, nodes in self.by_name.items():
-            types = {self.entities[n].etype for n in nodes}
-            if len(types) > 1:
-                out[name] = list(nodes)
-        return out
-
     def stats(self) -> dict[str, int]:
         """Entity counts per type plus totals."""
         counts = {etype: len(nodes) for etype, nodes in self.by_type.items()}

@@ -129,7 +129,9 @@ class SQLiteDictionary:
     """
 
     def __init__(self, store: "DiskTripleStore") -> None:
-        self._store = store
+        # a proxy, not a reference: the store owns its dictionary, so refcounting
+        # alone frees an unclosed store (and unlinks an ephemeral file)
+        self._store = weakref.proxy(store)
         self._term_to_id: dict[str, int] = {}
         self._id_to_term: dict[int, str] = {}
 
@@ -386,13 +388,8 @@ class DiskTripleStore(KBBackend):
             _unlink_db(path)
 
     def close(self) -> None:
-        """Close this process's connections and drop the memos; delete the
-        file if ephemeral.
-
-        The store and its dictionary reference each other, so a dropped
-        store waits for a full collection; a closed one must not pin its
-        memos (over 10 MB after a mega compile) until then.
-        """
+        """Close this process's connections, drop the memos (over 10 MB after
+        a mega compile) and delete the file if ephemeral."""
         self._finalizer.detach()
         self.dictionary._forget()
         self._objects_memo.clear()

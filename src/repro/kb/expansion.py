@@ -203,24 +203,6 @@ class ExpandedStore:
         self._path_keys.append(path_key)
         return new_id
 
-    def record_encoded(self, subject_id: int, path_key: tuple[int, ...], object_id: int) -> bool:
-        """Insert one id-encoded (s, p+, o) triple (idempotent)."""
-        p_id = self.path_id(path_key)
-        by_path = self._by_subject.get(subject_id)
-        if by_path is None:
-            by_path = self._by_subject[subject_id] = {}
-        objects = _with(by_path.get(p_id), object_id)
-        if objects is None:
-            return False
-        by_path[p_id] = objects
-        pair = subject_id << _ID_BITS | object_id
-        self._by_pair[pair] = _with(self._by_pair.get(pair), p_id)
-        self._triple_count += 1
-        # invalidate any frozen views covering this key
-        self._objects_cache.pop((subject_id, p_id), None)
-        self._pairs_cache.pop((subject_id, object_id), None)
-        return True
-
     def objects_ids(self, subject_id: int, path_id: int) -> tuple[int, ...]:
         """Id-level ``V(e, p+)`` as a sorted tuple (empty when absent)."""
         by_path = self._by_subject.get(subject_id)
@@ -322,12 +304,6 @@ class ExpandedStore:
 
     # -- Reach provenance --------------------------------------------------
 
-    def note_reach(self, node_id: int, seed_id: int) -> None:
-        """Record that ``seed_id``'s BFS scanned ``node_id``'s out-edges."""
-        seeds = _with(self._reached_from.get(node_id), seed_id)
-        if seeds is not None:
-            self._reached_from[node_id] = seeds
-
     def seeds_through(self, node_id: int) -> tuple[int, ...]:
         """Seeds whose expansion scanned ``node_id``, as a sorted tuple.
 
@@ -351,13 +327,7 @@ class ExpandedStore:
         """
         return bool(self._reached_from)
 
-    # -- String-boundary mutation ------------------------------------------
-
-    def record(self, subject: str, path: PredicatePath, obj: str) -> bool:
-        """Insert one (s, p+, o) triple given as strings (idempotent)."""
-        encode = self.dictionary.encode
-        path_key = tuple(encode(p) for p in path.predicates)
-        return self.record_encoded(encode(subject), path_key, encode(obj))
+    # -- Live invalidation -------------------------------------------------
 
     def invalidate_seeds(self, seeds: Iterable[str]) -> bool:
         """Drop every expanded triple and reach entry of a set of seeds.

@@ -9,7 +9,6 @@ from repro.nlp.tokenizer import tokenize, detokenize
 from repro.nlp.embed import embed_tokens, dot
 from repro.nlp.ner import EntityRecognizer, Mention
 from repro.nlp.question_class import AnswerType, classify_question
-from repro.nlp.synonyms import SynonymLexicon
 
 __all__ = [
     "tokenize",
@@ -20,5 +19,4 @@ __all__ = [
     "Mention",
     "AnswerType",
     "classify_question",
-    "SynonymLexicon",
 ]

@@ -2,8 +2,8 @@
 
 ``build_suite("small")`` produces everything the examples, tests and
 benchmarks need: the world, both compiled KBs, taxonomy + conceptualizer,
-the QA corpus, the sentence corpus, the Infobox and the benchmark sets —
-all derived from one seed.
+the QA corpus, the Infobox and the benchmark sets — all derived from one
+seed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.corpus.benchmark import (
 )
 from repro.corpus.generator import CorpusConfig, generate_corpus
 from repro.corpus.qa import QACorpus
-from repro.corpus.sentences import generate_sentences
 from repro.corpus.surface import surface_context_sources
 from repro.data.compile import CompiledKB, compile_dbpedia_like, compile_freebase_like
 from repro.data.conceptnet import build_conceptualizer, build_taxonomy
@@ -48,7 +47,6 @@ class Suite:
     taxonomy: IsANetwork
     conceptualizer: Conceptualizer
     corpus: QACorpus
-    sentences: list[str]
     infobox: Infobox
     benchmarks: dict[str, Benchmark] = field(default_factory=dict)
 
@@ -71,12 +69,10 @@ def build_suite(
     if scale == "small":
         world_config = WorldConfig.small(seed=seed)
         corpus_config = CorpusConfig.small(seed=seed)
-        n_sentences = 4_000
         webq_total = 200
     elif scale == "default":
         world_config = WorldConfig(seed=seed)
         corpus_config = CorpusConfig(seed=seed)
-        n_sentences = 20_000
         webq_total = 600
     else:
         raise ValueError(f"unknown scale {scale!r} (expected 'small' or 'default')")
@@ -87,7 +83,6 @@ def build_suite(
     taxonomy = build_taxonomy(world)
     conceptualizer = build_conceptualizer(world, extra_contexts=surface_context_sources())
     corpus = generate_corpus(world, corpus_config)
-    sentences = generate_sentences(world, count=n_sentences, seed=seed)
     infobox = build_infobox(world)
 
     benchmarks = {
@@ -106,7 +101,6 @@ def build_suite(
         taxonomy=taxonomy,
         conceptualizer=conceptualizer,
         corpus=corpus,
-        sentences=sentences,
         infobox=infobox,
         benchmarks=benchmarks,
     )

@@ -98,11 +98,6 @@ class Conceptualizer:
             return None
         return ContextScores(self, [w for w in context if w not in _STOPWORDS])
 
-    def context_log_likelihood(self, concept: str, context: Sequence[str]) -> float:
-        """``log Π P(w|c)`` with add-``smoothing`` estimation."""
-        scores = self.context_scores(context)
-        return 0.0 if scores is None else scores[concept]
-
     @staticmethod
     def posterior(prior: PriorRow, scores: ContextScores | None) -> dict[str, float]:
         """``P(c | e, q)`` from the prior row ``P(c|e)``
@@ -128,13 +123,6 @@ class Conceptualizer:
         if not prior:
             return {}
         return self.posterior(prior, self.context_scores(context))
-
-    def best_concept(self, entity: str, context: Sequence[str] = ()) -> str | None:
-        """Most probable concept, or None for unknown entities."""
-        posterior = self.conceptualize(entity, context)
-        if not posterior:
-            return None
-        return max(posterior.items(), key=lambda kv: (kv[1], kv[0]))[0]
 
 
 class ContextScores(dict):

@@ -10,6 +10,11 @@ and the ``-m perf`` floors time the two side by side.
 :func:`reach_reference` is the matching oracle for the reach-provenance
 index the scan records (``tests/test_properties.py`` holds the product and
 the live maintainer to it).
+
+:func:`record`, :func:`record_encoded` and :func:`note_reach` write one
+triple or one reach pair into an :class:`~repro.kb.expansion.ExpandedStore`.
+The product fills a store only through its bulk pass (the scan and the
+artifact load); the reference scan and the store tests write one at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from collections import defaultdict
 from typing import Iterable
 
 from repro.kb.backend import KBBackend
-from repro.kb.expansion import DEFAULT_TAIL_PREDICATES, ExpandedStore
+from repro.kb.expansion import _ID_BITS, DEFAULT_TAIL_PREDICATES, ExpandedStore, _with
 from repro.kb.paths import PredicatePath
 
 
@@ -61,7 +66,7 @@ def expand_predicates_baseline(
                     else prefix.extend(triple.predicate)
                 )
                 if len(path) == 1 or path.last in tail_predicates:
-                    expanded.record(seed, path, triple.object)
+                    record(expanded, seed, path, triple.object)
                 if round_index < max_length:
                     next_frontier[triple.object].add((seed, path))
         frontier = next_frontier
@@ -95,3 +100,38 @@ def reach_reference(
                 next_frontier[triple.object] |= node_seeds
         frontier = next_frontier
     return {node: frozenset(node_seeds) for node, node_seeds in reach.items()}
+
+
+def record(expanded: ExpandedStore, subject: str, path: PredicatePath, obj: str) -> bool:
+    """Insert one (s, p+, o) triple given as strings (idempotent)."""
+    encode = expanded.dictionary.encode
+    path_key = tuple(encode(p) for p in path.predicates)
+    return record_encoded(expanded, encode(subject), path_key, encode(obj))
+
+
+def record_encoded(
+    expanded: ExpandedStore, subject_id: int, path_key: tuple[int, ...], object_id: int
+) -> bool:
+    """Insert one id-encoded (s, p+, o) triple (idempotent)."""
+    p_id = expanded.path_id(path_key)
+    by_path = expanded._by_subject.get(subject_id)
+    if by_path is None:
+        by_path = expanded._by_subject[subject_id] = {}
+    objects = _with(by_path.get(p_id), object_id)
+    if objects is None:
+        return False
+    by_path[p_id] = objects
+    pair = subject_id << _ID_BITS | object_id
+    expanded._by_pair[pair] = _with(expanded._by_pair.get(pair), p_id)
+    expanded._triple_count += 1
+    # invalidate any frozen views covering this key
+    expanded._objects_cache.pop((subject_id, p_id), None)
+    expanded._pairs_cache.pop((subject_id, object_id), None)
+    return True
+
+
+def note_reach(expanded: ExpandedStore, node_id: int, seed_id: int) -> None:
+    """Record that ``seed_id``'s BFS scanned ``node_id``'s out-edges."""
+    seeds = _with(expanded._reached_from.get(node_id), seed_id)
+    if seeds is not None:
+        expanded._reached_from[node_id] = seeds

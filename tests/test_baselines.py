@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.baselines.bootstrapping import BootstrapLearner
-from repro.baselines.hybrid import HybridSystem
-from repro.baselines.keyword import KeywordQA, predicate_keywords
-from repro.baselines.rule import RuleQA
-from repro.baselines.synonym import SynonymQA, build_default_lexicon
+from benchmarks.baselines.bootstrapping import BootstrapLearner
+from benchmarks.baselines.hybrid import HybridSystem
+from benchmarks.baselines.keyword import KeywordQA, predicate_keywords
+from benchmarks.baselines.rule import RuleQA
+from benchmarks.baselines.synonym import SynonymQA, build_default_lexicon
 from repro.kb.paths import PredicatePath
 
 from tests.conftest import pick_entity
@@ -130,8 +130,8 @@ class TestSynonymQA:
 
 class TestBootstrapping:
     @pytest.fixture(scope="class")
-    def boot_result(self, suite):
-        return BootstrapLearner(suite.freebase).learn(suite.sentences)
+    def boot_result(self, suite, sentences):
+        return BootstrapLearner(suite.freebase).learn(sentences)
 
     def test_learns_patterns(self, boot_result):
         assert boot_result.n_patterns > 0

@@ -79,3 +79,22 @@ class TestAnswerErrorHandling:
         captured = capsys.readouterr()
         assert "must be >= 1" in captured.err
         assert "Q:" not in captured.out
+
+    @pytest.mark.parametrize("max_length", ["0", "-1"])
+    def test_max_length_below_one_is_a_usage_error(
+        self, capsys, tmp_path, monkeypatch, max_length
+    ):
+        """``expand_predicates`` refused it with exit 1 only after the whole
+        suite was built; argparse now refuses it first."""
+
+        def no_suite(*_args, **_kwargs):
+            raise AssertionError("built a suite despite a refused --max-length")
+
+        monkeypatch.setattr("repro.cli.build_suite", no_suite)
+        path = tmp_path / "expansion.kbqa"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["expand", "--scale", "small", "--save", str(path),
+                  f"--max-length={max_length}"])
+        assert exit_info.value.code == 2  # usage error
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not path.exists()

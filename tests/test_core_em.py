@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.em import EMConfig, initialize_theta, run_em
+from oracles.em_reference import initialize_theta
+from repro.core.em import EMConfig, run_em
 
 
 def obs(*cands):

@@ -5,6 +5,8 @@ import pytest
 from repro.core.model import TemplateModel
 from repro.kb.paths import PredicatePath
 
+from benchmarks.model_inventory import stats_by_path_length, templates_for_path, top_templates
+
 
 @pytest.fixture
 def model() -> TemplateModel:
@@ -66,16 +68,16 @@ class TestTemplateModel:
         assert model.templates_per_predicate() == pytest.approx(1.0)
 
     def test_top_templates_by_support(self, model):
-        top = model.top_templates(2)
+        top = top_templates(model, 2)
         assert top[0] == "how many people are there in $city ?"
         assert top[1] == "who is the wife of $person ?"
 
     def test_templates_for_path(self, model):
         spouse = PredicatePath(("marriage", "person", "name"))
-        assert model.templates_for_path(spouse) == ["who is the wife of $person ?"]
+        assert templates_for_path(model, spouse) == ["who is the wife of $person ?"]
 
     def test_stats_by_path_length(self, model):
-        stats = model.stats_by_path_length()
+        stats = stats_by_path_length(model)
         assert stats[1]["templates"] == 2
         assert stats[3]["templates"] == 1
         assert stats[3]["predicates"] == 1

@@ -3,7 +3,7 @@
 
 from repro.kb.paths import PredicatePath
 
-from tests.conftest import pick_entity
+from tests.conftest import ambiguous_names, pick_entity
 
 
 class TestOnlineAnswering:
@@ -75,7 +75,7 @@ class TestOnlineAnswering:
         """A company/food name in a company question must resolve to the
         company reading (the paper's apple example)."""
         collision = None
-        for name, nodes in suite.world.ambiguous_names().items():
+        for name, nodes in ambiguous_names(suite.world).items():
             types = {suite.world.entity(n).etype for n in nodes}
             if "company" in types:
                 collision = (name, nodes)

@@ -6,8 +6,9 @@ from repro.corpus.benchmark import (
     build_qald_like,
     build_webquestions_like,
 )
-from repro.corpus.sentences import SENTENCE_TEMPLATES, generate_sentences
 from repro.corpus.surface import SURFACES
+
+from benchmarks.baselines.sentences import SENTENCE_TEMPLATES, generate_sentences
 
 
 class TestQALDLikeBenchmarks:
@@ -103,11 +104,11 @@ class TestComplexBenchmark:
 
 
 class TestSentences:
-    def test_generated_count(self, suite):
-        assert len(suite.sentences) == 4000
+    def test_generated_count(self, sentences):
+        assert len(sentences) == 4000
 
-    def test_sentences_mention_entity_and_value(self, suite, world):
-        for sentence in suite.sentences[:50]:
+    def test_sentences_mention_entity_and_value(self, sentences):
+        for sentence in sentences[:50]:
             # every sentence comes from a template with both slots filled
             assert len(sentence.split()) >= 4
 

@@ -5,7 +5,7 @@ import pytest
 from repro.data.conceptnet import build_conceptualizer, build_taxonomy, concepts_for_type
 from repro.data.infobox import INFOBOX_EXCLUDED_INTENTS, Infobox, build_infobox
 
-from tests.conftest import pick_entity
+from tests.conftest import best_concept, pick_entity
 
 
 class TestInfobox:
@@ -71,7 +71,7 @@ class TestConceptnetBuilders:
     def test_conceptualizer_without_extra_contexts(self, suite):
         c = build_conceptualizer(suite.world)
         city = suite.world.of_type("city")[0]
-        assert c.best_concept(city.node) == "$city"
+        assert best_concept(c, city.node) == "$city"
 
     def test_extra_contexts_sharpen(self, suite):
         c = build_conceptualizer(

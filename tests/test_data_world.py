@@ -12,6 +12,8 @@ from repro.data.world import (
     build_world,
 )
 
+from tests.conftest import ambiguous_names
+
 
 class TestIntentCatalog:
     def test_intents_unique(self):
@@ -107,7 +109,7 @@ class TestWorldBuild:
         assert any(not p.get_fact("height") for p in people)
 
     def test_ambiguous_names_exist(self, world):
-        ambiguous = world.ambiguous_names()
+        ambiguous = ambiguous_names(world)
         types_covered = set()
         for _name, nodes in ambiguous.items():
             types_covered |= {world.entity(n).etype for n in nodes}

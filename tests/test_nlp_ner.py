@@ -5,6 +5,8 @@ import pytest
 from repro.nlp.ner import EntityRecognizer
 from repro.nlp.tokenizer import tokenize
 
+from tests.conftest import ambiguous_names
+
 
 @pytest.fixture
 def ner() -> EntityRecognizer:
@@ -85,7 +87,7 @@ class TestAgainstCompiledKB:
 
     def test_ambiguous_world_names_link_multiple_types(self, suite):
         ner = EntityRecognizer(suite.freebase.gazetteer)
-        ambiguous = suite.world.ambiguous_names()
+        ambiguous = ambiguous_names(suite.world)
         assert ambiguous, "the world must contain designed ambiguity"
         name, nodes = next(iter(ambiguous.items()))
         assert set(ner.lookup(name)) == set(nodes)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.nlp.synonyms import SynonymLexicon, jaccard
+from benchmarks.baselines.lexicon import SynonymLexicon, jaccard
 
 
 class TestSynonymLexicon:

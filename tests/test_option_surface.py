@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import ast
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -439,6 +440,56 @@ def test_sharded_backend_is_unknown(monkeypatch):
     monkeypatch.setenv("KBQA_BACKEND", "sharded")
     with pytest.raises(ValueError, match="memory, disk"):
         resolve_backend()
+
+
+# ``src/repro`` modules a product entry point does not import at start-up:
+# three lazy product imports (``kbqa variants``, ``ExpandedStore.save``/
+# ``load``, ``kbqa mega-compile``) and the mega-world binding that the
+# frozen ``mega_disk_mixed`` workload imports (ROADMAP item 5)
+_NOT_LOADED_AT_START = {
+    "repro.core.variants", "repro.kb.expanded_v3", "repro.corpus.mega",
+    "repro.eval.scenarios",
+}
+
+
+def _src_modules() -> set[str]:
+    names = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        names.add(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    return names
+
+
+def test_src_holds_only_what_the_product_loads():
+    """Importing the CLI, the server and the facade loads every module under
+    ``src/repro`` but the named few: a comparison system, a test oracle or a
+    definition only a table reads belongs in ``benchmarks/`` or ``tests/``."""
+    script = (
+        "import json, sys\n"
+        "import repro.cli, repro.serve.app, repro.core.system\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], check=True, env=env, timeout=120,
+        capture_output=True, text=True,
+    )
+    loaded = set(json.loads(done.stdout))
+    assert _src_modules() - loaded == _NOT_LOADED_AT_START
+    assert not {name for name in loaded if name.split(".")[0] in ("benchmarks", "tests")}
+
+
+def test_src_imports_nothing_from_benchmarks_or_tests():
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("benchmarks", "tests"), (path, name)
 
 
 _HYGIENE_SCRIPT = """

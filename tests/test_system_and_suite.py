@@ -5,7 +5,8 @@ import pickle
 import pytest
 
 from repro.cli import main
-from repro.core.system import KBQAConfig, train_without_expansion
+from repro.core.learner import LearnerConfig
+from repro.core.system import KBQA, KBQAConfig
 from repro.suite import build_suite
 
 from tests.conftest import pick_entity
@@ -20,8 +21,9 @@ class TestKBQAFacade:
         assert info["expanded_spo"] > 0
         assert info["em_iterations"] >= 1
 
-    def test_train_without_expansion_helper(self, suite):
-        system = train_without_expansion(suite.freebase, suite.corpus, suite.conceptualizer)
+    def test_train_without_expansion(self, suite):
+        config = KBQAConfig(learner=LearnerConfig(use_expansion=False))
+        system = KBQA.train(suite.freebase, suite.corpus, suite.conceptualizer, config)
         assert system.describe()["expanded_spo"] == 0
 
     def test_answer_and_answer_complex_agree_on_bfq(self, suite, kbqa_fb):
@@ -33,14 +35,11 @@ class TestKBQAFacade:
 
     def test_config_threading(self, suite):
         from repro.core.em import EMConfig
-        from repro.core.learner import LearnerConfig
 
         config = KBQAConfig(
             learner=LearnerConfig(em=EMConfig(max_iterations=2)),
             pattern_max_questions=100,
         )
-        from repro.core.system import KBQA
-
         system = KBQA.train(suite.freebase, suite.corpus, suite.conceptualizer, config)
         assert system.learn_result.em.iterations <= 2
         assert system.decomposer.statistics.questions_indexed <= 100
@@ -63,7 +62,6 @@ class TestSuite:
         assert suite.world.entities
         assert len(suite.freebase.store) > len(suite.dbpedia.store)
         assert len(suite.corpus) == 4000
-        assert suite.sentences
         assert len(suite.infobox) > 0
         assert set(suite.benchmarks) == {"qald1", "qald3", "qald5", "webquestions", "complex"}
 
@@ -118,8 +116,6 @@ class TestEndToEnd:
         """Train and answer — the complete user journey on a freshly built
         (tiny) suite, independent of session fixtures."""
         from repro.core.em import EMConfig
-        from repro.core.learner import LearnerConfig
-        from repro.core.system import KBQA
 
         fresh = build_suite("small", seed=11)
         config = KBQAConfig(learner=LearnerConfig(em=EMConfig(max_iterations=8)))

@@ -16,6 +16,8 @@ from oracles.online_reference import (
 from repro.taxonomy.conceptualizer import Conceptualizer
 from repro.taxonomy.isa import IsANetwork, is_concept
 
+from tests.conftest import ambiguous_names, best_concept, context_log_likelihood
+
 
 class TestIsANetwork:
     def test_prior_normalizes(self):
@@ -122,20 +124,20 @@ class TestConceptualizer:
     def test_paper_apple_example(self, contextualized):
         """'what is the headquarter of apple' -> $company (Sec 1.3)."""
         context = "what is the headquarter of".split()
-        assert contextualized.best_concept("m.apple_co", context) == "$company"
+        assert best_concept(contextualized, "m.apple_co", context) == "$company"
         fruit_posterior = contextualized.conceptualize("m.apple_fruit", context)
         # The fruit node has no $company concept; its best is still $fruit,
         # but a company-context question scores the company node higher.
-        company_score = contextualized.context_log_likelihood("$company", context)
-        fruit_score = contextualized.context_log_likelihood("$fruit", context)
+        company_score = context_log_likelihood(contextualized, "$company", context)
+        fruit_score = context_log_likelihood(contextualized, "$fruit", context)
         assert company_score > fruit_score
         assert set(fruit_posterior) == {"$fruit", "$food"}
 
     def test_context_flips_concept(self, contextualized):
         eat_context = "how do i eat a ripe".split()
         hq_context = "where is the headquarter of".split()
-        assert contextualized.best_concept("m.apple_fruit", eat_context) == "$fruit"
-        assert contextualized.best_concept("m.apple_co", hq_context) == "$company"
+        assert best_concept(contextualized, "m.apple_fruit", eat_context) == "$fruit"
+        assert best_concept(contextualized, "m.apple_co", hq_context) == "$company"
 
     def test_posterior_is_distribution(self, contextualized):
         posterior = contextualized.conceptualize("m.apple_co", ["headquarter"])
@@ -144,7 +146,7 @@ class TestConceptualizer:
 
     def test_unknown_entity(self, contextualized):
         assert contextualized.conceptualize("ghost", ["x"]) == {}
-        assert contextualized.best_concept("ghost") is None
+        assert best_concept(contextualized, "ghost") is None
 
     def test_stopwords_ignored(self, contextualized):
         with_stop = contextualized.conceptualize("m.apple_co", ["the", "of", "headquarter"])
@@ -158,7 +160,7 @@ class TestConceptualizer:
     def test_world_conceptualizer_disambiguates(self, suite):
         """The suite-level conceptualizer must solve the designed ambiguity:
         company-named foods resolve by context."""
-        ambiguous = suite.world.ambiguous_names()
+        ambiguous = ambiguous_names(suite.world)
         target = None
         for name, nodes in ambiguous.items():
             types = {suite.world.entity(n).etype for n in nodes}
@@ -169,7 +171,7 @@ class TestConceptualizer:
         _name, nodes = target
         company = next(n for n in nodes if suite.world.entity(n).etype == "company")
         context = "where is the headquarter of ?".split()
-        best = suite.conceptualizer.best_concept(company, context)
+        best = best_concept(suite.conceptualizer, company, context)
         assert best == "$company"
 
 
@@ -240,8 +242,8 @@ class TestTableCoherence:
                 assert got == fresh.conceptualize(*payload)
                 assert got == reference_conceptualize(live, *payload)
             else:
-                got = live.context_log_likelihood(*payload)
-                assert got == fresh.context_log_likelihood(*payload)
+                got = context_log_likelihood(live, *payload)
+                assert got == context_log_likelihood(fresh, *payload)
                 assert got == reference_log_likelihood(live, *payload)
 
     def test_unknown_entities_are_not_remembered(self):
