@@ -136,6 +136,11 @@ class CorpusScan(NamedTuple):
     a full collection, and a default-scale train promoted ~21 k of them
     into generation 2.  The column tuples are untracked by the second
     collection.
+
+    The scan holds one string object per distinct token (152 066 tokens of
+    926 distinct ones at default scale took 13.3 MB as one string each), and
+    a question whose spans are all leftmost-longest shares one tuple between
+    ``mentions`` and ``spans``.
     """
 
     tokens: list[tuple[str, ...]]
@@ -149,6 +154,9 @@ def scan_questions(questions: Iterable[str], ner: EntityRecognizer) -> CorpusSca
     consume it): each distinct question is tokenized once and walks the
     gazetteer once (:meth:`EntityRecognizer.spans`)."""
     row_of: dict[str, int] = {}
+    # token -> itself: every row's tokens are the first-seen string objects
+    vocabulary: dict[str, str] = {}
+    canonical = vocabulary.setdefault
     tokens_of: list[tuple[str, ...]] = []
     mentions_of: list[tuple[Span, ...]] = []
     spans_of: list[tuple[Span, ...]] = []
@@ -157,7 +165,8 @@ def scan_questions(questions: Iterable[str], ner: EntityRecognizer) -> CorpusSca
         row = row_of.get(question)
         if row is None:
             row = row_of[question] = len(tokens_of)
-            tokens = tuple(tokenize(question))
+            words = tokenize(question)
+            tokens = tuple(map(canonical, words, words))
             spans = tuple(ner.spans(tokens))
             tokens_of.append(tokens)
             mentions_of.append(leftmost_longest(spans))

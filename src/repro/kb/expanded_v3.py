@@ -22,8 +22,9 @@ in bulk.
   group where grouped; path keys are only required distinct), that every
   string is valid UTF-8 and that terms and path keys are distinct.  Any failure is a :class:`ValueError` naming the
   file.  The checked sections are then the very columns the scan's bulk
-  build takes (``ExpandedStore._extend``).  The ``paths_between`` pair index
-  is not stored; it is rebuilt from the triples.
+  build takes (``ExpandedStore._extend_triples`` and ``_extend_reach``).
+  The ``paths_between`` pair index is not stored; it is rebuilt from the
+  triples.
 
 Layout (integers little-endian u32 unless noted; no padding)::
 
@@ -268,7 +269,8 @@ def load(path: str | Path) -> ExpandedStore:
     checksum sealed but the layout forbids (a broken offset chain, an empty
     group, an id out of range or out of order, invalid UTF-8, a repeated
     term or path key).  The store is filled by the bulk pass the Sec 6.2
-    scan ends with (``ExpandedStore._extend``), which takes every id section
+    scan ends with (``ExpandedStore._extend_triples``, then
+    ``_extend_reach``), which takes every id section
     as a sorted set: a sealed file that repeats a subject, path, object,
     reach node or reach seed is rejected here rather than merged.
     """
@@ -307,8 +309,10 @@ def load(path: str | Path) -> ExpandedStore:
     if len(store._path_key_to_id) != h.n_paths:
         raise ValueError(f"{path}: duplicate path key")
 
-    store._extend(
-        subjects, group_offsets, group_paths, object_offsets, objects,
-        reach_nodes, reach_offsets, reach_seeds,
-    )
+    # the sections are read: the build holds neither the file's bytes nor
+    # the triple columns beside the reach it fills
+    del data, read
+    store._extend_triples(subjects, group_offsets, group_paths, object_offsets, objects)
+    del subjects, group_offsets, group_paths, object_offsets, objects
+    store._extend_reach(reach_nodes, reach_offsets, reach_seeds)
     return store

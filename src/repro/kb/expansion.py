@@ -13,12 +13,14 @@ expanded ``(s, p+, o)`` triples are all dictionary-encoded integers, so
 no term string or :class:`~repro.kb.triple.Triple` object is built per row.
 Each round collects its output as one set of *packed* ints (an id pair is
 ``high << 32 | low``; every dictionary id fits the artifact's u32), sorts it
-once and groups it; the store is then filled in one bulk pass.  Nothing in
-the scan or the store allocates a container per expanded triple, so the
-cyclic collector's work does not grow with ``#spo`` (DESIGN.md "Expansion
-storage").  Strings appear only at the :class:`ExpandedStore` public
-boundary, where decoded results are cached as frozen views (one decode per
-key, shared across calls).  The original string-level implementation is the
+once and groups it; the store is then filled by one bulk pass, one section
+at a time, each section's set freed before the next is read, so the build
+peaks a few MiB above what the store keeps.  Nothing in the scan or the
+store allocates a container per expanded triple, so the cyclic collector's
+work does not grow with ``#spo`` (DESIGN.md "Expansion storage").  Strings
+appear only at the :class:`ExpandedStore` public boundary, where decoded
+results are cached as frozen views (one decode per key, shared across
+calls).  The original string-level implementation is the
 test oracle ``tests/oracles/expansion_reference.py`` (equivalence tests and
 the before/after benchmark).
 
@@ -47,8 +49,8 @@ Two paper-mandated restrictions are honoured:
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, compress, repeat
-from operator import and_, ne, rshift, sub
+from itertools import chain, compress, count, pairwise, repeat, starmap
+from operator import and_, ne, rshift
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -115,28 +117,61 @@ def _union(entry: Entry, members: tuple[int, ...]) -> Entry:
     return _entry(tuple(sorted({*_members(entry), *members})))
 
 
-def _runs(values: list[int]) -> tuple[list[int], list[int]]:
-    """The distinct values of a sorted list and the offsets of their runs
-    (``len(keys) + 1`` of them), found in C: one compare per neighbour pair."""
-    n = len(values)
-    if not n:
-        return [], [0]
-    offsets = [0, *compress(range(1, n), map(ne, values, values[1:])), n]
-    return list(map(values.__getitem__, offsets[:-1])), offsets
-
-
 def _split(
     packed: list[int], low_bits: int = _ID_BITS
 ) -> tuple[list[int], list[int], tuple[int, ...]]:
     """Columns of sorted, distinct ``high << low_bits | low`` ints: the
-    distinct highs, the offsets of each high's run, and every low.
+    distinct highs, the offsets of each high's run (``len(highs) + 1`` of
+    them), and every low.
 
     A group is then one slice of the lows, never a tuple grown an element at
-    a time (a hub node carries thousands of members).
+    a time (a hub node carries thousands of members).  The runs are found in
+    C, one compare per neighbour pair of highs shifted out on the fly: no
+    column holds a high per value.
     """
     n = len(packed)
-    keys, offsets = _runs(list(map(rshift, packed, repeat(low_bits, n))))
+    if not n:
+        return [], [0], ()
+    highs = map(rshift, packed, repeat(low_bits))
+    offsets = [0, *compress(count(1), starmap(ne, pairwise(highs))), n]
+    keys = [packed[i] >> low_bits for i in offsets[:-1]]
     return keys, offsets, tuple(map(and_, packed, repeat((1 << low_bits) - 1, n)))
+
+
+def _drained(values: set[int]) -> list[int]:
+    """``values`` sorted, and the set emptied (its table freed at once)."""
+    ordered = sorted(values)
+    values.clear()
+    return ordered
+
+
+def _triple_columns(packed: list[int]):
+    """The :meth:`ExpandedStore._extend_triples` columns of sorted, distinct
+    ``(s_id << 32 | path_id) << 32 | o_id`` ints."""
+    # heads are s_id << 32 | path_id, one per (subject, path) group
+    heads, object_offsets, objects = _split(packed)
+    subjects, group_offsets, group_paths = _split(heads)
+    return subjects, group_offsets, group_paths, object_offsets, objects
+
+
+def _next_frontier(
+    ways: set[int], subjects: set[int], reach: set[int]
+) -> dict[int, tuple[int, ...]]:
+    """The next round's frontier from a round's ``o_id << 64 | way`` ints,
+    which it empties: each subject node's ways as a sorted tuple.
+
+    Every way adds its ``node_id << 32 | seed_id`` to ``reach``: the next
+    round scans the node on behalf of the way's seed, or would once a live
+    add makes the node a subject.
+    """
+    ordered = _drained(ways)
+    reach.update(map(rshift, ordered, repeat(_ID_BITS)))
+    nodes, offsets, node_ways = _split(ordered, 2 * _ID_BITS)
+    return {
+        node: node_ways[lo:hi]
+        for node, lo, hi in zip(nodes, offsets, offsets[1:])
+        if node in subjects
+    }
 
 
 class ExpandedStore:
@@ -218,89 +253,74 @@ class ExpandedStore:
             return ()
         return (paths,) if type(paths) is int else paths
 
-    def _extend(
+    # The bulk build behind both expand_predicates and the artifact load, in
+    # two passes that each take one section's sorted id columns.  Ids
+    # increase within every column section they index: subjects, the paths
+    # of a subject, the ids of a group, reach nodes; no group is empty.  A
+    # subject or node the store already holds (only an ``into=`` refresh
+    # meets one) is merged, and the frozen views over it are dropped.
+
+    def _extend_triples(
         self,
         subjects: Sequence[int],
         group_offsets: Sequence[int],
         group_paths: Sequence[int],
         object_offsets: Sequence[int],
         objects: Sequence[int],
-        reach_nodes: Sequence[int],
-        reach_offsets: Sequence[int],
-        reach_seeds: Sequence[int],
     ) -> None:
-        """Fold sorted id columns into the store in one pass.
-
-        The bulk build behind both :func:`expand_predicates` and the
-        artifact load, whose columns these are: subject ``i`` holds groups
-        ``group_offsets[i]:group_offsets[i + 1]``, group ``g`` the path
-        ``group_paths[g]`` and the objects
-        ``objects[object_offsets[g]:object_offsets[g + 1]]``; reach node
-        ``j`` the seeds ``reach_seeds[reach_offsets[j]:reach_offsets[j + 1]]``.
-        Subjects and nodes increase, and so do the paths of a subject and
-        the ids of a group; no group is empty.  ``_by_pair`` is filled from
-        the same pass.  A subject or node the store already holds (only an
-        ``into=`` refresh meets one) is merged, and the frozen views over it
-        are dropped.
-        """
+        """Fold triple columns into the store, ``_by_pair`` from the same
+        pass: subject ``i`` holds groups ``group_offsets[i]:group_offsets[i +
+        1]``, group ``g`` the path ``group_paths[g]`` and the objects
+        ``objects[object_offsets[g]:object_offsets[g + 1]]``."""
         by_subject, by_pair = self._by_subject, self._by_pair
-        # the entry of each group, and the path of each triple
-        entries = [
-            objects[lo] if hi - lo == 1 else objects[lo:hi]
-            for lo, hi in zip(object_offsets, object_offsets[1:])
-        ]
-        group_sizes = map(sub, object_offsets[1:], object_offsets)
-        triple_paths = list(chain.from_iterable(map(repeat, group_paths, group_sizes)))
         count = self._triple_count
         for s_id, lo, hi in zip(subjects, group_offsets, group_offsets[1:]):
-            start, end = object_offsets[lo], object_offsets[hi]
             by_path = by_subject.get(s_id)
             if by_path is None:
-                by_subject[s_id] = dict(zip(group_paths[lo:hi], entries[lo:hi]))
-                count += end - start
-                added = zip(triple_paths[start:end], objects[start:end])
-            else:
-                added = []
-                for group in range(lo, hi):
-                    p_id = group_paths[group]
-                    new = objects[object_offsets[group] : object_offsets[group + 1]]
-                    held = by_path.get(p_id)
-                    if held is None:
-                        by_path[p_id] = _entry(new)
-                    else:
-                        known = set(_members(held))
-                        new = tuple(o for o in new if o not in known)
-                        by_path[p_id] = _union(held, new)
-                        self._objects_cache.pop((s_id, p_id), None)
-                    count += len(new)
-                    added += zip(repeat(p_id), new)
+                by_path = by_subject[s_id] = {}
             base = s_id << _ID_BITS
-            for p_id, o_id in added:
-                pair = base | o_id
-                paths = by_pair.setdefault(pair, p_id)
-                if paths != p_id:  # a second path between s and o
-                    by_pair[pair] = _with(paths, p_id)
-                    self._pairs_cache.pop((s_id, o_id), None)
+            for group in range(lo, hi):
+                p_id = group_paths[group]
+                new = objects[object_offsets[group] : object_offsets[group + 1]]
+                held = by_path.get(p_id)
+                if held is None:
+                    by_path[p_id] = _entry(new)
+                else:
+                    known = set(_members(held))
+                    new = tuple(o for o in new if o not in known)
+                    by_path[p_id] = _union(held, new)
+                    self._objects_cache.pop((s_id, p_id), None)
+                count += len(new)
+                for o_id in new:
+                    pair = base | o_id
+                    paths = by_pair.setdefault(pair, p_id)
+                    if paths != p_id:  # a second path between s and o
+                        by_pair[pair] = _with(paths, p_id)
+                        self._pairs_cache.pop((s_id, o_id), None)
         self._triple_count = count
-        reached = self._reached_from
-        for node_id, lo, hi in zip(reach_nodes, reach_offsets, reach_offsets[1:]):
-            held = reached.get(node_id)
-            seeds = reach_seeds[lo:hi]
-            reached[node_id] = _entry(seeds) if held is None else _union(held, seeds)
 
-    def _extend_packed(self, triples: list[int], reach: list[int]) -> None:
-        """:meth:`_extend` from sorted, distinct packed ints: triples as
-        ``(s_id << 32 | path_id) << 32 | o_id``, reach as ``node_id << 32 |
-        seed_id``."""
-        # heads are s_id << 32 | path_id, one per (subject, path) group
-        heads, object_offsets, objects = _split(triples)
-        subjects, group_offsets = _runs(list(map(rshift, heads, repeat(_ID_BITS))))
-        group_paths = tuple(map(and_, heads, repeat(_ID_MASK)))
-        reach_nodes, reach_offsets, reach_seeds = _split(reach)
-        self._extend(
-            subjects, group_offsets, group_paths, object_offsets, objects,
-            reach_nodes, reach_offsets, reach_seeds,
-        )
+    def _extend_reach(
+        self, nodes: Sequence[int], offsets: Sequence[int], seeds: Sequence[int]
+    ) -> None:
+        """Fold reach columns into the store: node ``j`` was scanned for the
+        seeds ``seeds[offsets[j]:offsets[j + 1]]``."""
+        reached = self._reached_from
+        for node_id, lo, hi in zip(nodes, offsets, offsets[1:]):
+            held = reached.get(node_id)
+            new = seeds[lo:hi]
+            reached[node_id] = _entry(new) if held is None else _union(held, new)
+
+    def _extend_packed(self, triples: set[int], reach: set[int]) -> None:
+        """The bulk build from two sets of packed ints, which it empties:
+        triples as ``(s_id << 32 | path_id) << 32 | o_id``, reach as
+        ``node_id << 32 | seed_id``.
+
+        One section at a time is sorted, its set cleared, split into
+        columns, and folded in; the sorted list and its columns are freed
+        before the next section is read.
+        """
+        self._extend_triples(*_triple_columns(_drained(triples)))
+        self._extend_reach(*_split(_drained(reach)))
 
     # -- Reach provenance --------------------------------------------------
 
@@ -386,8 +406,8 @@ class ExpandedStore:
         One bulk pass: every id ``other`` uses is translated through one
         ``other id -> self id`` map (each term encoded once, so the merge is
         correct whether or not the two stores share a dictionary — a freshly
-        loaded artifact has its own), and the translated columns are sorted
-        and folded in by :meth:`_extend`.  Returns the number of newly
+        loaded artifact has its own), and the translated ids are packed and
+        folded in by :meth:`_extend_packed`.  Returns the number of newly
         inserted triples.
         """
         by_subject, reached = other._by_subject, other._reached_from
@@ -401,15 +421,15 @@ class ExpandedStore:
         encode, decode = self.dictionary.encode, other.dictionary.decode
         id_of = {i: encode(decode(i)) for i in used}
         path_of = [self.path_id(tuple(map(id_of.__getitem__, key))) for key in other._path_keys]
-        triples = sorted(
+        triples = {
             (id_of[s] << _ID_BITS | path_of[p]) << _ID_BITS | id_of[o]
             for s, p, o in other.triples_ids()
-        )
-        reach = sorted(
+        }
+        reach = {
             id_of[node] << _ID_BITS | id_of[seed]
             for node, seeds in reached.items()
             for seed in _members(seeds)
-        )
+        }
         self.seed_ids.update(map(id_of.__getitem__, other.seed_ids))
         before = self._triple_count
         self._extend_packed(triples, reach)
@@ -581,9 +601,12 @@ def expand_predicates(
     A round collects the next frontier as one set of packed
     ``o_id << 64 | way`` ints, sorted once and split into per-node slices,
     and adds to one set of packed ``(seed_id << 32 | path_id) << 32 | o_id``
-    recorded triples.  The sorted triples and the reach-provenance index
-    (which seeds' BFS scanned which node, read off every frontier — the
-    index `repro.kb.live` resolves affected seeds through) then fill the
+    recorded triples.  A way goes on only to an object that is a subject of
+    the store (round 1's scan collects them); any other object is only
+    recorded in the reach-provenance index, as ``node_id << 32 | seed_id``,
+    since a live add may make it a subject.  That index (which seeds' BFS
+    scanned which node, read off every frontier — the index `repro.kb.live`
+    resolves affected seeds through) and the sorted triples then fill the
     store in one bulk pass, the one an artifact load makes.  There is no
     second BFS that rebuilds reach.
 
@@ -633,11 +656,15 @@ def expand_predicates(
     children: dict[int, int] = {}
     # a way is seed_id << 32 | prefix; a seed is reached by the empty prefix
     frontier = {seed_id: (seed_id << _ID_BITS,) for seed_id in seed_ids}
-    # node_id << 32 | seed_id: the seeds whose BFS scans a node, one sorted
-    # run per round (round 1 scans the seeds themselves)
-    reach = sorted(seed_id << _ID_BITS | seed_id for seed_id in seed_ids)
+    # node_id << 32 | seed_id: the seeds whose BFS scans a node (round 1
+    # scans the seeds themselves)
+    reach = {seed_id << _ID_BITS | seed_id for seed_id in seed_ids}
+    add_reach = reach.add
     triples: set[int] = set()  # (seed_id << 32 | path_id) << 32 | o_id
     add_triple = triples.add
+    # every subject of the store, collected by round 1's scan: a way goes on
+    # only to a node a later scan meets
+    subjects: set[int] = set()
     way_bits = 2 * _ID_BITS
 
     for round_index in range(1, max_length + 1):
@@ -645,10 +672,25 @@ def expand_predicates(
         next_ways: set[int] = set()  # o_id << 64 | way
         add_way = next_ways.add
         for s_id, by_predicate in store.spo_items_ids():
+            if round_index == 1:
+                subjects.add(s_id)
             ways = frontier.get(s_id)
             if ways is None:
                 continue
             for p_id, object_ids in by_predicate.items():
+                if is_last_round:
+                    if round_index > 1 and p_id not in tail_ids:
+                        continue  # its path is not recorded, and no round follows
+                    onward = ends = ()
+                elif round_index == 1:
+                    # subjects is whole only once this scan ends: every way
+                    # goes on, and the next frontier keeps those to subjects
+                    onward, ends = object_ids, ()
+                else:
+                    # an object that is no subject ends its ways here, as
+                    # reach facts
+                    onward = object_ids & subjects
+                    ends = object_ids - onward
                 step_base = p_id << _ID_BITS
                 for way in ways:
                     prefix = way & _ID_MASK
@@ -665,18 +707,18 @@ def expand_predicates(
                         head = (way - prefix + path_id) << _ID_BITS
                         for o_id in object_ids:
                             add_triple(head | o_id)
-                    if not is_last_round:
+                    if onward:
                         extended = way - prefix + child
-                        for o_id in object_ids:
+                        for o_id in onward:
                             add_way(o_id << way_bits | extended)
-        if not next_ways:
+                    if ends:
+                        seed = way >> _ID_BITS
+                        for o_id in ends:
+                            add_reach(o_id << _ID_BITS | seed)
+        frontier.clear()  # the scan is done with it
+        frontier = _next_frontier(next_ways, subjects, reach)
+        if not frontier:
             break
-        ordered = sorted(next_ways)
-        # the next round scans each way's node on behalf of the way's seed
-        reach += map(rshift, ordered, repeat(_ID_BITS))
-        nodes, offsets, node_ways = _split(ordered, way_bits)
-        frontier = dict(zip(nodes, map(node_ways.__getitem__, map(slice, offsets, offsets[1:]))))
 
-    # merging the sorted runs is linear; dict.fromkeys drops the repeats
-    expanded._extend_packed(sorted(triples), list(dict.fromkeys(sorted(reach))))
+    expanded._extend_packed(triples, reach)
     return expanded

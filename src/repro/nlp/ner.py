@@ -114,7 +114,8 @@ class EntityRecognizer:
 def leftmost_longest(spans: Iterable[Span]) -> tuple[Span, ...]:
     """The spans :meth:`EntityRecognizer.find_mentions` keeps, from
     :meth:`EntityRecognizer.spans`' list: the longest span at each start,
-    skipping starts inside the last kept span."""
+    skipping starts inside the last kept span.  A tuple whose every span is
+    kept is returned itself, not copied (most questions have one span)."""
     kept: list[Span] = []
     kept_start, covered = -1, 0
     for span in spans:  # ordered by start, then length
@@ -125,4 +126,6 @@ def leftmost_longest(spans: Iterable[Span]) -> tuple[Span, ...]:
         elif start >= covered:
             kept.append(span)
             kept_start, covered = start, span[1]
+    if type(spans) is tuple and len(kept) == len(spans):
+        return spans
     return tuple(kept)

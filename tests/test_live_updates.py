@@ -86,6 +86,31 @@ class TestMaintainer:
             make_literal("the ghost")
         }
 
+    def test_an_object_that_becomes_a_subject_refreshes_its_seeds(self):
+        """The scan carries no way to an object that is no subject, but its
+        reach stays recorded: one reached in round 1 (``d``) and one in
+        round 2 (``e``) each refresh seed ``a`` when an edge is added under
+        them."""
+        kb = _toy_kb()
+        kb.add("a", "friend", "d")
+        kb.add("cvt1", "witness", "e")
+        expanded = expand_predicates(kb, ["a", "c"], max_length=3)
+        LiveExpansionMaintainer(kb, expanded, ["a", "c"])
+        a = kb.dictionary.lookup("a")
+        for node in ("d", "e"):
+            assert expanded.seeds_through(kb.dictionary.lookup(node)) == (a,)
+        kb.add("d", "name", make_literal("dave"))
+        kb.add("e", "alias", make_literal("eve"))
+        assert expanded.objects("a", PredicatePath(("friend", "name"))) == {
+            make_literal("dave")
+        }
+        assert expanded.objects("a", PredicatePath(("marriage", "witness", "alias"))) == {
+            make_literal("eve")
+        }
+        fresh = expand_predicates(kb, ["a", "c"], max_length=3)
+        assert set(expanded.triples()) == set(fresh.triples())
+        assert dict(expanded.reach_items()) == dict(fresh.reach_items())
+
     def test_loaded_artifact_with_own_dictionary(self, tmp_path):
         """A reloaded expansion (own dictionary) still tracks live edits —
         the maintainer's string-level merge branch."""
