@@ -29,19 +29,25 @@ dense dot product bit for bit — the zeros the scan skips contribute nothing
 to an exact sum — which is what the tests' dense oracle
 (``tests/oracles/fallback_reference.py``) checks.
 
-Retrieval is memoized per index.  A query is the embedding of a question's
+The lane is memoized per index on what it is a function of: the question's
 de-slotted remainder, which every entity asked about with that surface
 shares (827 distinct remainders among the 20 798 lane queries of one pass
-over the held-out benchmark stream), so :meth:`FallbackIndex.top_paths`
-reads an LRU keyed on ``(query, k)`` — ``SparseVector`` is hashable —
-bounded at 4 096 entries.  The memo holds an immutable tuple and every call
-returns a fresh list.  Nothing needs invalidating: an index never changes
-after construction and ``OnlineAnswerer.replace_model`` swaps it whole, so a
-new index brings an empty memo; the gate still runs and counts on every
-call; and KB values are probed by the answerer after retrieval, outside the
-memo, so a live write is seen at once.  Worst case, 4 096 distinct 8-token
-remainders hold about 12 MiB across this memo and the embedding memo of
-``repro.nlp.embed``.
+over the held-out benchmark stream).  :meth:`FallbackIndex.gated_paths`
+takes the remainder's tokens and reads one dict keyed on their tuple,
+bounded at 4 096 entries, that stores the gate's outcome beside the gated
+paths (each with its parsed :class:`PredicatePath`), so a hit is one dict
+probe and one counter increment under the index's lock: the gate is still
+counted on every call.  A miss embeds the remainder
+(``repro.nlp.embed.embed_tokens``), ranks through :meth:`top_paths` — the
+plain scan, so a subclass that overrides it (the tests' dense oracle) is
+what a miss consults — and gates.  The vector-level gate,
+:meth:`FallbackIndex.gated_vector_paths`, takes an embedded query and has no
+memo.  Nothing needs invalidating: an index never changes after
+construction and ``OnlineAnswerer.replace_model`` swaps it whole, so a new
+index brings an empty memo; and KB values are probed by the answerer after
+retrieval, outside the memo, so a live write is seen at once.  Worst case,
+4 096 distinct 8-token remainders hold about 11 MiB across this memo and the
+embedding memo of ``repro.nlp.embed`` (tracemalloc, default scale).
 """
 
 from __future__ import annotations
@@ -51,8 +57,8 @@ import re
 import threading
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from operator import itemgetter, mul
+from typing import Sequence
 
 from repro.core.model import TemplateModel
 from repro.core.template import Template
@@ -66,8 +72,8 @@ _NAME_WEIGHT = 0.25
 
 _NAME_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
-# Distinct (query, k) retrievals kept per index (see the module docstring).
-_RETRIEVAL_MEMO_SIZE = 4096
+# Distinct remainders kept per index (see the module docstring).
+_REMAINDER_MEMO_SIZE = 4096
 
 DEFAULT_THRESHOLD = 0.35
 DEFAULT_MARGIN = 0.05
@@ -100,20 +106,6 @@ def _name_tokens(path_str: str) -> tuple[str, ...]:
     return tuple(_NAME_TOKEN_RE.findall(path_str.lower()))
 
 
-def _scan(
-    rows: list[tuple[float, ...]], path_strs: list[str], query: SparseVector, k: int
-) -> tuple[tuple[str, float], ...]:
-    """:meth:`FallbackIndex.top_paths` without the memo: score every path row."""
-    indices, weights = query
-    if len(indices) > 1:
-        gather = itemgetter(*indices)
-    else:  # itemgetter of fewer than two items does not return a tuple
-        gather = lambda row: [row[i] for i in indices]  # noqa: E731
-    scores = [math.fsum(map(mul, weights, gather(row))) for row in rows]
-    ranked = sorted(zip(scores, path_strs), key=lambda pair: (-pair[0], pair[1]))
-    return tuple((path_str, score) for score, path_str in ranked[:k])
-
-
 class FallbackIndex:
     """Packed predicate-path vectors with gated cosine retrieval."""
 
@@ -134,24 +126,23 @@ class FallbackIndex:
             tuple(self.matrix[start : start + dim])
             for start in range(0, len(self.path_strs) * dim, dim)
         ]
-        # over the rows, not a bound method: a dropped index is freed by refcount
-        self._retrieve = lru_cache(maxsize=_RETRIEVAL_MEMO_SIZE)(
-            partial(_scan, self._rows, self.path_strs)
-        )
-        # Threads answering through one system share one index and all
-        # count into it.
-        self._outcomes_lock = threading.Lock()
+        # Threads answering through one system share one index: the lock
+        # guards the remainder memo and every counter.
+        self._lock = threading.Lock()
         self.reset_counters()
 
     def reset_counters(self) -> None:
-        """Zero this process's gate-outcome and retrieval-memo counters.
+        """Zero this process's gate-outcome and remainder-memo counters.
 
-        ``lru_cache`` keeps its counters with its entries, so the memo is
-        emptied too; that is always safe, as it only holds retrievals.
+        The memo is emptied too, so ``memo_entries`` counts what the
+        counters saw; that is always safe, as it only holds retrievals.
         """
-        with self._outcomes_lock:
+        with self._lock:
             self._outcomes = {"passed": 0, "abstained_threshold": 0, "abstained_margin": 0}
-        self._retrieve.cache_clear()
+            # remainder -> (gate outcome, gated paths); plain data, so a
+            # dropped index is freed by refcount
+            self._memo: dict[tuple[str, ...], tuple[str, tuple]] = {}
+            self._memo_hits = self._memo_misses = 0
 
     def __len__(self) -> int:
         return len(self.path_strs)
@@ -208,46 +199,84 @@ class FallbackIndex:
         """The ``k`` highest-cosine paths for a unit query vector.
 
         Returns ``(path_str, score)`` pairs sorted by descending score with
-        lexicographic tie-breaks, as a new list on every call.
+        lexicographic tie-breaks.  Every path row is scored; nothing is
+        memoized here.
         """
         k = self.config.top_k if k is None else k
         if k <= 0:
             return []
-        return list(self._retrieve(query, k))
+        indices, weights = query
+        if len(indices) > 1:
+            gather = itemgetter(*indices)
+        else:  # itemgetter of fewer than two items does not return a tuple
+            gather = lambda row: [row[i] for i in indices]  # noqa: E731
+        scores = [math.fsum(map(mul, weights, gather(row))) for row in self._rows]
+        ranked = sorted(zip(scores, self.path_strs), key=lambda pair: (-pair[0], pair[1]))
+        return [(path_str, score) for score, path_str in ranked[:k]]
 
-    def gated_paths(self, query: SparseVector) -> list[tuple[str, float]]:
-        """Retrieval plus the confidence gate; empty means *abstain*.
+    def _gate(self, query: SparseVector) -> tuple[str, list[tuple[str, float]]]:
+        """The gate's outcome for ``query`` and the paths it lets through.
 
         The gate requires the best path to clear the absolute cosine
         threshold AND to lead the runner-up by the configured margin (it
         always looks at the two best rows, whatever ``top_k`` is); when it
-        passes, the ``top_k`` best paths above the threshold are returned in
+        passes, the ``top_k`` best paths above the threshold are kept in
         rank order (the caller walks them until one yields KB values).
         """
         config = self.config
         ranked = self.top_paths(query, max(config.top_k, 2))
         if not ranked or ranked[0][1] < config.threshold:
-            outcome = "abstained_threshold"
-        elif len(ranked) > 1 and ranked[0][1] - ranked[1][1] < config.margin:
-            outcome = "abstained_margin"
-        else:
-            outcome = "passed"
-        with self._outcomes_lock:
+            return "abstained_threshold", []
+        if len(ranked) > 1 and ranked[0][1] - ranked[1][1] < config.margin:
+            return "abstained_margin", []
+        return "passed", [(p, s) for p, s in ranked[: config.top_k] if s >= config.threshold]
+
+    def gated_vector_paths(self, query: SparseVector) -> list[tuple[str, float]]:
+        """The confidence gate over an embedded query, counted; empty means
+        *abstain*.  No memo: every call ranks through :meth:`top_paths`."""
+        outcome, gated = self._gate(query)
+        with self._lock:
             self._outcomes[outcome] += 1
-        if outcome != "passed":
-            return []
-        return [(p, s) for p, s in ranked[: config.top_k] if s >= config.threshold]
+        return gated
+
+    def gated_paths(
+        self, remainder: Sequence[str]
+    ) -> tuple[tuple[str, float, PredicatePath], ...]:
+        """The gated ``(path_str, score, path)`` triples for a de-slotted
+        remainder, in rank order; empty means *abstain*.
+
+        Reads the remainder memo (see the module docstring); a miss embeds
+        the remainder and gates it as :meth:`gated_vector_paths` does.
+        Every call counts its outcome, hits included.
+        """
+        key = tuple(remainder)  # the same object when handed a tuple
+        with self._lock:
+            entry = self._memo.get(key)
+            if entry is None:
+                self._memo_misses += 1
+                config = self.config
+                outcome, gated = self._gate(embed_tokens(key, config.dim, config.seed))
+                by_str = self._by_str
+                entry = outcome, tuple((p, s, by_str[p]) for p, s in gated)
+                memo = self._memo
+                if len(memo) >= _REMAINDER_MEMO_SIZE:
+                    del memo[next(iter(memo))]  # the oldest entry
+                memo[key] = entry
+            else:
+                self._memo_hits += 1
+            self._outcomes[entry[0]] += 1
+        return entry[1]
 
     def path_for(self, path_str: str) -> PredicatePath:
         return self._by_str[path_str]
 
     def describe(self) -> dict[str, object]:
         """The gate's settings, this process's outcome counters and the
-        retrieval memo's counters (``cache_info()["fallback"]``, hence
+        remainder memo's counters (``cache_info()["fallback"]``, hence
         ``/stats``)."""
-        with self._outcomes_lock:
+        with self._lock:
             outcomes = dict(self._outcomes)
-        memo = self._retrieve.cache_info()
+            hits, misses, entries = self._memo_hits, self._memo_misses, len(self._memo)
         return {
             "paths": len(self.path_strs),
             "dim": self.config.dim,
@@ -255,7 +284,7 @@ class FallbackIndex:
             "margin": self.config.margin,
             "queries": sum(outcomes.values()),
             **outcomes,
-            "memo_hits": memo.hits,
-            "memo_misses": memo.misses,
-            "memo_entries": memo.currsize,
+            "memo_hits": hits,
+            "memo_misses": misses,
+            "memo_entries": entries,
         }

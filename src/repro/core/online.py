@@ -79,7 +79,6 @@ from repro.core.kbview import KBView
 from repro.core.model import Context, TemplateModel
 from repro.kb.paths import PredicatePath
 from repro.kb.triple import LITERAL_PREFIX
-from repro.nlp.embed import embed_tokens
 from repro.nlp.ner import EntityRecognizer
 from repro.nlp.tokenizer import tokenize
 from repro.taxonomy.conceptualizer import Conceptualizer, ContextScores, top_concepts
@@ -385,7 +384,7 @@ class OnlineAnswerer:
 
         Entity slotting reuses the deterministic lane's NER reading: for
         each mention the span is *removed* (symmetric with how templates are
-        de-slotted at index build time) and the remainder embedded.  Per
+        de-slotted at index build time) and the index gates the remainder.  Per
         mention, the highest-ranked gated path whose values exist in the KB
         wins, entities tried in lexicographic order; across mentions the
         best (score, entity, path) triple wins.  ``None`` means the gate
@@ -399,12 +398,9 @@ class OnlineAnswerer:
             if not mention.candidates:
                 continue
             remainder = tokens[: mention.start] + tokens[mention.end :]
-            query = embed_tokens(remainder, index.config.dim, index.config.seed)
-            entities = sorted(set(mention.candidates))
-            for path_str, score in index.gated_paths(query):
-                path = index.path_for(path_str)
+            for path_str, score, path in index.gated_paths(remainder):
                 hit = None
-                for entity in entities:
+                for entity in mention.candidates:  # sorted, distinct (NER)
                     values = self.kbview.values(entity, path)
                     if values:
                         hit = (entity, values)

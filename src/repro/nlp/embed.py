@@ -33,11 +33,17 @@ with that surface: one pass over the 20 455-question held-out stream sends
 LRU keyed on ``(tuple(tokens), dim, seed)``, bounded at 4 096 entries (about
 5x that vocabulary); any ``Sequence[str]`` is accepted and normalized to a
 tuple before the lookup.  An embedding is a pure function of its key, so the
-memo never needs invalidating.  Worst case, 4 096 distinct 8-token
-remainders fill this memo and the index's retrieval memo
-(``repro.core.fallback``) with about 12 MiB together for tokens drawn from
-the suite's vocabulary, 15 MiB for random 4-9 letter tokens (which touch
-more buckets).
+memo never needs invalidating.  The fallback index keeps its own memo of the
+gate per remainder (``repro.core.fallback``), so one index reads this one
+only on its misses; it stays for what that memo does not cover: a new index
+after ``replace_model`` (or a second index with the same ``dim`` and
+``seed``) starts empty and re-embeds, and ``embed_tokens`` called on its own
+— the traced benchmark pass times it that way — costs a dict probe, not a
+full embedding.  Worst case, 4 096 distinct 8-token remainders fill this
+memo and the index's memo with about 11 MiB together (tracemalloc, tokens
+from the suite's vocabulary or random 4-9 letter tokens alike); the feature
+digests they add to ``_bucket`` hold another 8 MiB (suite vocabulary) to
+17 MiB (random tokens, the memo at its bound).
 """
 
 from __future__ import annotations

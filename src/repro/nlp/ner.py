@@ -19,7 +19,8 @@ from repro.nlp.tokenizer import tokenize
 
 @dataclass(frozen=True, slots=True)
 class Mention:
-    """An entity mention: token span [start, end) plus linked KB nodes."""
+    """An entity mention: token span [start, end) plus linked KB nodes
+    (sorted, each once)."""
 
     start: int
     end: int
@@ -51,7 +52,10 @@ class EntityRecognizer:
             tokens = tuple(tokenize(name))
             if not tokens:
                 continue
-            self._names[tokens] = tuple(sorted(set(nodes)))
+            # Every candidate tuple is sorted and duplicate-free, which the
+            # answer path relies on; names that tokenize alike pool their nodes.
+            known = self._names.get(tokens, ())
+            self._names[tokens] = tuple(sorted(set(known).union(nodes)))
             by_first[tokens[0]] = max(by_first[tokens[0]], len(tokens))
         self._max_len_by_first = dict(by_first)
 

@@ -149,7 +149,7 @@ class ReferenceAnswerer:
                 continue
             remainder = tokens[: mention.start] + tokens[mention.end :]
             query = embed_tokens(remainder, index.config.dim, index.config.seed)
-            for path_str, score in index.gated_paths(query):
+            for path_str, score in index.gated_vector_paths(query):
                 path = index.path_for(path_str)
                 hits = [
                     (entity, values)

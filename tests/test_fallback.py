@@ -12,8 +12,10 @@ The lane's contract, in test form:
 * the sparse gather scan equals the dense oracle in ``tests/oracles``, on
   single queries and over the whole held-out stream,
 * the gate's outcome counters are conserved and surface in ``cache_info()``,
-* the embedding and retrieval memos change no vector, ranking or answer,
-  and hold no KB value: a live delete is seen by the next asking,
+* the embedding memo and the index's remainder memo change no vector,
+  ranking or answer, and hold no KB value: a live delete is seen by the
+  next asking; a memo miss still ranks through ``top_paths``, so the dense
+  oracle swaps in,
 * the serving layer counts ``fallback_served``/``fallback_abstained``.
 """
 
@@ -29,6 +31,7 @@ from array import array
 import pytest
 from oracles.fallback_reference import OracleIndex, reference_top_paths
 
+from repro.core import fallback as fallback_module
 from repro.core.fallback import FallbackConfig, FallbackIndex
 from repro.core.online import OnlineAnswerer
 from repro.core.system import KBQA, KBQAConfig
@@ -187,7 +190,7 @@ class TestFallbackIndex:
         ranked = fb_index.top_paths(SparseVector((), ()), 4)
         assert ranked == [(path_str, 0.0) for path_str in fb_index.path_strs[:4]]
         assert ranked == reference_top_paths(fb_index, SparseVector((), ()), 4)
-        assert fb_index.gated_paths(SparseVector((), ())) == []
+        assert fb_index.gated_vector_paths(SparseVector((), ())) == []
 
     def test_single_bucket_query(self, fb_index):
         query = SparseVector((17,), (1.0,))
@@ -224,7 +227,7 @@ class TestFallbackIndex:
             kbqa_fb.model, FallbackConfig(threshold=0.999999)
         )
         qvec = embed_tokens(("where", "was", "someone", "born"))
-        assert strict.gated_paths(qvec) == []
+        assert strict.gated_vector_paths(qvec) == []
 
     def test_margin_gate_sees_runner_up_at_top_k_1(self):
         """Two near-tied paths abstain on the margin whatever ``top_k`` is
@@ -233,33 +236,66 @@ class TestFallbackIndex:
         query = SparseVector((0,), (1.0,))
         for top_k in (1, 5):
             near_tied = _synthetic_index(["a", "b"], rows, top_k=top_k)
-            assert near_tied.gated_paths(query) == []
+            assert near_tied.gated_vector_paths(query) == []
             assert near_tied.describe()["abstained_margin"] == 1
         clear = _synthetic_index(["a", "b"], [[1.0, 0.0], [0.0, 1.0]], top_k=1)
-        assert clear.gated_paths(query) == [("a", 1.0)]  # at most top_k returned
+        assert clear.gated_vector_paths(query) == [("a", 1.0)]  # at most top_k returned
 
     def test_gate_counters_conserved(self, kbqa_fb, training_questions):
-        """Every query is counted, memo hits included: each is asked twice
-        in a row, a memo miss and then a hit."""
+        """Every query is counted, memo hits included: each remainder is
+        asked twice in a row, a memo miss and then a hit."""
         index = FallbackIndex.build(kbqa_fb.model)
         asked, distinct = 0, set()
         for question in training_questions:
             for rewrite in HELDOUT_REWRITES:
-                query = embed_tokens(tuple(tokenize(rewrite(question))))
-                distinct.add(query)
+                remainder = tuple(tokenize(rewrite(question)))
+                distinct.add(remainder)
                 for _ in range(2):
-                    index.gated_paths(query)
+                    index.gated_paths(remainder)
                     asked += 1
-        index.gated_paths(SparseVector((), ()))  # nothing clears the threshold
+        assert index.gated_paths(()) == ()  # nothing clears the threshold
+        assert index.gated_paths([]) == ()  # the same remainder as a list: a hit
         info = index.describe()
-        assert info["queries"] == asked + 1
+        assert info["queries"] == asked + 2
         assert info["queries"] == (
             info["passed"] + info["abstained_threshold"] + info["abstained_margin"]
         )
         assert info["passed"] > 0 and info["abstained_threshold"] > 0
         assert (info["paths"], info["dim"]) == (len(index), index.config.dim)
         assert info["memo_misses"] == info["memo_entries"] == len(distinct) + 1
-        assert info["memo_hits"] == info["queries"] - info["memo_misses"]
+        assert info["memo_hits"] == info["queries"] - info["memo_misses"] == asked // 2 + 1
+
+    def test_remainder_memo_equals_the_vector_gate(self, kbqa_fb, heldout_stream):
+        """Each distinct remainder of the held-out stream gates through the
+        memo, cold and warm, as through the vector gate, with each path's
+        parsed ``PredicatePath`` beside it."""
+        index = FallbackIndex.build(kbqa_fb.model)
+        ner = kbqa_fb.answerer.ner
+        remainders = set()
+        for question in heldout_stream:
+            tokens = tuple(tokenize(question))
+            for mention in ner.find_mentions(tokens):
+                remainders.add(tokens[: mention.start] + tokens[mention.end :])
+        for remainder in sorted(remainders):
+            want = index.gated_vector_paths(embed_tokens(remainder))
+            for _ in range(2):
+                got = index.gated_paths(remainder)
+                assert [(p, s) for p, s, _path in got] == want
+                assert all(path is index.path_for(p) for p, _s, path in got)
+        info = index.describe()
+        assert info["memo_misses"] == info["memo_hits"] == len(remainders)
+        assert info["queries"] == 3 * len(remainders)
+
+    def test_remainder_memo_is_bounded(self, monkeypatch):
+        """Past the bound the oldest remainder goes; the counters go on."""
+        monkeypatch.setattr(fallback_module, "_REMAINDER_MEMO_SIZE", 3)
+        index = _synthetic_index(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
+        for word in ("w", "x", "y", "z", "w"):
+            index.gated_paths((word,))
+        info = index.describe()
+        assert (info["memo_misses"], info["memo_hits"], info["memo_entries"]) == (5, 0, 3)
+        index.gated_paths(("w",))
+        assert index.describe()["memo_hits"] == 1
 
     def test_memoized_result_is_not_shared_with_callers(self, fb_index):
         query = embed_tokens(("where", "born"))
@@ -270,6 +306,10 @@ class TestFallbackIndex:
         assert second == want
         second.append(("not-a-path", 2.0))
         assert fb_index.top_paths(query, 5) == want
+        # the remainder memo hands out the tuple it keeps: no caller can change it
+        gated = fb_index.gated_paths(("where", "born"))
+        assert type(gated) is tuple and all(type(row) is tuple for row in gated)
+        assert fb_index.gated_paths(["where", "born"]) is gated
 
     @pytest.mark.parametrize(
         ("name", "value"),
@@ -295,12 +335,12 @@ class TestFallbackIndex:
         """Executor threads share one index; a lost increment would break
         the count.  More threads than cores, switch interval shortened."""
         index = _synthetic_index(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
-        query = SparseVector((0,), (1.0,))
+        remainder = ("where", "born")  # embeds to (-0.06, 1.00) at dim 2: passes
         per_thread, n_threads = 2000, 8
 
         def hammer() -> None:
             for _ in range(per_thread):
-                index.gated_paths(query)
+                index.gated_paths(remainder)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -313,7 +353,10 @@ class TestFallbackIndex:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert index.describe()["passed"] == per_thread * n_threads
+        info = index.describe()
+        assert info["passed"] == info["queries"] == per_thread * n_threads
+        assert (info["memo_misses"], info["memo_entries"]) == (1, 1)
+        assert info["memo_hits"] == per_thread * n_threads - 1
 
 
 class TestFallbackLane:
@@ -328,19 +371,32 @@ class TestFallbackLane:
             assert a == b  # frozen dataclass: full field-wise equality
             assert not b.fallback
 
-    def test_whole_heldout_stream_equals_oracle(self, kbqa_fb, fb_index, heldout_stream):
+    def test_whole_heldout_stream_equals_oracle(
+        self, kbqa_fb, fb_index, heldout_stream, monkeypatch
+    ):
         """Every gold factoid question through every held-out rewrite: the
         sparse index answers exactly as one scoring through the dense oracle,
         on a cold pass and on a second pass served wholly by its memo, and
-        its gate counts every query of both passes as the oracle's does."""
+        its gate counts every query of both passes as the oracle's does.
+        The oracle's dense ranking runs once per memo miss, so the memo
+        cannot bypass it."""
         stream = heldout_stream
         product = FallbackIndex(fb_index.config, fb_index.path_strs, fb_index.matrix)
         oracle = OracleIndex(fb_index.config, fb_index.path_strs, fb_index.matrix)
+        ranked = []
+        dense = OracleIndex.top_paths
+        monkeypatch.setattr(
+            OracleIndex, "top_paths",
+            lambda self, query, k=None: ranked.append(query) or dense(self, query, k),
+        )
         oracle_answers = _clone_answerer(kbqa_fb, fallback=oracle).answer_many(stream)
+        oracle_info = oracle.describe()
+        assert len(ranked) == oracle_info["memo_misses"] == oracle_info["memo_entries"]
+        assert oracle_info["memo_hits"] == oracle_info["queries"] - len(ranked) > 0
         answerer = _clone_answerer(kbqa_fb, fallback=product)
         cold = answerer.answer_many(stream)
         cold_info = product.describe()
-        answerer.clear_caches()  # the answer cache, not the retrieval memo
+        answerer.clear_caches()  # the answer cache, not the remainder memo
         warm = answerer.answer_many(stream)
         warm_info = product.describe()
         assert warm_info["memo_misses"] == cold_info["memo_misses"]  # all hits

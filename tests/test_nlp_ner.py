@@ -91,3 +91,32 @@ class TestAgainstCompiledKB:
         assert ambiguous, "the world must contain designed ambiguity"
         name, nodes = next(iter(ambiguous.items()))
         assert set(ner.lookup(name)) == set(nodes)
+
+
+class TestCandidateTuples:
+    """Every candidate tuple is sorted and duplicate-free, however the
+    gazetteer lists its nodes; the fallback lane walks it as it stands."""
+
+    def test_unsorted_duplicated_and_alike_names(self):
+        ner = EntityRecognizer({
+            "apple": ["m.apple_fruit", "m.apple_co", "m.apple_fruit"],
+            "Apple!": ["m.apple_records", "m.apple_co"],  # tokenizes as "apple"
+            "São Paulo": ["m.sp_state", "m.sp_city", "m.sp_state"],
+            "sao paulo": ["m.sp_fc"],
+        })
+        assert len(ner) == 2
+        assert ner.lookup("apple") == ("m.apple_co", "m.apple_fruit", "m.apple_records")
+        assert ner.lookup("sao paulo") == ("m.sp_city", "m.sp_fc", "m.sp_state")
+        tokens = tuple(tokenize("is apple from são paulo?"))
+        mentions = ner.find_mentions(tokens)
+        assert [m.candidates for m in mentions] == [
+            ner.lookup("apple"), ner.lookup("sao paulo"),
+        ]
+        for _start, _end, candidates in ner.spans(tokens):
+            assert candidates == tuple(sorted(set(candidates)))
+
+    def test_compiled_gazetteer(self, suite):
+        ner = EntityRecognizer(suite.freebase.gazetteer)
+        for name in suite.freebase.gazetteer:
+            candidates = ner.lookup(name)
+            assert candidates == tuple(sorted(set(candidates))), name

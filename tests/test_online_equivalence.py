@@ -26,6 +26,7 @@ from repro.kb.disk import DiskTripleStore
 from repro.kb.store import TripleStore
 from repro.kb.triple import make_literal
 from repro.nlp.ner import EntityRecognizer
+from repro.nlp.tokenizer import tokenize
 from repro.serve import normalized_key
 from repro.suite import build_suite
 from repro.taxonomy.conceptualizer import Conceptualizer
@@ -96,7 +97,9 @@ class TestGoldStream:
     def test_default_scale_all_gold(self, monkeypatch):
         """The ≈ 20 k gold factoids of the benchmark's suite, four surfaces
         each; the three held-out surfaces de-slot to contexts no learned
-        template has, so they build no context scores."""
+        template has, so they build no context scores, and the lane gates
+        once per distinct de-slotted remainder of them (counted here from
+        ``find_mentions``), every other asking a memo hit."""
         big = build_suite("default", seed=7)
         system = KBQA.train(big.freebase, big.corpus, big.conceptualizer)
         questions = gold_questions(big.corpus)
@@ -117,6 +120,23 @@ class TestGoldStream:
         assert made == [] and product.cache_info()["plans"] == 0
         product.answer_many(questions[:: len(REWRITES)])  # the gold surface
         assert 0 < product.cache_info()["plans"] == len(made) <= len(system.model.contexts)
+
+        heldout = [q for i, q in enumerate(questions) if i % len(REWRITES)]
+        asked, remainders = 0, set()
+        for question in heldout:
+            tokens = tuple(tokenize(question))
+            for mention in system.answerer.ner.find_mentions(tokens):
+                asked += 1
+                remainders.add(tokens[: mention.start] + tokens[mention.end :])
+        index = FallbackIndex.build(system.model)
+        laned = OnlineAnswerer(
+            system.answerer.kbview, system.answerer.ner, system.conceptualizer, system.model,
+            max_concepts=system.answerer.max_concepts, answer_cache_size=0, fallback=index,
+        )
+        laned.answer_many(heldout)
+        info = index.describe()
+        assert 500 < info["memo_misses"] == info["memo_entries"] == len(remainders)
+        assert info["queries"] == asked == info["memo_misses"] + info["memo_hits"]
 
 
 # -- Hostile inputs over a hand-built world --------------------------------------

@@ -73,7 +73,9 @@ def test_dropped_fallback_index_is_freed_by_refcount(kbqa_fb, collector_off):
     index = FallbackIndex.build(kbqa_fb.model)
     gc.collect()  # the build's own temporaries, not the index
     assert index.top_paths(embed_tokens(("population",)))
-    assert index.describe()["memo_misses"] == 1
+    index.gated_paths(("population",))
+    index.gated_paths(("population",))
+    assert (index.describe()["memo_misses"], index.describe()["memo_hits"]) == (1, 1)
     released = weakref.ref(index)
     del index
     assert released() is None
