@@ -7,14 +7,17 @@
 Snapshots ``--base`` (``git archive``) and the working tree (tracked and
 untracked, not ignored, files) once.  Every pair then extracts both anew
 into two sibling directories of a fresh temporary directory (honours
-``TMPDIR``), ``base`` and ``edit``: the two sides run from paths of equal
-length, because path length alone moves ``http_zipf``
-(``benchmarks/results/pr23-pairs.txt``, A/A runs), and each pair gets new
-directories, because placement alone moves ``http_zipf`` by −14 % to
-+10 % between otherwise equal runs.  For each ``--workload`` in turn, it
-runs ``python3 -m benchmarks.e2e --workload W --seed S --trace 0`` once per
-side per pair — base first on even pairs, the working tree first on odd
-ones, a fresh seed per pair — and prints, per end-to-end metric, each
+``TMPDIR``), named in run order: the side that runs first gets ``base``,
+the other ``edit``.  The two sides run from paths of equal length, because
+path length alone moves ``http_zipf`` (``benchmarks/results/pr23-pairs.txt``,
+A/A runs); each pair gets new directories, because placement alone moves
+``http_zipf`` by −14 % to +10 % between otherwise equal runs; and each side
+runs from each name on half of the pairs, because in an A/A run the
+``edit`` directory alone read ``inproc_heldout`` −8 %
+(``benchmarks/results/pr51-pairs.txt``).  For each ``--workload`` in turn,
+it runs ``python3 -m benchmarks.e2e --workload W --seed S --trace 0`` once
+per side per pair — base first on even pairs, the working tree first on
+odd ones, a fresh seed per pair — and prints, per end-to-end metric, each
 side's median and quartiles, how many pairs the change won (ties count for
 neither side), and a verdict against the metric's bound in
 ``BENCHMARK.json``:
@@ -72,12 +75,14 @@ def working_tree_archive() -> bytes:
 
 
 def run_pair(archives: dict[str, bytes], order, workload: str, seed: int):
-    """Extract both sides into a fresh temporary directory and run each once."""
+    """Extract both sides into a fresh temporary directory, the first side
+    of ``order`` into ``base`` and the second into ``edit``, and run each
+    once, in that order."""
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as root:
-        trees = {"base": Path(root) / "base", "change": Path(root) / "edit"}
-        for side, tree in trees.items():
-            tree.mkdir()
-            subprocess.run(["tar", "-x", "-C", tree], input=archives[side], check=True)
+        trees = dict(zip(order, (Path(root) / "base", Path(root) / "edit")))
+        for side in order:
+            trees[side].mkdir()
+            subprocess.run(["tar", "-x", "-C", trees[side]], input=archives[side], check=True)
         return {side: run_once(trees[side], workload, seed) for side in order}
 
 

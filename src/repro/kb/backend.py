@@ -23,7 +23,7 @@ Two stores ship in-tree:
 * :class:`~repro.kb.disk.DiskTripleStore` — one SQLite file; a named file
   (the mega world's ``kb.db``) is reopened, not rebuilt, by a later process.
 
-:func:`resolve_backend` is the one place that choice is made — explicit
+:func:`resolve_backend_kind` is the one place that choice is made — explicit
 argument over the ``KBQA_BACKEND`` environment variable over ``memory`` —
 so the CLI (through the variable), the suite builder and the tests all
 agree on what a backend name means.
@@ -258,16 +258,12 @@ BACKEND_KINDS = ("memory", "disk")
 KBQA_BACKEND_ENV = "KBQA_BACKEND"
 
 
-def resolve_backend(kind: str | None = None, *, path: str | None = None) -> KBBackend:
-    """Construct the KB backend every layer above the KB speaks through.
+def resolve_backend_kind(kind: str | None = None) -> str:
+    """The store kind a backend name means.
 
     Precedence: an explicit ``kind`` wins, else the ``KBQA_BACKEND``
     environment variable (how the CI matrix pins a leg to ``disk`` without
     threading a flag through every entry point), else ``memory``.
-
-    ``path`` names the database file for the ``disk`` backend (``None`` =
-    ephemeral temp file); a path on the in-memory backend cannot mean
-    anything and raises ``ValueError`` rather than being silently dropped.
     """
     if kind is None:
         kind = os.environ.get(KBQA_BACKEND_ENV) or "memory"
@@ -275,6 +271,18 @@ def resolve_backend(kind: str | None = None, *, path: str | None = None) -> KBBa
         raise ValueError(
             f"unknown KB backend {kind!r} (expected one of {', '.join(BACKEND_KINDS)})"
         )
+    return kind
+
+
+def resolve_backend(kind: str | None = None, *, path: str | None = None) -> KBBackend:
+    """Construct the KB backend every layer above the KB speaks through.
+
+    ``kind`` is resolved by :func:`resolve_backend_kind`.  ``path`` names
+    the database file for the ``disk`` backend (``None`` = ephemeral temp
+    file); a path on the in-memory backend cannot mean anything and raises
+    ``ValueError`` rather than being silently dropped.
+    """
+    kind = resolve_backend_kind(kind)
     if path is not None and kind != "disk":
         raise ValueError(f"backend {kind!r} does not take a database path")
     if kind == "disk":

@@ -64,7 +64,7 @@ from operator import ge, gt
 from pathlib import Path
 
 from repro.kb.dictionary import Dictionary
-from repro.kb.expansion import ExpandedStore, _members
+from repro.kb.expansion import Canonical, ExpandedStore, _members
 
 EXPANSION_MAGIC = b"KBQAXPD4"
 EXPANSION_VERSION = 4
@@ -186,8 +186,9 @@ class _Reader:
             raise ValueError(f"{self.path}: corrupt {what} offsets")
         return values
 
-    def ids(self, count: int, bound: int, what: str) -> tuple[int, ...]:
-        values = self.ints(count)
+    def ids(self, count: int, bound: int, what: str, canon: Canonical) -> tuple[int, ...]:
+        """An id section, each id one of ``canon``'s objects."""
+        values = tuple(map(canon.__getitem__, self.ints(count)))
         if values and max(values) >= bound:
             raise ValueError(f"{self.path}: {what} id {max(values)} out of range")
         return values
@@ -279,17 +280,20 @@ def load(path: str | Path) -> ExpandedStore:
     read = _Reader(data, path)
     tails = read.strings(h.n_tails, h.tails_blob_len, "tail predicate", "I")
     terms = read.strings(h.n_terms, h.terms_blob_len, "term", "Q")
-    seeds = read.ids(h.n_seeds, h.n_terms, "seed")
+    # one int object per distinct id, for the store to keep
+    canon = Canonical()
+    seeds = read.ids(h.n_seeds, h.n_terms, "seed", canon)
     path_offsets = read.offsets(h.n_paths, h.n_path_ids, "path")
-    path_ids = read.ids(h.n_path_ids, h.n_terms, "predicate")
-    subjects = read.ids(h.n_subjects, h.n_terms, "subject")
+    path_ids = read.ids(h.n_path_ids, h.n_terms, "predicate", canon)
+    subjects = read.ids(h.n_subjects, h.n_terms, "subject", canon)
     group_offsets = read.offsets(h.n_subjects, h.n_groups, "group", groups=True)
-    group_paths = read.ids(h.n_groups, h.n_paths, "path")
+    group_paths = read.ids(h.n_groups, h.n_paths, "path", canon)
     object_offsets = read.offsets(h.n_groups, h.n_triples, "object", groups=True)
-    objects = read.ids(h.n_triples, h.n_terms, "object")
-    reach_nodes = read.ids(h.n_reach_nodes, h.n_terms, "reach node")
+    objects = read.ids(h.n_triples, h.n_terms, "object", canon)
+    reach_nodes = read.ids(h.n_reach_nodes, h.n_terms, "reach node", canon)
     reach_offsets = read.offsets(h.n_reach_nodes, h.n_reach_pairs, "reach", groups=True)
-    reach_seeds = read.ids(h.n_reach_pairs, h.n_terms, "reach seed")
+    reach_seeds = read.ids(h.n_reach_pairs, h.n_terms, "reach seed", canon)
+    del canon
     read.increasing(seeds, "seed")
     read.increasing(subjects, "subject")
     read.increasing(group_paths, "path", group_offsets)

@@ -117,12 +117,30 @@ def _union(entry: Entry, members: tuple[int, ...]) -> Entry:
     return _entry(tuple(sorted({*_members(entry), *members})))
 
 
+class Canonical(dict):
+    """One int object per distinct id, for the life of one bulk build:
+    ``canon[i]`` is the first ``i`` object it was asked for.
+
+    Shifting and masking packed ints, or unpacking an artifact's section,
+    makes a new int object per id *occurrence*; an id occurs in many entries
+    (an object under many subjects, a seed in the reach of every node it
+    scanned), so the store would keep one object per occurrence.  Passing
+    each id through one map keeps one per distinct id.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, value: int) -> int:
+        self[value] = value
+        return value
+
+
 def _split(
-    packed: list[int], low_bits: int = _ID_BITS
+    packed: list[int], low_bits: int = _ID_BITS, canon: Canonical | None = None
 ) -> tuple[list[int], list[int], tuple[int, ...]]:
     """Columns of sorted, distinct ``high << low_bits | low`` ints: the
     distinct highs, the offsets of each high's run (``len(highs) + 1`` of
-    them), and every low.
+    them), and every low.  With ``canon``, the lows are its objects.
 
     A group is then one slice of the lows, never a tuple grown an element at
     a time (a hub node carries thousands of members).  The runs are found in
@@ -135,7 +153,8 @@ def _split(
     highs = map(rshift, packed, repeat(low_bits))
     offsets = [0, *compress(count(1), starmap(ne, pairwise(highs))), n]
     keys = [packed[i] >> low_bits for i in offsets[:-1]]
-    return keys, offsets, tuple(map(and_, packed, repeat((1 << low_bits) - 1, n)))
+    lows = map(and_, packed, repeat((1 << low_bits) - 1, n))
+    return keys, offsets, tuple(lows if canon is None else map(canon.__getitem__, lows))
 
 
 def _drained(values: set[int]) -> list[int]:
@@ -145,12 +164,13 @@ def _drained(values: set[int]) -> list[int]:
     return ordered
 
 
-def _triple_columns(packed: list[int]):
+def _triple_columns(packed: list[int], canon: Canonical):
     """The :meth:`ExpandedStore._extend_triples` columns of sorted, distinct
-    ``(s_id << 32 | path_id) << 32 | o_id`` ints."""
+    ``(s_id << 32 | path_id) << 32 | o_id`` ints, ids through ``canon``."""
     # heads are s_id << 32 | path_id, one per (subject, path) group
-    heads, object_offsets, objects = _split(packed)
-    subjects, group_offsets, group_paths = _split(heads)
+    heads, object_offsets, objects = _split(packed, canon=canon)
+    subjects, group_offsets, group_paths = _split(heads, canon=canon)
+    subjects = list(map(canon.__getitem__, subjects))
     return subjects, group_offsets, group_paths, object_offsets, objects
 
 
@@ -315,12 +335,17 @@ class ExpandedStore:
         triples as ``(s_id << 32 | path_id) << 32 | o_id``, reach as
         ``node_id << 32 | seed_id``.
 
-        One section at a time is sorted, its set cleared, split into
-        columns, and folded in; the sorted list and its columns are freed
-        before the next section is read.
+        Each set is sorted, cleared and split into columns before the next
+        is read; the reach goes first, since its columns, one int object per
+        distinct id, are a fraction of its set of packed ints, and are
+        folded in once the triples are.  Every id goes through one
+        :class:`Canonical` map, which starts from the store's seeds.
         """
-        self._extend_triples(*_triple_columns(_drained(triples)))
-        self._extend_reach(*_split(_drained(reach)))
+        canon = Canonical(zip(self.seed_ids, self.seed_ids))
+        nodes, offsets, seeds = _split(_drained(reach), canon=canon)
+        nodes = list(map(canon.__getitem__, nodes))
+        self._extend_triples(*_triple_columns(_drained(triples), canon))
+        self._extend_reach(nodes, offsets, seeds)
 
     # -- Reach provenance --------------------------------------------------
 

@@ -1,14 +1,19 @@
-"""One-call assembly of the full experimental setup.
+"""One-call assembly of the experimental setup.
 
-``build_suite("small")`` produces everything the examples, tests and
-benchmarks need: the world, both compiled KBs, taxonomy + conceptualizer,
-the QA corpus, the Infobox and the benchmark sets — all derived from one
-seed.
+``build_suite("small")`` builds, from one seed, what training reads: the
+world, the Freebase-like KB, the conceptualizer and the QA corpus.  The
+DBpedia-like KB, the taxonomy, the Infobox and the benchmark sets are
+:class:`~functools.cached_property` parts of the returned :class:`Suite`,
+each built on its first read from the suite's world, seed and store kind,
+so a process holds only the parts it reads.  Every part draws its
+randomness from its own named :class:`~repro.utils.rng.SeedStream`
+substream (or none), so it comes out the same whenever it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.corpus.benchmark import (
     Benchmark,
@@ -23,6 +28,7 @@ from repro.data.compile import CompiledKB, compile_dbpedia_like, compile_freebas
 from repro.data.conceptnet import build_conceptualizer, build_taxonomy
 from repro.data.infobox import Infobox, build_infobox
 from repro.data.world import World, WorldConfig, build_world
+from repro.kb.backend import resolve_backend_kind
 from repro.taxonomy.conceptualizer import Conceptualizer
 from repro.taxonomy.isa import IsANetwork
 
@@ -34,21 +40,46 @@ _BENCHMARK_MIXES = {
     "qald1": dict(n_bfq_seen=21, n_bfq_unseen=4, n_bfq_rare=2, n_nonbfq=23),
 }
 
+_WEBQUESTIONS_TOTAL = {"small": 200, "default": 600}
+
 
 @dataclass
 class Suite:
-    """Everything derived from one seed."""
+    """Everything derived from one seed; the parts training does not read
+    are built on first access."""
 
     seed: int
     scale: str
+    backend: str  # the store kind both KBs compile into
     world: World
     freebase: CompiledKB
-    dbpedia: CompiledKB
-    taxonomy: IsANetwork
     conceptualizer: Conceptualizer
     corpus: QACorpus
-    infobox: Infobox
-    benchmarks: dict[str, Benchmark] = field(default_factory=dict)
+
+    @cached_property
+    def dbpedia(self) -> CompiledKB:
+        return compile_dbpedia_like(self.world, backend=self.backend)
+
+    @cached_property
+    def taxonomy(self) -> IsANetwork:
+        return build_taxonomy(self.world)
+
+    @cached_property
+    def infobox(self) -> Infobox:
+        return build_infobox(self.world)
+
+    @cached_property
+    def benchmarks(self) -> dict[str, Benchmark]:
+        world, seed = self.world, self.seed
+        benchmarks = {
+            name: build_qald_like(name, world, seed=seed, **mix)
+            for name, mix in _BENCHMARK_MIXES.items()
+        }
+        benchmarks["webquestions"] = build_webquestions_like(
+            world, seed=seed, total=_WEBQUESTIONS_TOTAL[self.scale]
+        )
+        benchmarks["complex"] = build_complex_benchmark(world, seed=seed)
+        return benchmarks
 
     def benchmark(self, name: str) -> Benchmark:
         return self.benchmarks[name]
@@ -59,48 +90,31 @@ def build_suite(
     seed: int = 7,
     backend: str | None = None,
 ) -> Suite:
-    """Build the full setup at ``scale`` in {"small", "default"}.
+    """Build the setup at ``scale`` in {"small", "default"}.
 
     *small* is test-sized (seconds); *default* is benchmark-sized.
     ``backend`` picks the store kind per
-    :func:`~repro.kb.backend.resolve_backend` (``"disk"`` = a SQLite store
-    in a temporary file, dropped with the suite).
+    :func:`~repro.kb.backend.resolve_backend_kind`, resolved here once for
+    both KBs (``"disk"`` = a SQLite store in a temporary file, dropped with
+    the suite).
     """
     if scale == "small":
         world_config = WorldConfig.small(seed=seed)
         corpus_config = CorpusConfig.small(seed=seed)
-        webq_total = 200
     elif scale == "default":
         world_config = WorldConfig(seed=seed)
         corpus_config = CorpusConfig(seed=seed)
-        webq_total = 600
     else:
         raise ValueError(f"unknown scale {scale!r} (expected 'small' or 'default')")
 
+    kind = resolve_backend_kind(backend)
     world = build_world(world_config)
-    freebase = compile_freebase_like(world, backend=backend)
-    dbpedia = compile_dbpedia_like(world, backend=backend)
-    taxonomy = build_taxonomy(world)
-    conceptualizer = build_conceptualizer(world, extra_contexts=surface_context_sources())
-    corpus = generate_corpus(world, corpus_config)
-    infobox = build_infobox(world)
-
-    benchmarks = {
-        name: build_qald_like(name, world, seed=seed, **mix)
-        for name, mix in _BENCHMARK_MIXES.items()
-    }
-    benchmarks["webquestions"] = build_webquestions_like(world, seed=seed, total=webq_total)
-    benchmarks["complex"] = build_complex_benchmark(world, seed=seed)
-
     return Suite(
         seed=seed,
         scale=scale,
+        backend=kind,
         world=world,
-        freebase=freebase,
-        dbpedia=dbpedia,
-        taxonomy=taxonomy,
-        conceptualizer=conceptualizer,
-        corpus=corpus,
-        infobox=infobox,
-        benchmarks=benchmarks,
+        freebase=compile_freebase_like(world, backend=kind),
+        conceptualizer=build_conceptualizer(world, extra_contexts=surface_context_sources()),
+        corpus=generate_corpus(world, corpus_config),
     )

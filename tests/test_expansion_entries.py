@@ -9,6 +9,7 @@ per-node sets.  Two things follow and are held here:
   of ints is untracked on the first collection that sees it);
 * at the benchmark's scale a scan or a load allocates little beyond the
   store it returns (its bulk build fills the store one section at a time);
+* the store keeps one int object per distinct id, not one per occurrence;
 * a hub — one node reached by thousands of seeds, whose frontier entry and
   reach entry are thousand-member tuples — expands, invalidates, refreshes
   and round-trips exactly like the string-level reference
@@ -22,7 +23,7 @@ import pytest
 
 from oracles.expansion_reference import expand_predicates_baseline, reach_reference
 from repro.core.learner import collect_seed_entities
-from repro.kb.expansion import ExpandedStore, expand_predicates
+from repro.kb.expansion import ExpandedStore, _members, expand_predicates
 from repro.kb.live import LiveExpansionMaintainer
 from repro.kb.store import TripleStore
 from repro.kb.triple import make_literal
@@ -142,12 +143,14 @@ class TestGcFootprint:
 
     @pytest.mark.perf
     def test_default_scale_scan_and_load_peak_near_what_they_hold(self, tmp_path):
-        """tracemalloc's peak above what the returned store holds (8.4 MiB
-        scanned, 9.2 MiB loaded; 3.1 and 2.0 MiB above).  The scan's was
+        """tracemalloc's peak above what the returned store holds (5.6 MiB
+        scanned, 6.7 MiB loaded; 3.1 and 2.0 MiB above).  The scan's was
         16.3 MiB when it carried a way to every object, subject or not, and
         its bulk build held the scan's sets, their sorted lists, every
         column and the growing store at once; the load's was 4.8 MiB when it
-        held the file's bytes and every section through the build."""
+        held the file's bytes and every section through the build.  The
+        stores held 8.4 and 9.2 MiB while they kept an int object per id
+        occurrence."""
         suite = build_suite("default", seed=7)
         kb = suite.freebase
         seeds = collect_seed_entities(suite.corpus, EntityRecognizer(kb.gazetteer))
@@ -168,6 +171,46 @@ class TestGcFootprint:
             f"the load peaked {(load_peak - load_held) / mib:.1f} MiB above "
             f"the {load_held / mib:.1f} MiB its store holds"
         )
+
+
+def _held_ids(expanded: ExpandedStore) -> list[int]:
+    """Every id the store keeps: seeds, subjects, path ids, objects, reach
+    nodes and their seeds (occurrences, not distinct values)."""
+    held = list(expanded.seed_ids)
+    for s_id, by_path in expanded._by_subject.items():
+        held.append(s_id)
+        for p_id, objects in by_path.items():
+            held.append(p_id)
+            held.extend(_members(objects))
+    for node_id, seeds in expanded._reached_from.items():
+        held.append(node_id)
+        held.extend(_members(seeds))
+    return held
+
+
+class TestOneIntPerId:
+    """Shifting packed ints apart, or unpacking an artifact, makes an int
+    object per id occurrence; the bulk build keeps one per distinct id."""
+
+    def _assert_one_object_per_id(self, expanded: ExpandedStore) -> None:
+        held = _held_ids(expanded)
+        assert max(held) > 256  # past CPython's cached small ints
+        assert len({id(i) for i in held}) == len(set(held)), (
+            f"{len(held)} ids held as {len({id(i) for i in held})} objects "
+            f"for {len(set(held))} distinct ids"
+        )
+
+    def test_after_a_scan(self):
+        kb = _people_kb(400)
+        seeds = [f"p{person}" for person in range(400)]
+        self._assert_one_object_per_id(expand_predicates(kb, seeds, max_length=3))
+
+    def test_after_a_load(self, tmp_path):
+        kb = _people_kb(400)
+        seeds = [f"p{person}" for person in range(400)]
+        path = tmp_path / "expansion.kbqa"
+        expand_predicates(kb, seeds, max_length=3).save(path)
+        self._assert_one_object_per_id(ExpandedStore.load(path))
 
 
 class TestHubs:

@@ -104,12 +104,19 @@ def test_single_pass_train_faster_than_per_stage_passes(default_suite):
 
 def test_warm_answer_cache_faster_than_cold(suite, kbqa_fb):
     questions = [q.question for q in suite.benchmark("qald3").bfqs()]
-    kbqa_fb.answerer.clear_caches()
-    start = time.perf_counter()
-    cold = kbqa_fb.answer_many(questions)
-    cold_s = time.perf_counter() - start
-    start = time.perf_counter()
-    warm = kbqa_fb.answer_many(questions)
-    warm_s = time.perf_counter() - start
+    answers = {}
+
+    def cold_pass():
+        kbqa_fb.answerer.clear_caches()
+        answers["cold"] = kbqa_fb.answer_many(questions)
+
+    def warm_pass():
+        answers["warm"] = kbqa_fb.answer_many(questions)
+
+    # every cold pass ends with the caches warm, so a warm pass that runs
+    # first in its repeat finds them warm too
+    cold_pass()
+    warm_s, cold_s = _best_of(warm_pass, cold_pass)
+    cold, warm = answers["cold"], answers["warm"]
     assert warm == cold
     assert warm_s < cold_s, f"warm batch ({warm_s:.4f}s) vs cold ({cold_s:.4f}s)"

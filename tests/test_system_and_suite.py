@@ -1,12 +1,24 @@
 """Tests for the KBQA facade, the suite assembly and the CLI."""
 
+import dataclasses
 import pickle
 
 import pytest
 
+import repro.suite
 from repro.cli import main
 from repro.core.learner import LearnerConfig
 from repro.core.system import KBQA, KBQAConfig
+from repro.corpus.benchmark import (
+    build_complex_benchmark,
+    build_qald_like,
+    build_webquestions_like,
+)
+from repro.data.compile import compile_dbpedia_like
+from repro.data.conceptnet import build_taxonomy
+from repro.data.infobox import build_infobox
+from repro.kb.disk import DiskTripleStore
+from repro.kb.store import TripleStore
 from repro.suite import build_suite
 
 from tests.conftest import pick_entity
@@ -83,6 +95,92 @@ class TestSuite:
         assert suite.benchmark("qald1").name == "qald1"
         with pytest.raises(KeyError):
             suite.benchmark("nope")
+
+
+# the builders of the parts a Suite builds on first read
+_LAZY_BUILDERS = (
+    "compile_dbpedia_like",
+    "build_taxonomy",
+    "build_infobox",
+    "build_qald_like",
+    "build_webquestions_like",
+    "build_complex_benchmark",
+)
+_LAZY_PARTS = ("dbpedia", "taxonomy", "infobox", "benchmarks")
+
+
+def _part_view(name, part):
+    """A comparable value of one lazily built part."""
+    if name == "dbpedia":
+        return part.kind, set(part.store.triples())
+    if name == "taxonomy":
+        return part.stats(), {c: part.instances(c) for c in part.all_concepts()}
+    if name == "infobox":
+        return part.facts
+    return {
+        bench_name: [(q.qid, q.question, q.gold_values, q.gold_intent) for q in bench.questions]
+        for bench_name, bench in part.items()
+    }
+
+
+@pytest.mark.parametrize("kind", ["memory", "disk"])
+class TestLazySuite:
+    """``build_suite`` builds what training reads; the DBpedia-like KB, the
+    taxonomy, the Infobox and the benchmark sets are built on first read."""
+
+    def test_build_suite_calls_no_part_builder(self, kind, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_suite built a lazy part")
+
+        for name in _LAZY_BUILDERS:
+            monkeypatch.setattr(repro.suite, name, refuse)
+        built = build_suite("small", seed=7, backend=kind)
+        assert built.backend == kind
+        assert not set(_LAZY_PARTS) & set(vars(built))
+
+    @pytest.mark.parametrize("order", [_LAZY_PARTS, _LAZY_PARTS[::-1]], ids=["forward", "reverse"])
+    def test_each_part_equals_a_direct_build_in_any_read_order(self, kind, order):
+        built = build_suite("small", seed=7, backend=kind)
+        parts = {name: getattr(built, name) for name in order}
+        world = built.world
+        benchmarks = {
+            name: build_qald_like(name, world, seed=7, **mix)
+            for name, mix in repro.suite._BENCHMARK_MIXES.items()
+        }
+        benchmarks["webquestions"] = build_webquestions_like(world, seed=7, total=200)
+        benchmarks["complex"] = build_complex_benchmark(world, seed=7)
+        direct = {
+            "dbpedia": compile_dbpedia_like(world, backend=kind),
+            "taxonomy": build_taxonomy(world),
+            "infobox": build_infobox(world),
+            "benchmarks": benchmarks,
+        }
+        for name in _LAZY_PARTS:
+            assert _part_view(name, parts[name]) == _part_view(name, direct[name]), name
+            assert getattr(built, name) is parts[name], f"{name} was built twice"
+
+    def test_a_replaced_suite_builds_its_parts_from_its_own_fields(self, kind):
+        built = build_suite("small", seed=7, backend=kind)
+        built.benchmarks  # read on the original: the copy must not share it
+        other_kind = "memory" if kind == "disk" else "disk"
+        copy = dataclasses.replace(built, seed=8, backend=other_kind)
+        qald5 = build_qald_like(
+            "qald5", built.world, seed=8, **repro.suite._BENCHMARK_MIXES["qald5"]
+        )
+        assert [q.question for q in copy.benchmark("qald5").questions] == [
+            q.question for q in qald5.questions
+        ]
+        assert copy.benchmarks is not built.benchmarks
+        store_type = DiskTripleStore if other_kind == "disk" else TripleStore
+        assert type(copy.dbpedia.store) is store_type
+
+    def test_the_store_kind_is_resolved_when_the_suite_is_built(self, kind, monkeypatch):
+        monkeypatch.setenv("KBQA_BACKEND", kind)
+        built = build_suite("small", seed=7)
+        monkeypatch.setenv("KBQA_BACKEND", "memory" if kind == "disk" else "disk")
+        store_type = DiskTripleStore if kind == "disk" else TripleStore
+        assert type(built.freebase.store) is store_type
+        assert type(built.dbpedia.store) is store_type
 
 
 class TestCLI:
