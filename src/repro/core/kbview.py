@@ -6,7 +6,9 @@ need some slight changes').  :class:`KBView` is that adaptation point: one
 interface for ``paths_between(e, v)`` (EM candidate enumeration, Eq 24) and
 ``values(e, p+)`` (online ``P(v|e,p)``, Eq 6), backed by the base store for
 length-1 paths and by the precomputed :class:`ExpandedStore` — with a live
-graph-walk fallback for entities outside the expansion's seed set.
+graph walk (Sec 6.1) for entities outside the expansion's seed set, and for
+every entity once the trained system has detached the expansion on a KB
+write (``expanded`` is then None).
 The offline pass (`repro.core.extraction.extract_records`) runs the same
 join and the same ``P(v|e,p)`` on dictionary ids instead of strings.
 """
@@ -25,10 +27,6 @@ class KBView:
         self.store = store
         self.expanded = expanded
 
-    @property
-    def max_path_length(self) -> int:
-        return self.expanded.max_length if self.expanded else 1
-
     def paths_between(self, entity: str, value: str) -> set[PredicatePath]:
         """All predicate paths connecting (entity, value) — Eq 8's existence
         test and the M-step pruning set of Eq 24.
@@ -36,14 +34,15 @@ class KBView:
         Direct predicates are decoded fresh; the expanded contribution is a
         shared frozen view, so when there are no direct hits it is returned
         as-is without copying."""
+        expanded = self.expanded  # read once: a write may detach it
         direct = self.store.predicates_between(entity, value)
-        if self.expanded is None:
+        if expanded is None:
             return {PredicatePath.single(p) for p in direct}
-        expanded = self.expanded.paths_between(entity, value)
+        found = expanded.paths_between(entity, value)
         if not direct:
-            return expanded
+            return found
         paths = {PredicatePath.single(p) for p in direct}
-        paths.update(expanded)
+        paths.update(found)
         return paths
 
     def values(self, entity: str, path: PredicatePath) -> set[str]:
@@ -56,8 +55,9 @@ class KBView:
         """
         if path.is_direct:
             return self.store.objects(entity, path.predicates[0])
-        if self.expanded is not None:
-            found = self.expanded.objects(entity, path)
+        expanded = self.expanded  # read once: a write may detach it
+        if expanded is not None:
+            found = expanded.objects(entity, path)
             if found:
                 return found
         return follow(self.store, entity, path)

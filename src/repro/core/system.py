@@ -7,10 +7,10 @@ needs: :meth:`KBQA.train` and :meth:`KBQA.answer` /
 
 The facade is also where live KB updates come together: a trained system
 subscribes to its backend's change stream, so :meth:`KBQA.add_fact` /
-:meth:`KBQA.delete_fact` (or any direct backend mutation) flow through an
-expansion refresh of the affected seeds (`repro.kb.live`) and answer-cache
-invalidation — answers reflect the edit with no retraining and no full
-re-expansion.
+:meth:`KBQA.delete_fact` (or any direct backend mutation) drop the answer
+caches and detach the Sec 6.2 expansion from the online view, which from
+then on walks ``V(e, p+)`` from the entity over the live KB (Sec 6.1) —
+answers reflect the edit with no retraining and no re-expansion.
 Training can also resume from a persisted expansion
 (``KBQA.train(..., expanded=ExpandedStore.load(path))``), skipping the
 Sec 6.2 scan.
@@ -39,7 +39,6 @@ from repro.core.online import AnswerResult, OnlineAnswerer
 from repro.corpus.qa import QACorpus
 from repro.data.compile import CompiledKB
 from repro.kb.expansion import ExpandedStore
-from repro.kb.live import LiveExpansionMaintainer
 from repro.taxonomy.conceptualizer import Conceptualizer
 
 
@@ -134,16 +133,8 @@ class KBQA:
             conceptualizer,
             max_concepts=config.max_concepts_online,
         )
-        # Live-update wiring: any backend mutation invalidates the answer
-        # cache, and (when an expansion exists) refreshes exactly the
-        # affected seeds instead of re-running the Sec 6.2 scan.
-        self.maintainer: LiveExpansionMaintainer | None = None
-        if learn_result.expanded is not None:
-            self.maintainer = LiveExpansionMaintainer(
-                kb.store,
-                learn_result.expanded,
-                learn_result.seed_entities,
-            )
+        # Live-update wiring: any backend mutation detaches the expansion
+        # and invalidates the answer cache.
         self._kb_unsubscribe = kb.store.subscribe(self._on_kb_changes)
 
     # -- Training -------------------------------------------------------------
@@ -223,10 +214,12 @@ class KBQA:
     # -- Live KB updates -------------------------------------------------------
 
     def _on_kb_changes(self, _changes) -> None:
-        """Backend listener: a mutated KB can invalidate any cached answer,
-        so each burst drops the caches once (the subscription order puts the
-        expansion maintainer first, so the expanded store is already
-        refreshed when this fires)."""
+        """Backend listener: a mutated KB can invalidate any expanded triple
+        and any cached answer.  Each burst first detaches the expansion from
+        the view the answerer, the variants and the decomposer share, so
+        every multi-hop read walks the live KB from then on, and then drops
+        the caches once."""
+        self.learn_result.kbview.expanded = None
         self.answerer.clear_caches()
 
     def batch(self):
@@ -234,9 +227,9 @@ class KBQA:
 
         ``with system.batch(): ...`` applies every :meth:`add_fact` /
         :meth:`delete_fact` inside the block immediately, but coalesces the
-        downstream maintenance: at exit the expansion maintainer refreshes
-        every seed the burst affects in one expansion, and the answer caches
-        are dropped once — instead of per change on both counts.
+        downstream invalidation: at exit the answer caches are dropped once
+        instead of per change.  Reads inside the block may still be served
+        from the caches and the expansion.
         """
         return self.kb.store.batch()
 
@@ -244,40 +237,38 @@ class KBQA:
         """Insert one triple into the live KB; returns True if new.
 
         The change flows through every layer without retraining: the backend
-        hands it to the expansion maintainer as a burst of one (the seeds it
-        affects are re-expanded, no others) and the answer caches are
-        dropped, so the next :meth:`answer` sees the new fact.
+        hands it to the system as a burst of one, which detaches the
+        expansion and drops the answer caches, so the next :meth:`answer`
+        walks the live KB and sees the new fact.
         """
         return self.kb.store.add(subject, predicate, obj)
 
     def delete_fact(self, subject: str, predicate: str, obj: str) -> bool:
         """Remove one triple from the live KB; returns True if it existed.
 
-        Same propagation as :meth:`add_fact` — expanded triples derived from
-        the deleted edge disappear from subsequent answers immediately.
+        Same propagation as :meth:`add_fact` — values reached through the
+        deleted edge disappear from subsequent answers immediately.
         """
         return self.kb.store.delete(subject, predicate, obj)
 
     def close(self) -> None:
-        """Detach the system's change listeners from the KB backend.
+        """Detach the system's change listener from the KB backend.
 
-        A trained system holds two subscriptions on its backend (expansion
-        maintainer + answer-cache invalidation); the backend in turn keeps
-        the system reachable through them.  Call this (or use the system as
-        a context manager) when training several transient systems against
-        one shared store, so discarded systems neither leak nor burn
-        expansion refreshes on later live edits.
+        A trained system holds one subscription on its backend (expansion
+        detach + answer-cache invalidation); the backend in turn keeps the
+        system reachable through it.  Call this (or use the system as a
+        context manager) when training several transient systems against
+        one shared store, so discarded systems neither leak nor run on
+        later live edits.
         """
-        if self.maintainer is not None:
-            self.maintainer.close()
         self._kb_unsubscribe()
 
     def __getstate__(self) -> dict:
         """A live system does not pickle.
 
-        The facade holds process-local wiring (backend subscriptions, the
-        live expansion maintainer, unsubscribe closures) that cannot and
-        must not cross a process boundary.  Serving is one process: the
+        The facade holds process-local wiring (a backend subscription and
+        its unsubscribe closure) that cannot and must not cross a process
+        boundary.  Serving is one process: the
         system stays in the process that trained it.
         """
         raise TypeError(

@@ -4,11 +4,11 @@ The paper runs on Trinity.RDF over billion-triple graphs; this package
 provides what KBQA asks of it at library scale: dictionary-encoded triple
 stores (in memory, or one SQLite file) with SPO and OSP orderings for the
 ``V(e, p)`` probe of Eq 6 and the ``predicates_between`` probe of Eq 24,
-predicate paths (the paper's *expanded predicates*), a scan-based
-multi-source BFS that mirrors the memory-efficient generation of Sec 6.2 and
-records which seeds reached which node, and live maintenance of that
-expansion under KB edits.  There is no query language: KBQA makes point
-lookups and one scan, nothing else.
+predicate paths (the paper's *expanded predicates*), and a scan-based
+multi-source BFS that mirrors the memory-efficient generation of Sec 6.2
+with its checksummed on-disk artifact.  The expansion describes the KB it
+was built from; live edits are served by walking the KB (Sec 6.1).  There is
+no query language: KBQA makes point lookups and one scan, nothing else.
 """
 
 from repro.kb.backend import BACKEND_KINDS, KBBackend, KBChange, resolve_backend
@@ -18,7 +18,6 @@ from repro.kb.store import TripleStore
 from repro.kb.disk import DiskTripleStore
 from repro.kb.paths import PredicatePath
 from repro.kb.expansion import ExpandedStore, expand_predicates
-from repro.kb.live import LiveExpansionMaintainer
 
 __all__ = [
     "BACKEND_KINDS",
@@ -26,7 +25,6 @@ __all__ = [
     "DiskTripleStore",
     "KBBackend",
     "KBChange",
-    "LiveExpansionMaintainer",
     "Triple",
     "TripleStore",
     "PredicatePath",

@@ -30,8 +30,8 @@ agree on what a backend name means.
 
 Backends are *live*: ``add``/``delete`` mutate the indexes in place and hand
 every subscribed listener a burst of :class:`KBChange` values, which is how
-the expansion layer (`repro.kb.live`) and the serving caches invalidate
-incrementally instead of rebuilding.  A write on its own is a burst of one;
+a trained system drops its answer caches and stops reading the expansion
+(`repro.core.system.KBQA`) instead of retraining.  A write on its own is a burst of one;
 :meth:`KBBackend.batch` defers notifications so a bulk load reaches each
 listener as one burst instead of one call per triple.
 """
@@ -229,9 +229,9 @@ class KBBackend(ABC):
         calls (e.g. a bulk load) into one flush: the indexes mutate
         immediately — reads inside the block see every applied change — but
         listeners hear nothing until exit, when each gets the entire run of
-        changes in a single call.  That is what lets the expansion
-        maintainer refresh every affected seed in one scan instead of once
-        per change.  Blocks nest; only the outermost exit flushes.
+        changes in a single call, so a bulk load drops a trained system's
+        caches once instead of once per change.  Blocks nest; only the
+        outermost exit flushes.
         """
         self._batch_depth += 1
         try:

@@ -6,11 +6,11 @@ Nothing is served from the file: :func:`load` reads it whole, checks it and
 builds the ordinary dict-backed :class:`~repro.kb.expansion.ExpandedStore`
 in bulk.
 
-* :func:`save` writes the canonical content — tail predicates, terms, seeds,
-  path keys, grouped triples, reach — as little-endian integer arrays and
-  UTF-8 blobs, then a CRC32 of everything before it.  Path keys are sorted
-  and renumbered, subjects written in id order, object and reach-seed sets
-  sorted, so two stores with equal content over equal term ids serialize
+* :func:`save` writes the canonical content — tail predicates, terms, path
+  keys, grouped triples — as little-endian integer arrays and UTF-8 blobs,
+  then a CRC32 of everything before it.  Path keys are sorted and
+  renumbered, subjects written in id order, object sets sorted, so two
+  stores with equal content over equal term ids serialize
   identically whatever their interning order, and ``load(p).save(q)``
   reproduces ``p`` (``tests/test_expansion_persistence.py``).
 * :func:`save` replaces ``path`` atomically (temp file in the same
@@ -22,34 +22,32 @@ in bulk.
   group where grouped; path keys are only required distinct), that every
   string is valid UTF-8 and that terms and path keys are distinct.  Any failure is a :class:`ValueError` naming the
   file.  The checked sections are then the very columns the scan's bulk
-  build takes (``ExpandedStore._extend_triples`` and ``_extend_reach``).
+  build takes (``ExpandedStore._extend_triples``).
   The ``paths_between`` pair index is not stored; it is rebuilt from the
   triples.
 
 Layout (integers little-endian u32 unless noted; no padding)::
 
-    header    magic 8s = b"KBQAXPD4", then u32 fields: version=4,
-              max_length, n_tails, n_terms, n_seeds, n_paths, n_path_ids,
-              n_subjects, n_groups, n_triples, n_reach_nodes, n_reach_pairs,
-              tails_blob_len; u64 terms_blob_len
+    header    magic 8s = b"KBQAXPD5", then u32 fields: version=5,
+              max_length, n_tails, n_terms, n_paths, n_path_ids,
+              n_subjects, n_groups, n_triples, tails_blob_len;
+              u64 terms_blob_len
     tails     offsets x (n_tails+1), utf-8 blob
     terms     offsets u64 x (n_terms+1), utf-8 blob   (dictionary, id order)
-    seeds     term ids x n_seeds                      (sorted)
     paths     offsets x (n_paths+1), predicate ids x n_path_ids (keys sorted)
     subjects  subject ids x n_subjects                (sorted)
               group offsets x (n_subjects+1)
               group path ids x n_groups               (sorted per subject)
               object offsets x (n_groups+1)
               object ids x n_triples                  (sorted per group)
-    reach     node ids x n_reach_nodes                (sorted)
-              reach offsets x (n_reach_nodes+1)
-              seed ids x n_reach_pairs                (sorted per node)
     trailer   CRC32 of every byte before it
 
-Three earlier formats are retired — line-JSON v1, struct-packed v2 and the
+Four earlier formats are retired — line-JSON v1, struct-packed v2, the
 mmap-served v3, which carried term-sort and pair index sections so lookups
-could binary-search the mapping — and :func:`load` names them, so a stale
-artifact is regenerated rather than mistaken for garbage.  The module keeps
+could binary-search the mapping, and v4, which also carried the seed set and
+a node -> seeds reach index for live expansion maintenance — and
+:func:`load` names them, so a stale artifact is regenerated rather than
+mistaken for garbage.  The module keeps
 its ``_v3`` name because the benchmark's ``kb.expanded_v3.*`` rows name it.
 """
 
@@ -66,18 +64,22 @@ from pathlib import Path
 from repro.kb.dictionary import Dictionary
 from repro.kb.expansion import Canonical, ExpandedStore, _members
 
-EXPANSION_MAGIC = b"KBQAXPD4"
-EXPANSION_VERSION = 4
+EXPANSION_MAGIC = b"KBQAXPD5"
+EXPANSION_VERSION = 5
 
 # leading bytes of the retired formats; recognised only to say so
-_RETIRED_MAGICS = ((b"KBQA-EXPANDED ", "v1"), (b"KBQAXPD2", "v2"), (b"KBQAXPD3", "v3"))
+_RETIRED_MAGICS = (
+    (b"KBQA-EXPANDED ", "v1"),
+    (b"KBQAXPD2", "v2"),
+    (b"KBQAXPD3", "v3"),
+    (b"KBQAXPD4", "v4"),
+)
 
-_HEADER = struct.Struct("<8s13IQ")
+_HEADER = struct.Struct("<8s10IQ")
 _Header = namedtuple(
     "_Header",
-    "magic version max_length n_tails n_terms n_seeds n_paths n_path_ids "
-    "n_subjects n_groups n_triples n_reach_nodes n_reach_pairs "
-    "tails_blob_len terms_blob_len",
+    "magic version max_length n_tails n_terms n_paths n_path_ids "
+    "n_subjects n_groups n_triples tails_blob_len terms_blob_len",
 )
 _TRAILER = struct.Struct("<I")
 
@@ -99,7 +101,6 @@ def save(store: ExpandedStore, path: str | Path) -> None:
     remap = [file_path_id[key] for key in store._path_keys]
     tails = [tail.encode("utf-8") for tail in sorted(store.tail_predicates)]
     terms = [term.encode("utf-8") for term in store.dictionary.terms()]
-    seeds = sorted(store.seed_ids)
     # flat int lists, not per-group containers: a save inside a trained
     # process then triggers no garbage-collection passes over its heap
     subjects = sorted(store._by_subject)
@@ -111,11 +112,6 @@ def save(store: ExpandedStore, path: str | Path) -> None:
             objects.extend(_members(by_path[p_id]))
             object_offsets.append(len(objects))
         group_offsets.append(len(group_paths))
-    reach_nodes = sorted(store._reached_from)
-    reach_offsets, reach_seeds = [0], []
-    for node_id in reach_nodes:
-        reach_seeds.extend(store.seeds_through(node_id))
-        reach_offsets.append(len(reach_seeds))
     body = b"".join(
         (
             _HEADER.pack(
@@ -124,14 +120,11 @@ def save(store: ExpandedStore, path: str | Path) -> None:
                 store.max_length,
                 len(tails),
                 len(terms),
-                len(seeds),
                 len(sorted_keys),
                 sum(map(len, sorted_keys)),
                 len(subjects),
                 len(group_paths),
                 len(objects),
-                len(reach_nodes),
-                len(reach_seeds),
                 sum(map(len, tails)),
                 sum(map(len, terms)),
             ),
@@ -139,7 +132,6 @@ def save(store: ExpandedStore, path: str | Path) -> None:
             *tails,
             _pack(_offsets(terms), "Q"),
             *terms,
-            _pack(seeds),
             _pack(_offsets(sorted_keys)),
             _pack(p for key in sorted_keys for p in key),
             _pack(subjects),
@@ -147,9 +139,6 @@ def save(store: ExpandedStore, path: str | Path) -> None:
             _pack(group_paths),
             _pack(object_offsets),
             _pack(objects),
-            _pack(reach_nodes),
-            _pack(reach_offsets),
-            _pack(reach_seeds),
         )
     )
     target = Path(path)
@@ -240,9 +229,8 @@ def _check_frame(data: bytes, path: str | Path) -> _Header:
     size = (
         _HEADER.size
         + h.tails_blob_len + h.terms_blob_len + 8 * (h.n_terms + 1)
-        + 4 * (h.n_tails + 1 + h.n_seeds + h.n_paths + 1 + h.n_path_ids)
+        + 4 * (h.n_tails + 1 + h.n_paths + 1 + h.n_path_ids)
         + 4 * (2 * h.n_subjects + 1 + 2 * h.n_groups + 1 + h.n_triples)
-        + 4 * (2 * h.n_reach_nodes + 1 + h.n_reach_pairs)
         + _TRAILER.size
     )
     if len(data) < size:
@@ -270,10 +258,9 @@ def load(path: str | Path) -> ExpandedStore:
     checksum sealed but the layout forbids (a broken offset chain, an empty
     group, an id out of range or out of order, invalid UTF-8, a repeated
     term or path key).  The store is filled by the bulk pass the Sec 6.2
-    scan ends with (``ExpandedStore._extend_triples``, then
-    ``_extend_reach``), which takes every id section
-    as a sorted set: a sealed file that repeats a subject, path, object,
-    reach node or reach seed is rejected here rather than merged.
+    scan ends with (``ExpandedStore._extend_triples``), which takes every id
+    section as a sorted set: a sealed file that repeats a subject, path or
+    object is rejected here rather than merged.
     """
     data = Path(path).read_bytes()
     h = _check_frame(data, path)
@@ -282,7 +269,6 @@ def load(path: str | Path) -> ExpandedStore:
     terms = read.strings(h.n_terms, h.terms_blob_len, "term", "Q")
     # one int object per distinct id, for the store to keep
     canon = Canonical()
-    seeds = read.ids(h.n_seeds, h.n_terms, "seed", canon)
     path_offsets = read.offsets(h.n_paths, h.n_path_ids, "path")
     path_ids = read.ids(h.n_path_ids, h.n_terms, "predicate", canon)
     subjects = read.ids(h.n_subjects, h.n_terms, "subject", canon)
@@ -290,33 +276,23 @@ def load(path: str | Path) -> ExpandedStore:
     group_paths = read.ids(h.n_groups, h.n_paths, "path", canon)
     object_offsets = read.offsets(h.n_groups, h.n_triples, "object", groups=True)
     objects = read.ids(h.n_triples, h.n_terms, "object", canon)
-    reach_nodes = read.ids(h.n_reach_nodes, h.n_terms, "reach node", canon)
-    reach_offsets = read.offsets(h.n_reach_nodes, h.n_reach_pairs, "reach", groups=True)
-    reach_seeds = read.ids(h.n_reach_pairs, h.n_terms, "reach seed", canon)
     del canon
-    read.increasing(seeds, "seed")
     read.increasing(subjects, "subject")
     read.increasing(group_paths, "path", group_offsets)
     read.increasing(objects, "object", object_offsets)
-    read.increasing(reach_nodes, "reach node")
-    read.increasing(reach_seeds, "reach seed", reach_offsets)
 
     try:
         dictionary = Dictionary.from_terms(terms)
     except ValueError as error:
         raise ValueError(f"{path}: {error}") from None
     store = ExpandedStore(h.max_length, dictionary, frozenset(tails))
-    store.seed_ids.update(seeds)
     keys = [path_ids[lo:hi] for lo, hi in zip(path_offsets, path_offsets[1:])]
     store._path_keys = keys
     store._path_key_to_id = {key: path_id for path_id, key in enumerate(keys)}
     if len(store._path_key_to_id) != h.n_paths:
         raise ValueError(f"{path}: duplicate path key")
 
-    # the sections are read: the build holds neither the file's bytes nor
-    # the triple columns beside the reach it fills
+    # the sections are read: the build does not hold the file's bytes
     del data, read
     store._extend_triples(subjects, group_offsets, group_paths, object_offsets, objects)
-    del subjects, group_offsets, group_paths, object_offsets, objects
-    store._extend_reach(reach_nodes, reach_offsets, reach_seeds)
     return store

@@ -13,9 +13,9 @@ expanded ``(s, p+, o)`` triples are all dictionary-encoded integers, so
 no term string or :class:`~repro.kb.triple.Triple` object is built per row.
 Each round collects its output as one set of *packed* ints (an id pair is
 ``high << 32 | low``; every dictionary id fits the artifact's u32), sorts it
-once and groups it; the store is then filled by one bulk pass, one section
-at a time, each section's set freed before the next is read, so the build
-peaks a few MiB above what the store keeps.  Nothing in the scan or the
+once and groups it; the store is then filled by one bulk pass over the
+sorted triples, their set freed before the store grows, so the build peaks a
+few MiB above what the store keeps.  Nothing in the scan or the
 store allocates a container per expanded triple, so the cyclic collector's
 work does not grow with ``#spo`` (DESIGN.md "Expansion storage").  Strings
 appear only at the :class:`ExpandedStore` public boundary, where decoded
@@ -27,16 +27,15 @@ the before/after benchmark).
 The scan consumes any :class:`~repro.kb.backend.KBBackend` through its one
 scan API, ``spo_items_ids()``, and runs inline in the caller: one loop, no
 pool, no partitioning (DESIGN.md "Why the Sec 6.2 scan is serial" holds the
-measurements).  :class:`ExpandedStore` additionally:
+measurements).  :class:`ExpandedStore` serializes its id-encoded entries
+together with the dictionary (:meth:`ExpandedStore.save` /
+:meth:`ExpandedStore.load`) as the canonical, checksummed artifact of
+`repro.kb.expanded_v3`, which loads back through the same bulk pass into an
+ordinary dict-backed store, so offline training resumes without re-scanning.
 
-* records *reach provenance* (which seeds' BFS scanned which nodes), the
-  index that lets live KB ``add``/``delete`` invalidate exactly the affected
-  seeds (`repro.kb.live`) instead of re-expanding everything;
-* serializes its id-encoded entries together with the dictionary
-  (:meth:`ExpandedStore.save` / :meth:`ExpandedStore.load`) as the canonical,
-  checksummed artifact of `repro.kb.expanded_v3`, which loads back through
-  the same bulk pass into an ordinary dict-backed store, so offline
-  training resumes without re-scanning.
+The store describes the KB it was built from and is never updated: after a
+live write the online view stops reading it and walks the KB instead
+(`repro.core.system.KBQA`, DESIGN.md "Live updates").
 
 Two paper-mandated restrictions are honoured:
 
@@ -49,7 +48,7 @@ Two paper-mandated restrictions are honoured:
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, compress, count, pairwise, repeat, starmap
+from itertools import compress, count, pairwise, repeat, starmap
 from operator import and_, ne, rshift
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -98,34 +97,15 @@ def _with(entry: Entry | None, item: int) -> Entry | None:
     return entry[:i] + (item,) + entry[i:]
 
 
-def _without(entry: Entry, item: int) -> Entry | None:
-    """``entry`` minus ``item``; None when nothing is left."""
-    if type(entry) is int:
-        return None if entry == item else entry
-    i = bisect_left(entry, item)
-    if i == len(entry) or entry[i] != item:
-        return entry
-    return _entry(entry[:i] + entry[i + 1 :])
-
-
-def _union(entry: Entry, members: tuple[int, ...]) -> Entry:
-    """``entry`` merged with a sorted tuple of members (an ``into=`` refresh,
-    which mostly adds one seed to a hub's reach)."""
-    if len(members) == 1:
-        grown = _with(entry, members[0])
-        return entry if grown is None else grown
-    return _entry(tuple(sorted({*_members(entry), *members})))
-
-
 class Canonical(dict):
     """One int object per distinct id, for the life of one bulk build:
     ``canon[i]`` is the first ``i`` object it was asked for.
 
     Shifting and masking packed ints, or unpacking an artifact's section,
     makes a new int object per id *occurrence*; an id occurs in many entries
-    (an object under many subjects, a seed in the reach of every node it
-    scanned), so the store would keep one object per occurrence.  Passing
-    each id through one map keeps one per distinct id.
+    (an object under many subjects, a path under many subjects), so the
+    store would keep one object per occurrence.  Passing each id through one
+    map keeps one per distinct id.
     """
 
     __slots__ = ()
@@ -174,19 +154,10 @@ def _triple_columns(packed: list[int], canon: Canonical):
     return subjects, group_offsets, group_paths, object_offsets, objects
 
 
-def _next_frontier(
-    ways: set[int], subjects: set[int], reach: set[int]
-) -> dict[int, tuple[int, ...]]:
+def _next_frontier(ways: set[int], subjects: set[int]) -> dict[int, tuple[int, ...]]:
     """The next round's frontier from a round's ``o_id << 64 | way`` ints,
-    which it empties: each subject node's ways as a sorted tuple.
-
-    Every way adds its ``node_id << 32 | seed_id`` to ``reach``: the next
-    round scans the node on behalf of the way's seed, or would once a live
-    add makes the node a subject.
-    """
-    ordered = _drained(ways)
-    reach.update(map(rshift, ordered, repeat(_ID_BITS)))
-    nodes, offsets, node_ways = _split(ordered, 2 * _ID_BITS)
+    which it empties: each subject node's ways as a sorted tuple."""
+    nodes, offsets, node_ways = _split(_drained(ways), 2 * _ID_BITS)
     return {
         node: node_ways[lo:hi]
         for node, lo, hi in zip(nodes, offsets, offsets[1:])
@@ -212,11 +183,9 @@ class ExpandedStore:
     mutate results — they never did; see ``core/kbview.py`` and
     ``core/extraction.py``, which build their own sets).
 
-    Beyond the triples the store carries the expansion's *provenance*: the
-    seed ids it was built from, the tail-predicate whitelist, and a
-    node -> seeds reach index — everything `repro.kb.live` needs to refresh
-    one seed at a time after a live KB edit, and everything
-    :meth:`save`/:meth:`load` need to round-trip a resumable artifact.
+    Beside the triples the store keeps ``max_length`` and the
+    tail-predicate whitelist, which :meth:`save`/:meth:`load` round-trip and
+    the learner checks against its configuration.
     """
 
     def __init__(
@@ -228,8 +197,6 @@ class ExpandedStore:
         self.max_length = max_length
         self.dictionary = dictionary if dictionary is not None else Dictionary()
         self.tail_predicates = frozenset(tail_predicates)
-        # seeds this store was expanded from (dictionary ids)
-        self.seed_ids: set[int] = set()
         # s_id -> path_id -> objects entry
         self._by_subject: dict[int, dict[int, Entry]] = {}
         # s_id << 32 | o_id -> path-ids entry
@@ -238,9 +205,6 @@ class ExpandedStore:
         self._path_key_to_id: dict[tuple[int, ...], int] = {}
         self._path_keys: list[tuple[int, ...]] = []
         self._triple_count = 0
-        # reach provenance: node -> seeds entry, the seeds whose BFS scanned
-        # the node (most nodes: one seed, a bare int)
-        self._reached_from: dict[int, Entry] = {}
         # decoded frozen views, built lazily, one per key
         self._decoded_paths: dict[int, PredicatePath] = {}
         self._objects_cache: dict[tuple[int, int], frozenset[str]] = {}
@@ -273,12 +237,10 @@ class ExpandedStore:
             return ()
         return (paths,) if type(paths) is int else paths
 
-    # The bulk build behind both expand_predicates and the artifact load, in
-    # two passes that each take one section's sorted id columns.  Ids
-    # increase within every column section they index: subjects, the paths
-    # of a subject, the ids of a group, reach nodes; no group is empty.  A
-    # subject or node the store already holds (only an ``into=`` refresh
-    # meets one) is merged, and the frozen views over it are dropped.
+    # The bulk build behind both expand_predicates and the artifact load.
+    # Ids increase within every column section they index: subjects, the
+    # paths of a subject, the ids of a group; no group is empty.  The store
+    # is empty when it runs.
 
     def _extend_triples(
         self,
@@ -288,177 +250,24 @@ class ExpandedStore:
         object_offsets: Sequence[int],
         objects: Sequence[int],
     ) -> None:
-        """Fold triple columns into the store, ``_by_pair`` from the same
+        """Fill the store from triple columns, ``_by_pair`` from the same
         pass: subject ``i`` holds groups ``group_offsets[i]:group_offsets[i +
         1]``, group ``g`` the path ``group_paths[g]`` and the objects
         ``objects[object_offsets[g]:object_offsets[g + 1]]``."""
         by_subject, by_pair = self._by_subject, self._by_pair
-        count = self._triple_count
         for s_id, lo, hi in zip(subjects, group_offsets, group_offsets[1:]):
-            by_path = by_subject.get(s_id)
-            if by_path is None:
-                by_path = by_subject[s_id] = {}
+            by_path = by_subject[s_id] = {}
             base = s_id << _ID_BITS
             for group in range(lo, hi):
                 p_id = group_paths[group]
                 new = objects[object_offsets[group] : object_offsets[group + 1]]
-                held = by_path.get(p_id)
-                if held is None:
-                    by_path[p_id] = _entry(new)
-                else:
-                    known = set(_members(held))
-                    new = tuple(o for o in new if o not in known)
-                    by_path[p_id] = _union(held, new)
-                    self._objects_cache.pop((s_id, p_id), None)
-                count += len(new)
+                by_path[p_id] = _entry(new)
                 for o_id in new:
                     pair = base | o_id
                     paths = by_pair.setdefault(pair, p_id)
                     if paths != p_id:  # a second path between s and o
                         by_pair[pair] = _with(paths, p_id)
-                        self._pairs_cache.pop((s_id, o_id), None)
-        self._triple_count = count
-
-    def _extend_reach(
-        self, nodes: Sequence[int], offsets: Sequence[int], seeds: Sequence[int]
-    ) -> None:
-        """Fold reach columns into the store: node ``j`` was scanned for the
-        seeds ``seeds[offsets[j]:offsets[j + 1]]``."""
-        reached = self._reached_from
-        for node_id, lo, hi in zip(nodes, offsets, offsets[1:]):
-            held = reached.get(node_id)
-            new = seeds[lo:hi]
-            reached[node_id] = _entry(new) if held is None else _union(held, new)
-
-    def _extend_packed(self, triples: set[int], reach: set[int]) -> None:
-        """The bulk build from two sets of packed ints, which it empties:
-        triples as ``(s_id << 32 | path_id) << 32 | o_id``, reach as
-        ``node_id << 32 | seed_id``.
-
-        Each set is sorted, cleared and split into columns before the next
-        is read; the reach goes first, since its columns, one int object per
-        distinct id, are a fraction of its set of packed ints, and are
-        folded in once the triples are.  Every id goes through one
-        :class:`Canonical` map, which starts from the store's seeds.
-        """
-        canon = Canonical(zip(self.seed_ids, self.seed_ids))
-        nodes, offsets, seeds = _split(_drained(reach), canon=canon)
-        nodes = list(map(canon.__getitem__, nodes))
-        self._extend_triples(*_triple_columns(_drained(triples), canon))
-        self._extend_reach(nodes, offsets, seeds)
-
-    # -- Reach provenance --------------------------------------------------
-
-    def seeds_through(self, node_id: int) -> tuple[int, ...]:
-        """Seeds whose expansion scanned ``node_id``, as a sorted tuple.
-
-        This is the invalidation index: a base-KB edge change under subject
-        ``node_id`` can only affect expanded triples of these seeds.
-        """
-        seeds = self._reached_from.get(node_id)
-        return () if seeds is None else _members(seeds)
-
-    def reach_items(self) -> Iterator[tuple[int, frozenset[int]]]:
-        """Normalized scan of the reach index: ``(node_id, {seed_ids})``."""
-        for node_id, seeds in self._reached_from.items():
-            yield node_id, frozenset(_members(seeds))
-
-    def has_reach(self) -> bool:
-        """True when the reach-provenance index is populated.
-
-        `repro.kb.live` refuses a seeded store without reach through this:
-        only an artifact saved from a store whose reach was dropped can be
-        in that state.
-        """
-        return bool(self._reached_from)
-
-    # -- Live invalidation -------------------------------------------------
-
-    def invalidate_seeds(self, seeds: Iterable[str]) -> bool:
-        """Drop every expanded triple and reach entry of a set of seeds.
-
-        Invalidation for live KB updates: all of the seeds' expanded
-        ``(s, p+, o)`` rows, their pair index entries, their frozen views and
-        their reach provenance are removed, so one expansion of the set (see
-        :class:`repro.kb.live.LiveExpansionMaintainer`) can rebuild them.
-        Returns True when anything was dropped.
-        """
-        lookup = self.dictionary.lookup
-        dropped = {s for seed in seeds if (s := lookup(seed)) is not None}
-        if not dropped:
-            return False
-        removed = bool(dropped & self.seed_ids)
-        self.seed_ids -= dropped
-        by_pair = self._by_pair
-        for s in dropped:
-            by_path = self._by_subject.pop(s, None)
-            if not by_path:
-                continue
-            removed = True
-            base = s << _ID_BITS
-            for p_id, objects in by_path.items():
-                object_ids = _members(objects)
-                self._triple_count -= len(object_ids)
-                self._objects_cache.pop((s, p_id), None)
-                for o_id in object_ids:
-                    pair = base | o_id
-                    paths = by_pair.get(pair)
-                    if paths is not None:
-                        rest = _without(paths, p_id)
-                        if rest is None:
-                            del by_pair[pair]
-                        else:
-                            by_pair[pair] = rest
-                    self._pairs_cache.pop((s, o_id), None)
-        # the reach index has no inverse (it would add a container per node
-        # to the expansion); one sweep serves the whole set
-        reached = self._reached_from
-        changed = [
-            (node_id, tuple(s for s in _members(entry) if s not in dropped))
-            for node_id, entry in reached.items()
-            if (entry in dropped if type(entry) is int else not dropped.isdisjoint(entry))
-        ]
-        for node_id, rest in changed:
-            if rest:
-                reached[node_id] = _entry(rest)
-            else:
-                del reached[node_id]
-        return removed
-
-    def merge_from(self, other: "ExpandedStore") -> int:
-        """Fold another store's triples, seeds and reach into this one.
-
-        One bulk pass: every id ``other`` uses is translated through one
-        ``other id -> self id`` map (each term encoded once, so the merge is
-        correct whether or not the two stores share a dictionary — a freshly
-        loaded artifact has its own), and the translated ids are packed and
-        folded in by :meth:`_extend_packed`.  Returns the number of newly
-        inserted triples.
-        """
-        by_subject, reached = other._by_subject, other._reached_from
-        used = {*by_subject, *reached, *other.seed_ids}
-        used.update(chain.from_iterable(other._path_keys))
-        for by_path in by_subject.values():
-            for objects in by_path.values():
-                used.update(_members(objects))
-        for seeds in reached.values():
-            used.update(_members(seeds))
-        encode, decode = self.dictionary.encode, other.dictionary.decode
-        id_of = {i: encode(decode(i)) for i in used}
-        path_of = [self.path_id(tuple(map(id_of.__getitem__, key))) for key in other._path_keys]
-        triples = {
-            (id_of[s] << _ID_BITS | path_of[p]) << _ID_BITS | id_of[o]
-            for s, p, o in other.triples_ids()
-        }
-        reach = {
-            id_of[node] << _ID_BITS | id_of[seed]
-            for node, seeds in reached.items()
-            for seed in _members(seeds)
-        }
-        self.seed_ids.update(map(id_of.__getitem__, other.seed_ids))
-        before = self._triple_count
-        self._extend_packed(triples, reach)
-        return self._triple_count - before
+        self._triple_count = len(objects)
 
     # -- Persistence -------------------------------------------------------
 
@@ -607,8 +416,6 @@ def expand_predicates(
     seeds: Iterable[str],
     max_length: int = 3,
     tail_predicates: frozenset[str] = DEFAULT_TAIL_PREDICATES,
-    *,
-    into: ExpandedStore | None = None,
 ) -> ExpandedStore:
     """Generate all ``(s, p+, o)`` with ``s`` in ``seeds``, ``|p+| <= max_length``.
 
@@ -627,17 +434,9 @@ def expand_predicates(
     ``o_id << 64 | way`` ints, sorted once and split into per-node slices,
     and adds to one set of packed ``(seed_id << 32 | path_id) << 32 | o_id``
     recorded triples.  A way goes on only to an object that is a subject of
-    the store (round 1's scan collects them); any other object is only
-    recorded in the reach-provenance index, as ``node_id << 32 | seed_id``,
-    since a live add may make it a subject.  That index (which seeds' BFS
-    scanned which node, read off every frontier — the index `repro.kb.live`
-    resolves affected seeds through) and the sorted triples then fill the
-    store in one bulk pass, the one an artifact load makes.  There is no
-    second BFS that rebuilds reach.
-
-    Passing ``into=`` appends to an existing :class:`ExpandedStore` sharing
-    the backend's dictionary (used by the live maintainer to rebuild the
-    seeds a burst of edits affects) instead of building a fresh one.
+    the store (round 1's scan collects them): no later scan meets any other.
+    The sorted triples then fill the store in one bulk pass, the one an
+    artifact load makes.
 
     Length-1 paths are recorded unconditionally (they are ordinary KB
     predicates); longer paths are recorded only when their final predicate is
@@ -649,15 +448,9 @@ def expand_predicates(
         raise ValueError(f"max_length must be >= 1, got {max_length}")
 
     dictionary = store.dictionary
-    if into is None:
-        expanded = ExpandedStore(
-            max_length=max_length, dictionary=dictionary, tail_predicates=tail_predicates
-        )
-    else:
-        if into.dictionary is not dictionary:
-            raise ValueError("`into` must share the backend's dictionary")
-        expanded = into
-
+    expanded = ExpandedStore(
+        max_length=max_length, dictionary=dictionary, tail_predicates=tail_predicates
+    )
     seed_ids: set[int] = set()
     for seed in seeds:
         seed_id = dictionary.lookup(seed)
@@ -665,7 +458,6 @@ def expand_predicates(
             seed_ids.add(seed_id)
     if not seed_ids:
         return expanded
-    expanded.seed_ids.update(seed_ids)
 
     tail_ids = frozenset(
         tail_id
@@ -681,10 +473,6 @@ def expand_predicates(
     children: dict[int, int] = {}
     # a way is seed_id << 32 | prefix; a seed is reached by the empty prefix
     frontier = {seed_id: (seed_id << _ID_BITS,) for seed_id in seed_ids}
-    # node_id << 32 | seed_id: the seeds whose BFS scans a node (round 1
-    # scans the seeds themselves)
-    reach = {seed_id << _ID_BITS | seed_id for seed_id in seed_ids}
-    add_reach = reach.add
     triples: set[int] = set()  # (seed_id << 32 | path_id) << 32 | o_id
     add_triple = triples.add
     # every subject of the store, collected by round 1's scan: a way goes on
@@ -706,16 +494,13 @@ def expand_predicates(
                 if is_last_round:
                     if round_index > 1 and p_id not in tail_ids:
                         continue  # its path is not recorded, and no round follows
-                    onward = ends = ()
+                    onward = ()
                 elif round_index == 1:
                     # subjects is whole only once this scan ends: every way
                     # goes on, and the next frontier keeps those to subjects
-                    onward, ends = object_ids, ()
+                    onward = object_ids
                 else:
-                    # an object that is no subject ends its ways here, as
-                    # reach facts
                     onward = object_ids & subjects
-                    ends = object_ids - onward
                 step_base = p_id << _ID_BITS
                 for way in ways:
                     prefix = way & _ID_MASK
@@ -736,14 +521,10 @@ def expand_predicates(
                         extended = way - prefix + child
                         for o_id in onward:
                             add_way(o_id << way_bits | extended)
-                    if ends:
-                        seed = way >> _ID_BITS
-                        for o_id in ends:
-                            add_reach(o_id << _ID_BITS | seed)
         frontier.clear()  # the scan is done with it
-        frontier = _next_frontier(next_ways, subjects, reach)
+        frontier = _next_frontier(next_ways, subjects)
         if not frontier:
             break
 
-    expanded._extend_packed(triples, reach)
+    expanded._extend_triples(*_triple_columns(_drained(triples), Canonical()))
     return expanded

@@ -7,12 +7,8 @@ in :mod:`repro.kb.expansion` is held to the same triple set by
 ``tests/test_id_native_equivalence.py``; ``benchmarks/bench_offline_timecost.py``
 and the ``-m perf`` floors time the two side by side.
 
-:func:`reach_reference` is the matching oracle for the reach-provenance
-index the scan records (``tests/test_properties.py`` holds the product and
-the live maintainer to it).
-
-:func:`record`, :func:`record_encoded` and :func:`note_reach` write one
-triple or one reach pair into an :class:`~repro.kb.expansion.ExpandedStore`.
+:func:`record` and :func:`record_encoded` write one triple into an
+:class:`~repro.kb.expansion.ExpandedStore`.
 The product fills a store only through its bulk pass (the scan and the
 artifact load); the reference scan and the store tests write one at a time.
 """
@@ -74,34 +70,6 @@ def expand_predicates_baseline(
     return expanded
 
 
-def reach_reference(
-    store: KBBackend, seeds: Iterable[str], max_length: int = 3
-) -> dict[str, frozenset[str]]:
-    """Which seeds' expansion scans each node's out-edges, as strings.
-
-    A seeds-only BFS over ``store.triples()``: round ``r`` (``1..max_length``)
-    scans every node at distance ``r - 1`` from a seed, so a node maps to the
-    seeds that reach it in fewer than ``max_length`` hops.  Seeds absent from
-    subject position start nothing, as in the expansion.
-    """
-    reach: dict[str, set[str]] = defaultdict(set)
-    frontier: dict[str, set[str]] = {
-        seed: {seed} for seed in seeds if store.has_subject(seed)
-    }
-    for round_index in range(1, max_length + 1):
-        for node, node_seeds in frontier.items():
-            reach[node] |= node_seeds
-        if round_index == max_length:
-            break
-        next_frontier: dict[str, set[str]] = defaultdict(set)
-        for triple in store.triples():
-            node_seeds = frontier.get(triple.subject)
-            if node_seeds:
-                next_frontier[triple.object] |= node_seeds
-        frontier = next_frontier
-    return {node: frozenset(node_seeds) for node, node_seeds in reach.items()}
-
-
 def record(expanded: ExpandedStore, subject: str, path: PredicatePath, obj: str) -> bool:
     """Insert one (s, p+, o) triple given as strings (idempotent)."""
     encode = expanded.dictionary.encode
@@ -129,9 +97,3 @@ def record_encoded(
     expanded._pairs_cache.pop((subject_id, object_id), None)
     return True
 
-
-def note_reach(expanded: ExpandedStore, node_id: int, seed_id: int) -> None:
-    """Record that ``seed_id``'s BFS scanned ``node_id``'s out-edges."""
-    seeds = _with(expanded._reached_from.get(node_id), seed_id)
-    if seeds is not None:
-        expanded._reached_from[node_id] = seeds

@@ -62,11 +62,62 @@ class TestKBView:
     def test_without_expansion_only_direct(self, view_setup):
         kb, _view = view_setup
         bare = KBView(kb)
-        assert bare.max_path_length == 1
         assert bare.paths_between("a", make_literal("michelle")) == set()
         # explicit path still traversable on demand
         assert bare.values("a", SPOUSE) == {make_literal("michelle")}
 
-    def test_max_path_length_from_expansion(self, view_setup):
+
+class _DetachingExpansion:
+    """An expansion that a write detaches while a read is inside it."""
+
+    def __init__(self, view, found):
+        self.view = view
+        self.found = found
+
+    def objects(self, _subject, _path):
+        self.view.expanded = None
+        return self.found
+
+    def paths_between(self, _subject, _obj):
+        self.view.expanded = None
+        return self.found
+
+
+class TestDetachedView:
+    """``expanded = None``: what a trained system's view becomes on its
+    first KB write.  Every multi-hop read then walks the live KB."""
+
+    @pytest.mark.parametrize(
+        "found", [frozenset({make_literal("michelle")}), frozenset()], ids=["hit", "miss"]
+    )
+    def test_values_reads_the_expansion_once_per_call(self, view_setup, found):
+        """A detach racing a read neither fails nor loses the answer: an
+        empty hit falls back to the walk."""
+        kb, view = view_setup
+        view.expanded = _DetachingExpansion(view, found)
+        assert view.values("a", SPOUSE) == {make_literal("michelle")}
+        assert view.expanded is None
+
+    def test_paths_between_reads_the_expansion_once_per_call(self, view_setup):
         _kb, view = view_setup
-        assert view.max_path_length == 3
+        view.expanded = _DetachingExpansion(view, frozenset({SPOUSE}))
+        assert view.paths_between("a", make_literal("michelle")) == {SPOUSE}
+        assert view.expanded is None
+
+    def test_detached_view_walks_every_expanded_value(self, view_setup):
+        kb, view = view_setup
+        bare = KBView(kb)
+        triples = list(view.expanded.triples())
+        assert triples
+        for subject, path, _obj in triples:
+            assert bare.values(subject, path) == view.values(subject, path)
+
+    def test_detached_view_sees_an_edit_the_expansion_misses(self, view_setup):
+        """Why a write detaches: the expansion describes the KB it was
+        built from, the walk the KB as it is."""
+        kb, view = view_setup
+        kb.add("c", "name", make_literal("michelle o"))
+        assert view.values("a", SPOUSE) == {make_literal("michelle")}
+        view.expanded = None
+        assert view.values("a", SPOUSE) == {make_literal("michelle"), make_literal("michelle o")}
+        assert view.value_probability("a", SPOUSE, make_literal("michelle")) == pytest.approx(0.5)

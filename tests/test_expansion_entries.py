@@ -10,10 +10,9 @@ per-node sets.  Two things follow and are held here:
 * at the benchmark's scale a scan or a load allocates little beyond the
   store it returns (its bulk build fills the store one section at a time);
 * the store keeps one int object per distinct id, not one per occurrence;
-* a hub — one node reached by thousands of seeds, whose frontier entry and
-  reach entry are thousand-member tuples — expands, invalidates, refreshes
-  and round-trips exactly like the string-level reference
-  (``tests/oracles/expansion_reference.py``).
+* a hub — one node reached by thousands of seeds, whose frontier entry is a
+  thousand-member tuple — expands and round-trips exactly like the
+  string-level reference (``tests/oracles/expansion_reference.py``).
 """
 
 import gc
@@ -21,10 +20,11 @@ import tracemalloc
 
 import pytest
 
-from oracles.expansion_reference import expand_predicates_baseline, reach_reference
+from oracles.expansion_reference import expand_predicates_baseline
+from repro.core.kbview import KBView
 from repro.core.learner import collect_seed_entities
 from repro.kb.expansion import ExpandedStore, _members, expand_predicates
-from repro.kb.live import LiveExpansionMaintainer
+from repro.kb.paths import PredicatePath
 from repro.kb.store import TripleStore
 from repro.kb.triple import make_literal
 from repro.nlp.ner import EntityRecognizer
@@ -72,28 +72,17 @@ def _traced(build):
 
 
 def _decoded(expanded: ExpandedStore):
-    """Triples and reach of an expansion, as strings."""
-    decode = expanded.dictionary.decode
-    return (
-        {(s, str(p), o) for s, p, o in expanded.triples()},
-        {
-            decode(node): frozenset(decode(seed) for seed in seeds)
-            for node, seeds in expanded.reach_items()
-        },
-    )
+    """The triples of an expansion, as strings."""
+    return {(s, str(p), o) for s, p, o in expanded.triples()}
 
 
 def _reference(kb: TripleStore, seeds, max_length: int = 3):
-    baseline = expand_predicates_baseline(kb, seeds, max_length=max_length)
-    return (
-        {(s, str(p), o) for s, p, o in baseline.triples()},
-        reach_reference(kb, seeds, max_length),
-    )
+    return _decoded(expand_predicates_baseline(kb, seeds, max_length=max_length))
 
 
 class TestGcFootprint:
-    # the store object, its few dicts and lists, its seed set and tail
-    # frozenset, and the dictionary a load brings: a handful, at any size
+    # the store object, its few dicts and lists, its tail frozenset, and the
+    # dictionary a load brings: a handful, at any size
     BOUND = 40
 
     @pytest.mark.parametrize("n_people", [40, 400])
@@ -143,14 +132,15 @@ class TestGcFootprint:
 
     @pytest.mark.perf
     def test_default_scale_scan_and_load_peak_near_what_they_hold(self, tmp_path):
-        """tracemalloc's peak above what the returned store holds (5.6 MiB
-        scanned, 6.7 MiB loaded; 3.1 and 2.0 MiB above).  The scan's was
+        """tracemalloc's peak above what the returned store holds (4.7 MiB
+        scanned, 5.6 MiB loaded; 2.2 and 2.0 MiB above).  The scan's was
         16.3 MiB when it carried a way to every object, subject or not, and
         its bulk build held the scan's sets, their sorted lists, every
         column and the growing store at once; the load's was 4.8 MiB when it
         held the file's bytes and every section through the build.  The
         stores held 8.4 and 9.2 MiB while they kept an int object per id
-        occurrence."""
+        occurrence, and 5.6 and 6.7 MiB while they kept the seed set and the
+        node -> seeds reach index of live expansion maintenance."""
         suite = build_suite("default", seed=7)
         kb = suite.freebase
         seeds = collect_seed_entities(suite.corpus, EntityRecognizer(kb.gazetteer))
@@ -163,6 +153,7 @@ class TestGcFootprint:
         loaded, load_peak, load_held = _traced(lambda: ExpandedStore.load(path))
         assert len(loaded) > 30_000
         mib = 1 << 20
+        assert scan_held <= 5 * mib, f"the scanned store holds {scan_held / mib:.2f} MiB"
         assert scan_peak - scan_held <= 6 * mib, (
             f"the scan peaked {(scan_peak - scan_held) / mib:.1f} MiB above "
             f"the {scan_held / mib:.1f} MiB its store holds"
@@ -174,17 +165,14 @@ class TestGcFootprint:
 
 
 def _held_ids(expanded: ExpandedStore) -> list[int]:
-    """Every id the store keeps: seeds, subjects, path ids, objects, reach
-    nodes and their seeds (occurrences, not distinct values)."""
-    held = list(expanded.seed_ids)
+    """Every id the store keeps: subjects, path ids and objects
+    (occurrences, not distinct values)."""
+    held = []
     for s_id, by_path in expanded._by_subject.items():
         held.append(s_id)
         for p_id, objects in by_path.items():
             held.append(p_id)
             held.extend(_members(objects))
-    for node_id, seeds in expanded._reached_from.items():
-        held.append(node_id)
-        held.extend(_members(seeds))
     return held
 
 
@@ -236,37 +224,37 @@ class TestHubs:
     def seeds(self):
         return [f"s{seed}" for seed in range(self.N_SEEDS)]
 
-    def test_expansion_and_reach_equal_the_reference(self, hub_kb, seeds):
-        expanded = expand_predicates(hub_kb, seeds, max_length=3)
-        triples, reach = _decoded(expanded)
-        assert (triples, reach) == _reference(hub_kb, seeds)
-        assert len(reach["hub"]) == self.N_SEEDS
-        hub_id = expanded.dictionary.lookup("hub")
-        assert len(expanded.seeds_through(hub_id)) == self.N_SEEDS
+    def test_expansion_equals_the_reference(self, hub_kb, seeds):
+        triples = _decoded(expand_predicates(hub_kb, seeds, max_length=3))
+        assert triples == _reference(hub_kb, seeds)
+        # every seed reaches a leaf's name through the hub
+        assert {s for s, _p, o in triples if o == make_literal("leaf 0")} == set(seeds)
 
-    def test_invalidate_and_refresh_equal_the_reference(self, hub_kb, seeds):
+    def test_a_detached_view_walks_the_hub_like_the_expansion(self, hub_kb, seeds):
         expanded = expand_predicates(hub_kb, seeds, max_length=3)
-        maintainer = LiveExpansionMaintainer(hub_kb, expanded, seeds)
-        dropped = seeds[::250]
-        assert expanded.invalidate_seeds(dropped)
-        kept = [seed for seed in seeds if seed not in dropped]
-        assert _decoded(expanded) == _reference(hub_kb, kept)
-        maintainer.refresh(dropped)
-        assert _decoded(expanded) == _reference(hub_kb, seeds)
-        # an edit under the hub refreshes every seed through it, once, in
-        # one expansion: at most max_length scans of the KB, not that many
-        # per seed
-        scans = []
-        scan = hub_kb.spo_items_ids
-        hub_kb.spo_items_ids = lambda: (scans.append(1), scan())[1]
+        attached, detached = KBView(hub_kb, expanded), KBView(hub_kb)
+        paths = sorted(expanded.distinct_paths(), key=str)
+        assert len(paths) > 3
+        for seed in seeds[::37]:
+            for path in paths:
+                assert detached.values(seed, path) == attached.values(seed, path)
+
+    def test_an_edit_under_the_hub_reaches_every_seed_through_the_walk(self, hub_kb, seeds):
+        """One write under the hub changes V(e, p+) for all 2 000 seeds: the
+        expansion built before it misses the new leaf, the walk serves each
+        seed what a fresh scan of the edited KB holds."""
+        expanded = expand_predicates(hub_kb, seeds, max_length=3)
         with hub_kb.batch():
             hub_kb.add("hub", "part", "leaf9")
             hub_kb.add("leaf9", "name", make_literal("leaf 9"))
-        assert 0 < len(scans) <= expanded.max_length
-        del hub_kb.spo_items_ids
-        assert maintainer.seeds_refreshed == len(dropped) + self.N_SEEDS
-        assert _decoded(expanded) == _reference(hub_kb, seeds)
-        maintainer.close()
+        fresh = expand_predicates(hub_kb, seeds, max_length=3)
+        walk = KBView(hub_kb)
+        leaf_names = PredicatePath(("member_of", "part", "name"))
+        for seed in seeds:
+            assert make_literal("leaf 9") not in expanded.objects(seed, leaf_names)
+            values = walk.values(seed, leaf_names)
+            assert make_literal("leaf 9") in values
+            assert values == fresh.objects(seed, leaf_names)
 
     def test_save_load_round_trip_equals_the_reference(self, hub_kb, seeds, tmp_path):
         path = tmp_path / "hub.kbqa"

@@ -5,7 +5,7 @@ re-running ``expand_predicates``).
 One artifact format is locked down here (`repro.kb.expanded_v3`): a load
 format whose bytes are canonical (``load(p).save(q)`` reproduces ``p``, and a
 memory and a disk backend built by the same adds save identical bytes),
-``save`` replaces its target atomically, the three retired formats are
+``save`` replaces its target atomically, the four retired formats are
 refused by name, and an exhaustive single-byte mutation fuzzer checks that
 ``load`` rejects every corrupt file with ``ValueError`` — the CRC32 trailer
 catches each flip, and the checks behind it are tested on re-sealed files.
@@ -17,9 +17,10 @@ import zlib
 
 import pytest
 
-from oracles.expansion_reference import note_reach, record, record_encoded
+from oracles.expansion_reference import record, record_encoded
 import repro.core.learner as learner_module
 from repro.core.system import KBQA
+from repro.data.compile import compile_freebase_like
 from repro.kb import expanded_v3
 from repro.kb.disk import DiskTripleStore
 from repro.kb.expanded_v3 import EXPANSION_MAGIC, EXPANSION_VERSION
@@ -29,17 +30,19 @@ from repro.kb.store import TripleStore
 from repro.kb.triple import make_literal
 
 
-HEADER = struct.Struct("<8s13IQ")
+HEADER = struct.Struct("<8s10IQ")
 
 # the first bytes a file of each retired format starts with, built by hand
 # (no legacy writer is kept): v1 was a magic line plus a JSON header line,
-# v2 and v3 one fixed struct header under their own magics and versions
+# v2, v3 and v4 one fixed struct header under their own magics and versions
 RETIRED_HEADER = struct.Struct("<8s14IQ")
 RETIRED_HEADERS = {
     "v1": b'KBQA-EXPANDED 1\n{"max_length":3,"paths":0,"reach_nodes":0,'
           b'"subjects":0,"tail_predicates":["alias","name"],"terms":0,"triples":0}\n[]\n',
     "v2": RETIRED_HEADER.pack(b"KBQAXPD2", 2, 3, *([0] * 13)),
     "v3": RETIRED_HEADER.pack(b"KBQAXPD3", 3, 3, *([0] * 13)),
+    # v4 carried seeds and a reach index for live expansion maintenance
+    "v4": struct.pack("<8s13IQ", b"KBQAXPD4", 4, 3, *([0] * 12)),
 }
 
 
@@ -47,9 +50,9 @@ def section_offsets(data) -> dict[str, tuple[int, int]]:
     """``name -> (start, end)`` byte range of every section, in file order,
     re-derived from the header the way the module docstring lays it out."""
     (
-        _magic, _version, _max_length, n_tails, n_terms, n_seeds, n_paths,
-        n_path_ids, n_subjects, n_groups, n_triples, n_reach_nodes,
-        n_reach_pairs, tails_blob_len, terms_blob_len,
+        _magic, _version, _max_length, n_tails, n_terms, n_paths,
+        n_path_ids, n_subjects, n_groups, n_triples, tails_blob_len,
+        terms_blob_len,
     ) = HEADER.unpack_from(data, 0)
     sizes = [
         ("header", HEADER.size),
@@ -57,7 +60,6 @@ def section_offsets(data) -> dict[str, tuple[int, int]]:
         ("tails_blob", tails_blob_len),
         ("term_offsets", 8 * (n_terms + 1)),
         ("terms_blob", terms_blob_len),
-        ("seeds", 4 * n_seeds),
         ("path_offsets", 4 * (n_paths + 1)),
         ("path_ids", 4 * n_path_ids),
         ("subject_ids", 4 * n_subjects),
@@ -65,9 +67,6 @@ def section_offsets(data) -> dict[str, tuple[int, int]]:
         ("group_path_ids", 4 * n_groups),
         ("object_offsets", 4 * (n_groups + 1)),
         ("object_ids", 4 * n_triples),
-        ("reach_nodes", 4 * n_reach_nodes),
-        ("reach_offsets", 4 * (n_reach_nodes + 1)),
-        ("reach_seeds", 4 * n_reach_pairs),
         ("checksum", 4),
     ]
     offsets, cursor = {}, 0
@@ -116,25 +115,6 @@ class TestRoundTrip:
         # the reloaded store serves shared frozen views exactly like the original
         assert loaded.objects(subject, p_plus) is loaded.objects(subject, p_plus)
 
-    def test_seed_and_reach_provenance_survive(self, expanded, tmp_path):
-        path = tmp_path / "expansion.kbqa"
-        expanded.save(path)
-        loaded = ExpandedStore.load(path)
-        decode_old = expanded.dictionary.decode
-        decode_new = loaded.dictionary.decode
-        assert {decode_new(s) for s in loaded.seed_ids} == {
-            decode_old(s) for s in expanded.seed_ids
-        }
-        old_reach = {
-            decode_old(node): {decode_old(s) for s in seeds}
-            for node, seeds in expanded.reach_items()
-        }
-        new_reach = {
-            decode_new(node): {decode_new(s) for s in seeds}
-            for node, seeds in loaded.reach_items()
-        }
-        assert new_reach == old_reach
-
     def test_save_is_deterministic(self, expanded, tmp_path):
         first = tmp_path / "first.kbqa"
         second = tmp_path / "second.kbqa"
@@ -174,7 +154,7 @@ class TestFormatGuards:
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.kbqa"
         path.write_text("NOT-AN-EXPANSION 1\n{}\n")
-        with pytest.raises(ValueError, match="KBQAXPD4"):
+        with pytest.raises(ValueError, match="KBQAXPD5"):
             ExpandedStore.load(path)
 
     def test_rejects_empty_file(self, tmp_path):
@@ -185,7 +165,7 @@ class TestFormatGuards:
 
     @pytest.mark.parametrize("name", sorted(RETIRED_HEADERS))
     def test_retired_format_is_named(self, name, tmp_path):
-        """A v1 / v2 / v3 file must not fall through to "not a KBQAXPD4
+        """A v1 / v2 / v3 / v4 file must not fall through to "not a KBQAXPD5
         file": the error names the retired format and how to regenerate it."""
         path = tmp_path / f"old.{name}"
         path.write_bytes(RETIRED_HEADERS[name])
@@ -259,11 +239,11 @@ class TestFormatGuards:
         path = tmp_path / "corrupt.kbqa"
         expanded.save(path)
         data = bytearray(path.read_bytes())
-        seeds_at = section_offsets(data)["seeds"][0]
-        assert struct.unpack_from("<I", data, seeds_at) == tuple(expanded.seed_ids)
-        struct.pack_into("<I", data, seeds_at, 9999)
+        subjects_at = section_offsets(data)["subject_ids"][0]
+        assert struct.unpack_from("<I", data, subjects_at) == (kb.dictionary.lookup("s"),)
+        struct.pack_into("<I", data, subjects_at, 9999)
         path.write_bytes(reseal(data))
-        with pytest.raises(ValueError, match="seed id 9999 out of range"):
+        with pytest.raises(ValueError, match="subject id 9999 out of range"):
             ExpandedStore.load(path)
 
     def test_mismatched_max_length_rejected_at_train(self, suite, tmp_path):
@@ -296,25 +276,6 @@ class TestV3Format:
     store that answers exactly like the live one and takes writes, and the
     rejection paths of a corrupt file."""
 
-    def test_round_trip_is_byte_identical_after_churn(self, expanded, tmp_path):
-        """Acceptance: ``load(p).save(q)`` reproduces ``p``'s bytes — from a
-        freshly loaded store, and from one that was mutated and reverted."""
-        original = tmp_path / "a.kbqa"
-        expanded.save(original)
-        via_load = tmp_path / "b.kbqa"
-        ExpandedStore.load(original).save(via_load)
-        assert via_load.read_bytes() == original.read_bytes()
-
-        churned = ExpandedStore.load(original)
-        pristine = ExpandedStore.load(original)
-        seed = churned.dictionary.decode(min(churned.seed_ids))
-        assert churned.invalidate_seeds([seed])  # drops the seed's rows and reach
-        assert len(churned) < len(pristine)
-        churned.merge_from(pristine)  # and back: same content, rebuilt indexes
-        via_churned = tmp_path / "c.kbqa"
-        churned.save(via_churned)
-        assert via_churned.read_bytes() == original.read_bytes()
-
     def test_v3_save_is_deterministic(self, expanded, tmp_path):
         """Equal content over the same term ids serializes identically
         whatever order the triples were interned in."""
@@ -323,10 +284,6 @@ class TestV3Format:
         )
         for s_id, p_id, o_id in reversed(list(expanded.triples_ids())):
             record_encoded(reordered, s_id, expanded._path_keys[p_id], o_id)
-        reordered.seed_ids = set(expanded.seed_ids)
-        for node_id, seeds in reversed(list(expanded.reach_items())):
-            for seed_id in seeds:
-                note_reach(reordered, node_id, seed_id)
         assert reordered._path_keys != expanded._path_keys
         first, second = tmp_path / "first.kbqa", tmp_path / "second.kbqa"
         expanded.save(first)
@@ -354,30 +311,7 @@ class TestV3Format:
                 assert loaded.paths_between(subject, obj) == expanded.paths_between(
                     subject, obj
                 )
-        for node_id, _seeds in expanded.reach_items():
-            assert set(loaded.seeds_through(node_id)) == set(
-                expanded.seeds_through(node_id)
-            )
         assert loaded.objects("no-such-subject", next(iter(expanded.distinct_paths()))) == set()
-
-    def test_seeds_tails_and_reach_survive_v3(self, expanded, tmp_path):
-        path = tmp_path / "expansion.kbqa"
-        expanded.save(path)
-        loaded = ExpandedStore.load(path)
-        assert loaded.tail_predicates == expanded.tail_predicates
-        assert loaded.max_length == expanded.max_length
-        assert loaded.has_reach() == expanded.has_reach()
-        decode_old, decode_new = expanded.dictionary.decode, loaded.dictionary.decode
-        assert {decode_new(s) for s in loaded.seed_ids} == {
-            decode_old(s) for s in expanded.seed_ids
-        }
-        assert {
-            decode_new(n): {decode_new(s) for s in seeds}
-            for n, seeds in loaded.reach_items()
-        } == {
-            decode_old(n): {decode_old(s) for s in seeds}
-            for n, seeds in expanded.reach_items()
-        }
 
     def test_answer_many_identical_from_v3_artifact(self, suite, kbqa_fb, tmp_path):
         """Acceptance: a system resumed from an artifact answers the qald3
@@ -555,21 +489,18 @@ class TestMutationFuzzer:
     # sorted as a whole); load builds the store in one pass that takes every
     # one of them as a sorted set
     SORTED_SECTIONS = {
-        "seeds": None,
         "subject_ids": None,
         "group_path_ids": "group_offsets",
         "object_ids": "object_offsets",
-        "reach_nodes": None,
-        "reach_seeds": "reach_offsets",
     }
 
     @pytest.mark.parametrize("edit", ["repeat", "swap"])
     @pytest.mark.parametrize("section", list(SORTED_SECTIONS))
     def test_load_rejects_an_unsorted_section(self, pristine, section, edit, tmp_path):
         """A sealed file whose ids repeat or go out of order inside a sorted
-        section is refused, not merged: a repeated reach node used to load
-        and drop the first node's seeds, so a live edit under that node
-        refreshed none of them."""
+        section is refused, not merged: the bulk build takes each section
+        as a sorted set, and a repeated subject would replace the first
+        one's paths."""
         _store, data = pristine
         sections = section_offsets(data)
         start, end = sections[section]
@@ -594,8 +525,8 @@ class TestMutationFuzzer:
             ExpandedStore.load(path)
 
     def test_load_rejects_an_empty_group(self, pristine, tmp_path):
-        """A group holds at least one id: a subject with no paths, a path with
-        no objects or a node with no seeds has no entry to build."""
+        """A group holds at least one id: a subject with no paths or a path
+        with no objects has no entry to build."""
         _store, data = pristine
         mutant = bytearray(data)
         start, _end = section_offsets(data)["object_offsets"]
@@ -667,6 +598,47 @@ class TestTrainingResumption:
         questions = [q.question for q in suite.benchmark("qald3").bfqs()]
         assert resumed.answer_many(questions) == kbqa_fb.answer_many(questions)
         assert resumed.model.n_templates == kbqa_fb.model.n_templates
+
+
+class TestLiveWrites:
+    """A live write detaches the expansion from the online view and never
+    edits it: what was saved still describes the KB it was built from."""
+
+    def test_a_write_leaves_the_expansion_byte_identical(self, suite, tmp_path):
+        """The write interns no new term: the artifact's term section is the
+        shared dictionary, which a new term would grow."""
+        kb = compile_freebase_like(suite.world)
+        before, after = tmp_path / "before.kbqa", tmp_path / "after.kbqa"
+        with KBQA.train(kb, suite.corpus, suite.conceptualizer) as system:
+            expansion = system.learn_result.expanded
+            expansion.save(before)
+            seeds = sorted(system.learn_result.seed_entities)
+            (old_name,) = kb.store.objects(seeds[0], "name")
+            (other_name,) = kb.store.objects(seeds[1], "name")
+            with system.batch():
+                assert system.delete_fact(seeds[0], "name", old_name)
+                assert system.add_fact(seeds[0], "name", other_name)
+            assert system.answerer.kbview.expanded is None
+            assert system.answerer.kbview.values(
+                seeds[0], PredicatePath.single("name")
+            ) == {other_name}
+            expansion.save(after)
+        assert after.read_bytes() == before.read_bytes()
+
+    def test_a_resumed_system_collects_the_scanned_seed_entities(
+        self, suite, kbqa_fb, tmp_path
+    ):
+        """The artifact carries no seed set: a resumed system collects its
+        seeds from the corpus, the same ones the scan started from."""
+        path = tmp_path / "expansion.kbqa"
+        kbqa_fb.learn_result.expanded.save(path)
+        with KBQA.train(
+            suite.freebase, suite.corpus, suite.conceptualizer,
+            expanded=ExpandedStore.load(path),
+        ) as resumed:
+            assert resumed.learn_result.seed_entities == kbqa_fb.learn_result.seed_entities
+            assert resumed.learn_result.n_seed_entities == kbqa_fb.learn_result.n_seed_entities
+            assert resumed.learn_result.seed_entities
 
 
 class TestExpandCli:

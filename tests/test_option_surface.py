@@ -275,25 +275,23 @@ def test_expanded_format_env_var_is_ignored(tmp_path, monkeypatch):
 
 
 def test_kb_layer_serves_only_the_lookups_kbqa_makes():
-    """Reach is recorded one way, the store keeps two triple orderings, the
-    change stream has one listener kind, live refreshes go by seed set, the
-    string reads are written once on the one contract class, and the BGP
-    solver, the reverse lookups, the reads nothing calls, the alias view and
-    the read-only open mode stay gone."""
+    """The store keeps two triple orderings, the change stream has one
+    listener kind, the string reads are written once on the one contract
+    class, and the BGP solver, the reverse lookups, the reads nothing calls,
+    the alias view, the read-only open mode and live expansion maintenance
+    stay gone."""
     import repro.kb
     from repro.core.kbview import KBView
     from repro.kb import backend, disk, paths
     from repro.kb.backend import KBBackend
     from repro.kb.disk import DiskTripleStore
     from repro.kb.expansion import ExpandedStore, expand_predicates
-    from repro.kb.live import LiveExpansionMaintainer
     from repro.kb.store import TripleStore
 
-    assert "record_reach" not in inspect.signature(expand_predicates).parameters
-    assert list(inspect.signature(DiskTripleStore).parameters) == ["path"]
-    assert list(inspect.signature(LiveExpansionMaintainer).parameters) == [
-        "backend", "expanded", "seeds",
+    assert list(inspect.signature(expand_predicates).parameters) == [
+        "store", "seeds", "max_length", "tail_predicates",
     ]
+    assert list(inspect.signature(DiskTripleStore).parameters) == ["path"]
     deleted = (
         "subjects", "predicates", "predicates_ids_of",
         "lookup_id", "decode_id", "predicates_of", "out_degree", "subjects_iter",
@@ -309,9 +307,13 @@ def test_kb_layer_serves_only_the_lookups_kbqa_makes():
             assert getattr(owner, name) is getattr(KBBackend, name), (owner, name)
         # one listener kind: a listener takes bursts of changes
         assert list(inspect.signature(owner.subscribe).parameters) == ["self", "listener"]
-    # a live edit refreshes its affected seeds together, never one by one
-    assert not hasattr(LiveExpansionMaintainer, "refresh_seed")
-    assert not hasattr(ExpandedStore, "invalidate_seed")
+    # a live edit detaches the expansion; nothing keeps it fresh
+    with pytest.raises(ModuleNotFoundError):
+        import repro.kb.live  # noqa: F401
+    for name in ("invalidate_seeds", "merge_from", "seeds_through", "reach_items", "has_reach"):
+        assert not hasattr(ExpandedStore, name), name
+    assert not hasattr(ExpandedStore(3), "seed_ids")
+    assert not hasattr(KBView, "max_path_length")
     # one contract class, no Protocol beside it; no graph walk beside the scan
     assert not hasattr(backend, "BackendBase") and not hasattr(backend, "Protocol")
     assert not hasattr(paths, "paths_between") and not hasattr(KBView, "has_entity")
